@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -315,8 +316,8 @@ def cmd_tov_compare(cfg, out_dir):
 
     out = _out_dir(cfg, out_dir)
     if cfg.star["Omega_O"] not in (None, 0.0) or (cfg.star["b_rot"] or 0.0) != 0.0:
-        cfg.star["Omega_O"] = None
-        cfg.star["b_rot"] = 0.0
+        # TOV is static: compare against a non-rotating copy of the star
+        cfg = replace(cfg, star={**cfg.star, "Omega_O": None, "b_rot": 0.0})
     solver, res, eos = _run_solver(cfg)
     params = res.params
     tov = solve_tov(eos, params.u_O, params.G_grav, params.c_light, rtol=cfg.tov["rtol"])

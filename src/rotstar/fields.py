@@ -583,9 +583,11 @@ def compact_map(fn, *fields, n_index=3, parity=(1, 1)):
     int_vals = fn(*[f.int_total() for f in fields])
     raws = [f.star_raw_values() for f in fields]
     vals = fn(*raws)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        back = np.where(g.RS > 0, (g.R0 / np.where(g.RS > 0, g.RS, 1.0)) ** (n_index - 2), np.inf)
-    star = np.where(vals == 0.0, 0.0, vals * back)
+    pos = g.RS > 0
+    star = np.where(vals == 0.0, 0.0, np.inf)  # inf: the origin-image must vanish
+    star[pos] = np.where(
+        vals[pos] == 0.0, 0.0, vals[pos] * (g.R0 / g.RS[pos]) ** (n_index - 2)
+    )
     if np.any(~np.isfinite(star)):
         raise DomainError("compact_map result does not vanish at the origin-image")
     return AxiField(g, n_index, int_vals, star, parity, 0.0, fields[0].interp)

@@ -23,6 +23,7 @@ import math
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.fft import next_fast_len
 from scipy.special import ellipe, ellipk
 
 from .errors import DecayError, DomainError, SolverError
@@ -107,6 +108,7 @@ def ring_kernel(n, wt, ws, dz):
 
 
 _TABLE_CACHE = {}
+_FAR_BLOCK = 1 << 16  # kernel evaluations per block of far-field weights
 
 
 def get_table(P, n, mc=2):
@@ -128,7 +130,9 @@ class KernelTable:
     FFT over the even z-extension), which keeps the quadrature error a smooth
     O(h^2) interpolation error.  The W2 entries whose hat supports touch the
     log singularity are replaced by high-order local integrals (polar around
-    the target, fine Gauss nearby).
+    the target, fine Gauss nearby).  Off the node grid, eval_at sums the
+    plain nodal rule, whose weights far_weights builds block by block; the
+    FFT in apply uses the shortest fast length free of wrap-around.
     """
 
     def __init__(self, P, n, mc=2, n_gauss_base=4, n_gauss_near=10, n_gauss_polar=(12, 16)):
@@ -266,8 +270,10 @@ class KernelTable:
         """Unit-coordinate potential on the node grid (multiply by h^2)."""
         P = self.P
         gx = np.concatenate([gvals[:, -1:0:-1], gvals], axis=1)  # even in z
-        need = (4 * P - 3) + (2 * P - 1) - 1
-        nfft = 1 << (need - 1).bit_length()
+        # circular length: the linear convolution has 6P-5 terms, and the
+        # output window y[3P-3 : 4P-3] stays clear of wrap-around exactly
+        # when nfft >= 4P-3
+        nfft = next_fast_len(4 * P - 3, real=True)
         GX = np.fft.rfft(gx, nfft, axis=1)
         out = np.empty((P, P))
         lag_idx = np.abs(np.arange(-(2 * P - 2), 2 * P - 1))
@@ -292,28 +298,34 @@ class KernelTable:
     def eval_at(self, gvals, wt, zt, support_mask=None):
         """Plain nodal quadrature at scattered unit-coordinate targets
         (targets must stay a few cells away from strong sources)."""
-        P = self.P
         if support_mask is None:
             support_mask = np.abs(gvals) > 0
-        i_s, j_s = np.nonzero(support_mask)
+        src = np.flatnonzero(support_mask)
         wt = np.atleast_1d(np.asarray(wt, dtype=float))
         zt = np.atleast_1d(np.asarray(zt, dtype=float))
-        if i_s.size == 0:
-            return np.zeros(wt.shape)
-        g = gvals[i_s, j_s] * self.colw[i_s]
-        ws = self.nodes[i_s]
-        zs = self.nodes[j_s]
-        fold = np.where(j_s > 0, 1.0, 0.0)
-        out = np.empty(wt.shape)
-        chunk = max(1, int(2e6 / max(1, g.size)))
-        for k0 in range(0, wt.size, chunk):
-            sl = slice(k0, min(k0 + chunk, wt.size))
-            kv = ring_kernel(self.n, wt[sl][:, None], ws[None, :], zt[sl][:, None] - zs[None, :])
-            kv = kv + fold[None, :] * ring_kernel(
-                self.n, wt[sl][:, None], ws[None, :], zt[sl][:, None] + zs[None, :]
-            )
-            out[sl] = kv @ g
+        g = gvals.ravel()[src]
+        out = np.zeros(wt.shape)
+        for k0, block in self.far_weights(src, wt, zt):
+            out += g[k0 : k0 + len(block)] @ block
         return out
+
+    def far_weights(self, src, wt, zt):
+        """eval_at's quadrature weights from flat source nodes src to 1-d
+        targets, in blocks of about 64k kernel evaluations: yields (k0, B)
+        with B[k, t] the weight of node src[k0 + k] at target t."""
+        i_s, j_s = np.divmod(src, self.P)
+        step = max(1, _FAR_BLOCK // max(1, wt.size))
+        for k0 in range(0, i_s.size, step):
+            i = i_s[k0 : k0 + step, None]
+            j = j_s[k0 : k0 + step, None]
+            ws = self.nodes[i]
+            zs = self.nodes[j]
+            kv = ring_kernel(self.n, wt[None, :], ws, zt[None, :] - zs)
+            # the z < 0 mirror image of every node off the z = 0 row
+            kv = kv + np.where(j > 0, 1.0, 0.0) * ring_kernel(
+                self.n, wt[None, :], ws, zt[None, :] + zs
+            )
+            yield k0, self.colw[i] * kv
 
     def rows(self, targets, sources):
         """Dense quadrature rows R[t, s] consistent with apply()."""
@@ -352,16 +364,65 @@ class KernelTable:
         return float(np.sum(meas * gvals))
 
 
+class FarMatrix:
+    """KernelTable.eval_at from the source nodes of one table to one fixed
+    target set, as one stored matrix.
+
+    Row k of weights holds the weights at every target of source node
+    nodes[k]; a node gets its row the first time it carries source, and a
+    node without a row contributes nothing, like its zero source value.  A
+    call whose support already has rows costs one mat-vec.  Rows are filled
+    from the top, so only the rows in use take memory.
+    """
+
+    def __init__(self, table, wt, zt):
+        self.table = table
+        self.wt = wt
+        self.zt = zt
+        self.weights = np.zeros((table.P**2, wt.size))
+        self.built = np.zeros(table.P**2, dtype=bool)
+        self.nodes = np.zeros(0, dtype=np.intp)
+
+    def __call__(self, gvals):
+        flat = gvals.ravel()
+        new = np.flatnonzero((flat != 0.0) & ~self.built)
+        k = self.nodes.size
+        for k0, block in self.table.far_weights(new, self.wt, self.zt):
+            self.weights[k + k0 : k + k0 + len(block)] = block
+        self.built[new] = True
+        self.nodes = np.concatenate([self.nodes, new])
+        return flat[self.nodes] @ self.weights[: self.nodes.size]
+
+
 class GreenOps:
     """Two-patch Green operators bound to one AxiGrid.
 
     Kernel tables live in unit coordinates (cached globally per node count
-    and dimension); this class carries the physical measure factors.
+    and dimension); this class carries the physical measure factors.  The
+    far-field quadrature goes to two target sets the grid fixes: the image
+    points with r > 2 R0 of the starred patch (interior tables) and the
+    interior points with R0^2/r > R0 (starred tables).  Each (side, n) keeps
+    a FarMatrix to its target set, so a far evaluation is one mat-vec once
+    the source support has been seen; it holds T x S x 8 bytes for T targets
+    and the S nodes that have carried source.
     """
 
     def __init__(self, grid, mc=2):
         self.grid = grid
         self.mc = mc
+        g = grid
+        self.far_img = np.isfinite(g.r_img) & (g.r_img > 2.0 * g.R0)
+        # interior points by their Kelvin image: inside the starred patch the
+        # potential is interpolated, outside it is summed
+        r_int = g.RI
+        scale = np.where(r_int > 0, (g.R0**2 / np.where(r_int > 0, r_int, 1.0) ** 2), 0.0)
+        self.w_img_int = g.WI * scale
+        self.z_img_int = g.ZI * scale
+        rs = np.where(r_int > 0, g.R0**2 / np.where(r_int > 0, r_int, 1.0), np.inf)
+        self.rs_int = rs
+        self.img_inside = (r_int > 0) & (rs <= g.R0)
+        self.img_outside = (r_int > 0) & (rs > g.R0)
+        self._far = {}
 
     def table_int(self, n):
         return get_table(self.grid.n_int, n, self.mc)
@@ -369,22 +430,36 @@ class GreenOps:
     def table_star(self, n):
         return get_table(self.grid.n_ext, n, self.mc)
 
+    def _far_matrix(self, side, n):
+        key = (side, n)
+        if key not in self._far:
+            g = self.grid
+            if side == "int":
+                table, mask, h = self.table_int(n), self.far_img, g.h_int
+                w, z = g.W_img[mask], g.Z_img[mask]
+            else:
+                table, mask, h = self.table_star(n), self.img_outside, g.h_ext
+                w, z = self.w_img_int[mask], self.z_img_int[mask]
+            self._far[key] = FarMatrix(table, w / h, z / h)
+        return self._far[key]
+
     # -- compact inverse --------------------------------------------------------
 
-    def _compact_to_field(self, v_int, src, table, n, h):
+    def _compact_to_field(self, v_int, src, n):
         """Assemble a two-patch field from interior potential values."""
         g = self.grid
+        h = g.h_int
         star = np.zeros((g.n_ext, g.n_ext))
         img_r = g.r_img
         near = np.isfinite(img_r) & (img_r <= 2.0 * g.R0)
         if np.any(near):
-            vals = _bilinear(v_int, g.h_int, g.W_img[near], g.Z_img[near])
+            vals = _bilinear(v_int, h, g.W_img[near], g.Z_img[near])
             star[near] = (img_r[near] / g.R0) ** (n - 2) * vals
-        far = np.isfinite(img_r) & (img_r > 2.0 * g.R0)
+        far = self.far_img
         if np.any(far):
-            vals = h**2 * table.eval_at(src, g.W_img[far] / h, g.Z_img[far] / h)
+            vals = h**2 * self._far_matrix("int", n)(src)
             star[far] = (img_r[far] / g.R0) ** (n - 2) * vals
-        star[0, 0] = h**n * table.total_mass(src) / (FUND_NORM[n] * g.R0 ** (n - 2))
+        star[0, 0] = h**n * self.table_int(n).total_mass(src) / (FUND_NORM[n] * g.R0 ** (n - 2))
         return AxiField(g, n, v_int, star, (1, 1), 0.0)
 
     def k_n(self, fld, n):
@@ -396,10 +471,9 @@ class GreenOps:
         scale = np.max(np.abs(fld.int_vals)) + 1e-300
         if tail_sup > 1e-12 * scale:
             raise DomainError("source is not compactly supported in r <= 2 R0")
-        table = self.table_int(n)
         src = fld.int_vals
-        v_int = g.h_int**2 * table.apply(src)
-        return self._compact_to_field(v_int, src, table, n, g.h_int)
+        v_int = g.h_int**2 * self.table_int(n).apply(src)
+        return self._compact_to_field(v_int, src, n)
 
     # -- global inverse ------------------------------------------------------------
 
@@ -408,9 +482,8 @@ class GreenOps:
         g = self.grid
         if fld.offset != 0.0:
             raise DecayError("source with a constant offset is not integrable")
-        table = self.table_int(n)
         src0 = fld.interior_compact()
-        f0 = self._compact_to_field(g.h_int**2 * table.apply(src0), src0, table, n, g.h_int)
+        f0 = self._compact_to_field(g.h_int**2 * self.table_int(n).apply(src0), src0, n)
 
         g_inf_star = fld.exterior_tail_star()
         if np.max(np.abs(g_inf_star)) == 0.0:
@@ -437,20 +510,14 @@ class GreenOps:
         # push back: f_inf's starred tail is psi itself; interior values follow
         # from the inverse Kelvin map
         f_inf_int = np.zeros((g.n_int, g.n_int))
-        r_int = g.RI
-        scale = np.where(r_int > 0, (g.R0**2 / np.where(r_int > 0, r_int, 1.0) ** 2), 0.0)
-        wsq = g.WI * scale
-        zsq = g.ZI * scale
-        rs = np.where(r_int > 0, g.R0**2 / np.where(r_int > 0, r_int, 1.0), np.inf)
-        inside = (r_int > 0) & (rs <= g.R0)
+        rs = self.rs_int
+        inside = self.img_inside
         f_inf_int[inside] = (rs[inside] / g.R0) ** (n - 2) * _bilinear(
-            psi, g.h_ext, wsq[inside], zsq[inside]
+            psi, g.h_ext, self.w_img_int[inside], self.z_img_int[inside]
         )
-        outside = (r_int > 0) & (rs > g.R0)
+        outside = self.img_outside
         if np.any(outside):
-            vals = g.h_ext**2 * stable.eval_at(
-                src_dia, wsq[outside] / g.h_ext, zsq[outside] / g.h_ext
-            )
+            vals = g.h_ext**2 * self._far_matrix("star", n)(src_dia)
             f_inf_int[outside] = (rs[outside] / g.R0) ** (n - 2) * vals
         # the patch origin is the image of star infinity: monopole limit
         f_inf_int[0, 0] = (
@@ -532,14 +599,14 @@ class LOpSolver:
             src_eff += self.coef * (f_inf.int_vals - fi0)
 
         if self.trivial:
-            v = self.ops._compact_to_field(h**2 * table.apply(src_eff), src_eff, table, 3, h)
+            v = self.ops._compact_to_field(h**2 * table.apply(src_eff), src_eff, 3)
         else:
             rhs_full = h**2 * table.apply(src_eff)
             rhs = rhs_full[self.si, self.sj] - rhs_full[0, 0]
             W0 = lu_solve(self._lu, rhs)
             src_tot = src_eff.copy()
             src_tot[self.si, self.sj] += self.coef[self.si, self.sj] * W0
-            v = self.ops._compact_to_field(h**2 * table.apply(src_tot), src_tot, table, 3, h)
+            v = self.ops._compact_to_field(h**2 * table.apply(src_tot), src_tot, 3)
 
         out_int = v.int_vals
         out_star = v.star_vals

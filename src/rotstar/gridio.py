@@ -35,21 +35,28 @@ def read_field(path, grid=None):
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise ConfigError(f"{path}: not a rotstar field dump")
-        (version,) = struct.unpack("<I", fh.read(4))
+
+        def take(size):
+            data = fh.read(size)
+            if len(data) != size:
+                raise ConfigError(f"{path}: truncated field dump")
+            return data
+
+        (version,) = struct.unpack("<I", take(4))
         if version != _VERSION:
             raise ConfigError(f"{path}: unsupported version {version}")
-        endian = fh.read(1)
+        endian = take(1)
         if endian != b"<":
             raise ConfigError(f"{path}: unsupported endianness tag {endian!r}")
-        (n_index,) = struct.unpack("<B", fh.read(1))
-        pw, pz = struct.unpack("<bb", fh.read(2))
-        (R0,) = struct.unpack("<d", fh.read(8))
-        (offset,) = struct.unpack("<d", fh.read(8))
-        n_int, n_ext = struct.unpack("<II", fh.read(8))
-        (name_len,) = struct.unpack("<H", fh.read(2))
-        name = fh.read(name_len).decode("utf-8")
-        int_vals = np.frombuffer(fh.read(8 * n_int * n_int), dtype="<f8").reshape(n_int, n_int)
-        star_vals = np.frombuffer(fh.read(8 * n_ext * n_ext), dtype="<f8").reshape(n_ext, n_ext)
+        (n_index,) = struct.unpack("<B", take(1))
+        pw, pz = struct.unpack("<bb", take(2))
+        (R0,) = struct.unpack("<d", take(8))
+        (offset,) = struct.unpack("<d", take(8))
+        n_int, n_ext = struct.unpack("<II", take(8))
+        (name_len,) = struct.unpack("<H", take(2))
+        name = take(name_len).decode("utf-8")
+        int_vals = np.frombuffer(take(8 * n_int * n_int), dtype="<f8").reshape(n_int, n_int)
+        star_vals = np.frombuffer(take(8 * n_ext * n_ext), dtype="<f8").reshape(n_ext, n_ext)
     if grid is None:
         grid = AxiGrid(R0, n_int, n_ext)
     elif (grid.R0, grid.n_int, grid.n_ext) != (R0, n_int, n_ext):

@@ -652,25 +652,21 @@ class PNSolver:
 
         c4 = self.params.c_light**4
         xg, wg = leggauss(24)
-
-        def k_fields_at(wpts, zpts):
-            return self._ktilde_at(met, wpts, zpts)
-
-        vals = np.zeros((len(thetas), len(radii)))
-        for i, th in enumerate(thetas):
-            for j, r in enumerate(radii):
+        # per path: two axis segments 0 -> zt, then two horizontal 0 -> wt
+        ends = []
+        for th in thetas:
+            for r in radii:
                 wt, zt = r * math.sin(th), r * math.cos(th)
-                acc = 0.0
-                # axis leg 0 -> zt (in segments for accuracy)
-                for a0, b0 in ((0.0, 0.5 * zt), (0.5 * zt, zt)):
-                    zz = 0.5 * (b0 - a0) * (xg + 1.0) + a0
-                    _, k3 = k_fields_at(np.full_like(zz, 1e-8 * self.grid.R0), zz)
-                    acc += 0.5 * (b0 - a0) * float(np.sum(wg * k3))
-                for a0, b0 in ((0.0, 0.5 * wt), (0.5 * wt, wt)):
-                    ww = 0.5 * (b0 - a0) * (xg + 1.0) + a0
-                    k1, _ = k_fields_at(ww, np.full_like(ww, zt))
-                    acc += 0.5 * (b0 - a0) * float(np.sum(wg * k1))
-                vals[i, j] = c4 * acc
+                ends += [(0.0, 0.5 * zt), (0.5 * zt, zt), (0.0, 0.5 * wt), (0.5 * wt, wt)]
+        a0, b0 = np.array(ends).T
+        nodes = 0.5 * (b0 - a0)[:, None] * (xg + 1.0) + a0[:, None]
+        on_axis = np.arange(len(ends)) % 4 < 2
+        wpts = np.where(on_axis[:, None], 1e-8 * self.grid.R0, nodes)
+        zpts = np.where(on_axis[:, None], nodes, np.repeat(b0[1::4], 4)[:, None])
+        k1, k3 = self._ktilde_at(met, wpts.ravel(), zpts.ravel())
+        integrand = np.where(on_axis[:, None], k3.reshape(nodes.shape), k1.reshape(nodes.shape))
+        seg = (0.5 * (b0 - a0) * np.sum(wg * integrand, axis=1)).reshape(len(thetas), len(radii), 4)
+        vals = c4 * (seg[..., 0] + seg[..., 1] + seg[..., 2] + seg[..., 3])
         return {"radii": radii, "vhat_mean": vals.mean(axis=0), "vhat_all": vals, "thetas": thetas}
 
     def _ktilde_at(self, met, wpts, zpts):

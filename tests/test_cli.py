@@ -4,7 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rotstar.cli import main
+from rotstar.cli import cmd_tov_compare, main
+from rotstar.config import load_config
+from rotstar.fields import AxiField, AxiGrid
+from rotstar.gridio import write_field
 
 
 TINY = """
@@ -104,6 +107,14 @@ class TestSolveCommand:
         data = np.loadtxt(tmp_path / "exp" / "W.interior.dat")
         assert data.shape[1] == 3
 
+    def test_export_truncated_dump(self, tmp_path):
+        cfg = write_cfg(tmp_path, TINY.format(b=0.0, out=tmp_path / "run"))
+        dump = tmp_path / "W.axfd"
+        write_field(dump, AxiField.zeros(AxiGrid(1.0, 17, 13)), name="W")
+        dump.write_bytes(dump.read_bytes()[: dump.stat().st_size // 2])
+        assert main(["export", "--config", cfg, "--dump", str(dump),
+                     "--out", str(tmp_path / "exp")]) == 1
+
 
 class TestKerrCheckCommand:
     def test_schwarzschild_passes(self, tmp_path):
@@ -137,6 +148,15 @@ class TestTovCompareCommand:
         man = json.loads((out / "manifest.json").read_text())
         assert man["M_tov"] > 0
         assert man["rel_gap"] < 0.2  # coarse-grid bound; refined in acceptance
+
+    def test_rotating_config_left_unchanged(self, tmp_path):
+        out = tmp_path / "tov"
+        cfg = load_config(write_cfg(tmp_path, TINY.format(b=1.0e-3, out=out)))
+        before = cfg.to_dict()
+        assert cmd_tov_compare(cfg, None) == 0
+        assert cfg.to_dict() == before
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["config"]["star"]["b_rot"] == 0.0
 
 
 class TestSweepCommand:

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from rotstar.errors import DomainError
-from rotstar.fields import AxiField, AxiGrid, kelvin_point
+from rotstar.errors import ConfigError, DomainError
+from rotstar.fields import AxiField, AxiGrid, compact_map, kelvin_point
 from rotstar.gridio import export_text, read_field, write_field
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 @pytest.fixture(scope="module")
@@ -186,6 +188,29 @@ class TestAlgebra:
         assert f3.eval(w, z) == pytest.approx(f5.eval(w, z), rel=5e-3)
 
 
+class TestCompactMap:
+    def test_compact_field_without_warnings(self, grid):
+        # support reaches past R0, so the starred tail is nonzero in part and
+        # zero at the origin-image
+        def fn(w, z):
+            r2 = (np.hypot(w, z) / (1.5 * grid.R0)) ** 2
+            return np.where(r2 < 1, (1 - r2) ** 3, 0.0)
+
+        f = AxiField.from_function(grid, fn, 3)
+        sq = compact_map(lambda q: q**2, f, n_index=4)  # warnings are errors here
+        assert np.array_equal(sq.int_vals, f.int_total() ** 2)
+        pos = grid.RS > 0
+        raw = f.star_raw_values()[pos] ** 2
+        assert np.any(raw != 0.0)
+        assert np.allclose(sq.star_vals[pos], raw * (grid.R0 / grid.RS[pos]) ** 2, rtol=1e-15)
+        assert sq.star_vals[0, 0] == 0.0
+
+    def test_nonvanishing_origin_image_rejected(self, grid):
+        f = decay_field(grid, 3)
+        with pytest.raises(DomainError):
+            compact_map(lambda q: q + 1.0, f)
+
+
 class TestNorms:
     def test_constant_norm(self, grid):
         c = AxiField.constant(grid, -1.5)
@@ -236,6 +261,15 @@ class TestIO:
         write_field(p1, f)
         write_field(p2, f)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_truncated_dump_rejected(self, grid, tmp_path):
+        path = tmp_path / "field.axfd"
+        write_field(path, decay_field(grid, 3), name="cut")
+        whole = path.read_bytes()
+        for size in (len(whole) // 2, len(whole) - 1, 10):
+            path.write_bytes(whole[:size])
+            with pytest.raises(ConfigError, match="truncated"):
+                read_field(path)
 
     def test_text_export(self, grid, tmp_path):
         f = decay_field(grid, 3)

@@ -3,15 +3,19 @@ import pytest
 from scipy.sparse import lil_matrix
 from scipy.sparse.linalg import spsolve
 
+from rotstar import greens
 from rotstar.errors import DecayError, DomainError
 from rotstar.fields import AxiField, AxiGrid
 from rotstar.greens import (
     FUND_NORM,
     GreenOps,
+    KernelTable,
     axis_laplacian,
     get_table,
     ring_kernel,
 )
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 @pytest.fixture(scope="module")
@@ -375,3 +379,72 @@ class TestHarmonicTransport:
             hs.append(g.h_ext)
         slope = np.polyfit(np.log(hs), np.log(sups), 1)[0]
         assert abs(slope - 2.0) < 0.5
+
+
+class TestCachedQuadrature:
+    """The far-field matrices reproduce eval_at, and apply reproduces rows()."""
+
+    @staticmethod
+    def sources(ops, side):
+        """Small, full and again small sources of one side's far matrix."""
+        g = ops.grid
+        if side == "int":
+            r, full = g.RI / g.R0, g.chi_int
+        else:
+            r, full = g.RS / g.R0, 1.0 - g.chi_img
+        small = np.where(np.abs(r - 0.6) < 0.15, np.cos(3.0 * r), 0.0)
+        return [small, full * np.exp(-r), small]
+
+    @staticmethod
+    def nodal_sum(table, gvals, wt, zt):
+        """The plain nodal rule summed target by target."""
+        i, j = np.nonzero(gvals)
+        ws, zs = table.nodes[i], table.nodes[j]
+        out = np.empty(wt.size)
+        for t in range(wt.size):
+            k = ring_kernel(table.n, wt[t], ws, zt[t] - zs)
+            k = k + (j > 0) * ring_kernel(table.n, wt[t], ws, zt[t] + zs)
+            out[t] = np.sum(table.colw[i] * gvals[i, j] * k)
+        return out
+
+    @pytest.mark.parametrize("side", ["int", "star"])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_matches_eval_at(self, side, n):
+        ops = GreenOps(AxiGrid(R0=2.0, n_interior=33, n_exterior=25))
+        far = ops._far_matrix(side, n)
+        built = []
+        for src in self.sources(ops, side):
+            got = far(src)
+            ref = far.table.eval_at(src, far.wt, far.zt)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+            built.append(np.count_nonzero(far.built))
+        assert 0 < built[0] < built[1] == built[2]
+        direct = self.nodal_sum(far.table, src, far.wt, far.zt)
+        assert np.max(np.abs(got - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+    def test_repeat_call_evaluates_no_kernel(self, monkeypatch):
+        ops = GreenOps(AxiGrid(R0=2.0, n_interior=33, n_exterior=25))
+        far = ops._far_matrix("int", 3)
+        src = self.sources(ops, "int")[1]
+        first = far(src)
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return ring_kernel(*args)
+
+        monkeypatch.setattr(greens, "ring_kernel", counting)
+        assert np.array_equal(far(src), first)
+        assert np.array_equal(far(self.sources(ops, "int")[0]), far(self.sources(ops, "int")[2]))
+        assert calls == []
+
+    @pytest.mark.parametrize("P", [17, 33])
+    def test_apply_matches_rows(self, P):
+        # the FFT lengths here (72 and 135) are not powers of two; every
+        # node, the last z row included, must be clear of wrap-around
+        table = KernelTable(P, 3)
+        gvals = np.random.RandomState(P).uniform(-1.0, 1.0, (P, P))
+        i, j = np.divmod(np.arange(P * P), P)
+        dense = table.rows((i, j), (i, j)) @ gvals.ravel()
+        got = table.apply(gvals).ravel()
+        assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(np.abs(dense))
