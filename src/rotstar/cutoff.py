@@ -30,8 +30,3 @@ def chi(t):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def one_minus_chi(t):
-    """Complement 1 - chi(t); exact partition by construction."""
-    return 1.0 - chi(t)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .cutoff import chi
-from .errors import DecayError, DomainError
+from .errors import DomainError
 
 
 def kelvin_point(p, R0):
@@ -272,26 +272,6 @@ class AxiField:
         if scalar:
             return float(out[0])
         return out
-
-    def c_infinity(self):
-        """(limit of the starred tail at the origin-image, extrapolation spread)."""
-        s = self.star_vals
-        ests = [
-            3 * s[0, 1] - 3 * s[0, 2] + s[0, 3],
-            3 * s[1, 0] - 3 * s[2, 0] + s[3, 0],
-            3 * s[1, 1] - 3 * s[2, 2] + s[3, 3],
-        ]
-        return float(s[0, 0]), float(np.max(np.abs(np.asarray(ests) - s[0, 0])))
-
-    def check_decay(self, rel_tol=50.0):
-        """Raise DecayError when the starred tail diverges at the origin-image."""
-        s = np.abs(self.star_vals)
-        scale = np.max(s) + 1e-300
-        if s[0, 0] > rel_tol * max(np.median(s[s > 0]) if np.any(s > 0) else 0.0, 1e-14 * scale):
-            raise DecayError(
-                f"starred tail grows to {s[0, 0]:.3g} at the origin-image; "
-                f"decay index {self.n_index} too high"
-            )
 
     # -- split -----------------------------------------------------------------
 

@@ -60,63 +60,100 @@ def ring_kernel(n, wt, ws, dz):
 
     Symmetric under (wt, ws) swap up to the ws^(n-2) measure factor; the
     coincidence singularity is logarithmic and is masked to zero here (the
-    corrected quadrature owns those cells).
+    corrected quadrature owns those cells).  Coincident and axis points
+    (B / (A + B) < 1e-14) get their own values patched in only when the
+    input has any, so a generic call makes no masking pass.
     """
-    wt = np.asarray(wt, dtype=float)
-    ws = np.asarray(ws, dtype=float)
-    dz = np.asarray(dz, dtype=float)
+    wt, ws, dz = (np.asarray(x, dtype=float) for x in (wt, ws, dz))
+    scalar = wt.ndim == ws.ndim == dz.ndim == 0
+    wt, ws, dz = np.atleast_1d(wt, ws, dz)
     A = (wt - ws) ** 2 + dz**2
     B = 4.0 * wt * ws
-    AB = A + B
-    sing = AB <= 0.0
-    ABs = np.where(sing, 1.0, AB)
-    m = np.where(sing, 0.0, B / ABs)
     diag = A <= 0.0
-    Asafe = np.where(diag, 1.0, A)
+    has_diag = diag.any()
+    if has_diag:
+        A[diag] = 1.0  # stand-in; zeroed at the end
+    AB = A + B
+    m = B / AB
 
     if n == 3:
-        K = ellipk(m)
-        out = ws * K / (math.pi * np.sqrt(ABs))
-        out = np.where(diag, 0.0, out)
-    elif n == 4:
-        axis = B / ABs < 1e-14
-        val = np.where(axis | diag, 1.0, np.log(ABs / Asafe))
-        wt_safe = np.where(wt > 0, wt, 1.0)
-        out = np.where(
-            axis,
-            ws**2 / (math.pi * Asafe),
-            ws * val / (4.0 * math.pi * wt_safe),
-        )
-        out = np.where(diag, 0.0, out)
-    elif n == 5:
-        axis = B / ABs < 1e-14
-        K = ellipk(m)
-        E = ellipe(m)
-        gm = 2.0 * (K - E) - m * K
-        Bsafe = np.where(axis, 1.0, B)
-        out = np.where(
-            axis,
-            ws**3 / (4.0 * Asafe**1.5),
-            ws**3 * 8.0 * np.sqrt(ABs) * gm / (2.0 * math.pi * Bsafe**2),
-        )
-        out = np.where(diag, 0.0, out)
+        out = ws * ellipk(m) / (math.pi * np.sqrt(AB))
+    elif n in (4, 5):
+        axis = m < 1e-14
+        has_axis = axis.any()
+        if n == 4:
+            if has_axis:
+                wt = np.where(wt > 0, wt, 1.0)
+            out = ws * np.log(AB / A) / (4.0 * math.pi * wt)
+        else:
+            K = ellipk(m)
+            gm = 2.0 * (K - ellipe(m)) - m * K
+            if has_axis:
+                B = np.where(axis, 1.0, B)
+            out = ws**3 * 8.0 * np.sqrt(AB) * gm / (2.0 * math.pi * B**2)
+        if has_axis:
+            ws_ax = np.broadcast_to(ws, out.shape)[axis]
+            A_ax = A[axis]
+            out[axis] = ws_ax**2 / (math.pi * A_ax) if n == 4 else ws_ax**3 / (4.0 * A_ax**1.5)
     else:
         raise DomainError(f"unsupported dimension n={n}")
-    if out.ndim == 0:
-        return float(out)
+    if has_diag:
+        out[diag] = 0.0
+    if scalar:
+        return float(out[0])
     return out
 
 
 _TABLE_CACHE = {}
 _FAR_BLOCK = 1 << 16  # kernel evaluations per block of far-field weights
+MC = 2  # corrected node patch: offsets -MC..MC around each target
+N_GAUSS_BASE = 4  # Gauss points per cell axis of the hat-product weights W2
+N_GAUSS_NEAR = 10  # Gauss points per cell axis of the corrected cells
+N_GAUSS_POLAR = (12, 16)  # (angle, radius) points per half of a polar cell
 
 
-def get_table(P, n, mc=2):
-    """Unit-spacing kernel table, cached per (node count, dimension, patch)."""
-    key = (int(P), int(n), int(mc))
+def get_table(P, n):
+    """Unit-spacing kernel table, cached per (node count, dimension)."""
+    key = (int(P), int(n))
     if key not in _TABLE_CACHE:
-        _TABLE_CACHE[key] = KernelTable(P, n, mc)
+        _TABLE_CACHE[key] = KernelTable(P, n)
     return _TABLE_CACHE[key]
+
+
+def _gauss01(G):
+    """G-point Gauss-Legendre nodes and weights on [0, 1]."""
+    x, w = leggauss(G)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+def _hat_weights(t, w):
+    """Quadrature weights times the two linear hats of a unit cell: column 0
+    leans toward the lower node, column 1 toward the upper one."""
+    return np.stack([(1.0 - t) * w, t * w], axis=1)
+
+
+def _polar_rule():
+    """Polar Gauss rule on the unit square [0, 1]^2 around its corner at
+    the origin: points (x, y) and weights, the Jacobian rho included.
+
+    Each half (phi below and above pi/4) takes N_GAUSS_POLAR[0] angles and
+    N_GAUSS_POLAR[1] radii out to the far edge, so the log singularity at
+    the corner meets a smooth integrand.
+    """
+    nphi, nrho = N_GAUSS_POLAR
+    xg_phi, wg_phi = leggauss(nphi)
+    xg_rho, wg_rho = leggauss(nrho)
+    parts = []
+    for lo, hi, edge in ((0.0, math.pi / 4.0, np.cos), (math.pi / 4.0, math.pi / 2.0, np.sin)):
+        phi = lo + 0.5 * (hi - lo) * (xg_phi + 1.0)
+        wphi = 0.5 * (hi - lo) * wg_phi
+        R = 1.0 / edge(phi)
+        rho = 0.5 * R[:, None] * (xg_rho + 1.0)[None, :]
+        wrho = 0.5 * R[:, None] * wg_rho[None, :]
+        x = rho * np.cos(phi)[:, None]
+        y = rho * np.sin(phi)[:, None]
+        parts.append((x, y, rho * wrho * wphi[:, None]))
+    return [np.concatenate([part[k].ravel() for part in parts]) for k in range(3)]
 
 
 class KernelTable:
@@ -133,136 +170,106 @@ class KernelTable:
     the target, fine Gauss nearby).  Off the node grid, eval_at sums the
     plain nodal rule, whose weights far_weights builds block by block; the
     FFT in apply uses the shortest fast length free of wrap-around.
+
+    The build is batched.  W2 takes one ring_kernel call per target column,
+    and its Gauss sums are one matrix product per cell axis against the two
+    hat weights.  The corrections take two ring_kernel calls in all: one for
+    the Gauss points of every near cell of every column, one for the polar
+    points of the four cells with a corner on the target.  Each cell's four
+    corner integrals are one product against the corner weights, scattered
+    into the node patch by a bincount.
     """
 
-    def __init__(self, P, n, mc=2, n_gauss_base=4, n_gauss_near=10, n_gauss_polar=(12, 16)):
+    def __init__(self, P, n):
         self.P = int(P)
         self.n = int(n)
-        self.mc = int(mc)
         self.nodes = np.arange(self.P, dtype=float)
         self.colw = np.ones(self.P)
         self.colw[0] = 0.5
         self.colw[-1] = 0.5
-        self._build_w2(n_gauss_base)
-        self._build_corrections(n_gauss_near, n_gauss_polar)
+        self._build_w2()
+        self._build_corrections()
 
-    def _build_w2(self, G):
+    def _build_w2(self):
         """W2[i, i', lag] = int int k(i, ws, dz) hat_i'(ws) hat_lag(|dz|)."""
-        P = self.P
-        xg, wg = leggauss(G)
-        t = 0.5 * (xg + 1.0)
-        wq = 0.5 * wg
+        P, G = self.P, N_GAUSS_BASE
+        t, wq = _gauss01(G)
+        hats = _hat_weights(t, wq)
         n_wc = P - 1
         n_zc = 2 * P - 2  # dz cells [0,1], ..., [2P-3, 2P-2]
         ws_pts = (np.arange(n_wc)[:, None] + t[None, :]).ravel()
         dz_pts = (np.arange(n_zc)[:, None] + t[None, :]).ravel()
-        wl = (1.0 - t) * wq  # weight toward the lower node of a cell
-        wr = t * wq
         W2 = np.zeros((P, P, 2 * P - 1))
         for i in range(P):
             kv = ring_kernel(self.n, float(i), ws_pts[:, None], dz_pts[None, :])
-            kv = kv.reshape(n_wc, G, n_zc, G)
-            # contract the Gauss axes against the four hat-weight combinations
-            ll = np.einsum("agbh,g,h->ab", kv, wl, wl)
-            lr = np.einsum("agbh,g,h->ab", kv, wl, wr)
-            rl = np.einsum("agbh,g,h->ab", kv, wr, wl)
-            rr = np.einsum("agbh,g,h->ab", kv, wr, wr)
-            # scatter to nodes: varpi cell a feeds nodes a (left) and a+1
-            # (right); dz cell b feeds lags b (lower) and b+1 (upper)
-            W2[i, :-1, :-1] += ll
-            W2[i, :-1, 1:] += lr
-            W2[i, 1:, :-1] += rl
-            W2[i, 1:, 1:] += rr
+            # contract the dz Gauss axis, then the varpi one, against the
+            # hats: c[a, p, b, q] weighs varpi cell a toward node a + p and
+            # dz cell b toward lag b + q
+            c = (kv.reshape(-1, G) @ hats).reshape(n_wc, G, 2 * n_zc)
+            c = (hats.T @ c).reshape(n_wc, 2, n_zc, 2)
+            W2[i, :-1, :-1] += c[:, 0, :, 0]
+            W2[i, :-1, 1:] += c[:, 0, :, 1]
+            W2[i, 1:, :-1] += c[:, 1, :, 0]
+            W2[i, 1:, 1:] += c[:, 1, :, 1]
             # the lag-0 hat also spans dz in [-1, 0], which mirrors the
             # lower-weighted part of dz-cell 0 by evenness of the kernel
-            W2[i, :-1, 0] += ll[:, 0]
-            W2[i, 1:, 0] += rl[:, 0]
+            W2[i, :-1, 0] += c[:, 0, 0, 0]
+            W2[i, 1:, 0] += c[:, 1, 0, 0]
         self.W2 = W2
 
-    # -- exact near integrals ---------------------------------------------------
-
-    def _cell_exact(self, wt, a, b, xg, wgt):
-        """Kernel x bilinear-corner integrals over the unit cell
-        ws in [wt+a, wt+a+1], dz in [b, b+1]."""
-        xi = a + 0.5 * (xg + 1.0)[:, None]
-        zi = b + 0.5 * (xg + 1.0)[None, :]
-        wq = (0.5 * wgt)[:, None] * (0.5 * wgt)[None, :]
-        kv = ring_kernel(self.n, wt, wt + xi, zi)
-        tx = xi - a
-        tz = zi - b
-        return [
-            float(np.sum(kv * (1 - tx) * (1 - tz) * wq)),
-            float(np.sum(kv * tx * (1 - tz) * wq)),
-            float(np.sum(kv * (1 - tx) * tz * wq)),
-            float(np.sum(kv * tx * tz * wq)),
-        ]
-
-    def _cell_polar(self, wt, sx, sz, nphi, nrho):
-        """Same integrals for a unit cell with a corner on the target."""
-        xg_phi, wg_phi = leggauss(nphi)
-        xg_rho, wg_rho = leggauss(nrho)
-        vals = np.zeros(4)
-        for lo, hi, radius in (
-            (0.0, math.pi / 4.0, "cos"),
-            (math.pi / 4.0, math.pi / 2.0, "sin"),
-        ):
-            phi = lo + 0.5 * (hi - lo) * (xg_phi + 1.0)
-            wphi = 0.5 * (hi - lo) * wg_phi
-            R = 1.0 / (np.cos(phi) if radius == "cos" else np.sin(phi))
-            rho = 0.5 * R[:, None] * (xg_rho + 1.0)[None, :]
-            wrho = 0.5 * R[:, None] * wg_rho[None, :]
-            x = rho * np.cos(phi)[:, None]
-            y = rho * np.sin(phi)[:, None]
-            kv = ring_kernel(self.n, wt, wt + sx * x, sz * y)
-            base = kv * rho * wrho * wphi[:, None]
-            vals[0] += np.sum(base * (1 - x) * (1 - y))
-            vals[1] += np.sum(base * x * (1 - y))
-            vals[2] += np.sum(base * (1 - x) * y)
-            vals[3] += np.sum(base * x * y)
-        return vals
-
-    def _build_corrections(self, n_gauss_near, n_gauss_polar):
+    def _build_corrections(self):
         """corr[i, dni, dnj] = accurate W2 entry minus the 4-point-Gauss one
-        for the (2mc+1)^2 node patch around targets in column i."""
-        mc, P = self.mc, self.P
-        xg, wg = leggauss(n_gauss_near)
-        span = 2 * mc + 1
-        corr = np.zeros((P, span, span))
-        for i in range(P):
-            wt = float(i)
-            acc = np.zeros((span, span))
-            for dci in range(-mc - 1, mc + 1):
-                ci = i + dci
-                if ci < 0 or ci > P - 2:
-                    continue
-                for dcj in range(-mc - 1, mc + 1):
-                    if dci in (-1, 0) and dcj in (-1, 0):
-                        sx = 1.0 if dci == 0 else -1.0
-                        sz = 1.0 if dcj == 0 else -1.0
-                        ex = self._cell_polar(wt, sx, sz, *n_gauss_polar)
-                        if sx < 0:
-                            ex = [ex[1], ex[0], ex[3], ex[2]]
-                        if sz < 0:
-                            ex = [ex[2], ex[3], ex[0], ex[1]]
-                    else:
-                        ex = self._cell_exact(wt, float(dci), float(dcj), xg, wg)
-                    for corner, (da, db) in enumerate(((0, 0), (1, 0), (0, 1), (1, 1))):
-                        dni = dci + da
-                        dnj = dcj + db
-                        if abs(dni) > mc or abs(dnj) > mc:
-                            continue
-                        acc[dni + mc, dnj + mc] += ex[corner]
-            # base subtraction: the coarse W2 entries; a patch node at
-            # negative z is the same entry by evenness, and the z-hat of a
-            # node reaches dz of both signs, which acc already accumulated
-            for dni in range(-mc, mc + 1):
-                if not (0 <= i + dni < P):
-                    continue
-                for dnj in range(-mc, mc + 1):
-                    corr[i, dni + mc, dnj + mc] = (
-                        acc[dni + mc, dnj + mc] - self.W2[i, i + dni, abs(dnj)]
-                    )
-        self.corr = corr
+        for the (2 MC + 1)^2 node patch around targets in column i.
+
+        The unit cell at offsets (a, b), both in -MC-1..MC, from a target
+        in column i feeds its four corner nodes; cells that leave the varpi
+        range of the grid are skipped.
+        """
+        P, n = self.P, self.n
+        d = np.arange(-MC - 1, MC + 1)
+        I, DI, DJ = (x.ravel() for x in np.meshgrid(np.arange(P), d, d, indexing="ij"))
+        keep = (I + DI >= 0) & (I + DI <= P - 2)
+        I, DI, DJ = I[keep], DI[keep], DJ[keep]
+        polar = (DI >= -1) & (DI <= 0) & (DJ >= -1) & (DJ <= 0)
+        p = np.arange(2)
+
+        # tensor Gauss off the target: corner (p, q) is node (a + p, b + q)
+        t, wq = _gauss01(N_GAUSS_NEAR)
+        hats = _hat_weights(t, wq)
+        i, a, b = (x[~polar, None, None] for x in (I, DI, DJ))
+        wt = i.astype(float)
+        kv = ring_kernel(n, wt, wt + (a + t[:, None]), b + t)
+        near = (np.einsum("cgh,gp,hq->cpq", kv, hats, hats), i, a + p[:, None], b + p)
+
+        # polar Gauss on the cells with a corner on the target, mirrored
+        # into the cell by the signs (sx, sz): corner (p, q) at distance
+        # (p, q) from the target is node (sx p, sz q)
+        x, y, w = _polar_rule()
+        i, a, b = (v[polar, None] for v in (I, DI, DJ))
+        sx, sz = 2 * a + 1, 2 * b + 1
+        wt = i.astype(float)
+        kv = ring_kernel(n, wt, wt + sx * x, sz * y)
+        corner = np.stack([w * (1 - x) * (1 - y), w * (1 - x) * y, w * x * (1 - y), w * x * y])
+        ex = (kv @ corner.T).reshape(-1, 2, 2)
+        i, sx, sz = i[:, :, None], sx[:, :, None], sz[:, :, None]
+        polar_cells = (ex, i, sx * p[:, None], sz * p)
+
+        # sum the corner integrals into the node patch, offsets -MC-1..MC+1
+        S = 2 * MC + 3
+        flat, vals = [], []
+        for ex, i, dni, dnj in (near, polar_cells):
+            ex, i, dni, dnj = np.broadcast_arrays(ex, i, dni, dnj)
+            flat.append(((i * S + dni + MC + 1) * S + dnj + MC + 1).ravel())
+            vals.append(ex.ravel())
+        acc = np.bincount(np.concatenate(flat), np.concatenate(vals), P * S * S)
+        acc = acc.reshape(P, S, S)[:, 1:-1, 1:-1]
+        # base subtraction: the coarse W2 entries; a patch node at
+        # negative z is the same entry by evenness, and the z-hat of a
+        # node reaches dz of both signs, which acc already accumulated
+        dn = np.arange(-MC, MC + 1)
+        node = np.arange(P)[:, None, None] + dn[:, None]
+        base = self.W2[np.arange(P)[:, None, None], np.clip(node, 0, P - 1), np.abs(dn)]
+        self.corr = np.where((node >= 0) & (node < P), acc - base, 0.0)
 
     # -- application ----------------------------------------------------------
 
@@ -283,7 +290,7 @@ class KernelTable:
             y = np.fft.irfft(np.sum(CI * GX, axis=0), nfft)
             out[i, :] = y[3 * P - 3 : 4 * P - 3]
 
-        mc = self.mc
+        mc = MC
         gpad = np.zeros((P + 2 * mc, P + 2 * mc))
         gpad[mc : mc + P, mc : mc + P] = gvals
         gpad[mc : mc + P, :mc] = gvals[:, mc:0:-1]
@@ -336,7 +343,7 @@ class KernelTable:
             + np.where(sj[None, :] > 0, 1.0, 0.0)
             * self.W2[ti[:, None], si[None, :], tj[:, None] + sj[None, :]]
         )
-        mc = self.mc
+        mc = MC
         src_lookup = {(a, b): k for k, (a, b) in enumerate(zip(si, sj))}
         for t, (a, b) in enumerate(zip(ti, tj)):
             for dni in range(-mc, mc + 1):
@@ -407,9 +414,8 @@ class GreenOps:
     and the S nodes that have carried source.
     """
 
-    def __init__(self, grid, mc=2):
+    def __init__(self, grid):
         self.grid = grid
-        self.mc = mc
         g = grid
         self.far_img = np.isfinite(g.r_img) & (g.r_img > 2.0 * g.R0)
         # interior points by their Kelvin image: inside the starred patch the
@@ -425,10 +431,10 @@ class GreenOps:
         self._far = {}
 
     def table_int(self, n):
-        return get_table(self.grid.n_int, n, self.mc)
+        return get_table(self.grid.n_int, n)
 
     def table_star(self, n):
-        return get_table(self.grid.n_ext, n, self.mc)
+        return get_table(self.grid.n_ext, n)
 
     def _far_matrix(self, side, n):
         key = (side, n)

@@ -73,9 +73,12 @@ def kerr_lanczos(kp, w, z):
     Delta = rbar**2 - 2.0 * m * rbar + a**2
     hh = 2.0 * m * rbar / Sigma
     e2F = 1.0 - hh
-    A = hh * a * sin2 / e2F
+    # both divisors can vanish only at rbar <= 2m, outside in_domain: a zero
+    # divisor gives NaN there instead of a floating-point warning
+    A = hh * a * sin2 / np.where(e2F != 0.0, e2F, np.nan)
     Pi2 = e2F * (e2F * A**2 + (rbar**2 + a**2) * sin2 + hh * a**2 * sin2**2)
-    e2K = e2F * Sigma / (Delta + (m**2 - a**2) * sin2)
+    den_K = Delta + (m**2 - a**2) * sin2
+    e2K = e2F * Sigma / np.where(den_K != 0.0, den_K, np.nan)
     in_domain = rbar > 2.0 * m
     safe = np.where(in_domain, e2F, 1.0)
     return {

@@ -51,24 +51,6 @@ class Window:
         n = self.F.shape[1]
         return self.z0 + self.h * np.arange(n)[None, :] + 0 * self.F
 
-    def subsample(self, step=2):
-        sl = (slice(None, None, step), slice(None, None, step))
-        return Window(
-            self.w0,
-            self.z0,
-            self.h * step,
-            self.F[sl],
-            self.A[sl],
-            self.Pi[sl],
-            self.K[sl],
-            None if self.Omega is None else self.Omega[sl],
-            None if self.rho is None else self.rho[sl],
-            None if self.P is None else self.P[sl],
-            None if self.u is None else self.u[sl],
-            None if self.mask is None else self.mask[sl],
-            self.z_even,
-        )
-
     def report_mask(self, erode=1):
         """Valid nodes away from window edges, the mask boundary, and the
         varpi = 0 column."""
@@ -160,6 +142,13 @@ class ResidualReport:
         return out
 
 
+def _off_axis(Pi):
+    """Pi as a divisor: its zeros, on the varpi = 0 column that every report
+    mask drops, become NaN, so the quotients there are NaN without a
+    division-by-zero warning."""
+    return np.where(Pi != 0.0, Pi, np.nan)
+
+
 def _fluid_terms(win, params):
     c = params.c_light
     rho = win.rho if win.rho is not None else np.zeros_like(win.F)
@@ -193,17 +182,18 @@ def residual_reduced_system(win, params, bands_R0=None):
     margin_C = float(np.nanmin(np.where(win.report_mask(), gradPi2, np.nan)))
 
     emK = np.exp(2 * (-F + K))
+    Pi_nz = _off_axis(Pi)
     r_a = (
         lapF
-        + (P1 * F1 + P3 * F3) / Pi
-        + e2F**2 / (2 * Pi**2) * (A1**2 + A3**2)
+        + (P1 * F1 + P3 * F3) / Pi_nz
+        + e2F**2 / (2 * Pi_nz**2) * (A1**2 + A3**2)
         - (4 * np.pi * G_g / c**4)
         * emK
         * ((eps + P) * (e2F * fac**2 + Om**2 * Pi**2 / (c**2 * e2F)) / Bq + 2 * P)
     )
     r_b = (
         lapA
-        - (P1 * A1 + P3 * A3) / Pi
+        - (P1 * A1 + P3 * A3) / Pi_nz
         + 4 * (F1 * A1 + F3 * A3)
         + (16 * np.pi * G_g / c**4)
         * emK
@@ -217,9 +207,9 @@ def residual_reduced_system(win, params, bands_R0=None):
     rh_d = (
         0.5 * (d2w(win, Pi) - d2z(win, Pi))
         + Pi * (F1**2 - F3**2)
-        - e2F**2 / (4 * Pi) * (A1**2 - A3**2)
+        - e2F**2 / (4 * Pi_nz) * (A1**2 - A3**2)
     )
-    rh_e = d1w1z(win, Pi, parity=1) + 2 * Pi * F1 * F3 - e2F**2 / (2 * Pi) * A1 * A3
+    rh_e = d1w1z(win, Pi, parity=1) + 2 * Pi * F1 * F3 - e2F**2 / (2 * Pi_nz) * A1 * A3
     r_d = P1 * K1 - P3 * K3 - rh_d
     r_e = P3 * K1 + P1 * K3 - rh_e
 
@@ -268,10 +258,11 @@ def ktilde_fields(win, params):
     A1, A3 = d1w(win, A), d1z(win, A)
     P1, P3 = d1w(win, Pi), d1z(win, Pi)
     e4F = np.exp(4 * F)
-    rh_d = 0.5 * (d2w(win, Pi) - d2z(win, Pi)) + Pi * (F1**2 - F3**2) - e4F / (4 * Pi) * (
+    Pi_nz = _off_axis(Pi)
+    rh_d = 0.5 * (d2w(win, Pi) - d2z(win, Pi)) + Pi * (F1**2 - F3**2) - e4F / (4 * Pi_nz) * (
         A1**2 - A3**2
     )
-    rh_e = d1w1z(win, Pi, parity=1) + 2 * Pi * F1 * F3 - e4F / (2 * Pi) * A1 * A3
+    rh_e = d1w1z(win, Pi, parity=1) + 2 * Pi * F1 * F3 - e4F / (2 * Pi_nz) * A1 * A3
     denom = P1**2 + P3**2
     K1t = (P1 * rh_d + P3 * rh_e) / denom
     K3t = (-P3 * rh_d + P1 * rh_e) / denom
@@ -327,29 +318,31 @@ def ricci_cross_check(win, params):
     em = np.exp(m_exp)
     Sig = f1 * l1 + f3 * l3 + k1**2 + k3**2
 
-    def divPi(q1, q3):
-        return d1w(win, q1 / Pi) + d1z(win, q3 / Pi, parity=-1)
+    Pi_nz = _off_axis(Pi)
 
-    R00 = (Pi / (2 * em)) * (divPi(f1, f3) + f * Sig / Pi**3)
-    R02 = -(Pi / (2 * em)) * (divPi(k1, k3) + k * Sig / Pi**3)
-    R22 = -(Pi / (2 * em)) * (divPi(l1, l3) + l * Sig / Pi**3)
+    def divPi(q1, q3):
+        return d1w(win, q1 / Pi_nz) + d1z(win, q3 / Pi_nz, parity=-1)
+
+    R00 = (Pi / (2 * em)) * (divPi(f1, f3) + f * Sig / Pi_nz**3)
+    R02 = -(Pi / (2 * em)) * (divPi(k1, k3) + k * Sig / Pi_nz**3)
+    R22 = -(Pi / (2 * em)) * (divPi(l1, l3) + l * Sig / Pi_nz**3)
     lap_m = d2w(win, m_exp) + d2z(win, m_exp)
     R11 = 0.5 * (
         -lap_m
-        - 2 * d2w(win, Pi) / Pi
-        + (m1 * P1 - m3 * P3) / Pi
-        + (f1 * l1 + k1**2) / Pi**2
+        - 2 * d2w(win, Pi) / Pi_nz
+        + (m1 * P1 - m3 * P3) / Pi_nz
+        + (f1 * l1 + k1**2) / Pi_nz**2
     )
     R33 = 0.5 * (
         -lap_m
-        - 2 * d2z(win, Pi) / Pi
-        - (m1 * P1 - m3 * P3) / Pi
-        + (f3 * l3 + k3**2) / Pi**2
+        - 2 * d2z(win, Pi) / Pi_nz
+        - (m1 * P1 - m3 * P3) / Pi_nz
+        + (f3 * l3 + k3**2) / Pi_nz**2
     )
     R13 = 0.5 * (
-        -2 * d1w1z(win, Pi, parity=1) / Pi
-        + (m3 * P1 + m1 * P3) / Pi
-        + (f1 * l3 + l1 * f3 + 2 * k1 * k3) / (2 * Pi**2)
+        -2 * d1w1z(win, Pi, parity=1) / Pi_nz
+        + (m3 * P1 + m1 * P3) / Pi_nz
+        + (f1 * l3 + l1 * f3 + 2 * k1 * k3) / (2 * Pi_nz**2)
     )
 
     e2G = f - 2 * (Om / c) * k - (Om / c) ** 2 * l

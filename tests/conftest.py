@@ -1,12 +1,8 @@
 """Session fixtures: the solver sweeps are expensive and shared between the
 unit tests and the acceptance gate, so they run once per session."""
 
-import warnings
-
 import numpy as np
 import pytest
-
-warnings.filterwarnings("ignore")
 
 from rotstar.eos import EquationOfState
 from rotstar.lane_emden import solve_classical, solve_distorted

@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from scipy.sparse import lil_matrix
 from scipy.sparse.linalg import spsolve
+from scipy.special import ellipe, ellipk
 
 from rotstar import greens
 from rotstar.errors import DecayError, DomainError
@@ -36,7 +40,72 @@ def smooth_bump(grid, radius_frac=0.9):
     return AxiField.from_function(grid, fn, 3)
 
 
+def masked_ring_kernel(n, wt, ws, dz):
+    """The ring kernel with every mask applied as a full-array np.where pass:
+    the reference formula that ring_kernel must reproduce bit for bit."""
+    wt = np.asarray(wt, dtype=float)
+    ws = np.asarray(ws, dtype=float)
+    dz = np.asarray(dz, dtype=float)
+    A = (wt - ws) ** 2 + dz**2
+    B = 4.0 * wt * ws
+    AB = A + B
+    sing = AB <= 0.0
+    ABs = np.where(sing, 1.0, AB)
+    m = np.where(sing, 0.0, B / ABs)
+    diag = A <= 0.0
+    Asafe = np.where(diag, 1.0, A)
+    if n == 3:
+        K = ellipk(m)
+        out = ws * K / (math.pi * np.sqrt(ABs))
+    elif n == 4:
+        axis = B / ABs < 1e-14
+        val = np.where(axis | diag, 1.0, np.log(ABs / Asafe))
+        wt_safe = np.where(wt > 0, wt, 1.0)
+        out = np.where(axis, ws**2 / (math.pi * Asafe), ws * val / (4.0 * math.pi * wt_safe))
+    else:
+        axis = B / ABs < 1e-14
+        K = ellipk(m)
+        E = ellipe(m)
+        gm = 2.0 * (K - E) - m * K
+        Bsafe = np.where(axis, 1.0, B)
+        out = np.where(
+            axis,
+            ws**3 / (4.0 * Asafe**1.5),
+            ws**3 * 8.0 * np.sqrt(ABs) * gm / (2.0 * math.pi * Bsafe**2),
+        )
+    out = np.where(diag, 0.0, out)
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
 class TestRingKernel:
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_matches_masked_formula(self, n):
+        rng = np.random.RandomState(n)
+        gen = rng.uniform(0.0, 40.0, (3, 200))
+        gen[2] -= 20.0
+        # coincidence (A = 0), axis targets (wt = 0) and axis sources (ws = 0)
+        special = np.array(
+            [[0.0, 0.0, 0.0], [2.0, 2.0, 0.0], [0.0, 3.0, 1.0], [3.0, 0.0, -1.0], [0.0, 0.0, 2.0]]
+        ).T
+        wt, ws, dz = np.concatenate([special, gen], axis=1)
+        cases = [
+            (wt, ws, dz),
+            (wt[:, None], ws[None, :], dz[:, None]),
+            (0.0, ws[:, None], dz[None, :]),
+            (5.0, ws[:, None], np.abs(dz)[None, :]),
+            (wt[None, :], ws[:40, None], dz[None, :] - dz[:40, None]),
+        ]
+        cases += [tuple(col) for col in special.T] + [(1.5, 4.0, 0.25)]
+        for args in cases:
+            got = ring_kernel(n, *args)
+            # the reference divides by zero on the masked points it discards
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ref = masked_ring_kernel(n, *args)
+            assert type(got) is type(ref)
+            assert np.array_equal(got, ref)
+
     def test_source_target_symmetry(self):
         # kernel / ws^(n-2) is symmetric under (wt, ws) swap
         rng = np.random.RandomState(0)
@@ -448,3 +517,126 @@ class TestCachedQuadrature:
         dense = table.rows((i, j), (i, j)) @ gvals.ravel()
         got = table.apply(gvals).ravel()
         assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
+def loop_build(P, n):
+    """The per-cell kernel-table build, one ring_kernel call per Gauss cell
+    and per polar half, kept as the reference for KernelTable's batched
+    build: returns (W2, corr)."""
+    xg, wg = leggauss(4)
+    t = 0.5 * (xg + 1.0)
+    wq = 0.5 * wg
+    n_wc, n_zc = P - 1, 2 * P - 2
+    ws_pts = (np.arange(n_wc)[:, None] + t[None, :]).ravel()
+    dz_pts = (np.arange(n_zc)[:, None] + t[None, :]).ravel()
+    wl, wr = (1.0 - t) * wq, t * wq
+    W2 = np.zeros((P, P, 2 * P - 1))
+    for i in range(P):
+        kv = ring_kernel(n, float(i), ws_pts[:, None], dz_pts[None, :]).reshape(n_wc, 4, n_zc, 4)
+        ll = np.einsum("agbh,g,h->ab", kv, wl, wl)
+        lr = np.einsum("agbh,g,h->ab", kv, wl, wr)
+        rl = np.einsum("agbh,g,h->ab", kv, wr, wl)
+        rr = np.einsum("agbh,g,h->ab", kv, wr, wr)
+        W2[i, :-1, :-1] += ll
+        W2[i, :-1, 1:] += lr
+        W2[i, 1:, :-1] += rl
+        W2[i, 1:, 1:] += rr
+        W2[i, :-1, 0] += ll[:, 0]
+        W2[i, 1:, 0] += rl[:, 0]
+
+    def cell_exact(wt, a, b, xg, wgt):
+        xi = a + 0.5 * (xg + 1.0)[:, None]
+        zi = b + 0.5 * (xg + 1.0)[None, :]
+        wq = (0.5 * wgt)[:, None] * (0.5 * wgt)[None, :]
+        kv = ring_kernel(n, wt, wt + xi, zi)
+        tx = xi - a
+        tz = zi - b
+        return [
+            float(np.sum(kv * (1 - tx) * (1 - tz) * wq)),
+            float(np.sum(kv * tx * (1 - tz) * wq)),
+            float(np.sum(kv * (1 - tx) * tz * wq)),
+            float(np.sum(kv * tx * tz * wq)),
+        ]
+
+    def cell_polar(wt, sx, sz, nphi, nrho):
+        xg_phi, wg_phi = leggauss(nphi)
+        xg_rho, wg_rho = leggauss(nrho)
+        vals = np.zeros(4)
+        for lo, hi, radius in ((0.0, math.pi / 4.0, "cos"), (math.pi / 4.0, math.pi / 2.0, "sin")):
+            phi = lo + 0.5 * (hi - lo) * (xg_phi + 1.0)
+            wphi = 0.5 * (hi - lo) * wg_phi
+            R = 1.0 / (np.cos(phi) if radius == "cos" else np.sin(phi))
+            rho = 0.5 * R[:, None] * (xg_rho + 1.0)[None, :]
+            wrho = 0.5 * R[:, None] * wg_rho[None, :]
+            x = rho * np.cos(phi)[:, None]
+            y = rho * np.sin(phi)[:, None]
+            kv = ring_kernel(n, wt, wt + sx * x, sz * y)
+            base = kv * rho * wrho * wphi[:, None]
+            vals[0] += np.sum(base * (1 - x) * (1 - y))
+            vals[1] += np.sum(base * x * (1 - y))
+            vals[2] += np.sum(base * (1 - x) * y)
+            vals[3] += np.sum(base * x * y)
+        return vals
+
+    mc = 2
+    xg, wg = leggauss(10)
+    span = 2 * mc + 1
+    corr = np.zeros((P, span, span))
+    for i in range(P):
+        wt = float(i)
+        acc = np.zeros((span, span))
+        for dci in range(-mc - 1, mc + 1):
+            ci = i + dci
+            if ci < 0 or ci > P - 2:
+                continue
+            for dcj in range(-mc - 1, mc + 1):
+                if dci in (-1, 0) and dcj in (-1, 0):
+                    sx = 1.0 if dci == 0 else -1.0
+                    sz = 1.0 if dcj == 0 else -1.0
+                    ex = cell_polar(wt, sx, sz, 12, 16)
+                    if sx < 0:
+                        ex = [ex[1], ex[0], ex[3], ex[2]]
+                    if sz < 0:
+                        ex = [ex[2], ex[3], ex[0], ex[1]]
+                else:
+                    ex = cell_exact(wt, float(dci), float(dcj), xg, wg)
+                for corner, (da, db) in enumerate(((0, 0), (1, 0), (0, 1), (1, 1))):
+                    dni = dci + da
+                    dnj = dcj + db
+                    if abs(dni) > mc or abs(dnj) > mc:
+                        continue
+                    acc[dni + mc, dnj + mc] += ex[corner]
+        for dni in range(-mc, mc + 1):
+            if not (0 <= i + dni < P):
+                continue
+            for dnj in range(-mc, mc + 1):
+                corr[i, dni + mc, dnj + mc] = acc[dni + mc, dnj + mc] - W2[i, i + dni, abs(dnj)]
+    return W2, corr
+
+
+class TestBatchedBuild:
+    """KernelTable's batched build against the per-cell loop build."""
+
+    @pytest.mark.parametrize("P", [9, 17])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_matches_loop_build(self, P, n):
+        table = KernelTable(P, n)
+        W2, corr = loop_build(P, n)
+        scale = np.max(np.abs(W2))
+        assert table.corr.shape == corr.shape
+        assert np.max(np.abs(table.W2 - W2)) <= 1e-14 * scale
+        assert np.max(np.abs(table.corr - corr)) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_few_kernel_calls(self, monkeypatch, n):
+        # one call per W2 column plus a handful for all corrections; the
+        # per-cell build made 621 at P = 17
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return ring_kernel(*args)
+
+        monkeypatch.setattr(greens, "ring_kernel", counting)
+        KernelTable(17, n)
+        assert 0 < len(calls) <= 17 + 16

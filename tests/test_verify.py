@@ -1,4 +1,3 @@
-import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,7 +15,7 @@ from rotstar.verify import (
     ricci_cross_check,
 )
 
-warnings.filterwarnings("ignore")
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 PARAMS = SimpleNamespace(G_grav=1.0, c_light=1.0)
 
