@@ -189,7 +189,6 @@ def cmd_verify(cfg, out_dir, run_dir):
         raise ConfigError(f"{run}: no manifest.json")
     with open(run / "manifest.json") as fh:
         man = json.load(fh)
-    sub = load_config(None)
     sub_dict = man["config"]
     params = build_params(_cfg_from_dict(sub_dict))
 

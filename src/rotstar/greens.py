@@ -163,21 +163,30 @@ class KernelTable:
     so one table per (P, n) serves every physical grid with P nodes: physical
     applications just carry the h^2 measure.  The base rule integrates the
     kernel exactly against the tensor piecewise-linear interpolant of the
-    source (hat-product weights W2, Toeplitz in the z lag and evaluated by
-    FFT over the even z-extension), which keeps the quadrature error a smooth
-    O(h^2) interpolation error.  The W2 entries whose hat supports touch the
-    log singularity are replaced by high-order local integrals (polar around
-    the target, fine Gauss nearby).  Off the node grid, eval_at sums the
-    plain nodal rule, whose weights far_weights builds block by block; the
-    FFT in apply uses the shortest fast length free of wrap-around.
+    source (hat-product weights W2[i, i', lag], Toeplitz and even in the z
+    lag), which keeps the quadrature error a smooth O(h^2) interpolation
+    error.  The W2 entries whose hat supports touch the log singularity are
+    replaced by high-order local integrals (polar around the target, fine
+    Gauss nearby).  Off the node grid, eval_at sums the plain nodal rule,
+    whose weights far_weights builds block by block.
+
+    W2 is stored only as its z-spectra.  Each lag row, placed circularly
+    even in a length nfft >= 4P - 4 (lags 0..2P-2 and their mirrors), has a
+    real rfft, so C[k, i, i'] is a float64 array of shape (nfft/2 + 1, P, P):
+    the size of W2 when nfft = 4P - 4, as for every P = 2^k + 1.  apply
+    transforms the circularly even source once, multiplies by C frequency
+    by frequency in one batched product and transforms back; the output
+    window z = 0..P-1 stays clear of wrap-around.  rows() rebuilds the W2
+    slabs it needs from C with irfft.
 
     The build is batched.  W2 takes one ring_kernel call per target column,
     and its Gauss sums are one matrix product per cell axis against the two
-    hat weights.  The corrections take two ring_kernel calls in all: one for
-    the Gauss points of every near cell of every column, one for the polar
-    points of the four cells with a corner on the target.  Each cell's four
-    corner integrals are one product against the corner weights, scattered
-    into the node patch by a bincount.
+    hat weights; each column's slab is transformed into C before the next
+    one is built.  The corrections take two ring_kernel calls in all: one
+    for the Gauss points of every near cell of every column, one for the
+    polar points of the four cells with a corner on the target.  Each cell's
+    four corner integrals are one product against the corner weights,
+    scattered into the node patch by a bincount.
     """
 
     def __init__(self, P, n):
@@ -187,37 +196,55 @@ class KernelTable:
         self.colw = np.ones(self.P)
         self.colw[0] = 0.5
         self.colw[-1] = 0.5
-        self._build_w2()
-        self._build_corrections()
+        # circular length: a lag row even about index 0 holds lags
+        # -(2P-2)..2P-2 when nfft >= 4P-4 (at 4P-4 the two end lags share
+        # index 2P-2); every lag j - z' of an output z = j in 0..P-1 and a
+        # source |z'| <= P-1 then sits at its own index, free of wrap-around
+        self.nfft = next_fast_len(4 * self.P - 4, real=True)
+        self._build_corrections(self._build_w2())
 
     def _build_w2(self):
-        """W2[i, i', lag] = int int k(i, ws, dz) hat_i'(ws) hat_lag(|dz|)."""
-        P, G = self.P, N_GAUSS_BASE
+        """C = rfft of the circularly even rows of W2, with
+        W2[i, i', lag] = int int k(i, ws, dz) hat_i'(ws) hat_lag(|dz|).
+
+        Returns base[i, dni, dnj] = W2[i, i + dni, |dnj|] (clipped to the
+        grid), the entries the corrections replace.
+        """
+        P, G, nfft = self.P, N_GAUSS_BASE, self.nfft
         t, wq = _gauss01(G)
         hats = _hat_weights(t, wq)
         n_wc = P - 1
         n_zc = 2 * P - 2  # dz cells [0,1], ..., [2P-3, 2P-2]
         ws_pts = (np.arange(n_wc)[:, None] + t[None, :]).ravel()
         dz_pts = (np.arange(n_zc)[:, None] + t[None, :]).ravel()
-        W2 = np.zeros((P, P, 2 * P - 1))
+        dn = np.arange(-MC, MC + 1)
+        base = np.empty((P, dn.size, dn.size))
+        self.C = np.empty((nfft // 2 + 1, P, P))
+        row = np.zeros((P, nfft))
         for i in range(P):
+            W2 = np.zeros((P, 2 * P - 1))
             kv = ring_kernel(self.n, float(i), ws_pts[:, None], dz_pts[None, :])
             # contract the dz Gauss axis, then the varpi one, against the
             # hats: c[a, p, b, q] weighs varpi cell a toward node a + p and
             # dz cell b toward lag b + q
             c = (kv.reshape(-1, G) @ hats).reshape(n_wc, G, 2 * n_zc)
             c = (hats.T @ c).reshape(n_wc, 2, n_zc, 2)
-            W2[i, :-1, :-1] += c[:, 0, :, 0]
-            W2[i, :-1, 1:] += c[:, 0, :, 1]
-            W2[i, 1:, :-1] += c[:, 1, :, 0]
-            W2[i, 1:, 1:] += c[:, 1, :, 1]
+            W2[:-1, :-1] += c[:, 0, :, 0]
+            W2[:-1, 1:] += c[:, 0, :, 1]
+            W2[1:, :-1] += c[:, 1, :, 0]
+            W2[1:, 1:] += c[:, 1, :, 1]
             # the lag-0 hat also spans dz in [-1, 0], which mirrors the
             # lower-weighted part of dz-cell 0 by evenness of the kernel
-            W2[i, :-1, 0] += c[:, 0, 0, 0]
-            W2[i, 1:, 0] += c[:, 1, 0, 0]
-        self.W2 = W2
+            W2[:-1, 0] += c[:, 0, 0, 0]
+            W2[1:, 0] += c[:, 1, 0, 0]
+            base[i] = W2[np.clip(i + dn, 0, P - 1)[:, None], np.abs(dn)]
+            # lag l at index l mod nfft: an even sequence, so a real spectrum
+            row[:, : 2 * P - 1] = W2
+            row[:, nfft - 2 * P + 2 :] = W2[:, :0:-1]
+            self.C[:, i, :] = np.fft.rfft(row, axis=1).real.T
+        return base
 
-    def _build_corrections(self):
+    def _build_corrections(self, base):
         """corr[i, dni, dnj] = accurate W2 entry minus the 4-point-Gauss one
         for the (2 MC + 1)^2 node patch around targets in column i.
 
@@ -268,27 +295,23 @@ class KernelTable:
         # node reaches dz of both signs, which acc already accumulated
         dn = np.arange(-MC, MC + 1)
         node = np.arange(P)[:, None, None] + dn[:, None]
-        base = self.W2[np.arange(P)[:, None, None], np.clip(node, 0, P - 1), np.abs(dn)]
         self.corr = np.where((node >= 0) & (node < P), acc - base, 0.0)
 
     # -- application ----------------------------------------------------------
 
     def apply(self, gvals):
         """Unit-coordinate potential on the node grid (multiply by h^2)."""
-        P = self.P
-        gx = np.concatenate([gvals[:, -1:0:-1], gvals], axis=1)  # even in z
-        # circular length: the linear convolution has 6P-5 terms, and the
-        # output window y[3P-3 : 4P-3] stays clear of wrap-around exactly
-        # when nfft >= 4P-3
-        nfft = next_fast_len(4 * P - 3, real=True)
-        GX = np.fft.rfft(gx, nfft, axis=1)
-        out = np.empty((P, P))
-        lag_idx = np.abs(np.arange(-(2 * P - 2), 2 * P - 1))
-        for i in range(P):
-            ci = self.W2[i][:, lag_idx]  # (P, 4P-3)
-            CI = np.fft.rfft(ci, nfft, axis=1)
-            y = np.fft.irfft(np.sum(CI * GX, axis=0), nfft)
-            out[i, :] = y[3 * P - 3 : 4 * P - 3]
+        P, nfft = self.P, self.nfft
+        # the source, circularly even in z: z and -z at indices z and nfft - z
+        gx = np.zeros((nfft, P))
+        gx[:P] = gvals.T
+        gx[nfft - P + 1 :] = gvals.T[:0:-1]
+        GX = np.fft.rfft(gx, axis=0)
+        # one real product per frequency, real and imaginary parts of the
+        # source spectrum stacked on a trailing axis of 2
+        Y = self.C @ GX.view(np.float64).reshape(GX.shape + (2,))
+        y = np.fft.irfft(Y.view(np.complex128)[..., 0], nfft, axis=0)
+        out = np.ascontiguousarray(y[:P].T)
 
         mc = MC
         gpad = np.zeros((P + 2 * mc, P + 2 * mc))
@@ -334,15 +357,21 @@ class KernelTable:
             )
             yield k0, self.colw[i] * kv
 
+    def w2_slab(self, i):
+        """W2[i] rebuilt from the spectra: (P, 2P - 1), source column by lag."""
+        return np.fft.irfft(self.C[:, i, :], self.nfft, axis=0)[: 2 * self.P - 1].T
+
     def rows(self, targets, sources):
         """Dense quadrature rows R[t, s] consistent with apply()."""
         ti, tj = targets
         si, sj = sources
-        R = (
-            self.W2[ti[:, None], si[None, :], np.abs(tj[:, None] - sj[None, :])]
-            + np.where(sj[None, :] > 0, 1.0, 0.0)
-            * self.W2[ti[:, None], si[None, :], tj[:, None] + sj[None, :]]
-        )
+        R = np.empty((ti.size, si.size))
+        mirror = np.where(sj > 0, 1.0, 0.0)
+        for col in np.unique(ti):
+            sel = np.flatnonzero(ti == col)
+            W2 = self.w2_slab(col)
+            tz = tj[sel, None]
+            R[sel] = W2[si, np.abs(tz - sj)] + mirror * W2[si, tz + sj]
         mc = MC
         src_lookup = {(a, b): k for k, (a, b) in enumerate(zip(si, sj))}
         for t, (a, b) in enumerate(zip(ti, tj)):

@@ -290,7 +290,6 @@ class PNSolver:
         Gg = p.G_grav
         nf = self.nf
         om2w2 = self.om_w * self.om_w  # (Omega varpi)^2, compact
-        om2 = self.om * self.om
         ga = (
             nf.ratio * (om2w2 * nf.Phi_N * 2.0 - om2w2 * om2w2 * 0.25) * (-4.0 * math.pi * Gg)
             + nf.rho_N * nf.u_N * (4.0 * math.pi * Gg * _upsilon1(self.eos))
@@ -376,7 +375,6 @@ class PNSolver:
         twoY_wY1 = (Y * 2.0 + mul_varpi(Y1, 4)).reindex(4)
         wY3 = mul_varpi(Y3, 4)
 
-        e2F = exp_of(psi, 2.0 / c**2)
         e4F = exp_of(psi, 4.0 / c**2)
         emFK = exp_of(V * (1.0 / c**4) - psi * (1.0 / c**2), 2.0)
 
@@ -438,7 +436,21 @@ class PNSolver:
 
         R_c = ((emFK * P * (X4 + 1.0) - nf.P_N) * (-16.0 * math.pi * Gg)).reindex(4)
 
-        # Q2..Q4: residual diagnostics of the density and source expansions
+        diag = {"Q0": Q0, "Q1": Q1, "Q5": Q5, "Q6": Q6, "H_rho": H}
+        return R_a, R_b, R_c, diag
+
+    def expansion_residuals(self, W, Y, X, V, w, Z, rho, P):
+        """Q2..Q4: residual diagnostics of the density and source expansions
+        (the iteration does not use them)."""
+        c = self.params.c_light
+        nf = self.nf
+        diag = self.remainders_abc(W, Y, X, V, w, Z, rho, P)[3]
+        Q1, H = diag["Q1"], diag["H_rho"]
+        q = Q1 * (1.0 / c**2)
+        inv_q = 1.0 / ((q * -1.0) + 1.0)
+        psi = nf.Phi_N - W * (1.0 / c**2)
+        emFK = exp_of(V * (1.0 / c**4) - psi * (1.0 / c**2), 2.0)
+        om2w2 = self.om_w * self.om_w
         Q2 = (
             (rho - nf.rho_N)
             - (nf.ratio * w + nf.rho_N * nf.u_N * _upsilon1(self.eos)) * (1.0 / c**2)
@@ -447,11 +459,7 @@ class PNSolver:
         q2_exact = (rho * (emFK - (q + 1.0) * inv_q) * -1.0) * c**2
         Q3 = (q2_exact - (nf.rho_N * nf.Phi_N + nf.rho_N * Q1 * 2.0) * 2.0) * c**2
         Q4 = (q2_exact - (nf.rho_N * nf.Phi_N + nf.rho_N * om2w2 * 2.0) * 2.0) * c**2
-        diag = {
-            "Q0": Q0, "Q1": Q1, "Q2": Q2, "Q3": Q3, "Q4": Q4, "Q5": Q5, "Q6": Q6,
-            "H_rho": H,
-        }
-        return R_a, R_b, R_c, diag
+        return {"Q2": Q2, "Q3": Q3, "Q4": Q4}
 
     def x_hat_arrays(self, X):
         """Closed-form correction factor of the K-gradient inversion."""
@@ -473,7 +481,7 @@ class PNSolver:
         p = self.params
         c = p.c_light
         g = self.grid
-        K1t, K3t, met = self.ktilde_arrays(W, Y, X)
+        K1t, K3t, _ = self.ktilde_arrays(W, Y, X)
         Phi = self.nf.Phi_N
         P1 = Phi.derivative("w")
         P3 = Phi.derivative("z")
@@ -504,9 +512,7 @@ class PNSolver:
     def _norm_c1(self, fld):
         g = self.grid
         a = self.params.a_len
-        sup = float(np.max(np.abs(fld.int_vals))) if fld.offset == 0.0 else float(
-            np.max(np.abs(fld.int_vals))
-        )
+        sup = float(np.max(np.abs(fld.int_vals)))
         d1 = np.abs(np.diff(fld.int_vals, axis=0)).max() / g.h_int
         d3 = np.abs(np.diff(fld.int_vals, axis=1)).max() / g.h_int
         sup_star = float(np.max(np.abs(fld.star_vals)))
@@ -523,7 +529,6 @@ class PNSolver:
         tol = self.opts.tol_inner if tol is None else tol
         max_iter = self.opts.max_inner if max_iter is None else max_iter
         ga, gb, gc = self.sources()
-        zero = AxiField.zeros(self.grid, 3)
         if state is None:
             W = AxiField.zeros(self.grid, 3)
             Y = AxiField.zeros(self.grid, 5)
@@ -535,7 +540,7 @@ class PNSolver:
         for it in range(1, max_iter + 1):
             w, Z = self.w_from_WYX(W, Y, X)
             rho, P, u = self.state_fluid(w)
-            R_a, R_b, R_c, diag = self.remainders_abc(W, Y, X, V, w, Z, rho, P)
+            R_a, R_b, R_c, _ = self.remainders_abc(W, Y, X, V, w, Z, rho, P)
             Y_new = self.ops.k_n_global((gb + R_b).reindex(5, fill_origin=False), 5)
             X_new = self.ops.k_n_global((gc + R_c).reindex(4), 4)
             coupling = (self.nf.ratio * self.om_w2 * Y_new).reindex(3) * (
@@ -571,7 +576,6 @@ class PNSolver:
     def ktilde_arrays(self, W, Y, X):
         """K1t, K3t on the interior nodes from the assembled (F, A, Pi)."""
         p = self.params
-        c = p.c_light
         g = self.grid
         state = PotentialSet(W=W, Y=Y, X=X, V=AxiField.zeros(g, 4), w=None)
         met = assemble(p, state, self.nf.Phi_N)

@@ -5,8 +5,6 @@ from rotstar.errors import ConfigError, DomainError
 from rotstar.fields import AxiField, AxiGrid, compact_map, kelvin_point
 from rotstar.gridio import export_text, read_field, write_field
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 @pytest.fixture(scope="module")
 def grid():

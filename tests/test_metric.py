@@ -13,8 +13,6 @@ from rotstar.metric import (
     mul_varpi,
 )
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 class TestKerrParams:
     def test_validation(self):

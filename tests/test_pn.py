@@ -224,7 +224,7 @@ class TestRemainders:
         zero3 = AxiField.zeros(g, 3)
         w, Z = solver.w_from_WYX(zero3, AxiField.zeros(g, 5), AxiField.zeros(g, 4))
         rho, P, u = solver.state_fluid(w)
-        R_a, R_b, R_c, diag = solver.remainders_abc(
+        diag = solver.expansion_residuals(
             zero3, AxiField.zeros(g, 5), AxiField.zeros(g, 4), AxiField.zeros(g, 4), w, Z, rho, P
         )
         scale = np.abs(rho.int_vals).max() * solver.params.c_light**4

