@@ -239,10 +239,6 @@ class NeutronStarTable:
     P: np.ndarray = field(repr=False)
 
     @property
-    def gamma_fit(self):
-        return 5.0 / 3.0
-
-    @property
     def A_fit(self):
         return 1.0 / (5.0 * self.B_const ** (2.0 / 3.0))
 

@@ -105,7 +105,10 @@ def ring_kernel(n, wt, ws, dz):
 
 
 _TABLE_CACHE = {}
+_FAR_CACHE = {}
 _FAR_BLOCK = 1 << 16  # kernel evaluations per block of far-field weights
+FAR_RANK_TOL = 1e-15  # far skeleton: QR pivots above this fraction of the first
+FAR_SKETCH_ROWS = 8  # far sketch: about this many source nodes per table node count
 MC = 2  # corrected node patch: offsets -MC..MC around each target
 N_GAUSS_BASE = 4  # Gauss points per cell axis of the hat-product weights W2
 N_GAUSS_NEAR = 10  # Gauss points per cell axis of the corrected cells
@@ -386,6 +389,10 @@ class KernelTable:
                         R[t, k] += w
         return R
 
+    @property
+    def nbytes(self):
+        return self.C.nbytes + self.corr.nbytes
+
     def total_mass(self, gvals):
         """Unit-coordinate n-volume integral (multiply by h^n)."""
         P = self.P
@@ -400,34 +407,103 @@ class KernelTable:
         return float(np.sum(meas * gvals))
 
 
-class FarMatrix:
-    """KernelTable.eval_at from the source nodes of one table to one fixed
-    target set, as one stored matrix.
+def far_mask(P_t):
+    """Far targets of a target patch with P_t nodes per axis, from integer
+    node indices: 0 < 4 (i^2 + j^2) <= (P_t - 1)^2.
 
-    Row k of weights holds the weights at every target of source node
-    nodes[k]; a node gets its row the first time it carries source, and a
-    node without a row contributes nothing, like its zero source value.  A
-    call whose support already has rows costs one mat-vec.  Rows are filled
+    The target r < R0/2 (image beyond 2 R0) on the starred patch and r < R0
+    (image outside the starred patch) on the interior one are the same
+    condition in node units.  The boundary is closed, so every star's float
+    mask on the grid shape, whatever the rounding of its R0, is a subset.
+    """
+    i, j = np.divmod(np.arange(P_t * P_t), P_t)
+    q = 4 * (i * i + j * j)
+    return ((q > 0) & (q <= (P_t - 1) ** 2)).reshape(P_t, P_t)
+
+
+def get_far(side, n, n_int, n_ext):
+    """Far-field operator of one side, cached per (side, n, grid shape)."""
+    key = (side, int(n), int(n_int), int(n_ext))
+    if key not in _FAR_CACHE:
+        _FAR_CACHE[key] = FarOperator(*key)
+    return _FAR_CACHE[key]
+
+
+class FarOperator:
+    """KernelTable.eval_at from the nodes of one table to the far targets of
+    one side, as an interpolative decomposition (Cheng, Gimbutas,
+    Martinsson & Rokhlin 2005): the far field at all T targets is
+    E (T x r) times the exact nodal sums at r skeleton targets.
+
+    side "int" maps interior sources to the starred nodes of far_mask(n_ext)
+    (image points beyond 2 R0); side "star" maps starred sources to the
+    interior nodes of far_mask(n_int) (image outside the starred patch).  In
+    table units both target sets sit at (i, j) (N - 1)(M - 1) / (2 (i^2 + j^2))
+    for every R0, so one operator serves every star on a grid shape.
+
+    The skeleton is a column-pivoted QR of a sketch: the weights from an
+    evenly strided subset of about FAR_SKETCH_ROWS * P source nodes of the
+    quarter disc i^2 + j^2 < (P - 1)^2, where the chi-cut and the diamond
+    sources live.  Its rank is the number of pivots above FAR_RANK_TOL of the
+    first.  Interior-side columns are scaled by rho_t^(n-2) before the QR:
+    the starred patch stores (r/R0)^(n-2) v, and M and J are read there.
+    Starred-side columns stay unscaled: scaled, their n = 5 rank grows by
+    about half (310 -> 442 at 97/65) to chase roundoff of the ring kernel.
+
+    Row k of weights holds the skeleton weights of source node nodes[k]; a
+    node gets its row the first time it carries source, and a node without
+    a row contributes nothing, like its zero source value.  Rows are filled
     from the top, so only the rows in use take memory.
     """
 
-    def __init__(self, table, wt, zt):
-        self.table = table
-        self.wt = wt
-        self.zt = zt
-        self.weights = np.zeros((table.P**2, wt.size))
-        self.built = np.zeros(table.P**2, dtype=bool)
+    def __init__(self, side, n, n_int, n_ext):
+        from scipy.linalg import qr, solve_triangular
+
+        self.table = get_table(n_int if side == "int" else n_ext, n)
+        P = self.table.P
+        i, j = np.nonzero(far_mask(n_ext if side == "int" else n_int))
+        c = (n_int - 1) * (n_ext - 1) / (2.0 * (i * i + j * j))
+        wt, zt = i * c, j * c
+        scale = np.hypot(wt, zt) ** (n - 2) if side == "int" else np.ones(wt.size)
+
+        si, sj = np.divmod(np.arange(P * P), P)
+        disc = np.flatnonzero(si * si + sj * sj < (P - 1) ** 2)
+        sketch = disc[:: max(1, disc.size // (FAR_SKETCH_ROWS * P))]
+        A = np.vstack([block for _, block in self.table.far_weights(sketch, wt, zt)])
+        R, perm = qr(A * scale, mode="r", pivoting=True)
+        d = np.abs(np.diag(R))
+        r = int(np.count_nonzero(d > FAR_RANK_TOL * d[0]))
+        self.skeleton = perm[:r]
+        # E = [I | R11^-1 R12] in pivot order, scaled back to plain columns
+        E = np.empty((wt.size, r))
+        E[perm[:r]] = np.eye(r)
+        E[perm[r:]] = solve_triangular(R[:r, :r], R[:r, r:]).T
+        self.E = E * scale[self.skeleton] / scale[:, None]
+        self.wt, self.zt = wt, zt
+        self.weights = np.zeros((P * P, r))
+        self.built = np.zeros(P * P, dtype=bool)
         self.nodes = np.zeros(0, dtype=np.intp)
 
+    @property
+    def rank(self):
+        return self.skeleton.size
+
+    @property
+    def nbytes(self):
+        """Bytes of E and of the filled skeleton weights."""
+        return self.E.nbytes + self.nodes.size * self.rank * 8
+
     def __call__(self, gvals):
+        """Far field at every target, in far_mask order."""
         flat = gvals.ravel()
         new = np.flatnonzero((flat != 0.0) & ~self.built)
         k = self.nodes.size
-        for k0, block in self.table.far_weights(new, self.wt, self.zt):
+        J = self.skeleton
+        for k0, block in self.table.far_weights(new, self.wt[J], self.zt[J]):
             self.weights[k + k0 : k + k0 + len(block)] = block
         self.built[new] = True
         self.nodes = np.concatenate([self.nodes, new])
-        return flat[self.nodes] @ self.weights[: self.nodes.size]
+        return self.E @ (flat[self.nodes] @ self.weights[: self.nodes.size])
 
 
 class GreenOps:
@@ -437,10 +513,10 @@ class GreenOps:
     and dimension); this class carries the physical measure factors.  The
     far-field quadrature goes to two target sets the grid fixes: the image
     points with r > 2 R0 of the starred patch (interior tables) and the
-    interior points with R0^2/r > R0 (starred tables).  Each (side, n) keeps
-    a FarMatrix to its target set, so a far evaluation is one mat-vec once
-    the source support has been seen; it holds T x S x 8 bytes for T targets
-    and the S nodes that have carried source.
+    interior points with R0^2/r > R0 (starred tables).  Each (side, n) takes
+    its rows from the FarOperator shared by every star on the grid shape.
+    The masks stay the float tests on this star's R0: on the boundary
+    circle their rounding decides, and a star's answers depend on it.
     """
 
     def __init__(self, grid):
@@ -457,26 +533,61 @@ class GreenOps:
         self.rs_int = rs
         self.img_inside = (r_int > 0) & (rs <= g.R0)
         self.img_outside = (r_int > 0) & (rs > g.R0)
-        self._far = {}
+        # this star's far targets among the shared operator's, in its order
+        self._far_rows = {
+            "int": self.far_img[far_mask(g.n_ext)],
+            "star": self.img_outside[far_mask(g.n_int)],
+        }
+        # first lookup of each cached table and far operator: True if it built it
+        self._tables_used = {}
+        self._far_used = {}
 
     def table_int(self, n):
-        return get_table(self.grid.n_int, n)
+        return self._table(self.grid.n_int, n)
 
     def table_star(self, n):
-        return get_table(self.grid.n_ext, n)
+        return self._table(self.grid.n_ext, n)
 
-    def _far_matrix(self, side, n):
-        key = (side, n)
-        if key not in self._far:
-            g = self.grid
-            if side == "int":
-                table, mask, h = self.table_int(n), self.far_img, g.h_int
-                w, z = g.W_img[mask], g.Z_img[mask]
-            else:
-                table, mask, h = self.table_star(n), self.img_outside, g.h_ext
-                w, z = self.w_img_int[mask], self.z_img_int[mask]
-            self._far[key] = FarMatrix(table, w / h, z / h)
-        return self._far[key]
+    def _table(self, P, n):
+        self._tables_used.setdefault((P, n), (P, n) not in _TABLE_CACHE)
+        return get_table(P, n)
+
+    def far_operator(self, side, n):
+        key = (side, n, self.grid.n_int, self.grid.n_ext)
+        self._far_used.setdefault((side, n), key not in _FAR_CACHE)
+        return get_far(*key)
+
+    def _far(self, side, n, gvals):
+        """Unit-coordinate far field at this star's targets of one side."""
+        return self.far_operator(side, n)(gvals)[self._far_rows[side]]
+
+    def cache_report(self):
+        """Kernel tables and far operators this grid has used: sizes, ranks,
+        and whether its first lookup built each one or found it cached."""
+        g = self.grid
+        tables = {
+            f"P{P}_n{n}": {"bytes": _TABLE_CACHE[P, n].nbytes, "built": built}
+            for (P, n), built in self._tables_used.items()
+        }
+        far = {}
+        for (side, n), built in self._far_used.items():
+            op = _FAR_CACHE[side, n, g.n_int, g.n_ext]
+            far[f"{side}_n{n}"] = {
+                "rank": op.rank,
+                "targets": int(np.count_nonzero(self._far_rows[side])),
+                "filled_nodes": op.nodes.size,
+                "bytes": op.nbytes,
+                "built": built,
+            }
+        builds = sum(v["built"] for v in (*tables.values(), *far.values()))
+        return {
+            "kernel_tables": tables,
+            "far_operators": far,
+            "table_bytes": sum(v["bytes"] for v in tables.values()),
+            "far_bytes": sum(v["bytes"] for v in far.values()),
+            "builds": builds,
+            "cache_hits": len(tables) + len(far) - builds,
+        }
 
     # -- compact inverse --------------------------------------------------------
 
@@ -492,7 +603,7 @@ class GreenOps:
             star[near] = (img_r[near] / g.R0) ** (n - 2) * vals
         far = self.far_img
         if np.any(far):
-            vals = h**2 * self._far_matrix("int", n)(src)
+            vals = h**2 * self._far("int", n, src)
             star[far] = (img_r[far] / g.R0) ** (n - 2) * vals
         star[0, 0] = h**n * self.table_int(n).total_mass(src) / (FUND_NORM[n] * g.R0 ** (n - 2))
         return AxiField(g, n, v_int, star, (1, 1), 0.0)
@@ -552,7 +663,7 @@ class GreenOps:
         )
         outside = self.img_outside
         if np.any(outside):
-            vals = g.h_ext**2 * self._far_matrix("star", n)(src_dia)
+            vals = g.h_ext**2 * self._far("star", n, src_dia)
             f_inf_int[outside] = (rs[outside] / g.R0) ** (n - 2) * vals
         # the patch origin is the image of star infinity: monopole limit
         f_inf_int[0, 0] = (
@@ -597,6 +708,7 @@ class LOpSolver:
         self.coef = coef
         self.si, self.sj = np.nonzero(coef != 0.0)
         self.trivial = self.si.size == 0
+        self.smin_estimate = None  # reciprocal 1-norm condition number of the system
         if self.trivial:
             return
         origin = (np.array([0]), np.array([0]))

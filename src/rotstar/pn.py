@@ -357,7 +357,7 @@ class PNSolver:
         P = compact_map(lambda uu: self.eos.pressure_from_enthalpy(uu), u, n_index=4)
         return rho, P, u
 
-    def remainders_abc(self, W, Y, X, V, w, Z, rho, P):
+    def remainders_abc(self, W, Y, X, V, w, rho, P):
         p = self.params
         c = p.c_light
         Gg = p.G_grav
@@ -439,12 +439,12 @@ class PNSolver:
         diag = {"Q0": Q0, "Q1": Q1, "Q5": Q5, "Q6": Q6, "H_rho": H}
         return R_a, R_b, R_c, diag
 
-    def expansion_residuals(self, W, Y, X, V, w, Z, rho, P):
+    def expansion_residuals(self, W, Y, X, V, w, rho, P):
         """Q2..Q4: residual diagnostics of the density and source expansions
         (the iteration does not use them)."""
         c = self.params.c_light
         nf = self.nf
-        diag = self.remainders_abc(W, Y, X, V, w, Z, rho, P)[3]
+        diag = self.remainders_abc(W, Y, X, V, w, rho, P)[3]
         Q1, H = diag["Q1"], diag["H_rho"]
         q = Q1 * (1.0 / c**2)
         inv_q = 1.0 / ((q * -1.0) + 1.0)
@@ -538,9 +538,9 @@ class PNSolver:
         scale = max(p.u_O**2, 1e-300)
         changes = []
         for it in range(1, max_iter + 1):
-            w, Z = self.w_from_WYX(W, Y, X)
+            w, _ = self.w_from_WYX(W, Y, X)
             rho, P, u = self.state_fluid(w)
-            R_a, R_b, R_c, _ = self.remainders_abc(W, Y, X, V, w, Z, rho, P)
+            R_a, R_b, R_c, _ = self.remainders_abc(W, Y, X, V, w, rho, P)
             Y_new = self.ops.k_n_global((gb + R_b).reindex(5, fill_origin=False), 5)
             X_new = self.ops.k_n_global((gc + R_c).reindex(4), 4)
             coupling = (self.nf.ratio * self.om_w2 * Y_new).reindex(3) * (
@@ -629,7 +629,7 @@ class PNSolver:
 
         # far-field constant by sampling V_hat on far arcs through direct
         # quadrature of the gradient fields along (axis, then horizontal)
-        far = self._far_vhat(met, g.z[-1], radii=np.geomspace(3.0, 10.0, 8) * g.R0)
+        far = self._far_vhat(met, radii=np.geomspace(3.0, 10.0, 8) * g.R0)
         rr = far["radii"]
         design = np.column_stack([np.ones_like(rr), rr**-2.0, rr**-3.0])
         coef, res, *_ = np.linalg.lstsq(design, far["vhat_mean"], rcond=None)
@@ -649,7 +649,7 @@ class PNSolver:
         V = self._v_field_from_interior(V_int)
         return V, C_inf, far
 
-    def _far_vhat(self, met, z_top, radii, thetas=(0.3, 0.7, 1.05, 1.4)):
+    def _far_vhat(self, met, radii, thetas=(0.3, 0.7, 1.05, 1.4)):
         """V_hat at far points by Gauss quadrature of c^4 K1t, K3t along the
         paper's path (up the axis, then horizontally)."""
         from numpy.polynomial.legendre import leggauss
@@ -844,6 +844,8 @@ class PNSolver:
             "regime_flags": self.flags,
             "M_N": self.nf.M_N,
             "far_vhat": far,
+            "green_ops": self.ops.cache_report(),
+            "lop_smin_estimate": self.lop.smin_estimate,
         }
         return SolveResult(
             params=p,

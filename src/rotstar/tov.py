@@ -38,7 +38,6 @@ class TovSolution:
     M_total: float = 0.0
     ell: np.ndarray = field(repr=False, default=None)
     _F_of_ell: object = field(repr=False, default=None)
-    _ell_of_r: object = field(repr=False, default=None)
 
     def F_areal(self, r):
         """Metric exponent F as a function of the areal radius."""
@@ -53,17 +52,9 @@ class TovSolution:
         out[~inside] = 0.5 * np.log(1.0 - 2.0 * G * self.M_total / (c**2 * rr))
         return out
 
-    def ell_of_r(self, r):
-        """Quasi-isotropic radius for an areal radius."""
-        return self._ell_of_r(np.asarray(r, dtype=float))
-
     def F_isotropic(self, ell):
         """F as a function of the quasi-isotropic radius (solver gauge)."""
         return self._F_of_ell(np.asarray(ell, dtype=float))
-
-    def newtonian_mass_limit(self):
-        """M in the u_O -> 0 limit equals the Lane-Emden mass; here just M."""
-        return self.M_total
 
 
 def solve_tov(eos, u_O, G_grav=1.0, c_light=1.0, rtol=1e-11, r_max_factor=200.0):
@@ -148,7 +139,6 @@ def _attach_isotropic(tov):
     tov.ell = ell
     F_vals = tov.F_areal(r)
     spline = CubicSpline(ell, F_vals)
-    tov._ell_of_r = CubicSpline(r, ell)
 
     def F_iso(e):
         e = np.asarray(e, dtype=float)

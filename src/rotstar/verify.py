@@ -72,12 +72,6 @@ class Window:
         return m
 
 
-def _dz_ghost(arr, z_even):
-    if z_even:
-        return np.concatenate([arr[:, 1:2], arr], axis=1)
-    return np.concatenate([np.full_like(arr[:, :1], np.nan), arr], axis=1)
-
-
 def d1w(win, arr):
     out = np.full_like(arr, np.nan)
     out[1:-1, :] = (arr[2:, :] - arr[:-2, :]) / (2 * win.h)

@@ -449,11 +449,15 @@ class TestHarmonicTransport:
 
 
 class TestCachedQuadrature:
-    """The far-field matrices reproduce eval_at, and apply reproduces rows()."""
+    """The shared far operators reproduce eval_at, and apply reproduces rows()."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_far_cache(self, monkeypatch):
+        monkeypatch.setattr(greens, "_FAR_CACHE", {})
 
     @staticmethod
     def sources(ops, side):
-        """Small, full and again small sources of one side's far matrix."""
+        """Small, full and again small sources of one side's far operator."""
         g = ops.grid
         if side == "int":
             r, full = g.RI / g.R0, g.chi_int
@@ -474,26 +478,8 @@ class TestCachedQuadrature:
             out[t] = np.sum(table.colw[i] * gvals[i, j] * k)
         return out
 
-    @pytest.mark.parametrize("side", ["int", "star"])
-    @pytest.mark.parametrize("n", [3, 4, 5])
-    def test_matches_eval_at(self, side, n):
-        ops = GreenOps(AxiGrid(R0=2.0, n_interior=33, n_exterior=25))
-        far = ops._far_matrix(side, n)
-        built = []
-        for src in self.sources(ops, side):
-            got = far(src)
-            ref = far.table.eval_at(src, far.wt, far.zt)
-            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-            built.append(np.count_nonzero(far.built))
-        assert 0 < built[0] < built[1] == built[2]
-        direct = self.nodal_sum(far.table, src, far.wt, far.zt)
-        assert np.max(np.abs(got - direct)) <= 1e-13 * np.max(np.abs(direct))
-
-    def test_repeat_call_evaluates_no_kernel(self, monkeypatch):
-        ops = GreenOps(AxiGrid(R0=2.0, n_interior=33, n_exterior=25))
-        far = ops._far_matrix("int", 3)
-        src = self.sources(ops, "int")[1]
-        first = far(src)
+    @staticmethod
+    def counting_kernel(monkeypatch):
         calls = []
 
         def counting(*args):
@@ -501,9 +487,68 @@ class TestCachedQuadrature:
             return ring_kernel(*args)
 
         monkeypatch.setattr(greens, "ring_kernel", counting)
+        return calls
+
+    @pytest.mark.parametrize("side", ["int", "star"])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_matches_eval_at(self, side, n):
+        for n_int, n_ext in ((33, 25), (65, 49)):
+            ops = GreenOps(AxiGrid(R0=2.0, n_interior=n_int, n_exterior=n_ext))
+            far = ops.far_operator(side, n)
+            assert far.rank < far.wt.size
+            filled = []
+            for src in self.sources(ops, side):
+                got = far(src)
+                ref = far.table.eval_at(src, far.wt, far.zt)
+                assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+                filled.append(far.nodes.size)
+            assert 0 < filled[0] < filled[1] == filled[2]
+            direct = self.nodal_sum(far.table, src, far.wt, far.zt)
+            assert np.max(np.abs(got - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+    def test_repeat_call_evaluates_no_kernel(self, monkeypatch):
+        ops = GreenOps(AxiGrid(R0=2.0, n_interior=33, n_exterior=25))
+        far = ops.far_operator("int", 3)
+        src = self.sources(ops, "int")[1]
+        first = far(src)
+        calls = self.counting_kernel(monkeypatch)
         assert np.array_equal(far(src), first)
         assert np.array_equal(far(self.sources(ops, "int")[0]), far(self.sources(ops, "int")[2]))
         assert calls == []
+
+    def test_shared_per_grid_shape(self, monkeypatch):
+        first = GreenOps(AxiGrid(R0=2.0, n_interior=33, n_exterior=25))
+        second = GreenOps(AxiGrid(R0=3.7, n_interior=33, n_exterior=25))
+        for side in ("int", "star"):
+            for n in (3, 5):
+                assert first.far_operator(side, n) is second.far_operator(side, n)
+                for src in self.sources(first, side):
+                    first._far(side, n, src)
+        calls = self.counting_kernel(monkeypatch)
+        for side in ("int", "star"):
+            for n in (3, 5):
+                for src in self.sources(second, side):
+                    second._far(side, n, src)
+        assert calls == []
+        report = second.cache_report()
+        assert (report["builds"], report["cache_hits"]) == (0, 4)
+
+    @pytest.mark.parametrize("shape", [(33, 25), (65, 49), (97, 65)])
+    def test_float_masks_inside_integer_set(self, shape):
+        # the float masks of GreenOps depend on the rounding of R0; the shared
+        # operator's closed integer set must hold every one of them, points on
+        # the boundary circle 4 (i^2 + j^2) = (P - 1)^2 included
+        n_int, n_ext = shape
+        radii = list(np.geomspace(0.01, 100.0, 49)) + [54.815936375016115]
+        on_boundary = 0
+        for R0 in radii:
+            ops = GreenOps(AxiGrid(R0, n_int, n_ext))
+            for mask, P in ((ops.far_img, n_ext), (ops.img_outside, n_int)):
+                union = greens.far_mask(P)
+                assert not np.any(mask & ~union)
+                i, j = np.nonzero(mask)
+                on_boundary += np.count_nonzero(4 * (i * i + j * j) == (P - 1) ** 2)
+        assert on_boundary > 0
 
     @pytest.mark.parametrize("P", [17, 21, 32, 33])
     def test_apply_matches_rows(self, P):

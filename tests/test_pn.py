@@ -209,9 +209,9 @@ class TestRemainders:
         zero3 = AxiField.zeros(g, 3)
         zero4 = AxiField.zeros(g, 4)
         zero5 = AxiField.zeros(g, 5)
-        w, Z = solver.w_from_WYX(zero3, zero5, zero4)
+        w, _ = solver.w_from_WYX(zero3, zero5, zero4)
         rho, P, u = solver.state_fluid(w)
-        R_a, R_b, R_c, diag = solver.remainders_abc(zero3, zero5, zero4, zero4, w, Z, rho, P)
+        R_a, R_b, R_c, diag = solver.remainders_abc(zero3, zero5, zero4, zero4, w, rho, P)
         vac = (solver.nf.u_N.int_total() <= 0) & (u.int_total() <= 0)
         assert np.abs(diag["Q5"].int_vals[vac]).max() < 1e-30
         assert np.abs(diag["Q6"].int_vals[vac]).max() < 1e-30
@@ -222,10 +222,10 @@ class TestRemainders:
         solver = rotating_solver
         g = solver.grid
         zero3 = AxiField.zeros(g, 3)
-        w, Z = solver.w_from_WYX(zero3, AxiField.zeros(g, 5), AxiField.zeros(g, 4))
+        w, _ = solver.w_from_WYX(zero3, AxiField.zeros(g, 5), AxiField.zeros(g, 4))
         rho, P, u = solver.state_fluid(w)
         diag = solver.expansion_residuals(
-            zero3, AxiField.zeros(g, 5), AxiField.zeros(g, 4), AxiField.zeros(g, 4), w, Z, rho, P
+            zero3, AxiField.zeros(g, 5), AxiField.zeros(g, 4), AxiField.zeros(g, 4), w, rho, P
         )
         scale = np.abs(rho.int_vals).max() * solver.params.c_light**4
         assert np.abs(diag["Q2"].int_vals).max() < 1e-10 * scale
@@ -272,6 +272,33 @@ class TestInnerOuter:
     def test_support_inside_three_r1(self, rotating_sweep):
         for eps, res in rotating_sweep.items():
             assert res.diagnostics["support_radius_over_r1"] < 3.0
+
+    def test_cache_report(self, rotating_sweep):
+        # each star reports the kernel tables and far operators it used.  A
+        # far operator holds (T + S) r 8 B against T S 8 B dense, so it is
+        # smaller wherever the source support S is large; a support of a few
+        # dozen nodes (interior n = 4 here) is cheaper dense, but not by much
+        for res in rotating_sweep.values():
+            rep = res.diagnostics["green_ops"]
+            assert set(rep) == {
+                "kernel_tables", "far_operators", "table_bytes", "far_bytes", "builds", "cache_hits"
+            }
+            assert rep["builds"] + rep["cache_hits"] == len(rep["kernel_tables"]) + len(
+                rep["far_operators"]
+            )
+            assert {"int_n3", "int_n5", "star_n3", "star_n5"} <= set(rep["far_operators"])
+            dense = 0
+            for op in rep["far_operators"].values():
+                assert set(op) == {"rank", "targets", "filled_nodes", "bytes", "built"}
+                assert 0 < op["rank"] < op["targets"]
+                dense += op["targets"] * op["filled_nodes"] * 8
+                if op["filled_nodes"] > op["targets"]:
+                    assert op["bytes"] < op["targets"] * op["filled_nodes"] * 8
+            assert rep["far_bytes"] < dense
+            assert rep["table_bytes"] > 0
+            assert 0.0 < res.diagnostics["lop_smin_estimate"] <= 1.0
+        # later stars on the grid shape reuse what the first one built
+        assert rotating_sweep[EPS_SWEEP[-1]].diagnostics["green_ops"]["builds"] == 0
 
     def test_normalizations(self, rotating_sweep):
         res = rotating_sweep[1e-3]
