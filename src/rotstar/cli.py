@@ -180,17 +180,17 @@ def cmd_solve(cfg, out_dir):
 
 
 def cmd_verify(cfg, out_dir, run_dir):
-    from .fields import AxiGrid
     from .gridio import read_field
-    from .pn import SolveResult, omega_profile
+    from .pn import SolveResult
 
     run = Path(run_dir)
     if not (run / "manifest.json").exists():
         raise ConfigError(f"{run}: no manifest.json")
     with open(run / "manifest.json") as fh:
         man = json.load(fh)
-    sub_dict = man["config"]
-    params = build_params(_cfg_from_dict(sub_dict))
+    # only the physics sections: a manifest written by an older version may
+    # carry keys this version no longer accepts elsewhere
+    params = build_params(load_config({key: man["config"][key] for key in ("eos", "star")}))
 
     loaded = {}
     grid = None
@@ -201,7 +201,7 @@ def cmd_verify(cfg, out_dir, run_dir):
         loaded[name] = fld
 
     from .metric import MetricLanczos
-    from .pn import NewtonianFields, PotentialSet
+    from .pn import PotentialSet
 
     met = MetricLanczos(
         F=loaded["F"], A_pot=loaded["A"], Pi_over_w=loaded["Pi_over_w"], K=loaded["K"],
@@ -229,16 +229,6 @@ def cmd_verify(cfg, out_dir, run_dir):
         _say(cfg, f"verification failure: residual sup {worst:.3e} vs scale {scale:.3e}")
         return 3
     return 0
-
-
-def _cfg_from_dict(d):
-    from .config import RunConfig, _DEFAULTS, _merge_strict, _validate
-
-    merged = {
-        name: _merge_strict(name, defaults, d.get(name), name)
-        for name, defaults in _DEFAULTS.items()
-    }
-    return _validate(RunConfig(**merged))
 
 
 def cmd_kerr_check(cfg, out_dir):
@@ -373,7 +363,7 @@ def cmd_sweep(cfg, out_dir):
 
 
 def _sweep_worker(cfg_dict):
-    cfg = _cfg_from_dict(cfg_dict)
+    cfg = load_config(cfg_dict)
     _, res, _ = _run_solver(cfg)
     p = res.params
     return {

@@ -6,7 +6,8 @@ RunConfig carries plain dataclass blocks mirroring the file sections.
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from collections.abc import Mapping
+from dataclasses import asdict, dataclass
 
 import yaml
 
@@ -49,13 +50,9 @@ _DEFAULTS = {
         "newtonian_tol": 1e-12,
         "beta0": 0.1,
         "delta0": 0.01,
-        "alpha_holder": 0.25,
-        "ball_M": 50.0,
     },
     "verify": {
         "fit_window": [5.0, 15.0],
-        "residual_order_min": 1.2,
-        "axis_strip_r1": 0.3,
     },
     "kerr": {
         "m_geom": 1.0,
@@ -70,7 +67,6 @@ _DEFAULTS = {
     },
     "output": {
         "directory": "runs/out",
-        "formats": ["binary"],
         "quiet": False,
     },
     "sweep": {
@@ -138,14 +134,16 @@ def _validate(cfg):
     return cfg
 
 
-def load_config(path=None, overrides=None):
-    """Parse, merge with defaults, and validate a YAML config file."""
-    given = {}
-    if path is not None:
-        with open(path) as fh:
+def load_config(source=None, overrides=None):
+    """Merge with defaults and validate a config: a YAML file path or an
+    already parsed mapping (such as a manifest's config sections)."""
+    if source is None or isinstance(source, Mapping):
+        given = source or {}
+    else:
+        with open(source) as fh:
             given = yaml.safe_load(fh) or {}
         if not isinstance(given, dict):
-            raise ConfigError(f"{path}: top level must be a mapping")
+            raise ConfigError(f"{source}: top level must be a mapping")
     for key in given:
         if key not in _DEFAULTS:
             raise ConfigError(f"unknown section {key!r}")
@@ -216,7 +214,4 @@ def build_solver_options(cfg):
         le_tol=le["tol"],
         beta0=s["beta0"],
         delta0=s["delta0"],
-        alpha_holder=s["alpha_holder"],
-        ball_M=s["ball_M"],
-        fit_window=tuple(cfg.verify["fit_window"]),
     )

@@ -11,7 +11,6 @@ the pair exactly when Y_P is matched to Y_rho; `consistent_upsilon_P` builds
 that match order by order.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np

@@ -273,39 +273,6 @@ class AxiField:
             return float(out[0])
         return out
 
-    # -- split -----------------------------------------------------------------
-
-    def split_cutoff(self):
-        """Q = Q0 + Qinf with Q0 = chi(r/R0) Q supported in r <= 2R0.
-
-        A nonzero offset survives only in Qinf (as its value at infinity);
-        the chi-compact factors keep both starred tails bounded.
-        """
-        g = self.grid
-        # offset contribution to a starred tail carries (r/R0)^(n-2) evaluated
-        # at the image radius r = R0^2/r*; chi_img vanishes wherever r* -> 0
-        with np.errstate(divide="ignore"):
-            off_star = self.offset * np.where(
-                g.RS > 0, (g.R0 / np.where(g.RS > 0, g.RS, 1.0)) ** (self.n_index - 2), 0.0
-            )
-        q0 = AxiField(
-            g,
-            self.n_index,
-            g.chi_int * self.int_total(),
-            g.chi_img * (off_star + self.star_vals),
-            self.parity,
-            0.0,
-        )
-        qinf = AxiField(
-            g,
-            self.n_index,
-            (1.0 - g.chi_int) * self.int_total() - self.offset,
-            (1.0 - g.chi_img) * self.star_vals - g.chi_img * off_star,
-            self.parity,
-            self.offset,
-        )
-        return q0, qinf
-
     # -- derivatives -------------------------------------------------------------
 
     def derivative(self, axis, order=1):
@@ -456,58 +423,6 @@ class AxiField:
         denom = b.offset * b.star_raw_values()
         star = (a.star_vals * b.offset - a.offset * b.star_vals) / denom
         return AxiField(g, n, int_vals, star, self._binary_parity(other), off, self.interp)
-
-    # -- norms ---------------------------------------------------------------------
-
-    def weighted_norms(self, l=0, alpha=0.25, a_len=None, gamma=None):
-        """Discrete surrogates of the weighted Hoelder norms (diagnostics only).
-
-        Sup norms over the patch nodes plus a Hoelder seminorm sampled over
-        node pairs within unit xi-distance; derivative sups are scaled by the
-        length unit a_len (the xi-coordinate scale).  The continuum sup may be
-        under-reported; callers get that caveat in the metadata.
-        """
-        if not (0.0 < alpha < 1.0):
-            raise DomainError("alpha must lie in (0, 1)")
-        if gamma is not None and not (alpha < min(1.0 / (gamma - 1.0) - 1.0, 1.0)):
-            raise DomainError("alpha violates the gamma-linked bound")
-        g = self.grid
-        a_len = g.R0 if a_len is None else float(a_len)
-
-        q0 = g.chi_int * self.int_total()
-        qs = self.exterior_tail_star()
-        if self.offset != 0.0:
-            qs = np.where(np.isfinite(qs), qs, np.inf)
-
-        def patch_report(vals, h, parity):
-            rep = {"sup": float(np.max(np.abs(vals)))}
-            if l >= 1:
-                dw = _fd1(vals, h, 0, parity[0])
-                dz = _fd1(vals, h, 1, parity[1])
-                rep["sup_grad"] = float(a_len * max(np.max(np.abs(dw)), np.max(np.abs(dz))))
-            # sampled Hoelder seminorm over a few node offsets within |dxi|<=1
-            sem = 0.0
-            base = vals if l == 0 else dw
-            for di, dj in ((1, 0), (0, 1), (1, 1), (2, 2), (3, 0), (0, 3)):
-                dist = np.hypot(di * h, dj * h) / a_len
-                if dist > 1.0 or di >= vals.shape[0] or dj >= vals.shape[1]:
-                    continue
-                diff = np.abs(base[di:, dj:] - base[: base.shape[0] - di, : base.shape[1] - dj])
-                sem = max(sem, float(np.max(diff)) / dist**alpha)
-            rep["holder"] = sem
-            rep["value"] = max(rep["sup"], rep.get("sup_grad", 0.0)) + rep["holder"]
-            return rep
-
-        rep_i = patch_report(q0, g.h_int, self.parity)
-        rep_e = patch_report(qs, g.h_ext, self.parity)
-        return {
-            "interior": rep_i,
-            "exterior": rep_e,
-            "total": max(rep_i["value"], rep_e["value"]),
-            "alpha": alpha,
-            "l": l,
-            "sampled_seminorm": True,
-        }
 
 
 # -- pointwise helper maps -----------------------------------------------------

@@ -27,7 +27,7 @@ from scipy.fft import next_fast_len
 from scipy.special import ellipe, ellipk
 
 from .errors import DecayError, DomainError, SolverError
-from .fields import AxiField, _bilinear, _fill_origin
+from .fields import AxiField, _bilinear
 
 # |S^(n-2)| and the fundamental-solution normalization (n-2) |S^(n-1)|
 SPHERE_AREA = {3: 2.0 * math.pi, 4: 4.0 * math.pi, 5: 2.0 * math.pi**2}

@@ -132,6 +132,20 @@ def g_factor(F, A, Pi, Omega, c_light):
     return G, U0, U2, U_0, U_2
 
 
+def ktilde(Pi, Pi1, Pi3, Pi11, Pi33, Pi13, F1, F3, A1, A3, e4F, over_pi):
+    """The first-order K system solved for its gradient, pointwise.
+
+    Equations (d) and (e) read Pi1 K1 - Pi3 K3 = rh_d and Pi3 K1 + Pi1 K3 =
+    rh_e; returns (K1t, K3t, rh_d, rh_e).  over_pi stands for 1/Pi, whose
+    value on the axis (where (A1^2 - A3^2)/Pi and A1 A3/Pi vanish linearly)
+    the caller chooses.
+    """
+    rh_d = 0.5 * (Pi11 - Pi33) + Pi * (F1**2 - F3**2) - 0.25 * e4F * (A1**2 - A3**2) * over_pi
+    rh_e = Pi13 + 2.0 * Pi * F1 * F3 - 0.5 * e4F * A1 * A3 * over_pi
+    denom = Pi1**2 + Pi3**2
+    return (Pi1 * rh_d + Pi3 * rh_e) / denom, (-Pi3 * rh_d + Pi1 * rh_e) / denom, rh_d, rh_e
+
+
 # -- assembly from post-Newtonian potentials ---------------------------------
 
 

@@ -19,7 +19,7 @@ infinity (a pure time-gauge offset, reported and removed in far-field fits).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -37,7 +37,7 @@ from .fields import (
 )
 from .greens import GreenOps
 from .lane_emden import solve_classical, solve_distorted
-from .metric import MetricLanczos, assemble, mul_varpi
+from .metric import MetricLanczos, assemble, ktilde, mul_varpi
 
 
 @dataclass(frozen=True)
@@ -234,9 +234,6 @@ class SolverOptions:
     le_tol: float = 1e-11
     beta0: float = 0.1
     delta0: float = 0.01
-    alpha_holder: float = 0.25
-    ball_M: float = 50.0
-    fit_window: tuple = (5.0, 18.0)  # in units of R0
 
 
 class PNSolver:
@@ -275,6 +272,17 @@ class PNSolver:
         self.om_w2 = AxiField.from_function(
             g, lambda w, z: omega_profile(params, np.hypot(w, z)) * w**2, 3
         )
+        # Newtonian-level parts of the PN expansions, fixed per star:
+        # (Om w)^2, the enthalpy part 2 (Om w)^2 Phi_N - (Om w)^4/4 and the
+        # density part -rho_N u_N Ups1 + 2 (rho_N Phi_N + 2 rho_N (Om w)^2) - 3 P_N
+        nf = self.nf
+        self.om2w2 = self.om_w * self.om_w
+        self.u_lead = self.om2w2 * nf.Phi_N * 2.0 - self.om2w2 * self.om2w2 * 0.25
+        self.rho_lead = (
+            nf.rho_N * nf.u_N * -_upsilon1(eos)
+            + (nf.rho_N * nf.Phi_N + nf.rho_N * self.om2w2 * 2.0) * 2.0
+            - nf.P_N * 3.0
+        )
         coef = self.nf.ratio * (4.0 * math.pi * params.G_grav)
         self.lop = self.ops.make_l_op(coef)
         self._g_fields = None
@@ -286,16 +294,9 @@ class PNSolver:
         """Leading interior sources of the three elliptic equations."""
         if self._g_fields is not None:
             return self._g_fields
-        p = self.params
-        Gg = p.G_grav
+        Gg = self.params.G_grav
         nf = self.nf
-        om2w2 = self.om_w * self.om_w  # (Omega varpi)^2, compact
-        ga = (
-            nf.ratio * (om2w2 * nf.Phi_N * 2.0 - om2w2 * om2w2 * 0.25) * (-4.0 * math.pi * Gg)
-            + nf.rho_N * nf.u_N * (4.0 * math.pi * Gg * _upsilon1(self.eos))
-            - (nf.rho_N * nf.Phi_N + nf.rho_N * om2w2 * 2.0) * (8.0 * math.pi * Gg)
-            + nf.P_N * (12.0 * math.pi * Gg)
-        ).reindex(3)
+        ga = ((nf.ratio * self.u_lead + self.rho_lead) * (-4.0 * math.pi * Gg)).reindex(3)
         gb = (self.om * nf.rho_N * (16.0 * math.pi * Gg)).reindex(5, fill_origin=False)
         gc = (nf.P_N * (-16.0 * math.pi * Gg)).reindex(4)
         self._g_fields = (ga, gb, gc)
@@ -312,12 +313,11 @@ class PNSolver:
         Em1 = field_expm1(lnE)  # E - 1 with E = e^{-4 psi/c^2}(1+X/c^4)^2
 
         om_w2_Y = (self.om_w2 * Y).reindex(3)  # Omega varpi^2 Y, compact
-        om2w2 = self.om_w * self.om_w
         # Z = 2 Om w^2 Y/c^2 + (Om w^2 Y)^2/c^6 - (Om w)^2 E
         Z = (
             om_w2_Y * (2.0 / c**2)
             + om_w2_Y * om_w2_Y * (1.0 / c**6)
-            - om2w2 * (Em1 + 1.0)
+            - self.om2w2 * (Em1 + 1.0)
         ).reindex(3)
         z_sup = float(np.max(np.abs(Z.int_total()))) / c**2
         if z_sup >= 1.0:
@@ -326,7 +326,7 @@ class PNSolver:
         series = compact_map(_log_series_tail, Z * (1.0 / c**2), n_index=3)
         w = (
             W
-            + om2w2 * Em1 * (0.5 * c**2)
+            + self.om2w2 * Em1 * (0.5 * c**2)
             - om_w2_Y
             - om_w2_Y * om_w2_Y * (0.5 / c**4)
             - series * (0.5 * c**4)
@@ -335,12 +335,8 @@ class PNSolver:
 
     def q0_field(self, w, W, Y):
         """Auxiliary Q0 = c^2 [w - W + 2 (Om w)^2 Phi_N + Om w^2 Y - (Om w)^4/4]."""
-        c = self.params.c_light
-        om2w2 = self.om_w * self.om_w
         om_w2_Y = (self.om_w2 * Y).reindex(3)
-        return (
-            (w - W + om2w2 * self.nf.Phi_N * 2.0 + om_w2_Y - om2w2 * om2w2 * 0.25) * c**2
-        ).reindex(3)
+        return ((w - W + self.u_lead + om_w2_Y) * self.params.c_light**2).reindex(3)
 
     # -- remainders ----------------------------------------------------------------
 
@@ -379,11 +375,10 @@ class PNSolver:
         emFK = exp_of(V * (1.0 / c**4) - psi * (1.0 / c**2), 2.0)
 
         # Q1 = e^{-4F} (Om w)^2 (1+X/c^4)^2 (1 + Om w^2 Y/c^4)^{-2}
-        om2w2 = self.om_w * self.om_w
         om_w2_Y4 = (self.om_w2 * Y).reindex(3) * (1.0 / c**4)
         inv_omY = 1.0 / (om_w2_Y4 + 1.0)
         Q1 = (
-            exp_of(psi, -4.0 / c**2) * om2w2 * (X4 + 1.0) * (X4 + 1.0) * inv_omY * inv_omY
+            exp_of(psi, -4.0 / c**2) * self.om2w2 * (X4 + 1.0) * (X4 + 1.0) * inv_omY * inv_omY
         ).reindex(3)
         q = Q1 * (1.0 / c**2)
         inv_q = 1.0 / ((q * -1.0) + 1.0)
@@ -397,13 +392,7 @@ class PNSolver:
             emFK * (rho * ((q + 1.0) * inv_q) * c**2 + P * ((3.0 - q) * inv_q)) * -1.0
             + nf.rho_N * c**2
         ).reindex(3)
-        lead5 = (
-            nf.ratio * w * -1.0
-            - nf.rho_N * nf.u_N * _upsilon1(self.eos)
-            + (nf.rho_N * nf.Phi_N + nf.rho_N * om2w2 * 2.0) * 2.0
-            - nf.P_N * 3.0
-            - H * c**2
-        ).reindex(3)
+        lead5 = (self.rho_lead - nf.ratio * w - H * c**2).reindex(3)
         Q5 = (lhs5 - lead5) * c**2
 
         R_a = (
@@ -450,7 +439,6 @@ class PNSolver:
         inv_q = 1.0 / ((q * -1.0) + 1.0)
         psi = nf.Phi_N - W * (1.0 / c**2)
         emFK = exp_of(V * (1.0 / c**4) - psi * (1.0 / c**2), 2.0)
-        om2w2 = self.om_w * self.om_w
         Q2 = (
             (rho - nf.rho_N)
             - (nf.ratio * w + nf.rho_N * nf.u_N * _upsilon1(self.eos)) * (1.0 / c**2)
@@ -458,7 +446,7 @@ class PNSolver:
         ) * c**4
         q2_exact = (rho * (emFK - (q + 1.0) * inv_q) * -1.0) * c**2
         Q3 = (q2_exact - (nf.rho_N * nf.Phi_N + nf.rho_N * Q1 * 2.0) * 2.0) * c**2
-        Q4 = (q2_exact - (nf.rho_N * nf.Phi_N + nf.rho_N * om2w2 * 2.0) * 2.0) * c**2
+        Q4 = (q2_exact - (nf.rho_N * nf.Phi_N + nf.rho_N * self.om2w2 * 2.0) * 2.0) * c**2
         return {"Q2": Q2, "Q3": Q3, "Q4": Q4}
 
     def x_hat_arrays(self, X):
@@ -575,42 +563,9 @@ class PNSolver:
 
     def ktilde_arrays(self, W, Y, X):
         """K1t, K3t on the interior nodes from the assembled (F, A, Pi)."""
-        p = self.params
-        g = self.grid
-        state = PotentialSet(W=W, Y=Y, X=X, V=AxiField.zeros(g, 4), w=None)
-        met = assemble(p, state, self.nf.Phi_N)
-        F = met.F
-        A = met.A_pot
-        F1 = F.derivative("w").int_vals
-        F3 = F.derivative("z").int_vals
-        A1 = A.derivative("w").int_vals
-        A3 = A.derivative("z").int_vals
-        Pow = met.Pi_over_w
-        Pi = g.WI * Pow.int_total()
-        # Pi derivatives through the product rule keep the axis exact
-        Pow1 = Pow.derivative("w")
-        Pow3 = Pow.derivative("z")
-        Pi1 = Pow.int_total() + g.WI * Pow1.int_vals
-        Pi3 = g.WI * Pow3.int_vals
-        Pi11 = 2.0 * Pow1.int_vals + g.WI * Pow1.derivative("w").int_vals
-        Pi33 = g.WI * Pow3.derivative("z").int_vals
-        Pi13 = Pow3.int_vals + g.WI * Pow1.derivative("z").int_vals
-
-        e4F = np.exp(4.0 * F.int_total())
-        # (A1^2 - A3^2)/Pi and A1 A3/Pi vanish linearly on the axis
-        with np.errstate(invalid="ignore", divide="ignore"):
-            over_pi = np.where(g.WI > 0, 1.0 / np.where(g.WI > 0, Pi, 1.0), 0.0)
-        rh_d = (
-            0.5 * (Pi11 - Pi33)
-            + Pi * (F1**2 - F3**2)
-            - 0.25 * e4F * (A1**2 - A3**2) * over_pi
-        )
-        rh_e = Pi13 + 2.0 * Pi * F1 * F3 - 0.5 * e4F * A1 * A3 * over_pi
-        denom = Pi1**2 + Pi3**2
-        K1t = (Pi1 * rh_d + Pi3 * rh_e) / denom
-        K3t = (-Pi3 * rh_d + Pi1 * rh_e) / denom
-        K1t[0, :] = 0.0  # exact axis limit
-        return K1t, K3t, met
+        state = PotentialSet(W=W, Y=Y, X=X, V=AxiField.zeros(self.grid, 4), w=None)
+        met = assemble(self.params, state, self.nf.Phi_N)
+        return (*self._ktilde_at(met), met)
 
     def v_map(self, W, Y, X):
         """The outer map T: line-quadrature V from the K-gradient fields.
@@ -673,35 +628,28 @@ class PNSolver:
         vals = c4 * (seg[..., 0] + seg[..., 1] + seg[..., 2] + seg[..., 3])
         return {"radii": radii, "vhat_mean": vals.mean(axis=0), "vhat_all": vals, "thetas": thetas}
 
-    def _ktilde_at(self, met, wpts, zpts):
-        """Pointwise K-gradient fields at scattered points via field evals."""
-        wpts = np.asarray(wpts, dtype=float)
-        zpts = np.asarray(zpts, dtype=float)
-        F = met.F
-        A = met.A_pot
-        Pow = met.Pi_over_w
-        F1 = F.derivative("w").eval(wpts, zpts)
-        F3 = F.derivative("z").eval(wpts, zpts)
-        A1 = A.derivative("w").eval(wpts, zpts)
-        A3 = A.derivative("z").eval(wpts, zpts)
-        pw = Pow.eval(wpts, zpts)
-        pw1 = Pow.derivative("w").eval(wpts, zpts)
-        pw3 = Pow.derivative("z").eval(wpts, zpts)
-        pw11 = Pow.derivative("w").derivative("w").eval(wpts, zpts)
-        pw33 = Pow.derivative("z").derivative("z").eval(wpts, zpts)
-        pw13 = Pow.derivative("w").derivative("z").eval(wpts, zpts)
-        Pi = wpts * pw
-        Pi1 = pw + wpts * pw1
-        Pi3 = wpts * pw3
-        Pi11 = 2 * pw1 + wpts * pw11
-        Pi33 = wpts * pw33
-        Pi13 = pw3 + wpts * pw13
-        e4F = np.exp(4.0 * F.eval(wpts, zpts))
-        over_pi = np.where(wpts > 0, 1.0 / np.where(wpts > 0, Pi, 1.0), 0.0)
-        rh_d = 0.5 * (Pi11 - Pi33) + Pi * (F1**2 - F3**2) - 0.25 * e4F * (A1**2 - A3**2) * over_pi
-        rh_e = Pi13 + 2.0 * Pi * F1 * F3 - 0.5 * e4F * A1 * A3 * over_pi
-        den = Pi1**2 + Pi3**2
-        return (Pi1 * rh_d + Pi3 * rh_e) / den, (-Pi3 * rh_d + Pi1 * rh_e) / den
+    def _ktilde_at(self, met, wpts=None, zpts=None):
+        """K1t, K3t from met's derivative fields: their node values on the
+        interior patch when no points are given, else their evals at the
+        points."""
+        F, A, Pow = met.F, met.A_pot, met.Pi_over_w
+        Pow1, Pow3 = Pow.derivative("w"), Pow.derivative("z")
+        fields = (F, F.derivative("w"), F.derivative("z"), A.derivative("w"), A.derivative("z"),
+                  Pow, Pow1, Pow3, Pow1.derivative("w"), Pow3.derivative("z"), Pow1.derivative("z"))
+        if wpts is None:
+            w = self.grid.WI
+            vals = [f.int_total() for f in fields]
+        else:
+            w = np.asarray(wpts, dtype=float)
+            vals = [f.eval(w, zpts) for f in fields]
+        f, f1, f3, a1, a3, pw, pw1, pw3, pw11, pw33, pw13 = vals
+        # Pi = varpi Pi_over_w: its derivatives by the product rule keep the
+        # axis exact, and 1/Pi takes 0 there
+        Pi = w * pw
+        over_pi = np.where(w > 0, 1.0 / np.where(w > 0, Pi, 1.0), 0.0)
+        K1t, K3t, _, _ = ktilde(Pi, pw + w * pw1, w * pw3, 2.0 * pw1 + w * pw11, w * pw33,
+                                pw3 + w * pw13, f1, f3, a1, a3, np.exp(4.0 * f), over_pi)
+        return np.where(w > 0, K1t, 0.0), K3t  # K1t is odd in varpi
 
     def path_independence_gap(self, W, Y, X):
         """Quadrature along (axis, then horizontal) versus (equator, then

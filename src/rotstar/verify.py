@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, RegimeError
-from .metric import g_factor, lewis_from_lanczos
+from .errors import RegimeError
+from .metric import ktilde, lewis_from_lanczos
 
 
 @dataclass
@@ -198,12 +198,8 @@ def residual_reduced_system(win, params, bands_R0=None):
         / (e2F * Bq)
     )
     r_c = lapPi - (16 * np.pi * G_g / c**4) * emK * P * Pi
-    rh_d = (
-        0.5 * (d2w(win, Pi) - d2z(win, Pi))
-        + Pi * (F1**2 - F3**2)
-        - e2F**2 / (4 * Pi_nz) * (A1**2 - A3**2)
-    )
-    rh_e = d1w1z(win, Pi, parity=1) + 2 * Pi * F1 * F3 - e2F**2 / (2 * Pi_nz) * A1 * A3
+    _, _, rh_d, rh_e = ktilde(Pi, P1, P3, d2w(win, Pi), d2z(win, Pi), d1w1z(win, Pi, parity=1),
+                              F1, F3, A1, A3, e2F**2, 1.0 / Pi_nz)
     r_d = P1 * K1 - P3 * K3 - rh_d
     r_e = P3 * K1 + P1 * K3 - rh_e
 
@@ -246,20 +242,14 @@ def residual_reduced_system(win, params, bands_R0=None):
 
 
 def ktilde_fields(win, params):
-    """Right sides of the first-order K system solved for the gradient."""
+    """The K gradient (K1t, K3t) from the window's own finite differences of
+    (F, A, Pi); only the pointwise algebra, `metric.ktilde`, is shared with
+    the solver."""
     F, A, Pi = win.F, win.A, win.Pi
-    F1, F3 = d1w(win, F), d1z(win, F)
-    A1, A3 = d1w(win, A), d1z(win, A)
-    P1, P3 = d1w(win, Pi), d1z(win, Pi)
-    e4F = np.exp(4 * F)
-    Pi_nz = _off_axis(Pi)
-    rh_d = 0.5 * (d2w(win, Pi) - d2z(win, Pi)) + Pi * (F1**2 - F3**2) - e4F / (4 * Pi_nz) * (
-        A1**2 - A3**2
+    K1t, K3t, _, _ = ktilde(
+        Pi, d1w(win, Pi), d1z(win, Pi), d2w(win, Pi), d2z(win, Pi), d1w1z(win, Pi, parity=1),
+        d1w(win, F), d1z(win, F), d1w(win, A), d1z(win, A), np.exp(4 * F), 1.0 / _off_axis(Pi),
     )
-    rh_e = d1w1z(win, Pi, parity=1) + 2 * Pi * F1 * F3 - e4F / (2 * Pi_nz) * A1 * A3
-    denom = P1**2 + P3**2
-    K1t = (P1 * rh_d + P3 * rh_e) / denom
-    K3t = (-P3 * rh_d + P1 * rh_e) / denom
     return K1t, K3t
 
 

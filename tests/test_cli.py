@@ -38,6 +38,14 @@ class TestConfigValidation:
         cfg = write_cfg(tmp_path, "star: {u_O: 1.0e-3, b_rot: 1.0e-3, Omega_O: 0.1}\n")
         assert main(["solve", "--config", cfg]) == 1
 
+    @pytest.mark.parametrize("key", ["solver.alpha_holder", "solver.ball_M",
+                                     "verify.residual_order_min", "verify.axis_strip_r1",
+                                     "output.formats"])
+    def test_removed_key_rejected(self, tmp_path, key):
+        section, name = key.split(".")
+        cfg = write_cfg(tmp_path, f"star: {{u_O: 1.0e-3, b_rot: 0.0}}\n{section}: {{{name}: 1}}\n")
+        assert main(["lane-emden", "--config", cfg]) == 1
+
     def test_naked_spin_rejected(self, tmp_path):
         cfg = write_cfg(
             tmp_path,
@@ -97,6 +105,20 @@ class TestSolveCommand:
                      "--out", str(tmp_path / "ver")]) == 0
         rep = json.loads((tmp_path / "ver" / "verify_report.json").read_text())
         assert "residuals" in rep
+
+    def test_verify_manifest_with_removed_keys(self, tmp_path):
+        # verify reads only the manifest's eos and star sections, so runs
+        # written with keys this version rejects still verify
+        out = tmp_path / "run"
+        cfg = write_cfg(tmp_path, TINY.format(b=0.0, out=out))
+        assert main(["solve", "--config", cfg]) == 0
+        path = out / "manifest.json"
+        man = json.loads(path.read_text())
+        man["config"]["solver"].update(alpha_holder=0.25, ball_M=50.0)
+        man["config"]["output"]["formats"] = ["binary"]
+        path.write_text(json.dumps(man))
+        assert main(["verify", "--config", cfg, "--run", str(out),
+                     "--out", str(tmp_path / "ver")]) == 0
 
     def test_export(self, tmp_path):
         out = tmp_path / "run"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotstar.errors import ConfigError, DomainError
 from rotstar.fields import AxiField, AxiGrid, compact_map, kelvin_point
@@ -79,13 +81,15 @@ class TestEval:
 
 
 class TestSplitCutoff:
+    """The cutoff split Q = chi(r/R0) Q + (1 - chi(r/R0)) Q, read through
+    `interior_compact` and `exterior_tail_star`."""
+
     def test_compact_field_has_no_tail(self, grid):
         f = AxiField.from_function(
             grid, lambda w, z: np.maximum(0.0, 1.0 - (np.hypot(w, z) / grid.R0) ** 2) ** 2, 3
         )
-        q0, qinf = f.split_cutoff()
-        assert np.max(np.abs(qinf.int_vals)) == 0.0
-        assert np.max(np.abs(qinf.star_vals)) < 1e-15
+        assert np.array_equal(f.interior_compact(), f.int_total())
+        assert np.max(np.abs(f.exterior_tail_star())) < 1e-15
 
     def test_pure_exterior(self, grid):
         def fn(w, z):
@@ -93,19 +97,19 @@ class TestSplitCutoff:
             return np.where(r >= 2 * grid.R0, (grid.R0 / np.maximum(r, 1e-9)) ** 1, 0.0)
 
         f = AxiField.from_function(grid, fn, 3)
-        q0, _ = f.split_cutoff()
-        assert np.max(np.abs(q0.int_vals)) == 0.0
+        assert np.max(np.abs(f.interior_compact())) == 0.0
 
     def test_partition_of_unity(self, grid):
-        f = AxiField.from_function(
-            grid, lambda w, z: np.exp(-np.hypot(w, z) / grid.R0) + 0.2, 3, offset=0.2
-        )
-        q0, qinf = f.split_cutoff()
-        rng = np.random.RandomState(1)
-        w = rng.uniform(0, 3 * grid.R0, 50)
-        z = rng.uniform(0, 3 * grid.R0, 50)
-        resid = np.abs(f.eval(w, z) - q0.eval(w, z) - qinf.eval(w, z))
-        assert np.max(resid) < 1e-14
+        def fn(w, z):
+            return np.exp(-np.hypot(w, z) / grid.R0) + 0.2
+
+        f = AxiField.from_function(grid, fn, 3, offset=0.2)
+        # both pieces carry the offset and share chi, so they add up to Q
+        assert np.allclose(f.interior_compact(), grid.chi_int * fn(grid.WI, grid.ZI), rtol=1e-14)
+        pos = grid.RS > 0
+        q_img = (grid.r_img[pos] / grid.R0) * fn(grid.W_img[pos], grid.Z_img[pos])
+        assert np.allclose(f.exterior_tail_star()[pos], (1.0 - grid.chi_img[pos]) * q_img,
+                           rtol=1e-13, atol=0.0)
 
 
 class TestDerivative:
@@ -186,6 +190,114 @@ class TestAlgebra:
         assert f3.eval(w, z) == pytest.approx(f5.eval(w, z), rel=5e-3)
 
 
+# -- properties against pointwise analytic values on both patches -----------
+
+PGRID = AxiGrid(R0=1.5, n_interior=17, n_exterior=13)
+PROPERTY = settings(derandomize=True, max_examples=25, deadline=None)
+coef = st.floats(-1.0, 1.0, allow_subnormal=False)
+index = st.integers(3, 5)
+
+
+def analytic(n, offset, amp, tilt):
+    """Q = offset + amp (R0^2/(r^2 + R0^2))^((n-2)/2) (1 + tilt z^2/(r^2 + R0^2)):
+    even in varpi and z, tail decaying like r^-(n-2)."""
+    R2 = PGRID.R0**2
+
+    def fn(w, z):
+        s = w**2 + z**2 + R2
+        return offset + amp * (R2 / s) ** ((n - 2) / 2) * (1.0 + tilt * z**2 / s)
+
+    return fn
+
+
+def sampled(n, offset, amp, tilt):
+    fn = analytic(n, offset, amp, tilt)
+    return AxiField.from_function(PGRID, fn, n, offset=offset), fn
+
+
+def matches_on_both_patches(fld, fn):
+    """Node values against fn at the interior nodes and at the image points of
+    every starred node but the origin-image (which holds an extrapolated
+    limit)."""
+    g = PGRID
+    pos = g.RS > 0
+    return np.allclose(fld.int_total(), fn(g.WI, g.ZI), rtol=1e-12, atol=1e-14) and np.allclose(
+        fld.star_raw_values()[pos], fn(g.W_img[pos], g.Z_img[pos]), rtol=1e-12, atol=1e-14
+    )
+
+
+class TestAlgebraProperties:
+    @PROPERTY
+    @given(index, index, coef, coef, coef, coef, coef, coef)
+    def test_add(self, n1, n2, o1, o2, a1, a2, t1, t2):
+        f, fn = sampled(n1, o1, a1, 0.5 * t1)
+        g, gn = sampled(n2, o2, a2, 0.5 * t2)
+        out = f + g
+        assert out.n_index == min(n1, n2)
+        assert matches_on_both_patches(out, lambda w, z: fn(w, z) + gn(w, z))
+
+    @PROPERTY
+    @given(index, index, coef, coef, coef, coef, coef, coef)
+    def test_mul(self, n1, n2, o1, o2, a1, a2, t1, t2):
+        f, fn = sampled(n1, o1, a1, 0.5 * t1)
+        g, gn = sampled(n2, o2, a2, 0.5 * t2)
+        out = f * g
+        if o1 == 0.0 and o2 == 0.0:
+            assert out.n_index == n1 + n2 - 2
+        assert matches_on_both_patches(out, lambda w, z: fn(w, z) * gn(w, z))
+
+    @PROPERTY
+    @given(index, index, coef, st.floats(1.0, 2.0), coef, coef, coef, coef)
+    def test_div(self, n1, n2, o1, o2, a1, a2, t1, t2):
+        # |tail| <= 0.75 of an offset >= 1: the divisor stays above 1/4
+        f, fn = sampled(n1, o1, a1, 0.5 * t1)
+        g, gn = sampled(n2, o2, 0.5 * a2, 0.5 * t2)
+        assert matches_on_both_patches(f / g, lambda w, z: fn(w, z) / gn(w, z))
+
+    @PROPERTY
+    @given(index, index, coef, coef, coef)
+    def test_reindex(self, n, n_new, o, a, t):
+        f, fn = sampled(n, o, a, 0.5 * t)
+        out = f.reindex(n_new)
+        assert out.n_index == n_new
+        assert matches_on_both_patches(out, fn)
+
+    @PROPERTY
+    @given(st.sampled_from(["w", "z"]), index, st.lists(coef, min_size=8, max_size=8))
+    def test_derivative(self, axis, n, c):
+        # quadratics in each variable on each patch: every stencil, the
+        # parity ghosts and the outer extrapolation are exact on them
+        g = PGRID
+        R0 = g.R0
+
+        def poly(x, y, k):
+            return c[k] + c[k + 1] * x**2 + c[k + 2] * y**2 + c[k + 3] * x**2 * y**2
+
+        def tail(w, z):
+            # the physical tail whose Kelvin transform at index n is poly(., ., 4)
+            s = R0**2 / (w**2 + z**2)
+            return s ** ((n - 2) / 2) * poly(s * w, s * z, 4)
+
+        f = AxiField.from_function(g, lambda w, z: poly(w, z, 0), n,
+                                   star_fn=lambda ws, zs: poly(ws, zs, 4))
+        d = f.derivative(axis)
+        x, y = g.WI, g.ZI
+        if axis == "w":
+            expect = 2 * x * (c[1] + c[3] * y**2)
+        else:
+            expect = 2 * y * (c[2] + c[3] * x**2)
+        scale = 1.0 + max(abs(v) for v in c)
+        assert np.allclose(d.int_vals, expect, rtol=0.0, atol=1e-12 * scale)
+        # exterior: complex-step derivative of the physical tail at the image
+        # points, starred at the same index n
+        pos = g.RS > 0
+        wi, zi = g.W_img[pos], g.Z_img[pos]
+        step = 1e-30 * g.r_img[pos]
+        bump = tail(wi + 1j * step, zi) if axis == "w" else tail(wi, zi + 1j * step)
+        expect = (g.r_img[pos] / R0) ** (n - 2) * bump.imag / step
+        assert np.allclose(d.star_vals[pos], expect, rtol=0.0, atol=1e-11 * scale)
+
+
 class TestCompactMap:
     def test_compact_field_without_warnings(self, grid):
         # support reaches past R0, so the starred tail is nonzero in part and
@@ -207,39 +319,6 @@ class TestCompactMap:
         f = decay_field(grid, 3)
         with pytest.raises(DomainError):
             compact_map(lambda q: q + 1.0, f)
-
-
-class TestNorms:
-    def test_constant_norm(self, grid):
-        c = AxiField.constant(grid, -1.5)
-        rep = c.weighted_norms(l=0, alpha=0.25)
-        assert rep["interior"]["sup"] >= 1.5
-
-    def test_zero_field(self, grid):
-        zf = AxiField.zeros(grid)
-        rep = zf.weighted_norms(l=1, alpha=0.3)
-        assert rep["total"] == 0.0
-
-    def test_index_embedding(self, grid):
-        # Q = (R0/r)^3 read at index 3 and at index 5: both finite, related by
-        # a bounded factor on the patch
-        def fn(w, z):
-            r = np.hypot(w, z)
-            return np.where(r > 0, (grid.R0 / np.where(r > 0, r, 1.0)) ** 3, 0.0)
-
-        f5 = AxiField.from_function(grid, fn, 5, star_fn=lambda ws, zs: np.ones_like(ws))
-        f3 = f5.reindex(3)
-        r5 = f5.weighted_norms()["total"]
-        r3 = f3.weighted_norms()["total"]
-        assert np.isfinite(r5) and np.isfinite(r3)
-        assert r5 <= 1.05 * r3 * 2 ** (5 - 3)
-
-    def test_alpha_validation(self, grid):
-        c = AxiField.constant(grid, 1.0)
-        with pytest.raises(DomainError):
-            c.weighted_norms(alpha=1.5)
-        with pytest.raises(DomainError):
-            c.weighted_norms(alpha=0.8, gamma=5 / 3)  # bound is 0.5 for gamma=5/3
 
 
 class TestIO:

@@ -267,16 +267,18 @@ class TestGlobalInverse:
             ops.k_n_global(f, 3)
 
     def test_operator_norm_diagnostic(self, ops, grid):
-        # ||K^(n) g|| <= C ||g|| over random smooth sources (C grid-level)
+        # ||K^(n) g|| <= C ||g|| over random smooth sources (C grid-level), in
+        # the two-patch sup norm of the cutoff split
+        def norm(f):
+            return max(np.max(np.abs(f.interior_compact())), np.max(np.abs(f.exterior_tail_star())))
+
         rng = np.random.RandomState(5)
         worst = 0.0
         for _ in range(4):
             c = rng.uniform(0.3, 1.2)
             s = smooth_bump(grid, radius_frac=rng.uniform(0.4, 0.9)) * c
             out = ops.k_n_global(s, 3)
-            gn = s.weighted_norms()["total"]
-            on = out.weighted_norms()["total"]
-            worst = max(worst, on / gn)
+            worst = max(worst, norm(out) / norm(s))
         assert worst < 50.0
 
 

@@ -317,6 +317,18 @@ class TestInnerOuter:
         gap, scale = solver.path_independence_gap(W, Y, X)
         assert gap < 0.12 * scale
 
+    def test_ktilde_node_and_point_samplers_agree(self, rotating_solver):
+        # bilinear evals at the nodes of the pure-interior disc r < R0
+        # reproduce the node values, so the two samplers agree to rounding;
+        # the leading sources serve as a smooth (W, Y, X) of the right indices
+        solver = rotating_solver
+        g = solver.grid
+        K1t, K3t, met = solver.ktilde_arrays(*solver.sources())
+        sel = (g.RI < g.R0) & (g.WI > 0)
+        k1, k3 = solver._ktilde_at(met, g.WI[sel], g.ZI[sel])
+        for nodes, points in ((K1t[sel], k1), (K3t[sel], k3)):
+            assert np.max(np.abs(points - nodes)) <= 1e-12 * np.max(np.abs(nodes))
+
     def test_F_approaches_newtonian(self, static_sweep):
         # sup|F c^2 - Phi_N| = sup|W|/c^2 = O(u_O^2): relative rate O(eps)
         rels = []
