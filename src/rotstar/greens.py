@@ -457,7 +457,8 @@ class FarOperator:
     """
 
     def __init__(self, side, n, n_int, n_ext):
-        from scipy.linalg import qr, solve_triangular
+        from scipy.linalg import solve_triangular
+        from scipy.linalg.lapack import dgeqp3
 
         self.table = get_table(n_int if side == "int" else n_ext, n)
         P = self.table.P
@@ -469,16 +470,26 @@ class FarOperator:
         si, sj = np.divmod(np.arange(P * P), P)
         disc = np.flatnonzero(si * si + sj * sj < (P - 1) ** 2)
         sketch = disc[:: max(1, disc.size // (FAR_SKETCH_ROWS * P))]
-        A = np.vstack([block for _, block in self.table.far_weights(sketch, wt, zt)])
-        R, perm = qr(A * scale, mode="r", pivoting=True)
+        # one Fortran-ordered buffer that LAPACK factors in place; the
+        # queried optimal workspace keeps geqp3 on its blocked path
+        A = np.empty((sketch.size, wt.size), order="F")
+        for k0, block in self.table.far_weights(sketch, wt, zt):
+            A[k0 : k0 + len(block)] = block
+        A *= scale
+        lwork = int(dgeqp3(A, lwork=-1, overwrite_a=True)[3][0])
+        R, perm, _, _, info = dgeqp3(A, lwork=lwork, overwrite_a=True)
+        if info != 0:
+            raise SolverError(f"far-field sketch QR failed (geqp3 info {info})")
+        perm -= 1  # LAPACK pivots are 1-based
         d = np.abs(np.diag(R))
         r = int(np.count_nonzero(d > FAR_RANK_TOL * d[0]))
         self.skeleton = perm[:r]
         # E = [I | R11^-1 R12] in pivot order, scaled back to plain columns
-        E = np.empty((wt.size, r))
+        self.E = E = np.empty((wt.size, r))
         E[perm[:r]] = np.eye(r)
         E[perm[r:]] = solve_triangular(R[:r, :r], R[:r, r:]).T
-        self.E = E * scale[self.skeleton] / scale[:, None]
+        E *= scale[self.skeleton]
+        E /= scale[:, None]
         self.wt, self.zt = wt, zt
         self.weights = np.zeros((P * P, r))
         self.built = np.zeros(P * P, dtype=bool)
@@ -628,6 +639,8 @@ class GreenOps:
         g = self.grid
         if fld.offset != 0.0:
             raise DecayError("source with a constant offset is not integrable")
+        if not (np.any(fld.int_vals) or np.any(fld.star_vals)):
+            return AxiField.zeros(g, n)  # e.g. a static star's Y: no table, no far operator
         src0 = fld.interior_compact()
         f0 = self._compact_to_field(g.h_int**2 * self.table_int(n).apply(src0), src0, n)
 

@@ -19,6 +19,7 @@ infinity (a pure time-gauge offset, reported and removed in far-field fits).
 """
 
 import math
+import resource
 from dataclasses import dataclass
 
 import numpy as np
@@ -683,20 +684,18 @@ class PNSolver:
         _, _, met = self.ktilde_arrays(W, Y, X)
         xg, wg = leggauss(32)
         r_start = 1.8 * g.R0
-        out = np.zeros((len(thetas), len(radii)))
-        for i, th in enumerate(thetas):
-            sw, cz = math.sin(th), math.cos(th)
-            v0 = float(_bilinear(V_int, g.h_int, np.array([r_start * sw]), np.array([r_start * cz]))[0])
-            for j, r in enumerate(radii):
-                acc = 0.0
-                # a couple of segments keep the quadrature sharp near the patch
-                cuts = np.geomspace(r_start, r, 3)
-                for a0, b0 in zip(cuts[:-1], cuts[1:]):
-                    rr = 0.5 * (b0 - a0) * (xg + 1.0) + a0
-                    k1, k3 = self._ktilde_at(met, rr * sw, rr * cz)
-                    acc += 0.5 * (b0 - a0) * float(np.sum(wg * (k1 * sw + k3 * cz)))
-                out[i, j] = v0 + c4 * acc
-        return out
+        sw, cz = (np.array([f(th) for th in thetas]) for f in (math.sin, math.cos))
+        v0 = _bilinear(V_int, g.h_int, r_start * sw, r_start * cz)
+        # a couple of segments per ray keep the quadrature sharp near the
+        # patch; the Gauss points of every segment go through one sampler call
+        cuts = np.array([np.geomspace(r_start, r, 3) for r in radii])
+        a0, b0 = cuts[:, :-1], cuts[:, 1:]
+        rr = 0.5 * (b0 - a0)[..., None] * (xg + 1.0) + a0[..., None]
+        sw, cz = sw[:, None, None, None], cz[:, None, None, None]
+        k1, k3 = (k.reshape((len(thetas),) + rr.shape)
+                  for k in self._ktilde_at(met, (rr * sw).ravel(), (rr * cz).ravel()))
+        seg = 0.5 * (b0 - a0) * np.sum(wg * (k1 * sw + k3 * cz), axis=-1)
+        return v0[:, None] + c4 * (seg[..., 0] + seg[..., 1])
 
     def _v_field_from_interior(self, V_int):
         """Two-patch V (index 4): interior values plus a per-ray 1/r^2 tail
@@ -794,6 +793,8 @@ class PNSolver:
             "far_vhat": far,
             "green_ops": self.ops.cache_report(),
             "lop_smin_estimate": self.lop.smin_estimate,
+            # ru_maxrss is in KiB on Linux
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         }
         return SolveResult(
             params=p,

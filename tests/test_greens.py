@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.linalg.lapack  # FarOperator imports it lazily; load it before any traced build
 from numpy.polynomial.legendre import leggauss
 from scipy.sparse import lil_matrix
 from scipy.sparse.linalg import spsolve
@@ -217,6 +220,30 @@ class TestCompactInverse:
 
 
 class TestGlobalInverse:
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_zero_source_touches_no_operator(self, monkeypatch, n):
+        # a static star's Y source is zero on both patches: its inverse is
+        # an exact zero that evaluates no kernel and looks nothing up
+        calls = []
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls.append(name)
+                return fn(*args)
+
+            monkeypatch.setattr(greens, name, wrapped)
+
+        for name in ("ring_kernel", "get_table", "get_far"):
+            counting(name, getattr(greens, name))
+        g = AxiGrid(R0=2.0, n_interior=33, n_exterior=25)
+        ops = GreenOps(g)
+        out = ops.k_n_global(AxiField.zeros(g, n), n)
+        assert calls == []
+        assert (out.n_index, out.parity, out.offset) == (n, (1, 1), 0.0)
+        assert not np.any(out.int_vals) and not np.any(out.star_vals)
+        report = ops.cache_report()
+        assert report["kernel_tables"] == {} and report["far_operators"] == {}
+
     def test_compact_source_reduces_to_k_n(self, ops, grid):
         s = smooth_bump(grid, radius_frac=0.45)
         a = ops.k_n(s, 3)
@@ -551,6 +578,60 @@ class TestCachedQuadrature:
                 i, j = np.nonzero(mask)
                 on_boundary += np.count_nonzero(4 * (i * i + j * j) == (P - 1) ** 2)
         assert on_boundary > 0
+
+    @staticmethod
+    def sketch_inputs(side, n, n_int, n_ext):
+        """FarOperator's sketch rows, targets and column scale, rebuilt."""
+        table = get_table(n_int if side == "int" else n_ext, n)
+        P = table.P
+        i, j = np.nonzero(greens.far_mask(n_ext if side == "int" else n_int))
+        c = (n_int - 1) * (n_ext - 1) / (2.0 * (i * i + j * j))
+        wt, zt = i * c, j * c
+        scale = np.hypot(wt, zt) ** (n - 2) if side == "int" else np.ones(wt.size)
+        si, sj = np.divmod(np.arange(P * P), P)
+        disc = np.flatnonzero(si * si + sj * sj < (P - 1) ** 2)
+        sketch = disc[:: max(1, disc.size // (greens.FAR_SKETCH_ROWS * P))]
+        return table, sketch, wt, zt, scale
+
+    @pytest.mark.parametrize("side", ["int", "star"])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_in_place_factor_matches_qr(self, side, n):
+        # the skeleton and E of the in-place geqp3 equal bit for bit those
+        # of scipy.linalg.qr on a stacked, scaled copy of the same sketch
+        table, sketch, wt, zt, scale = self.sketch_inputs(side, n, 33, 25)
+        A = np.vstack([block for _, block in table.far_weights(sketch, wt, zt)])
+        R, perm = scipy.linalg.qr(A * scale, mode="r", pivoting=True)
+        d = np.abs(np.diag(R))
+        r = int(np.count_nonzero(d > greens.FAR_RANK_TOL * d[0]))
+        E = np.empty((wt.size, r))
+        E[perm[:r]] = np.eye(r)
+        E[perm[r:]] = scipy.linalg.solve_triangular(R[:r, :r], R[:r, r:]).T
+        E = E * scale[perm[:r]] / scale[:, None]
+        far = greens.FarOperator(side, n, 33, 25)
+        assert np.array_equal(far.skeleton, perm[:r])
+        assert np.array_equal(far.E, E)
+
+    def test_sketch_held_once(self):
+        # constructing the operator may hold the sketch and E beside the
+        # far_weights blocks, not the several copies of a stack-scale-copy
+        # QR (the stacked blocks, vstack, the scaled copy, the Fortran copy)
+        table, sketch, wt, zt, _ = self.sketch_inputs("star", 3, 65, 49)
+
+        def traced_peak(fn):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = fn()
+            return tracemalloc.get_traced_memory()[1] - base, out
+
+        tracemalloc.start()
+        try:
+            bare, _ = traced_peak(lambda: [None for _ in table.far_weights(sketch, wt, zt)])
+            peak, far = traced_peak(lambda: greens.FarOperator("star", 3, 65, 49))
+        finally:
+            tracemalloc.stop()
+        sketch_bytes = sketch.size * wt.size * 8
+        assert sketch_bytes > 2 << 20
+        assert peak - bare <= sketch_bytes + far.E.nbytes + (1 << 19)
 
     @pytest.mark.parametrize("P", [17, 21, 32, 33])
     def test_apply_matches_rows(self, P):

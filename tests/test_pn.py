@@ -297,8 +297,49 @@ class TestInnerOuter:
             assert rep["far_bytes"] < dense
             assert rep["table_bytes"] > 0
             assert 0.0 < res.diagnostics["lop_smin_estimate"] <= 1.0
+            # the process peak holds at least the tables and far operators
+            assert res.diagnostics["peak_rss_mb"] * 2**20 >= rep["table_bytes"] + rep["far_bytes"]
         # later stars on the grid shape reuse what the first one built
         assert rotating_sweep[EPS_SWEEP[-1]].diagnostics["green_ops"]["builds"] == 0
+
+    def test_static_star_uses_no_n5_operator(self, static_sweep):
+        # Y's source is zero without rotation, so its n = 5 inverse is an
+        # exact zero: no n = 5 table or far operator is looked up
+        for eps in EPS_SWEEP:
+            rep = static_sweep[eps][0].diagnostics["green_ops"]
+            assert not [k for k in (*rep["kernel_tables"], *rep["far_operators"]) if k.endswith("n5")]
+            assert {"int_n3", "star_n3"} <= set(rep["far_operators"])
+
+    def test_v_far_values_matches_segment_loop(self, rotating_sweep, rotating_solver):
+        # one sampler call for every segment gives, bit for bit, the
+        # per-segment loop it replaced (one _ktilde_at call per segment)
+        from numpy.polynomial.legendre import leggauss
+
+        from rotstar.fields import _bilinear
+
+        solver = rotating_solver
+        g = solver.grid
+        pot = rotating_sweep[1e-3].potentials
+        radii = np.geomspace(2.0 * g.R0, 12.0 * g.R0, 5)
+        thetas = (0.3, 0.8, 1.3)
+        _, _, met = solver.ktilde_arrays(pot.W, pot.Y, pot.X)
+        xg, wg = leggauss(32)
+        r_start = 1.8 * g.R0
+        ref = np.zeros((len(thetas), len(radii)))
+        for i, th in enumerate(thetas):
+            sw, cz = math.sin(th), math.cos(th)
+            v0 = float(_bilinear(pot.V.int_vals, g.h_int, np.array([r_start * sw]),
+                                 np.array([r_start * cz]))[0])
+            for j, r in enumerate(radii):
+                acc = 0.0
+                cuts = np.geomspace(r_start, r, 3)
+                for a0, b0 in zip(cuts[:-1], cuts[1:]):
+                    rr = 0.5 * (b0 - a0) * (xg + 1.0) + a0
+                    k1, k3 = solver._ktilde_at(met, rr * sw, rr * cz)
+                    acc += 0.5 * (b0 - a0) * float(np.sum(wg * (k1 * sw + k3 * cz)))
+                ref[i, j] = v0 + solver.params.c_light**4 * acc
+        got = solver.v_far_values(pot.W, pot.Y, pot.X, pot.V.int_vals, radii, thetas)
+        assert np.array_equal(got, ref)
 
     def test_normalizations(self, rotating_sweep):
         res = rotating_sweep[1e-3]
