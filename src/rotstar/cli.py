@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import build_eos, build_params, build_solver_options, load_config
+from .config import build_eos, build_params, build_profile, build_solver_options, load_config
 from .errors import ConfigError, ConvergenceError, RegimeError, RotstarError
 
 
@@ -47,21 +47,15 @@ def _say(cfg, *msg):
 
 
 def cmd_lane_emden(cfg, out_dir):
-    from .lane_emden import solve_classical, solve_distorted
+    from .lane_emden import solve_classical
 
     out = _out_dir(cfg, out_dir)
     nu = 1.0 / (cfg.eos["gamma"] - 1.0)
-    le = cfg.lane_emden
     cls = solve_classical(nu)
-    b = cfg.star["b_rot"]
-    if b is None:
-        params = build_params(cfg, classical=cls)
-        b = params.b_rot
-    dle = solve_distorted(
-        nu, b, n_radial=le["n_radial"], n_zeta=le["n_zeta"], lmax=le["lmax"],
-        tol=le["tol"], max_iter=le["max_iter"], damping=le["damping"], classical=cls,
-    )
-    n = le["report_grid"]
+    params = build_params(cfg, classical=cls)
+    b = params.b_rot
+    dle = build_profile(cfg, params, cls)
+    n = cfg.lane_emden["report_grid"]
     s, zeta, TH = dle.report_grid(n)
     xi = np.linspace(0.0, dle.Xi0, 4 * n)
     np.savetxt(
@@ -102,12 +96,14 @@ def cmd_lane_emden(cfg, out_dir):
 
 
 def _run_solver(cfg):
+    from .lane_emden import solve_classical
     from .pn import PNSolver
 
     eos = build_eos(cfg)
-    params = build_params(cfg)
-    opts = build_solver_options(cfg)
-    solver = PNSolver(params, eos, opts)
+    cls = solve_classical(1.0 / (cfg.eos["gamma"] - 1.0))
+    params = build_params(cfg, classical=cls)
+    dle = build_profile(cfg, params, cls)
+    solver = PNSolver(params, eos, build_solver_options(cfg), dle=dle, classical=cls)
     return solver, solver.solve(), eos
 
 

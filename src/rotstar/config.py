@@ -194,11 +194,29 @@ def build_params(cfg, classical=None):
     )
 
 
+def build_profile(cfg, params, classical):
+    """The distorted Lane-Emden profile of params' star, from the whole
+    lane_emden section."""
+    from .lane_emden import solve_distorted
+
+    le = cfg.lane_emden
+    return solve_distorted(
+        params.nu,
+        params.b_rot,
+        n_radial=le["n_radial"],
+        n_zeta=le["n_zeta"],
+        lmax=le["lmax"],
+        tol=le["tol"],
+        max_iter=le["max_iter"],
+        damping=le["damping"],
+        classical=classical,
+    )
+
+
 def build_solver_options(cfg):
     from .pn import SolverOptions
 
     s = cfg.solver
-    le = cfg.lane_emden
     return SolverOptions(
         n_interior=cfg.grid["n_interior"],
         n_exterior=cfg.grid["n_exterior"],
@@ -208,10 +226,6 @@ def build_solver_options(cfg):
         max_outer=s["max_outer"],
         damping=s["damping"],
         newtonian_tol=s["newtonian_tol"],
-        le_radial=le["n_radial"],
-        le_zeta=le["n_zeta"],
-        le_lmax=le["lmax"],
-        le_tol=le["tol"],
         beta0=s["beta0"],
         delta0=s["delta0"],
     )

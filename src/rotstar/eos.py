@@ -129,6 +129,14 @@ class EquationOfState:
         eta = self._check_eta(u)
         return self.f_N_P(u) * (1.0 + _polyval_series(self.upsilon_P, eta))
 
+    def ddensity_denthalpy(self, u):
+        """d rho / du = f_N_rho'(u) (1 + Y_rho) + f_N_rho(u) Y_rho' / c^2."""
+        eta = np.asarray(u, dtype=float) / self.c_light**2
+        return (
+            self.df_N_rho(u) * (1.0 + _polyval_series(self.upsilon_rho, eta))
+            + self.f_N_rho(u) * _polyval_series_deriv(self.upsilon_rho, eta) / self.c_light**2
+        )
+
     def dpressure_denthalpy(self, u):
         eta = self._check_eta(u)
         u = np.asarray(u, dtype=float)
@@ -157,13 +165,7 @@ class EquationOfState:
         u = (rho / self.k_rho) ** (1.0 / self.nu)
         for _ in range(60):
             f = float(self.density_from_enthalpy(u)) - rho
-            df = float(
-                self.df_N_rho(u) * (1.0 + _polyval_series(self.upsilon_rho, u / self.c_light**2))
-                + self.f_N_rho(u)
-                * _polyval_series_deriv(self.upsilon_rho, u / self.c_light**2)
-                / self.c_light**2
-            )
-            step = f / df
+            step = f / float(self.ddensity_denthalpy(u))
             u -= step
             if abs(step) <= 1e-15 * abs(u):
                 break
@@ -175,13 +177,7 @@ class EquationOfState:
     def dpressure_ddensity(self, rho):
         """dP/drho through the enthalpy parametrization (finite at rho > 0)."""
         u = self.enthalpy_of_density_inverse(rho)
-        dP = float(self.dpressure_denthalpy(u))
-        eta = u / self.c_light**2
-        drho = float(
-            self.df_N_rho(u) * (1.0 + _polyval_series(self.upsilon_rho, eta))
-            + self.f_N_rho(u) * _polyval_series_deriv(self.upsilon_rho, eta) / self.c_light**2
-        )
-        return dP / drho
+        return float(self.dpressure_denthalpy(u)) / float(self.ddensity_denthalpy(u))
 
     def enthalpy_from_density(self, rho, rel_tol=1e-10):
         """u(rho) = int_0^rho dP/(rho' + P/c^2) by adaptive quadrature.

@@ -332,10 +332,6 @@ class AxiField:
                 _fill_origin(star)
         return AxiField(g, n_new, self.int_vals.copy(), star, self.parity, self.offset, self.interp)
 
-    def tail(self):
-        """The field minus its offset."""
-        return replace(self, offset=0.0)
-
     def __neg__(self):
         return AxiField(
             self.grid, self.n_index, -self.int_vals, -self.star_vals, self.parity, -self.offset, self.interp

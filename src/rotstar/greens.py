@@ -1,22 +1,23 @@
 """Inverse operators of the post-Newtonian elliptic equations.
 
-k_n inverts the axisymmetric n-Laplacian
+GreenOps.k_n_global inverts the axisymmetric n-Laplacian
 
     L_n = d^2/dvarpi^2 + (n-2)/varpi d/dvarpi + d^2/dz^2,   n in {3, 4, 5},
 
-for compactly supported sources through the Newtonian convolution
-(1/((n-2) omega_{n-1})) int g / |x - x'|^(n-2) reduced over the first n-1
-coordinates to a ring kernel on the (varpi, z) half-plane.  The azimuthal
-integrals have closed forms: complete elliptic integrals for n = 3 and 5 and
-a logarithm for n = 4.  Nystrom quadrature is nodal trapezoid with exact
-near-diagonal cell corrections (local polar integration on the log-singular
-cells, tensor Gauss on their neighbors).
+for decaying sources.  The compact part chi(r/R0) g goes through the
+Newtonian convolution (1/((n-2) omega_{n-1})) int g / |x - x'|^(n-2) reduced
+over the first n-1 coordinates to a ring kernel on the (varpi, z)
+half-plane.  The azimuthal integrals have closed forms: complete elliptic
+integrals for n = 3 and 5 and a logarithm for n = 4.  Nystrom quadrature is
+nodal trapezoid with exact near-diagonal cell corrections (local polar
+integration on the log-singular cells, tensor Gauss on their neighbors).
+The exterior tail is pulled to the starred plane, re-weighted by (R0/r*)^4
+(which turns it into a compact starred source), inverted there with the same
+machinery, and pushed back by the Kelvin transform; a compact source has no
+tail and stops after its first part.
 
-k_n_global extends the inverse to decaying sources: the exterior tail is
-pulled to the starred plane, re-weighted by (R0/r*)^4 (which turns it into a
-compact starred source), inverted there with the same machinery, and pushed
-back by the Kelvin transform.  l_op solves the Helmholtz-like interior
-problem (L_3 + coef) W + g = 0 as a direct dense Nystrom system.
+LOpSolver solves the Helmholtz-like interior problem (L_3 + coef) W + g = 0
+as a direct dense Nystrom system.
 """
 
 import math
@@ -602,10 +603,11 @@ class GreenOps:
 
     # -- compact inverse --------------------------------------------------------
 
-    def _compact_to_field(self, v_int, src, n):
-        """Assemble a two-patch field from interior potential values."""
+    def _compact_to_field(self, src, n):
+        """The two-patch potential of a compact interior source."""
         g = self.grid
         h = g.h_int
+        v_int = h**2 * self.table_int(n).apply(src)
         star = np.zeros((g.n_ext, g.n_ext))
         img_r = g.r_img
         near = np.isfinite(img_r) & (img_r <= 2.0 * g.R0)
@@ -619,19 +621,6 @@ class GreenOps:
         star[0, 0] = h**n * self.table_int(n).total_mass(src) / (FUND_NORM[n] * g.R0 ** (n - 2))
         return AxiField(g, n, v_int, star, (1, 1), 0.0)
 
-    def k_n(self, fld, n):
-        """Newtonian inverse for a compactly supported source field."""
-        g = self.grid
-        if fld.offset != 0.0:
-            raise DomainError("compact sources cannot carry an offset")
-        tail_sup = np.max(np.abs(fld.exterior_tail_star()))
-        scale = np.max(np.abs(fld.int_vals)) + 1e-300
-        if tail_sup > 1e-12 * scale:
-            raise DomainError("source is not compactly supported in r <= 2 R0")
-        src = fld.int_vals
-        v_int = g.h_int**2 * self.table_int(n).apply(src)
-        return self._compact_to_field(v_int, src, n)
-
     # -- global inverse ------------------------------------------------------------
 
     def k_n_global(self, fld, n):
@@ -641,8 +630,7 @@ class GreenOps:
             raise DecayError("source with a constant offset is not integrable")
         if not (np.any(fld.int_vals) or np.any(fld.star_vals)):
             return AxiField.zeros(g, n)  # e.g. a static star's Y: no table, no far operator
-        src0 = fld.interior_compact()
-        f0 = self._compact_to_field(g.h_int**2 * self.table_int(n).apply(src0), src0, n)
+        f0 = self._compact_to_field(fld.interior_compact(), n)
 
         g_inf_star = fld.exterior_tail_star()
         if np.max(np.abs(g_inf_star)) == 0.0:
@@ -687,16 +675,6 @@ class GreenOps:
         out_star = f0.star_vals + psi
         return AxiField(g, n, out_int, out_star, (1, 1), 0.0)
 
-    # -- Helmholtz-like interior solve ------------------------------------------------
-
-    def make_l_op(self, coef_field, rcond_raise=1e-13):
-        """Factorized solver for (L_3 + coef) Q + g = 0 with Q(O) = 0."""
-        return LOpSolver(self, coef_field, rcond_raise)
-
-    def l_op(self, fld, coef_field):
-        """One-shot convenience wrapper around make_l_op."""
-        return self.make_l_op(coef_field).solve(fld)
-
 
 class LOpSolver:
     """Dense Nystrom solve of the zeroth-order-coupled interior problem.
@@ -738,7 +716,6 @@ class LOpSolver:
         from scipy.linalg import lu_solve
 
         g = self.grid
-        table = self.table
         h = self.h
 
         # exterior tail first: its interior values feed the coefficient term
@@ -758,15 +735,14 @@ class LOpSolver:
         if has_tail:
             src_eff += self.coef * (f_inf.int_vals - fi0)
 
-        if self.trivial:
-            v = self.ops._compact_to_field(h**2 * table.apply(src_eff), src_eff, 3)
-        else:
-            rhs_full = h**2 * table.apply(src_eff)
+        src_tot = src_eff
+        if not self.trivial:
+            rhs_full = h**2 * self.table.apply(src_eff)
             rhs = rhs_full[self.si, self.sj] - rhs_full[0, 0]
             W0 = lu_solve(self._lu, rhs)
             src_tot = src_eff.copy()
             src_tot[self.si, self.sj] += self.coef[self.si, self.sj] * W0
-            v = self.ops._compact_to_field(h**2 * table.apply(src_tot), src_tot, 3)
+        v = self.ops._compact_to_field(src_tot, 3)
 
         out_int = v.int_vals
         out_star = v.star_vals

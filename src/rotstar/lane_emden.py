@@ -105,9 +105,6 @@ class LaneEmdenSolution:
             return float(out)
         return out
 
-    def __call__(self, xi):
-        return self.theta(xi)
-
 
 def solve_classical(nu, tol=1e-12, xi_max=None):
     """Solve the classical Lane-Emden problem and bracket the first zero.

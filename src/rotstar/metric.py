@@ -170,15 +170,6 @@ class MetricLanczos:
             "Z": g.ZI,
         }
 
-    def eval(self, w, z):
-        w = np.asarray(w, dtype=float)
-        return {
-            "F": self.F.eval(w, z),
-            "A": self.A_pot.eval(w, z),
-            "Pi": w * self.Pi_over_w.eval(w, z),
-            "K": self.K.eval(w, z),
-        }
-
 
 def mul_varpi(field, n_out=None):
     """varpi * field, restated at a decay index lowered by at least one.

@@ -36,7 +36,7 @@ from .fields import (
     field_expm1,
     field_log1p,
 )
-from .greens import GreenOps
+from .greens import GreenOps, LOpSolver
 from .lane_emden import solve_classical, solve_distorted
 from .metric import MetricLanczos, assemble, ktilde, mul_varpi
 
@@ -102,10 +102,6 @@ class StarParams:
         return 4.0 * self.r1
 
     @property
-    def Xi0(self):
-        return 4.0 * self.xi1
-
-    @property
     def epsilon(self):
         return self.u_O / self.c_light**2
 
@@ -163,7 +159,7 @@ def newtonian_fields(dle, params, grid, ops, eos, tol=1e-12, max_iter=200):
     resid = np.inf
     for it in range(1, max_iter + 1):
         rho_N = compact_map(eos.f_N_rho, u_N, n_index=3)
-        Phi_N = ops.k_n(rho_N, 3) * G4pi
+        Phi_N = ops.k_n_global(rho_N, 3) * G4pi
         Phi_O = Phi_N.int_vals[0, 0]
         u_new = om_w2_half - Phi_N + (Phi_O + params.u_O)
         resid = float(np.max(np.abs(u_new.int_total() - u_N.int_total())))
@@ -175,7 +171,7 @@ def newtonian_fields(dle, params, grid, ops, eos, tol=1e-12, max_iter=200):
 
     rho_N = compact_map(eos.f_N_rho, u_N, n_index=3)
     P_N = compact_map(eos.f_N_P, u_N, n_index=4)
-    Phi_N = ops.k_n(rho_N, 3) * G4pi
+    Phi_N = ops.k_n_global(rho_N, 3) * G4pi
     ratio = compact_map(eos.df_N_rho, u_N, n_index=3)
     M_N = grid.h_int**3 * ops.table_int(3).total_mass(rho_N.int_vals)
     return NewtonianFields(
@@ -229,10 +225,6 @@ class SolverOptions:
     max_outer: int = 30
     damping: float = 1.0
     newtonian_tol: float = 1e-12
-    le_radial: int = 1025
-    le_zeta: int = 48
-    le_lmax: int = 12
-    le_tol: float = 1e-11
     beta0: float = 0.1
     delta0: float = 0.01
 
@@ -246,15 +238,7 @@ class PNSolver:
         self.opts = options or SolverOptions()
         self.classical = classical if classical is not None else solve_classical(params.nu)
         if dle is None:
-            dle = solve_distorted(
-                params.nu,
-                params.b_rot,
-                n_radial=self.opts.le_radial,
-                n_zeta=self.opts.le_zeta,
-                lmax=self.opts.le_lmax,
-                tol=self.opts.le_tol,
-                classical=self.classical,
-            )
+            dle = solve_distorted(params.nu, params.b_rot, classical=self.classical)
         self.dle = dle
         self.grid = AxiGrid(params.R0, self.opts.n_interior, self.opts.n_exterior)
         self.ops = GreenOps(self.grid)
@@ -285,7 +269,7 @@ class PNSolver:
             - nf.P_N * 3.0
         )
         coef = self.nf.ratio * (4.0 * math.pi * params.G_grav)
-        self.lop = self.ops.make_l_op(coef)
+        self.lop = LOpSolver(self.ops, coef)
         self._g_fields = None
         self.history = {"inner": [], "outer": [], "newtonian": self.nf.iterations}
 
@@ -563,10 +547,33 @@ class PNSolver:
     # -- the K-gradient fields and the outer map ----------------------------------------
 
     def ktilde_arrays(self, W, Y, X):
-        """K1t, K3t on the interior nodes from the assembled (F, A, Pi)."""
+        """K1t, K3t on the interior nodes from the assembled (F, A, Pi), and
+        at(w, z), the same K-gradient at points.
+
+        Both read one set of derivative fields, derived here once per state.
+        """
         state = PotentialSet(W=W, Y=Y, X=X, V=AxiField.zeros(self.grid, 4), w=None)
         met = assemble(self.params, state, self.nf.Phi_N)
-        return (*self._ktilde_at(met), met)
+        F, A, Pow = met.F, met.A_pot, met.Pi_over_w
+        Pow1, Pow3 = Pow.derivative("w"), Pow.derivative("z")
+        fields = (F, F.derivative("w"), F.derivative("z"), A.derivative("w"), A.derivative("z"),
+                  Pow, Pow1, Pow3, Pow1.derivative("w"), Pow3.derivative("z"), Pow1.derivative("z"))
+
+        def ktilde_from(w, vals):
+            f, f1, f3, a1, a3, pw, pw1, pw3, pw11, pw33, pw13 = vals
+            # Pi = varpi Pi_over_w: its derivatives by the product rule keep
+            # the axis exact, and 1/Pi takes 0 there
+            Pi = w * pw
+            over_pi = np.where(w > 0, 1.0 / np.where(w > 0, Pi, 1.0), 0.0)
+            K1t, K3t, _, _ = ktilde(Pi, pw + w * pw1, w * pw3, 2.0 * pw1 + w * pw11, w * pw33,
+                                    pw3 + w * pw13, f1, f3, a1, a3, np.exp(4.0 * f), over_pi)
+            return np.where(w > 0, K1t, 0.0), K3t  # K1t is odd in varpi
+
+        def at(wpts, zpts):
+            w = np.asarray(wpts, dtype=float)
+            return ktilde_from(w, [fld.eval(w, zpts) for fld in fields])
+
+        return (*ktilde_from(self.grid.WI, [fld.int_total() for fld in fields]), at)
 
     def v_map(self, W, Y, X):
         """The outer map T: line-quadrature V from the K-gradient fields.
@@ -578,14 +585,14 @@ class PNSolver:
         """
         g = self.grid
         c4 = self.params.c_light**4
-        K1t, K3t, met = self.ktilde_arrays(W, Y, X)
+        K1t, K3t, at = self.ktilde_arrays(W, Y, X)
         axis = cumulative_trapezoid(K3t[0, :], x=g.z, initial=0.0)
         rows = cumulative_trapezoid(K1t, x=g.w, axis=0, initial=0.0)
         V_hat = c4 * (axis[None, :] + rows)
 
         # far-field constant by sampling V_hat on far arcs through direct
         # quadrature of the gradient fields along (axis, then horizontal)
-        far = self._far_vhat(met, radii=np.geomspace(3.0, 10.0, 8) * g.R0)
+        far = self._far_vhat(at, radii=np.geomspace(3.0, 10.0, 8) * g.R0)
         rr = far["radii"]
         design = np.column_stack([np.ones_like(rr), rr**-2.0, rr**-3.0])
         coef, res, *_ = np.linalg.lstsq(design, far["vhat_mean"], rcond=None)
@@ -605,9 +612,9 @@ class PNSolver:
         V = self._v_field_from_interior(V_int)
         return V, C_inf, far
 
-    def _far_vhat(self, met, radii, thetas=(0.3, 0.7, 1.05, 1.4)):
-        """V_hat at far points by Gauss quadrature of c^4 K1t, K3t along the
-        paper's path (up the axis, then horizontally)."""
+    def _far_vhat(self, at, radii, thetas=(0.3, 0.7, 1.05, 1.4)):
+        """V_hat at far points by Gauss quadrature of c^4 K1t, K3t, sampled
+        by at, along the paper's path (up the axis, then horizontally)."""
         from numpy.polynomial.legendre import leggauss
 
         c4 = self.params.c_light**4
@@ -623,40 +630,15 @@ class PNSolver:
         on_axis = np.arange(len(ends)) % 4 < 2
         wpts = np.where(on_axis[:, None], 1e-8 * self.grid.R0, nodes)
         zpts = np.where(on_axis[:, None], nodes, np.repeat(b0[1::4], 4)[:, None])
-        k1, k3 = self._ktilde_at(met, wpts.ravel(), zpts.ravel())
+        k1, k3 = at(wpts.ravel(), zpts.ravel())
         integrand = np.where(on_axis[:, None], k3.reshape(nodes.shape), k1.reshape(nodes.shape))
         seg = (0.5 * (b0 - a0) * np.sum(wg * integrand, axis=1)).reshape(len(thetas), len(radii), 4)
         vals = c4 * (seg[..., 0] + seg[..., 1] + seg[..., 2] + seg[..., 3])
         return {"radii": radii, "vhat_mean": vals.mean(axis=0), "vhat_all": vals, "thetas": thetas}
 
-    def _ktilde_at(self, met, wpts=None, zpts=None):
-        """K1t, K3t from met's derivative fields: their node values on the
-        interior patch when no points are given, else their evals at the
-        points."""
-        F, A, Pow = met.F, met.A_pot, met.Pi_over_w
-        Pow1, Pow3 = Pow.derivative("w"), Pow.derivative("z")
-        fields = (F, F.derivative("w"), F.derivative("z"), A.derivative("w"), A.derivative("z"),
-                  Pow, Pow1, Pow3, Pow1.derivative("w"), Pow3.derivative("z"), Pow1.derivative("z"))
-        if wpts is None:
-            w = self.grid.WI
-            vals = [f.int_total() for f in fields]
-        else:
-            w = np.asarray(wpts, dtype=float)
-            vals = [f.eval(w, zpts) for f in fields]
-        f, f1, f3, a1, a3, pw, pw1, pw3, pw11, pw33, pw13 = vals
-        # Pi = varpi Pi_over_w: its derivatives by the product rule keep the
-        # axis exact, and 1/Pi takes 0 there
-        Pi = w * pw
-        over_pi = np.where(w > 0, 1.0 / np.where(w > 0, Pi, 1.0), 0.0)
-        K1t, K3t, _, _ = ktilde(Pi, pw + w * pw1, w * pw3, 2.0 * pw1 + w * pw11, w * pw33,
-                                pw3 + w * pw13, f1, f3, a1, a3, np.exp(4.0 * f), over_pi)
-        return np.where(w > 0, K1t, 0.0), K3t  # K1t is odd in varpi
-
     def path_independence_gap(self, W, Y, X):
         """Quadrature along (axis, then horizontal) versus (equator, then
         vertical): agreement up to O(h^2) plus the consistency residual."""
-        from scipy.integrate import cumulative_trapezoid
-
         g = self.grid
         K1t, K3t, _ = self.ktilde_arrays(W, Y, X)
         main = (
@@ -681,19 +663,19 @@ class PNSolver:
 
         g = self.grid
         c4 = self.params.c_light**4
-        _, _, met = self.ktilde_arrays(W, Y, X)
+        _, _, at = self.ktilde_arrays(W, Y, X)
         xg, wg = leggauss(32)
         r_start = 1.8 * g.R0
         sw, cz = (np.array([f(th) for th in thetas]) for f in (math.sin, math.cos))
         v0 = _bilinear(V_int, g.h_int, r_start * sw, r_start * cz)
         # a couple of segments per ray keep the quadrature sharp near the
-        # patch; the Gauss points of every segment go through one sampler call
+        # patch; the Gauss points of every segment go through one at() call
         cuts = np.array([np.geomspace(r_start, r, 3) for r in radii])
         a0, b0 = cuts[:, :-1], cuts[:, 1:]
         rr = 0.5 * (b0 - a0)[..., None] * (xg + 1.0) + a0[..., None]
         sw, cz = sw[:, None, None, None], cz[:, None, None, None]
         k1, k3 = (k.reshape((len(thetas),) + rr.shape)
-                  for k in self._ktilde_at(met, (rr * sw).ravel(), (rr * cz).ravel()))
+                  for k in at((rr * sw).ravel(), (rr * cz).ravel()))
         seg = 0.5 * (b0 - a0) * np.sum(wg * (k1 * sw + k3 * cz), axis=-1)
         return v0[:, None] + c4 * (seg[..., 0] + seg[..., 1])
 
@@ -829,8 +811,6 @@ class SolveResult:
         arrs = self.metric.interior_arrays()
         Om = omega_profile(self.params, g.RI)
         return Window(
-            w0=0.0,
-            z0=0.0,
             h=g.h_int,
             F=arrs["F"],
             A=arrs["A"],
@@ -840,7 +820,6 @@ class SolveResult:
             rho=self.fluid["rho"].int_vals,
             P=self.fluid["P"].int_vals,
             u=self.fluid["u"].int_total(),
-            z_even=True,
         )
 
     def eval_fns(self):

@@ -19,10 +19,9 @@ from .metric import ktilde, lewis_from_lanczos
 
 @dataclass
 class Window:
-    """Uniform (varpi, z) samples with spacing h starting at (w0, z0)."""
+    """Uniform (varpi, z) samples with spacing h from the origin; every
+    field is even in z."""
 
-    w0: float
-    z0: float
     h: float
     F: np.ndarray = field(repr=False)
     A: np.ndarray = field(repr=False)
@@ -33,7 +32,6 @@ class Window:
     P: np.ndarray = field(repr=False, default=None)
     u: np.ndarray = field(repr=False, default=None)
     mask: np.ndarray = field(repr=False, default=None)
-    z_even: bool = True
 
     def __post_init__(self):
         if self.mask is None:
@@ -44,12 +42,12 @@ class Window:
     @property
     def W(self):
         n = self.F.shape[0]
-        return self.w0 + self.h * np.arange(n)[:, None] + 0 * self.F
+        return self.h * np.arange(n)[:, None] + 0 * self.F
 
     @property
     def Z(self):
         n = self.F.shape[1]
-        return self.z0 + self.h * np.arange(n)[None, :] + 0 * self.F
+        return self.h * np.arange(n)[None, :] + 0 * self.F
 
     def report_mask(self, erode=1):
         """Valid nodes away from window edges, the mask boundary, and the
@@ -60,15 +58,11 @@ class Window:
             m2[1:, :] &= m[:-1, :]
             m2[:-1, :] &= m[1:, :]
             m2[:, 1:] &= m[:, :-1]
-            if not self.z_even or self.z0 > 0:
-                m2[:, 0] = False
             m2[:, :-1] &= m[:, 1:]
             m = m2
         m[0, :] = False
         m[-1, :] = False
         m[:, -1] = False
-        if self.w0 == 0.0:
-            m[0, :] = False
         return m
 
 
@@ -79,11 +73,7 @@ def d1w(win, arr):
 
 
 def d1z(win, arr, parity=1):
-    ext = (
-        np.concatenate([parity * arr[:, 1:2], arr], axis=1)
-        if (win.z_even and win.z0 == 0.0)
-        else np.concatenate([np.full_like(arr[:, :1], np.nan), arr], axis=1)
-    )
+    ext = np.concatenate([parity * arr[:, 1:2], arr], axis=1)
     out = np.full_like(arr, np.nan)
     out[:, : arr.shape[1] - 1] = (ext[:, 2:] - ext[:, :-2]) / (2 * win.h)
     return out
@@ -96,11 +86,7 @@ def d2w(win, arr):
 
 
 def d2z(win, arr, parity=1):
-    ext = (
-        np.concatenate([parity * arr[:, 1:2], arr], axis=1)
-        if (win.z_even and win.z0 == 0.0)
-        else np.concatenate([np.full_like(arr[:, :1], np.nan), arr], axis=1)
-    )
+    ext = np.concatenate([parity * arr[:, 1:2], arr], axis=1)
     out = np.full_like(arr, np.nan)
     out[:, : arr.shape[1] - 1] = (ext[:, 2:] - 2 * ext[:, 1:-1] + ext[:, :-2]) / win.h**2
     return out
@@ -438,26 +424,22 @@ def asymptotic_fit(eval_fns, params, r_window, n_radii=14, thetas=(0.2, 0.75, 1.
 # -- window builders --------------------------------------------------------------
 
 
-def kerr_window(kp, L, N, margin=2.6, z0=0.0, w0=0.0):
-    """Kerr potentials sampled on [w0, L] x [z0, L] with the near-horizon
-    region masked out."""
+def kerr_window(kp, L, N, margin=2.6):
+    """Kerr potentials sampled on [0, L]^2 with the near-horizon region
+    masked out."""
     from .metric import kerr_lanczos
 
-    xs = np.linspace(w0, L, N)
-    zs = np.linspace(z0, L, N)
-    W, Z = np.meshgrid(xs, zs, indexing="ij")
+    xs = np.linspace(0.0, L, N)
+    W, Z = np.meshgrid(xs, xs, indexing="ij")
     pot = kerr_lanczos(kp, W, Z)
     mask = pot["rbar"] > margin * kp.m_geom
     return Window(
-        w0=w0,
-        z0=z0,
         h=xs[1] - xs[0],
         F=pot["F"],
         A=pot["A"],
         Pi=pot["Pi"],
         K=pot["K"],
         mask=mask,
-        z_even=(z0 == 0.0),
     )
 
 
@@ -465,7 +447,7 @@ def flat_window(L, N):
     xs = np.linspace(0.0, L, N)
     W, Z = np.meshgrid(xs, xs, indexing="ij")
     zero = np.zeros_like(W)
-    return Window(w0=0.0, z0=0.0, h=xs[1] - xs[0], F=zero, A=zero.copy(), Pi=W.copy(), K=zero.copy())
+    return Window(h=xs[1] - xs[0], F=zero, A=zero.copy(), Pi=W.copy(), K=zero.copy())
 
 
 def refinement_order(hs, sups):

@@ -69,7 +69,7 @@ class TestAcceptance:
                 g = AxiGrid(2.0, N, 33)
                 oo = GreenOps(g)
                 src = AxiField.from_function(g, bump, n)
-                u = oo.k_n(src, n)
+                u = oo.k_n_global(src, n)
                 resid = axis_laplacian(u.int_vals, g.h_int, n) + src.int_vals
                 mask = (g.RI <= 1.8 * g.R0) & np.isfinite(resid)
                 errs.append(np.abs(resid[mask]).max())
@@ -79,7 +79,7 @@ class TestAcceptance:
         oo = GreenOps(g)
         rho_b = 0.8 * g.R0
         src = AxiField.from_function(g, lambda w, z: 1.0 * (np.hypot(w, z) <= rho_b), 3)
-        u = oo.k_n(src, 3)
+        u = oo.k_n_global(src, 3)
         exact = np.where(
             g.RI <= rho_b,
             (rho_b**2 - g.RI**2) / 6.0 + rho_b**2 / 3.0,
@@ -119,7 +119,7 @@ class TestAcceptance:
             src = AxiField.from_function(
                 g, lambda w, z: np.maximum(0.0, 1 - (np.hypot(w, z) / g.R0) ** 2) ** 3, n
             )
-            u = oo.k_n(src, n)
+            u = oo.k_n_global(src, n)
             rr = np.geomspace(3 * g.R0, 10 * g.R0, 12)
             vals = u.eval(rr / np.sqrt(2), rr / np.sqrt(2))
             fitted = -np.polyfit(np.log(rr), np.log(np.abs(vals)), 1)[0]

@@ -89,6 +89,15 @@ class TestSolveCommand:
             b2 = (out2 / f"{name}.axfd").read_bytes()
             assert b1 == b2, name
 
+    def test_lane_emden_section_reaches_solve(self, tmp_path):
+        # solve builds its profile from the whole lane_emden section, as
+        # lane-emden does: one sweep cannot converge, so both exit 2
+        body = TINY.format(b=1.0e-3, out=tmp_path / "run").replace(
+            "report_grid: 33", "report_grid: 33, max_iter: 1")
+        cfg = write_cfg(tmp_path, body)
+        assert main(["lane-emden", "--config", cfg]) == 2
+        assert main(["solve", "--config", cfg]) == 2
+
     def test_regime_warning_flags(self, tmp_path):
         out = tmp_path / "hot"
         body = TINY.format(b=0.0, out=out).replace("u_O: 1.0e-3", "u_O: 0.05")

@@ -79,6 +79,14 @@ class TestDensityFromEnthalpy:
             u = eos.enthalpy_from_density(rho)
             assert eos.density_from_enthalpy(u) == pytest.approx(rho, rel=1e-8)
 
+    def test_ddensity_denthalpy_matches_central_difference(self):
+        # a nonzero Y_rho exercises both terms of f_N'(1 + Y_rho) + f_N Y_rho'/c^2
+        eos = EquationOfState(gamma=5 / 3, A_const=1.0, c_light=2.0, upsilon_rho=(0.7, -0.4))
+        for u in [0.3, 1.0, 2.5]:
+            h = 1e-5 * u
+            fd = (eos.density_from_enthalpy(u + h) - eos.density_from_enthalpy(u - h)) / (2 * h)
+            assert eos.ddensity_denthalpy(u) == pytest.approx(fd, rel=1e-8)
+
     def test_series_radius_enforced(self):
         eos = EquationOfState.gamma_law(5 / 3, 1.0, 1.0, series_radius=0.5)
         with pytest.raises(SeriesDomainError):

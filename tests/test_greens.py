@@ -11,12 +11,13 @@ from scipy.sparse.linalg import spsolve
 from scipy.special import ellipe, ellipk
 
 from rotstar import greens
-from rotstar.errors import DecayError, DomainError
+from rotstar.errors import DecayError
 from rotstar.fields import AxiField, AxiGrid
 from rotstar.greens import (
     FUND_NORM,
     GreenOps,
     KernelTable,
+    LOpSolver,
     axis_laplacian,
     get_table,
     ring_kernel,
@@ -140,13 +141,13 @@ class TestRingKernel:
 
 class TestCompactInverse:
     def test_zero_source(self, ops, grid):
-        out = ops.k_n(AxiField.zeros(grid), 3)
+        out = ops.k_n_global(AxiField.zeros(grid), 3)
         assert np.max(np.abs(out.int_vals)) == 0.0
 
     def test_uniform_ball_n3(self, ops, grid):
         rho_b = 0.8 * grid.R0
         src = AxiField.from_function(grid, lambda w, z: 1.0 * (np.hypot(w, z) <= rho_b), 3)
-        u = ops.k_n(src, 3)
+        u = ops.k_n_global(src, 3)
         r = grid.RI
         exact = np.where(
             r <= rho_b,
@@ -162,7 +163,7 @@ class TestCompactInverse:
     def test_uniform_ball_all_n(self, ops, grid, n):
         rho_b = 0.7 * grid.R0
         src = AxiField.from_function(grid, lambda w, z: 1.0 * (np.hypot(w, z) <= rho_b), n)
-        u = ops.k_n(src, n)
+        u = ops.k_n_global(src, n)
         r = grid.RI
         exact = np.where(
             r <= rho_b,
@@ -179,7 +180,7 @@ class TestCompactInverse:
             oo = GreenOps(g)
             s = smooth_bump(g)
             s = AxiField(g, n, s.int_vals, s.star_vals, s.parity, 0.0)
-            u = oo.k_n(s, n)
+            u = oo.k_n_global(s, n)
             lap = axis_laplacian(u.int_vals, g.h_int, n)
             resid = lap + s.int_vals
             mask = (g.RI <= 1.8 * g.R0) & np.isfinite(resid)
@@ -188,21 +189,11 @@ class TestCompactInverse:
         slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
         assert abs(slope - 2.0) <= 0.2
 
-    def test_noncompact_rejected(self, ops, grid):
-        tail = AxiField.from_function(
-            grid,
-            lambda w, z: (grid.R0 / np.maximum(np.hypot(w, z), 0.1)) ** 1,
-            3,
-            star_fn=lambda ws, zs: np.ones_like(ws),
-        )
-        with pytest.raises(DomainError):
-            ops.k_n(tail, 3)
-
     def test_decay_exponents(self, ops, grid):
         for n in (3, 4, 5):
             s = smooth_bump(grid)
             s = AxiField(grid, n, s.int_vals, s.star_vals, s.parity, 0.0)
-            u = ops.k_n(s, n)
+            u = ops.k_n_global(s, n)
             rr = np.geomspace(3 * grid.R0, 10 * grid.R0, 12)
             vals = u.eval(rr / np.sqrt(2), rr / np.sqrt(2))
             p = -np.polyfit(np.log(rr), np.log(np.abs(vals)), 1)[0]
@@ -244,11 +235,12 @@ class TestGlobalInverse:
         report = ops.cache_report()
         assert report["kernel_tables"] == {} and report["far_operators"] == {}
 
-    def test_compact_source_reduces_to_k_n(self, ops, grid):
+    def test_compact_source_is_one_table_apply(self, ops, grid):
+        # a source inside r < R0 has no exterior tail: the interior nodes
+        # hold exactly the h^2-scaled kernel table applied to it
         s = smooth_bump(grid, radius_frac=0.45)
-        a = ops.k_n(s, 3)
-        b = ops.k_n_global(s, 3)
-        assert np.allclose(a.int_vals, b.int_vals, rtol=0, atol=1e-14)
+        out = ops.k_n_global(s, 3)
+        assert np.array_equal(out.int_vals, grid.h_int**2 * ops.table_int(3).apply(s.int_vals))
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_exterior_tail_poisson(self, ops, grid, n):
@@ -359,7 +351,7 @@ class TestPdeBackendOracle:
         ops = GreenOps(g)
         rho_b = 0.6 * g.R0
         src_f = AxiField.from_function(g, lambda w, z: 1.0 * (np.hypot(w, z) <= rho_b), 3)
-        kern = ops.k_n(src_f, 3)
+        kern = ops.k_n_global(src_f, 3)
         r = g.RI
         exact = np.where(
             r <= rho_b,
@@ -377,7 +369,7 @@ class TestPdeBackendOracle:
         ops = GreenOps(g)
         s = smooth_bump(g, radius_frac=0.5)
         s = AxiField(g, n, s.int_vals, s.star_vals, s.parity, 0.0)
-        kern = ops.k_n(s, n)
+        kern = ops.k_n_global(s, n)
         # boundary data from the kernel's own far evaluation is smooth and
         # far from the support: independence holds for the interior inversion
         bc = kern.int_vals
@@ -389,12 +381,12 @@ class TestPdeBackendOracle:
 class TestLOp:
     def test_zero_source(self, ops, grid):
         coef = smooth_bump(grid, radius_frac=0.3)
-        sol = ops.l_op(AxiField.zeros(grid), coef)
+        sol = LOpSolver(ops, coef).solve(AxiField.zeros(grid))
         assert np.max(np.abs(sol.int_total())) < 1e-15
 
     def test_trivial_coefficient(self, ops, grid):
         gf = smooth_bump(grid, radius_frac=0.6)
-        triv = ops.l_op(gf, AxiField.zeros(grid))
+        triv = LOpSolver(ops, AxiField.zeros(grid)).solve(gf)
         ref = ops.k_n_global(gf, 3)
         assert np.allclose(
             triv.int_total(), ref.int_vals - ref.int_vals[0, 0], atol=1e-14
@@ -417,7 +409,7 @@ class TestLOp:
 
             coef = AxiField.from_function(g, coef_fn, 3)
             gf = smooth_bump(g, radius_frac=0.3)
-            sol = oo.make_l_op(coef).solve(gf)
+            sol = LOpSolver(oo, coef).solve(gf)
             lap = axis_laplacian(sol.int_total(), g.h_int, 3)
             resid = lap + coef.int_vals * sol.int_total() + gf.int_vals
             rr = g.RI
@@ -449,7 +441,7 @@ class TestLOp:
         lam = np.max(np.linalg.eigvals(K).real)
         amp = 1.0 / lam
         with pytest.raises(SolverError) as err:
-            ops.make_l_op(bump * (amp * (1.0 + 1e-10)), rcond_raise=1e-6)
+            LOpSolver(ops, bump * (amp * (1.0 + 1e-10)), rcond_raise=1e-6)
         assert err.value.smallest_singular_value is not None
 
 

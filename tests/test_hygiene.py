@@ -1,16 +1,21 @@
-"""Source hygiene: no package module imports a name it never uses.
+"""Source hygiene: no package module imports a name it never uses, and
+every entry point the benchmark wraps by name still exists.
 
-Neither ruff nor pyflakes is a dependency, so this is a small AST check.  A
-name counts as used when it appears anywhere in the module as a bare name
-(attribute chains start with one); `__init__` re-exports and is skipped.
+Neither ruff nor pyflakes is a dependency, so the import check is a small
+AST check.  A name counts as used when it appears anywhere in the module as
+a bare name (attribute chains start with one); `__init__` re-exports and is
+skipped.
 """
 
 import ast
+import importlib
+import os
 from pathlib import Path
 
 import rotstar
 
 PACKAGE = Path(rotstar.__file__).resolve().parent
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def unused_imports(source):
@@ -38,3 +43,22 @@ def test_no_unused_imports():
         for line, name in unused_imports(path.read_text())
     ]
     assert hits == []
+
+
+def test_bench_entry_points_exist(monkeypatch):
+    # bench/worker.py wraps rotstar's entry points by attribute name; a
+    # renamed or deleted one raises KeyError or AttributeError here
+    monkeypatch.syspath_prepend(str(BENCH))
+    worker = importlib.import_module("worker")
+    for var in worker.THREAD_VARS:
+        monkeypatch.setenv(var, os.environ.get(var, "1"))
+    modules = worker.import_rotstar()
+    solver_cls = modules["pn"].PNSolver
+    original = solver_cls.__dict__["ktilde_arrays"]
+    tracer = worker.Tracer()
+    try:
+        worker.install_spans(tracer, modules)
+        assert solver_cls.__dict__["ktilde_arrays"] is not original
+    finally:
+        tracer.restore()
+    assert solver_cls.__dict__["ktilde_arrays"] is original

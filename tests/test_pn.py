@@ -311,8 +311,8 @@ class TestInnerOuter:
             assert {"int_n3", "star_n3"} <= set(rep["far_operators"])
 
     def test_v_far_values_matches_segment_loop(self, rotating_sweep, rotating_solver):
-        # one sampler call for every segment gives, bit for bit, the
-        # per-segment loop it replaced (one _ktilde_at call per segment)
+        # one at() call for every segment gives, bit for bit, the
+        # per-segment loop it replaced (one at() call per segment)
         from numpy.polynomial.legendre import leggauss
 
         from rotstar.fields import _bilinear
@@ -322,7 +322,7 @@ class TestInnerOuter:
         pot = rotating_sweep[1e-3].potentials
         radii = np.geomspace(2.0 * g.R0, 12.0 * g.R0, 5)
         thetas = (0.3, 0.8, 1.3)
-        _, _, met = solver.ktilde_arrays(pot.W, pot.Y, pot.X)
+        _, _, at = solver.ktilde_arrays(pot.W, pot.Y, pot.X)
         xg, wg = leggauss(32)
         r_start = 1.8 * g.R0
         ref = np.zeros((len(thetas), len(radii)))
@@ -335,11 +335,32 @@ class TestInnerOuter:
                 cuts = np.geomspace(r_start, r, 3)
                 for a0, b0 in zip(cuts[:-1], cuts[1:]):
                     rr = 0.5 * (b0 - a0) * (xg + 1.0) + a0
-                    k1, k3 = solver._ktilde_at(met, rr * sw, rr * cz)
+                    k1, k3 = at(rr * sw, rr * cz)
                     acc += 0.5 * (b0 - a0) * float(np.sum(wg * (k1 * sw + k3 * cz)))
                 ref[i, j] = v0 + solver.params.c_light**4 * acc
         got = solver.v_far_values(pot.W, pot.Y, pot.X, pot.V.int_vals, radii, thetas)
         assert np.array_equal(got, ref)
+
+    def test_far_v_derives_the_k_gradient_fields_once(self, monkeypatch, rotating_sweep,
+                                                       rotating_solver):
+        # the node values and the far samples of K1t, K3t share one set of
+        # 9 derivative fields per state
+        calls = []
+        derivative = AxiField.derivative
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return derivative(self, *args, **kwargs)
+
+        monkeypatch.setattr(AxiField, "derivative", counting)
+        solver = rotating_solver
+        pot = rotating_sweep[1e-3].potentials
+        solver.v_map(pot.W, pot.Y, pot.X)
+        assert len(calls) == 9
+        calls.clear()
+        radii = np.geomspace(2.0 * solver.grid.R0, 12.0 * solver.grid.R0, 5)
+        solver.v_far_values(pot.W, pot.Y, pot.X, pot.V.int_vals, radii)
+        assert len(calls) == 9
 
     def test_normalizations(self, rotating_sweep):
         res = rotating_sweep[1e-3]
@@ -364,9 +385,9 @@ class TestInnerOuter:
         # the leading sources serve as a smooth (W, Y, X) of the right indices
         solver = rotating_solver
         g = solver.grid
-        K1t, K3t, met = solver.ktilde_arrays(*solver.sources())
+        K1t, K3t, at = solver.ktilde_arrays(*solver.sources())
         sel = (g.RI < g.R0) & (g.WI > 0)
-        k1, k3 = solver._ktilde_at(met, g.WI[sel], g.ZI[sel])
+        k1, k3 = at(g.WI[sel], g.ZI[sel])
         for nodes, points in ((K1t[sel], k1), (K3t[sel], k3)):
             assert np.max(np.abs(points - nodes)) <= 1e-12 * np.max(np.abs(nodes))
 
