@@ -108,7 +108,7 @@ def ring_kernel(n, wt, ws, dz):
 _TABLE_CACHE = {}
 _FAR_CACHE = {}
 _FAR_BLOCK = 1 << 16  # kernel evaluations per block of far-field weights
-FAR_RANK_TOL = 1e-15  # far skeleton: QR pivots above this fraction of the first
+FAR_RANK_TOL = 1e-14  # far skeleton: QR pivots above this fraction of the first
 FAR_SKETCH_ROWS = 8  # far sketch: about this many source nodes per table node count
 MC = 2  # corrected node patch: offsets -MC..MC around each target
 N_GAUSS_BASE = 4  # Gauss points per cell axis of the hat-product weights W2
@@ -446,15 +446,23 @@ class FarOperator:
     evenly strided subset of about FAR_SKETCH_ROWS * P source nodes of the
     quarter disc i^2 + j^2 < (P - 1)^2, where the chi-cut and the diamond
     sources live.  Its rank is the number of pivots above FAR_RANK_TOL of the
-    first.  Interior-side columns are scaled by rho_t^(n-2) before the QR:
+    first, and tail is the first dropped pivot over the first (0 if none
+    was dropped), the truncation estimate of the decomposition.  The
+    tolerance sits at the resolution of the n = 5 ring kernel: its
+    2 (K - E) - m K cancels for small m and is good to about 3.5e-7
+    relative at m = 1e-4, so pivots much below 1e-14 only track that
+    roundoff (at 97/65 a 1e-15 tolerance kept 364 / 310 pivots for
+    interior / starred n = 5, against 208 / 193 at 1e-14).
+    Interior-side columns are scaled by rho_t^(n-2) before the QR:
     the starred patch stores (r/R0)^(n-2) v, and M and J are read there.
     Starred-side columns stay unscaled: scaled, their n = 5 rank grows by
-    about half (310 -> 442 at 97/65) to chase roundoff of the ring kernel.
+    about half (193 -> 281 at 97/65) to chase that same roundoff.
 
     Row k of weights holds the skeleton weights of source node nodes[k]; a
     node gets its row the first time it carries source, and a node without
-    a row contributes nothing, like its zero source value.  Rows are filled
-    from the top, so only the rows in use take memory.
+    a row contributes nothing, like its zero source value.  weights holds
+    exactly those rows and grows by one block on each call that brings new
+    source nodes.
     """
 
     def __init__(self, side, n, n_int, n_ext):
@@ -484,6 +492,7 @@ class FarOperator:
         perm -= 1  # LAPACK pivots are 1-based
         d = np.abs(np.diag(R))
         r = int(np.count_nonzero(d > FAR_RANK_TOL * d[0]))
+        self.tail = float(d[r] / d[0]) if r < d.size else 0.0
         self.skeleton = perm[:r]
         # E = [I | R11^-1 R12] in pivot order, scaled back to plain columns
         self.E = E = np.empty((wt.size, r))
@@ -492,7 +501,7 @@ class FarOperator:
         E *= scale[self.skeleton]
         E /= scale[:, None]
         self.wt, self.zt = wt, zt
-        self.weights = np.zeros((P * P, r))
+        self.weights = np.empty((0, r))
         self.built = np.zeros(P * P, dtype=bool)
         self.nodes = np.zeros(0, dtype=np.intp)
 
@@ -503,19 +512,23 @@ class FarOperator:
     @property
     def nbytes(self):
         """Bytes of E and of the filled skeleton weights."""
-        return self.E.nbytes + self.nodes.size * self.rank * 8
+        return self.E.nbytes + self.weights.nbytes
 
     def __call__(self, gvals):
         """Far field at every target, in far_mask order."""
         flat = gvals.ravel()
         new = np.flatnonzero((flat != 0.0) & ~self.built)
-        k = self.nodes.size
-        J = self.skeleton
-        for k0, block in self.table.far_weights(new, self.wt[J], self.zt[J]):
-            self.weights[k + k0 : k + k0 + len(block)] = block
-        self.built[new] = True
-        self.nodes = np.concatenate([self.nodes, new])
-        return self.E @ (flat[self.nodes] @ self.weights[: self.nodes.size])
+        if new.size:
+            k = self.nodes.size
+            J = self.skeleton
+            weights = np.empty((k + new.size, self.rank))
+            weights[:k] = self.weights
+            for k0, block in self.table.far_weights(new, self.wt[J], self.zt[J]):
+                weights[k + k0 : k + k0 + len(block)] = block
+            self.weights = weights
+            self.built[new] = True
+            self.nodes = np.concatenate([self.nodes, new])
+        return self.E @ (flat[self.nodes] @ self.weights)
 
 
 class GreenOps:
@@ -589,6 +602,7 @@ class GreenOps:
                 "targets": int(np.count_nonzero(self._far_rows[side])),
                 "filled_nodes": op.nodes.size,
                 "bytes": op.nbytes,
+                "tail": op.tail,
                 "built": built,
             }
         builds = sum(v["built"] for v in (*tables.values(), *far.values()))

@@ -268,6 +268,8 @@ class PNSolver:
             + (nf.rho_N * nf.Phi_N + nf.rho_N * self.om2w2 * 2.0) * 2.0
             - nf.P_N * 3.0
         )
+        # Phi_N's gradient, for the leading parts of the K-gradient displays
+        self.dPhi_N = (nf.Phi_N.derivative("w"), nf.Phi_N.derivative("z"))
         coef = self.nf.ratio * (4.0 * math.pi * params.G_grav)
         self.lop = LOpSolver(self.ops, coef)
         self._g_fields = None
@@ -434,12 +436,11 @@ class PNSolver:
         Q4 = (q2_exact - (nf.rho_N * nf.Phi_N + nf.rho_N * self.om2w2 * 2.0) * 2.0) * c**2
         return {"Q2": Q2, "Q3": Q3, "Q4": Q4}
 
-    def x_hat_arrays(self, X):
-        """Closed-form correction factor of the K-gradient inversion."""
+    def x_hat_arrays(self, X, X1, X3):
+        """Closed-form correction factor of the K-gradient inversion, from X
+        and its varpi and z derivatives."""
         c4 = self.params.c_light**4
         g = self.grid
-        X1 = X.derivative("w")
-        X3 = X.derivative("z")
         t1 = 1.0 + X.int_total() / c4 + g.WI * X1.int_vals / c4
         t3 = g.WI * X3.int_vals / c4
         return c4 * (1.0 / (t1**2 + t3**2) - 1.0)
@@ -455,9 +456,7 @@ class PNSolver:
         c = p.c_light
         g = self.grid
         K1t, K3t, _ = self.ktilde_arrays(W, Y, X)
-        Phi = self.nf.Phi_N
-        P1 = Phi.derivative("w")
-        P3 = Phi.derivative("z")
+        P1, P3 = self.dPhi_N
         X1 = X.derivative("w")
         X3 = X.derivative("z")
         X11 = X1.derivative("w")
@@ -474,7 +473,7 @@ class PNSolver:
         )
         R_d = c**4 * K1t - lead_d
         R_e = c**4 * K3t - lead_e
-        xhat = self.x_hat_arrays(X)
+        xhat = self.x_hat_arrays(X, X1, X3)
         Q7 = (R_d - xhat / c**4 * lead_d) / (1.0 + xhat / c**4) * c**2
         Q8 = (R_e - xhat / c**4 * lead_e) / (1.0 + xhat / c**4) * c**2
         return {"R_d": R_d, "R_e": R_e, "Q7": Q7, "Q8": Q8, "X_hat": xhat,
@@ -510,10 +509,17 @@ class PNSolver:
             W, Y, X = state
         scale = max(p.u_O**2, 1e-300)
         changes = []
+        # sup-norm remainder-to-leading ratios on the interior patch, per
+        # iteration; 0 where the leading part vanishes (a static star's g_b)
+        leads = [float(np.max(np.abs(f.int_vals))) for f in (ga, gb, gc)]
+        remainder_ratios = {"a": [], "b": [], "c": []}
         for it in range(1, max_iter + 1):
             w, _ = self.w_from_WYX(W, Y, X)
             rho, P, u = self.state_fluid(w)
             R_a, R_b, R_c, _ = self.remainders_abc(W, Y, X, V, w, rho, P)
+            for key, R, lead in zip("abc", (R_a, R_b, R_c), leads):
+                sup = float(np.max(np.abs(R.int_vals)))
+                remainder_ratios[key].append(sup / lead if lead > 0.0 else 0.0)
             Y_new = self.ops.k_n_global((gb + R_b).reindex(5, fill_origin=False), 5)
             X_new = self.ops.k_n_global((gc + R_c).reindex(4), 4)
             coupling = (self.nf.ratio * self.om_w2 * Y_new).reindex(3) * (
@@ -540,7 +546,8 @@ class PNSolver:
             )
         ratios = [b / a for a, b in zip(changes[:-1], changes[1:]) if a > 0]
         self.history["inner"].append(
-            {"iterations": it, "changes": changes, "ratio": ratios[-1] if ratios else 0.0}
+            {"iterations": it, "changes": changes, "ratio": ratios[-1] if ratios else 0.0,
+             "remainder_ratios": remainder_ratios}
         )
         return W, Y, X
 

@@ -527,6 +527,18 @@ class TestCachedQuadrature:
             direct = self.nodal_sum(far.table, src, far.wt, far.zt)
             assert np.max(np.abs(got - direct)) <= 1e-13 * np.max(np.abs(direct))
 
+    @pytest.mark.parametrize("side", ["int", "star"])
+    def test_weights_hold_the_filled_rows(self, side):
+        # the skeleton weights grow by one block per call that brings new
+        # source nodes, and never hold a row no source has filled
+        ops = GreenOps(AxiGrid(R0=2.0, n_interior=33, n_exterior=25))
+        far = ops.far_operator(side, 5)
+        assert far.weights.shape == (0, far.rank)
+        for src in self.sources(ops, side):
+            far(src)
+            assert far.weights.shape == (far.nodes.size, far.rank)
+            assert far.nbytes == far.E.nbytes + far.weights.nbytes
+
     def test_repeat_call_evaluates_no_kernel(self, monkeypatch):
         ops = GreenOps(AxiGrid(R0=2.0, n_interior=33, n_exterior=25))
         far = ops.far_operator("int", 3)
@@ -602,6 +614,22 @@ class TestCachedQuadrature:
         far = greens.FarOperator(side, n, 33, 25)
         assert np.array_equal(far.skeleton, perm[:r])
         assert np.array_equal(far.E, E)
+
+    @pytest.mark.parametrize("side", ["int", "star"])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_rank_keeps_pivots_above_tolerance(self, side, n):
+        # every kept pivot of the sketch QR is above FAR_RANK_TOL of the
+        # first, and tail, the first dropped one, is at or below it
+        table, sketch, wt, zt, scale = self.sketch_inputs(side, n, 33, 25)
+        A = np.vstack([block for _, block in table.far_weights(sketch, wt, zt)])
+        R = scipy.linalg.qr(A * scale, mode="r", pivoting=True)[0]
+        d = np.abs(np.diag(R))
+        far = greens.FarOperator(side, n, 33, 25)
+        r = far.rank
+        assert np.all(d[:r] > greens.FAR_RANK_TOL * d[0])
+        assert r < d.size
+        assert far.tail == d[r] / d[0]
+        assert 0.0 < far.tail <= greens.FAR_RANK_TOL
 
     def test_sketch_held_once(self):
         # constructing the operator may hold the sketch and E beside the

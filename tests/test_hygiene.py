@@ -1,15 +1,19 @@
-"""Source hygiene: no package module imports a name it never uses, and
-every entry point the benchmark wraps by name still exists.
+"""Source hygiene: no package module imports a name it never uses, every
+module-level constant is read somewhere in the package, and every entry
+point the benchmark wraps by name still exists.
 
 Neither ruff nor pyflakes is a dependency, so the import check is a small
 AST check.  A name counts as used when it appears anywhere in the module as
 a bare name (attribute chains start with one); `__init__` re-exports and is
-skipped.
+skipped.  A constant is an UPPER_CASE name (a leading underscore allowed)
+bound at module level; it counts as read when any package module loads it
+as a bare name or as an attribute, so a retired knob cannot linger.
 """
 
 import ast
 import importlib
 import os
+import re
 from pathlib import Path
 
 import rotstar
@@ -43,6 +47,47 @@ def test_no_unused_imports():
         for line, name in unused_imports(path.read_text())
     ]
     assert hits == []
+
+
+CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
+
+
+def unread_constants(sources):
+    """(module, line, name) of each module-level constant of the sources (a
+    mapping from module name to source) that no source reads."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and CONSTANT.fullmatch(name.id):
+                        defined.append((module, node.lineno, name.id))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(entry for entry in defined if entry[2] not in read)
+
+
+def test_checker_flags_an_unread_constant():
+    sources = {
+        "a": "LIMIT = 3\n_CACHE = {}\nA, OLD_KNOB = 1, 2\nlower = 4\n_CACHE[0] = A\n",
+        "b": "from . import a\nprint(a.LIMIT)\nOLD_KNOB = 5\n",
+    }
+    assert unread_constants(sources) == [("a", 3, "OLD_KNOB"), ("b", 3, "OLD_KNOB")]
+
+
+def test_every_constant_is_read():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unread_constants(sources) == []
 
 
 def test_bench_entry_points_exist(monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 
 from rotstar.errors import DomainError
 from rotstar.fields import AxiField
+from rotstar.greens import FAR_RANK_TOL
 from rotstar.metric import g_factor
 from rotstar.pn import StarParams, omega_profile
 
@@ -234,7 +235,7 @@ class TestRemainders:
         g = rotating_solver.grid
         c4 = rotating_solver.params.c_light**4
         X = AxiField.constant(g, 0.1 * c4)
-        xh = rotating_solver.x_hat_arrays(X)
+        xh = rotating_solver.x_hat_arrays(X, X.derivative("w"), X.derivative("z"))
         assert np.allclose(xh / c4, 1.1**-2 - 1.0, rtol=1e-12)
 
     def test_remainders_de_zero_state(self, rotating_solver):
@@ -249,6 +250,23 @@ class TestRemainders:
         m = np.isfinite(out["R_d"])
         scale = np.abs(out["lead_d"][m]).max()
         assert np.abs(out["R_d"][m]).max() < 2e-2 * scale
+
+    def test_remainders_de_derives_each_field_once(self, monkeypatch, rotating_sweep,
+                                                   rotating_solver):
+        # the 9 K-gradient fields of ktilde_arrays and X's 5 for the leading
+        # parts; x_hat_arrays takes X's first derivatives and Phi_N's are
+        # derived once per star
+        calls = []
+        derivative = AxiField.derivative
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return derivative(self, *args, **kwargs)
+
+        monkeypatch.setattr(AxiField, "derivative", counting)
+        pot = rotating_sweep[1e-3].potentials
+        rotating_solver.remainders_de(pot.W, pot.Y, pot.X)
+        assert len(calls) == 14
 
     def test_remainders_de_epsilon_scaling(self, static_sweep):
         # |R_d| / |lead_d| is O(eps) across the sweep (1/c^2-suppression)
@@ -268,6 +286,27 @@ class TestInnerOuter:
             for h in res.diagnostics["inner_history"]:
                 assert h["ratio"] < 1.0
             assert res.diagnostics["outer_ratio"] < 1.0
+
+    def test_remainder_ratios_recorded(self, rotating_sweep, static_sweep):
+        # every inner iteration records sup|R| / sup|g| for (a), (b), (c);
+        # a static star's g_b is zero and its ratio reads 0
+        for sweep, rotating in ((rotating_sweep, True), (static_sweep, False)):
+            for eps in EPS_SWEEP:
+                res = sweep[eps] if rotating else sweep[eps][0]
+                for rec in res.diagnostics["inner_history"]:
+                    ratios = rec["remainder_ratios"]
+                    assert set(ratios) == {"a", "b", "c"}
+                    for key, vals in ratios.items():
+                        assert len(vals) == rec["iterations"]
+                        if key == "b" and not rotating:
+                            assert vals == [0.0] * rec["iterations"]
+                        else:
+                            assert all(0.0 < v < 0.1 for v in vals)
+        # the pressure remainder is one 1/c^2 order below its leading part
+        last_c = [rotating_sweep[eps].diagnostics["inner_history"][-1]["remainder_ratios"]["c"][-1]
+                  for eps in EPS_SWEEP]
+        slope = np.polyfit(np.log(EPS_SWEEP), np.log(last_c), 1)[0]
+        assert abs(slope - 1.0) < 0.2
 
     def test_support_inside_three_r1(self, rotating_sweep):
         for eps, res in rotating_sweep.items():
@@ -289,8 +328,9 @@ class TestInnerOuter:
             assert {"int_n3", "int_n5", "star_n3", "star_n5"} <= set(rep["far_operators"])
             dense = 0
             for op in rep["far_operators"].values():
-                assert set(op) == {"rank", "targets", "filled_nodes", "bytes", "built"}
+                assert set(op) == {"rank", "targets", "filled_nodes", "bytes", "tail", "built"}
                 assert 0 < op["rank"] < op["targets"]
+                assert 0.0 <= op["tail"] <= FAR_RANK_TOL
                 dense += op["targets"] * op["filled_nodes"] * 8
                 if op["filled_nodes"] > op["targets"]:
                     assert op["bytes"] < op["targets"] * op["filled_nodes"] * 8
