@@ -30,6 +30,8 @@ from .errors import ConvergenceError, DomainError, RegimeError, SeriesDomainErro
 from .fields import (
     AxiField,
     AxiGrid,
+    _bilinear,
+    _fill_origin,
     compact_map,
     div_varpi,
     exp_of,
@@ -195,7 +197,6 @@ class PotentialSet:
     V: AxiField
     w: AxiField
     Z: AxiField = None
-    C_inf_V: float = 0.0
 
 
 def _log_series_tail(z):
@@ -213,6 +214,41 @@ def _log_series_tail(z):
     zl = np.where(~small, z, 0.0)
     out[~small] = np.log1p(zl[~small]) - zl[~small]
     return out
+
+
+def _axis_then_rows(d_axis, d_rows, x_axis, x_rows):
+    """Cumulative trapezoid of a gradient on a tensor grid, from node (0, 0)
+    up the first column (d_axis, along axis 1), then along axis 0 (d_rows)."""
+    up = cumulative_trapezoid(d_axis[0, :], x=x_axis, initial=0.0)
+    return up[None, :] + cumulative_trapezoid(d_rows, x=x_rows, axis=0, initial=0.0)
+
+
+def v_star_from_infinity(grid, at, c4):
+    """Starred values (r/R0)^2 V of the V that has gradient c4 at(w, z) and
+    vanishes at infinity, the starred origin: a quadrature from there up the
+    starred axis, then across, of the gradient in starred coordinates."""
+    g = grid
+    rs = np.where(g.RS > 0, g.RS, 1.0)
+    # dp/dp* = R0^2/r*^4 [[r*^2 - 2 w*^2, -2 w* z*], [-2 w* z*, r*^2 - 2 z*^2]]
+    # makes the starred gradient O(r*); its row is zero at the origin, whose
+    # stored image (0, 0) is a finite point
+    k1, k3 = at(g.W_img, g.Z_img)
+    scale = c4 * g.R0**2 / rs**4
+    cross = -2.0 * g.WS * g.ZS
+    d_w = scale * (k1 * (g.RS**2 - 2.0 * g.WS**2) + k3 * cross)
+    d_z = scale * (k1 * cross + k3 * (g.RS**2 - 2.0 * g.ZS**2))
+    return _fill_origin((g.R0 / rs) ** 2 * _axis_then_rows(d_z, d_w, g.zs, g.ws))
+
+
+def v_overlap(V):
+    """Mean and spread (max - min), relative to sup|V| on the interior patch,
+    of starred minus interior V at the starred nodes whose images lie in
+    R0 <= r <= 2 R0, where both quadratures hold V."""
+    g = V.grid
+    band = (g.r_img >= g.R0) & (g.r_img <= 2.0 * g.R0)
+    gap = V.star_raw_values()[band] - _bilinear(V.int_vals, g.h_int, g.W_img[band], g.Z_img[band])
+    gap /= max(float(np.max(np.abs(V.int_vals))), 1e-300)
+    return {"mean": float(np.mean(gap)), "spread": float(np.ptp(gap))}
 
 
 @dataclass
@@ -588,14 +624,13 @@ class PNSolver:
         Composite trapezoid rather than Simpson: its cumulative error is
         smooth in the node index, so central differences of V reproduce the
         gradient fields at a clean O(h^2) (Simpson's alternating weights
-        leave a same-order sawtooth in the first-order residuals).
+        leave a same-order sawtooth in the first-order residuals).  The
+        starred patch integrates from its own origin, infinity, where V = 0.
         """
         g = self.grid
         c4 = self.params.c_light**4
         K1t, K3t, at = self.ktilde_arrays(W, Y, X)
-        axis = cumulative_trapezoid(K3t[0, :], x=g.z, initial=0.0)
-        rows = cumulative_trapezoid(K1t, x=g.w, axis=0, initial=0.0)
-        V_hat = c4 * (axis[None, :] + rows)
+        V_hat = c4 * _axis_then_rows(K3t, K1t, g.z, g.w)
 
         # far-field constant by sampling V_hat on far arcs through direct
         # quadrature of the gradient fields along (axis, then horizontal)
@@ -615,8 +650,7 @@ class PNSolver:
                 f"far-field V drifts by {drift:.3e} against plateau {scale:.3e}"
             )
 
-        V_int = V_hat - C_inf
-        V = self._v_field_from_interior(V_int)
+        V = AxiField(g, 4, V_hat - C_inf, v_star_from_infinity(g, at, c4), (1, 1), 0.0)
         return V, C_inf, far
 
     def _far_vhat(self, at, radii, thetas=(0.3, 0.7, 1.05, 1.4)):
@@ -648,71 +682,12 @@ class PNSolver:
         vertical): agreement up to O(h^2) plus the consistency residual."""
         g = self.grid
         K1t, K3t, _ = self.ktilde_arrays(W, Y, X)
-        main = (
-            cumulative_trapezoid(K3t[0, :], x=g.z, initial=0.0)[None, :]
-            + cumulative_trapezoid(K1t, x=g.w, axis=0, initial=0.0)
-        )
-        alt = (
-            cumulative_trapezoid(K1t[:, 0], x=g.w, initial=0.0)[:, None]
-            + cumulative_trapezoid(K3t, x=g.z, axis=1, initial=0.0)
-        )
+        main = _axis_then_rows(K3t, K1t, g.z, g.w)
+        alt = _axis_then_rows(K1t.T, K3t.T, g.w, g.z).T
         inner = g.RI <= 1.8 * g.R0
         gap = float(np.max(np.abs(main - alt)[inner]))
         scale = float(np.max(np.abs(main[inner]))) + 1e-300
         return gap, scale
-
-    def v_far_values(self, W, Y, X, V_int, radii, thetas=(0.3, 0.8, 1.3)):
-        """V at far points by radial continuation of the gradient fields from
-        the resolved patch (start radius 1.8 R0), for far-field order fits."""
-        from numpy.polynomial.legendre import leggauss
-
-        from .fields import _bilinear
-
-        g = self.grid
-        c4 = self.params.c_light**4
-        _, _, at = self.ktilde_arrays(W, Y, X)
-        xg, wg = leggauss(32)
-        r_start = 1.8 * g.R0
-        sw, cz = (np.array([f(th) for th in thetas]) for f in (math.sin, math.cos))
-        v0 = _bilinear(V_int, g.h_int, r_start * sw, r_start * cz)
-        # a couple of segments per ray keep the quadrature sharp near the
-        # patch; the Gauss points of every segment go through one at() call
-        cuts = np.array([np.geomspace(r_start, r, 3) for r in radii])
-        a0, b0 = cuts[:, :-1], cuts[:, 1:]
-        rr = 0.5 * (b0 - a0)[..., None] * (xg + 1.0) + a0[..., None]
-        sw, cz = sw[:, None, None, None], cz[:, None, None, None]
-        k1, k3 = (k.reshape((len(thetas),) + rr.shape)
-                  for k in at((rr * sw).ravel(), (rr * cz).ravel()))
-        seg = 0.5 * (b0 - a0) * np.sum(wg * (k1 * sw + k3 * cz), axis=-1)
-        return v0[:, None] + c4 * (seg[..., 0] + seg[..., 1])
-
-    def _v_field_from_interior(self, V_int):
-        """Two-patch V (index 4): interior values plus a per-ray 1/r^2 tail
-        fitted on the outer band of the patch."""
-        g = self.grid
-        # fit V = c2/r^2 + c3/r^3 per starred ray on the band r in [1.5, 2] R0
-        band_r = np.linspace(1.55 * g.R0, 1.95 * g.R0, 6)
-        dirs_w = np.where(g.RS > 0, g.WS / np.where(g.RS > 0, g.RS, 1.0), 0.0)
-        dirs_z = np.where(g.RS > 0, g.ZS / np.where(g.RS > 0, g.RS, 1.0), 0.0)
-        from .fields import _bilinear
-
-        band_vals = []
-        for rb in band_r:
-            wq = dirs_w * rb
-            zq = dirs_z * rb
-            band_vals.append(_bilinear(V_int, g.h_int, wq, zq))
-        band_vals = np.stack(band_vals, axis=0)  # (6, M, M)
-        design = np.stack([band_r**-2.0, band_r**-3.0], axis=1)
-        sol, *_ = np.linalg.lstsq(design, band_vals.reshape(len(band_r), -1), rcond=None)
-        c2 = sol[0].reshape(g.n_ext, g.n_ext)
-        c3 = sol[1].reshape(g.n_ext, g.n_ext)
-        # star tail at index 4: (r/R0)^2 V = c2/R0^2 + c3 r*/R0^4
-        star = c2 / g.R0**2 + c3 * g.RS / g.R0**4
-        # inside the image band r <= 2 R0 the interior values are authoritative
-        have = np.isfinite(g.r_img) & (g.r_img <= 1.95 * g.R0)
-        vals = _bilinear(V_int, g.h_int, g.W_img[have], g.Z_img[have])
-        star[have] = (g.r_img[have] / g.R0) ** 2 * vals
-        return AxiField(g, 4, V_int, star, (1, 1), 0.0)
 
     # -- the outer loop ------------------------------------------------------------------
 
@@ -753,7 +728,7 @@ class PNSolver:
         W, Y, X = state
         w, Z = self.w_from_WYX(W, Y, X)
         rho, P, u = self.state_fluid(w)
-        pot = PotentialSet(W=W, Y=Y, X=X, V=V, w=w, Z=Z, C_inf_V=C_inf)
+        pot = PotentialSet(W=W, Y=Y, X=X, V=V, w=w, Z=Z)
         met = assemble(p, pot, self.nf.Phi_N)
 
         rde = self.remainders_de(W, Y, X)
@@ -780,6 +755,7 @@ class PNSolver:
             "regime_flags": self.flags,
             "M_N": self.nf.M_N,
             "far_vhat": far,
+            "v_overlap": v_overlap(V),
             "green_ops": self.ops.cache_report(),
             "lop_smin_estimate": self.lop.smin_estimate,
             # ru_maxrss is in KiB on Linux

@@ -78,6 +78,16 @@ class TestSolveCommand:
         assert abs(man["M"] - man["M_N"]) < 0.05 * man["M_N"]
         assert (out / "W.axfd").exists()
 
+    def test_rotating_far_field(self, tmp_path):
+        # K = V/c^4 falls like 1/r^2 in the manifest's own far-field fit, and
+        # the two V quadratures' overlap mismatch is reported beside it
+        out = tmp_path / "rot"
+        cfg = write_cfg(tmp_path, TINY.format(b=1.0e-3, out=out))
+        assert main(["solve", "--config", cfg]) == 0
+        man = json.loads((out / "manifest.json").read_text())
+        assert abs(man["verify"]["asymptotics"]["orders"]["K"] - 2.0) <= 0.3
+        assert set(man["diagnostics"]["v_overlap"]) == {"mean", "spread"}
+
     def test_deterministic_reruns(self, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         cfg1 = write_cfg(tmp_path, TINY.format(b=0.0, out=out1))
@@ -179,6 +189,9 @@ class TestTovCompareCommand:
         man = json.loads((out / "manifest.json").read_text())
         assert man["M_tov"] > 0
         assert man["rel_gap"] < 0.2  # coarse-grid bound; refined in acceptance
+        # criterion 10's split of the gap on the same rays
+        assert man["newtonian_gap"] > 0
+        assert 0 < man["post_newtonian_gap"] < man["sup_F_gap"]
 
     def test_rotating_config_left_unchanged(self, tmp_path):
         out = tmp_path / "tov"

@@ -1,5 +1,6 @@
 """Source hygiene: no package module imports a name it never uses, every
-module-level constant is read somewhere in the package, and every entry
+module-level constant is read somewhere in the package, every function,
+method and class of the package is referenced somewhere, and every entry
 point the benchmark wraps by name still exists.
 
 Neither ruff nor pyflakes is a dependency, so the import check is a small
@@ -19,7 +20,8 @@ from pathlib import Path
 import rotstar
 
 PACKAGE = Path(rotstar.__file__).resolve().parent
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+TESTS = Path(__file__).resolve().parent
+BENCH = TESTS.parent / "bench"
 
 
 def unused_imports(source):
@@ -88,6 +90,54 @@ def test_checker_flags_an_unread_constant():
 def test_every_constant_is_read():
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert unread_constants(sources) == []
+
+
+def loaded_names(source):
+    """Names a source loads, bare or as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+    return names
+
+
+def unreferenced_definitions(package, readers, wrapped):
+    """(module, line, name) of each function, method and class of the package
+    sources (a mapping from module name to source) that no reader source
+    loads as a name or an attribute and that is not in `wrapped`, the
+    strings the benchmark looks entry points up by.  Special methods are
+    called by the language and are skipped."""
+    used = set(wrapped)
+    for source in readers:
+        used |= loaded_names(source)
+    found = []
+    for module, source in package.items():
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not (node.name.startswith("__") and node.name.endswith("__"))
+                    and node.name not in used):
+                found.append((module, node.lineno, node.name))
+    return sorted(found)
+
+
+def test_checker_flags_an_unreferenced_definition():
+    package = {"a": "class Box:\n    def __len__(self):\n        return 0\n\n"
+                    "    def wrapped(self):\n        pass\n\n"
+                    "def used():\n    pass\n\ndef dead():\n    used()\n"}
+    assert unreferenced_definitions(package, package.values(), {"wrapped"}) == [
+        ("a", 1, "Box"), ("a", 11, "dead")]
+
+
+def test_every_definition_is_referenced():
+    readers = [path.read_text() for root in (PACKAGE, TESTS, BENCH)
+               for path in sorted(root.glob("*.py"))]
+    wrapped = {node.value for path in sorted(BENCH.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    package = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_definitions(package, readers, wrapped) == []
 
 
 def test_bench_entry_points_exist(monkeypatch):

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from rotstar.errors import DomainError
-from rotstar.fields import AxiField
+from rotstar.fields import AxiField, AxiGrid
 from rotstar.greens import FAR_RANK_TOL
 from rotstar.metric import g_factor
-from rotstar.pn import StarParams, omega_profile
+from rotstar.pn import StarParams, omega_profile, v_star_from_infinity
+from rotstar.verify import asymptotic_fit
 
 from conftest import B_ROT, EPS_SWEEP
 
@@ -350,41 +351,10 @@ class TestInnerOuter:
             assert not [k for k in (*rep["kernel_tables"], *rep["far_operators"]) if k.endswith("n5")]
             assert {"int_n3", "star_n3"} <= set(rep["far_operators"])
 
-    def test_v_far_values_matches_segment_loop(self, rotating_sweep, rotating_solver):
-        # one at() call for every segment gives, bit for bit, the
-        # per-segment loop it replaced (one at() call per segment)
-        from numpy.polynomial.legendre import leggauss
-
-        from rotstar.fields import _bilinear
-
-        solver = rotating_solver
-        g = solver.grid
-        pot = rotating_sweep[1e-3].potentials
-        radii = np.geomspace(2.0 * g.R0, 12.0 * g.R0, 5)
-        thetas = (0.3, 0.8, 1.3)
-        _, _, at = solver.ktilde_arrays(pot.W, pot.Y, pot.X)
-        xg, wg = leggauss(32)
-        r_start = 1.8 * g.R0
-        ref = np.zeros((len(thetas), len(radii)))
-        for i, th in enumerate(thetas):
-            sw, cz = math.sin(th), math.cos(th)
-            v0 = float(_bilinear(pot.V.int_vals, g.h_int, np.array([r_start * sw]),
-                                 np.array([r_start * cz]))[0])
-            for j, r in enumerate(radii):
-                acc = 0.0
-                cuts = np.geomspace(r_start, r, 3)
-                for a0, b0 in zip(cuts[:-1], cuts[1:]):
-                    rr = 0.5 * (b0 - a0) * (xg + 1.0) + a0
-                    k1, k3 = at(rr * sw, rr * cz)
-                    acc += 0.5 * (b0 - a0) * float(np.sum(wg * (k1 * sw + k3 * cz)))
-                ref[i, j] = v0 + solver.params.c_light**4 * acc
-        got = solver.v_far_values(pot.W, pot.Y, pot.X, pot.V.int_vals, radii, thetas)
-        assert np.array_equal(got, ref)
-
     def test_far_v_derives_the_k_gradient_fields_once(self, monkeypatch, rotating_sweep,
                                                        rotating_solver):
-        # the node values and the far samples of K1t, K3t share one set of
-        # 9 derivative fields per state
+        # the node values and the far samples of K1t, K3t (the C_inf arcs and
+        # the starred nodes) share one set of 9 derivative fields per state
         calls = []
         derivative = AxiField.derivative
 
@@ -397,10 +367,18 @@ class TestInnerOuter:
         pot = rotating_sweep[1e-3].potentials
         solver.v_map(pot.W, pot.Y, pot.X)
         assert len(calls) == 9
-        calls.clear()
-        radii = np.geomspace(2.0 * solver.grid.R0, 12.0 * solver.grid.R0, 5)
-        solver.v_far_values(pot.W, pot.Y, pot.X, pot.V.int_vals, radii)
-        assert len(calls) == 9
+
+    def test_starred_v_meets_interior_v(self, refinement_runs):
+        # the starred patch integrates from infinity and the interior one from
+        # the origin; where both hold V their mismatch is path error, which
+        # falls with h, and K keeps its 1/r^2 fall-off on every grid
+        spreads = []
+        for res in refinement_runs.values():
+            p = res.params
+            fit = asymptotic_fit(res.eval_fns(), p, (5 * p.R0, 15 * p.R0))
+            assert abs(fit["orders"]["K"] - 2.0) <= 0.05
+            spreads.append(res.diagnostics["v_overlap"]["spread"])
+        assert all(a >= 1.5 * b for a, b in zip(spreads[:-1], spreads[1:]))
 
     def test_normalizations(self, rotating_sweep):
         res = rotating_sweep[1e-3]
@@ -443,3 +421,38 @@ class TestInnerOuter:
             rels.append(gap / p.u_O)
         slope = np.polyfit(np.log(EPS_SWEEP), np.log(rels), 1)[0]
         assert abs(slope - 1.0) < 0.1
+
+
+class TestVStarFromInfinity:
+    """The starred quadrature fed exact gradients in place of the solver's
+    sampler: two potentials falling like 1/r^2, one isotropic, one with a
+    direction factor (r^2 V has no single limit at infinity, so the starred
+    origin is left out of the comparison)."""
+
+    R0 = 2.0
+    CASES = {
+        "isotropic": (lambda w, z, s: 1.0 / s,
+                      lambda w, z, s: (-2.0 * w / s**2, -2.0 * z / s**2)),
+        "z_squared": (lambda w, z, s: z**2 / s**2,
+                      lambda w, z, s: (-4.0 * w * z**2 / s**3,
+                                       2.0 * z / s**2 - 4.0 * z**3 / s**3)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_second_order_in_h(self, case):
+        V, grad = self.CASES[case]
+        R0 = self.R0
+
+        def at(w, z):
+            return grad(w, z, w**2 + z**2 + R0**2)
+
+        errs = []
+        for n_int, n_ext in ((33, 25), (65, 49), (129, 97)):
+            g = AxiGrid(R0, n_int, n_ext)
+            star = v_star_from_infinity(g, at, 1.0)
+            pos = g.RS > 0
+            w, z = g.W_img[pos], g.Z_img[pos]
+            exact = (g.r_img[pos] / R0) ** 2 * V(w, z, w**2 + z**2 + R0**2)
+            errs.append(np.max(np.abs(star[pos] - exact)) / np.max(np.abs(exact)))
+        assert errs[0] < 5e-3
+        assert all(3.8 <= a / b <= 4.2 for a, b in zip(errs[:-1], errs[1:]))
