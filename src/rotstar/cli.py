@@ -169,13 +169,17 @@ def cmd_verify(cfg, out_dir, run_dir):
     from .pn import SolveResult
 
     run = Path(run_dir)
-    if not (run / "manifest.json").exists():
-        raise ConfigError(f"{run}: no manifest.json")
-    with open(run / "manifest.json") as fh:
-        man = json.load(fh)
-    # only the physics sections: a manifest written by an older version may
-    # carry keys this version no longer accepts elsewhere
-    params = build_params(load_config({key: man["config"][key] for key in ("eos", "star")}))
+    try:
+        with open(run / "manifest.json") as fh:
+            man = json.load(fh)
+        # only the physics sections: a manifest written by an older version
+        # may carry keys this version no longer accepts elsewhere
+        physics = {key: man["config"][key] for key in ("eos", "star")}
+    except OSError as exc:
+        raise ConfigError(f"{run}: no readable manifest.json ({exc.strerror})") from None
+    except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
+        raise ConfigError(f"{run}: manifest.json is not a run manifest ({exc!r})") from None
+    params = build_params(load_config(physics))
 
     loaded = {}
     grid = None
@@ -371,8 +375,8 @@ def _sweep_worker(cfg_dict):
 def cmd_export(cfg, out_dir, dump, patch):
     from .gridio import export_text, read_field
 
-    out = _out_dir(cfg, out_dir)
     fld, name = read_field(dump)
+    out = _out_dir(cfg, out_dir)
     target = out / (Path(dump).stem + f".{patch}.dat")
     export_text(target, fld, patch=patch)
     _say(cfg, f"export: {target}")

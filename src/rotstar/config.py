@@ -8,6 +8,7 @@ import hashlib
 import json
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass
+from numbers import Real
 
 import yaml
 
@@ -77,9 +78,12 @@ _DEFAULTS = {
 }
 
 
-def _merge_strict(section, defaults, given, path):
+def _merge_strict(defaults, given, path):
+    given = {} if given is None else given
+    if not isinstance(given, Mapping):
+        raise ConfigError(f"section {path} must be a mapping, not {given!r}")
     out = dict(defaults)
-    for key, val in (given or {}).items():
+    for key, val in given.items():
         if key not in defaults:
             raise ConfigError(f"unknown key {path}.{key}")
         out[key] = val
@@ -107,7 +111,18 @@ class RunConfig:
         return hashlib.sha256(blob).hexdigest()
 
 
+def _is_number(val):
+    return isinstance(val, Real) and not isinstance(val, bool)
+
+
 def _validate(cfg):
+    # a key with a numeric default takes a number; star's two rotation keys
+    # also take null (exactly one of them is null, checked below)
+    for name, defaults in _DEFAULTS.items():
+        for key, default in defaults.items():
+            val, rotation = getattr(cfg, name)[key], name == "star" and key in ("Omega_O", "b_rot")
+            if (_is_number(default) or rotation) and not (_is_number(val) or rotation and val is None):
+                raise ConfigError(f"{name}.{key}={val!r} is not a number")
     e = cfg.eos
     if not (6.0 / 5.0 < e["gamma"] < 2.0):
         raise ConfigError(f"eos.gamma={e['gamma']} outside (6/5, 2)")
@@ -140,15 +155,20 @@ def load_config(source=None, overrides=None):
     if source is None or isinstance(source, Mapping):
         given = source or {}
     else:
-        with open(source) as fh:
-            given = yaml.safe_load(fh) or {}
+        try:
+            with open(source) as fh:
+                given = yaml.safe_load(fh) or {}
+        except OSError as exc:
+            raise ConfigError(f"{source}: {exc.strerror}") from None
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"{source}: malformed YAML: {exc}") from None
         if not isinstance(given, dict):
             raise ConfigError(f"{source}: top level must be a mapping")
     for key in given:
         if key not in _DEFAULTS:
             raise ConfigError(f"unknown section {key!r}")
     merged = {
-        name: _merge_strict(name, defaults, given.get(name), name)
+        name: _merge_strict(defaults, given.get(name), name)
         for name, defaults in _DEFAULTS.items()
     }
     if overrides:
@@ -216,16 +236,6 @@ def build_profile(cfg, params, classical):
 def build_solver_options(cfg):
     from .pn import SolverOptions
 
-    s = cfg.solver
     return SolverOptions(
-        n_interior=cfg.grid["n_interior"],
-        n_exterior=cfg.grid["n_exterior"],
-        tol_inner=s["tol_inner"],
-        tol_outer=s["tol_outer"],
-        max_inner=s["max_inner"],
-        max_outer=s["max_outer"],
-        damping=s["damping"],
-        newtonian_tol=s["newtonian_tol"],
-        beta0=s["beta0"],
-        delta0=s["delta0"],
+        n_interior=cfg.grid["n_interior"], n_exterior=cfg.grid["n_exterior"], **cfg.solver
     )

@@ -32,8 +32,19 @@ def kelvin_point(p, R0):
     return p * (R0**2 / r2)[..., None]
 
 
+def _kelvin_images(W, Z, R, R0):
+    """Kelvin images (R0/r)^2 (W, Z) of nodes at radii R, and their radii
+    R0^2/r; the origin maps to the finite point (0, 0) with radius inf."""
+    pos = R > 0
+    safe = np.where(pos, R, 1.0)
+    scale = np.where(pos, (R0 / safe) ** 2, 0.0)
+    return W * scale, Z * scale, np.where(pos, R0**2 / safe, np.inf)
+
+
 class AxiGrid:
-    """Uniform interior patch on [0, 2R0]^2 plus starred exterior on [0, R0]^2."""
+    """Uniform interior patch on [0, 2R0]^2 plus starred exterior on [0, R0]^2;
+    images["int"] and images["star"] hold the Kelvin images and image radii
+    of each patch's nodes, and W_img, Z_img, r_img name the starred ones."""
 
     def __init__(self, R0, n_interior=129, n_exterior=97):
         if R0 <= 0:
@@ -56,11 +67,11 @@ class AxiGrid:
 
         self.WS, self.ZS = np.meshgrid(self.ws, self.zs, indexing="ij")
         self.RS = np.hypot(self.WS, self.ZS)
-        with np.errstate(divide="ignore"):
-            self.r_img = np.where(self.RS > 0, R0**2 / np.where(self.RS > 0, self.RS, 1.0), np.inf)
-        scale = np.where(self.RS > 0, (R0 / np.where(self.RS > 0, self.RS, 1.0)) ** 2, 0.0)
-        self.W_img = self.WS * scale
-        self.Z_img = self.ZS * scale
+        self.images = {
+            "int": _kelvin_images(self.WI, self.ZI, self.RI, self.R0),
+            "star": _kelvin_images(self.WS, self.ZS, self.RS, self.R0),
+        }
+        self.W_img, self.Z_img, self.r_img = self.images["star"]
         # chi(r/R0) at the image points: 1 would mean the tail is cut away
         with np.errstate(invalid="ignore"):
             self.chi_img = np.where(np.isfinite(self.r_img), chi(self.r_img / R0), 0.0)
@@ -124,7 +135,7 @@ def _bilinear(vals, h, xq, yq):
     )
 
 
-def _bicubic(vals, h, xq, yq, parity_x=1, parity_z=1):
+def _bicubic(vals, h, xq, yq):
     from scipy.interpolate import RegularGridInterpolator
 
     nx, ny = vals.shape

@@ -12,9 +12,12 @@ integrals for n = 3 and 5 and a logarithm for n = 4.  Nystrom quadrature is
 nodal trapezoid with exact near-diagonal cell corrections (local polar
 integration on the log-singular cells, tensor Gauss on their neighbors).
 The exterior tail is pulled to the starred plane, re-weighted by (R0/r*)^4
-(which turns it into a compact starred source), inverted there with the same
-machinery, and pushed back by the Kelvin transform; a compact source has no
-tail and stops after its first part.
+(which turns it into a compact starred source) and inverted there with the
+same machinery; a compact source has no tail and stops after its first part.
+Both parts reach the other patch by one Kelvin transfer,
+GreenOps._patch_potential: bilinear at the images inside the source patch,
+the shared FarOperator at the images outside it (the masks in GreenOps.far),
+and the monopole limit at the other patch's origin.
 
 LOpSolver solves the Helmholtz-like interior problem (L_3 + coef) W + g = 0
 as a direct dense Nystrom system.
@@ -535,43 +538,31 @@ class GreenOps:
     """Two-patch Green operators bound to one AxiGrid.
 
     Kernel tables live in unit coordinates (cached globally per node count
-    and dimension); this class carries the physical measure factors.  The
-    far-field quadrature goes to two target sets the grid fixes: the image
-    points with r > 2 R0 of the starred patch (interior tables) and the
-    interior points with R0^2/r > R0 (starred tables).  Each (side, n) takes
-    its rows from the FarOperator shared by every star on the grid shape.
-    The masks stay the float tests on this star's R0: on the boundary
-    circle their rounding decides, and a star's answers depend on it.
+    and dimension); this class carries the physical measure factors.
+    _patch_potential moves a potential from its source's patch to the other
+    one, in both directions.  far[side] masks the other patch's nodes whose
+    images lie outside the source patch (image radius > 2 R0 for side "int",
+    > R0 for "star"); they take their rows from the FarOperator shared by
+    every star on the grid shape.  The masks stay the float tests on this
+    star's R0: on the boundary circle their rounding decides, and a star's
+    answers depend on it.
     """
 
     def __init__(self, grid):
-        self.grid = grid
-        g = grid
-        self.far_img = np.isfinite(g.r_img) & (g.r_img > 2.0 * g.R0)
-        # interior points by their Kelvin image: inside the starred patch the
-        # potential is interpolated, outside it is summed
-        r_int = g.RI
-        scale = np.where(r_int > 0, (g.R0**2 / np.where(r_int > 0, r_int, 1.0) ** 2), 0.0)
-        self.w_img_int = g.WI * scale
-        self.z_img_int = g.ZI * scale
-        rs = np.where(r_int > 0, g.R0**2 / np.where(r_int > 0, r_int, 1.0), np.inf)
-        self.rs_int = rs
-        self.img_inside = (r_int > 0) & (rs <= g.R0)
-        self.img_outside = (r_int > 0) & (rs > g.R0)
-        # this star's far targets among the shared operator's, in its order
-        self._far_rows = {
-            "int": self.far_img[far_mask(g.n_ext)],
-            "star": self.img_outside[far_mask(g.n_int)],
+        self.grid = g = grid
+        r_star, r_int = g.images["star"][2], g.images["int"][2]
+        self.far = {
+            "int": np.isfinite(r_star) & (r_star > 2.0 * g.R0),
+            "star": np.isfinite(r_int) & (r_int > g.R0),
         }
+        # this star's far targets among the shared operator's, in its order
+        self._far_rows = {side: m[far_mask(m.shape[0])] for side, m in self.far.items()}
         # first lookup of each cached table and far operator: True if it built it
         self._tables_used = {}
         self._far_used = {}
 
     def table_int(self, n):
         return self._table(self.grid.n_int, n)
-
-    def table_star(self, n):
-        return self._table(self.grid.n_ext, n)
 
     def _table(self, P, n):
         self._tables_used.setdefault((P, n), (P, n) not in _TABLE_CACHE)
@@ -615,27 +606,26 @@ class GreenOps:
             "cache_hits": len(tables) + len(far) - builds,
         }
 
-    # -- compact inverse --------------------------------------------------------
+    # -- patch-to-patch transfer -------------------------------------------------
 
-    def _compact_to_field(self, src, n):
-        """The two-patch potential of a compact interior source."""
+    def _patch_potential(self, side, n, src):
+        """(own, other): the potential of a compact source on patch side
+        ("int" or "star") at that patch's nodes, and its Kelvin values
+        (r/R0)^(n-2) v at the other patch's nodes: bilinear from own at the
+        images inside the source patch, the far operator at the far[side]
+        ones, and the monopole limit at the origin, the image of infinity."""
         g = self.grid
-        h = g.h_int
-        v_int = h**2 * self.table_int(n).apply(src)
-        star = np.zeros((g.n_ext, g.n_ext))
-        img_r = g.r_img
-        near = np.isfinite(img_r) & (img_r <= 2.0 * g.R0)
-        if np.any(near):
-            vals = _bilinear(v_int, h, g.W_img[near], g.Z_img[near])
-            star[near] = (img_r[near] / g.R0) ** (n - 2) * vals
-        far = self.far_img
-        if np.any(far):
-            vals = h**2 * self._far("int", n, src)
-            star[far] = (img_r[far] / g.R0) ** (n - 2) * vals
-        star[0, 0] = h**n * self.table_int(n).total_mass(src) / (FUND_NORM[n] * g.R0 ** (n - 2))
-        return AxiField(g, n, v_int, star, (1, 1), 0.0)
-
-    # -- global inverse ------------------------------------------------------------
+        P, h, other = (g.n_int, g.h_int, "star") if side == "int" else (g.n_ext, g.h_ext, "int")
+        table = self._table(P, n)
+        own = h**2 * table.apply(src)
+        w, z, r = g.images[other]
+        far = self.far[side]
+        near = np.isfinite(r) & ~far
+        vals = np.zeros(r.shape)
+        vals[near] = (r[near] / g.R0) ** (n - 2) * _bilinear(own, h, w[near], z[near])
+        vals[far] = (r[far] / g.R0) ** (n - 2) * (h**2 * self._far(side, n, src))
+        vals[0, 0] = h**n * table.total_mass(src) / (FUND_NORM[n] * g.R0 ** (n - 2))
+        return own, vals
 
     def k_n_global(self, fld, n):
         """Inverse for a decaying source: compact part plus Kelvin-pulled tail."""
@@ -644,49 +634,27 @@ class GreenOps:
             raise DecayError("source with a constant offset is not integrable")
         if not (np.any(fld.int_vals) or np.any(fld.star_vals)):
             return AxiField.zeros(g, n)  # e.g. a static star's Y: no table, no far operator
-        f0 = self._compact_to_field(fld.interior_compact(), n)
+        out_int, out_star = self._patch_potential("int", n, fld.interior_compact())
 
         g_inf_star = fld.exterior_tail_star()
-        if np.max(np.abs(g_inf_star)) == 0.0:
-            return f0
-
-        # diamond weight (R0/r*)^4 converts the starred tail into a compact
-        # starred source; growth at the origin-image flags an inadmissible tail
-        with np.errstate(divide="ignore"):
+        if np.max(np.abs(g_inf_star)) > 0.0:
+            # diamond weight (R0/r*)^4 converts the starred tail into a compact
+            # starred source; growth at the origin-image flags an inadmissible tail
             dia = np.where(g.RS > 0, (g.R0 / np.where(g.RS > 0, g.RS, 1.0)) ** 4, 0.0)
-        src_dia = dia * g_inf_star
-        src_dia[0, 0] = 0.0
-        inner = (g.RS <= 0.25 * g.R0) & (g.RS > 0)
-        # compare against the tail scale on the outer starred band, where any
-        # admissible tail is O(1); a diverging diamond source means the decay
-        # index overstates the actual falloff
-        band = g.RS >= 0.5 * g.R0
-        band_scale = float(np.max(np.abs(g_inf_star[band]))) + 1e-300
-        if np.any(np.abs(src_dia[inner]) > 1e3 * band_scale):
-            raise DecayError("exterior tail decays too slowly for the diamond route")
-
-        stable = self.table_star(n)
-        psi = g.h_ext**2 * stable.apply(src_dia)
-
-        # push back: f_inf's starred tail is psi itself; interior values follow
-        # from the inverse Kelvin map
-        f_inf_int = np.zeros((g.n_int, g.n_int))
-        rs = self.rs_int
-        inside = self.img_inside
-        f_inf_int[inside] = (rs[inside] / g.R0) ** (n - 2) * _bilinear(
-            psi, g.h_ext, self.w_img_int[inside], self.z_img_int[inside]
-        )
-        outside = self.img_outside
-        if np.any(outside):
-            vals = g.h_ext**2 * self._far("star", n, src_dia)
-            f_inf_int[outside] = (rs[outside] / g.R0) ** (n - 2) * vals
-        # the patch origin is the image of star infinity: monopole limit
-        f_inf_int[0, 0] = (
-            g.h_ext**n * stable.total_mass(src_dia) / (FUND_NORM[n] * g.R0 ** (n - 2))
-        )
-
-        out_int = f0.int_vals + f_inf_int
-        out_star = f0.star_vals + psi
+            src_dia = dia * g_inf_star
+            src_dia[0, 0] = 0.0
+            inner = (g.RS <= 0.25 * g.R0) & (g.RS > 0)
+            # compare against the tail scale on the outer starred band, where any
+            # admissible tail is O(1); a diverging diamond source means the decay
+            # index overstates the actual falloff
+            band = g.RS >= 0.5 * g.R0
+            band_scale = float(np.max(np.abs(g_inf_star[band]))) + 1e-300
+            if np.any(np.abs(src_dia[inner]) > 1e3 * band_scale):
+                raise DecayError("exterior tail decays too slowly for the diamond route")
+            # the tail's starred values are its potential on the starred patch
+            psi, tail_int = self._patch_potential("star", n, src_dia)
+            out_int = out_int + tail_int
+            out_star = out_star + psi
         return AxiField(g, n, out_int, out_star, (1, 1), 0.0)
 
 
@@ -733,35 +701,15 @@ class LOpSolver:
         h = self.h
 
         # exterior tail first: its interior values feed the coefficient term
-        g_inf_star = fld.exterior_tail_star()
-        has_tail = np.max(np.abs(g_inf_star)) > 0.0
-        if has_tail:
-            tail_src = AxiField(
-                g, fld.n_index, np.zeros_like(fld.int_vals), g_inf_star, fld.parity, 0.0
-            )
-            f_inf = self.ops.k_n_global(tail_src, fld.n_index).reindex(3)
-            fi0 = f_inf.int_vals[0, 0]
-        else:
-            f_inf = None
-            fi0 = 0.0
-
-        src_eff = fld.interior_compact().copy()
-        if has_tail:
-            src_eff += self.coef * (f_inf.int_vals - fi0)
-
-        src_tot = src_eff
+        tail = AxiField(g, fld.n_index, np.zeros_like(fld.int_vals), fld.exterior_tail_star(),
+                        fld.parity, 0.0)
+        f_inf = self.ops.k_n_global(tail, fld.n_index).reindex(3)
+        fi0 = f_inf.int_vals[0, 0]
+        src_tot = fld.interior_compact() + self.coef * (f_inf.int_vals - fi0)
         if not self.trivial:
-            rhs_full = h**2 * self.table.apply(src_eff)
+            rhs_full = h**2 * self.table.apply(src_tot)
             rhs = rhs_full[self.si, self.sj] - rhs_full[0, 0]
-            W0 = lu_solve(self._lu, rhs)
-            src_tot = src_eff.copy()
-            src_tot[self.si, self.sj] += self.coef[self.si, self.sj] * W0
-        v = self.ops._compact_to_field(src_tot, 3)
-
-        out_int = v.int_vals
-        out_star = v.star_vals
-        offset = -v.int_vals[0, 0] - fi0
-        if has_tail:
-            out_int = out_int + f_inf.int_vals
-            out_star = out_star + f_inf.star_vals
-        return AxiField(g, 3, out_int, out_star, (1, 1), offset)
+            src_tot[self.si, self.sj] += self.coef[self.si, self.sj] * lu_solve(self._lu, rhs)
+        v_int, v_star = self.ops._patch_potential("int", 3, src_tot)
+        return AxiField(g, 3, v_int + f_inf.int_vals, v_star + f_inf.star_vals, (1, 1),
+                        -v_int[0, 0] - fi0)

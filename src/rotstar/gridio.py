@@ -32,7 +32,11 @@ def write_field(path, field, name=""):
 
 def read_field(path, grid=None):
     """Read a binary dump; returns (AxiField, name)."""
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror}") from None
+    with fh:
         if fh.read(4) != _MAGIC:
             raise ConfigError(f"{path}: not a rotstar field dump")
 

@@ -227,7 +227,7 @@ def residual_reduced_system(win, params, bands_R0=None):
     return ResidualReport(residuals, sups, scales, margin_B, margin_C, spread, bands)
 
 
-def ktilde_fields(win, params):
+def ktilde_fields(win):
     """The K gradient (K1t, K3t) from the window's own finite differences of
     (F, A, Pi); only the pointwise algebra, `metric.ktilde`, is shared with
     the solver."""
@@ -246,7 +246,7 @@ def consistency_K(win, params):
     vanish on vacuum and on converged states up to discretization.
     """
     G_g, c = params.G_grav, params.c_light
-    K1t, K3t = ktilde_fields(win, params)
+    K1t, K3t = ktilde_fields(win)
     L = d1z(win, K1t, parity=1) - d1w(win, K3t)
     rho, P, eps = _fluid_terms(win, params)
     P1, P3 = d1w(win, win.Pi), d1z(win, win.Pi)
@@ -353,70 +353,41 @@ def ricci_cross_check(win, params):
 
 def asymptotic_fit(eval_fns, params, r_window, n_radii=14, thetas=(0.2, 0.75, 1.1, 1.45)):
     """Weighted least-squares far-field fits returning M, J, gauge offset and
-    log-log residual orders for the four flatness statements."""
+    log-log residual orders for the four flatness statements.  Each field is
+    sampled once on the (theta, r) grid and fitted direction by direction."""
     G_g, c = params.G_grav, params.c_light
     radii = np.geomspace(r_window[0], r_window[1], n_radii)
-    out_orders = {}
+    th = np.asarray(thetas, dtype=float)[:, None]
+    w, z = radii * np.sin(th), radii * np.cos(th)
 
-    # F fit per direction: f0 + f1/r + f2/r^2
-    f1s, f0s, resid_pts = [], [], []
-    for th in thetas:
-        w = radii * np.sin(th)
-        z = radii * np.cos(th)
-        Fv = eval_fns["F"](w, z)
-        Avec = np.column_stack([np.ones_like(radii), 1.0 / radii, 1.0 / radii**2])
-        coef, *_ = np.linalg.lstsq(Avec, Fv, rcond=None)
-        f0s.append(coef[0])
-        f1s.append(coef[1])
-        res = np.abs(Fv - coef[0] - coef[1] / radii)
-        resid_pts.append(res)
-    f0 = float(np.mean(f0s))
-    M = -float(np.mean(f1s)) * c**2 / G_g
-    res = np.maximum(np.mean(resid_pts, axis=0), 1e-300)
-    out_orders["F"] = -float(np.polyfit(np.log(radii), np.log(res), 1)[0])
+    def order(resid):
+        """Log-log decay rate of |resid| averaged over the directions."""
+        y = np.maximum(np.mean(np.abs(resid), axis=0), 1e-300)
+        return -float(np.polyfit(np.log(radii), np.log(y), 1)[0])
 
-    # A fit: A/varpi^2 = 2 G J/(c^3 r^3) + O(1/r^4)
-    cJs, residA = [], []
-    for th in thetas:
-        w = radii * np.sin(th)
-        z = radii * np.cos(th)
-        Av = eval_fns["A"](w, z) / w**2
-        design = np.column_stack([1.0 / radii**3, 1.0 / radii**4])
-        coef, *_ = np.linalg.lstsq(design, Av, rcond=None)
-        cJs.append(coef[0])
-        residA.append(np.abs(Av - coef[0] / radii**3))
-    A_scale = max(abs(np.mean(cJs)) / r_window[0] ** 3, 0.0)
-    if A_scale < 1e-250:
-        J = 0.0
-        out_orders["A"] = None
+    # F = f0 + f1/r + f2/r^2 and A/varpi^2 = 2 G J/(c^3 r^3) + O(1/r^4)
+    F, A = eval_fns["F"](w, z), eval_fns["A"](w, z) / w**2
+    design_F = np.column_stack([np.ones_like(radii), 1.0 / radii, 1.0 / radii**2])
+    design_A = np.column_stack([1.0 / radii**3, 1.0 / radii**4])
+    f0, f1, _ = np.array([np.linalg.lstsq(design_F, f, rcond=None)[0] for f in F]).T
+    cJ = np.array([np.linalg.lstsq(design_A, a, rcond=None)[0][0] for a in A])
+    orders = {"F": order(F - f0[:, None] - f1[:, None] / radii)}
+    if abs(np.mean(cJ)) / r_window[0] ** 3 < 1e-250:
+        J, orders["A"] = 0.0, None
     else:
-        J = float(np.mean(cJs)) * c**3 / (2.0 * G_g)
-        resA = np.maximum(np.mean(residA, axis=0), 1e-300)
-        out_orders["A"] = -float(np.polyfit(np.log(radii), np.log(resA), 1)[0])
+        J = float(np.mean(cJ)) * c**3 / (2.0 * G_g)
+        orders["A"] = order(A - cJ[:, None] / radii**3)
 
     # Pi/varpi - 1 = O(1/r^2) and e^K - 1 = O(1/r^2); identically flat
     # quantities (machine-level, e.g. Kerr's Pi = varpi) report None
-    for key, name in (("Pi", "Pi"), ("K", "K")):
-        vals = []
-        for th in thetas:
-            w = radii * np.sin(th)
-            z = radii * np.cos(th)
-            if key == "Pi":
-                y = eval_fns["Pi"](w, z) / w - 1.0
-            else:
-                y = np.exp(eval_fns["K"](w, z)) - 1.0
-            vals.append(np.abs(y))
-        y = np.maximum(np.mean(vals, axis=0), 1e-300)
-        if np.max(y) < 1e-13:
-            out_orders[name] = None
-        else:
-            out_orders[name] = -float(np.polyfit(np.log(radii), np.log(y), 1)[0])
+    for name, y in (("Pi", eval_fns["Pi"](w, z) / w - 1.0), ("K", np.exp(eval_fns["K"](w, z)) - 1.0)):
+        orders[name] = None if np.max(np.mean(np.abs(y), axis=0)) < 1e-13 else order(y)
 
     return {
-        "M": M,
+        "M": -float(np.mean(f1)) * c**2 / G_g,
         "J": J,
-        "gauge_offset": f0,
-        "orders": out_orders,
+        "gauge_offset": float(np.mean(f0)),
+        "orders": orders,
         "radii": (float(r_window[0]), float(r_window[1])),
     }
 

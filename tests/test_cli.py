@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ from rotstar.cli import cmd_tov_compare, main
 from rotstar.config import load_config
 from rotstar.fields import AxiField, AxiGrid
 from rotstar.gridio import write_field
+from rotstar.pn import SolverOptions
 
 
 TINY = """
@@ -52,6 +54,41 @@ class TestConfigValidation:
             "star: {u_O: 1.0e-3, b_rot: 0.0}\nkerr: {m_geom: 1.0, a_spin: 1.5}\n",
         )
         assert main(["kerr-check", "--config", cfg]) == 1
+
+    # (files written under tmp_path, command line with {tmp} for tmp_path)
+    BAD_INPUT = {
+        "missing config": ({}, ["solve", "--config", "{tmp}/absent.yaml"]),
+        "malformed yaml": ({"cfg.yaml": "star: {u_O: 1.0e-3\n"},
+                           ["solve", "--config", "{tmp}/cfg.yaml"]),
+        "section not a mapping": ({"cfg.yaml": "star: [1, 2]\n"},
+                                  ["solve", "--config", "{tmp}/cfg.yaml"]),
+        "string grid size": ({"cfg.yaml": "grid: {n_interior: abc}\n"},
+                             ["solve", "--config", "{tmp}/cfg.yaml"]),
+        "string u_O": ({"cfg.yaml": "star: {u_O: abc}\n"},
+                       ["solve", "--config", "{tmp}/cfg.yaml"]),
+        "verify with a dump missing": ({"run/manifest.json": '{"config": {"eos": {}, "star": {}}}'},
+                                       ["verify", "--run", "{tmp}/run"]),
+        "verify with a bad manifest": ({"run/manifest.json": "{not json"},
+                                       ["verify", "--run", "{tmp}/run"]),
+        "export of a missing dump": ({}, ["export", "--dump", "{tmp}/absent.axfd"]),
+    }
+
+    @pytest.mark.parametrize("case", list(BAD_INPUT))
+    def test_bad_input_exits_1(self, tmp_path, capsys, case):
+        files, argv = self.BAD_INPUT[case]
+        for name, text in files.items():
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            (tmp_path / name).write_text(text)
+        argv = [arg.format(tmp=tmp_path) for arg in argv] + ["--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "out").exists()  # nothing written on bad input
+
+    def test_solver_section_is_solver_options(self):
+        # the solver section passes to SolverOptions whole, next to the grid sizes
+        grid_keys = {"n_interior", "n_exterior"}
+        options = {f.name: f.default for f in fields(SolverOptions) if f.name not in grid_keys}
+        assert load_config().solver == options
 
 
 class TestLaneEmdenCommand:

@@ -576,7 +576,7 @@ class TestCachedQuadrature:
         on_boundary = 0
         for R0 in radii:
             ops = GreenOps(AxiGrid(R0, n_int, n_ext))
-            for mask, P in ((ops.far_img, n_ext), (ops.img_outside, n_int)):
+            for mask, P in ((ops.far["int"], n_ext), (ops.far["star"], n_int)):
                 union = greens.far_mask(P)
                 assert not np.any(mask & ~union)
                 i, j = np.nonzero(mask)

@@ -1,7 +1,8 @@
 """Source hygiene: no package module imports a name it never uses, every
 module-level constant is read somewhere in the package, every function,
-method and class of the package is referenced somewhere, and every entry
-point the benchmark wraps by name still exists.
+method and class of the package is referenced somewhere, every parameter of
+a package function or method is read by its body, and every entry point the
+benchmark wraps by name still exists.
 
 Neither ruff nor pyflakes is a dependency, so the import check is a small
 AST check.  A name counts as used when it appears anywhere in the module as
@@ -138,6 +139,44 @@ def test_every_definition_is_referenced():
                if isinstance(node, ast.Constant) and isinstance(node.value, str)}
     package = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert unreferenced_definitions(package, readers, wrapped) == []
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def unread_parameters(source):
+    """(line, function, parameter) of each parameter of a module-level
+    function or a method that the body never loads.  self and cls are
+    skipped, and so are functions nested in functions: callbacks such as
+    solve_ivp events take the signature their caller fixes."""
+    tree = ast.parse(source)
+    defs = [node for node in tree.body if isinstance(node, FUNCTIONS)]
+    defs += [item for node in tree.body if isinstance(node, ast.ClassDef)
+             for item in node.body if isinstance(item, FUNCTIONS)]
+    found = []
+    for fn in defs:
+        a = fn.args
+        params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if p]
+        loaded = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        found += [(fn.lineno, fn.name, p) for p in params if p not in ("self", "cls", *loaded)]
+    return sorted(found)
+
+
+def test_checker_flags_an_unread_parameter():
+    src = ("def f(a, b=1, *args, c, **kw):\n    def event(t, y):\n        return y\n"
+           "    return a + kw['x']\n\n"
+           "class C:\n    def m(self, x, y):\n        return x\n\n"
+           "    @classmethod\n    def k(cls, z):\n        return z\n")
+    assert unread_parameters(src) == [(1, "f", "args"), (1, "f", "b"), (1, "f", "c"),
+                                      (7, "m", "y")]
+
+
+def test_every_parameter_is_read():
+    hits = [f"{path.name}:{line}: {fn}({name})"
+            for path in sorted(PACKAGE.glob("*.py"))
+            for line, fn, name in unread_parameters(path.read_text())]
+    assert hits == []
 
 
 def test_bench_entry_points_exist(monkeypatch):
