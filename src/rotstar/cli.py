@@ -222,53 +222,16 @@ def cmd_verify(cfg, out_dir, run_dir):
 def cmd_kerr_check(cfg, out_dir):
     from types import SimpleNamespace
 
-    from .metric import KerrParams, kerr_lanczos
-    from .verify import (
-        asymptotic_fit,
-        consistency_K,
-        kerr_window,
-        refinement_order,
-        residual_reduced_system,
-        ricci_cross_check,
-    )
+    from .metric import KerrParams, kerr_eval_fns
+    from .verify import asymptotic_fit, kerr_refinement, refinement_orders
 
     out = _out_dir(cfg, out_dir)
     k = cfg.kerr
     kp = KerrParams(k["m_geom"], k["a_spin"])
     params = SimpleNamespace(G_grav=cfg.star["G_grav"], c_light=cfg.eos["c_light"])
-    hs, red_sups, ric_sups, L_sups = [], {}, {}, []
-    for N in k["levels"]:
-        win = kerr_window(kp, k["window"] * kp.m_geom, int(N), margin=k["margin"])
-        hs.append(win.h)
-        rbar = kerr_lanczos(kp, win.W, win.Z)["rbar"]
-        meas = (
-            win.report_mask(erode=2)
-            & (rbar > k["measure_margin"] * kp.m_geom)
-            & (win.W >= 0.8 * kp.m_geom)
-        )
-        rep = residual_reduced_system(win, params)
-        for name, f in rep.residuals.items():
-            red_sups.setdefault(name, []).append(
-                float(np.nanmax(np.abs(np.where(meas, f, np.nan)))) + 1e-300
-            )
-        ric = ricci_cross_check(win, params)
-        for name, f in ric["residuals"].items():
-            ric_sups.setdefault(name, []).append(
-                float(np.nanmax(np.abs(np.where(meas, f, np.nan)))) + 1e-300
-            )
-        L_sups.append(
-            float(np.nanmax(np.abs(np.where(meas, consistency_K(win, params)["L"], np.nan))))
-        )
-    orders = {}
-    for name, sups in {**red_sups, **ric_sups, "L": L_sups}.items():
-        if max(sups) < 1e-11:
-            orders[name] = None  # identically satisfied to rounding
-        else:
-            orders[name] = refinement_order(hs, sups)
-
-    fns = {key: (lambda kk: (lambda w, z: kerr_lanczos(kp, w, z)[kk]))(key) for kk, key in
-           zip(("F", "A", "Pi", "K"), ("F", "A", "Pi", "K"))}
-    fit = asymptotic_fit(fns, params, (20.0 * kp.m_geom, 50.0 * kp.m_geom))
+    orders = refinement_orders(kerr_refinement(kp, params, k["window"], k["levels"], k["margin"],
+                                               k["measure_margin"]))
+    fit = asymptotic_fit(kerr_eval_fns(kp), params, (20.0 * kp.m_geom, 50.0 * kp.m_geom))
     payload = {
         "command": "kerr-check",
         "m_geom": kp.m_geom,
@@ -290,6 +253,7 @@ def cmd_kerr_check(cfg, out_dir):
 
 def cmd_tov_compare(cfg, out_dir):
     from .tov import solve_tov
+    from .verify import tov_gap
 
     out = _out_dir(cfg, out_dir)
     if cfg.star["Omega_O"] not in (None, 0.0) or (cfg.star["b_rot"] or 0.0) != 0.0:
@@ -298,37 +262,28 @@ def cmd_tov_compare(cfg, out_dir):
     solver, res, eos = _run_solver(cfg)
     params = res.params
     tov = solve_tov(eos, params.u_O, params.G_grav, params.c_light, rtol=cfg.tov["rtol"])
-    rr = np.linspace(0.1 * params.R0, 1.8 * params.R0, 80)
-    th = np.array([[0.3], [0.8], [1.3]])
-    w, z = rr * np.sin(th), rr * np.cos(th)
-    # criterion 10's split: the exact Lane-Emden potential takes the
-    # Newtonian layer out of the gap, and the post-Newtonian gap is left
-    Phi_LE = -params.u_O * (solver.classical.theta(rr / params.a_len) + params.mu1 / params.xi1)
-    Ft, c2 = tov.F_isotropic(rr), params.c_light**2
-    Fs = res.metric.F.eval(w, z) - res.metric.F.offset
-    Ps = res.newtonian.Phi_N.eval(w, z) - res.newtonian.Phi_N.offset
-    sup_gap, supF = float(np.max(np.abs(Fs - Ft))), float(np.max(np.abs(Ft)))
-    newt_gap = float(np.max(np.abs(Ps - Phi_LE)))
-    post_gap = float(np.max(np.abs((Fs - Ps / c2) - (Ft - Phi_LE / c2))))
-    C_W = float(res.potentials.W.star_vals[0, 0] * params.R0)
+    # criterion 10's rays and its split of the gap
+    gap = tov_gap(res, tov, solver.classical)
     payload = {
         "command": "tov-compare",
         "M_tov": tov.M_total,
-        "M_solver_from_tail": res.diagnostics["M_N"] + C_W / (params.G_grav * params.c_light**2),
+        "M_solver_from_tail": res.tail_mass(),
         "M_N": res.diagnostics["M_N"],
-        "sup_F_gap": sup_gap,
-        "sup_F": supF,
-        "rel_gap": sup_gap / supF,
-        "newtonian_gap": newt_gap,
-        "post_newtonian_gap": post_gap,
+        "sup_F_gap": gap["total"],
+        "sup_F": gap["sup_F"],
+        "rel_gap": gap["total"] / gap["sup_F"],
+        "newtonian_gap": gap["newtonian"],
+        "post_newtonian_gap": gap["post_newtonian"],
     }
     _manifest(out, cfg, payload)
-    _say(cfg, f"tov-compare: rel F gap {sup_gap / supF:.3e}, M_tov {tov.M_total:.6e}")
+    _say(cfg, f"tov-compare: rel F gap {payload['rel_gap']:.3e}, M_tov {tov.M_total:.6e}")
     return 0
 
 
 def cmd_sweep(cfg, out_dir):
     from concurrent.futures import ProcessPoolExecutor
+
+    from .verify import refinement_order
 
     out = _out_dir(cfg, out_dir)
     values = cfg.sweep["values"]
@@ -343,13 +298,8 @@ def cmd_sweep(cfg, out_dir):
     with ProcessPoolExecutor(max_workers=cfg.sweep["workers"]) as pool:
         for v, r in zip(values, pool.map(_sweep_worker, jobs)):
             results.append({"value": v, **r})
-    sups = {}
-    for key in ("W_sup", "Y_sup", "X_sup", "K_sup"):
-        ys = [r[key] for r in results]
-        if min(ys) > 0:
-            sups[key + "_exponent"] = float(
-                np.polyfit(np.log(values), np.log(ys), 1)[0]
-            )
+    sups = {f"{key}_exponent": refinement_order(values, [r[key] for r in results])
+            for key in ("W_sup", "Y_sup", "X_sup", "K_sup") if min(r[key] for r in results) > 0}
     payload = {"command": "sweep", "results": results, "fitted_exponents": sups}
     _manifest(out, cfg, payload)
     _say(cfg, f"sweep: exponents {sups}")

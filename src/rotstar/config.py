@@ -8,7 +8,7 @@ import hashlib
 import json
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass
-from numbers import Real
+from numbers import Integral, Real
 
 import yaml
 
@@ -47,7 +47,6 @@ _DEFAULTS = {
         "tol_outer": 1e-9,
         "max_inner": 40,
         "max_outer": 30,
-        "damping": 1.0,
         "newtonian_tol": 1e-12,
         "beta0": 0.1,
         "delta0": 0.01,
@@ -111,18 +110,38 @@ class RunConfig:
         return hashlib.sha256(blob).hexdigest()
 
 
-def _is_number(val):
-    return isinstance(val, Real) and not isinstance(val, bool)
+def _is_number(val, kind=Real):
+    return isinstance(val, kind) and not isinstance(val, bool)
+
+
+def _numbers(val, kind=Real):
+    return isinstance(val, list) and all(_is_number(v, kind) for v in val)
+
+
+# list-valued keys: the test a value must pass and the rule it states; a
+# refinement order and an exponent fit need two points
+_LIST_RULES = {
+    ("eos", "upsilon_rho"): (_numbers, "a list of numbers"),
+    ("eos", "upsilon_P"): (lambda v: v == "consistent" or _numbers(v), '"consistent" or numbers'),
+    ("verify", "fit_window"): (lambda v: _numbers(v) and len(v) == 2 and 0 < v[0] < v[1],
+                               "a list [lo, hi] with 0 < lo < hi"),
+    ("kerr", "levels"): (lambda v: _numbers(v, Integral) and len(v) >= 2, "a list of 2+ integers"),
+    ("sweep", "values"): (lambda v: _numbers(v) and len(v) >= 2, "a list of 2+ numbers"),
+}
 
 
 def _validate(cfg):
     # a key with a numeric default takes a number; star's two rotation keys
-    # also take null (exactly one of them is null, checked below)
+    # also take null (exactly one of them is null, checked below); a
+    # list-valued key passes its _LIST_RULES test
     for name, defaults in _DEFAULTS.items():
         for key, default in defaults.items():
             val, rotation = getattr(cfg, name)[key], name == "star" and key in ("Omega_O", "b_rot")
             if (_is_number(default) or rotation) and not (_is_number(val) or rotation and val is None):
                 raise ConfigError(f"{name}.{key}={val!r} is not a number")
+            ok, rule = _LIST_RULES.get((name, key), (None, None))
+            if ok and not ok(val):
+                raise ConfigError(f"{name}.{key}={val!r} is not {rule}")
     e = cfg.eos
     if not (6.0 / 5.0 < e["gamma"] < 2.0):
         raise ConfigError(f"eos.gamma={e['gamma']} outside (6/5, 2)")

@@ -91,6 +91,11 @@ def kerr_lanczos(kp, w, z):
     }
 
 
+def kerr_eval_fns(kp):
+    """Kerr's F, A, Pi and K as evaluators (varpi, z) -> array, for the far-field fits."""
+    return {key: lambda w, z, key=key: kerr_lanczos(kp, w, z)[key] for key in ("F", "A", "Pi", "K")}
+
+
 # -- Lewis conversion and 4-velocity ----------------------------------------
 
 
@@ -166,8 +171,6 @@ class MetricLanczos:
             "A": self.A_pot.int_total(),
             "Pi": g.WI * self.Pi_over_w.int_total(),
             "K": self.K.int_total(),
-            "W": g.WI,
-            "Z": g.ZI,
         }
 
 

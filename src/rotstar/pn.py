@@ -259,7 +259,6 @@ class SolverOptions:
     tol_outer: float = 1e-9
     max_inner: int = 40
     max_outer: int = 30
-    damping: float = 1.0
     newtonian_tol: float = 1e-12
     beta0: float = 0.1
     delta0: float = 0.01
@@ -309,7 +308,7 @@ class PNSolver:
         coef = self.nf.ratio * (4.0 * math.pi * params.G_grav)
         self.lop = LOpSolver(self.ops, coef)
         self._g_fields = None
-        self.history = {"inner": [], "outer": [], "newtonian": self.nf.iterations}
+        self.inner_history = []
 
     # -- sources ---------------------------------------------------------------
 
@@ -531,11 +530,9 @@ class PNSolver:
         wY = p.u_O / abs(p.Omega_O) if p.Omega_O != 0.0 else 0.0
         return max(self._norm_c1(dW), wY * self._norm_c1(dY), self._norm_c1(dX))
 
-    def inner_fixed_point(self, V, state=None, tol=None, max_iter=None):
+    def inner_fixed_point(self, V, state=None):
         """The map S(V): unique (W, Y, X) at frozen V."""
         p = self.params
-        tol = self.opts.tol_inner if tol is None else tol
-        max_iter = self.opts.max_inner if max_iter is None else max_iter
         ga, gb, gc = self.sources()
         if state is None:
             W = AxiField.zeros(self.grid, 3)
@@ -549,7 +546,7 @@ class PNSolver:
         # iteration; 0 where the leading part vanishes (a static star's g_b)
         leads = [float(np.max(np.abs(f.int_vals))) for f in (ga, gb, gc)]
         remainder_ratios = {"a": [], "b": [], "c": []}
-        for it in range(1, max_iter + 1):
+        for it in range(1, self.opts.max_inner + 1):
             w, _ = self.w_from_WYX(W, Y, X)
             rho, P, u = self.state_fluid(w)
             R_a, R_b, R_c, _ = self.remainders_abc(W, Y, X, V, w, rho, P)
@@ -563,12 +560,9 @@ class PNSolver:
             )
             W_new = self.lop.solve((ga + coupling + R_a).reindex(3))
             delta = self.blended_norm(W_new - W, Y_new - Y, X_new - X)
-            om = self.opts.damping
-            W = W_new if om == 1.0 else W + (W_new - W) * om
-            Y = Y_new if om == 1.0 else Y + (Y_new - Y) * om
-            X = X_new if om == 1.0 else X + (X_new - X) * om
+            W, Y, X = W_new, Y_new, X_new
             changes.append(delta)
-            if delta < tol * scale:
+            if delta < self.opts.tol_inner * scale:
                 break
             if it > 6 and changes[-1] > changes[-4]:
                 raise ConvergenceError(
@@ -578,10 +572,10 @@ class PNSolver:
                 )
         else:
             raise ConvergenceError(
-                "inner iteration exceeded max_inner", residual=changes[-1], iterations=max_iter
+                "inner iteration exceeded max_inner", residual=changes[-1], iterations=it
             )
         ratios = [b / a for a, b in zip(changes[:-1], changes[1:]) if a > 0]
-        self.history["inner"].append(
+        self.inner_history.append(
             {"iterations": it, "changes": changes, "ratio": ratios[-1] if ratios else 0.0,
              "remainder_ratios": remainder_ratios}
         )
@@ -723,7 +717,6 @@ class PNSolver:
                 residual=outer_changes[-1],
                 iterations=self.opts.max_outer,
             )
-        self.history["outer"] = outer_changes
 
         W, Y, X = state
         w, Z = self.w_from_WYX(W, Y, X)
@@ -746,7 +739,7 @@ class PNSolver:
             "outer_iterations": it,
             "outer_changes": outer_changes,
             "outer_ratio": ratios[-1] if ratios else 0.0,
-            "inner_history": self.history["inner"],
+            "inner_history": self.inner_history,
             "C_inf_V": C_inf,
             "V_at_origin": float(V.int_vals[0, 0]),
             "W_infinity": W.offset,
@@ -804,6 +797,13 @@ class SolveResult:
             P=self.fluid["P"].int_vals,
             u=self.fluid["u"].int_total(),
         )
+
+    def tail_mass(self):
+        """M_N + C_W/(G c^2), with C_W = R0 W*(0) the coefficient of W's 1/r
+        tail: the mass without the M - M_N subtraction of a far-field fit."""
+        p = self.params
+        C_W = self.potentials.W.star_vals[0, 0] * p.R0
+        return float(self.diagnostics["M_N"] + C_W / (p.G_grav * p.c_light**2))
 
     def eval_fns(self):
         """Far-field evaluators for the asymptotic fits.

@@ -1,5 +1,6 @@
 """Residual evaluation of the reduced axisymmetric Einstein system, the
-K-consistency condition, the raw Ricci cross-check, and far-field fits.
+K-consistency condition, the raw Ricci cross-check, far-field fits, and the
+Kerr and TOV measurements that the CLI and the acceptance gate share.
 
 All evaluators work on a Window: uniform rectangular samples of the metric
 potentials (plus optional fluid data) with an optional validity mask.  Finite
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import RegimeError
-from .metric import ktilde, lewis_from_lanczos
+from .metric import kerr_lanczos, ktilde, lewis_from_lanczos
 
 
 @dataclass
@@ -398,8 +399,6 @@ def asymptotic_fit(eval_fns, params, r_window, n_radii=14, thetas=(0.2, 0.75, 1.
 def kerr_window(kp, L, N, margin=2.6):
     """Kerr potentials sampled on [0, L]^2 with the near-horizon region
     masked out."""
-    from .metric import kerr_lanczos
-
     xs = np.linspace(0.0, L, N)
     W, Z = np.meshgrid(xs, xs, indexing="ij")
     pot = kerr_lanczos(kp, W, Z)
@@ -426,3 +425,57 @@ def refinement_order(hs, sups):
     hs = np.asarray(hs, dtype=float)
     sups = np.asarray(sups, dtype=float)
     return float(np.polyfit(np.log(hs), np.log(sups), 1)[0])
+
+
+# -- exact-reference measurements ------------------------------------------------
+
+
+def kerr_mask(kp, win, measure_margin):
+    """Where Kerr residuals are measured: the twice-eroded report mask, away
+    from the horizon (rbar > measure_margin m) and the axis (varpi >= 0.8 m)."""
+    rbar = kerr_lanczos(kp, win.W, win.Z)["rbar"]
+    return win.report_mask(erode=2) & (rbar > measure_margin * kp.m_geom) & (win.W >= 0.8 * kp.m_geom)
+
+
+def kerr_refinement(kp, params, window, levels, margin, measure_margin):
+    """Sups over kerr_mask of the 5 reduced residuals, the 6 Ricci residuals
+    and L on [0, window m]^2 at each grid level N: {"h": [...], name: [...]}."""
+    out = {"h": []}
+    for N in levels:
+        win = kerr_window(kp, window * kp.m_geom, N, margin=margin)
+        meas = kerr_mask(kp, win, measure_margin)
+        out["h"].append(win.h)
+        for name, f in {**residual_reduced_system(win, params).residuals,
+                        **ricci_cross_check(win, params)["residuals"],
+                        "L": consistency_K(win, params)["L"]}.items():
+            out.setdefault(name, []).append(float(np.nanmax(np.abs(np.where(meas, f, np.nan)))) + 1e-300)
+    return out
+
+
+def refinement_orders(levels):
+    """Each residual's refinement_order, or None if identically satisfied (below 1e-11 at every level)."""
+    return {name: None if max(sups) < 1e-11 else refinement_order(levels["h"], sups)
+            for name, sups in levels.items() if name != "h"}
+
+
+def tov_gap(res, tov, classical):
+    """Sup gaps of a static star against TOV on criterion 10's rays, 60 radii
+    in [0.1, 1.8] R0 along theta = 0.3, 0.8, 1.3: the total F - F_TOV, the
+    Newtonian layer Phi_N - Phi_LE, with Phi_LE the exact Lane-Emden
+    potential, and the post-Newtonian (F - Phi_N/c^2) - (F_TOV - Phi_LE/c^2);
+    sup_F and sup_Phi are the scales |F_TOV| and |Phi_LE|."""
+    p, c2 = res.params, res.params.c_light**2
+    rr = np.linspace(0.1 * p.R0, 1.8 * p.R0, 60)
+    th = np.array([[0.3], [0.8], [1.3]])
+    w, z = rr * np.sin(th), rr * np.cos(th)
+    Ft = tov.F_isotropic(rr)
+    Phi_LE = -p.u_O * (classical.theta(rr / p.a_len) + classical.mu1 / classical.xi1)
+    Fs = res.metric.F.eval(w, z) - res.metric.F.offset
+    Ps = res.newtonian.Phi_N.eval(w, z) - res.newtonian.Phi_N.offset
+    return {
+        "total": float(np.max(np.abs(Fs - Ft))),
+        "newtonian": float(np.max(np.abs(Ps - Phi_LE))),
+        "post_newtonian": float(np.max(np.abs((Fs - Ps / c2) - (Ft - Phi_LE / c2)))),
+        "sup_F": float(np.max(np.abs(Ft))),
+        "sup_Phi": float(np.max(np.abs(Phi_LE))),
+    }

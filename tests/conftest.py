@@ -1,7 +1,8 @@
 """Session fixtures: the solver sweeps are expensive and shared between the
 unit tests and the acceptance gate, so they run once per session."""
 
-import numpy as np
+from types import SimpleNamespace
+
 import pytest
 
 from rotstar.eos import EquationOfState
@@ -85,35 +86,9 @@ def rotating_solver(cls15, eos_unit, dle_rot):
 @pytest.fixture(scope="session")
 def kerr_levels():
     """Kerr residual sups for three spins at three grid levels."""
-    from rotstar.metric import KerrParams, kerr_lanczos
-    from rotstar.verify import (
-        consistency_K,
-        kerr_window,
-        residual_reduced_system,
-        ricci_cross_check,
-    )
-    from types import SimpleNamespace
+    from rotstar.metric import KerrParams
+    from rotstar.verify import kerr_refinement
 
-    PARAMS = SimpleNamespace(G_grav=1.0, c_light=1.0)
-    out = {}
-    for a in (0.0, 0.5, 0.9):
-        kp = KerrParams(1.0, a)
-        recs = {"h": []}
-        for N in (61, 121, 241):
-            win = kerr_window(kp, 12.0, N, margin=2.6)
-            rbar = kerr_lanczos(kp, win.W, win.Z)["rbar"]
-            meas = (
-                win.report_mask(erode=2)
-                & (rbar > 4.5 * kp.m_geom)
-                & (win.W >= 0.8 * kp.m_geom)
-            )
-            rep = residual_reduced_system(win, PARAMS)
-            ric = ricci_cross_check(win, PARAMS)
-            ck = consistency_K(win, PARAMS)
-            recs["h"].append(win.h)
-            for name, f in {**rep.residuals, **ric["residuals"], "L": ck["L"]}.items():
-                recs.setdefault(name, []).append(
-                    float(np.nanmax(np.abs(np.where(meas, f, np.nan)))) + 1e-300
-                )
-        out[a] = recs
-    return out
+    params = SimpleNamespace(G_grav=1.0, c_light=1.0)
+    return {a: kerr_refinement(KerrParams(1.0, a), params, 12.0, (61, 121, 241), 2.6, 4.5)
+            for a in (0.0, 0.5, 0.9)}

@@ -12,14 +12,16 @@ from rotstar.eos import EquationOfState
 from rotstar.fields import AxiField, AxiGrid, kelvin_point
 from rotstar.greens import GreenOps, axis_laplacian, ring_kernel
 from rotstar.lane_emden import integrate_theta, solve_classical
-from rotstar.metric import KerrParams, kerr_lanczos
+from rotstar.metric import KerrParams, kerr_eval_fns
 from rotstar.verify import (
     asymptotic_fit,
     consistency_K,
     flat_window,
     refinement_order,
+    refinement_orders,
     residual_reduced_system,
     ricci_cross_check,
+    tov_gap,
 )
 
 from conftest import B_ROT, EPS_SWEEP
@@ -132,20 +134,14 @@ class TestAcceptance:
         worst = ("none", 2.0)
         worst_dev = -1.0
         for a, recs in kerr_levels.items():
-            for name, sups in recs.items():
-                if name == "h" or max(sups) < 1e-11:
-                    continue
-                o = refinement_order(recs["h"], sups)
-                if abs(o - 2.0) > worst_dev:
+            for name, o in refinement_orders(recs).items():
+                if o is not None and abs(o - 2.0) > worst_dev:
                     worst_dev = abs(o - 2.0)
                     worst = (f"a={a}:{name}", o)
         fits_ok = True
         fit_msg = []
         for a in (0.0, 0.5, 0.9):
-            kp = KerrParams(1.0, a)
-            fns = {k: (lambda key: (lambda w, z: kerr_lanczos(kp, w, z)[key]))(k)
-                   for k in ("F", "A", "Pi", "K")}
-            fit = asymptotic_fit(fns, PARAMS_GEOM, (20.0, 50.0))
+            fit = asymptotic_fit(kerr_eval_fns(KerrParams(1.0, a)), PARAMS_GEOM, (20.0, 50.0))
             em = abs(fit["M"] - 1.0)
             ej = abs(fit["J"] - a) / a if a else abs(fit["J"])
             fits_ok &= em < 0.01 and ej < 0.01
@@ -184,9 +180,7 @@ class TestAcceptance:
             sups["X"].append(np.abs(res.potentials.X.int_vals).max())
             sups["K"].append(np.abs(res.potentials.V.int_vals).max())
         nominal = {"W": 2.0, "Y": 1.75, "X": 2.0, "K": 2.0}
-        fitted = {
-            k: float(np.polyfit(np.log(EPS_SWEEP), np.log(v), 1)[0]) for k, v in sups.items()
-        }
+        fitted = {k: refinement_order(EPS_SWEEP, v) for k, v in sups.items()}
         scalings_ok = all(abs(fitted[k] - nominal[k]) <= 0.15 * nominal[k] for k in nominal)
         # converged residuals bounded by discretization: refinement order
         hs, res_sups = [], {}
@@ -243,46 +237,23 @@ class TestAcceptance:
     def test_criterion_10_positive_mass_and_pn_limit(self, static_sweep, cls15):
         # mass positivity and the O(eps) shift measured through the tail
         # coefficient of W (no catastrophic M - M_N subtraction)
-        Ms, shifts = [], []
-        for eps in EPS_SWEEP:
-            res, tov = static_sweep[eps]
-            p = res.params
-            C_W = float(res.potentials.W.star_vals[0, 0] * p.R0)
-            M = res.diagnostics["M_N"] + C_W / (p.G_grav * p.c_light**2)
-            Ms.append(M)
-            shifts.append(abs(C_W) / res.diagnostics["M_N"])
-        slope = float(np.polyfit(np.log(EPS_SWEEP), np.log(shifts), 1)[0])
+        stars = [static_sweep[eps][0] for eps in EPS_SWEEP]
+        Ms = [res.tail_mass() for res in stars]
+        shifts = [abs(M - res.diagnostics["M_N"]) / res.diagnostics["M_N"] for M, res in zip(Ms, stars)]
+        slope = refinement_order(EPS_SWEEP, shifts)
         mass_ok = all(m > 0 for m in Ms) and abs(slope - 1.0) < 0.3
         # TOV gap beyond Newtonian order.  F = Phi_N/c^2 - W/c^4, so F agrees
         # with TOV through Newtonian order and the rest is O(eps^2): it must
         # shrink ~4x per eps-halving.  The total gap F - F_TOV is dominated by
         # the Newtonian layer's own O(h^2) grid error, which is u_O O(h^2) and
-        # so only halves; it is taken out by comparing F - Phi_N/c^2 with
-        # F_TOV - Phi_LE/c^2, where Phi_LE = -u_O (theta(r/a) + mu1/xi1) is
-        # the exact Lane-Emden potential.  The Newtonian layer is checked on
-        # its own against Phi_LE at the quadrature level of
+        # so only halves; tov_gap takes it out by comparing F - Phi_N/c^2 with
+        # F_TOV - Phi_LE/c^2, where Phi_LE is the exact Lane-Emden potential.
+        # The Newtonian layer is checked on its own against Phi_LE at the
+        # quadrature level of
         # test_pn.py::TestNewtonianFields::test_matches_spherical_profile.
-        total, newt, post, newt_rel = [], [], [], []
-        for eps in EPS_SWEEP:
-            res, tov = static_sweep[eps]
-            p = res.params
-            c2 = p.c_light**2
-            F, Phi_N = res.metric.F, res.newtonian.Phi_N
-            rr = np.linspace(0.1 * p.R0, 1.8 * p.R0, 60)
-            Ft = tov.F_isotropic(rr)
-            Phi_LE = -p.u_O * (cls15.theta(rr / p.a_len) + cls15.mu1 / cls15.xi1)
-            g_tot = g_newt = g_post = 0.0
-            for th in (0.3, 0.8, 1.3):
-                w, z = rr * np.sin(th), rr * np.cos(th)
-                Fs = F.eval(w, z) - F.offset
-                Ps = Phi_N.eval(w, z) - Phi_N.offset
-                g_tot = max(g_tot, float(np.max(np.abs(Fs - Ft))))
-                g_newt = max(g_newt, float(np.max(np.abs(Ps - Phi_LE))))
-                g_post = max(g_post, float(np.max(np.abs((Fs - Ps / c2) - (Ft - Phi_LE / c2)))))
-            total.append(g_tot)
-            newt.append(g_newt)
-            post.append(g_post)
-            newt_rel.append(g_newt / float(np.max(np.abs(Phi_LE))))
+        gaps = [tov_gap(*static_sweep[eps], cls15) for eps in EPS_SWEEP]
+        total, newt, post = ([g[key] for g in gaps] for key in ("total", "newtonian", "post_newtonian"))
+        newt_rel = [g["newtonian"] / g["sup_Phi"] for g in gaps]
 
         def shrinks(gaps):
             return [gaps[i] / gaps[i + 1] for i in range(len(gaps) - 1)]

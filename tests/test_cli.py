@@ -7,6 +7,7 @@ import pytest
 
 from rotstar.cli import cmd_tov_compare, main
 from rotstar.config import load_config
+from rotstar.errors import ConfigError
 from rotstar.fields import AxiField, AxiGrid
 from rotstar.gridio import write_field
 from rotstar.pn import SolverOptions
@@ -42,7 +43,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("key", ["solver.alpha_holder", "solver.ball_M",
                                      "verify.residual_order_min", "verify.axis_strip_r1",
-                                     "output.formats"])
+                                     "output.formats", "solver.damping"])
     def test_removed_key_rejected(self, tmp_path, key):
         section, name = key.split(".")
         cfg = write_cfg(tmp_path, f"star: {{u_O: 1.0e-3, b_rot: 0.0}}\n{section}: {{{name}: 1}}\n")
@@ -66,6 +67,16 @@ class TestConfigValidation:
                              ["solve", "--config", "{tmp}/cfg.yaml"]),
         "string u_O": ({"cfg.yaml": "star: {u_O: abc}\n"},
                        ["solve", "--config", "{tmp}/cfg.yaml"]),
+        "list key eos.upsilon_rho": ({"cfg.yaml": "eos: {upsilon_rho: abc}\n"},
+                                     ["solve", "--config", "{tmp}/cfg.yaml"]),
+        "list key eos.upsilon_P": ({"cfg.yaml": "eos: {upsilon_P: abc}\n"},
+                                   ["solve", "--config", "{tmp}/cfg.yaml"]),
+        "list key kerr.levels": ({"cfg.yaml": "kerr: {levels: abc}\n"},
+                                 ["kerr-check", "--config", "{tmp}/cfg.yaml"]),
+        "list key verify.fit_window": ({"cfg.yaml": "verify: {fit_window: abc}\n"},
+                                       ["solve", "--config", "{tmp}/cfg.yaml"]),
+        "list key sweep.values": ({"cfg.yaml": "sweep: {values: abc}\n"},
+                                  ["sweep", "--config", "{tmp}/cfg.yaml"]),
         "verify with a dump missing": ({"run/manifest.json": '{"config": {"eos": {}, "star": {}}}'},
                                        ["verify", "--run", "{tmp}/run"]),
         "verify with a bad manifest": ({"run/manifest.json": "{not json"},
@@ -81,8 +92,20 @@ class TestConfigValidation:
             (tmp_path / name).write_text(text)
         argv = [arg.format(tmp=tmp_path) for arg in argv] + ["--out", str(tmp_path / "out")]
         assert main(argv) == 1
-        assert capsys.readouterr().err.startswith("config error:")
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        if case.startswith("list key "):  # the message names the key
+            assert case.split()[-1] in err
         assert not (tmp_path / "out").exists()  # nothing written on bad input
+
+    @pytest.mark.parametrize("key, val", [("verify.fit_window", [0.0, 5.0]),
+                                          ("verify.fit_window", [15.0, 5.0]), ("kerr.levels", [61]),
+                                          ("kerr.levels", [61.0, 121.0]), ("sweep.values", [1e-3])])
+    def test_list_key_rules(self, key, val):
+        # a positive increasing fit window; two or more levels and sweep values
+        section, name = key.split(".")
+        with pytest.raises(ConfigError, match=key):
+            load_config({section: {name: val}})
 
     def test_solver_section_is_solver_options(self):
         # the solver section passes to SolverOptions whole, next to the grid sizes
@@ -170,7 +193,7 @@ class TestSolveCommand:
         assert main(["solve", "--config", cfg]) == 0
         path = out / "manifest.json"
         man = json.loads(path.read_text())
-        man["config"]["solver"].update(alpha_holder=0.25, ball_M=50.0)
+        man["config"]["solver"].update(alpha_holder=0.25, ball_M=50.0, damping=1.0)
         man["config"]["output"]["formats"] = ["binary"]
         path.write_text(json.dumps(man))
         assert main(["verify", "--config", cfg, "--run", str(out),

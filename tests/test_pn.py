@@ -385,6 +385,14 @@ class TestInnerOuter:
         assert res.potentials.W.int_total()[0, 0] == pytest.approx(0.0, abs=1e-18)
         assert res.potentials.w.int_total()[0, 0] == pytest.approx(0.0, abs=1e-16)
 
+    def test_fit_mass_matches_tail_mass(self, rotating_sweep, static_sweep):
+        # the 1/r fit of F and W's monopole read the same M (to 6e-7 static,
+        # 1.3e-6 rotating), far closer than the shift |M - M_N|/M of 6e-4 to 3e-3
+        for res in [*rotating_sweep.values(), *(res for res, _ in static_sweep.values())]:
+            p = res.params
+            M_fit = asymptotic_fit(res.eval_fns(), p, (5 * p.R0, 15 * p.R0))["M"]
+            assert abs(M_fit - res.tail_mass()) <= 5e-6 * res.tail_mass()
+
     def test_path_independence_at_convergence(self, rotating_solver):
         # run the inner map once at V = 0, then compare the two quadrature
         # paths; agreement is O(h^2) plus the V-consistency residual
