@@ -225,7 +225,6 @@ def cmd_kerr_check(cfg, out_dir):
     from .metric import KerrParams, kerr_eval_fns
     from .verify import asymptotic_fit, kerr_refinement, refinement_orders
 
-    out = _out_dir(cfg, out_dir)
     k = cfg.kerr
     kp = KerrParams(k["m_geom"], k["a_spin"])
     params = SimpleNamespace(G_grav=cfg.star["G_grav"], c_light=cfg.eos["c_light"])
@@ -243,7 +242,7 @@ def cmd_kerr_check(cfg, out_dir):
         "J_err_rel": (abs(fit["J"] - kp.m_geom * kp.a_spin) / abs(kp.m_geom * kp.a_spin)
                       if kp.a_spin else abs(fit["J"])),
     }
-    _manifest(out, cfg, payload)
+    _manifest(_out_dir(cfg, out_dir), cfg, payload)
     ok_orders = all(o is None or abs(o - 2.0) <= 0.2 for o in orders.values())
     ok_fit = payload["M_err_rel"] <= 0.01 and payload["J_err_rel"] <= 0.01
     _say(cfg, f"kerr-check: orders {orders}")

@@ -137,11 +137,16 @@ def _validate(cfg):
     for name, defaults in _DEFAULTS.items():
         for key, default in defaults.items():
             val, rotation = getattr(cfg, name)[key], name == "star" and key in ("Omega_O", "b_rot")
-            if (_is_number(default) or rotation) and not (_is_number(val) or rotation and val is None):
-                raise ConfigError(f"{name}.{key}={val!r} is not a number")
+            kind, what = (Integral, "an integer") if _is_number(default, Integral) else (Real, "a number")
+            if (_is_number(default) or rotation) and not (_is_number(val, kind) or rotation and val is None):
+                raise ConfigError(f"{name}.{key}={val!r} is not {what}")
             ok, rule = _LIST_RULES.get((name, key), (None, None))
             if ok and not ok(val):
                 raise ConfigError(f"{name}.{key}={val!r} is not {rule}")
+    for name, key in (("lane_emden", "n_zeta"), ("lane_emden", "max_iter"), ("solver", "max_inner"),
+                      ("solver", "max_outer"), ("sweep", "workers")):
+        if getattr(cfg, name)[key] < 1:
+            raise ConfigError(f"{name}.{key} must be >= 1")
     e = cfg.eos
     if not (6.0 / 5.0 < e["gamma"] < 2.0):
         raise ConfigError(f"eos.gamma={e['gamma']} outside (6/5, 2)")
@@ -155,6 +160,8 @@ def _validate(cfg):
         raise ConfigError("star.G_grav must be positive")
     if (s["Omega_O"] is None) == (s["b_rot"] is None):
         raise ConfigError("star: specify exactly one of Omega_O and b_rot")
+    if s["b_rot"] is not None and s["b_rot"] < 0:
+        raise ConfigError("star.b_rot must be >= 0")
     g = cfg.grid
     if g["n_interior"] < 17 or g["n_exterior"] < 13:
         raise ConfigError("grid resolutions too small")
@@ -163,8 +170,8 @@ def _validate(cfg):
         raise ConfigError("kerr.m_geom must be positive")
     if abs(k["a_spin"]) > k["m_geom"]:
         raise ConfigError("kerr.a_spin must satisfy |a| <= m_geom")
-    if cfg.sweep["workers"] < 1:
-        raise ConfigError("sweep.workers must be >= 1")
+    if not k["window"] > 0:
+        raise ConfigError("kerr.window must be positive")
     return cfg
 
 

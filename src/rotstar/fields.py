@@ -23,15 +23,6 @@ from .cutoff import chi
 from .errors import DomainError
 
 
-def kelvin_point(p, R0):
-    """Inversion p* = (R0/|p|)^2 p; involutive on the punctured plane."""
-    p = np.asarray(p, dtype=float)
-    r2 = np.sum(p * p, axis=-1)
-    if np.any(r2 == 0.0):
-        raise DomainError("Kelvin map undefined at the origin")
-    return p * (R0**2 / r2)[..., None]
-
-
 def _kelvin_images(W, Z, R, R0):
     """Kelvin images (R0/r)^2 (W, Z) of nodes at radii R, and their radii
     R0^2/r; the origin maps to the finite point (0, 0) with radius inf."""

@@ -73,7 +73,6 @@ class LaneEmdenSolution:
     nu: float
     xi1: float
     mu1: float
-    xi_span: float
     _dense: object = field(repr=False)
 
     def theta(self, xi):
@@ -123,7 +122,7 @@ def solve_classical(nu, tol=1e-12, xi_max=None):
     xi1 = float(sol.t_events[0][0])
     dtheta1 = float(sol.y_events[0][0][1])
     mu1 = xi1**2 * abs(dtheta1)
-    return LaneEmdenSolution(nu=nu, xi1=xi1, mu1=mu1, xi_span=xi_max, _dense=sol)
+    return LaneEmdenSolution(nu=nu, xi1=xi1, mu1=mu1, _dense=sol)
 
 
 # -- distorted profile -------------------------------------------------------
@@ -166,7 +165,6 @@ class DistortedLaneEmden:
     """Converged distorted Lane-Emden profile on an (s, zeta) grid."""
 
     nu: float
-    b: float
     Xi0: float
     xi1: float
     s: np.ndarray = field(repr=False)
@@ -309,7 +307,6 @@ def solve_distorted(
 
     dle = DistortedLaneEmden(
         nu=nu,
-        b=b,
         Xi0=Xi0,
         xi1=xi1,
         s=s,

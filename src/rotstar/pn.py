@@ -355,11 +355,6 @@ class PNSolver:
         ).reindex(3)
         return w, Z
 
-    def q0_field(self, w, W, Y):
-        """Auxiliary Q0 = c^2 [w - W + 2 (Om w)^2 Phi_N + Om w^2 Y - (Om w)^4/4]."""
-        om_w2_Y = (self.om_w2 * Y).reindex(3)
-        return ((w - W + self.u_lead + om_w2_Y) * self.params.c_light**2).reindex(3)
-
     # -- remainders ----------------------------------------------------------------
 
     def state_fluid(self, w):
@@ -397,8 +392,8 @@ class PNSolver:
         emFK = exp_of(V * (1.0 / c**4) - psi * (1.0 / c**2), 2.0)
 
         # Q1 = e^{-4F} (Om w)^2 (1+X/c^4)^2 (1 + Om w^2 Y/c^4)^{-2}
-        om_w2_Y4 = (self.om_w2 * Y).reindex(3) * (1.0 / c**4)
-        inv_omY = 1.0 / (om_w2_Y4 + 1.0)
+        om_w2_Y = (self.om_w2 * Y).reindex(3)  # Omega varpi^2 Y, compact
+        inv_omY = 1.0 / (om_w2_Y * (1.0 / c**4) + 1.0)
         Q1 = (
             exp_of(psi, -4.0 / c**2) * self.om2w2 * (X4 + 1.0) * (X4 + 1.0) * inv_omY * inv_omY
         ).reindex(3)
@@ -406,7 +401,8 @@ class PNSolver:
         inv_q = 1.0 / ((q * -1.0) + 1.0)
 
         H = compact_map(self.eos.h_rho, nf.u_N, w, n_index=3)
-        Q0 = self.q0_field(w, W, Y)
+        # Q0 = c^2 [w - W + 2 (Om w)^2 Phi_N + Om w^2 Y - (Om w)^4/4]
+        Q0 = ((w - W + self.u_lead + om_w2_Y) * c**2).reindex(3)
 
         # Q5 from the exact identity: LHS5 = -e^{2(-F+K)}[c^2 rho (1+q)/(1-q)
         # + P (3-q)/(1-q)] + c^2 rho_N
@@ -447,72 +443,25 @@ class PNSolver:
 
         R_c = ((emFK * P * (X4 + 1.0) - nf.P_N) * (-16.0 * math.pi * Gg)).reindex(4)
 
-        diag = {"Q0": Q0, "Q1": Q1, "Q5": Q5, "Q6": Q6, "H_rho": H}
-        return R_a, R_b, R_c, diag
+        return R_a, R_b, R_c, {"Q5": Q5, "Q6": Q6}
 
-    def expansion_residuals(self, W, Y, X, V, w, rho, P):
-        """Q2..Q4: residual diagnostics of the density and source expansions
-        (the iteration does not use them)."""
-        c = self.params.c_light
-        nf = self.nf
-        diag = self.remainders_abc(W, Y, X, V, w, rho, P)[3]
-        Q1, H = diag["Q1"], diag["H_rho"]
-        q = Q1 * (1.0 / c**2)
-        inv_q = 1.0 / ((q * -1.0) + 1.0)
-        psi = nf.Phi_N - W * (1.0 / c**2)
-        emFK = exp_of(V * (1.0 / c**4) - psi * (1.0 / c**2), 2.0)
-        Q2 = (
-            (rho - nf.rho_N)
-            - (nf.ratio * w + nf.rho_N * nf.u_N * _upsilon1(self.eos)) * (1.0 / c**2)
-            - H
-        ) * c**4
-        q2_exact = (rho * (emFK - (q + 1.0) * inv_q) * -1.0) * c**2
-        Q3 = (q2_exact - (nf.rho_N * nf.Phi_N + nf.rho_N * Q1 * 2.0) * 2.0) * c**2
-        Q4 = (q2_exact - (nf.rho_N * nf.Phi_N + nf.rho_N * self.om2w2 * 2.0) * 2.0) * c**2
-        return {"Q2": Q2, "Q3": Q3, "Q4": Q4}
-
-    def x_hat_arrays(self, X, X1, X3):
-        """Closed-form correction factor of the K-gradient inversion, from X
-        and its varpi and z derivatives."""
-        c4 = self.params.c_light**4
+    def remainders_de(self, K1t, X):
+        """sup|R_d| / sup|lead_d| for display (d): R_d = c^4 K1t - lead_d is
+        the exact remainder of the K-gradient K1t that v_map integrated,
+        against its leading part from X's derivatives and Phi_N's gradient."""
         g = self.grid
-        t1 = 1.0 + X.int_total() / c4 + g.WI * X1.int_vals / c4
-        t3 = g.WI * X3.int_vals / c4
-        return c4 * (1.0 / (t1**2 + t3**2) - 1.0)
-
-    def remainders_de(self, W, Y, X):
-        """Exact residuals of the two K-gradient displays, plus diagnostics.
-
-        R_d and R_e are the full right sides minus their leading parts, taken
-        from the same K-tilde evaluation the outer map integrates, so no
-        series transcription enters.
-        """
-        p = self.params
-        c = p.c_light
-        g = self.grid
-        K1t, K3t, _ = self.ktilde_arrays(W, Y, X)
         P1, P3 = self.dPhi_N
         X1 = X.derivative("w")
         X3 = X.derivative("z")
         X11 = X1.derivative("w")
         X33 = X3.derivative("z")
-        X13 = X1.derivative("z")
         lead_d = (
             0.5 * (2.0 * X1.int_vals + g.WI * X11.int_vals - g.WI * X33.int_vals)
             + g.WI * (P1.int_vals**2 - P3.int_vals**2)
         )
-        lead_e = (
-            X3.int_vals
-            + g.WI * X13.int_vals
-            + 2.0 * g.WI * P1.int_vals * P3.int_vals
-        )
-        R_d = c**4 * K1t - lead_d
-        R_e = c**4 * K3t - lead_e
-        xhat = self.x_hat_arrays(X, X1, X3)
-        Q7 = (R_d - xhat / c**4 * lead_d) / (1.0 + xhat / c**4) * c**2
-        Q8 = (R_e - xhat / c**4 * lead_e) / (1.0 + xhat / c**4) * c**2
-        return {"R_d": R_d, "R_e": R_e, "Q7": Q7, "Q8": Q8, "X_hat": xhat,
-                "lead_d": lead_d, "lead_e": lead_e}
+        R_d = self.params.c_light**4 * K1t - lead_d
+        fin = np.isfinite(R_d) & np.isfinite(lead_d)
+        return float(np.max(np.abs(R_d[fin])) / (np.max(np.abs(lead_d[fin])) + 1e-300))
 
     # -- norms and the inner fixed point ---------------------------------------------
 
@@ -613,7 +562,8 @@ class PNSolver:
         return (*ktilde_from(self.grid.WI, [fld.int_total() for fld in fields]), at)
 
     def v_map(self, W, Y, X):
-        """The outer map T: line-quadrature V from the K-gradient fields.
+        """The outer map T: line-quadrature V from the K-gradient fields,
+        returned with C_inf, the far samples and the node K1t it integrated.
 
         Composite trapezoid rather than Simpson: its cumulative error is
         smooth in the node index, so central differences of V reproduce the
@@ -645,7 +595,7 @@ class PNSolver:
             )
 
         V = AxiField(g, 4, V_hat - C_inf, v_star_from_infinity(g, at, c4), (1, 1), 0.0)
-        return V, C_inf, far
+        return V, C_inf, far, K1t
 
     def _far_vhat(self, at, radii, thetas=(0.3, 0.7, 1.05, 1.4)):
         """V_hat at far points by Gauss quadrature of c^4 K1t, K3t, sampled
@@ -694,12 +644,10 @@ class PNSolver:
         state = None
         scale = max(p.u_O**2, 1e-300)
         outer_changes = []
-        C_inf = 0.0
-        far = None
         for it in range(1, self.opts.max_outer + 1):
             W, Y, X = self.inner_fixed_point(V, state=state)
             state = (W, Y, X)
-            V_new, C_inf, far = self.v_map(W, Y, X)
+            V_new, C_inf, far, K1t = self.v_map(W, Y, X)
             delta = float(np.max(np.abs(V_new.int_vals - V.int_vals)))
             V = V_new
             outer_changes.append(delta)
@@ -724,12 +672,6 @@ class PNSolver:
         pot = PotentialSet(W=W, Y=Y, X=X, V=V, w=w, Z=Z)
         met = assemble(p, pot, self.nf.Phi_N)
 
-        rde = self.remainders_de(W, Y, X)
-        mfin = np.isfinite(rde["R_d"]) & np.isfinite(rde["lead_d"])
-        rde_ratio = float(
-            np.max(np.abs(rde["R_d"][mfin])) / (np.max(np.abs(rde["lead_d"][mfin])) + 1e-300)
-        )
-
         ratios = [b / a for a, b in zip(outer_changes[:-1], outer_changes[1:]) if a > 0]
         support_r = 0.0
         sel = rho.int_vals > 0
@@ -744,9 +686,11 @@ class PNSolver:
             "V_at_origin": float(V.int_vals[0, 0]),
             "W_infinity": W.offset,
             "support_radius_over_r1": support_r / p.r1,
-            "rde_ratio": rde_ratio,
+            # K1t is the last v_map's, whose state is the final (W, Y, X)
+            "rde_ratio": self.remainders_de(K1t, X),
             "regime_flags": self.flags,
             "M_N": self.nf.M_N,
+            "newtonian": {"iterations": self.nf.iterations, "residual": self.nf.residual},
             "far_vhat": far,
             "v_overlap": v_overlap(V),
             "green_ops": self.ops.cache_report(),

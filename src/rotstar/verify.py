@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import RegimeError
+from .errors import ConfigError, RegimeError
 from .metric import kerr_lanczos, ktilde, lewis_from_lanczos
 
 
@@ -363,8 +363,7 @@ def asymptotic_fit(eval_fns, params, r_window, n_radii=14, thetas=(0.2, 0.75, 1.
 
     def order(resid):
         """Log-log decay rate of |resid| averaged over the directions."""
-        y = np.maximum(np.mean(np.abs(resid), axis=0), 1e-300)
-        return -float(np.polyfit(np.log(radii), np.log(y), 1)[0])
+        return -refinement_order(radii, np.maximum(np.mean(np.abs(resid), axis=0), 1e-300))
 
     # F = f0 + f1/r + f2/r^2 and A/varpi^2 = 2 G J/(c^3 r^3) + O(1/r^4)
     F, A = eval_fns["F"](w, z), eval_fns["A"](w, z) / w**2
@@ -432,9 +431,14 @@ def refinement_order(hs, sups):
 
 def kerr_mask(kp, win, measure_margin):
     """Where Kerr residuals are measured: the twice-eroded report mask, away
-    from the horizon (rbar > measure_margin m) and the axis (varpi >= 0.8 m)."""
+    from the horizon (rbar > measure_margin m) and the axis (varpi >= 0.8 m).
+    A window too small to hold such a node is a ConfigError."""
     rbar = kerr_lanczos(kp, win.W, win.Z)["rbar"]
-    return win.report_mask(erode=2) & (rbar > measure_margin * kp.m_geom) & (win.W >= 0.8 * kp.m_geom)
+    meas = win.report_mask(erode=2) & (rbar > measure_margin * kp.m_geom) & (win.W >= 0.8 * kp.m_geom)
+    if not meas.any():
+        raise ConfigError(f"kerr.window: no node of [0, {win.W[-1, 0]:g}]^2 at {win.F.shape[0]} points "
+                          f"lies in its report mask with rbar > {measure_margin:g} m and varpi >= 0.8 m")
+    return meas
 
 
 def kerr_refinement(kp, params, window, levels, margin, measure_margin):

@@ -82,6 +82,22 @@ class TestConfigValidation:
         "verify with a bad manifest": ({"run/manifest.json": "{not json"},
                                        ["verify", "--run", "{tmp}/run"]),
         "export of a missing dump": ({}, ["export", "--dump", "{tmp}/absent.axfd"]),
+        "negative star.b_rot": ({"cfg.yaml": "star: {b_rot: -1.0}\n"},
+                                ["solve", "--config", "{tmp}/cfg.yaml"]),
+        "zero lane_emden.n_zeta": ({"cfg.yaml": "lane_emden: {n_zeta: 0}\n"},
+                                   ["solve", "--config", "{tmp}/cfg.yaml"]),
+        "zero solver.max_inner": ({"cfg.yaml": "solver: {max_inner: 0}\n"},
+                                  ["solve", "--config", "{tmp}/cfg.yaml"]),
+        "fractional solver.max_inner": ({"cfg.yaml": "solver: {max_inner: 2.5}\n"},
+                                        ["solve", "--config", "{tmp}/cfg.yaml"]),
+        "zero solver.max_outer": ({"cfg.yaml": "solver: {max_outer: 0}\n"},
+                                  ["solve", "--config", "{tmp}/cfg.yaml"]),
+        "zero lane_emden.max_iter": ({"cfg.yaml": "lane_emden: {max_iter: 0}\n"},
+                                     ["solve", "--config", "{tmp}/cfg.yaml"]),
+        "negative kerr.window": ({"cfg.yaml": "kerr: {window: -3.0}\n"},
+                                 ["kerr-check", "--config", "{tmp}/cfg.yaml"]),
+        "no measured node in kerr.window": ({"cfg.yaml": "kerr: {window: 1.0}\n"},
+                                            ["kerr-check", "--config", "{tmp}/cfg.yaml"]),
     }
 
     @pytest.mark.parametrize("case", list(BAD_INPUT))
@@ -94,8 +110,9 @@ class TestConfigValidation:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:")
-        if case.startswith("list key "):  # the message names the key
-            assert case.split()[-1] in err
+        key = case.split()[-1]
+        if "." in key:  # the message names the key a case ends with
+            assert key in err
         assert not (tmp_path / "out").exists()  # nothing written on bad input
 
     @pytest.mark.parametrize("key, val", [("verify.fit_window", [0.0, 5.0]),

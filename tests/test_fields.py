@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotstar.errors import ConfigError, DomainError
-from rotstar.fields import AxiField, AxiGrid, compact_map, kelvin_point
+from rotstar.fields import AxiField, AxiGrid, _kelvin_images, compact_map
 from rotstar.gridio import export_text, read_field, write_field
 
 
@@ -23,24 +23,32 @@ def decay_field(grid, n):
     return AxiField.from_function(grid, fn, n, star_fn=lambda ws, zs: np.ones_like(ws))
 
 
+def kelvin(p, R0):
+    """Kelvin images of the points p[..., :2] by AxiGrid's map."""
+    w, z, _ = _kelvin_images(p[..., 0], p[..., 1], np.hypot(p[..., 0], p[..., 1]), R0)
+    return np.stack([w, z], axis=-1)
+
+
 class TestKelvinPoint:
     def test_fixed_sphere(self, grid):
         p = np.array([grid.R0, 0.0])
-        assert np.allclose(kelvin_point(p, grid.R0), p, rtol=1e-15)
+        assert np.allclose(kelvin(p, grid.R0), p, rtol=1e-15)
 
     def test_direct_formula(self, grid):
         p = np.array([2 * grid.R0, 0.0])
-        assert np.allclose(kelvin_point(p, grid.R0), [grid.R0 / 2, 0.0], rtol=1e-15)
+        assert np.allclose(kelvin(p, grid.R0), [grid.R0 / 2, 0.0], rtol=1e-15)
 
     def test_involution(self, grid):
         rng = np.random.RandomState(3)
         p = rng.uniform(0.05, 10.0, (60, 2))
-        pp = kelvin_point(kelvin_point(p, grid.R0), grid.R0)
+        pp = kelvin(kelvin(p, grid.R0), grid.R0)
         assert np.max(np.abs(pp - p) / np.abs(p).max()) < 1e-15
 
-    def test_origin_rejected(self, grid):
-        with pytest.raises(DomainError):
-            kelvin_point(np.zeros(2), grid.R0)
+    def test_origin_maps_to_origin(self, grid):
+        # the starred origin stands for infinity: image (0, 0), image radius inf
+        zero = np.zeros(1)
+        w, z, r = _kelvin_images(zero, zero, zero, grid.R0)
+        assert (w[0], z[0], r[0]) == (0.0, 0.0, np.inf)
 
 
 class TestEval:

@@ -1,8 +1,9 @@
 """Source hygiene: no package module imports a name it never uses, every
 module-level constant is read somewhere in the package, every function,
 method and class of the package is referenced somewhere, every parameter of
-a package function or method is read by its body, and every entry point the
-benchmark wraps by name still exists.
+a package function or method is read by its body, every dataclass field is
+loaded as an attribute somewhere, and every entry point the benchmark wraps
+by name still exists.
 
 Neither ruff nor pyflakes is a dependency, so the import check is a small
 AST check.  A name counts as used when it appears anywhere in the module as
@@ -139,6 +140,38 @@ def test_every_definition_is_referenced():
                if isinstance(node, ast.Constant) and isinstance(node.value, str)}
     package = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert unreferenced_definitions(package, readers, wrapped) == []
+
+
+def unread_dataclass_fields(package, readers):
+    """(module, line, class, field) of each field of a dataclass of the
+    package sources (a mapping from module name to source) that no reader
+    source loads as an attribute.  The check is by name, so a field whose
+    name another object's attribute shares passes unseen."""
+    read = {node.attr for source in readers for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    found = []
+    for module, source in package.items():
+        for cls in ast.walk(ast.parse(source)):
+            if isinstance(cls, ast.ClassDef) and any(
+                    getattr(dec.func if isinstance(dec, ast.Call) else dec, "id", None) == "dataclass"
+                    for dec in cls.decorator_list):
+                found += [(module, item.lineno, cls.name, item.target.id) for item in cls.body
+                          if isinstance(item, ast.AnnAssign) and item.target.id not in read]
+    return sorted(found)
+
+
+def test_checker_flags_an_unread_field():
+    package = {"a": "@dataclass(frozen=True)\nclass P:\n    x: int\n    y: int = 0\n\n"
+                    "@dataclass\nclass Q:\n    z: int\n\nclass R:\n    w: int\n"}
+    assert unread_dataclass_fields(package, ["print(P(1).x)"]) == [
+        ("a", 4, "P", "y"), ("a", 8, "Q", "z")]
+
+
+def test_every_dataclass_field_is_read():
+    readers = [path.read_text() for root in (PACKAGE, TESTS, BENCH)
+               for path in sorted(root.glob("*.py"))]
+    package = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unread_dataclass_fields(package, readers) == []
 
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)

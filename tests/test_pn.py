@@ -7,7 +7,7 @@ from rotstar.errors import DomainError
 from rotstar.fields import AxiField, AxiGrid
 from rotstar.greens import FAR_RANK_TOL
 from rotstar.metric import g_factor
-from rotstar.pn import StarParams, omega_profile, v_star_from_infinity
+from rotstar.pn import PNSolver, StarParams, omega_profile, v_star_from_infinity
 from rotstar.verify import asymptotic_fit
 
 from conftest import B_ROT, EPS_SWEEP
@@ -109,6 +109,16 @@ class TestNewtonianFields:
         assert np.max(g.RI[sel]) < 2.0 * p.r1
         assert nf.M_N > 0
 
+    def test_sweep_reported(self, rotating_sweep, static_sweep):
+        # the consistency sweep's iteration count and last change reach the
+        # diagnostics; the change is below the sweep tolerance 1e-12 u_O
+        for res in [*rotating_sweep.values(), *(res for res, _ in static_sweep.values())]:
+            rep = res.diagnostics["newtonian"]
+            assert rep == {"iterations": res.newtonian.iterations,
+                           "residual": res.newtonian.residual}
+            assert 1 < rep["iterations"] < 200
+            assert 0.0 <= rep["residual"] < 1e-12 * res.params.u_O
+
     def test_lane_emden_potential_identity_static(self, static_sweep):
         # b = 0: Phi_N - Phi_N(O) = -u_O (theta - 1) inside the star
         res, _ = static_sweep[1e-3]
@@ -173,8 +183,6 @@ class TestSources:
     def test_static_specialization(self, static_sweep):
         # Omega = 0, Upsilon1 = 0: g_a = -8 pi G rho_N Phi_N + 12 pi G P_N
         res, _ = static_sweep[1e-3]
-        from rotstar.pn import PNSolver  # fixture solvers are gone; rebuild sources
-
         # reconstruct from stored newtonian fields
         p = res.params
         nf = res.newtonian
@@ -219,44 +227,20 @@ class TestRemainders:
         assert np.abs(diag["Q6"].int_vals[vac]).max() < 1e-30
         assert np.abs(R_c.int_vals[vac]).max() < 1e-30
 
-    def test_q2_vanishes_for_pure_gamma_law(self, rotating_solver):
-        # Upsilon_rho = 0 makes the density expansion exact: Q2 = 0
-        solver = rotating_solver
-        g = solver.grid
-        zero3 = AxiField.zeros(g, 3)
-        w, _ = solver.w_from_WYX(zero3, AxiField.zeros(g, 5), AxiField.zeros(g, 4))
-        rho, P, u = solver.state_fluid(w)
-        diag = solver.expansion_residuals(
-            zero3, AxiField.zeros(g, 5), AxiField.zeros(g, 4), AxiField.zeros(g, 4), w, rho, P
-        )
-        scale = np.abs(rho.int_vals).max() * solver.params.c_light**4
-        assert np.abs(diag["Q2"].int_vals).max() < 1e-10 * scale
-
-    def test_x_hat_constant_field(self, rotating_solver):
-        g = rotating_solver.grid
-        c4 = rotating_solver.params.c_light**4
-        X = AxiField.constant(g, 0.1 * c4)
-        xh = rotating_solver.x_hat_arrays(X, X.derivative("w"), X.derivative("z"))
-        assert np.allclose(xh / c4, 1.1**-2 - 1.0, rtol=1e-12)
-
     def test_remainders_de_zero_state(self, rotating_solver):
+        # with X = W = Y = 0 the metric is F = Phi_N/c^2, A = 0, Pi = varpi,
+        # whose c^4 K1t = varpi (Phi_N1^2 - Phi_N3^2) is the leading part
         solver = rotating_solver
         g = solver.grid
-        out = solver.remainders_de(
-            AxiField.zeros(g, 3), AxiField.zeros(g, 5), AxiField.zeros(g, 4)
-        )
-        assert np.abs(out["X_hat"]).max() == 0.0
-        # with X = W = Y = 0 the gradients reduce to the Newtonian leading
-        # part up to the 1/c^2 suppression of K-tilde's nonlinearities
-        m = np.isfinite(out["R_d"])
-        scale = np.abs(out["lead_d"][m]).max()
-        assert np.abs(out["R_d"][m]).max() < 2e-2 * scale
+        X = AxiField.zeros(g, 4)
+        K1t, _, _ = solver.ktilde_arrays(AxiField.zeros(g, 3), AxiField.zeros(g, 5), X)
+        assert solver.remainders_de(K1t, X) < 1e-14
 
-    def test_remainders_de_derives_each_field_once(self, monkeypatch, rotating_sweep,
-                                                   rotating_solver):
-        # the 9 K-gradient fields of ktilde_arrays and X's 5 for the leading
-        # parts; x_hat_arrays takes X's first derivatives and Phi_N's are
-        # derived once per star
+    def test_solve_derives_one_k_gradient_per_state(self, monkeypatch, rotating_solver):
+        # Phi_N's gradient once per star, 6 fields per inner iteration
+        # (remainders_abc), the 9 K-gradient fields per outer iteration
+        # (v_map), and X's 4 for the leading part of rde_ratio: the final
+        # state's K-gradient is the one the last v_map integrated
         calls = []
         derivative = AxiField.derivative
 
@@ -265,9 +249,11 @@ class TestRemainders:
             return derivative(self, *args, **kwargs)
 
         monkeypatch.setattr(AxiField, "derivative", counting)
-        pot = rotating_sweep[1e-3].potentials
-        rotating_solver.remainders_de(pot.W, pot.Y, pot.X)
-        assert len(calls) == 14
+        s = rotating_solver
+        res = PNSolver(s.params, s.eos, s.opts, dle=s.dle, classical=s.classical).solve()
+        diag = res.diagnostics
+        inner = sum(rec["iterations"] for rec in diag["inner_history"])
+        assert len(calls) == 2 + 6 * inner + 9 * diag["outer_iterations"] + 4
 
     def test_remainders_de_epsilon_scaling(self, static_sweep):
         # |R_d| / |lead_d| is O(eps) across the sweep (1/c^2-suppression)
