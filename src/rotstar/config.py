@@ -143,10 +143,12 @@ def _validate(cfg):
             ok, rule = _LIST_RULES.get((name, key), (None, None))
             if ok and not ok(val):
                 raise ConfigError(f"{name}.{key}={val!r} is not {rule}")
-    for name, key in (("lane_emden", "n_zeta"), ("lane_emden", "max_iter"), ("solver", "max_inner"),
-                      ("solver", "max_outer"), ("sweep", "workers")):
-        if getattr(cfg, name)[key] < 1:
-            raise ConfigError(f"{name}.{key} must be >= 1")
+    for name, key, least in (("lane_emden", "n_zeta", 1), ("lane_emden", "max_iter", 1),
+                             ("lane_emden", "lmax", 0), ("lane_emden", "n_radial", 3),
+                             ("lane_emden", "report_grid", 2), ("solver", "max_inner", 1),
+                             ("solver", "max_outer", 1), ("sweep", "workers", 1)):
+        if getattr(cfg, name)[key] < least:
+            raise ConfigError(f"{name}.{key} must be >= {least}")
     e = cfg.eos
     if not (6.0 / 5.0 < e["gamma"] < 2.0):
         raise ConfigError(f"eos.gamma={e['gamma']} outside (6/5, 2)")

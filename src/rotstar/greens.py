@@ -14,6 +14,9 @@ integration on the log-singular cells, tensor Gauss on their neighbors).
 The exterior tail is pulled to the starred plane, re-weighted by (R0/r*)^4
 (which turns it into a compact starred source) and inverted there with the
 same machinery; a compact source has no tail and stops after its first part.
+The two patches share one unit-coordinate KernelTable per dimension, sized
+to the larger patch; the smaller one reads its leading block, which its
+sources, zero on the patch edge, cannot tell from a table of its own.
 Both parts reach the other patch by one Kelvin transfer,
 GreenOps._patch_potential: bilinear at the images inside the source patch,
 the shared FarOperator at the images outside it (the masks in GreenOps.far),
@@ -65,12 +68,33 @@ def ring_kernel(n, wt, ws, dz):
     Symmetric under (wt, ws) swap up to the ws^(n-2) measure factor; the
     coincidence singularity is logarithmic and is masked to zero here (the
     corrected quadrature owns those cells).  Coincident and axis points
-    (B / (A + B) < 1e-14) get their own values patched in only when the
-    input has any, so a generic call makes no masking pass.
+    (B / (A + B) < 1e-14) get their own values patched in only when a block
+    has any, so a generic call makes no masking pass.
+
+    The broadcast output is evaluated in blocks of about RING_BLOCK values
+    along its leading axis, so the dozen temporaries of the n = 5 formula
+    stay in cache.  Each value goes through the same operations whatever
+    the block, so the result does not depend on the blocking.
     """
+    if n not in (3, 4, 5):
+        raise DomainError(f"unsupported dimension n={n}")
     wt, ws, dz = (np.asarray(x, dtype=float) for x in (wt, ws, dz))
     scalar = wt.ndim == ws.ndim == dz.ndim == 0
-    wt, ws, dz = np.atleast_1d(wt, ws, dz)
+    shape = np.broadcast_shapes(wt.shape, ws.shape, dz.shape) or (1,)
+    # each input at the output's rank: its leading axis is 1 or shape[0]
+    args = [x.reshape((1,) * (len(shape) - x.ndim) + x.shape) for x in (wt, ws, dz)]
+    out = np.empty(shape)
+    step = max(1, RING_BLOCK // max(1, math.prod(shape[1:])))
+    for k0 in range(0, shape[0], step):
+        rows = slice(k0, k0 + step)
+        _ring_block(n, *(x[rows] if x.shape[0] > 1 else x for x in args), out[rows])
+    if scalar:
+        return float(out[0])
+    return out
+
+
+def _ring_block(n, wt, ws, dz, out):
+    """ring_kernel on one block, written into out."""
     A = (wt - ws) ** 2 + dz**2
     B = 4.0 * wt * ws
     diag = A <= 0.0
@@ -81,33 +105,29 @@ def ring_kernel(n, wt, ws, dz):
     m = B / AB
 
     if n == 3:
-        out = ws * ellipk(m) / (math.pi * np.sqrt(AB))
-    elif n in (4, 5):
+        np.divide(ws * ellipk(m), math.pi * np.sqrt(AB), out=out)
+    else:
         axis = m < 1e-14
         has_axis = axis.any()
         if n == 4:
             if has_axis:
                 wt = np.where(wt > 0, wt, 1.0)
-            out = ws * np.log(AB / A) / (4.0 * math.pi * wt)
+            np.divide(ws * np.log(AB / A), 4.0 * math.pi * wt, out=out)
         else:
             K = ellipk(m)
             gm = 2.0 * (K - ellipe(m)) - m * K
             if has_axis:
                 B = np.where(axis, 1.0, B)
-            out = ws**3 * 8.0 * np.sqrt(AB) * gm / (2.0 * math.pi * B**2)
+            np.divide(ws**3 * 8.0 * np.sqrt(AB) * gm, 2.0 * math.pi * B**2, out=out)
         if has_axis:
             ws_ax = np.broadcast_to(ws, out.shape)[axis]
             A_ax = A[axis]
             out[axis] = ws_ax**2 / (math.pi * A_ax) if n == 4 else ws_ax**3 / (4.0 * A_ax**1.5)
-    else:
-        raise DomainError(f"unsupported dimension n={n}")
     if has_diag:
         out[diag] = 0.0
-    if scalar:
-        return float(out[0])
-    return out
 
 
+RING_BLOCK = 1 << 14  # ring_kernel values per cache-resident block
 _TABLE_CACHE = {}
 _FAR_CACHE = {}
 _FAR_BLOCK = 1 << 16  # kernel evaluations per block of far-field weights
@@ -120,11 +140,19 @@ N_GAUSS_POLAR = (12, 16)  # (angle, radius) points per half of a polar cell
 
 
 def get_table(P, n):
-    """Unit-spacing kernel table, cached per (node count, dimension)."""
+    """Unit-spacing kernel table, cached per (node count, dimension); it
+    serves every patch of at most P nodes."""
     key = (int(P), int(n))
     if key not in _TABLE_CACHE:
         _TABLE_CACHE[key] = KernelTable(P, n)
     return _TABLE_CACHE[key]
+
+
+def _trapezoid(p):
+    """Nodal trapezoid weights along one axis of a patch with p nodes."""
+    w = np.ones(p)
+    w[0] = w[-1] = 0.5
+    return w
 
 
 def _gauss01(G):
@@ -167,8 +195,17 @@ class KernelTable:
     """Product-integration Nystrom data in unit node coordinates.
 
     The ring kernel is invariant under a uniform rescaling of (wt, ws, dz),
-    so one table per (P, n) serves every physical grid with P nodes: physical
-    applications just carry the h^2 measure.  The base rule integrates the
+    so one table of P nodes per dimension n serves every patch of p <= P
+    nodes, whatever its spacing: physical applications just carry the h^2
+    measure, and a patch of p < P nodes reads the leading p x p block.  That
+    block is the p-node table except at the patch's last node column and
+    last z lag, whose hats end at the patch edge in the p-node table and run
+    on in this one.  So a source on p < P nodes must vanish on its last row
+    and column (the edge-zero invariant), and apply raises DomainError if it
+    does not.  Both patches' sources do: the interior patch ends at
+    r = 2 R0, where chi = 0, and the starred one at r* = R0, where
+    1 - chi = 0.  The nodal rules of eval_at, far_weights and total_mass
+    take the patch's own trapezoid weights.  The base rule integrates the
     kernel exactly against the tensor piecewise-linear interpolant of the
     source (hat-product weights W2[i, i', lag], Toeplitz and even in the z
     lag), which keeps the quadrature error a smooth O(h^2) interpolation
@@ -200,9 +237,6 @@ class KernelTable:
         self.P = int(P)
         self.n = int(n)
         self.nodes = np.arange(self.P, dtype=float)
-        self.colw = np.ones(self.P)
-        self.colw[0] = 0.5
-        self.colw[-1] = 0.5
         # circular length: a lag row even about index 0 holds lags
         # -(2P-2)..2P-2 when nfft >= 4P-4 (at 4P-4 the two end lags share
         # index 2P-2); every lag j - z' of an output z = j in 0..P-1 and a
@@ -307,34 +341,41 @@ class KernelTable:
     # -- application ----------------------------------------------------------
 
     def apply(self, gvals):
-        """Unit-coordinate potential on the node grid (multiply by h^2)."""
-        P, nfft = self.P, self.nfft
+        """Unit-coordinate potential on the node grid of the source's
+        p x p patch (multiply by h^2)."""
+        p, nfft = gvals.shape[0], self.nfft
+        if p > self.P or p < self.P and (np.any(gvals[-1]) or np.any(gvals[:, -1])):
+            raise DomainError(
+                f"a source on {p} nodes needs zeros on its last row and column "
+                f"to use the {self.P}-node table"
+            )
         # the source, circularly even in z: z and -z at indices z and nfft - z
-        gx = np.zeros((nfft, P))
-        gx[:P] = gvals.T
-        gx[nfft - P + 1 :] = gvals.T[:0:-1]
+        gx = np.zeros((nfft, p))
+        gx[:p] = gvals.T
+        gx[nfft - p + 1 :] = gvals.T[:0:-1]
         GX = np.fft.rfft(gx, axis=0)
         # one real product per frequency, real and imaginary parts of the
         # source spectrum stacked on a trailing axis of 2
-        Y = self.C @ GX.view(np.float64).reshape(GX.shape + (2,))
+        Y = self.C[:, :p, :p] @ GX.view(np.float64).reshape(GX.shape + (2,))
         y = np.fft.irfft(Y.view(np.complex128)[..., 0], nfft, axis=0)
-        out = np.ascontiguousarray(y[:P].T)
+        out = np.ascontiguousarray(y[:p].T)
 
         mc = MC
-        gpad = np.zeros((P + 2 * mc, P + 2 * mc))
-        gpad[mc : mc + P, mc : mc + P] = gvals
-        gpad[mc : mc + P, :mc] = gvals[:, mc:0:-1]
+        gpad = np.zeros((p + 2 * mc, p + 2 * mc))
+        gpad[mc : mc + p, mc : mc + p] = gvals
+        gpad[mc : mc + p, :mc] = gvals[:, mc:0:-1]
         for dni in range(-mc, mc + 1):
             for dnj in range(-mc, mc + 1):
-                w = self.corr[:, dni + mc, dnj + mc]
+                w = self.corr[:p, dni + mc, dnj + mc]
                 if not np.any(w):
                     continue
-                out += w[:, None] * gpad[mc + dni : mc + dni + P, mc + dnj : mc + dnj + P]
+                out += w[:, None] * gpad[mc + dni : mc + dni + p, mc + dnj : mc + dnj + p]
         return out
 
     def eval_at(self, gvals, wt, zt, support_mask=None):
-        """Plain nodal quadrature at scattered unit-coordinate targets
-        (targets must stay a few cells away from strong sources)."""
+        """Plain nodal quadrature of the source's patch at scattered
+        unit-coordinate targets (targets must stay a few cells away from
+        strong sources)."""
         if support_mask is None:
             support_mask = np.abs(gvals) > 0
         src = np.flatnonzero(support_mask)
@@ -342,15 +383,17 @@ class KernelTable:
         zt = np.atleast_1d(np.asarray(zt, dtype=float))
         g = gvals.ravel()[src]
         out = np.zeros(wt.shape)
-        for k0, block in self.far_weights(src, wt, zt):
+        for k0, block in self.far_weights(src, wt, zt, gvals.shape[0]):
             out += g[k0 : k0 + len(block)] @ block
         return out
 
-    def far_weights(self, src, wt, zt):
-        """eval_at's quadrature weights from flat source nodes src to 1-d
-        targets, in blocks of about 64k kernel evaluations: yields (k0, B)
-        with B[k, t] the weight of node src[k0 + k] at target t."""
-        i_s, j_s = np.divmod(src, self.P)
+    def far_weights(self, src, wt, zt, p):
+        """eval_at's quadrature weights from flat source nodes src of a
+        p x p patch to 1-d targets, in blocks of about 64k kernel
+        evaluations: yields (k0, B) with B[k, t] the weight of node
+        src[k0 + k] at target t."""
+        i_s, j_s = np.divmod(src, p)
+        colw = _trapezoid(p)
         step = max(1, _FAR_BLOCK // max(1, wt.size))
         for k0 in range(0, i_s.size, step):
             i = i_s[k0 : k0 + step, None]
@@ -362,14 +405,15 @@ class KernelTable:
             kv = kv + np.where(j > 0, 1.0, 0.0) * ring_kernel(
                 self.n, wt[None, :], ws, zt[None, :] + zs
             )
-            yield k0, self.colw[i] * kv
+            yield k0, colw[i] * kv
 
     def w2_slab(self, i):
         """W2[i] rebuilt from the spectra: (P, 2P - 1), source column by lag."""
         return np.fft.irfft(self.C[:, i, :], self.nfft, axis=0)[: 2 * self.P - 1].T
 
     def rows(self, targets, sources):
-        """Dense quadrature rows R[t, s] consistent with apply()."""
+        """Dense quadrature rows R[t, s] consistent with apply() (on a
+        smaller patch, for sources off its last row and column)."""
         ti, tj = targets
         si, sj = sources
         R = np.empty((ti.size, si.size))
@@ -398,14 +442,15 @@ class KernelTable:
         return self.C.nbytes + self.corr.nbytes
 
     def total_mass(self, gvals):
-        """Unit-coordinate n-volume integral (multiply by h^n)."""
-        P = self.P
-        zfold = np.full(P, 2.0)
+        """Unit-coordinate n-volume integral over the source's patch
+        (multiply by h^n)."""
+        p = gvals.shape[0]
+        zfold = np.full(p, 2.0)
         zfold[0] = 1.0
         meas = (
             SPHERE_AREA[self.n]
-            * self.nodes[:, None] ** (self.n - 2)
-            * self.colw[:, None]
+            * self.nodes[:p, None] ** (self.n - 2)
+            * _trapezoid(p)[:, None]
             * zfold[None, :]
         )
         return float(np.sum(meas * gvals))
@@ -445,13 +490,15 @@ class FarOperator:
     table units both target sets sit at (i, j) (N - 1)(M - 1) / (2 (i^2 + j^2))
     for every R0, so one operator serves every star on a grid shape.
 
-    The skeleton is a column-pivoted QR of a sketch: the weights from an
-    evenly strided subset of about FAR_SKETCH_ROWS * P source nodes of the
-    quarter disc i^2 + j^2 < (P - 1)^2, where the chi-cut and the diamond
-    sources live.  Its rank is the number of pivots above FAR_RANK_TOL of the
-    first, and tail is the first dropped pivot over the first (0 if none
-    was dropped), the truncation estimate of the decomposition.  The
-    tolerance sits at the resolution of the n = 5 ring kernel: its
+    The weights come from the kernel table of dimension n the two patches
+    share, read on the source patch's P nodes (n_int for side "int", n_ext
+    for "star").  The skeleton is a column-pivoted QR of a sketch: the
+    weights from an evenly strided subset of about FAR_SKETCH_ROWS * P
+    source nodes of the quarter disc i^2 + j^2 < (P - 1)^2, where the
+    chi-cut and the diamond sources live.  Its rank is the number of pivots
+    above FAR_RANK_TOL of the first, and tail is the first dropped pivot
+    over the first (0 if none was dropped), the truncation estimate of the
+    decomposition.  The tolerance sits at the resolution of the n = 5 ring kernel: its
     2 (K - E) - m K cancels for small m and is good to about 3.5e-7
     relative at m = 1e-4, so pivots much below 1e-14 only track that
     roundoff (at 97/65 a 1e-15 tolerance kept 364 / 310 pivots for
@@ -472,8 +519,8 @@ class FarOperator:
         from scipy.linalg import solve_triangular
         from scipy.linalg.lapack import dgeqp3
 
-        self.table = get_table(n_int if side == "int" else n_ext, n)
-        P = self.table.P
+        self.table = get_table(max(n_int, n_ext), n)
+        self.P = P = n_int if side == "int" else n_ext
         i, j = np.nonzero(far_mask(n_ext if side == "int" else n_int))
         c = (n_int - 1) * (n_ext - 1) / (2.0 * (i * i + j * j))
         wt, zt = i * c, j * c
@@ -485,7 +532,7 @@ class FarOperator:
         # one Fortran-ordered buffer that LAPACK factors in place; the
         # queried optimal workspace keeps geqp3 on its blocked path
         A = np.empty((sketch.size, wt.size), order="F")
-        for k0, block in self.table.far_weights(sketch, wt, zt):
+        for k0, block in self.table.far_weights(sketch, wt, zt, P):
             A[k0 : k0 + len(block)] = block
         A *= scale
         lwork = int(dgeqp3(A, lwork=-1, overwrite_a=True)[3][0])
@@ -526,7 +573,7 @@ class FarOperator:
             J = self.skeleton
             weights = np.empty((k + new.size, self.rank))
             weights[:k] = self.weights
-            for k0, block in self.table.far_weights(new, self.wt[J], self.zt[J]):
+            for k0, block in self.table.far_weights(new, self.wt[J], self.zt[J], self.P):
                 weights[k + k0 : k + k0 + len(block)] = block
             self.weights = weights
             self.built[new] = True
@@ -538,7 +585,9 @@ class GreenOps:
     """Two-patch Green operators bound to one AxiGrid.
 
     Kernel tables live in unit coordinates (cached globally per node count
-    and dimension); this class carries the physical measure factors.
+    and dimension); this class carries the physical measure factors.  Both
+    patches share one table per dimension, sized to the larger one; the
+    smaller patch reads its leading block.
     _patch_potential moves a potential from its source's patch to the other
     one, in both directions.  far[side] masks the other patch's nodes whose
     images lie outside the source patch (image radius > 2 R0 for side "int",
@@ -561,10 +610,9 @@ class GreenOps:
         self._tables_used = {}
         self._far_used = {}
 
-    def table_int(self, n):
-        return self._table(self.grid.n_int, n)
-
-    def _table(self, P, n):
+    def table(self, n):
+        """The kernel table of dimension n both patches use."""
+        P = max(self.grid.n_int, self.grid.n_ext)
         self._tables_used.setdefault((P, n), (P, n) not in _TABLE_CACHE)
         return get_table(P, n)
 
@@ -615,8 +663,8 @@ class GreenOps:
         images inside the source patch, the far operator at the far[side]
         ones, and the monopole limit at the origin, the image of infinity."""
         g = self.grid
-        P, h, other = (g.n_int, g.h_int, "star") if side == "int" else (g.n_ext, g.h_ext, "int")
-        table = self._table(P, n)
+        h, other = (g.h_int, "star") if side == "int" else (g.h_ext, "int")
+        table = self.table(n)
         own = h**2 * table.apply(src)
         w, z, r = g.images[other]
         far = self.far[side]
@@ -675,7 +723,7 @@ class LOpSolver:
 
         self.ops = ops
         self.grid = ops.grid
-        self.table = ops.table_int(3)
+        self.table = ops.table(3)
         self.h = self.grid.h_int
         coef = coef_field.int_total() if coef_field.offset != 0.0 else coef_field.int_vals
         self.coef = coef

@@ -175,7 +175,7 @@ def newtonian_fields(dle, params, grid, ops, eos, tol=1e-12, max_iter=200):
     P_N = compact_map(eos.f_N_P, u_N, n_index=4)
     Phi_N = ops.k_n_global(rho_N, 3) * G4pi
     ratio = compact_map(eos.df_N_rho, u_N, n_index=3)
-    M_N = grid.h_int**3 * ops.table_int(3).total_mass(rho_N.int_vals)
+    M_N = grid.h_int**3 * ops.table(3).total_mass(rho_N.int_vals)
     return NewtonianFields(
         u_N=u_N,
         rho_N=rho_N,

@@ -86,6 +86,12 @@ class TestConfigValidation:
                                 ["solve", "--config", "{tmp}/cfg.yaml"]),
         "zero lane_emden.n_zeta": ({"cfg.yaml": "lane_emden: {n_zeta: 0}\n"},
                                    ["solve", "--config", "{tmp}/cfg.yaml"]),
+        "negative lane_emden.lmax": ({"cfg.yaml": "lane_emden: {lmax: -2}\n"},
+                                     ["solve", "--config", "{tmp}/cfg.yaml"]),
+        "two-node lane_emden.n_radial": ({"cfg.yaml": "lane_emden: {n_radial: 2}\n"},
+                                         ["solve", "--config", "{tmp}/cfg.yaml"]),
+        "zero lane_emden.report_grid": ({"cfg.yaml": "lane_emden: {report_grid: 0}\n"},
+                                        ["lane-emden", "--config", "{tmp}/cfg.yaml"]),
         "zero solver.max_inner": ({"cfg.yaml": "solver: {max_inner: 0}\n"},
                                   ["solve", "--config", "{tmp}/cfg.yaml"]),
         "fractional solver.max_inner": ({"cfg.yaml": "solver: {max_inner: 2.5}\n"},

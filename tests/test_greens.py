@@ -11,13 +11,14 @@ from scipy.sparse.linalg import spsolve
 from scipy.special import ellipe, ellipk
 
 from rotstar import greens
-from rotstar.errors import DecayError
+from rotstar.errors import DecayError, DomainError
 from rotstar.fields import AxiField, AxiGrid
 from rotstar.greens import (
     FUND_NORM,
     GreenOps,
     KernelTable,
     LOpSolver,
+    N_GAUSS_BASE,
     axis_laplacian,
     get_table,
     ring_kernel,
@@ -240,7 +241,7 @@ class TestGlobalInverse:
         # hold exactly the h^2-scaled kernel table applied to it
         s = smooth_bump(grid, radius_frac=0.45)
         out = ops.k_n_global(s, 3)
-        assert np.array_equal(out.int_vals, grid.h_int**2 * ops.table_int(3).apply(s.int_vals))
+        assert np.array_equal(out.int_vals, grid.h_int**2 * ops.table(3).apply(s.int_vals))
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_exterior_tail_poisson(self, ops, grid, n):
@@ -433,7 +434,7 @@ class TestLOp:
         bump = smooth_bump(grid, radius_frac=0.35)
         coef = bump.int_vals
         si, sj = np.nonzero(coef != 0.0)
-        tab = ops.table_int(3)
+        tab = ops.table(3)
         h = grid.h_int
         R = h**2 * tab.rows((si, sj), (si, sj))
         R0row = h**2 * tab.rows((np.array([0]), np.array([0])), (si, sj))
@@ -469,6 +470,98 @@ class TestHarmonicTransport:
         assert abs(slope - 2.0) < 0.5
 
 
+class TestSharedTable:
+    """A patch of p nodes on the P-node table of its dimension, P > p."""
+
+    SIZES = [(49, 65), (65, 97)]
+
+    @staticmethod
+    def sources(p):
+        """The two chi-cut sources of a p-node patch: interior chi(r/R0) and
+        starred 1 - chi at the image radius, both zero on the last row and
+        column."""
+        g = AxiGrid(R0=2.0, n_interior=p, n_exterior=p)
+        r_int, r_star = g.RI / g.R0, g.RS / g.R0
+        return [g.chi_int * np.cos(1.3 * r_int), (1.0 - g.chi_img) * np.exp(-r_star)]
+
+    @pytest.mark.parametrize("p, P", SIZES)
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_leading_block_is_the_patch_table(self, n, p, P):
+        own, shared = get_table(p, n), get_table(P, n)
+        wt = np.linspace(0.0, 3.0 * p, 40)
+        zt = np.linspace(2.0 * p, 0.5 * p, 40)
+        for src in self.sources(p):
+            assert not np.any(src[-1]) and not np.any(src[:, -1])
+            ref = own.apply(src)
+            got = shared.apply(src)
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+            assert shared.total_mass(src) == own.total_mass(src)
+            nodes = np.flatnonzero(src)
+            for (k0, block), (k1, ref_block) in zip(
+                shared.far_weights(nodes, wt, zt, p), own.far_weights(nodes, wt, zt, p),
+                strict=True,
+            ):
+                assert k0 == k1 and np.array_equal(block, ref_block)
+
+    @pytest.mark.parametrize("p, P", SIZES)
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_edge_touching_source_rejected(self, n, p, P):
+        # the leading block differs from the p-node table only where the
+        # source must vanish: on the last row and column
+        shared = get_table(P, n)
+        for edge in (np.s_[-1, 3], np.s_[3, -1]):
+            src = self.sources(p)[0]
+            src[edge] = 1e-3
+            with pytest.raises(DomainError):
+                shared.apply(src)
+        with pytest.raises(DomainError):
+            get_table(p, n).apply(np.ones((P, P)))
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_larger_starred_patch(self, n):
+        # with n_exterior > n_interior the interior patch reads the leading
+        # block; k_n_global and the LOp solve match each patch on the table
+        # of its own node count
+        g = AxiGrid(R0=2.0, n_interior=33, n_exterior=49)
+        ops, ref_ops = GreenOps(g), PerPatchOps(g)
+        assert ops.table(n) is get_table(49, n)
+
+        def tail(w, z):
+            return (1.0 + (w * w + z * z) / g.R0**2) ** (-(n + 2) / 2)
+
+        f = AxiField.from_function(g, tail, n)
+        assert_close_fields(ops.k_n_global(f, n), ref_ops.k_n_global(f, n), 1e-14)
+        if n == 3:
+            coef = smooth_bump(g, radius_frac=0.3) * 2.0
+            gf = smooth_bump(g, radius_frac=0.6)
+            got = LOpSolver(ops, coef).solve(gf)
+            ref = LOpSolver(ref_ops, coef).solve(gf)
+            assert_close_fields(got, ref, 1e-14)
+            assert got.offset == pytest.approx(ref.offset, rel=1e-14)
+
+
+class PerPatchOps(GreenOps):
+    """GreenOps with each patch on the kernel table of its own node count,
+    the reference for the shared tables."""
+
+    def table(self, n):
+        return get_table(self.grid.n_int, n)
+
+    def _patch_potential(self, side, n, src):
+        if side == "star":
+            self.table = lambda n: get_table(self.grid.n_ext, n)
+        try:
+            return super()._patch_potential(side, n, src)
+        finally:
+            self.__dict__.pop("table", None)
+
+
+def assert_close_fields(got, ref, rtol):
+    for a, b in ((got.int_vals, ref.int_vals), (got.star_vals, ref.star_vals)):
+        assert np.max(np.abs(a - b)) <= rtol * np.max(np.abs(b))
+
+
 class TestCachedQuadrature:
     """The shared far operators reproduce eval_at, and apply reproduces rows()."""
 
@@ -492,11 +585,12 @@ class TestCachedQuadrature:
         """The plain nodal rule summed target by target."""
         i, j = np.nonzero(gvals)
         ws, zs = table.nodes[i], table.nodes[j]
+        colw = np.where((i == 0) | (i == gvals.shape[0] - 1), 0.5, 1.0)
         out = np.empty(wt.size)
         for t in range(wt.size):
             k = ring_kernel(table.n, wt[t], ws, zt[t] - zs)
             k = k + (j > 0) * ring_kernel(table.n, wt[t], ws, zt[t] + zs)
-            out[t] = np.sum(table.colw[i] * gvals[i, j] * k)
+            out[t] = np.sum(colw * gvals[i, j] * k)
         return out
 
     @staticmethod
@@ -585,9 +679,10 @@ class TestCachedQuadrature:
 
     @staticmethod
     def sketch_inputs(side, n, n_int, n_ext):
-        """FarOperator's sketch rows, targets and column scale, rebuilt."""
-        table = get_table(n_int if side == "int" else n_ext, n)
-        P = table.P
+        """FarOperator's shared table, patch size, sketch rows, targets and
+        column scale, rebuilt."""
+        table = get_table(max(n_int, n_ext), n)
+        P = n_int if side == "int" else n_ext
         i, j = np.nonzero(greens.far_mask(n_ext if side == "int" else n_int))
         c = (n_int - 1) * (n_ext - 1) / (2.0 * (i * i + j * j))
         wt, zt = i * c, j * c
@@ -595,15 +690,15 @@ class TestCachedQuadrature:
         si, sj = np.divmod(np.arange(P * P), P)
         disc = np.flatnonzero(si * si + sj * sj < (P - 1) ** 2)
         sketch = disc[:: max(1, disc.size // (greens.FAR_SKETCH_ROWS * P))]
-        return table, sketch, wt, zt, scale
+        return table, P, sketch, wt, zt, scale
 
     @pytest.mark.parametrize("side", ["int", "star"])
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_in_place_factor_matches_qr(self, side, n):
         # the skeleton and E of the in-place geqp3 equal bit for bit those
         # of scipy.linalg.qr on a stacked, scaled copy of the same sketch
-        table, sketch, wt, zt, scale = self.sketch_inputs(side, n, 33, 25)
-        A = np.vstack([block for _, block in table.far_weights(sketch, wt, zt)])
+        table, P, sketch, wt, zt, scale = self.sketch_inputs(side, n, 33, 25)
+        A = np.vstack([block for _, block in table.far_weights(sketch, wt, zt, P)])
         R, perm = scipy.linalg.qr(A * scale, mode="r", pivoting=True)
         d = np.abs(np.diag(R))
         r = int(np.count_nonzero(d > greens.FAR_RANK_TOL * d[0]))
@@ -620,8 +715,8 @@ class TestCachedQuadrature:
     def test_rank_keeps_pivots_above_tolerance(self, side, n):
         # every kept pivot of the sketch QR is above FAR_RANK_TOL of the
         # first, and tail, the first dropped one, is at or below it
-        table, sketch, wt, zt, scale = self.sketch_inputs(side, n, 33, 25)
-        A = np.vstack([block for _, block in table.far_weights(sketch, wt, zt)])
+        table, P, sketch, wt, zt, scale = self.sketch_inputs(side, n, 33, 25)
+        A = np.vstack([block for _, block in table.far_weights(sketch, wt, zt, P)])
         R = scipy.linalg.qr(A * scale, mode="r", pivoting=True)[0]
         d = np.abs(np.diag(R))
         far = greens.FarOperator(side, n, 33, 25)
@@ -635,7 +730,7 @@ class TestCachedQuadrature:
         # constructing the operator may hold the sketch and E beside the
         # far_weights blocks, not the several copies of a stack-scale-copy
         # QR (the stacked blocks, vstack, the scaled copy, the Fortran copy)
-        table, sketch, wt, zt, _ = self.sketch_inputs("star", 3, 65, 49)
+        table, P, sketch, wt, zt, _ = self.sketch_inputs("star", 3, 65, 49)
 
         def traced_peak(fn):
             tracemalloc.reset_peak()
@@ -645,7 +740,7 @@ class TestCachedQuadrature:
 
         tracemalloc.start()
         try:
-            bare, _ = traced_peak(lambda: [None for _ in table.far_weights(sketch, wt, zt)])
+            bare, _ = traced_peak(lambda: [None for _ in table.far_weights(sketch, wt, zt, P)])
             peak, far = traced_peak(lambda: greens.FarOperator("star", 3, 65, 49))
         finally:
             tracemalloc.stop()
@@ -761,6 +856,103 @@ def loop_build(P, n):
             for dnj in range(-mc, mc + 1):
                 corr[i, dni + mc, dnj + mc] = acc[dni + mc, dnj + mc] - W2[i, i + dni, abs(dnj)]
     return W2, corr
+
+
+def oneshot_ring_kernel(n, wt, ws, dz):
+    """ring_kernel on the whole broadcast input at once, without blocks,
+    kept as the reference for ring_kernel's blocked evaluation."""
+    wt, ws, dz = (np.asarray(x, dtype=float) for x in (wt, ws, dz))
+    scalar = wt.ndim == ws.ndim == dz.ndim == 0
+    wt, ws, dz = np.atleast_1d(wt, ws, dz)
+    A = (wt - ws) ** 2 + dz**2
+    B = 4.0 * wt * ws
+    diag = A <= 0.0
+    has_diag = diag.any()
+    if has_diag:
+        A[diag] = 1.0
+    AB = A + B
+    m = B / AB
+    if n == 3:
+        out = ws * ellipk(m) / (math.pi * np.sqrt(AB))
+    else:
+        axis = m < 1e-14
+        has_axis = axis.any()
+        if n == 4:
+            if has_axis:
+                wt = np.where(wt > 0, wt, 1.0)
+            out = ws * np.log(AB / A) / (4.0 * math.pi * wt)
+        else:
+            K = ellipk(m)
+            gm = 2.0 * (K - ellipe(m)) - m * K
+            if has_axis:
+                B = np.where(axis, 1.0, B)
+            out = ws**3 * 8.0 * np.sqrt(AB) * gm / (2.0 * math.pi * B**2)
+        if has_axis:
+            ws_ax = np.broadcast_to(ws, out.shape)[axis]
+            A_ax = A[axis]
+            out[axis] = ws_ax**2 / (math.pi * A_ax) if n == 4 else ws_ax**3 / (4.0 * A_ax**1.5)
+    if has_diag:
+        out[diag] = 0.0
+    if scalar:
+        return float(out[0])
+    return out
+
+
+class TestBlockedKernel:
+    """ring_kernel's cache-sized blocks against the one-shot formula."""
+
+    @staticmethod
+    def inputs(P):
+        """Scalar, W2-column, correction-cell and axis/coincident inputs of a
+        P-node table build."""
+        t = 0.5 * (leggauss(N_GAUSS_BASE)[0] + 1.0)
+        ws_pts = (np.arange(P - 1)[:, None] + t[None, :]).ravel()
+        dz_pts = (np.arange(2 * P - 2)[:, None] + t[None, :]).ravel()
+        # the cells of _build_corrections: near ones on a 10 x 10 Gauss
+        # rule, the four around the target on the polar rule
+        d = np.arange(-greens.MC - 1, greens.MC + 1)
+        I, DI, DJ = (x.ravel() for x in np.meshgrid(np.arange(P), d, d, indexing="ij"))
+        keep = (I + DI >= 0) & (I + DI <= P - 2)
+        polar = keep & (DI >= -1) & (DI <= 0) & (DJ >= -1) & (DJ <= 0)
+        i, a, b = (x[keep & ~polar, None, None] for x in (I, DI, DJ))
+        tn = 0.5 * (leggauss(greens.N_GAUSS_NEAR)[0] + 1.0)
+        ip, ap, bp = (x[polar, None] for x in (I, DI, DJ))
+        x, y, _ = greens._polar_rule()
+        grid = np.arange(4.0)
+        return {
+            "scalar": (1.5, 4.0, 0.25),
+            "scalar coincident": (2.0, 2.0, 0.0),
+            "W2 column": (float(P // 2), ws_pts[:, None], dz_pts[None, :]),
+            "W2 axis column": (0.0, ws_pts[:, None], dz_pts[None, :]),
+            "near cells": (1.0 * i, i + (a + tn[:, None]), b + tn),
+            "polar cells": (1.0 * ip, ip + (2 * ap + 1) * x, (2 * bp + 1) * y),
+            # axis targets (wt = 0, so m = 0) and coincident points (A = 0)
+            "axis and coincident": (grid[:, None, None], grid[None, :, None], grid[None, None, :]),
+        }
+
+    @pytest.mark.parametrize("block", [None, 7])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_matches_oneshot(self, monkeypatch, n, block):
+        # at P = 97 a W2 column and the near cells span many blocks; blocks
+        # of 7 put axis and coincident points in some blocks only
+        if block is not None:
+            monkeypatch.setattr(greens, "RING_BLOCK", block)
+        blocks = 0
+        for name, args in self.inputs(97 if block is None else 17).items():
+            got = ring_kernel(n, *args)
+            ref = oneshot_ring_kernel(n, *args)
+            assert type(got) is type(ref), name
+            assert np.array_equal(got, ref), name
+            blocks = max(blocks, np.size(got) // greens.RING_BLOCK)
+        assert blocks >= 10
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_table_matches_oneshot_build(self, monkeypatch, n):
+        table = KernelTable(17, n)
+        monkeypatch.setattr(greens, "ring_kernel", oneshot_ring_kernel)
+        ref = KernelTable(17, n)
+        assert np.array_equal(table.C, ref.C)
+        assert np.array_equal(table.corr, ref.corr)
 
 
 class TestBatchedBuild:

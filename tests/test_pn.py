@@ -312,6 +312,8 @@ class TestInnerOuter:
             assert rep["builds"] + rep["cache_hits"] == len(rep["kernel_tables"]) + len(
                 rep["far_operators"]
             )
+            # one table per dimension, sized to the larger patch, serves both
+            assert sorted(rep["kernel_tables"]) == ["P65_n3", "P65_n4", "P65_n5"]
             assert {"int_n3", "int_n5", "star_n3", "star_n5"} <= set(rep["far_operators"])
             dense = 0
             for op in rep["far_operators"].values():
@@ -336,6 +338,7 @@ class TestInnerOuter:
             rep = static_sweep[eps][0].diagnostics["green_ops"]
             assert not [k for k in (*rep["kernel_tables"], *rep["far_operators"]) if k.endswith("n5")]
             assert {"int_n3", "star_n3"} <= set(rep["far_operators"])
+            assert {k.split("_")[0] for k in rep["kernel_tables"]} == {"P65"}
 
     def test_far_v_derives_the_k_gradient_fields_once(self, monkeypatch, rotating_sweep,
                                                        rotating_solver):
