@@ -105,25 +105,36 @@ def _fd1(arr, h, axis, parity):
     return (ext[tuple(hi)] - ext[tuple(lo)]) / (2.0 * h)
 
 
-def _bilinear(vals, h, xq, yq):
-    """Bilinear interpolation on a uniform grid starting at 0."""
-    nx, ny = vals.shape
+def _cells(shape, h, xq, yq):
+    """Bilinear cells of query points on a uniform grid starting at 0: the
+    flat indices of each cell's four corners and the weights 1 - t and t
+    along each axis."""
+    nx, ny = shape
     fx = np.clip(xq / h, 0.0, nx - 1.0 - 1e-12)
     fy = np.clip(yq / h, 0.0, ny - 1.0 - 1e-12)
     ix = fx.astype(int)
     iy = fy.astype(int)
     tx = fx - ix
     ty = fy - iy
-    v00 = vals[ix, iy]
-    v10 = vals[ix + 1, iy]
-    v01 = vals[ix, iy + 1]
-    v11 = vals[ix + 1, iy + 1]
+    k00 = ix * ny + iy
+    return (k00, k00 + ny, k00 + 1, k00 + ny + 1), (1 - tx, tx, 1 - ty, ty)
+
+
+def _combine(vals, cells):
+    """Bilinear values of vals from _cells of its shape."""
+    (k00, k10, k01, k11), (sx, tx, sy, ty) = cells
+    flat = vals.ravel()
     return (
-        v00 * (1 - tx) * (1 - ty)
-        + v10 * tx * (1 - ty)
-        + v01 * (1 - tx) * ty
-        + v11 * tx * ty
+        flat[k00] * sx * sy
+        + flat[k10] * tx * sy
+        + flat[k01] * sx * ty
+        + flat[k11] * tx * ty
     )
+
+
+def _bilinear(vals, h, xq, yq):
+    """Bilinear interpolation on a uniform grid starting at 0."""
+    return _combine(vals, _cells(vals.shape, h, xq, yq))
 
 
 def _bicubic(vals, h, xq, yq):
@@ -134,6 +145,87 @@ def _bicubic(vals, h, xq, yq):
     rgi = RegularGridInterpolator((x, x[:ny]), vals, method="cubic", bounds_error=False, fill_value=None)
     pts = np.stack([np.clip(xq, 0, x[nx - 1]), np.clip(yq, 0, x[ny - 1])], axis=-1)
     return rgi(pts)
+
+
+class _Points:
+    """What evaluating any field of one grid at one point set needs, computed
+    once: the parity signs, r, chi(r/R0), the near/far split, the Kelvin
+    images of the far points and each patch's bilinear cells."""
+
+    def __init__(self, grid, w, z):
+        w, z = np.broadcast_arrays(np.asarray(w, dtype=float), np.asarray(z, dtype=float))
+        self.scalar = w.ndim == 0
+        if self.scalar:
+            w = w.reshape(1)
+            z = z.reshape(1)
+        self.grid = g = grid
+        self.w, self.z = w, z
+        wq, zq = np.abs(w), np.abs(z)
+        r = np.hypot(wq, zq)
+        self.shape = r.shape
+        c = chi(r / g.R0)
+        self.near = c > 0.0
+        self.far = c < 1.0
+        self.any_near = bool(np.any(self.near))
+        self.any_far = bool(np.any(self.far))
+        self.c_near = c[self.near]
+        self.wn, self.zn = wq[self.near], zq[self.near]
+        rf = r[self.far]
+        scale = (g.R0**2) / rf**2
+        self.wsq, self.zsq = wq[self.far] * scale, zq[self.far] * scale
+        self.rf, self.c_far = rf, c[self.far]
+        self._signs, self._far_weight, self._cells = {}, {}, {}
+
+    def sign(self, parity):
+        if parity not in self._signs:
+            sgn = np.where(self.z < 0, float(parity[1]), 1.0)
+            self._signs[parity] = sgn * np.where(self.w < 0, float(parity[0]), 1.0)
+        return self._signs[parity]
+
+    def far_weight(self, n):
+        """(1 - chi) (R0/r)^(n-2) at the far points."""
+        if n not in self._far_weight:
+            self._far_weight[n] = (1.0 - self.c_far) * (self.grid.R0 / self.rf) ** (n - 2)
+        return self._far_weight[n]
+
+    def interp(self, fld, patch):
+        """fld's stored tail of one patch ("int" or "star") interpolated at
+        the near points or at the far points' images."""
+        g = self.grid
+        vals, h, x, y = (
+            (fld.int_vals, g.h_int, self.wn, self.zn)
+            if patch == "int"
+            else (fld.star_vals, g.h_ext, self.wsq, self.zsq)
+        )
+        if fld.interp != "bilinear":
+            return _bicubic(vals, h, x, y)
+        if patch not in self._cells:
+            self._cells[patch] = _cells(vals.shape, h, x, y)
+        return _combine(vals, self._cells[patch])
+
+    def value(self, fld):
+        """The total value of fld, as AxiField.eval returns it."""
+        out = np.zeros(self.shape)
+        if self.any_near:
+            out[self.near] += self.c_near * self.interp(fld, "int")
+        if self.any_far:
+            out[self.far] += self.far_weight(fld.n_index) * self.interp(fld, "star")
+        out = fld.offset + self.sign(fld.parity) * out
+        if self.scalar:
+            return float(out[0])
+        return out
+
+
+def eval_fields(fields, w, z):
+    """[f.eval(w, z) for f in fields] for fields on one grid, bit for bit,
+    with one geometry pass over the points for all of them (_Points): per
+    field only the four gathers and the bilinear combine per patch remain.
+    PNSolver.ktilde_arrays samples its eleven K-gradient fields this way,
+    with one chi evaluation per point set instead of eleven."""
+    pts = _Points(fields[0].grid, w, z)
+    for f in fields[1:]:
+        fields[0]._require_same_grid(f)
+    return [pts.value(f) for f in fields]
 
 
 def _fill_origin(star_vals):
@@ -241,39 +333,12 @@ class AxiField:
     # -- evaluation ------------------------------------------------------------
 
     def eval(self, w, z):
-        """Total value at arbitrary half-plane points (z < 0 by parity)."""
-        g = self.grid
-        w = np.asarray(w, dtype=float)
-        z = np.asarray(z, dtype=float)
-        w, z = np.broadcast_arrays(w, z)
-        scalar = w.ndim == 0
-        if scalar:
-            w = w.reshape(1)
-            z = z.reshape(1)
-        sgn = np.where(z < 0, float(self.parity[1]), 1.0)
-        zq = np.abs(z)
-        wq = np.abs(w)
-        sgn = sgn * np.where(w < 0, float(self.parity[0]), 1.0)
-        r = np.hypot(wq, zq)
-        out = np.zeros_like(r)
-
-        c = chi(r / g.R0)
-        interp = _bilinear if self.interp == "bilinear" else _bicubic
-        near = c > 0.0
-        if np.any(near):
-            out[near] += c[near] * interp(self.int_vals, g.h_int, wq[near], zq[near])
-        far = c < 1.0
-        if np.any(far):
-            rf = r[far]
-            scale = (g.R0**2) / rf**2
-            wsq = wq[far] * scale
-            zsq = zq[far] * scale
-            tail_star = interp(self.star_vals, g.h_ext, wsq, zsq)
-            out[far] += (1.0 - c[far]) * (g.R0 / rf) ** (self.n_index - 2) * tail_star
-        out = self.offset + sgn * out
-        if scalar:
-            return float(out[0])
-        return out
+        """Total value at arbitrary half-plane points (z < 0 by parity):
+        chi(r/R0) times the interior tail plus (1 - chi) times the starred
+        one, brought back by (R0/r)^(n-2), plus the offset.  This is the
+        one-field case of eval_fields; several fields at one point set
+        should go through that, to share one geometry pass."""
+        return eval_fields([self], w, z)[0]
 
     # -- derivatives -------------------------------------------------------------
 

@@ -23,6 +23,7 @@ import resource
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 from scipy.integrate import cumulative_trapezoid
 
 from .cutoff import chi
@@ -34,6 +35,7 @@ from .fields import (
     _fill_origin,
     compact_map,
     div_varpi,
+    eval_fields,
     exp_of,
     field_expm1,
     field_log1p,
@@ -197,6 +199,9 @@ class PotentialSet:
     V: AxiField
     w: AxiField
     Z: AxiField = None
+
+
+PATH_GAUSS = leggauss(24)  # Gauss rule on each segment of a far path
 
 
 def _log_series_tail(z):
@@ -557,7 +562,7 @@ class PNSolver:
 
         def at(wpts, zpts):
             w = np.asarray(wpts, dtype=float)
-            return ktilde_from(w, [fld.eval(w, zpts) for fld in fields])
+            return ktilde_from(w, eval_fields(fields, w, zpts))
 
         return (*ktilde_from(self.grid.WI, [fld.int_total() for fld in fields]), at)
 
@@ -600,10 +605,8 @@ class PNSolver:
     def _far_vhat(self, at, radii, thetas=(0.3, 0.7, 1.05, 1.4)):
         """V_hat at far points by Gauss quadrature of c^4 K1t, K3t, sampled
         by at, along the paper's path (up the axis, then horizontally)."""
-        from numpy.polynomial.legendre import leggauss
-
         c4 = self.params.c_light**4
-        xg, wg = leggauss(24)
+        xg, wg = PATH_GAUSS
         # per path: two axis segments 0 -> zt, then two horizontal 0 -> wt
         ends = []
         for th in thetas:

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rotstar.cutoff import chi
 from rotstar.errors import ConfigError, DomainError
-from rotstar.fields import AxiField, AxiGrid, _kelvin_images, compact_map
+from rotstar.fields import AxiField, AxiGrid, _bicubic, _kelvin_images, compact_map, eval_fields
 from rotstar.gridio import export_text, read_field, write_field
 
 
@@ -51,6 +52,50 @@ class TestKelvinPoint:
         assert (w[0], z[0], r[0]) == (0.0, 0.0, np.inf)
 
 
+def one_field_eval(fld, w, z):
+    """AxiField.eval as a single-field pass: its own signs, r, chi, near/far
+    split, Kelvin images and bilinear cells."""
+
+    def bilinear(vals, h, xq, yq):
+        nx, ny = vals.shape
+        fx = np.clip(xq / h, 0.0, nx - 1.0 - 1e-12)
+        fy = np.clip(yq / h, 0.0, ny - 1.0 - 1e-12)
+        ix = fx.astype(int)
+        iy = fy.astype(int)
+        tx = fx - ix
+        ty = fy - iy
+        return (
+            vals[ix, iy] * (1 - tx) * (1 - ty)
+            + vals[ix + 1, iy] * tx * (1 - ty)
+            + vals[ix, iy + 1] * (1 - tx) * ty
+            + vals[ix + 1, iy + 1] * tx * ty
+        )
+
+    g = fld.grid
+    w, z = np.broadcast_arrays(np.asarray(w, dtype=float), np.asarray(z, dtype=float))
+    scalar = w.ndim == 0
+    if scalar:
+        w, z = w.reshape(1), z.reshape(1)
+    sgn = np.where(z < 0, float(fld.parity[1]), 1.0)
+    zq, wq = np.abs(z), np.abs(w)
+    sgn = sgn * np.where(w < 0, float(fld.parity[0]), 1.0)
+    r = np.hypot(wq, zq)
+    out = np.zeros_like(r)
+    c = chi(r / g.R0)
+    interp = bilinear if fld.interp == "bilinear" else _bicubic
+    near = c > 0.0
+    if np.any(near):
+        out[near] += c[near] * interp(fld.int_vals, g.h_int, wq[near], zq[near])
+    far = c < 1.0
+    if np.any(far):
+        rf = r[far]
+        scale = (g.R0**2) / rf**2
+        tail_star = interp(fld.star_vals, g.h_ext, wq[far] * scale, zq[far] * scale)
+        out[far] += (1.0 - c[far]) * (g.R0 / rf) ** (fld.n_index - 2) * tail_star
+    out = fld.offset + sgn * out
+    return float(out[0]) if scalar else out
+
+
 class TestEval:
     def test_constant(self, grid):
         c = AxiField.constant(grid, 2.5)
@@ -86,6 +131,73 @@ class TestEval:
         assert f.eval(1.0, -2.5) == f.eval(1.0, 2.5)
         d = f.derivative("z")
         assert d.eval(1.0, -2.5) == pytest.approx(-d.eval(1.0, 2.5), rel=1e-13)
+
+    # eval_fields shares one geometry pass among fields evaluated at one
+    # point set; each value must be the single-field pass's, bit for bit
+    PARITIES = [(1, 1), (-1, 1), (1, -1), (-1, -1)]
+
+    @pytest.fixture(scope="class")
+    def fields(self, grid):
+        rng = np.random.RandomState(11)
+        out = []
+        for n in (3, 4, 5):
+            for parity in self.PARITIES:
+                offset = 0.0 if parity != (1, 1) else rng.uniform(-2.0, 2.0)
+                out.append(AxiField(grid, n, rng.standard_normal((grid.n_int, grid.n_int)),
+                                    rng.standard_normal((grid.n_ext, grid.n_ext)), parity, offset))
+        cubic = AxiField.from_function(grid, lambda w, z: np.cos(w) * np.exp(-0.1 * z * z), 4,
+                                       parity=(1, 1), offset=0.5)
+        cubic.interp = "bicubic"
+        return out + [cubic]
+
+    @pytest.fixture(scope="class")
+    def points(self, grid):
+        R0, rng = grid.R0, np.random.RandomState(12)
+        w = [rng.uniform(-3.0 * R0, 3.0 * R0, 200)]
+        z = [rng.uniform(-3.0 * R0, 3.0 * R0, 200)]
+        # on the axis, in the cutoff annulus, on its edges and the origin
+        rr = np.concatenate([rng.uniform(0.0, 4.0 * R0, 40), [0.0, R0, 2.0 * R0, 0.5 * R0]])
+        w.append(np.zeros(rr.size))
+        z.append(rr * np.where(np.arange(rr.size) % 2, 1.0, -1.0))
+        th = rng.uniform(-np.pi, np.pi, 60)
+        ra = rng.uniform(R0, 2.0 * R0, 60)
+        w.append(ra * np.cos(th))
+        z.append(ra * np.sin(th))
+        # beyond (n_ext - 1) R0: images inside the starred origin's cell
+        rb = (grid.n_ext - 1) * R0 * np.array([1.0, 1.5, 4.0, 1e3])
+        for a in (0.0, 0.4, 1.2, -2.0):
+            w.append(rb * np.cos(a))
+            z.append(rb * np.sin(a))
+        return np.concatenate(w), np.concatenate(z)
+
+    def test_equals_single_field_pass(self, fields, points):
+        w, z = points
+        for fld, got in zip(fields, eval_fields(fields, w, z)):
+            assert np.array_equal(got, one_field_eval(fld, w, z))
+
+    def test_scalar_and_broadcast_inputs(self, grid, fields):
+        R0 = grid.R0
+        for w, z in ((0.3 * R0, -0.2 * R0), (-1.4 * R0, 0.3 * R0), (0.0, 5.0 * R0),
+                     (-60.0 * R0, -7.0 * R0), (0.0, 0.0)):
+            got = eval_fields(fields, w, z)
+            for fld, val in zip(fields, got):
+                assert isinstance(val, float) and val == one_field_eval(fld, w, z)
+                assert fld.eval(w, z) == val
+        w2 = np.linspace(-3.0 * R0, 3.0 * R0, 12).reshape(3, 4)
+        for z in (-0.7 * R0, np.linspace(0.0, 2.0 * R0, 4)):
+            for fld, got in zip(fields, eval_fields(fields, w2, z)):
+                assert got.shape == (3, 4)
+                assert np.array_equal(got, one_field_eval(fld, w2, z))
+
+    def test_eval_is_the_one_field_case(self, fields, points):
+        w, z = points
+        for fld in fields:
+            assert np.array_equal(fld.eval(w, z), one_field_eval(fld, w, z))
+
+    def test_fields_on_other_grids_rejected(self, grid):
+        other = AxiGrid(R0=3.0, n_interior=33, n_exterior=25)
+        with pytest.raises(DomainError):
+            eval_fields([AxiField.zeros(grid), AxiField.zeros(other)], 1.0, 1.0)
 
 
 class TestSplitCutoff:

@@ -43,6 +43,19 @@ def smooth_bump(grid, radius_frac=0.9):
     return AxiField.from_function(grid, fn, 3)
 
 
+def count_calls(monkeypatch, owner, name):
+    """Wrap owner.name for the test; returns the list of each call's args."""
+    calls = []
+    fn = getattr(owner, name)
+
+    def wrapped(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, wrapped)
+    return calls
+
+
 def masked_ring_kernel(n, wt, ws, dz):
     """The ring kernel with every mask applied as a full-array np.where pass:
     the reference formula that ring_kernel must reproduce bit for bit."""
@@ -236,6 +249,23 @@ class TestGlobalInverse:
         report = ops.cache_report()
         assert report["kernel_tables"] == {} and report["far_operators"] == {}
 
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_tail_only_field_is_one_transfer(self, monkeypatch, n):
+        # zero interior values under a nonzero starred tail: the all-zero
+        # compact part is not transferred, so the inverse applies the table
+        # once, to the diamond source, and looks up no interior far operator
+        applies = count_calls(monkeypatch, KernelTable, "apply")
+        fars = count_calls(monkeypatch, greens, "get_far")
+        g = AxiGrid(R0=2.0, n_interior=33, n_exterior=25)
+        ops = GreenOps(g)
+        f = AxiField.from_function(g, lambda w, z: np.zeros_like(w), n,
+                                   star_fn=lambda ws, zs: (np.hypot(ws, zs) / g.R0) ** 4)
+        out = ops.k_n_global(f, n)
+        assert len(applies) == 1 and applies[0][1].shape == (g.n_ext, g.n_ext)
+        assert [args[0] for args in fars] == ["star"]
+        assert np.any(out.int_vals) and np.all(np.isfinite(out.star_vals))
+        assert set(ops.cache_report()["far_operators"]) == {f"star_n{n}"}
+
     def test_compact_source_is_one_table_apply(self, ops, grid):
         # a source inside r < R0 has no exterior tail: the interior nodes
         # hold exactly the h^2-scaled kernel table applied to it
@@ -384,6 +414,24 @@ class TestLOp:
         coef = smooth_bump(grid, radius_frac=0.3)
         sol = LOpSolver(ops, coef).solve(AxiField.zeros(grid))
         assert np.max(np.abs(sol.int_total())) < 1e-15
+
+    def test_tailed_source_makes_three_applies(self, monkeypatch, ops, grid):
+        # the tail is inverted alone on a field with zero interior values,
+        # whose all-zero compact part is not transferred: one apply for the
+        # tail's diamond source, one for the right-hand side, one for the
+        # interior transfer of the corrected source
+        R0 = grid.R0
+
+        def fn(w, z):
+            return (R0 / np.maximum(np.hypot(w, z), 0.2 * R0)) ** 5
+
+        solver = LOpSolver(ops, smooth_bump(grid, radius_frac=0.3))
+        src = AxiField.from_function(grid, fn, 3)
+        assert np.any(src.exterior_tail_star())
+        applies = count_calls(monkeypatch, KernelTable, "apply")
+        sol = solver.solve(src)
+        assert [args[1].shape[0] for args in applies] == [grid.n_ext, grid.n_int, grid.n_int]
+        assert np.all(np.isfinite(sol.int_vals)) and np.all(np.isfinite(sol.star_vals))
 
     def test_trivial_coefficient(self, ops, grid):
         gf = smooth_bump(grid, radius_frac=0.6)

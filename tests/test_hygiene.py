@@ -229,3 +229,33 @@ def test_bench_entry_points_exist(monkeypatch):
     finally:
         tracer.restore()
     assert solver_cls.__dict__["ktilde_arrays"] is original
+
+
+def test_bench_spans_trace_and_restore(monkeypatch):
+    # the benchmark's traced pass: every wrapped entry point still takes its
+    # callers' calls, records its span and counts, and restore() puts every
+    # original back, so a moved entry point fails here and not mid-benchmark
+    monkeypatch.syspath_prepend(str(BENCH))
+    worker = importlib.import_module("worker")
+    for var in worker.THREAD_VARS:
+        monkeypatch.setenv(var, os.environ.get(var, "1"))
+    modules = worker.import_rotstar()
+    fields, greens = modules["fields"], modules["greens"]
+    tracer = worker.Tracer()
+    try:
+        worker.install_spans(tracer, modules)
+        patched = list(tracer._patches)
+        wrapped = {(owner.__name__, attr) for owner, attr, _ in patched}
+        assert {("AxiField", "eval"), ("KernelTable", "eval_at"), ("KernelTable", "apply"),
+                ("GreenOps", "k_n_global"), ("PNSolver", "v_map")} <= wrapped
+        g = fields.AxiGrid(2.0, 17, 13)
+        zero = fields.AxiField.zeros(g, 3)
+        assert list(zero.eval([0.5, 3.0, 9.0], 0.1)) == [0.0, 0.0, 0.0]
+        greens.GreenOps(g).k_n_global(zero, 3)
+    finally:
+        tracer.restore()
+    assert [span[0] for span in tracer.spans] == ["fields.eval", "greens.k_n_global"]
+    assert tracer.counts["fields.eval_points"] == 3
+    for owner, attr, original in patched:
+        current = owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
+        assert current is original, f"{owner.__name__}.{attr} not restored"
