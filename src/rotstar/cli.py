@@ -3,8 +3,8 @@ sweep | export.
 
 Every command is deterministic for a fixed config (no RNG anywhere in the
 pipelines); manifests carry the config digest and package version.  Exit
-codes: 0 pass, 1 config error, 2 convergence/regime error, 3 verification
-failure.
+codes: 0 pass, 1 config or command-line error, 2 convergence/regime error,
+3 verification failure.
 """
 
 import argparse
@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import build_eos, build_params, build_profile, build_solver_options, load_config
+from .config import (build_eos, build_params, build_profile, build_solver_options, load_config,
+                     sweep_key)
 from .errors import ConfigError, ConvergenceError, RegimeError, RotstarError
 
 # the fields `solve` dumps as NAME.axfd and `verify` reads back
@@ -46,7 +47,7 @@ def _manifest(out, cfg, payload):
 
 
 def _say(cfg, *msg):
-    if not cfg.output.get("quiet"):
+    if not cfg.output["quiet"]:
         print(*msg)
 
 
@@ -228,8 +229,7 @@ def cmd_kerr_check(cfg, out_dir):
     k = cfg.kerr
     kp = KerrParams(k["m_geom"], k["a_spin"])
     params = SimpleNamespace(G_grav=cfg.star["G_grav"], c_light=cfg.eos["c_light"])
-    orders = refinement_orders(kerr_refinement(kp, params, k["window"], k["levels"], k["margin"],
-                                               k["measure_margin"]))
+    orders = refinement_orders(kerr_refinement(kp, params, k["window"], k["levels"]))
     fit = asymptotic_fit(kerr_eval_fns(kp), params, (20.0 * kp.m_geom, 50.0 * kp.m_geom))
     payload = {
         "command": "kerr-check",
@@ -260,7 +260,7 @@ def cmd_tov_compare(cfg, out_dir):
         cfg = replace(cfg, star={**cfg.star, "Omega_O": None, "b_rot": 0.0})
     solver, res, eos = _run_solver(cfg)
     params = res.params
-    tov = solve_tov(eos, params.u_O, params.G_grav, params.c_light, rtol=cfg.tov["rtol"])
+    tov = solve_tov(eos, params.u_O, params.G_grav, params.c_light)
     # criterion 10's rays and its split of the gap
     gap = tov_gap(res, tov, solver.classical)
     payload = {
@@ -284,15 +284,14 @@ def cmd_sweep(cfg, out_dir):
 
     from .verify import refinement_order
 
-    out = _out_dir(cfg, out_dir)
+    section, key = sweep_key(cfg.sweep["param"])
     values = cfg.sweep["values"]
     jobs = []
     for v in values:
         sub = json.loads(json.dumps(cfg.to_dict()))
-        sub[cfg.sweep["param"].split(".")[0] if "." in cfg.sweep["param"] else "star"][
-            cfg.sweep["param"].split(".")[-1]
-        ] = v
-        jobs.append(sub)
+        sub[section][key] = v
+        jobs.append(load_config(sub))  # every swept config is valid before anything is written
+    out = _out_dir(cfg, out_dir)
     results = []
     with ProcessPoolExecutor(max_workers=cfg.sweep["workers"]) as pool:
         for v, r in zip(values, pool.map(_sweep_worker, jobs)):
@@ -305,8 +304,7 @@ def cmd_sweep(cfg, out_dir):
     return 0
 
 
-def _sweep_worker(cfg_dict):
-    cfg = load_config(cfg_dict)
+def _sweep_worker(cfg):
     _, res, _ = _run_solver(cfg)
     p = res.params
     return {
@@ -344,8 +342,15 @@ def _json_safe(obj):
     return obj
 
 
+def _usage_error(message):
+    """argparse's error hook: a command-line error is a config error, exit 1,
+    not argparse's 2, which the exit codes give to convergence errors."""
+    raise ConfigError(message)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(prog="rotstar", description=__doc__)
+    parser.error = _usage_error
     parser.add_argument("command", choices=[
         "lane-emden", "solve", "verify", "kerr-check", "tov-compare", "sweep", "export",
     ])
@@ -354,15 +359,11 @@ def main(argv=None):
     parser.add_argument("--run", default=None, help="run directory (verify)")
     parser.add_argument("--dump", default=None, help="field dump path (export)")
     parser.add_argument("--patch", default="interior", choices=["interior", "exterior"])
-    parser.add_argument("--grid-level", type=int, default=None, help="override grid.n_interior")
     parser.add_argument("--quiet", action="store_true")
-    args = parser.parse_args(argv)
 
     try:
-        overrides = {}
-        if args.grid_level:
-            overrides["grid.n_interior"] = args.grid_level
-        cfg = load_config(args.config, overrides or None)
+        args = parser.parse_args(argv)
+        cfg = load_config(args.config)
         if args.quiet:
             cfg.output["quiet"] = True
         if args.command == "lane-emden":

@@ -1,7 +1,10 @@
 """Strict structured-text (YAML) run configuration.
 
-Unknown keys are rejected; physical quantities are range-checked.  A parsed
-RunConfig carries plain dataclass blocks mirroring the file sections.
+Unknown sections and keys are rejected; physical quantities are
+range-checked.  A parsed RunConfig carries plain dataclass blocks mirroring
+the file sections.  Every key is read: the solver section goes to
+SolverOptions whole, the rest by name.  A setting with one value in use is a
+module constant next to its code, not a key.
 """
 
 import hashlib
@@ -39,7 +42,6 @@ _DEFAULTS = {
         "lmax": 12,
         "tol": 1e-11,
         "max_iter": 400,
-        "damping": 0.8,
         "report_grid": 129,
     },
     "solver": {
@@ -47,9 +49,6 @@ _DEFAULTS = {
         "tol_outer": 1e-9,
         "max_inner": 40,
         "max_outer": 30,
-        "newtonian_tol": 1e-12,
-        "beta0": 0.1,
-        "delta0": 0.01,
     },
     "verify": {
         "fit_window": [5.0, 15.0],
@@ -59,11 +58,6 @@ _DEFAULTS = {
         "a_spin": 0.5,
         "window": 12.0,
         "levels": [61, 121, 241],
-        "margin": 2.6,
-        "measure_margin": 4.5,
-    },
-    "tov": {
-        "rtol": 1e-11,
     },
     "output": {
         "directory": "runs/out",
@@ -98,7 +92,6 @@ class RunConfig:
     solver: dict
     verify: dict
     kerr: dict
-    tov: dict
     output: dict
     sweep: dict
 
@@ -130,6 +123,12 @@ _LIST_RULES = {
 }
 
 
+def sweep_key(param):
+    """The (section, key) that sweep.param names: `section.key`, or a bare
+    key of star."""
+    return tuple(param.split(".", 1)) if "." in param else ("star", param)
+
+
 def _validate(cfg):
     # a key with a numeric default takes a number; star's two rotation keys
     # also take null (exactly one of them is null, checked below); a
@@ -143,6 +142,10 @@ def _validate(cfg):
             ok, rule = _LIST_RULES.get((name, key), (None, None))
             if ok and not ok(val):
                 raise ConfigError(f"{name}.{key}={val!r} is not {rule}")
+    param = cfg.sweep["param"]
+    name, key = sweep_key(param) if isinstance(param, str) else ("", "")
+    if not _is_number(_DEFAULTS.get(name, {}).get(key)):
+        raise ConfigError(f"sweep.param={param!r} is not a section.key or star key with a numeric default")
     for name, key, least in (("lane_emden", "n_zeta", 1), ("lane_emden", "max_iter", 1),
                              ("lane_emden", "lmax", 0), ("lane_emden", "n_radial", 3),
                              ("lane_emden", "report_grid", 2), ("solver", "max_inner", 1),
@@ -177,7 +180,7 @@ def _validate(cfg):
     return cfg
 
 
-def load_config(source=None, overrides=None):
+def load_config(source=None):
     """Merge with defaults and validate a config: a YAML file path or an
     already parsed mapping (such as a manifest's config sections)."""
     if source is None or isinstance(source, Mapping):
@@ -199,22 +202,16 @@ def load_config(source=None, overrides=None):
         name: _merge_strict(defaults, given.get(name), name)
         for name, defaults in _DEFAULTS.items()
     }
-    if overrides:
-        for dotted, val in overrides.items():
-            sec, key = dotted.split(".", 1)
-            if sec not in merged or key not in merged[sec]:
-                raise ConfigError(f"unknown override {dotted}")
-            merged[sec][key] = val
     return _validate(RunConfig(**merged))
 
 
 def build_eos(cfg):
-    from .eos import EquationOfState, consistent_upsilon_P
+    from .eos import SERIES_TERMS, EquationOfState, consistent_upsilon_P
 
     e = cfg.eos
     ups_P = e["upsilon_P"]
     if ups_P == "consistent":
-        ups_P = consistent_upsilon_P(e["gamma"], tuple(e["upsilon_rho"]), 6)
+        ups_P = consistent_upsilon_P(e["gamma"], tuple(e["upsilon_rho"]), SERIES_TERMS)
     return EquationOfState(
         gamma=e["gamma"],
         A_const=e["A_const"],
@@ -256,7 +253,6 @@ def build_profile(cfg, params, classical):
         lmax=le["lmax"],
         tol=le["tol"],
         max_iter=le["max_iter"],
-        damping=le["damping"],
         classical=classical,
     )
 

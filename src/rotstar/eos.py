@@ -19,6 +19,9 @@ from scipy.integrate import quad
 from .errors import DomainError, SeriesDomainError
 
 
+SERIES_TERMS, ENTHALPY_RTOL = 6, 1e-10  # matched P-series terms; u(rho) quadrature tolerance
+
+
 def _polyval_series(coeffs, eta):
     """Evaluate sum_k c_k eta^k for a coefficient list starting at k=1."""
     out = np.zeros_like(np.asarray(eta, dtype=float))
@@ -35,7 +38,7 @@ def _polyval_series_deriv(coeffs, eta):
     return out
 
 
-def consistent_upsilon_P(gamma, upsilon_rho=(), n_terms=6):
+def consistent_upsilon_P(gamma, upsilon_rho, n_terms):
     """Correction series for P that makes dP/du = rho + P/c^2 hold to O(eta^n).
 
     Order-by-order solution of the enthalpy identity; with Y_rho = 0 this is
@@ -70,14 +73,14 @@ class EquationOfState:
         object.__setattr__(self, "upsilon_P", tuple(self.upsilon_P))
 
     @classmethod
-    def gamma_law(cls, gamma, A_const, c_light, n_terms=6, series_radius=1.0):
+    def gamma_law(cls, gamma, A_const, c_light, series_radius=1.0):
         """Default build: Y_rho = 0, Y_P matched so the enthalpy identity holds."""
         return cls(
             gamma=gamma,
             A_const=A_const,
             c_light=c_light,
             upsilon_rho=(),
-            upsilon_P=consistent_upsilon_P(gamma, (), n_terms),
+            upsilon_P=consistent_upsilon_P(gamma, (), SERIES_TERMS),
             series_radius=series_radius,
         )
 
@@ -179,7 +182,7 @@ class EquationOfState:
         u = self.enthalpy_of_density_inverse(rho)
         return float(self.dpressure_denthalpy(u)) / float(self.ddensity_denthalpy(u))
 
-    def enthalpy_from_density(self, rho, rel_tol=1e-10):
+    def enthalpy_from_density(self, rho):
         """u(rho) = int_0^rho dP/(rho' + P/c^2) by adaptive quadrature.
 
         The substitution s = rho'^(gamma-1) removes the integrable endpoint
@@ -202,7 +205,7 @@ class EquationOfState:
             drho_ds = r / (gm1 * s)
             return dPdr / (r + P / self.c_light**2) * drho_ds
 
-        val, _ = quad(integrand, 0.0, s_max, epsrel=rel_tol, epsabs=0.0, limit=200)
+        val, _ = quad(integrand, 0.0, s_max, epsrel=ENTHALPY_RTOL, epsabs=0.0, limit=200)
         return val
 
 

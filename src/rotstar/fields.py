@@ -37,7 +37,7 @@ class AxiGrid:
     images["int"] and images["star"] hold the Kelvin images and image radii
     of each patch's nodes, and W_img, Z_img, r_img name the starred ones."""
 
-    def __init__(self, R0, n_interior=129, n_exterior=97):
+    def __init__(self, R0, n_interior, n_exterior):
         if R0 <= 0:
             raise DomainError("R0 must be positive")
         if n_interior < 9 or n_exterior < 9:
@@ -351,10 +351,10 @@ class AxiField:
         """
         if order == 2:
             return self.derivative(axis, 1).derivative(axis, 1)
-        if order != 1:
-            raise DomainError("order must be 1 or 2")
+        if order != 1 or axis not in ("w", "z"):
+            raise DomainError("derivative takes axis 'w' or 'z' and order 1 or 2")
         g = self.grid
-        ax = 0 if axis in ("w", "varpi", 0) else 1
+        ax = 0 if axis == "w" else 1
         n = self.n_index
 
         d_int = _fd1(self.int_vals, g.h_int, ax, self.parity[ax])
@@ -551,13 +551,12 @@ def compact_map(fn, *fields, n_index=3, parity=(1, 1)):
     return AxiField(g, n_index, int_vals, star, parity, 0.0, fields[0].interp)
 
 
-def div_varpi(field, n_out=None):
-    """field / varpi for an odd-in-varpi field; the axis column takes the
-    parity limit by quadratic extrapolation."""
+def div_varpi(field):
+    """field / varpi for an odd-in-varpi field, with decay index n + 1; the
+    axis column takes the parity limit by quadratic extrapolation."""
     g = field.grid
     if field.parity[0] != -1:
         raise DomainError("div_varpi needs an odd-in-varpi field")
-    n_out = field.n_index + 1 if n_out is None else n_out
     int_vals = np.empty_like(field.int_vals)
     int_vals[1:, :] = field.int_vals[1:, :] / g.WI[1:, :]
     int_vals[0, :] = 3 * int_vals[1, :] - 3 * int_vals[2, :] + int_vals[3, :]
@@ -566,9 +565,4 @@ def div_varpi(field, n_out=None):
     star = np.empty_like(field.star_vals)
     star[1:, :] = field.star_vals[1:, :] * g.RS[1:, :] / (g.WS[1:, :] * g.R0)
     star[0, :] = 3 * star[1, :] - 3 * star[2, :] + star[3, :]
-    extra = n_out - (field.n_index + 1)
-    if extra > 0:
-        raise DomainError("div_varpi cannot raise the index past n + 1")
-    if extra < 0:
-        star = star * (g.RS / g.R0) ** (-extra)
-    return AxiField(g, n_out, int_vals, star, (1, field.parity[1]), 0.0, field.interp)
+    return AxiField(g, field.n_index + 1, int_vals, star, (1, field.parity[1]), 0.0, field.interp)

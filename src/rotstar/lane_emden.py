@@ -40,7 +40,12 @@ def _rhs(xi, y, nu):
     return [dth, -max(th, 0.0) ** nu - 2.0 * dth / xi]
 
 
-def integrate_theta(nu, xi_max, rtol=1e-11, atol=1e-13, stop_at_zero=False):
+THETA_RTOL, THETA_ATOL = 1e-12, 1e-13  # DOP853 tolerances of the classical ODE
+XI_MAX = 60.0  # end of solve_classical's search for the first zero
+DAMPING = 0.8  # of the distorted fixed point
+
+
+def integrate_theta(nu, xi_max, stop_at_zero=False):
     """Integrate the classical Lane-Emden ODE; returns the solve_ivp result."""
     xi0 = 1e-6
     y0 = _series_start(nu, xi0)
@@ -58,8 +63,8 @@ def integrate_theta(nu, xi_max, rtol=1e-11, atol=1e-13, stop_at_zero=False):
         y0,
         args=(nu,),
         method="DOP853",
-        rtol=rtol,
-        atol=atol,
+        rtol=THETA_RTOL,
+        atol=THETA_ATOL,
         dense_output=True,
         events=events,
         max_step=xi_max / 50.0,
@@ -105,7 +110,7 @@ class LaneEmdenSolution:
         return out
 
 
-def solve_classical(nu, tol=1e-12, xi_max=None):
+def solve_classical(nu):
     """Solve the classical Lane-Emden problem and bracket the first zero.
 
     nu must lie in (1, 5); the zero exists there.  The profile past xi1 is the
@@ -114,11 +119,9 @@ def solve_classical(nu, tol=1e-12, xi_max=None):
     if not (1.0 <= nu < 5.0):
         # nu = 1 (the closed-form sin(xi)/xi case) is kept as a test anchor.
         raise DomainError(f"nu={nu} outside [1, 5)")
-    if xi_max is None:
-        xi_max = 60.0
-    sol = integrate_theta(nu, xi_max, rtol=min(tol, 1e-11), stop_at_zero=True)
+    sol = integrate_theta(nu, XI_MAX, stop_at_zero=True)
     if not sol.t_events or sol.t_events[0].size == 0:
-        raise ConvergenceError(f"no zero of theta found before xi={xi_max}")
+        raise ConvergenceError(f"no zero of theta found before xi={XI_MAX}")
     xi1 = float(sol.t_events[0][0])
     dtheta1 = float(sol.y_events[0][0][1])
     mu1 = xi1**2 * abs(dtheta1)
@@ -235,13 +238,12 @@ class DistortedLaneEmden:
 def solve_distorted(
     nu,
     b,
+    classical,
     n_radial=1025,
     n_zeta=48,
     lmax=12,
     tol=1e-10,
     max_iter=400,
-    damping=0.8,
-    classical=None,
 ):
     """Damped fixed-point solve of the distorted Lane-Emden equation.
 
@@ -251,8 +253,7 @@ def solve_distorted(
     """
     if b < 0:
         raise DomainError("b must be nonnegative")
-    cls = classical if classical is not None else solve_classical(nu)
-    xi1 = cls.xi1
+    xi1 = classical.xi1
     Xi0 = 4.0 * xi1
     s = np.linspace(0.0, Xi0, n_radial)
     x, wq = leggauss(n_zeta)
@@ -262,7 +263,7 @@ def solve_distorted(
     S, Z = np.meshgrid(s, zeta, indexing="ij")
     forcing = 0.5 * b * chi(S / Xi0) ** 2 * S**2 * (1.0 - Z**2)
 
-    Theta = np.broadcast_to(cls.theta(s)[:, None], S.shape).copy()
+    Theta = np.broadcast_to(classical.theta(s)[:, None], S.shape).copy()
     far = s >= 2.5 * xi1
     changes = []
     for it in range(1, max_iter + 1):
@@ -270,7 +271,7 @@ def solve_distorted(
         K, K_O = kelvin3_legendre(src, s, zeta, zw, lmax)
         new = forcing + K - K_O + 1.0
         delta = float(np.max(np.abs(new - Theta)))
-        Theta = (1.0 - damping) * Theta + damping * new
+        Theta = (1.0 - DAMPING) * Theta + DAMPING * new
         changes.append(delta)
         if np.any(Theta[far, :] > 0.0):
             # centrifugal forcing beat gravity far out: b is beyond the

@@ -45,6 +45,10 @@ from .lane_emden import solve_classical, solve_distorted
 from .metric import MetricLanczos, assemble, ktilde, mul_varpi
 
 
+BETA0, DELTA0 = 0.1, 0.01  # regime flags (D1) b <= BETA0 and (D2) epsilon <= DELTA0
+NEWTONIAN_TOL, NEWTONIAN_MAX_ITER = 1e-12, 200  # Newtonian sweep: stop below NEWTONIAN_TOL u_O
+
+
 @dataclass(frozen=True)
 class StarParams:
     """Physical constants plus the derived model scales.
@@ -109,12 +113,12 @@ class StarParams:
     def epsilon(self):
         return self.u_O / self.c_light**2
 
-    def regime_flags(self, beta0=0.1, delta0=0.01):
+    def regime_flags(self):
         """(D0)-(D2) style admissibility flags; runs proceed with warnings."""
         return {
             "D0_gamma_range": 6.0 / 5.0 < self.gamma < 2.0,
-            "D1_b_small": self.b_rot <= beta0,
-            "D2_epsilon_small": self.epsilon <= delta0,
+            "D1_b_small": self.b_rot <= BETA0,
+            "D2_epsilon_small": self.epsilon <= DELTA0,
             "b_rot": self.b_rot,
             "epsilon": self.epsilon,
         }
@@ -138,7 +142,7 @@ class NewtonianFields:
     residual: float
 
 
-def newtonian_fields(dle, params, grid, ops, eos, tol=1e-12, max_iter=200):
+def newtonian_fields(dle, params, grid, ops, eos):
     """Self-consistent Newtonian fields on the production grid.
 
     The spherical-grid distorted profile initializes u_N; a damped sweep of
@@ -161,14 +165,14 @@ def newtonian_fields(dle, params, grid, ops, eos, tol=1e-12, max_iter=200):
 
     G4pi = -4.0 * math.pi * params.G_grav
     resid = np.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, NEWTONIAN_MAX_ITER + 1):
         rho_N = compact_map(eos.f_N_rho, u_N, n_index=3)
         Phi_N = ops.k_n_global(rho_N, 3) * G4pi
         Phi_O = Phi_N.int_vals[0, 0]
         u_new = om_w2_half - Phi_N + (Phi_O + params.u_O)
         resid = float(np.max(np.abs(u_new.int_total() - u_N.int_total())))
         u_N = u_new
-        if resid < tol * params.u_O:
+        if resid < NEWTONIAN_TOL * params.u_O:
             break
     else:
         raise ConvergenceError("Newtonian consistency sweep stalled", residual=resid)
@@ -202,6 +206,7 @@ class PotentialSet:
 
 
 PATH_GAUSS = leggauss(24)  # Gauss rule on each segment of a far path
+FAR_RADII, FAR_THETAS = np.geomspace(3.0, 10.0, 8), (0.3, 0.7, 1.05, 1.4)  # far arcs: r/R0, theta
 
 
 def _log_series_tail(z):
@@ -258,34 +263,30 @@ def v_overlap(V):
 
 @dataclass
 class SolverOptions:
-    n_interior: int = 65
-    n_exterior: int = 49
+    n_interior: int
+    n_exterior: int
     tol_inner: float = 1e-10
     tol_outer: float = 1e-9
     max_inner: int = 40
     max_outer: int = 30
-    newtonian_tol: float = 1e-12
-    beta0: float = 0.1
-    delta0: float = 0.01
 
 
 class PNSolver:
     """One star, one grid, one solver instance (instances are independent)."""
 
-    def __init__(self, params, eos, options=None, dle=None, classical=None):
+    def __init__(self, params, eos, options, classical, dle=None):
         self.params = params
         self.eos = eos
-        self.opts = options or SolverOptions()
-        self.classical = classical if classical is not None else solve_classical(params.nu)
+        self.opts = options
+        self.classical = classical
         if dle is None:
-            dle = solve_distorted(params.nu, params.b_rot, classical=self.classical)
+            # kept while the benchmark wraps pn.solve_distorted by name
+            dle = solve_distorted(params.nu, params.b_rot, classical=classical)
         self.dle = dle
-        self.grid = AxiGrid(params.R0, self.opts.n_interior, self.opts.n_exterior)
+        self.grid = AxiGrid(params.R0, options.n_interior, options.n_exterior)
         self.ops = GreenOps(self.grid)
-        self.nf = newtonian_fields(
-            dle, params, self.grid, self.ops, eos, tol=self.opts.newtonian_tol
-        )
-        self.flags = params.regime_flags(self.opts.beta0, self.opts.delta0)
+        self.nf = newtonian_fields(dle, params, self.grid, self.ops, eos)
+        self.flags = params.regime_flags()
 
         g = self.grid
         self.om = AxiField.from_function(
@@ -583,7 +584,7 @@ class PNSolver:
 
         # far-field constant by sampling V_hat on far arcs through direct
         # quadrature of the gradient fields along (axis, then horizontal)
-        far = self._far_vhat(at, radii=np.geomspace(3.0, 10.0, 8) * g.R0)
+        far = self._far_vhat(at)
         rr = far["radii"]
         design = np.column_stack([np.ones_like(rr), rr**-2.0, rr**-3.0])
         coef, res, *_ = np.linalg.lstsq(design, far["vhat_mean"], rcond=None)
@@ -602,10 +603,12 @@ class PNSolver:
         V = AxiField(g, 4, V_hat - C_inf, v_star_from_infinity(g, at, c4), (1, 1), 0.0)
         return V, C_inf, far, K1t
 
-    def _far_vhat(self, at, radii, thetas=(0.3, 0.7, 1.05, 1.4)):
-        """V_hat at far points by Gauss quadrature of c^4 K1t, K3t, sampled
-        by at, along the paper's path (up the axis, then horizontally)."""
+    def _far_vhat(self, at):
+        """V_hat on the FAR_RADII x FAR_THETAS arcs by Gauss quadrature of
+        c^4 K1t, K3t, sampled by at, along the paper's path (up the axis,
+        then horizontally)."""
         c4 = self.params.c_light**4
+        radii, thetas = FAR_RADII * self.grid.R0, FAR_THETAS
         xg, wg = PATH_GAUSS
         # per path: two axis segments 0 -> zt, then two horizontal 0 -> wt
         ends = []

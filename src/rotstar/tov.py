@@ -57,7 +57,10 @@ class TovSolution:
         return self._F_of_ell(np.asarray(ell, dtype=float))
 
 
-def solve_tov(eos, u_O, G_grav=1.0, c_light=1.0, rtol=1e-11, r_max_factor=200.0):
+RTOL, R_MAX_FACTOR = 1e-11, 200.0  # DOP853 tolerance; surface search end / sqrt(u_O/(G rho_c))
+
+
+def solve_tov(eos, u_O, G_grav=1.0, c_light=1.0):
     """Integrate the TOV equations for central enthalpy u_O."""
     if u_O <= 0:
         raise DomainError("u_O must be positive")
@@ -86,13 +89,13 @@ def solve_tov(eos, u_O, G_grav=1.0, c_light=1.0, rtol=1e-11, r_max_factor=200.0)
         u_O - (2.0 * np.pi / 3.0) * G * rho_eff * r0**2,
         (4.0 * np.pi / 3.0) * rho_c * r0**3,
     ]
-    r_stop = r_max_factor * np.sqrt(u_O / (G * rho_c))
+    r_stop = R_MAX_FACTOR * np.sqrt(u_O / (G * rho_c))
     sol = solve_ivp(
         rhs,
         (r0, r_stop),
         y0,
         method="DOP853",
-        rtol=rtol,
+        rtol=RTOL,
         atol=[1e-14 * u_O, 0.0],
         dense_output=True,
         events=surface,

@@ -352,13 +352,16 @@ def ricci_cross_check(win, params):
 # -- far-field fits ------------------------------------------------------------
 
 
-def asymptotic_fit(eval_fns, params, r_window, n_radii=14, thetas=(0.2, 0.75, 1.1, 1.45)):
+FIT_N_RADII, FIT_THETAS = 14, (0.2, 0.75, 1.1, 1.45)  # far-field samples: radii, directions
+
+
+def asymptotic_fit(eval_fns, params, r_window):
     """Weighted least-squares far-field fits returning M, J, gauge offset and
     log-log residual orders for the four flatness statements.  Each field is
     sampled once on the (theta, r) grid and fitted direction by direction."""
     G_g, c = params.G_grav, params.c_light
-    radii = np.geomspace(r_window[0], r_window[1], n_radii)
-    th = np.asarray(thetas, dtype=float)[:, None]
+    radii = np.geomspace(r_window[0], r_window[1], FIT_N_RADII)
+    th = np.asarray(FIT_THETAS, dtype=float)[:, None]
     w, z = radii * np.sin(th), radii * np.cos(th)
 
     def order(resid):
@@ -395,13 +398,16 @@ def asymptotic_fit(eval_fns, params, r_window, n_radii=14, thetas=(0.2, 0.75, 1.
 # -- window builders --------------------------------------------------------------
 
 
-def kerr_window(kp, L, N, margin=2.6):
+KERR_MARGIN, KERR_MEASURE_MARGIN = 2.6, 4.5  # Kerr window and measurement masks, in m
+
+
+def kerr_window(kp, L, N):
     """Kerr potentials sampled on [0, L]^2 with the near-horizon region
-    masked out."""
+    (rbar <= KERR_MARGIN m) masked out."""
     xs = np.linspace(0.0, L, N)
     W, Z = np.meshgrid(xs, xs, indexing="ij")
     pot = kerr_lanczos(kp, W, Z)
-    mask = pot["rbar"] > margin * kp.m_geom
+    mask = pot["rbar"] > KERR_MARGIN * kp.m_geom
     return Window(
         h=xs[1] - xs[0],
         F=pot["F"],
@@ -429,25 +435,25 @@ def refinement_order(hs, sups):
 # -- exact-reference measurements ------------------------------------------------
 
 
-def kerr_mask(kp, win, measure_margin):
+def kerr_mask(kp, win):
     """Where Kerr residuals are measured: the twice-eroded report mask, away
-    from the horizon (rbar > measure_margin m) and the axis (varpi >= 0.8 m).
+    from the horizon (rbar > KERR_MEASURE_MARGIN m) and the axis (varpi >= 0.8 m).
     A window too small to hold such a node is a ConfigError."""
     rbar = kerr_lanczos(kp, win.W, win.Z)["rbar"]
-    meas = win.report_mask(erode=2) & (rbar > measure_margin * kp.m_geom) & (win.W >= 0.8 * kp.m_geom)
+    meas = win.report_mask(erode=2) & (rbar > KERR_MEASURE_MARGIN * kp.m_geom) & (win.W >= 0.8 * kp.m_geom)
     if not meas.any():
         raise ConfigError(f"kerr.window: no node of [0, {win.W[-1, 0]:g}]^2 at {win.F.shape[0]} points "
-                          f"lies in its report mask with rbar > {measure_margin:g} m and varpi >= 0.8 m")
+                          f"lies in its report mask with rbar > {KERR_MEASURE_MARGIN:g} m and varpi >= 0.8 m")
     return meas
 
 
-def kerr_refinement(kp, params, window, levels, margin, measure_margin):
+def kerr_refinement(kp, params, window, levels):
     """Sups over kerr_mask of the 5 reduced residuals, the 6 Ricci residuals
     and L on [0, window m]^2 at each grid level N: {"h": [...], name: [...]}."""
     out = {"h": []}
     for N in levels:
-        win = kerr_window(kp, window * kp.m_geom, N, margin=margin)
-        meas = kerr_mask(kp, win, measure_margin)
+        win = kerr_window(kp, window * kp.m_geom, N)
+        meas = kerr_mask(kp, win)
         out["h"].append(win.h)
         for name, f in {**residual_reduced_system(win, params).residuals,
                         **ricci_cross_check(win, params)["residuals"],

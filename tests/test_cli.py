@@ -43,7 +43,9 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("key", ["solver.alpha_holder", "solver.ball_M",
                                      "verify.residual_order_min", "verify.axis_strip_r1",
-                                     "output.formats", "solver.damping"])
+                                     "output.formats", "solver.damping", "solver.newtonian_tol",
+                                     "solver.beta0", "solver.delta0", "lane_emden.damping",
+                                     "kerr.margin", "kerr.measure_margin", "tov.rtol"])
     def test_removed_key_rejected(self, tmp_path, key):
         section, name = key.split(".")
         cfg = write_cfg(tmp_path, f"star: {{u_O: 1.0e-3, b_rot: 0.0}}\n{section}: {{{name}: 1}}\n")
@@ -104,6 +106,18 @@ class TestConfigValidation:
                                  ["kerr-check", "--config", "{tmp}/cfg.yaml"]),
         "no measured node in kerr.window": ({"cfg.yaml": "kerr: {window: 1.0}\n"},
                                             ["kerr-check", "--config", "{tmp}/cfg.yaml"]),
+        "unknown section in sweep.param": ({"cfg.yaml": "sweep: {param: a.b}\n"},
+                                           ["sweep", "--config", "{tmp}/cfg.yaml"]),
+        "integer sweep.param": ({"cfg.yaml": "sweep: {param: 12}\n"},
+                                ["sweep", "--config", "{tmp}/cfg.yaml"]),
+        "unknown star key in sweep.param": ({"cfg.yaml": "sweep: {param: bogus}\n"},
+                                            ["sweep", "--config", "{tmp}/cfg.yaml"]),
+        "sweep of a fraction into grid.n_interior": (
+            {"cfg.yaml": "sweep: {param: grid.n_interior, values: [33, 33.5]}\n"},
+            ["sweep", "--config", "{tmp}/cfg.yaml"]),
+        "unknown command": ({}, ["bogus"]),
+        "unknown --patch": ({}, ["export", "--dump", "{tmp}/W.axfd", "--patch", "x"]),
+        "retired --grid-level": ({}, ["solve", "--grid-level", "65"]),
     }
 
     @pytest.mark.parametrize("case", list(BAD_INPUT))
@@ -129,6 +143,19 @@ class TestConfigValidation:
         section, name = key.split(".")
         with pytest.raises(ConfigError, match=key):
             load_config({section: {name: val}})
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        assert exc.value.code == 0
+        assert "usage: rotstar" in capsys.readouterr().out
+
+    def test_sweep_param_takes_a_number(self):
+        for param in ("u_O", "star.b_rot", "grid.n_interior", "lane_emden.tol"):
+            assert load_config({"sweep": {"param": param}}).sweep["param"] == param
+        for param in ("output.directory", "kerr.levels", "eos.upsilon_P"):
+            with pytest.raises(ConfigError, match="sweep.param"):
+                load_config({"sweep": {"param": param}})
 
     def test_solver_section_is_solver_options(self):
         # the solver section passes to SolverOptions whole, next to the grid sizes

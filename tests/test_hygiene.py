@@ -2,8 +2,8 @@
 module-level constant is read somewhere in the package, every function,
 method and class of the package is referenced somewhere, every parameter of
 a package function or method is read by its body, every dataclass field is
-loaded as an attribute somewhere, and every entry point the benchmark wraps
-by name still exists.
+loaded as an attribute somewhere, every config key is read, and every entry
+point the benchmark wraps by name still exists.
 
 Neither ruff nor pyflakes is a dependency, so the import check is a small
 AST check.  A name counts as used when it appears anywhere in the module as
@@ -210,6 +210,32 @@ def test_every_parameter_is_read():
             for path in sorted(PACKAGE.glob("*.py"))
             for line, fn, name in unread_parameters(path.read_text())]
     assert hits == []
+
+
+def unread_config_keys(defaults, sources, whole=()):
+    """`section.key` of each config key (defaults maps section to its keys)
+    that no source reads by its string literal as a subscript, such as
+    cfg.kerr["window"]; the sections in `whole` are read whole."""
+    read = {node.slice.value for source in sources for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load)
+            and isinstance(node.slice, ast.Constant)}
+    return sorted(f"{section}.{key}" for section, keys in defaults.items() if section not in whole
+                  for key in keys if key not in read)
+
+
+def test_checker_flags_an_unread_config_key():
+    defaults = {"kerr": {"window": 1.0, "margin": 2.6}, "solver": {"tol": 1.0}}
+    sources = ['k = cfg.kerr\nprint(k["window"])\ncfg.kerr["margin"] = 3.0\n']
+    assert unread_config_keys(defaults, sources, whole=("solver",)) == ["kerr.margin"]
+
+
+def test_every_config_key_is_read():
+    # the solver section goes to SolverOptions whole, which
+    # test_solver_section_is_solver_options pins; every other key is read by name
+    from rotstar.config import _DEFAULTS
+
+    sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    assert unread_config_keys(_DEFAULTS, sources, whole=("solver",)) == []
 
 
 def test_bench_entry_points_exist(monkeypatch):

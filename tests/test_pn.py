@@ -36,7 +36,7 @@ class TestStarParams:
 
     def test_regime_flags(self, cls15):
         p = StarParams.build(5 / 3, 1.0, 1.0, 1.0, u_O=0.5, b_rot=0.3, classical=cls15)
-        flags = p.regime_flags(beta0=0.1, delta0=0.01)
+        flags = p.regime_flags()
         assert flags["D0_gamma_range"]
         assert not flags["D1_b_small"]
         assert not flags["D2_epsilon_small"]

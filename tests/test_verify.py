@@ -66,10 +66,10 @@ class TestKerrResiduals:
         kp = KerrParams(1.0, 0.5)
         sups = []
         for amp in (1e-3, 2e-3):
-            win = kerr_window(kp, 12.0, 121, margin=2.6)
+            win = kerr_window(kp, 12.0, 121)
             bump = amp * np.exp(-((win.W - 6) ** 2 + (win.Z - 3) ** 2))
             win.F = win.F + bump
-            meas = kerr_mask(kp, win, 4.5)
+            meas = kerr_mask(kp, win)
             rep = residual_reduced_system(win, PARAMS)
             sups.append(float(np.nanmax(np.abs(np.where(meas, rep.residuals["eqa"], np.nan)))))
         assert sups[1] / sups[0] == pytest.approx(2.0, rel=0.1)
@@ -78,10 +78,10 @@ class TestKerrResiduals:
         # with an arbitrary K, L and the pressure-term right side agree up to
         # discretization; in vacuum both sides are O(h^2)-small
         kp = KerrParams(1.0, 0.5)
-        win = kerr_window(kp, 12.0, 121, margin=2.6)
+        win = kerr_window(kp, 12.0, 121)
         win.K = win.K + 1e-3 * np.exp(-((win.W - 5) ** 2 + win.Z**2))
         ck = consistency_K(win, PARAMS)
-        meas = kerr_mask(kp, win, 4.5)
+        meas = kerr_mask(kp, win)
         sup_ident = np.nanmax(np.abs(np.where(meas, ck["identity_resid"], np.nan)))
         # vacuum: the right side vanishes (P = 0) and L is discretization-level
         assert sup_ident == pytest.approx(
