@@ -9,8 +9,11 @@ Newtonian convolution (1/((n-2) omega_{n-1})) int g / |x - x'|^(n-2) reduced
 over the first n-1 coordinates to a ring kernel on the (varpi, z)
 half-plane.  The azimuthal integrals have closed forms: complete elliptic
 integrals for n = 3 and 5 and a logarithm for n = 4.  Nystrom quadrature is
-nodal trapezoid with exact near-diagonal cell corrections (local polar
-integration on the log-singular cells, tensor Gauss on their neighbors).
+product integration against the piecewise-linear interpolant of the source,
+its weights computed to high order on the cells near each target (local
+polar integration on the log-singular cells, tensor Gauss on their
+neighbors); a KernelTable holds those weights as one array, their DCT-I
+along the z lag.
 The exterior tail is pulled to the starred plane, re-weighted by (R0/r*)^4
 (which turns it into a compact starred source) and inverted there with the
 same machinery; a compact source has no tail and stops after its first part.
@@ -34,7 +37,7 @@ import math
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.fft import next_fast_len
+from scipy.fft import dct, idct
 from scipy.special import ellipe, ellipk
 
 from .errors import DecayError, DomainError, SolverError
@@ -71,7 +74,7 @@ def ring_kernel(n, wt, ws, dz):
 
     Symmetric under (wt, ws) swap up to the ws^(n-2) measure factor; the
     coincidence singularity is logarithmic and is masked to zero here (the
-    corrected quadrature owns those cells).  Coincident and axis points
+    near-cell integrals own those cells).  Coincident and axis points
     (B / (A + B) < 1e-14) get their own values patched in only when a block
     has any, so a generic call makes no masking pass.
 
@@ -137,10 +140,11 @@ _FAR_CACHE = {}
 _FAR_BLOCK = 1 << 16  # kernel evaluations per block of far-field weights
 FAR_RANK_TOL = 1e-14  # far skeleton: QR pivots above this fraction of the first
 FAR_SKETCH_ROWS = 8  # far sketch: about this many source nodes per table node count
-MC = 2  # corrected node patch: offsets -MC..MC around each target
+MC = 2  # near node patch: offsets -MC..MC around each target
 N_GAUSS_BASE = 4  # Gauss points per cell axis of the hat-product weights W2
-N_GAUSS_NEAR = 10  # Gauss points per cell axis of the corrected cells
+N_GAUSS_NEAR = 10  # Gauss points per cell axis of the near cells
 N_GAUSS_POLAR = (12, 16)  # (angle, radius) points per half of a polar cell
+RCOND_RAISE = 1e-13  # LOpSolver: smallest reciprocal condition number it factors
 
 
 def get_table(P, n):
@@ -195,6 +199,55 @@ def _polar_rule():
     return [np.concatenate([part[k].ravel() for part in parts]) for k in range(3)]
 
 
+def _near_integrals(P, n):
+    """acc[i, dni, dnj]: the high-order integral of the ring kernel against
+    the hat product of node (i + dni, dnj) for a target at (i, 0), over the
+    unit cells of the (2 MC + 1)^2 node patch around it.
+
+    The cell at offsets (a, b), both in -MC-1..MC, from a target in column
+    i feeds its four corner nodes; cells that leave the varpi range of the
+    grid are skipped, so nodes off the grid get zero.  The z-hat of a node
+    reaches dz of both signs, and acc sums both.
+    """
+    d = np.arange(-MC - 1, MC + 1)
+    I, DI, DJ = (x.ravel() for x in np.meshgrid(np.arange(P), d, d, indexing="ij"))
+    keep = (I + DI >= 0) & (I + DI <= P - 2)
+    I, DI, DJ = I[keep], DI[keep], DJ[keep]
+    polar = (DI >= -1) & (DI <= 0) & (DJ >= -1) & (DJ <= 0)
+    p = np.arange(2)
+
+    # tensor Gauss off the target: corner (p, q) is node (a + p, b + q)
+    t, wq = _gauss01(N_GAUSS_NEAR)
+    hats = _hat_weights(t, wq)
+    i, a, b = (x[~polar, None, None] for x in (I, DI, DJ))
+    wt = i.astype(float)
+    kv = ring_kernel(n, wt, wt + (a + t[:, None]), b + t)
+    near = (np.einsum("cgh,gp,hq->cpq", kv, hats, hats), i, a + p[:, None], b + p)
+
+    # polar Gauss on the cells with a corner on the target, mirrored
+    # into the cell by the signs (sx, sz): corner (p, q) at distance
+    # (p, q) from the target is node (sx p, sz q)
+    x, y, w = _polar_rule()
+    i, a, b = (v[polar, None] for v in (I, DI, DJ))
+    sx, sz = 2 * a + 1, 2 * b + 1
+    wt = i.astype(float)
+    kv = ring_kernel(n, wt, wt + sx * x, sz * y)
+    corner = np.stack([w * (1 - x) * (1 - y), w * (1 - x) * y, w * x * (1 - y), w * x * y])
+    ex = (kv @ corner.T).reshape(-1, 2, 2)
+    i, sx, sz = i[:, :, None], sx[:, :, None], sz[:, :, None]
+    polar_cells = (ex, i, sx * p[:, None], sz * p)
+
+    # sum the corner integrals into the node patch, offsets -MC-1..MC+1
+    S = 2 * MC + 3
+    flat, vals = [], []
+    for ex, i, dni, dnj in (near, polar_cells):
+        ex, i, dni, dnj = np.broadcast_arrays(ex, i, dni, dnj)
+        flat.append(((i * S + dni + MC + 1) * S + dnj + MC + 1).ravel())
+        vals.append(ex.ravel())
+    acc = np.bincount(np.concatenate(flat), np.concatenate(vals), P * S * S)
+    return acc.reshape(P, S, S)[:, 1:-1, 1:-1]
+
+
 class KernelTable:
     """Product-integration Nystrom data in unit node coordinates.
 
@@ -213,49 +266,45 @@ class KernelTable:
     kernel exactly against the tensor piecewise-linear interpolant of the
     source (hat-product weights W2[i, i', lag], Toeplitz and even in the z
     lag), which keeps the quadrature error a smooth O(h^2) interpolation
-    error.  The W2 entries whose hat supports touch the log singularity are
-    replaced by high-order local integrals (polar around the target, fine
-    Gauss nearby).  Off the node grid, eval_at sums the plain nodal rule,
-    whose weights far_weights builds block by block.
+    error.  The W2 entries whose hat supports touch the log singularity,
+    nodes i + dni at lags |dnj| with both offsets at most MC, hold
+    high-order local integrals instead (polar around the target, fine Gauss
+    nearby).  Off the node grid, eval_at sums the plain nodal rule, whose
+    weights far_weights builds block by block.
 
-    W2 is stored only as its z-spectra.  Each lag row, placed circularly
-    even in a length nfft >= 4P - 4 (lags 0..2P-2 and their mirrors), has a
-    real rfft, so C[k, i, i'] is a float64 array of shape (nfft/2 + 1, P, P):
-    the size of W2 when nfft = 4P - 4, as for every P = 2^k + 1.  apply
-    transforms the circularly even source once, multiplies by C frequency
-    by frequency in one batched product and transforms back; the output
-    window z = 0..P-1 stays clear of wrap-around.  rows() rebuilds the W2
-    slabs it needs from C with irfft.
+    The table is one array, C = DCT-I of W2 along the lag: a float64 array
+    C[k, i, i'] of shape (2P - 1, P, P), the size of W2.  DCT-I is the real
+    DFT of the lag row made even with period 4P - 4 (lags -(2P-2)..2P-2, the
+    two end lags at one index), which holds every lag j - z' of an output
+    z = j in 0..P-1 and a source |z'| <= P-1 free of wrap-around.  apply
+    transforms the source once, multiplies by C frequency by frequency in
+    one batched product and transforms back; w2_slab rebuilds a slab of W2
+    with one inverse DCT-I, and rows() reads its entries from the slabs.
 
-    The build is batched.  W2 takes one ring_kernel call per target column,
-    and its Gauss sums are one matrix product per cell axis against the two
-    hat weights; each column's slab is transformed into C before the next
-    one is built.  The corrections take two ring_kernel calls in all: one
-    for the Gauss points of every near cell of every column, one for the
-    polar points of the four cells with a corner on the target.  Each cell's
-    four corner integrals are one product against the corner weights,
-    scattered into the node patch by a bincount.
+    The build is batched.  The near integrals come first and take two
+    ring_kernel calls in all: one for the Gauss points of every near cell
+    of every column, one for the polar points of the four cells with a
+    corner on the target.  Each cell's four corner integrals are one
+    product against the corner weights, scattered into the node patch by a
+    bincount.  W2 then takes one ring_kernel call per target column, and
+    its Gauss sums are one matrix product per cell axis against the two hat
+    weights; each column's slab gets its near integrals and is transformed
+    into C before the next one is built.
     """
 
     def __init__(self, P, n):
         self.P = int(P)
         self.n = int(n)
         self.nodes = np.arange(self.P, dtype=float)
-        # circular length: a lag row even about index 0 holds lags
-        # -(2P-2)..2P-2 when nfft >= 4P-4 (at 4P-4 the two end lags share
-        # index 2P-2); every lag j - z' of an output z = j in 0..P-1 and a
-        # source |z'| <= P-1 then sits at its own index, free of wrap-around
-        self.nfft = next_fast_len(4 * self.P - 4, real=True)
-        self._build_corrections(self._build_w2())
+        self._build_w2(_near_integrals(self.P, self.n))
 
-    def _build_w2(self):
-        """C = rfft of the circularly even rows of W2, with
-        W2[i, i', lag] = int int k(i, ws, dz) hat_i'(ws) hat_lag(|dz|).
-
-        Returns base[i, dni, dnj] = W2[i, i + dni, |dnj|] (clipped to the
-        grid), the entries the corrections replace.
+    def _build_w2(self, acc):
+        """C = DCT-I along the lag axis of
+        W2[i, i', lag] = int int k(i, ws, dz) hat_i'(ws) hat_lag(|dz|),
+        with the near-cell integrals acc of _near_integrals written over
+        the 4-point-Gauss entries at nodes i' = i + dni and lags |dnj|.
         """
-        P, G, nfft = self.P, N_GAUSS_BASE, self.nfft
+        P, G = self.P, N_GAUSS_BASE
         t, wq = _gauss01(G)
         hats = _hat_weights(t, wq)
         n_wc = P - 1
@@ -263,9 +312,7 @@ class KernelTable:
         ws_pts = (np.arange(n_wc)[:, None] + t[None, :]).ravel()
         dz_pts = (np.arange(n_zc)[:, None] + t[None, :]).ravel()
         dn = np.arange(-MC, MC + 1)
-        base = np.empty((P, dn.size, dn.size))
-        self.C = np.empty((nfft // 2 + 1, P, P))
-        row = np.zeros((P, nfft))
+        self.C = np.empty((2 * P - 1, P, P))
         for i in range(P):
             W2 = np.zeros((P, 2 * P - 1))
             kv = ring_kernel(self.n, float(i), ws_pts[:, None], dz_pts[None, :])
@@ -282,107 +329,34 @@ class KernelTable:
             # lower-weighted part of dz-cell 0 by evenness of the kernel
             W2[:-1, 0] += c[:, 0, 0, 0]
             W2[1:, 0] += c[:, 1, 0, 0]
-            base[i] = W2[np.clip(i + dn, 0, P - 1)[:, None], np.abs(dn)]
-            # lag l at index l mod nfft: an even sequence, so a real spectrum
-            row[:, : 2 * P - 1] = W2
-            row[:, nfft - 2 * P + 2 :] = W2[:, :0:-1]
-            self.C[:, i, :] = np.fft.rfft(row, axis=1).real.T
-        return base
-
-    def _build_corrections(self, base):
-        """corr[i, dni, dnj] = accurate W2 entry minus the 4-point-Gauss one
-        for the (2 MC + 1)^2 node patch around targets in column i.
-
-        The unit cell at offsets (a, b), both in -MC-1..MC, from a target
-        in column i feeds its four corner nodes; cells that leave the varpi
-        range of the grid are skipped.
-        """
-        P, n = self.P, self.n
-        d = np.arange(-MC - 1, MC + 1)
-        I, DI, DJ = (x.ravel() for x in np.meshgrid(np.arange(P), d, d, indexing="ij"))
-        keep = (I + DI >= 0) & (I + DI <= P - 2)
-        I, DI, DJ = I[keep], DI[keep], DJ[keep]
-        polar = (DI >= -1) & (DI <= 0) & (DJ >= -1) & (DJ <= 0)
-        p = np.arange(2)
-
-        # tensor Gauss off the target: corner (p, q) is node (a + p, b + q)
-        t, wq = _gauss01(N_GAUSS_NEAR)
-        hats = _hat_weights(t, wq)
-        i, a, b = (x[~polar, None, None] for x in (I, DI, DJ))
-        wt = i.astype(float)
-        kv = ring_kernel(n, wt, wt + (a + t[:, None]), b + t)
-        near = (np.einsum("cgh,gp,hq->cpq", kv, hats, hats), i, a + p[:, None], b + p)
-
-        # polar Gauss on the cells with a corner on the target, mirrored
-        # into the cell by the signs (sx, sz): corner (p, q) at distance
-        # (p, q) from the target is node (sx p, sz q)
-        x, y, w = _polar_rule()
-        i, a, b = (v[polar, None] for v in (I, DI, DJ))
-        sx, sz = 2 * a + 1, 2 * b + 1
-        wt = i.astype(float)
-        kv = ring_kernel(n, wt, wt + sx * x, sz * y)
-        corner = np.stack([w * (1 - x) * (1 - y), w * (1 - x) * y, w * x * (1 - y), w * x * y])
-        ex = (kv @ corner.T).reshape(-1, 2, 2)
-        i, sx, sz = i[:, :, None], sx[:, :, None], sz[:, :, None]
-        polar_cells = (ex, i, sx * p[:, None], sz * p)
-
-        # sum the corner integrals into the node patch, offsets -MC-1..MC+1
-        S = 2 * MC + 3
-        flat, vals = [], []
-        for ex, i, dni, dnj in (near, polar_cells):
-            ex, i, dni, dnj = np.broadcast_arrays(ex, i, dni, dnj)
-            flat.append(((i * S + dni + MC + 1) * S + dnj + MC + 1).ravel())
-            vals.append(ex.ravel())
-        acc = np.bincount(np.concatenate(flat), np.concatenate(vals), P * S * S)
-        acc = acc.reshape(P, S, S)[:, 1:-1, 1:-1]
-        # base subtraction: the coarse W2 entries; a patch node at
-        # negative z is the same entry by evenness, and the z-hat of a
-        # node reaches dz of both signs, which acc already accumulated
-        dn = np.arange(-MC, MC + 1)
-        node = np.arange(P)[:, None, None] + dn[:, None]
-        self.corr = np.where((node >= 0) & (node < P), acc - base, 0.0)
+            # the near integrals at +dnj and -dnj agree to rounding (the
+            # kernel is even in dz); lag |dnj| takes the +dnj one
+            on = (i + dn >= 0) & (i + dn < P)
+            W2[i + dn[on], : MC + 1] = acc[i, on, MC:]
+            self.C[:, i, :] = dct(W2, type=1, axis=1).T
 
     # -- application ----------------------------------------------------------
 
     def apply(self, gvals):
         """Unit-coordinate potential on the node grid of the source's
         p x p patch (multiply by h^2)."""
-        p, nfft = gvals.shape[0], self.nfft
+        p = gvals.shape[0]
         if p > self.P or p < self.P and (np.any(gvals[-1]) or np.any(gvals[:, -1])):
             raise DomainError(
                 f"a source on {p} nodes needs zeros on its last row and column "
                 f"to use the {self.P}-node table"
             )
-        # the source, circularly even in z: z and -z at indices z and nfft - z
-        gx = np.zeros((nfft, p))
-        gx[:p] = gvals.T
-        gx[nfft - p + 1 :] = gvals.T[:0:-1]
-        GX = np.fft.rfft(gx, axis=0)
-        # one real product per frequency, real and imaginary parts of the
-        # source spectrum stacked on a trailing axis of 2
-        Y = self.C[:, :p, :p] @ GX.view(np.float64).reshape(GX.shape + (2,))
-        y = np.fft.irfft(Y.view(np.complex128)[..., 0], nfft, axis=0)
-        out = np.ascontiguousarray(y[:p].T)
+        # the spectrum of the source made even in z and zero-padded to the
+        # table's period, then one real product per frequency
+        gx = dct(gvals.T, type=1, n=2 * self.P - 1, axis=0)
+        y = idct((self.C[:, :p, :p] @ gx[:, :, None])[..., 0], type=1, axis=0)
+        return np.ascontiguousarray(y[:p].T)
 
-        mc = MC
-        gpad = np.zeros((p + 2 * mc, p + 2 * mc))
-        gpad[mc : mc + p, mc : mc + p] = gvals
-        gpad[mc : mc + p, :mc] = gvals[:, mc:0:-1]
-        for dni in range(-mc, mc + 1):
-            for dnj in range(-mc, mc + 1):
-                w = self.corr[:p, dni + mc, dnj + mc]
-                if not np.any(w):
-                    continue
-                out += w[:, None] * gpad[mc + dni : mc + dni + p, mc + dnj : mc + dnj + p]
-        return out
-
-    def eval_at(self, gvals, wt, zt, support_mask=None):
+    def eval_at(self, gvals, wt, zt):
         """Plain nodal quadrature of the source's patch at scattered
         unit-coordinate targets (targets must stay a few cells away from
         strong sources)."""
-        if support_mask is None:
-            support_mask = np.abs(gvals) > 0
-        src = np.flatnonzero(support_mask)
+        src = np.flatnonzero(np.abs(gvals) > 0)
         wt = np.atleast_1d(np.asarray(wt, dtype=float))
         zt = np.atleast_1d(np.asarray(zt, dtype=float))
         g = gvals.ravel()[src]
@@ -413,7 +387,7 @@ class KernelTable:
 
     def w2_slab(self, i):
         """W2[i] rebuilt from the spectra: (P, 2P - 1), source column by lag."""
-        return np.fft.irfft(self.C[:, i, :], self.nfft, axis=0)[: 2 * self.P - 1].T
+        return idct(self.C[:, i, :], type=1, axis=0).T
 
     def rows(self, targets, sources):
         """Dense quadrature rows R[t, s] consistent with apply() (on a
@@ -427,23 +401,11 @@ class KernelTable:
             W2 = self.w2_slab(col)
             tz = tj[sel, None]
             R[sel] = W2[si, np.abs(tz - sj)] + mirror * W2[si, tz + sj]
-        mc = MC
-        src_lookup = {(a, b): k for k, (a, b) in enumerate(zip(si, sj))}
-        for t, (a, b) in enumerate(zip(ti, tj)):
-            for dni in range(-mc, mc + 1):
-                for dnj in range(-mc, mc + 1):
-                    w = self.corr[a, dni + mc, dnj + mc]
-                    if w == 0.0:
-                        continue
-                    jj = b + dnj
-                    k = src_lookup.get((a + dni, abs(jj)))
-                    if k is not None:
-                        R[t, k] += w
         return R
 
     @property
     def nbytes(self):
-        return self.C.nbytes + self.corr.nbytes
+        return self.C.nbytes
 
     def total_mass(self, gvals):
         """Unit-coordinate n-volume integral over the source's patch
@@ -729,7 +691,7 @@ class LOpSolver:
     implied by the Q(O) = 0 normalization).
     """
 
-    def __init__(self, ops, coef_field, rcond_raise=1e-13):
+    def __init__(self, ops, coef_field):
         from scipy.linalg import lu_factor
 
         self.ops = ops
@@ -748,7 +710,7 @@ class LOpSolver:
         R_origin = self.h**2 * self.table.rows(origin, (self.si, self.sj))
         A = np.eye(self.si.size) - (R_rows - R_origin) * coef[self.si, self.sj][None, :]
         smin = 1.0 / max(float(np.linalg.cond(A, 1)), 1.0)
-        if smin < rcond_raise:
+        if smin < RCOND_RAISE:
             raise SolverError("Nystrom system nearly singular", smallest_singular_value=smin)
         self.smin_estimate = smin
         self._lu = lu_factor(A)

@@ -474,10 +474,12 @@ class TestLOp:
         assert away_slope > 1.4
         assert sups_ring[-1] < sups_ring[0]  # still converging at the ring
 
-    def test_singular_system_reported(self, ops, grid):
+    def test_singular_system_reported(self, monkeypatch, ops, grid):
         # drive the zeroth-order term through its first resonance: amp such
         # that the Nystrom block has a unit eigenvalue
         from rotstar.errors import SolverError
+
+        monkeypatch.setattr(greens, "RCOND_RAISE", 1e-6)
 
         bump = smooth_bump(grid, radius_frac=0.35)
         coef = bump.int_vals
@@ -490,7 +492,7 @@ class TestLOp:
         lam = np.max(np.linalg.eigvals(K).real)
         amp = 1.0 / lam
         with pytest.raises(SolverError) as err:
-            LOpSolver(ops, bump * (amp * (1.0 + 1e-10)), rcond_raise=1e-6)
+            LOpSolver(ops, bump * (amp * (1.0 + 1e-10)))
         assert err.value.smallest_singular_value is not None
 
 
@@ -799,11 +801,12 @@ class TestCachedQuadrature:
     @pytest.mark.parametrize("P", [17, 21, 32, 33])
     def test_apply_matches_rows(self, P):
         # every node, the last z row included, must be clear of
-        # wrap-around.  At P = 17 and 21 the FFT length is 4P - 4, the
-        # shortest one that holds an even lag row (the end lags share an
-        # index); 80 is not a power of two.  At P = 32 it is 125, odd
+        # wrap-around.  The DCT-I's period is 4P - 4, the shortest one that
+        # holds an even lag row (the end lags share an index), whatever P:
+        # 80 at P = 21 is not a power of two, 124 at P = 32 not 2^k + 1
         table = KernelTable(P, 3)
-        assert table.nfft == {17: 64, 21: 80, 32: 125, 33: 128}[P]
+        assert table.C.shape == (2 * P - 1, P, P)
+        assert table.nbytes == table.C.nbytes
         gvals = np.random.RandomState(P).uniform(-1.0, 1.0, (P, P))
         i, j = np.divmod(np.arange(P * P), P)
         dense = table.rows((i, j), (i, j)) @ gvals.ravel()
@@ -814,7 +817,8 @@ class TestCachedQuadrature:
 def loop_build(P, n):
     """The per-cell kernel-table build, one ring_kernel call per Gauss cell
     and per polar half, kept as the reference for KernelTable's batched
-    build: returns (W2, corr)."""
+    build: returns W2[i, i', lag] with the near-cell integrals written in
+    at nodes i' = i + dni and lags dnj = 0..2."""
     xg, wg = leggauss(4)
     t = 0.5 * (xg + 1.0)
     wq = 0.5 * wg
@@ -873,7 +877,6 @@ def loop_build(P, n):
     mc = 2
     xg, wg = leggauss(10)
     span = 2 * mc + 1
-    corr = np.zeros((P, span, span))
     for i in range(P):
         wt = float(i)
         acc = np.zeros((span, span))
@@ -901,9 +904,9 @@ def loop_build(P, n):
         for dni in range(-mc, mc + 1):
             if not (0 <= i + dni < P):
                 continue
-            for dnj in range(-mc, mc + 1):
-                corr[i, dni + mc, dnj + mc] = acc[dni + mc, dnj + mc] - W2[i, i + dni, abs(dnj)]
-    return W2, corr
+            for dnj in range(mc + 1):
+                W2[i, i + dni, dnj] = acc[dni + mc, dnj + mc]
+    return W2
 
 
 def oneshot_ring_kernel(n, wt, ws, dz):
@@ -956,7 +959,7 @@ class TestBlockedKernel:
         t = 0.5 * (leggauss(N_GAUSS_BASE)[0] + 1.0)
         ws_pts = (np.arange(P - 1)[:, None] + t[None, :]).ravel()
         dz_pts = (np.arange(2 * P - 2)[:, None] + t[None, :]).ravel()
-        # the cells of _build_corrections: near ones on a 10 x 10 Gauss
+        # the cells of _near_integrals: near ones on a 10 x 10 Gauss
         # rule, the four around the target on the polar rule
         d = np.arange(-greens.MC - 1, greens.MC + 1)
         I, DI, DJ = (x.ravel() for x in np.meshgrid(np.arange(P), d, d, indexing="ij"))
@@ -1000,7 +1003,6 @@ class TestBlockedKernel:
         monkeypatch.setattr(greens, "ring_kernel", oneshot_ring_kernel)
         ref = KernelTable(17, n)
         assert np.array_equal(table.C, ref.C)
-        assert np.array_equal(table.corr, ref.corr)
 
 
 class TestBatchedBuild:
@@ -1010,17 +1012,27 @@ class TestBatchedBuild:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_matches_loop_build(self, P, n):
         table = KernelTable(P, n)
-        W2, corr = loop_build(P, n)
+        W2 = loop_build(P, n)
         scale = np.max(np.abs(W2))
-        assert table.corr.shape == corr.shape
         # the slabs rows() rebuilds from the stored spectra
         slabs = np.stack([table.w2_slab(i) for i in range(P)])
+        assert slabs.shape == W2.shape
         assert np.max(np.abs(slabs - W2)) <= 1e-14 * scale
-        assert np.max(np.abs(table.corr - corr)) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_near_integrals_even_in_z(self, n):
+        # the table keeps one near integral per lag |dnj|, which holds only
+        # while the polar and tensor-Gauss rules give the same integral at
+        # +dnj and -dnj
+        P, mc = 17, greens.MC
+        acc = greens._near_integrals(P, n)
+        scale = np.max(np.abs(loop_build(P, n)))
+        for d in range(1, mc + 1):
+            assert np.max(np.abs(acc[:, :, mc + d] - acc[:, :, mc - d])) <= 1e-15 * scale
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_few_kernel_calls(self, monkeypatch, n):
-        # one call per W2 column plus a handful for all corrections; the
+        # one call per W2 column plus a handful for all near integrals; the
         # per-cell build made 621 at P = 17
         calls = []
 
