@@ -344,7 +344,7 @@ def _json_safe(obj):
 
 def _usage_error(message):
     """argparse's error hook: a command-line error is a config error, exit 1,
-    not argparse's 2, which the exit codes give to convergence errors."""
+    not argparse's 2, which the exit codes give to convergence and regime errors."""
     raise ConfigError(message)
 
 
@@ -388,8 +388,11 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (ConvergenceError, RegimeError) as exc:
+    except ConvergenceError as exc:
         print(f"convergence error: {exc}", file=sys.stderr)
+        return 2
+    except RegimeError as exc:
+        print(f"regime error: {exc}", file=sys.stderr)
         return 2
     except RotstarError as exc:
         print(f"error: {exc}", file=sys.stderr)

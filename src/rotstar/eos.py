@@ -1,6 +1,6 @@
 """Barotropic equation-of-state family with gamma-law leading behavior.
 
-The primary representation is enthalpy-based: with k_rho = ((g-1)/(A g))^(1/(g-1)),
+The representation is enthalpy-based: with k_rho = ((g-1)/(A g))^(1/(g-1)),
 
     rho = k_rho (u v 0)^(1/(g-1)) (1 + Y_rho(u/c^2)),
     P   = A k_rho^g (u v 0)^(g/(g-1)) (1 + Y_P(u/c^2)),
@@ -11,15 +11,14 @@ the pair exactly when Y_P is matched to Y_rho; `consistent_upsilon_P` builds
 that match order by order.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError, SeriesDomainError
 
 
-SERIES_TERMS, ENTHALPY_RTOL = 6, 1e-10  # matched P-series terms; u(rho) quadrature tolerance
+SERIES_TERMS = 6  # matched P-series terms
 
 
 def _polyval_series(coeffs, eta):
@@ -27,14 +26,6 @@ def _polyval_series(coeffs, eta):
     out = np.zeros_like(np.asarray(eta, dtype=float))
     for c in reversed(coeffs):
         out = eta * (c + out)
-    return out
-
-
-def _polyval_series_deriv(coeffs, eta):
-    """Derivative of the k>=1 series with respect to eta."""
-    out = np.zeros_like(np.asarray(eta, dtype=float))
-    for k in range(len(coeffs), 0, -1):
-        out = out * eta + k * coeffs[k - 1]
     return out
 
 
@@ -132,22 +123,6 @@ class EquationOfState:
         eta = self._check_eta(u)
         return self.f_N_P(u) * (1.0 + _polyval_series(self.upsilon_P, eta))
 
-    def ddensity_denthalpy(self, u):
-        """d rho / du = f_N_rho'(u) (1 + Y_rho) + f_N_rho(u) Y_rho' / c^2."""
-        eta = np.asarray(u, dtype=float) / self.c_light**2
-        return (
-            self.df_N_rho(u) * (1.0 + _polyval_series(self.upsilon_rho, eta))
-            + self.f_N_rho(u) * _polyval_series_deriv(self.upsilon_rho, eta) / self.c_light**2
-        )
-
-    def dpressure_denthalpy(self, u):
-        eta = self._check_eta(u)
-        u = np.asarray(u, dtype=float)
-        up = np.maximum(u, 0.0)
-        s = 1.0 + _polyval_series(self.upsilon_P, eta)
-        ds = _polyval_series_deriv(self.upsilon_P, eta) / self.c_light**2
-        return self.k_P * ((self.nu + 1.0) * up**self.nu * s + up ** (self.nu + 1.0) * ds)
-
     def h_rho(self, u_N, w):
         """Taylor remainder of f_N_rho at u_N for the shift w/c^2 (linear term
         dropped where u_N <= 0)."""
@@ -155,105 +130,3 @@ class EquationOfState:
         w = np.asarray(w, dtype=float)
         shift = w / self.c_light**2
         return self.f_N_rho(u_N + shift) - self.f_N_rho(u_N) - self.df_N_rho(u_N) * shift
-
-    # -- density-side quantities -------------------------------------------
-
-    def enthalpy_of_density_inverse(self, rho):
-        """Invert rho = f_rho(u) by Newton from the Newtonian-limit guess."""
-        rho = float(rho)
-        if rho < 0:
-            raise DomainError("rho must be nonnegative")
-        if rho == 0.0:
-            return 0.0
-        u = (rho / self.k_rho) ** (1.0 / self.nu)
-        for _ in range(60):
-            f = float(self.density_from_enthalpy(u)) - rho
-            step = f / float(self.ddensity_denthalpy(u))
-            u -= step
-            if abs(step) <= 1e-15 * abs(u):
-                break
-        return u
-
-    def pressure_from_density(self, rho):
-        return float(self.pressure_from_enthalpy(self.enthalpy_of_density_inverse(rho)))
-
-    def dpressure_ddensity(self, rho):
-        """dP/drho through the enthalpy parametrization (finite at rho > 0)."""
-        u = self.enthalpy_of_density_inverse(rho)
-        return float(self.dpressure_denthalpy(u)) / float(self.ddensity_denthalpy(u))
-
-    def enthalpy_from_density(self, rho):
-        """u(rho) = int_0^rho dP/(rho' + P/c^2) by adaptive quadrature.
-
-        The substitution s = rho'^(gamma-1) removes the integrable endpoint
-        behavior of dP/drho ~ rho^(gamma-2) at rho' = 0.
-        """
-        rho = float(rho)
-        if rho < 0:
-            raise DomainError("rho must be nonnegative")
-        if rho == 0.0:
-            return 0.0
-        gm1 = self.gamma - 1.0
-        s_max = rho**gm1
-
-        def integrand(s):
-            if s <= 0.0:
-                return self.A_const * self.gamma / gm1
-            r = s ** (1.0 / gm1)
-            P = self.pressure_from_density(r)
-            dPdr = self.dpressure_ddensity(r)
-            drho_ds = r / (gm1 * s)
-            return dPdr / (r + P / self.c_light**2) * drho_ds
-
-        val, _ = quad(integrand, 0.0, s_max, epsrel=ENTHALPY_RTOL, epsabs=0.0, limit=200)
-        return val
-
-
-# -- neutron-star parametric equation of state -----------------------------
-
-
-def _fermi_P_integral(Q):
-    """int_0^Q q^4/sqrt(1+q^2) dq, closed form."""
-    Q = np.asarray(Q, dtype=float)
-    root = np.sqrt(1.0 + Q**2)
-    return (Q * (2.0 * Q**2 - 3.0) * root + 3.0 * np.arcsinh(Q)) / 8.0
-
-
-def _fermi_rho_integral(Q):
-    """int_0^Q q^2 sqrt(1+q^2) dq, closed form."""
-    Q = np.asarray(Q, dtype=float)
-    root = np.sqrt(1.0 + Q**2)
-    return (Q * (2.0 * Q**2 + 1.0) * root - np.arcsinh(Q)) / 8.0
-
-
-@dataclass(frozen=True)
-class NeutronStarTable:
-    """Parametric (rho(Q), P(Q)) table of the ideal degenerate-neutron EOS."""
-
-    B_const: float
-    c_light: float
-    Q: np.ndarray = field(repr=False)
-    rho: np.ndarray = field(repr=False)
-    P: np.ndarray = field(repr=False)
-
-    @property
-    def A_fit(self):
-        return 1.0 / (5.0 * self.B_const ** (2.0 / 3.0))
-
-    def dP_drho(self, Q):
-        Q = np.asarray(Q, dtype=float)
-        return (self.c_light**2 / 3.0) * Q**2 / (1.0 + Q**2)
-
-    def export_text(self, path):
-        data = np.column_stack([self.rho, self.P])
-        np.savetxt(path, data, header="rho P", comments="# ")
-
-
-def neutron_star_eos(B, Q_max=10.0, c_light=1.0, n_points=200):
-    """Tabulate the neutron-star EOS on log-spaced Q nodes in [0, Q_max]."""
-    if B <= 0:
-        raise DomainError("B must be positive")
-    Q = np.concatenate([[0.0], np.geomspace(1e-4 * Q_max, Q_max, n_points - 1)])
-    rho = 3.0 * B * c_light**3 * _fermi_rho_integral(Q)
-    P = B * c_light**5 * _fermi_P_integral(Q)
-    return NeutronStarTable(B_const=B, c_light=c_light, Q=Q, rho=rho, P=P)

@@ -48,27 +48,6 @@ SPHERE_AREA = {3: 2.0 * math.pi, 4: 4.0 * math.pi, 5: 2.0 * math.pi**2}
 FUND_NORM = {3: 4.0 * math.pi, 4: 4.0 * math.pi**2, 5: 8.0 * math.pi**2}
 
 
-def axis_laplacian(vals, h, n):
-    """Discrete L_n with parity ghosts at varpi = 0 and z = 0 (even fields).
-
-    On the axis the radial part limits to (n-1) d^2/dvarpi^2.
-    """
-    v = vals
-    P, Q = v.shape
-    ext_w = np.concatenate([v[1:2, :], v, np.zeros((1, Q))], axis=0)
-    ext_z = np.concatenate([v[:, 1:2], v, np.zeros((P, 1))], axis=1)
-    d2w = (ext_w[2:, :] - 2 * v + ext_w[:-2, :]) / h**2
-    d2z = (ext_z[:, 2:] - 2 * v + ext_z[:, :-2]) / h**2
-    dw = (ext_w[2:, :] - ext_w[:-2, :]) / (2 * h)
-    w = np.arange(P) * h
-    out = np.empty_like(v)
-    out[1:, :] = d2w[1:, :] + (n - 2) / w[1:, None] * dw[1:, :] + d2z[1:, :]
-    out[0, :] = (n - 1) * d2w[0, :] + d2z[0, :]
-    out[-1, :] = np.nan  # one-sided closure not provided; mask the edge
-    out[:, -1] = np.nan
-    return out
-
-
 def ring_kernel(n, wt, ws, dz):
     """Azimuthally reduced Newtonian kernel; includes the ring measure.
 

@@ -97,18 +97,6 @@ class LaneEmdenSolution:
             return float(out)
         return out
 
-    def theta_prime(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        out = np.empty_like(xi)
-        inside = xi < self.xi1
-        xin = np.clip(xi[inside], 1e-6, None)
-        out[inside] = self._dense.sol(xin)[1] if xin.size else np.empty(0)
-        xe = xi[~inside]
-        out[~inside] = -self.mu1 / np.where(xe > 0, xe, 1.0) ** 2
-        if out.ndim == 0:
-            return float(out)
-        return out
-
 
 def solve_classical(nu):
     """Solve the classical Lane-Emden problem and bracket the first zero.

@@ -1,5 +1,6 @@
-"""Metric assembly: Lanczos potentials, Lewis coefficients, 4-velocity
-factor, and the exact Kerr oracle in Lanczos coordinates.
+"""Metric assembly: Lanczos potentials, Lewis coefficients, the e^{2G}
+normalization of the fluid's 4-velocity, and the exact Kerr oracle in
+Lanczos coordinates.
 
 Conventions: ds^2 = e^{2F}(c dt + A dphi)^2 - e^{-2F}[e^{2K}(dvarpi^2+dz^2)
 + Pi^2 dphi^2]; Lewis form f = e^{2F}, k = -e^{2F}A, l = -e^{2F}A^2 +
@@ -53,13 +54,6 @@ def kerr_boyer_lindquist_from_cyl(kp, w, z):
     return rbar, cos_th, sin_th
 
 
-def kerr_cyl_from_boyer_lindquist(kp, rbar, theta):
-    """Forward map (rbar, theta) -> (varpi, z) for round-trip checks."""
-    m, a = kp.m_geom, kp.a_spin
-    Delta = rbar**2 - 2.0 * m * rbar + a**2
-    return np.sqrt(Delta) * np.sin(theta), (rbar - m) * np.cos(theta)
-
-
 def kerr_lanczos(kp, w, z):
     """Exact Kerr potentials at (varpi, z); in_domain marks rbar > 2m.
 
@@ -96,7 +90,7 @@ def kerr_eval_fns(kp):
     return {key: lambda w, z, key=key: kerr_lanczos(kp, w, z)[key] for key in ("F", "A", "Pi", "K")}
 
 
-# -- Lewis conversion and 4-velocity ----------------------------------------
+# -- Lewis conversion and e^{2G} --------------------------------------------
 
 
 def lewis_from_lanczos(F, A, Pi, K):
@@ -111,30 +105,23 @@ def lewis_from_lanczos(F, A, Pi, K):
     return f, k, l, m_exp
 
 
-def g_factor(F, A, Pi, Omega, c_light):
-    """e^{-G} = U^0 from the 4-velocity normalization; raises when the
-    normalization quantity loses positivity (ergo-regime breach).
+def e2G_normalization(F, A, Pi, Omega, c_light, mask=None):
+    """e^{2G} = e^{2F}(1 + Omega A/c)^2 - Omega^2 Pi^2/(c^2 e^{2F}), the
+    normalization of the rigidly rotating fluid's 4-velocity, U^0 = e^{-G}.
 
-    Returns (G, U0, U2, U_0, U_2): contravariant t/phi components and the
-    lowered ones.
+    Assumption (B) is e^{2G} > 0, a timelike fluid velocity; a value <= 0
+    where `mask` (default: everywhere) holds raises ErgoViolationError.
     """
-    F = np.asarray(F, dtype=float)
-    A = np.asarray(A, dtype=float)
-    Pi = np.asarray(Pi, dtype=float)
-    Om = np.asarray(Omega, dtype=float)
-    e2F = np.exp(2.0 * F)
-    fac = 1.0 + Om * A / c_light
-    e2G = e2F * fac**2 - Om**2 * Pi**2 / (c_light**2 * e2F)
-    if np.any(e2G <= 0.0):
+    e2F = np.exp(2 * F)
+    fac = 1.0 + Omega * A / c_light
+    e2G = e2F * fac**2 - Omega**2 * Pi**2 / (c_light**2 * e2F)
+    bad = e2G <= 0.0 if mask is None else mask & (e2G <= 0.0)
+    if np.any(bad):
         raise ErgoViolationError(
-            f"normalization quantity reaches {np.min(e2G):.3e}; assumption (B) violated"
+            f"e^{{2G}} reaches {np.min(e2G[bad]):.3e}; assumption (B), a timelike fluid "
+            "velocity, violated"
         )
-    G = 0.5 * np.log(e2G)
-    U0 = np.exp(-G)
-    U2 = U0 * Om / c_light
-    U_0 = np.exp(2.0 * F - G) * fac
-    U_2 = np.exp(-G + 2.0 * F) * (A * fac - Om * Pi**2 / (c_light * e2F**2))
-    return G, U0, U2, U_0, U_2
+    return e2G
 
 
 def ktilde(Pi, Pi1, Pi3, Pi11, Pi33, Pi13, F1, F3, A1, A3, e4F, over_pi):

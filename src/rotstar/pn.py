@@ -98,10 +98,6 @@ class StarParams:
         )
 
     @property
-    def rho_NO(self):
-        return ((self.gamma - 1.0) / (self.A_const * self.gamma) * self.u_O) ** self.nu
-
-    @property
     def r1(self):
         return self.a_len * self.xi1
 

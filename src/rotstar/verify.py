@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, RegimeError
-from .metric import kerr_lanczos, ktilde, lewis_from_lanczos
+from .errors import ConfigError
+from .metric import e2G_normalization, kerr_lanczos, ktilde, lewis_from_lanczos
 
 
 @dataclass
@@ -153,14 +153,13 @@ def residual_reduced_system(win, params, bands_R0=None):
     lapA = d2w(win, A) + d2z(win, A)
     lapPi = d2w(win, Pi) + d2z(win, Pi)
 
+    m = win.report_mask()
     e2F = np.exp(2 * F)
     fac = 1.0 + Om * A / c
-    Bq = e2F * fac**2 - Om**2 * Pi**2 / (c**2 * e2F)
-    margin_B = float(np.nanmin(np.where(win.report_mask(), Bq, np.nan)))
-    if margin_B <= 0:
-        raise RegimeError("assumption (B) violated on the window")
+    Bq = e2G_normalization(F, A, Pi, Om, c, mask=m)
+    margin_B = float(np.nanmin(np.where(m, Bq, np.nan)))
     gradPi2 = P1**2 + P3**2
-    margin_C = float(np.nanmin(np.where(win.report_mask(), gradPi2, np.nan)))
+    margin_C = float(np.nanmin(np.where(m, gradPi2, np.nan)))
 
     emK = np.exp(2 * (-F + K))
     Pi_nz = _off_axis(Pi)
@@ -191,7 +190,6 @@ def residual_reduced_system(win, params, bands_R0=None):
     r_e = P3 * K1 + P1 * K3 - rh_e
 
     residuals = {"eqa": r_a, "eqb": r_b, "eqc": r_c, "eqd": r_d, "eqe": r_e}
-    m = win.report_mask()
     sups = {k: float(np.nanmax(np.abs(np.where(m, v, np.nan)))) for k, v in residuals.items()}
     scales = {
         "eqa": float(np.nanmax(np.abs(np.where(m, lapF, np.nan)))) + 1e-300,
@@ -316,10 +314,7 @@ def ricci_cross_check(win, params):
         + (f1 * l3 + l1 * f3 + 2 * k1 * k3) / (2 * Pi_nz**2)
     )
 
-    e2G = f - 2 * (Om / c) * k - (Om / c) ** 2 * l
-    if np.any(np.where(win.report_mask(), e2G, 1.0) <= 0):
-        raise RegimeError("Lewis normalization quantity nonpositive")
-    em2G = 1.0 / e2G
+    em2G = 1.0 / e2G_normalization(win.F, win.A, Pi, Om, c, mask=win.report_mask())
     S00 = 0.5 * (eps + P) * em2G * ((f - (Om / c) * k) ** 2 + (Om / c) ** 2 * Pi**2) + P * f
     S02 = 0.5 * (eps + P) * em2G * (-k * f - 2 * (Om / c) * f * l + (Om / c) ** 2 * k * l) - P * k
     S22 = 0.5 * (eps + P) * em2G * (Pi**2 + (k + (Om / c) * l) ** 2) - P * l
@@ -416,13 +411,6 @@ def kerr_window(kp, L, N):
         K=pot["K"],
         mask=mask,
     )
-
-
-def flat_window(L, N):
-    xs = np.linspace(0.0, L, N)
-    W, Z = np.meshgrid(xs, xs, indexing="ij")
-    zero = np.zeros_like(W)
-    return Window(h=xs[1] - xs[0], F=zero, A=zero.copy(), Pi=W.copy(), K=zero.copy())
 
 
 def refinement_order(hs, sups):

@@ -10,13 +10,12 @@ import pytest
 
 from rotstar.eos import EquationOfState
 from rotstar.fields import AxiField, AxiGrid, _kelvin_images
-from rotstar.greens import GreenOps, axis_laplacian, ring_kernel
+from rotstar.greens import GreenOps, ring_kernel
 from rotstar.lane_emden import integrate_theta, solve_classical
 from rotstar.metric import KerrParams, kerr_eval_fns
 from rotstar.verify import (
     asymptotic_fit,
     consistency_K,
-    flat_window,
     refinement_order,
     refinement_orders,
     residual_reduced_system,
@@ -25,6 +24,7 @@ from rotstar.verify import (
 )
 
 from conftest import B_ROT, EPS_SWEEP
+from oracles import axis_laplacian, flat_window
 from test_lane_emden import rk4_xi1_oracle
 
 PARAMS_GEOM = type("P", (), {"G_grav": 1.0, "c_light": 1.0})()

@@ -9,7 +9,7 @@ from rotstar.cli import cmd_tov_compare, main
 from rotstar.config import load_config
 from rotstar.errors import ConfigError
 from rotstar.fields import AxiField, AxiGrid
-from rotstar.gridio import write_field
+from rotstar.gridio import read_field, write_field
 from rotstar.pn import SolverOptions
 
 
@@ -248,6 +248,21 @@ class TestSolveCommand:
         path.write_text(json.dumps(man))
         assert main(["verify", "--config", cfg, "--run", str(out),
                      "--out", str(tmp_path / "ver")]) == 0
+
+    def test_verify_exits_2_on_assumption_B(self, tmp_path, capsys):
+        # F lowered by 10 inside the star: e^{2F} falls below Omega Pi/c,
+        # so e^{2G} < 0 there and the fluid would move faster than light
+        out = tmp_path / "run"
+        cfg = write_cfg(tmp_path, TINY.format(b=1.0e-3, out=out))
+        assert main(["solve", "--config", cfg]) == 0
+        F, _ = read_field(out / "F.axfd")
+        F.int_vals[F.grid.RI < F.grid.R0 / 4] -= 10.0
+        write_field(out / "F.axfd", F, name="F")
+        capsys.readouterr()
+        assert main(["verify", "--config", cfg, "--run", str(out),
+                     "--out", str(tmp_path / "ver")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("regime error:") and "assumption (B)" in err
 
     def test_export(self, tmp_path):
         out = tmp_path / "run"

@@ -19,10 +19,11 @@ from rotstar.greens import (
     KernelTable,
     LOpSolver,
     N_GAUSS_BASE,
-    axis_laplacian,
     get_table,
     ring_kernel,
 )
+
+from oracles import axis_laplacian
 
 
 @pytest.fixture(scope="module")

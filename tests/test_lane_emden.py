@@ -77,14 +77,14 @@ class TestClassical:
         # C^1 match at xi1
         eps = 1e-7
         assert sol.theta(sol.xi1 + eps) == pytest.approx(
-            sol.theta_prime(sol.xi1 - eps) * eps, rel=1e-3, abs=1e-12
+            sol._dense.sol(sol.xi1 - eps)[1] * eps, rel=1e-3, abs=1e-12
         )
 
     def test_mu1_positive_and_center_conditions(self):
         sol = solve_classical(1.3)
         assert sol.mu1 > 0
         assert sol.theta(0.0) == pytest.approx(1.0, abs=1e-10)
-        assert abs(sol.theta_prime(1e-5)) < 1e-4
+        assert abs(sol._dense.sol(1e-5)[1]) < 1e-4
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -5,13 +5,14 @@ from rotstar.errors import DomainError, ErgoViolationError
 from rotstar.fields import AxiField, AxiGrid
 from rotstar.metric import (
     KerrParams,
-    g_factor,
+    e2G_normalization,
     kerr_boyer_lindquist_from_cyl,
-    kerr_cyl_from_boyer_lindquist,
     kerr_lanczos,
     lewis_from_lanczos,
     mul_varpi,
 )
+
+from oracles import kerr_cyl_from_boyer_lindquist
 
 
 class TestKerrParams:
@@ -95,30 +96,36 @@ class TestLewis:
 class TestGFactor:
     def test_omega_zero(self):
         F = np.array([[0.1, -0.2]])
-        G, U0, U2, U_0, U_2 = g_factor(F, 0 * F, 1.0 + 0 * F, 0 * F, 1.0)
-        assert np.allclose(G, F)
-        assert np.allclose(U2, 0.0)
+        e2G = e2G_normalization(F, 0 * F, 1.0 + 0 * F, 0 * F, 1.0)
+        assert np.allclose(0.5 * np.log(e2G), F)
 
     def test_flat_rigid_rotation(self):
         w = np.array([[0.3, 0.6, 0.9]])
         Om = np.full_like(w, 0.5)
-        G, U0, U2, U_0, U_2 = g_factor(0 * w, 0 * w, w, Om, 1.0)
-        assert np.allclose(np.exp(2 * G), 1 - 0.25 * w**2, rtol=1e-14)
+        e2G = e2G_normalization(0 * w, 0 * w, w, Om, 1.0)
+        assert np.allclose(e2G, 1 - 0.25 * w**2, rtol=1e-14)
 
     def test_normalization(self):
-        # U^mu U_mu = U^0 U_0 + U^2 U_2 = 1 by construction of the factor
+        # U = e^{-G}(1, Omega/c) is a unit vector of the Lewis metric:
+        # f U0^2 - 2 k U0 U2 - l U2^2 = 1 in (c t, phi)
         kp = KerrParams(1.0, 0.6)
         w = np.linspace(3, 10, 8)
         z = np.linspace(0.2, 6, 8)
         pot = kerr_lanczos(kp, w, z)
         Om = np.full_like(w, 0.01)
-        G, U0, U2, U_0, U_2 = g_factor(pot["F"], pot["A"], pot["Pi"], Om, 1.0)
-        assert np.allclose(U0 * U_0 + U2 * U_2, 1.0, rtol=1e-12)
+        U0 = e2G_normalization(pot["F"], pot["A"], pot["Pi"], Om, 1.0) ** -0.5
+        U2 = U0 * Om
+        f, k, l, _ = lewis_from_lanczos(pot["F"], pot["A"], pot["Pi"], pot["K"])
+        assert np.allclose(f * U0**2 - 2 * k * U0 * U2 - l * U2**2, 1.0, rtol=1e-12)
 
     def test_ergo_violation(self):
-        w = np.array([[3.0]])
-        with pytest.raises(ErgoViolationError):
-            g_factor(0 * w, 0 * w, w, np.full_like(w, 0.5), 1.0)
+        w = np.array([[1.0, 3.0]])
+        Om = np.full_like(w, 0.5)
+        with pytest.raises(ErgoViolationError, match=r"assumption \(B\)"):
+            e2G_normalization(0 * w, 0 * w, w, Om, 1.0)
+        # only the caller's mask counts: varpi = 3 lies beyond the light cylinder
+        e2G = e2G_normalization(0 * w, 0 * w, w, Om, 1.0, mask=np.array([[True, False]]))
+        assert e2G[0, 1] < 0
 
     def test_trace_identity(self):
         # T = (eps+P) e^{-2G} [normalization quantity] - 4P collapses to
@@ -128,11 +135,11 @@ class TestGFactor:
         z = np.linspace(0.5, 5, 6)
         pot = kerr_lanczos(kp, w, z)
         Om = np.full_like(w, 0.02)
-        G, *_ = g_factor(pot["F"], pot["A"], pot["Pi"], Om, 1.0)
+        e2G = e2G_normalization(pot["F"], pot["A"], pot["Pi"], Om, 1.0)
         eps, P = 0.7, 0.1
         e2F = np.exp(2 * pot["F"])
         quant = e2F * (1 + Om * pot["A"]) ** 2 - Om**2 * pot["Pi"] ** 2 / e2F
-        T = (eps + P) * np.exp(-2 * G) * quant - 4 * P
+        T = (eps + P) / e2G * quant - 4 * P
         assert np.allclose(T, eps - 3 * P, rtol=1e-12)
 
 

@@ -3,17 +3,19 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from rotstar.errors import ErgoViolationError
 from rotstar.metric import KerrParams, kerr_eval_fns
 from rotstar.verify import (
     asymptotic_fit,
     consistency_K,
-    flat_window,
     kerr_mask,
     kerr_window,
     refinement_orders,
     residual_reduced_system,
     ricci_cross_check,
 )
+
+from oracles import flat_window
 
 
 PARAMS = SimpleNamespace(G_grav=1.0, c_light=1.0)
@@ -37,6 +39,17 @@ class TestFlatSpace:
         rc = ricci_cross_check(win, PARAMS)
         for name, sup in rc["sups"].items():
             assert sup <= 1e-12, name
+
+
+class TestAssumptionB:
+    @pytest.mark.parametrize("check", [residual_reduced_system, ricci_cross_check])
+    def test_light_cylinder_in_window(self, check):
+        # flat space rotating at Omega = 0.5: e^{2G} = 1 - varpi^2/4 is
+        # negative past varpi = 2, inside [0, 3]^2
+        win = flat_window(3.0, 31)
+        win.Omega = np.full_like(win.F, 0.5)
+        with pytest.raises(ErgoViolationError, match=r"assumption \(B\)"):
+            check(win, PARAMS)
 
 
 class TestKerrResiduals:
