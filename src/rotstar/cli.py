@@ -8,7 +8,10 @@ codes: 0 pass, 1 config or command-line error, 2 convergence/regime error,
 """
 
 import argparse
+import contextlib
+import io
 import json
+import resource
 import sys
 import time
 from dataclasses import replace
@@ -38,17 +41,14 @@ def _manifest(out, cfg, payload):
         "config_digest": cfg.digest(),
         "config": cfg.to_dict(),
         "created_unix": int(time.time()),
+        # ru_maxrss is in KiB on Linux
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
     data.update(payload)
     path = out / "manifest.json"
     with open(path, "w") as fh:
         json.dump(data, fh, indent=2, sort_keys=True, default=float)
     return path
-
-
-def _say(cfg, *msg):
-    if not cfg.output["quiet"]:
-        print(*msg)
 
 
 def cmd_lane_emden(cfg, out_dir):
@@ -96,7 +96,7 @@ def cmd_lane_emden(cfg, out_dir):
         "b0_matches_classical_within": b0_gap,
     }
     _manifest(out, cfg, payload)
-    _say(cfg, f"lane-emden: xi1 = {cls.xi1:.10f}, iterations = {dle.iterations}")
+    print(f"lane-emden: xi1 = {cls.xi1:.10f}, iterations = {dle.iterations}")
     return 0
 
 
@@ -153,15 +153,14 @@ def cmd_solve(cfg, out_dir):
         "M_N": res.diagnostics["M_N"],
     }
     _manifest(out, cfg, payload)
-    _say(
-        cfg,
+    print(
         f"solve: outer iterations = {res.diagnostics['outer_iterations']}, "
         f"M = {ver['asymptotics']['M']:.6e}, M_N = {res.diagnostics['M_N']:.6e}, "
         f"J = {ver['asymptotics']['J']:.6e}",
     )
     flags = res.diagnostics["regime_flags"]
     if not (flags["D1_b_small"] and flags["D2_epsilon_small"]):
-        _say(cfg, f"warning: regime flags {flags}")
+        print(f"warning: regime flags {flags}")
     return 0
 
 
@@ -211,11 +210,11 @@ def cmd_verify(cfg, out_dir, run_dir):
     path = out / "verify_report.json"
     with open(path, "w") as fh:
         json.dump(_json_safe(ver), fh, indent=2, sort_keys=True, default=float)
-    _say(cfg, f"verify: report at {path}")
+    print(f"verify: report at {path}")
     worst = max(ver["residuals"]["sups"].values())
     scale = max(ver["residuals"]["scales"].values())
     if worst > 0.2 * scale:
-        _say(cfg, f"verification failure: residual sup {worst:.3e} vs scale {scale:.3e}")
+        print(f"verification failure: residual sup {worst:.3e} vs scale {scale:.3e}")
         return 3
     return 0
 
@@ -245,8 +244,8 @@ def cmd_kerr_check(cfg, out_dir):
     _manifest(_out_dir(cfg, out_dir), cfg, payload)
     ok_orders = all(o is None or abs(o - 2.0) <= 0.2 for o in orders.values())
     ok_fit = payload["M_err_rel"] <= 0.01 and payload["J_err_rel"] <= 0.01
-    _say(cfg, f"kerr-check: orders {orders}")
-    _say(cfg, f"kerr-check: M err {payload['M_err_rel']:.2e}, J err {payload['J_err_rel']:.2e}")
+    print(f"kerr-check: orders {orders}")
+    print(f"kerr-check: M err {payload['M_err_rel']:.2e}, J err {payload['J_err_rel']:.2e}")
     return 0 if (ok_orders and ok_fit) else 3
 
 
@@ -275,7 +274,7 @@ def cmd_tov_compare(cfg, out_dir):
         "post_newtonian_gap": gap["post_newtonian"],
     }
     _manifest(out, cfg, payload)
-    _say(cfg, f"tov-compare: rel F gap {payload['rel_gap']:.3e}, M_tov {tov.M_total:.6e}")
+    print(f"tov-compare: rel F gap {payload['rel_gap']:.3e}, M_tov {tov.M_total:.6e}")
     return 0
 
 
@@ -300,7 +299,7 @@ def cmd_sweep(cfg, out_dir):
             for key in ("W_sup", "Y_sup", "X_sup", "K_sup") if min(r[key] for r in results) > 0}
     payload = {"command": "sweep", "results": results, "fitted_exponents": sups}
     _manifest(out, cfg, payload)
-    _say(cfg, f"sweep: exponents {sups}")
+    print(f"sweep: exponents {sups}")
     return 0
 
 
@@ -326,7 +325,7 @@ def cmd_export(cfg, out_dir, dump, patch):
     out = _out_dir(cfg, out_dir)
     target = out / (Path(dump).stem + f".{patch}.dat")
     export_text(target, fld, patch=patch)
-    _say(cfg, f"export: {target}")
+    print(f"export: {target}")
     return 0
 
 
@@ -364,27 +363,27 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         cfg = load_config(args.config)
-        if args.quiet:
-            cfg.output["quiet"] = True
-        if args.command == "lane-emden":
-            return cmd_lane_emden(cfg, args.out)
-        if args.command == "solve":
-            return cmd_solve(cfg, args.out)
-        if args.command == "verify":
-            if not args.run:
-                raise ConfigError("verify needs --run DIR")
-            return cmd_verify(cfg, args.out, args.run)
-        if args.command == "kerr-check":
-            return cmd_kerr_check(cfg, args.out)
-        if args.command == "tov-compare":
-            return cmd_tov_compare(cfg, args.out)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, args.out)
-        if args.command == "export":
-            if not args.dump:
-                raise ConfigError("export needs --dump PATH")
-            return cmd_export(cfg, args.out, args.dump, args.patch)
-        raise ConfigError(f"unknown command {args.command}")
+        # --quiet drops the printed summaries; errors still go to stderr
+        with contextlib.redirect_stdout(io.StringIO()) if args.quiet else contextlib.nullcontext():
+            if args.command == "lane-emden":
+                return cmd_lane_emden(cfg, args.out)
+            if args.command == "solve":
+                return cmd_solve(cfg, args.out)
+            if args.command == "verify":
+                if not args.run:
+                    raise ConfigError("verify needs --run DIR")
+                return cmd_verify(cfg, args.out, args.run)
+            if args.command == "kerr-check":
+                return cmd_kerr_check(cfg, args.out)
+            if args.command == "tov-compare":
+                return cmd_tov_compare(cfg, args.out)
+            if args.command == "sweep":
+                return cmd_sweep(cfg, args.out)
+            if args.command == "export":
+                if not args.dump:
+                    raise ConfigError("export needs --dump PATH")
+                return cmd_export(cfg, args.out, args.dump, args.patch)
+            raise ConfigError(f"unknown command {args.command}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

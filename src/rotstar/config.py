@@ -40,7 +40,6 @@ _DEFAULTS = {
         "n_radial": 1025,
         "n_zeta": 48,
         "lmax": 12,
-        "tol": 1e-11,
         "max_iter": 400,
         "report_grid": 129,
     },
@@ -61,7 +60,6 @@ _DEFAULTS = {
     },
     "output": {
         "directory": "runs/out",
-        "quiet": False,
     },
     "sweep": {
         "param": "u_O",
@@ -251,7 +249,6 @@ def build_profile(cfg, params, classical):
         n_radial=le["n_radial"],
         n_zeta=le["n_zeta"],
         lmax=le["lmax"],
-        tol=le["tol"],
         max_iter=le["max_iter"],
         classical=classical,
     )

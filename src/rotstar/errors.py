@@ -1,4 +1,7 @@
-"""Exception taxonomy shared across the solver stack."""
+"""Exception taxonomy shared across the solver stack, and the one damped
+fixed-point loop whose failures raise ConvergenceError."""
+
+import numpy as np
 
 
 class RotstarError(Exception):
@@ -24,6 +27,33 @@ class ConvergenceError(RotstarError):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
+
+
+def damped_iteration(step, state, tol, max_iter, what, stall=None):
+    """Iterate state = step(state) until the change step returns falls below
+    tol; returns (state, changes), one change per step.
+
+    stall = (after, lag), after >= lag: past step `after`, a change larger
+    than the one `lag` steps earlier means the map stopped contracting.
+    That and the cap max_iter raise ConvergenceError naming `what`.
+    """
+    changes = []
+    for it in range(1, max_iter + 1):
+        state, change = step(state)
+        changes.append(change)
+        if change < tol:
+            return state, changes
+        if stall and it > stall[0] and change > changes[-1 - stall[1]]:
+            raise ConvergenceError(f"{what} stopped contracting", residual=change, iterations=it)
+    raise ConvergenceError(f"{what} did not converge in {max_iter} steps",
+                           residual=changes[-1], iterations=max_iter)
+
+
+def contraction_ratio(changes):
+    """Median ratio of successive changes over the last eight steps (0 when
+    there is no ratio to take)."""
+    ratios = [b / a for a, b in zip(changes[:-1], changes[1:]) if a > 0]
+    return float(np.median(ratios[-8:])) if ratios else 0.0
 
 
 class RegimeError(RotstarError):

@@ -258,14 +258,9 @@ class AxiField:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def zeros(cls, grid, n_index=3, parity=(1, 1)):
-        return cls(
-            grid,
-            n_index,
-            np.zeros((grid.n_int, grid.n_int)),
-            np.zeros((grid.n_ext, grid.n_ext)),
-            parity,
-        )
+    def zeros(cls, grid, n_index=3):
+        return cls(grid, n_index, np.zeros((grid.n_int, grid.n_int)),
+                   np.zeros((grid.n_ext, grid.n_ext)))
 
     @classmethod
     def from_function(cls, grid, fn, n_index=3, star_fn=None, parity=(1, 1), offset=0.0):
@@ -342,17 +337,15 @@ class AxiField:
 
     # -- derivatives -------------------------------------------------------------
 
-    def derivative(self, axis, order=1):
+    def derivative(self, axis):
         """d/d(varpi) or d/dz of the field as a new two-patch field.
 
         Interior: central differences with parity ghosts at the axes and
         one-sided closure at the outer edges.  Exterior: differentiate the
         stored Kelvin samples and map through the inversion chain rule.
         """
-        if order == 2:
-            return self.derivative(axis, 1).derivative(axis, 1)
-        if order != 1 or axis not in ("w", "z"):
-            raise DomainError("derivative takes axis 'w' or 'z' and order 1 or 2")
+        if axis not in ("w", "z"):
+            raise DomainError("derivative takes axis 'w' or 'z'")
         g = self.grid
         ax = 0 if axis == "w" else 1
         n = self.n_index
@@ -529,7 +522,7 @@ def exp_of(field, scale=1.0):
     return e + 1.0
 
 
-def compact_map(fn, *fields, n_index=3, parity=(1, 1)):
+def compact_map(fn, *fields, n_index=3):
     """Pointwise fn over raw field values, for fn vanishing at the common
     far-field limit (compactly supported or rapidly decaying results).
 
@@ -548,7 +541,7 @@ def compact_map(fn, *fields, n_index=3, parity=(1, 1)):
     )
     if np.any(~np.isfinite(star)):
         raise DomainError("compact_map result does not vanish at the origin-image")
-    return AxiField(g, n_index, int_vals, star, parity, 0.0, fields[0].interp)
+    return AxiField(g, n_index, int_vals, star, (1, 1), 0.0, fields[0].interp)
 
 
 def div_varpi(field):

@@ -25,7 +25,7 @@ from scipy.integrate import cumulative_simpson, solve_ivp
 from scipy.interpolate import CubicSpline
 
 from .cutoff import chi
-from .errors import ConvergenceError, DomainError, RegimeError
+from .errors import ConvergenceError, DomainError, RegimeError, contraction_ratio, damped_iteration
 
 
 def _series_start(nu, xi0):
@@ -42,7 +42,9 @@ def _rhs(xi, y, nu):
 
 THETA_RTOL, THETA_ATOL = 1e-12, 1e-13  # DOP853 tolerances of the classical ODE
 XI_MAX = 60.0  # end of solve_classical's search for the first zero
-DAMPING = 0.8  # of the distorted fixed point
+# the distorted fixed point: damping, tolerance on a sweep's sup change, and
+# stall rule (past sweep 12, a change above the one 5 sweeps back stops it)
+DAMPING, TOL, STALL = 0.8, 1e-11, (12, 5)
 
 
 def integrate_theta(nu, xi_max, stop_at_zero=False):
@@ -230,7 +232,6 @@ def solve_distorted(
     n_radial=1025,
     n_zeta=48,
     lmax=12,
-    tol=1e-10,
     max_iter=400,
 ):
     """Damped fixed-point solve of the distorted Lane-Emden equation.
@@ -250,39 +251,25 @@ def solve_distorted(
 
     S, Z = np.meshgrid(s, zeta, indexing="ij")
     forcing = 0.5 * b * chi(S / Xi0) ** 2 * S**2 * (1.0 - Z**2)
-
-    Theta = np.broadcast_to(classical.theta(s)[:, None], S.shape).copy()
     far = s >= 2.5 * xi1
-    changes = []
-    for it in range(1, max_iter + 1):
+
+    def sweep(Theta):
         src = np.maximum(Theta, 0.0) ** nu
         K, K_O = kelvin3_legendre(src, s, zeta, zw, lmax)
         new = forcing + K - K_O + 1.0
         delta = float(np.max(np.abs(new - Theta)))
         Theta = (1.0 - DAMPING) * Theta + DAMPING * new
-        changes.append(delta)
         if np.any(Theta[far, :] > 0.0):
             # centrifugal forcing beat gravity far out: b is beyond the
             # admissible range for this grid extent
             raise RegimeError(
-                f"spurious matter beyond 2.5 xi1 at iteration {it}; "
-                f"b={b:.3g} is outside the slow-rotation regime"
+                f"spurious matter beyond 2.5 xi1; b={b:.3g} is outside the slow-rotation regime"
             )
-        if delta < tol:
-            break
-        if it > 12 and changes[-1] > changes[-6]:
-            raise ConvergenceError(
-                "distorted Lane-Emden iteration stopped contracting",
-                residual=delta,
-                iterations=it,
-            )
-    else:
-        raise ConvergenceError(
-            "distorted Lane-Emden did not converge", residual=changes[-1], iterations=max_iter
-        )
+        return Theta, delta
 
-    ratios = [c2 / c1 for c1, c2 in zip(changes[:-1], changes[1:]) if c1 > 0]
-    ratio = float(np.median(ratios[-8:])) if ratios else 0.0
+    Theta0 = np.broadcast_to(classical.theta(s)[:, None], S.shape).copy()
+    Theta, changes = damped_iteration(sweep, Theta0, TOL, max_iter,
+                                      "distorted Lane-Emden iteration", stall=STALL)
 
     src = np.maximum(Theta, 0.0) ** nu
     _, K_O = kelvin3_legendre(src, s, zeta, zw, lmax)
@@ -304,8 +291,8 @@ def solve_distorted(
         coeffs=coeffs,
         lmax=lmax,
         Theta_inf_const=theta_inf,
-        iterations=it,
-        contraction_ratio=ratio,
+        iterations=len(changes),
+        contraction_ratio=contraction_ratio(changes),
     )
 
     if theta_inf >= 0.0:

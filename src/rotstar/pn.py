@@ -19,7 +19,6 @@ infinity (a pure time-gauge offset, reported and removed in far-field fits).
 """
 
 import math
-import resource
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,8 @@ from numpy.polynomial.legendre import leggauss
 from scipy.integrate import cumulative_trapezoid
 
 from .cutoff import chi
-from .errors import ConvergenceError, DomainError, RegimeError, SeriesDomainError
+from .errors import (DomainError, RegimeError, SeriesDomainError, contraction_ratio,
+                     damped_iteration)
 from .fields import (
     AxiField,
     AxiGrid,
@@ -47,6 +47,9 @@ from .metric import MetricLanczos, assemble, ktilde, mul_varpi
 
 BETA0, DELTA0 = 0.1, 0.01  # regime flags (D1) b <= BETA0 and (D2) epsilon <= DELTA0
 NEWTONIAN_TOL, NEWTONIAN_MAX_ITER = 1e-12, 200  # Newtonian sweep: stop below NEWTONIAN_TOL u_O
+# (after, lag) stall rules: past iteration `after`, a change above the one
+# `lag` iterations back means the map stopped contracting
+INNER_STALL, OUTER_STALL = (6, 3), (4, 2)
 
 
 @dataclass(frozen=True)
@@ -160,18 +163,15 @@ def newtonian_fields(dle, params, grid, ops, eos):
     )
 
     G4pi = -4.0 * math.pi * params.G_grav
-    resid = np.inf
-    for it in range(1, NEWTONIAN_MAX_ITER + 1):
+
+    def sweep(u_N):
         rho_N = compact_map(eos.f_N_rho, u_N, n_index=3)
         Phi_N = ops.k_n_global(rho_N, 3) * G4pi
-        Phi_O = Phi_N.int_vals[0, 0]
-        u_new = om_w2_half - Phi_N + (Phi_O + params.u_O)
-        resid = float(np.max(np.abs(u_new.int_total() - u_N.int_total())))
-        u_N = u_new
-        if resid < NEWTONIAN_TOL * params.u_O:
-            break
-    else:
-        raise ConvergenceError("Newtonian consistency sweep stalled", residual=resid)
+        u_new = om_w2_half - Phi_N + (Phi_N.int_vals[0, 0] + params.u_O)
+        return u_new, float(np.max(np.abs(u_new.int_total() - u_N.int_total())))
+
+    u_N, changes = damped_iteration(sweep, u_N, NEWTONIAN_TOL * params.u_O, NEWTONIAN_MAX_ITER,
+                                    "Newtonian consistency sweep")
 
     rho_N = compact_map(eos.f_N_rho, u_N, n_index=3)
     P_N = compact_map(eos.f_N_P, u_N, n_index=4)
@@ -186,8 +186,8 @@ def newtonian_fields(dle, params, grid, ops, eos):
         ratio=ratio,
         Phi_O=float(Phi_N.int_vals[0, 0]),
         M_N=M_N,
-        iterations=it,
-        residual=resid,
+        iterations=len(changes),
+        residual=changes[-1],
     )
 
 
@@ -198,7 +198,6 @@ class PotentialSet:
     X: AxiField
     V: AxiField
     w: AxiField
-    Z: AxiField = None
 
 
 PATH_GAUSS = leggauss(24)  # Gauss rule on each segment of a far path
@@ -329,7 +328,7 @@ class PNSolver:
     # -- the w <-> (W, Y, X) algebra ---------------------------------------------
 
     def w_from_WYX(self, W, Y, X):
-        """Enthalpy correction and the auxiliary Z per the log expansion."""
+        """Enthalpy correction per the log expansion in the auxiliary Z."""
         p = self.params
         c = p.c_light
         psi = self.nf.Phi_N - W * (1.0 / c**2)  # c^2 F
@@ -355,7 +354,7 @@ class PNSolver:
             - om_w2_Y * om_w2_Y * (0.5 / c**4)
             - series * (0.5 * c**4)
         ).reindex(3)
-        return w, Z
+        return w
 
     # -- remainders ----------------------------------------------------------------
 
@@ -481,24 +480,18 @@ class PNSolver:
         wY = p.u_O / abs(p.Omega_O) if p.Omega_O != 0.0 else 0.0
         return max(self._norm_c1(dW), wY * self._norm_c1(dY), self._norm_c1(dX))
 
-    def inner_fixed_point(self, V, state=None):
-        """The map S(V): unique (W, Y, X) at frozen V."""
+    def inner_fixed_point(self, V, state):
+        """The map S(V): unique (W, Y, X) at frozen V, iterated from state."""
         p = self.params
         ga, gb, gc = self.sources()
-        if state is None:
-            W = AxiField.zeros(self.grid, 3)
-            Y = AxiField.zeros(self.grid, 5)
-            X = AxiField.zeros(self.grid, 4)
-        else:
-            W, Y, X = state
-        scale = max(p.u_O**2, 1e-300)
-        changes = []
         # sup-norm remainder-to-leading ratios on the interior patch, per
         # iteration; 0 where the leading part vanishes (a static star's g_b)
         leads = [float(np.max(np.abs(f.int_vals))) for f in (ga, gb, gc)]
         remainder_ratios = {"a": [], "b": [], "c": []}
-        for it in range(1, self.opts.max_inner + 1):
-            w, _ = self.w_from_WYX(W, Y, X)
+
+        def step(state):
+            W, Y, X = state
+            w = self.w_from_WYX(W, Y, X)
             rho, P, u = self.state_fluid(w)
             R_a, R_b, R_c, _ = self.remainders_abc(W, Y, X, V, w, rho, P)
             for key, R, lead in zip("abc", (R_a, R_b, R_c), leads):
@@ -510,24 +503,13 @@ class PNSolver:
                 -4.0 * math.pi * p.G_grav
             )
             W_new = self.lop.solve((ga + coupling + R_a).reindex(3))
-            delta = self.blended_norm(W_new - W, Y_new - Y, X_new - X)
-            W, Y, X = W_new, Y_new, X_new
-            changes.append(delta)
-            if delta < self.opts.tol_inner * scale:
-                break
-            if it > 6 and changes[-1] > changes[-4]:
-                raise ConvergenceError(
-                    "inner (W, Y, X) iteration stopped contracting",
-                    residual=delta,
-                    iterations=it,
-                )
-        else:
-            raise ConvergenceError(
-                "inner iteration exceeded max_inner", residual=changes[-1], iterations=it
-            )
-        ratios = [b / a for a, b in zip(changes[:-1], changes[1:]) if a > 0]
+            return (W_new, Y_new, X_new), self.blended_norm(W_new - W, Y_new - Y, X_new - X)
+
+        (W, Y, X), changes = damped_iteration(
+            step, state, self.opts.tol_inner * max(p.u_O**2, 1e-300), self.opts.max_inner,
+            "inner (W, Y, X) iteration", stall=INNER_STALL)
         self.inner_history.append(
-            {"iterations": it, "changes": changes, "ratio": ratios[-1] if ratios else 0.0,
+            {"iterations": len(changes), "changes": changes, "ratio": contraction_ratio(changes),
              "remainder_ratios": remainder_ratios}
         )
         return W, Y, X
@@ -642,47 +624,30 @@ class PNSolver:
         the assembled metric, and diagnostics."""
         p = self.params
         g = self.grid
-        V = AxiField.zeros(g, 4)
-        state = None
-        scale = max(p.u_O**2, 1e-300)
-        outer_changes = []
-        for it in range(1, self.opts.max_outer + 1):
-            W, Y, X = self.inner_fixed_point(V, state=state)
-            state = (W, Y, X)
-            V_new, C_inf, far, K1t = self.v_map(W, Y, X)
-            delta = float(np.max(np.abs(V_new.int_vals - V.int_vals)))
-            V = V_new
-            outer_changes.append(delta)
-            if delta < self.opts.tol_outer * scale:
-                break
-            if it > 4 and outer_changes[-1] > outer_changes[-3]:
-                raise ConvergenceError(
-                    "outer V iteration stopped contracting",
-                    residual=delta,
-                    iterations=it,
-                )
-        else:
-            raise ConvergenceError(
-                "outer iteration exceeded max_outer",
-                residual=outer_changes[-1],
-                iterations=self.opts.max_outer,
-            )
 
-        W, Y, X = state
-        w, Z = self.w_from_WYX(W, Y, X)
+        def step(outer):
+            V, WYX, _ = outer
+            WYX = self.inner_fixed_point(V, WYX)
+            V_new, *v_map_rest = self.v_map(*WYX)
+            return (V_new, WYX, v_map_rest), float(np.max(np.abs(V_new.int_vals - V.int_vals)))
+
+        start = (AxiField.zeros(g, 4), tuple(AxiField.zeros(g, n) for n in (3, 5, 4)), None)
+        (V, (W, Y, X), (C_inf, far, K1t)), outer_changes = damped_iteration(
+            step, start, self.opts.tol_outer * max(p.u_O**2, 1e-300), self.opts.max_outer,
+            "outer V iteration", stall=OUTER_STALL)
+        w = self.w_from_WYX(W, Y, X)
         rho, P, u = self.state_fluid(w)
-        pot = PotentialSet(W=W, Y=Y, X=X, V=V, w=w, Z=Z)
+        pot = PotentialSet(W=W, Y=Y, X=X, V=V, w=w)
         met = assemble(p, pot, self.nf.Phi_N)
 
-        ratios = [b / a for a, b in zip(outer_changes[:-1], outer_changes[1:]) if a > 0]
         support_r = 0.0
         sel = rho.int_vals > 0
         if np.any(sel):
             support_r = float(np.max(g.RI[sel]))
         diagnostics = {
-            "outer_iterations": it,
+            "outer_iterations": len(outer_changes),
             "outer_changes": outer_changes,
-            "outer_ratio": ratios[-1] if ratios else 0.0,
+            "outer_ratio": contraction_ratio(outer_changes),
             "inner_history": self.inner_history,
             "C_inf_V": C_inf,
             "V_at_origin": float(V.int_vals[0, 0]),
@@ -697,8 +662,6 @@ class PNSolver:
             "v_overlap": v_overlap(V),
             "green_ops": self.ops.cache_report(),
             "lop_smin_estimate": self.lop.smin_estimate,
-            # ru_maxrss is in KiB on Linux
-            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         }
         return SolveResult(
             params=p,

@@ -86,8 +86,8 @@ def d2w(win, arr):
     return out
 
 
-def d2z(win, arr, parity=1):
-    ext = np.concatenate([parity * arr[:, 1:2], arr], axis=1)
+def d2z(win, arr):
+    ext = np.concatenate([arr[:, 1:2], arr], axis=1)
     out = np.full_like(arr, np.nan)
     out[:, : arr.shape[1] - 1] = (ext[:, 2:] - 2 * ext[:, 1:-1] + ext[:, :-2]) / win.h**2
     return out

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rotstar
 from rotstar.cli import cmd_tov_compare, main
 from rotstar.config import load_config
 from rotstar.errors import ConfigError
@@ -18,7 +22,7 @@ star: {{u_O: 1.0e-3, b_rot: {b}}}
 grid: {{n_interior: 33, n_exterior: 25}}
 lane_emden: {{n_radial: 257, n_zeta: 16, report_grid: 33}}
 solver: {{tol_inner: 1.0e-8, tol_outer: 1.0e-7}}
-output: {{directory: "{out}", quiet: true}}
+output: {{directory: "{out}"}}
 """
 
 
@@ -45,7 +49,8 @@ class TestConfigValidation:
                                      "verify.residual_order_min", "verify.axis_strip_r1",
                                      "output.formats", "solver.damping", "solver.newtonian_tol",
                                      "solver.beta0", "solver.delta0", "lane_emden.damping",
-                                     "kerr.margin", "kerr.measure_margin", "tov.rtol"])
+                                     "kerr.margin", "kerr.measure_margin", "tov.rtol",
+                                     "lane_emden.tol", "output.quiet"])
     def test_removed_key_rejected(self, tmp_path, key):
         section, name = key.split(".")
         cfg = write_cfg(tmp_path, f"star: {{u_O: 1.0e-3, b_rot: 0.0}}\n{section}: {{{name}: 1}}\n")
@@ -151,7 +156,7 @@ class TestConfigValidation:
         assert "usage: rotstar" in capsys.readouterr().out
 
     def test_sweep_param_takes_a_number(self):
-        for param in ("u_O", "star.b_rot", "grid.n_interior", "lane_emden.tol"):
+        for param in ("u_O", "star.b_rot", "grid.n_interior", "lane_emden.lmax"):
             assert load_config({"sweep": {"param": param}}).sweep["param"] == param
         for param in ("output.directory", "kerr.levels", "eos.upsilon_P"):
             with pytest.raises(ConfigError, match="sweep.param"):
@@ -208,6 +213,29 @@ class TestSolveCommand:
             b1 = (out1 / f"{name}.axfd").read_bytes()
             b2 = (out2 / f"{name}.axfd").read_bytes()
             assert b1 == b2, name
+
+    def test_manifest_reproducible(self, tmp_path):
+        # two fresh processes, one --quiet, solve one config: the manifests
+        # differ only in the process's clock and peak RSS, and --quiet
+        # leaves the config digest alone
+        cfg = write_cfg(tmp_path, TINY.format(b=1.0e-3, out=tmp_path / "unused"))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(rotstar.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+        runs = [subprocess.Popen([sys.executable, "-m", "rotstar.cli", "solve", "--config", cfg,
+                                  "--out", str(tmp_path / name), *flags],
+                                 stdout=subprocess.PIPE, text=True, env=env)
+                for name, flags in (("loud", []), ("quiet", ["--quiet"]))]
+        outs = [run.communicate(timeout=600)[0] for run in runs]
+        assert [run.returncode for run in runs] == [0, 0]
+        assert outs[0].startswith("solve: outer iterations") and outs[1] == ""
+        loud, quiet = (json.loads((tmp_path / name / "manifest.json").read_text())
+                       for name in ("loud", "quiet"))
+        for man in (loud, quiet):
+            # the process peak holds at least the tables and far operators
+            ops = man["diagnostics"]["green_ops"]
+            assert man.pop("peak_rss_mb") * 2**20 >= ops["table_bytes"] + ops["far_bytes"]
+            man.pop("created_unix")
+        assert loud == quiet
 
     def test_lane_emden_section_reaches_solve(self, tmp_path):
         # solve builds its profile from the whole lane_emden section, as
@@ -286,7 +314,7 @@ class TestKerrCheckCommand:
     def test_schwarzschild_passes(self, tmp_path):
         out = tmp_path / "kerr"
         body = (
-            f'output: {{directory: "{out}", quiet: true}}\n'
+            f'output: {{directory: "{out}"}}\n'
             "kerr: {m_geom: 1.0, a_spin: 0.0, levels: [61, 121]}\n"
             "star: {u_O: 1.0e-3, b_rot: 0.0}\n"
         )
@@ -298,7 +326,7 @@ class TestKerrCheckCommand:
     def test_spinning_orders(self, tmp_path):
         out = tmp_path / "kerr5"
         body = (
-            f'output: {{directory: "{out}", quiet: true}}\n'
+            f'output: {{directory: "{out}"}}\n'
             "kerr: {m_geom: 1.0, a_spin: 0.5, levels: [61, 121]}\n"
             "star: {u_O: 1.0e-3, b_rot: 0.0}\n"
         )
@@ -332,7 +360,7 @@ class TestSweepCommand:
     def test_exponents_from_sweep(self, tmp_path):
         out = tmp_path / "sweep"
         body = (
-            f'output: {{directory: "{out}", quiet: true}}\n'
+            f'output: {{directory: "{out}"}}\n'
             "star: {u_O: 1.0e-3, b_rot: 0.0}\n"
             "grid: {n_interior: 33, n_exterior: 25}\n"
             "lane_emden: {n_radial: 257, n_zeta: 16}\n"

@@ -235,7 +235,7 @@ class TestSplitCutoff:
 class TestDerivative:
     def test_quadratic_interior(self, grid):
         f = AxiField.from_function(grid, lambda w, z: z**2, 3)
-        d2 = f.derivative("z", 2)
+        d2 = f.derivative("z").derivative("z")
         # away from the outer edge the second difference of z^2 is exact
         assert d2.int_vals[5:40, 5:40] == pytest.approx(2.0, abs=1e-9)
 

@@ -1,7 +1,8 @@
 """Source hygiene: no package module imports a name it never uses, every
 module-level constant is read somewhere in the package, every function,
-method and class of the package is referenced by the package or the
-benchmark, not by tests alone (bar a named few), every parameter of
+method and class of the package is reachable from `rotstar.cli.main`, the
+package's module-level code or the benchmark, not by tests alone (bar a
+named few), every parameter of
 a package function or method is read by its body, every dataclass field is
 loaded as an attribute somewhere, every config key is read, and every entry
 point the benchmark wraps by name still exists.
@@ -95,34 +96,62 @@ def test_every_constant_is_read():
     assert unread_constants(sources) == []
 
 
+def _loads(nodes):
+    """Names the nodes load, bare or as an attribute."""
+    return {sub.id if isinstance(sub, ast.Name) else sub.attr
+            for node in nodes for sub in ast.walk(node)
+            if isinstance(sub, (ast.Name, ast.Attribute)) and isinstance(sub.ctx, ast.Load)}
+
+
 def loaded_names(source):
     """Names a source loads, bare or as an attribute."""
-    names = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            names.add(node.attr)
-    return names
+    return _loads([ast.parse(source)])
+
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _is_special(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _own_nodes(node):
+    """The nodes a definition runs as its own: a function's whole body, and
+    for a class its decorators, bases and body bar the methods, except the
+    special ones, which the language calls once the class is in use."""
+    if not isinstance(node, ast.ClassDef):
+        return [node]
+    return [*node.decorator_list, *node.bases, *node.keywords,
+            *(item for item in node.body
+              if not isinstance(item, DEFINITIONS[:2]) or _is_special(item.name))]
 
 
 def unreferenced_definitions(package, readers, wrapped):
     """(module, line, name) of each function, method and class of the package
-    sources (a mapping from module name to source) that no reader source
-    loads as a name or an attribute and that is not in `wrapped`, the
-    strings the benchmark looks entry points up by.  Special methods are
-    called by the language and are skipped."""
-    used = set(wrapped)
+    sources (a mapping from module name to source) that cannot be reached
+    from `main`, the package's module-level code, the names the reader
+    sources load and `wrapped`, the strings the benchmark looks entry
+    points up by.  A definition reached by name reaches every name it loads
+    in turn, so a chain of dead definitions is found whole.  The closure is
+    by name: a definition counts as reached when anything reached loads its
+    name.  Special methods are called by the language and are skipped."""
+    defs, reached = {}, {"main", *wrapped}
     for source in readers:
-        used |= loaded_names(source)
-    found = []
+        reached |= loaded_names(source)
     for module, source in package.items():
-        for node in ast.walk(ast.parse(source)):
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and not (node.name.startswith("__") and node.name.endswith("__"))
-                    and node.name not in used):
-                found.append((module, node.lineno, node.name))
-    return sorted(found)
+        tree = ast.parse(source)
+        reached |= _loads(node for node in tree.body if not isinstance(node, DEFINITIONS))
+        for node in ast.walk(tree):
+            if isinstance(node, DEFINITIONS):
+                entry = (module, node.lineno, _loads(_own_nodes(node)))
+                defs.setdefault(node.name, []).append(entry)
+    todo = list(reached)
+    while todo:
+        for _, _, loads in defs.get(todo.pop(), ()):
+            todo += loads - reached
+            reached |= loads
+    return sorted((module, line, name) for name, entries in defs.items()
+                  for module, line, _ in entries if name not in reached and not _is_special(name))
 
 
 def test_checker_flags_an_unreferenced_definition():
@@ -140,6 +169,19 @@ def test_checker_flags_a_test_only_definition():
     assert unreferenced_definitions(package, package.values(), {"run"}) == [("a", 7, "oracle")]
 
 
+def test_checker_flags_a_dead_chain():
+    # dead() is the only caller of helper(), so both go; a class reached
+    # through module-level code reaches its special methods but not its
+    # other methods, and main needs no caller
+    package = {"a": "def main():\n    Box()\n\ndef dead():\n    helper()\n\n"
+                    "def helper():\n    pass\n\n"
+                    "class Box:\n    def __init__(self):\n        setup()\n\n"
+                    "    def unused(self):\n        helper()\n\n"
+                    "def setup():\n    pass\n"}
+    assert unreferenced_definitions(package, [], set()) == [
+        ("a", 4, "dead"), ("a", 7, "helper"), ("a", 14, "unused")]
+
+
 # package definitions that only tests reach, each kept on purpose
 TEST_ONLY_KEPT = {
     "path_independence_gap": "the path-independence gate of ROADMAP item 3(d) reads it",
@@ -151,7 +193,7 @@ def test_every_definition_is_referenced():
     # is an oracle for tests/oracles.py or a feature no command runs;
     # KernelTable.eval_at and the other entry points bench/ wraps by name
     # count as reached
-    readers = [path.read_text() for root in (PACKAGE, BENCH) for path in sorted(root.glob("*.py"))]
+    readers = [path.read_text() for path in sorted(BENCH.glob("*.py"))]
     wrapped = {node.value for path in sorted(BENCH.glob("*.py"))
                for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.Constant) and isinstance(node.value, str)}

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from rotstar.errors import DomainError, RegimeError
+from rotstar.errors import ConvergenceError, DomainError, RegimeError
 from rotstar.lane_emden import (
+    TOL,
     integrate_theta,
     solve_classical,
     solve_distorted,
@@ -137,6 +138,12 @@ class TestDistorted:
         dle = solve_distorted(1.5, 3e-4, classical=cls15)
         dT = np.diff(dle.Theta, axis=0)
         assert dT[1:, :].max() < 0
+
+    def test_iteration_cap(self, cls15):
+        with pytest.raises(ConvergenceError, match="did not converge in 3 steps") as exc:
+            solve_distorted(1.5, 1e-3, classical=cls15, n_radial=257, n_zeta=16, max_iter=3)
+        assert exc.value.iterations == 3
+        assert exc.value.residual > TOL
 
     def test_too_fast_rotation_rejected(self, cls15):
         with pytest.raises(RegimeError):

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from rotstar.errors import DomainError
+from rotstar import pn
+from rotstar.errors import ConvergenceError, DomainError, SeriesDomainError
 from rotstar.fields import AxiField, AxiGrid
 from rotstar.greens import FAR_RANK_TOL
+from rotstar.lane_emden import solve_distorted
 from rotstar.metric import e2G_normalization
-from rotstar.pn import PNSolver, StarParams, omega_profile, v_star_from_infinity
+from rotstar.pn import PNSolver, SolverOptions, StarParams, omega_profile, v_star_from_infinity
 from rotstar.verify import asymptotic_fit
 
 from conftest import B_ROT, EPS_SWEEP
@@ -164,7 +166,7 @@ class TestWAlgebra:
         p = solver.params
         g = solver.grid
         zero3 = AxiField.zeros(g, 3)
-        w, Z = solver.w_from_WYX(zero3, AxiField.zeros(g, 5), AxiField.zeros(g, 4))
+        w = solver.w_from_WYX(zero3, AxiField.zeros(g, 5), AxiField.zeros(g, 4))
         c = p.c_light
         Om = omega_profile(p, g.RI)
         E = np.exp(-4.0 * solver.nf.Phi_N.int_vals / c**2)
@@ -175,9 +177,19 @@ class TestWAlgebra:
         )
         assert np.abs(w.int_vals - direct).max() < 1e-16 * max(1.0, np.abs(direct).max() / 1e-3)
 
-    def test_z_bound(self, rotating_sweep):
-        res = rotating_sweep[1e-3]
-        assert np.abs(res.potentials.Z.int_vals).max() / res.params.c_light**2 < 1.0
+    def test_z_bound(self, rotating_solver):
+        # Z ~ -(Om varpi)^2 (1 + X/c^4)^2 e^{-4F}: a large X bump drives
+        # |Z|/c^2 past 1, where the log series of w_from_WYX diverges
+        solver = rotating_solver
+        g = solver.grid
+        zero3, zero5 = AxiField.zeros(g, 3), AxiField.zeros(g, 5)
+
+        def bump(amp):
+            return AxiField.from_function(g, lambda w, z: amp * np.exp(-(w**2 + z**2) / g.R0**2), 4)
+
+        solver.w_from_WYX(zero3, zero5, bump(1e2))  # |Z|/c^2 about 0.4
+        with pytest.raises(SeriesDomainError, match="log series invalid"):
+            solver.w_from_WYX(zero3, zero5, bump(1e3))
 
 
 class TestSources:
@@ -220,7 +232,7 @@ class TestRemainders:
         zero3 = AxiField.zeros(g, 3)
         zero4 = AxiField.zeros(g, 4)
         zero5 = AxiField.zeros(g, 5)
-        w, _ = solver.w_from_WYX(zero3, zero5, zero4)
+        w = solver.w_from_WYX(zero3, zero5, zero4)
         rho, P, u = solver.state_fluid(w)
         R_a, R_b, R_c, diag = solver.remainders_abc(zero3, zero5, zero4, zero4, w, rho, P)
         vac = (solver.nf.u_N.int_total() <= 0) & (u.int_total() <= 0)
@@ -327,8 +339,6 @@ class TestInnerOuter:
             assert rep["far_bytes"] < dense
             assert rep["table_bytes"] > 0
             assert 0.0 < res.diagnostics["lop_smin_estimate"] <= 1.0
-            # the process peak holds at least the tables and far operators
-            assert res.diagnostics["peak_rss_mb"] * 2**20 >= rep["table_bytes"] + rep["far_bytes"]
         # later stars on the grid shape reuse what the first one built
         assert rotating_sweep[EPS_SWEEP[-1]].diagnostics["green_ops"]["builds"] == 0
 
@@ -389,7 +399,9 @@ class TestInnerOuter:
         from rotstar.fields import AxiField
 
         solver = rotating_solver
-        W, Y, X = solver.inner_fixed_point(AxiField.zeros(solver.grid, 4))
+        g = solver.grid
+        zeros = tuple(AxiField.zeros(g, n) for n in (3, 5, 4))
+        W, Y, X = solver.inner_fixed_point(AxiField.zeros(g, 4), zeros)
         # the V = 0 trial state carries the first-sweep consistency
         # residual on top of O(h^2)
         gap, scale = solver.path_independence_gap(W, Y, X)
@@ -454,3 +466,35 @@ class TestVStarFromInfinity:
             errs.append(np.max(np.abs(star[pos] - exact)) / np.max(np.abs(exact)))
         assert errs[0] < 5e-3
         assert all(3.8 <= a / b <= 4.2 for a, b in zip(errs[:-1], errs[1:]))
+
+
+@pytest.fixture(scope="module")
+def coarse_star(cls15, eos_unit):
+    """The eps = b = 1e-3 star on the 33/25 grid, for the iteration caps."""
+    dle = solve_distorted(1.5, B_ROT, classical=cls15, n_radial=257, n_zeta=16)
+    p = StarParams.build(5 / 3, 1.0, 1.0, 1.0, u_O=1e-3, b_rot=B_ROT, classical=cls15)
+    return p, eos_unit, dle, cls15
+
+
+class TestIterationCaps:
+    """Each fixed point of the solve ends at its cap in a ConvergenceError
+    that carries the last change and the iteration count."""
+
+    def test_newtonian_sweep(self, monkeypatch, coarse_star):
+        p, eos, dle, cls = coarse_star
+        monkeypatch.setattr(pn, "NEWTONIAN_MAX_ITER", 2)
+        with pytest.raises(ConvergenceError, match="Newtonian consistency sweep") as exc:
+            PNSolver(p, eos, SolverOptions(33, 25), dle=dle, classical=cls)
+        assert exc.value.iterations == 2
+        assert exc.value.residual > pn.NEWTONIAN_TOL * p.u_O
+
+    @pytest.mark.parametrize("option, cap, what", [("max_inner", 2, "inner"),
+                                                   ("max_outer", 1, "outer")])
+    def test_inner_and_outer(self, coarse_star, option, cap, what):
+        p, eos, dle, cls = coarse_star
+        solver = PNSolver(p, eos, SolverOptions(33, 25, **{option: cap}), dle=dle, classical=cls)
+        message = f"{what} .* did not converge in {cap} steps"
+        with pytest.raises(ConvergenceError, match=message) as exc:
+            solver.solve()
+        assert exc.value.iterations == cap
+        assert exc.value.residual > 0.0
