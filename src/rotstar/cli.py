@@ -20,13 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import (build_eos, build_params, build_profile, build_solver_options, load_config,
+from .config import (build_eos, build_params, build_solver_options, build_star, load_config,
                      sweep_key)
 from .errors import ConfigError, ConvergenceError, RegimeError, RotstarError
-
-# the fields `solve` dumps as NAME.axfd and `verify` reads back
-DUMPED_FIELDS = ("W", "Y", "X", "V", "w_corr", "F", "A", "Pi_over_w", "K", "u_N", "rho_N",
-                 "Phi_N", "rho", "P", "u")
 
 
 def _out_dir(cfg, override):
@@ -51,15 +47,10 @@ def _manifest(out, cfg, payload):
     return path
 
 
-def cmd_lane_emden(cfg, out_dir):
-    from .lane_emden import solve_classical
-
-    out = _out_dir(cfg, out_dir)
-    nu = 1.0 / (cfg.eos["gamma"] - 1.0)
-    cls = solve_classical(nu)
-    params = build_params(cfg, classical=cls)
-    b = params.b_rot
-    dle = build_profile(cfg, params, cls)
+def cmd_lane_emden(cfg, args):
+    out = _out_dir(cfg, args.out)
+    cls, params, dle = build_star(cfg)
+    nu, b = params.nu, params.b_rot
     n = cfg.lane_emden["report_grid"]
     s, zeta, TH = dle.report_grid(n)
     xi = np.linspace(0.0, dle.Xi0, 4 * n)
@@ -101,25 +92,12 @@ def cmd_lane_emden(cfg, out_dir):
 
 
 def _run_solver(cfg):
-    from .lane_emden import solve_classical
     from .pn import PNSolver
 
     eos = build_eos(cfg)
-    cls = solve_classical(1.0 / (cfg.eos["gamma"] - 1.0))
-    params = build_params(cfg, classical=cls)
-    dle = build_profile(cfg, params, cls)
+    cls, params, dle = build_star(cfg)
     solver = PNSolver(params, eos, build_solver_options(cfg), dle=dle, classical=cls)
-    return solver, solver.solve(), eos
-
-
-def _write_state(out, res):
-    from .gridio import write_field
-
-    pot, met, nf = res.potentials, res.metric, res.newtonian
-    fields = (pot.W, pot.Y, pot.X, pot.V, pot.w, met.F, met.A_pot, met.Pi_over_w, met.K,
-              nf.u_N, nf.rho_N, nf.Phi_N, res.fluid["rho"], res.fluid["P"], res.fluid["u"])
-    for name, fld in zip(DUMPED_FIELDS, fields, strict=True):
-        write_field(out / f"{name}.axfd", fld, name=name)
+    return solver, solver.solve()
 
 
 def _verify_payload(cfg, res):
@@ -139,14 +117,17 @@ def _verify_payload(cfg, res):
     }
 
 
-def cmd_solve(cfg, out_dir):
-    out = _out_dir(cfg, out_dir)
-    solver, res, eos = _run_solver(cfg)
-    _write_state(out, res)
+def cmd_solve(cfg, args):
+    from .gridio import write_field
+
+    out = _out_dir(cfg, args.out)
+    _, res = _run_solver(cfg)
+    for name, fld in res.dumped_fields().items():
+        write_field(out / f"{name}.axfd", fld, name=name)
     ver = _verify_payload(cfg, res)
     payload = {
         "command": "solve",
-        "diagnostics": _json_safe(res.diagnostics),
+        "diagnostics": res.diagnostics,
         "verify": ver,
         "M": ver["asymptotics"]["M"],
         "J": ver["asymptotics"]["J"],
@@ -164,11 +145,13 @@ def cmd_solve(cfg, out_dir):
     return 0
 
 
-def cmd_verify(cfg, out_dir, run_dir):
+def cmd_verify(cfg, args):
     from .gridio import read_field
     from .pn import SolveResult
 
-    run = Path(run_dir)
+    if not args.run:
+        raise ConfigError("verify needs --run DIR")
+    run = Path(args.run)
     try:
         with open(run / "manifest.json") as fh:
             man = json.load(fh)
@@ -181,35 +164,16 @@ def cmd_verify(cfg, out_dir, run_dir):
         raise ConfigError(f"{run}: manifest.json is not a run manifest ({exc!r})") from None
     params = build_params(load_config(physics))
 
-    loaded = {}
-    grid = None
-    for name in DUMPED_FIELDS:
-        fld, _ = read_field(run / f"{name}.axfd", grid)
-        grid = fld.grid
-        loaded[name] = fld
-
-    from .metric import MetricLanczos
-    from .pn import PotentialSet
-
-    met = MetricLanczos(
-        F=loaded["F"], A_pot=loaded["A"], Pi_over_w=loaded["Pi_over_w"], K=loaded["K"],
-        c_light=params.c_light,
-    )
-    res = SolveResult(
-        params=params,
-        grid=grid,
-        potentials=PotentialSet(W=loaded["W"], Y=loaded["Y"], X=loaded["X"],
-                                V=loaded["V"], w=loaded["w_corr"]),
-        metric=met,
-        newtonian=None,
-        fluid={"rho": loaded["rho"], "P": loaded["P"], "u": loaded["u"]},
-        diagnostics=man.get("diagnostics", {}),
-    )
+    loaded, grid = {}, None
+    for name in SolveResult.DUMPED:
+        loaded[name], _ = read_field(run / f"{name}.axfd", grid)
+        grid = loaded[name].grid
+    res = SolveResult.from_dumped(params, loaded, man.get("diagnostics", {}))
     ver = _verify_payload(cfg, res)
-    out = _out_dir(cfg, out_dir)
+    out = _out_dir(cfg, args.out)
     path = out / "verify_report.json"
     with open(path, "w") as fh:
-        json.dump(_json_safe(ver), fh, indent=2, sort_keys=True, default=float)
+        json.dump(ver, fh, indent=2, sort_keys=True, default=float)
     print(f"verify: report at {path}")
     worst = max(ver["residuals"]["sups"].values())
     scale = max(ver["residuals"]["scales"].values())
@@ -219,7 +183,7 @@ def cmd_verify(cfg, out_dir, run_dir):
     return 0
 
 
-def cmd_kerr_check(cfg, out_dir):
+def cmd_kerr_check(cfg, args):
     from types import SimpleNamespace
 
     from .metric import KerrParams, kerr_eval_fns
@@ -241,7 +205,7 @@ def cmd_kerr_check(cfg, out_dir):
         "J_err_rel": (abs(fit["J"] - kp.m_geom * kp.a_spin) / abs(kp.m_geom * kp.a_spin)
                       if kp.a_spin else abs(fit["J"])),
     }
-    _manifest(_out_dir(cfg, out_dir), cfg, payload)
+    _manifest(_out_dir(cfg, args.out), cfg, payload)
     ok_orders = all(o is None or abs(o - 2.0) <= 0.2 for o in orders.values())
     ok_fit = payload["M_err_rel"] <= 0.01 and payload["J_err_rel"] <= 0.01
     print(f"kerr-check: orders {orders}")
@@ -249,17 +213,17 @@ def cmd_kerr_check(cfg, out_dir):
     return 0 if (ok_orders and ok_fit) else 3
 
 
-def cmd_tov_compare(cfg, out_dir):
+def cmd_tov_compare(cfg, args):
     from .tov import solve_tov
     from .verify import tov_gap
 
-    out = _out_dir(cfg, out_dir)
+    out = _out_dir(cfg, args.out)
     if cfg.star["Omega_O"] not in (None, 0.0) or (cfg.star["b_rot"] or 0.0) != 0.0:
         # TOV is static: compare against a non-rotating copy of the star
         cfg = replace(cfg, star={**cfg.star, "Omega_O": None, "b_rot": 0.0})
-    solver, res, eos = _run_solver(cfg)
+    solver, res = _run_solver(cfg)
     params = res.params
-    tov = solve_tov(eos, params.u_O, params.G_grav, params.c_light)
+    tov = solve_tov(solver.eos, params.u_O, params.G_grav, params.c_light)
     # criterion 10's rays and its split of the gap
     gap = tov_gap(res, tov, solver.classical)
     payload = {
@@ -278,7 +242,7 @@ def cmd_tov_compare(cfg, out_dir):
     return 0
 
 
-def cmd_sweep(cfg, out_dir):
+def cmd_sweep(cfg, args):
     from concurrent.futures import ProcessPoolExecutor
 
     from .verify import refinement_order
@@ -290,7 +254,7 @@ def cmd_sweep(cfg, out_dir):
         sub = json.loads(json.dumps(cfg.to_dict()))
         sub[section][key] = v
         jobs.append(load_config(sub))  # every swept config is valid before anything is written
-    out = _out_dir(cfg, out_dir)
+    out = _out_dir(cfg, args.out)
     results = []
     with ProcessPoolExecutor(max_workers=cfg.sweep["workers"]) as pool:
         for v, r in zip(values, pool.map(_sweep_worker, jobs)):
@@ -304,7 +268,7 @@ def cmd_sweep(cfg, out_dir):
 
 
 def _sweep_worker(cfg):
-    _, res, _ = _run_solver(cfg)
+    _, res = _run_solver(cfg)
     p = res.params
     return {
         "W_sup": float(np.abs(res.potentials.W.int_vals).max()),
@@ -318,27 +282,23 @@ def _sweep_worker(cfg):
     }
 
 
-def cmd_export(cfg, out_dir, dump, patch):
+def cmd_export(cfg, args):
     from .gridio import export_text, read_field
 
-    fld, name = read_field(dump)
-    out = _out_dir(cfg, out_dir)
-    target = out / (Path(dump).stem + f".{patch}.dat")
-    export_text(target, fld, patch=patch)
+    if not args.dump:
+        raise ConfigError("export needs --dump PATH")
+    fld, _ = read_field(args.dump)
+    out = _out_dir(cfg, args.out)
+    target = out / (Path(args.dump).stem + f".{args.patch}.dat")
+    export_text(target, fld, patch=args.patch)
     print(f"export: {target}")
     return 0
 
 
-def _json_safe(obj):
-    if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return float(obj)
-    return obj
+# each command takes the config and the parsed command line
+COMMANDS = {"lane-emden": cmd_lane_emden, "solve": cmd_solve, "verify": cmd_verify,
+            "kerr-check": cmd_kerr_check, "tov-compare": cmd_tov_compare, "sweep": cmd_sweep,
+            "export": cmd_export}
 
 
 def _usage_error(message):
@@ -350,9 +310,7 @@ def _usage_error(message):
 def main(argv=None):
     parser = argparse.ArgumentParser(prog="rotstar", description=__doc__)
     parser.error = _usage_error
-    parser.add_argument("command", choices=[
-        "lane-emden", "solve", "verify", "kerr-check", "tov-compare", "sweep", "export",
-    ])
+    parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", default=None, help="YAML config path")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--run", default=None, help="run directory (verify)")
@@ -365,25 +323,7 @@ def main(argv=None):
         cfg = load_config(args.config)
         # --quiet drops the printed summaries; errors still go to stderr
         with contextlib.redirect_stdout(io.StringIO()) if args.quiet else contextlib.nullcontext():
-            if args.command == "lane-emden":
-                return cmd_lane_emden(cfg, args.out)
-            if args.command == "solve":
-                return cmd_solve(cfg, args.out)
-            if args.command == "verify":
-                if not args.run:
-                    raise ConfigError("verify needs --run DIR")
-                return cmd_verify(cfg, args.out, args.run)
-            if args.command == "kerr-check":
-                return cmd_kerr_check(cfg, args.out)
-            if args.command == "tov-compare":
-                return cmd_tov_compare(cfg, args.out)
-            if args.command == "sweep":
-                return cmd_sweep(cfg, args.out)
-            if args.command == "export":
-                if not args.dump:
-                    raise ConfigError("export needs --dump PATH")
-                return cmd_export(cfg, args.out, args.dump, args.patch)
-            raise ConfigError(f"unknown command {args.command}")
+            return COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -237,21 +237,17 @@ def build_params(cfg, classical=None):
     )
 
 
-def build_profile(cfg, params, classical):
-    """The distorted Lane-Emden profile of params' star, from the whole
-    lane_emden section."""
-    from .lane_emden import solve_distorted
+def build_star(cfg):
+    """The classical Lane-Emden solution, the star's parameters and its
+    distorted profile, from the eos, star and whole lane_emden sections."""
+    from .lane_emden import solve_classical, solve_distorted
 
+    classical = solve_classical(1.0 / (cfg.eos["gamma"] - 1.0))
+    params = build_params(cfg, classical=classical)
     le = cfg.lane_emden
-    return solve_distorted(
-        params.nu,
-        params.b_rot,
-        n_radial=le["n_radial"],
-        n_zeta=le["n_zeta"],
-        lmax=le["lmax"],
-        max_iter=le["max_iter"],
-        classical=classical,
-    )
+    dle = solve_distorted(params.nu, params.b_rot, n_radial=le["n_radial"], n_zeta=le["n_zeta"],
+                          lmax=le["lmax"], max_iter=le["max_iter"], classical=classical)
+    return classical, params, dle
 
 
 def build_solver_options(cfg):

@@ -83,16 +83,19 @@ def _extend_low(arr, axis, parity):
     sl[axis] = slice(1, 2)
     return parity * arr[tuple(sl)]
 
+
+def _extrapolate(a1, a2, a3):
+    """The quadratic through a3, a2, a1 (equally spaced) one node past a1."""
+    return 3.0 * a1 - 3.0 * a2 + a3
+
+
 def _extend_high(arr, axis):
     """One quadratic-extrapolation ghost layer past the last node."""
     sl = lambda k: tuple(
         slice(None) if a != axis else slice(arr.shape[axis] + k, arr.shape[axis] + k + 1)
         for a in range(arr.ndim)
     )
-    a1 = arr[sl(-1)]
-    a2 = arr[sl(-2)]
-    a3 = arr[sl(-3)]
-    return 3.0 * a1 - 3.0 * a2 + a3
+    return _extrapolate(arr[sl(-1)], arr[sl(-2)], arr[sl(-3)])
 
 
 def _fd1(arr, h, axis, parity):
@@ -230,9 +233,8 @@ def eval_fields(fields, w, z):
 
 def _fill_origin(star_vals):
     """Quadratic extrapolation of the origin-image entry from nearby nodes."""
-    ests = []
-    for seq in (star_vals[0, 1:4], star_vals[1:4, 0], np.array([star_vals[1, 1], star_vals[2, 2], star_vals[3, 3]])):
-        ests.append(3.0 * seq[0] - 3.0 * seq[1] + seq[2])
+    diag = np.array([star_vals[1, 1], star_vals[2, 2], star_vals[3, 3]])
+    ests = [_extrapolate(*seq) for seq in (star_vals[0, 1:4], star_vals[1:4, 0], diag)]
     star_vals[0, 0] = np.mean(ests)
     return star_vals
 
@@ -552,10 +554,24 @@ def div_varpi(field):
         raise DomainError("div_varpi needs an odd-in-varpi field")
     int_vals = np.empty_like(field.int_vals)
     int_vals[1:, :] = field.int_vals[1:, :] / g.WI[1:, :]
-    int_vals[0, :] = 3 * int_vals[1, :] - 3 * int_vals[2, :] + int_vals[3, :]
+    int_vals[0, :] = _extrapolate(*int_vals[1:4, :])
     # (f/varpi)_star(n+1) = f_star * r*/(varpi* R0); odd f_star vanishes on
     # the varpi*=0 column, extrapolate the ratio there
     star = np.empty_like(field.star_vals)
     star[1:, :] = field.star_vals[1:, :] * g.RS[1:, :] / (g.WS[1:, :] * g.R0)
-    star[0, :] = 3 * star[1, :] - 3 * star[2, :] + star[3, :]
+    star[0, :] = _extrapolate(*star[1:4, :])
     return AxiField(g, field.n_index + 1, int_vals, star, (1, field.parity[1]), 0.0, field.interp)
+
+
+def mul_varpi(field):
+    """varpi * field at decay index n - 1: (varpi f)_star(n-1) = R0 (varpi*/r*)
+    f_star(n), a bounded direction factor times f_star, so the origin-image
+    limit is finite but direction-dependent."""
+    g = field.grid
+    if field.n_index < 4:
+        raise DomainError("varpi multiplication needs a decay index >= 4")
+    if field.offset != 0.0:
+        raise DomainError("varpi multiplication needs an offset-free field")
+    ray = np.where(g.RS > 0, g.WS / np.where(g.RS > 0, g.RS, 1.0), 0.0)
+    return AxiField(g, field.n_index - 1, g.WI * field.int_vals, g.R0 * ray * field.star_vals,
+                    (-field.parity[0], field.parity[1]), 0.0, field.interp)

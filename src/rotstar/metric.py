@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ErgoViolationError
-from .fields import AxiField
+from .fields import AxiField, mul_varpi
 
 
 @dataclass(frozen=True)
@@ -161,41 +161,12 @@ class MetricLanczos:
         }
 
 
-def mul_varpi(field, n_out=None):
-    """varpi * field, restated at a decay index lowered by at least one.
-
-    (varpi f)_star(n_out) = R0 (varpi*/r*) (r*/R0)^(n - 1 - n_out) f_star(n):
-    a bounded direction factor times a nonnegative power of r*, so the
-    origin-image limit is finite (direction-dependent at n_out = n - 1).
-    """
-    g = field.grid
-    n_out = field.n_index - 1 if n_out is None else n_out
-    if n_out < 3 or n_out > field.n_index - 1:
-        raise DomainError("varpi multiplication needs 3 <= n_out <= n - 1")
-    if field.offset != 0.0:
-        raise DomainError("varpi multiplication needs an offset-free field")
-    int_vals = g.WI * field.int_vals
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ray = np.where(g.RS > 0, g.WS / np.where(g.RS > 0, g.RS, 1.0), 0.0)
-    pw = field.n_index - 1 - n_out
-    star = g.R0 * ray * (g.RS / g.R0) ** pw * field.star_vals
-    return AxiField(
-        g,
-        n_out,
-        int_vals,
-        star,
-        (-field.parity[0], field.parity[1]),
-        0.0,
-        field.interp,
-    )
-
-
 def assemble(params, state, Phi_N):
     """Lanczos potentials from the PN unknowns: F = Phi_N/c^2 - W/c^4,
     A = varpi^2 Y/c^3, Pi = varpi (1 + X/c^4), K = V/c^4."""
     c = params.c_light
     F = Phi_N * (1.0 / c**2) - state.W * (1.0 / c**4)
-    A = mul_varpi(mul_varpi(state.Y, 4), 3) * (1.0 / c**3)
+    A = mul_varpi(mul_varpi(state.Y)) * (1.0 / c**3)
     Pi_over_w = state.X * (1.0 / c**4) + 1.0
     K = state.V * (1.0 / c**4)
     met = MetricLanczos(F=F, A_pot=A, Pi_over_w=Pi_over_w, K=K, c_light=c)

@@ -39,10 +39,11 @@ from .fields import (
     exp_of,
     field_expm1,
     field_log1p,
+    mul_varpi,
 )
 from .greens import GreenOps, LOpSolver
 from .lane_emden import solve_classical, solve_distorted
-from .metric import MetricLanczos, assemble, ktilde, mul_varpi
+from .metric import MetricLanczos, assemble, ktilde
 
 
 BETA0, DELTA0 = 0.1, 0.01  # regime flags (D1) b <= BETA0 and (D2) epsilon <= DELTA0
@@ -50,6 +51,11 @@ NEWTONIAN_TOL, NEWTONIAN_MAX_ITER = 1e-12, 200  # Newtonian sweep: stop below NE
 # (after, lag) stall rules: past iteration `after`, a change above the one
 # `lag` iterations back means the map stopped contracting
 INNER_STALL, OUTER_STALL = (6, 3), (4, 2)
+
+
+def _inv_k_rho(gamma, A_const):
+    """(A g/(g-1))^(1/(g-1)) = 1/k_rho, through which b_rot and Omega_O convert."""
+    return (A_const * gamma / (gamma - 1.0)) ** (1.0 / (gamma - 1.0))
 
 
 @dataclass(frozen=True)
@@ -78,8 +84,8 @@ class StarParams:
             raise DomainError("specify exactly one of Omega_O and b_rot")
         cl = classical if classical is not None else solve_classical(1.0 / (gamma - 1.0))
         if Omega_O is None:
-            kfac = (A_const * gamma / (gamma - 1.0)) ** (1.0 / (gamma - 1.0))
-            Omega_O = math.sqrt(4.0 * math.pi * G_grav * b_rot * u_O ** (1.0 / (gamma - 1.0)) / kfac)
+            Omega_O = math.sqrt(4.0 * math.pi * G_grav * b_rot * u_O ** (1.0 / (gamma - 1.0))
+                                / _inv_k_rho(gamma, A_const))
         return cls(gamma, A_const, c_light, G_grav, u_O, Omega_O, cl.xi1, cl.mu1)
 
     @property
@@ -95,10 +101,8 @@ class StarParams:
 
     @property
     def b_rot(self):
-        kfac = (self.A_const * self.gamma / (self.gamma - 1.0)) ** (1.0 / (self.gamma - 1.0))
-        return kfac * self.Omega_O**2 * self.u_O ** (-1.0 / (self.gamma - 1.0)) / (
-            4.0 * math.pi * self.G_grav
-        )
+        return (_inv_k_rho(self.gamma, self.A_const) * self.Omega_O**2
+                * self.u_O ** (-1.0 / (self.gamma - 1.0)) / (4.0 * math.pi * self.G_grav))
 
     @property
     def r1(self):
@@ -135,7 +139,6 @@ class NewtonianFields:
     P_N: AxiField
     Phi_N: AxiField
     ratio: AxiField  # Df_N^rho(u_N) = nu k_rho (u_N v 0)^(nu-1), the removable ratio
-    Phi_O: float
     M_N: float
     iterations: int
     residual: float
@@ -184,7 +187,6 @@ def newtonian_fields(dle, params, grid, ops, eos):
         P_N=P_N,
         Phi_N=Phi_N,
         ratio=ratio,
-        Phi_O=float(Phi_N.int_vals[0, 0]),
         M_N=M_N,
         iterations=len(changes),
         residual=changes[-1],
@@ -300,7 +302,7 @@ class PNSolver:
         self.om2w2 = self.om_w * self.om_w
         self.u_lead = self.om2w2 * nf.Phi_N * 2.0 - self.om2w2 * self.om2w2 * 0.25
         self.rho_lead = (
-            nf.rho_N * nf.u_N * -_upsilon1(eos)
+            nf.rho_N * nf.u_N * -(eos.upsilon_rho[0] if eos.upsilon_rho else 0.0)
             + (nf.rho_N * nf.Phi_N + nf.rho_N * self.om2w2 * 2.0) * 2.0
             - nf.P_N * 3.0
         )
@@ -386,8 +388,8 @@ class PNSolver:
         psi3 = psi.derivative("z")
         Y1 = Y.derivative("w")
         Y3 = Y.derivative("z")
-        twoY_wY1 = (Y * 2.0 + mul_varpi(Y1, 4)).reindex(4)
-        wY3 = mul_varpi(Y3, 4)
+        twoY_wY1 = (Y * 2.0 + mul_varpi(Y1)).reindex(4)
+        wY3 = mul_varpi(Y3)
 
         e4F = exp_of(psi, 4.0 / c**2)
         emFK = exp_of(V * (1.0 / c**4) - psi * (1.0 / c**2), 2.0)
@@ -650,7 +652,6 @@ class PNSolver:
             "outer_ratio": contraction_ratio(outer_changes),
             "inner_history": self.inner_history,
             "C_inf_V": C_inf,
-            "V_at_origin": float(V.int_vals[0, 0]),
             "W_infinity": W.offset,
             "support_radius_over_r1": support_r / p.r1,
             # K1t is the last v_map's, whose state is the final (W, Y, X)
@@ -658,7 +659,7 @@ class PNSolver:
             "regime_flags": self.flags,
             "M_N": self.nf.M_N,
             "newtonian": {"iterations": self.nf.iterations, "residual": self.nf.residual},
-            "far_vhat": far,
+            "far_vhat": {key: np.asarray(val).tolist() for key, val in far.items()},
             "v_overlap": v_overlap(V),
             "green_ops": self.ops.cache_report(),
             "lop_smin_estimate": self.lop.smin_estimate,
@@ -674,10 +675,6 @@ class PNSolver:
         )
 
 
-def _upsilon1(eos):
-    return eos.upsilon_rho[0] if eos.upsilon_rho else 0.0
-
-
 @dataclass
 class SolveResult:
     params: StarParams
@@ -687,6 +684,29 @@ class SolveResult:
     newtonian: NewtonianFields
     fluid: dict
     diagnostics: dict
+
+    # the fields `rotstar solve` dumps as NAME.axfd and `rotstar verify` reads back
+    DUMPED = ("W", "Y", "X", "V", "w_corr", "F", "A", "Pi_over_w", "K", "u_N", "rho_N", "Phi_N",
+              "rho", "P", "u")
+
+    def dumped_fields(self):
+        """The DUMPED fields by name, in that order."""
+        pot, met, nf = self.potentials, self.metric, self.newtonian
+        fields = (pot.W, pot.Y, pot.X, pot.V, pot.w, met.F, met.A_pot, met.Pi_over_w, met.K,
+                  nf.u_N, nf.rho_N, nf.Phi_N, self.fluid["rho"], self.fluid["P"], self.fluid["u"])
+        return dict(zip(self.DUMPED, fields, strict=True))
+
+    @classmethod
+    def from_dumped(cls, params, fields, diagnostics):
+        """The result rebuilt from its DUMPED fields, as verification reads
+        it back; the Newtonian layer is not restored."""
+        f = fields
+        return cls(params=params, grid=f["W"].grid,
+                   potentials=PotentialSet(W=f["W"], Y=f["Y"], X=f["X"], V=f["V"], w=f["w_corr"]),
+                   metric=MetricLanczos(F=f["F"], A_pot=f["A"], Pi_over_w=f["Pi_over_w"],
+                                        K=f["K"], c_light=params.c_light),
+                   newtonian=None, fluid={key: f[key] for key in ("rho", "P", "u")},
+                   diagnostics=diagnostics)
 
     def verify_window(self):
         """Window over the interior patch for the residual evaluators."""

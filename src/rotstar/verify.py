@@ -93,8 +93,13 @@ def d2z(win, arr):
     return out
 
 
-def d1w1z(win, arr, parity=1):
-    return d1w(win, d1z(win, arr, parity))
+def d1w1z(win, arr):
+    return d1w(win, d1z(win, arr))
+
+
+def _sup(v, mask):
+    """sup |v| over the mask, NaNs ignored."""
+    return float(np.nanmax(np.abs(np.where(mask, v, np.nan))))
 
 
 @dataclass
@@ -131,11 +136,10 @@ def _off_axis(Pi):
 
 
 def _fluid_terms(win, params):
-    c = params.c_light
+    """P and the energy density c^2 rho, zero where the window has no fluid."""
     rho = win.rho if win.rho is not None else np.zeros_like(win.F)
     P = win.P if win.P is not None else np.zeros_like(win.F)
-    eps = c**2 * rho
-    return rho, P, eps
+    return P, params.c_light**2 * rho
 
 
 def residual_reduced_system(win, params, bands_R0=None):
@@ -143,7 +147,7 @@ def residual_reduced_system(win, params, bands_R0=None):
     spread over the fluid support."""
     G_g, c = params.G_grav, params.c_light
     F, A, Pi, K, Om = win.F, win.A, win.Pi, win.K, win.Omega
-    rho, P, eps = _fluid_terms(win, params)
+    P, eps = _fluid_terms(win, params)
 
     F1, F3 = d1w(win, F), d1z(win, F)
     A1, A3 = d1w(win, A), d1z(win, A)
@@ -184,20 +188,15 @@ def residual_reduced_system(win, params, bands_R0=None):
         / (e2F * Bq)
     )
     r_c = lapPi - (16 * np.pi * G_g / c**4) * emK * P * Pi
-    _, _, rh_d, rh_e = ktilde(Pi, P1, P3, d2w(win, Pi), d2z(win, Pi), d1w1z(win, Pi, parity=1),
+    _, _, rh_d, rh_e = ktilde(Pi, P1, P3, d2w(win, Pi), d2z(win, Pi), d1w1z(win, Pi),
                               F1, F3, A1, A3, e2F**2, 1.0 / Pi_nz)
     r_d = P1 * K1 - P3 * K3 - rh_d
     r_e = P3 * K1 + P1 * K3 - rh_e
 
     residuals = {"eqa": r_a, "eqb": r_b, "eqc": r_c, "eqd": r_d, "eqe": r_e}
-    sups = {k: float(np.nanmax(np.abs(np.where(m, v, np.nan)))) for k, v in residuals.items()}
-    scales = {
-        "eqa": float(np.nanmax(np.abs(np.where(m, lapF, np.nan)))) + 1e-300,
-        "eqb": float(np.nanmax(np.abs(np.where(m, lapA, np.nan)))) + 1e-300,
-        "eqc": float(np.nanmax(np.abs(np.where(m, lapPi, np.nan)))) + 1e-300,
-        "eqd": float(np.nanmax(np.abs(np.where(m, rh_d, np.nan)))) + 1e-300,
-        "eqe": float(np.nanmax(np.abs(np.where(m, rh_e, np.nan)))) + 1e-300,
-    }
+    sups = {k: _sup(v, m) for k, v in residuals.items()}
+    scales = {k: _sup(v, m) + 1e-300
+              for k, v in (("eqa", lapF), ("eqb", lapA), ("eqc", lapPi), ("eqd", rh_d), ("eqe", rh_e))}
 
     spread = None
     if win.u is not None and win.rho is not None and np.any(win.rho > 0):
@@ -219,10 +218,7 @@ def residual_reduced_system(win, params, bands_R0=None):
         ):
             mm = m & sel
             if np.any(mm):
-                bands[name] = {
-                    k: float(np.nanmax(np.abs(np.where(mm, v, np.nan))))
-                    for k, v in residuals.items()
-                }
+                bands[name] = {k: _sup(v, mm) for k, v in residuals.items()}
     return ResidualReport(residuals, sups, scales, margin_B, margin_C, spread, bands)
 
 
@@ -232,7 +228,7 @@ def ktilde_fields(win):
     the solver."""
     F, A, Pi = win.F, win.A, win.Pi
     K1t, K3t, _, _ = ktilde(
-        Pi, d1w(win, Pi), d1z(win, Pi), d2w(win, Pi), d2z(win, Pi), d1w1z(win, Pi, parity=1),
+        Pi, d1w(win, Pi), d1z(win, Pi), d2w(win, Pi), d2z(win, Pi), d1w1z(win, Pi),
         d1w(win, F), d1z(win, F), d1w(win, A), d1z(win, A), np.exp(4 * F), 1.0 / _off_axis(Pi),
     )
     return K1t, K3t
@@ -246,8 +242,8 @@ def consistency_K(win, params):
     """
     G_g, c = params.G_grav, params.c_light
     K1t, K3t = ktilde_fields(win)
-    L = d1z(win, K1t, parity=1) - d1w(win, K3t)
-    rho, P, eps = _fluid_terms(win, params)
+    L = d1z(win, K1t) - d1w(win, K3t)
+    P, _ = _fluid_terms(win, params)
     P1, P3 = d1w(win, win.Pi), d1z(win, win.Pi)
     K1, K3 = d1w(win, win.K), d1z(win, win.K)
     emK = np.exp(2 * (-win.F + win.K))
@@ -265,16 +261,16 @@ def consistency_K(win, params):
         "L": L,
         "K1t": K1t,
         "K3t": K3t,
-        "sup_L": float(np.nanmax(np.abs(np.where(m, L, np.nan)))),
+        "sup_L": _sup(L, m),
         "identity_resid": identity_resid,
-        "sup_identity": float(np.nanmax(np.abs(np.where(m, identity_resid, np.nan)))),
+        "sup_identity": _sup(identity_resid, m),
     }
 
 
 def ricci_cross_check(win, params):
     """Residuals of the six raw Einstein equations in Lewis variables."""
     G_g, c = params.G_grav, params.c_light
-    rho, P, eps = _fluid_terms(win, params)
+    P, eps = _fluid_terms(win, params)
     Om = win.Omega
     f, k, l, m_exp = lewis_from_lanczos(win.F, win.A, win.Pi, win.K)
     Pi = win.Pi
@@ -309,7 +305,7 @@ def ricci_cross_check(win, params):
         + (f3 * l3 + k3**2) / Pi_nz**2
     )
     R13 = 0.5 * (
-        -2 * d1w1z(win, Pi, parity=1) / Pi_nz
+        -2 * d1w1z(win, Pi) / Pi_nz
         + (m3 * P1 + m1 * P3) / Pi_nz
         + (f1 * l3 + l1 * f3 + 2 * k1 * k3) / (2 * Pi_nz**2)
     )
@@ -330,7 +326,7 @@ def ricci_cross_check(win, params):
         "R13": R13,
     }
     m = win.report_mask(erode=2)
-    sups = {kk: float(np.nanmax(np.abs(np.where(m, v, np.nan)))) for kk, v in residuals.items()}
+    sups = {kk: _sup(v, m) for kk, v in residuals.items()}
     # Sigma decomposition identity (algebraic, sanity of the Lewis map)
     F1, F3 = d1w(win, win.F), d1z(win, win.F)
     A1, A3 = d1w(win, win.A), d1z(win, win.A)
@@ -339,8 +335,8 @@ def ricci_cross_check(win, params):
         - 4 * Pi**2 * (F1**2 + F3**2)
         + 4 * Pi * (P1 * F1 + P3 * F3)
     )
-    sups["sigma_identity"] = float(np.nanmax(np.abs(np.where(m, sig_id, np.nan))))
-    scale = float(np.nanmax(np.abs(np.where(m, Sig, np.nan)))) + 1e-300
+    sups["sigma_identity"] = _sup(sig_id, m)
+    scale = _sup(Sig, m) + 1e-300
     return {"residuals": residuals, "sups": sups, "sigma_scale": scale}
 
 
@@ -446,7 +442,7 @@ def kerr_refinement(kp, params, window, levels):
         for name, f in {**residual_reduced_system(win, params).residuals,
                         **ricci_cross_check(win, params)["residuals"],
                         "L": consistency_K(win, params)["L"]}.items():
-            out.setdefault(name, []).append(float(np.nanmax(np.abs(np.where(meas, f, np.nan)))) + 1e-300)
+            out.setdefault(name, []).append(_sup(f, meas) + 1e-300)
     return out
 
 

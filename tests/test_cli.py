@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import rotstar
+from rotstar import lane_emden
 from rotstar.cli import cmd_tov_compare, main
 from rotstar.config import load_config
 from rotstar.errors import ConfigError
@@ -182,6 +184,12 @@ class TestLaneEmdenCommand:
         assert man["b0_matches_classical_within"] < 1e-5
         assert (out / "xi1_curve.dat").exists()
 
+    def test_no_classical_zero_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(lane_emden, "XI_MAX", 3.0)  # below xi1 = 3.6538 at gamma = 5/3
+        cfg = write_cfg(tmp_path, TINY.format(b=0.0, out=tmp_path / "le"))
+        assert main(["lane-emden", "--config", cfg]) == 2
+        assert capsys.readouterr().err == "convergence error: no zero of theta found before xi=3.0\n"
+
 
 class TestSolveCommand:
     def test_static_star_summary(self, tmp_path):
@@ -261,7 +269,8 @@ class TestSolveCommand:
         assert main(["verify", "--config", cfg, "--run", str(out),
                      "--out", str(tmp_path / "ver")]) == 0
         rep = json.loads((tmp_path / "ver" / "verify_report.json").read_text())
-        assert "residuals" in rep
+        # the dumped fields read back verify exactly as the solved state did
+        assert rep == json.loads((out / "manifest.json").read_text())["verify"]
 
     def test_verify_manifest_with_removed_keys(self, tmp_path):
         # verify reads only the manifest's eos and star sections, so runs
@@ -350,7 +359,7 @@ class TestTovCompareCommand:
         out = tmp_path / "tov"
         cfg = load_config(write_cfg(tmp_path, TINY.format(b=1.0e-3, out=out)))
         before = cfg.to_dict()
-        assert cmd_tov_compare(cfg, None) == 0
+        assert cmd_tov_compare(cfg, argparse.Namespace(out=None)) == 0
         assert cfg.to_dict() == before
         man = json.loads((out / "manifest.json").read_text())
         assert man["config"]["star"]["b_rot"] == 0.0

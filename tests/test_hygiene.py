@@ -4,8 +4,9 @@ method and class of the package is reachable from `rotstar.cli.main`, the
 package's module-level code or the benchmark, not by tests alone (bar a
 named few), every parameter of
 a package function or method is read by its body, every dataclass field is
-loaded as an attribute somewhere, every config key is read, and every entry
-point the benchmark wraps by name still exists.
+loaded as an attribute by the package or the benchmark (bar a named few),
+every config key is read, and every entry point the benchmark wraps by name
+still exists.
 
 Neither ruff nor pyflakes is a dependency, so the import check is a small
 AST check.  A name counts as used when it appears anywhere in the module as
@@ -226,11 +227,23 @@ def test_checker_flags_an_unread_field():
         ("a", 4, "P", "y"), ("a", 8, "Q", "z")]
 
 
+# dataclass fields that only tests read, each kept on purpose
+TEST_READ_FIELDS = {
+    ("DistortedLaneEmden", "s"): "the converged grid's radial nodes, where tests check theta_at",
+    ("DistortedLaneEmden", "zeta"): "the converged grid's zeta nodes, where tests check theta_at",
+    ("DistortedLaneEmden", "Theta"): "the converged profile, which tests check against the "
+                                     "centre value, the surface sign and theta_at",
+    ("TovSolution", "ell"): "the isotropic radius grid, whose end tests read as the surface",
+}
+
+
 def test_every_dataclass_field_is_read():
-    readers = [path.read_text() for root in (PACKAGE, TESTS, BENCH)
-               for path in sorted(root.glob("*.py"))]
+    # tests do not count as readers, as for definitions: a field only tests
+    # read is a stored copy of something else or output no command uses
+    readers = [path.read_text() for root in (PACKAGE, BENCH) for path in sorted(root.glob("*.py"))]
     package = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
-    assert unread_dataclass_fields(package, readers) == []
+    unread = {(cls, name) for _, _, cls, name in unread_dataclass_fields(package, readers)}
+    assert unread == set(TEST_READ_FIELDS)
 
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)

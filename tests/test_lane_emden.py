@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rotstar import lane_emden
 from rotstar.errors import ConvergenceError, DomainError, RegimeError
 from rotstar.lane_emden import (
     TOL,
@@ -92,6 +93,15 @@ class TestClassical:
             solve_classical(0.5)
         with pytest.raises(DomainError):
             solve_classical(5.0)
+
+    def test_no_zero_before_search_end(self, monkeypatch):
+        # an event failure of one integration, not an iteration: no residual
+        # or iteration count
+        monkeypatch.setattr(lane_emden, "XI_MAX", 3.0)  # below xi1 = 3.6538 at nu = 1.5
+        with pytest.raises(ConvergenceError) as exc:
+            solve_classical(1.5)
+        assert str(exc.value) == "no zero of theta found before xi=3.0"
+        assert exc.value.residual is None and exc.value.iterations is None
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from rotstar import tov as tov_module
 from rotstar.eos import EquationOfState
+from rotstar.errors import ConvergenceError
 from rotstar.lane_emden import solve_classical
 from rotstar.tov import solve_tov
 
@@ -63,6 +65,16 @@ class TestExterior:
         inside = tov.F_isotropic(np.array([es * (1 - 1e-12)]))[0]
         outside = tov.F_isotropic(np.array([es * (1 + 1e-12)]))[0]
         assert inside == pytest.approx(outside, abs=1e-8 * abs(inside))
+
+
+class TestSurfaceSearch:
+    def test_no_surface_before_search_end(self, eos, monkeypatch):
+        # the surface lies near 1.03 sqrt(u_O/(G rho_c)) for gamma = 5/3
+        monkeypatch.setattr(tov_module, "R_MAX_FACTOR", 0.5)
+        with pytest.raises(ConvergenceError) as exc:
+            solve_tov(eos, 1e-3)
+        assert str(exc.value) == "TOV integration found no surface"
+        assert exc.value.residual is None and exc.value.iterations is None
 
 
 class TestCenter:
