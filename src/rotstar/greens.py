@@ -12,8 +12,9 @@ integrals for n = 3 and 5 and a logarithm for n = 4.  Nystrom quadrature is
 product integration against the piecewise-linear interpolant of the source,
 its weights computed to high order on the cells near each target (local
 polar integration on the log-singular cells, tensor Gauss on their
-neighbors); a KernelTable holds those weights as one array, their DCT-I
-along the z lag.
+neighbors), by 4-point Gauss in a band around it, and beyond the band by a
+hat stencil on nodal kernel values, where the kernel is smooth; a
+KernelTable holds those weights as one array, their DCT-I along the z lag.
 The exterior tail is pulled to the starred plane, re-weighted by (R0/r*)^4
 (which turns it into a compact starred source) and inverted there with the
 same machinery; a compact source has no tail and stops after its first part.
@@ -121,6 +122,8 @@ FAR_RANK_TOL = 1e-14  # far skeleton: QR pivots above this fraction of the first
 FAR_SKETCH_ROWS = 8  # far sketch: about this many source nodes per table node count
 MC = 2  # near node patch: offsets -MC..MC around each target
 N_GAUSS_BASE = 4  # Gauss points per cell axis of the hat-product weights W2
+STENCIL_Q = 5  # q: the nodal hat stencil of W2's far entries spans offsets -q..q
+GAUSS_BAND = 16  # D: W2 keeps its Gauss sums within D nodes and D lags of the target
 N_GAUSS_NEAR = 10  # Gauss points per cell axis of the near cells
 N_GAUSS_POLAR = (12, 16)  # (angle, radius) points per half of a polar cell
 RCOND_RAISE = 1e-13  # LOpSolver: smallest reciprocal condition number it factors
@@ -152,6 +155,29 @@ def _hat_weights(t, w):
     """Quadrature weights times the two linear hats of a unit cell: column 0
     leans toward the lower node, column 1 toward the upper one."""
     return np.stack([(1.0 - t) * w, t * w], axis=1)
+
+
+def _hat_stencil(q):
+    """The symmetric (2q + 1)-point stencil s[-q..q] of the unit hat:
+    int f(x) hat(x) dx = sum_k s_|k| f(k) for polynomials f of degree up to
+    2q + 1, from the moments sum_k s_|k| k^(2j) = 2 / ((2j + 1)(2j + 2)),
+    j = 0..q.  That Vandermonde system is ill-conditioned in floats, so it
+    is solved exactly: row j is scaled by (2j + 1)(2j + 2) to integers and
+    eliminated without division (its leading minors are Vandermonde
+    determinants in k^2, so no pivoting is needed), and each weight is one
+    correctly rounded integer quotient.
+    """
+    rows = []
+    for j in range(q + 1):
+        scale = (2 * j + 1) * (2 * j + 2)
+        entries = [scale * 2 * k ** (2 * j) for k in range(1, q + 1)]
+        rows.append([scale * int(j == 0), *entries, 2])
+    for c, pivot in enumerate(rows):
+        for r, row in enumerate(rows):
+            if r != c:
+                row[:] = [x * pivot[c] - y * row[c] for x, y in zip(row, pivot)]
+    half = np.array([row[-1] / row[k] for k, row in enumerate(rows)])
+    return np.concatenate([half[:0:-1], half])
 
 
 def _polar_rule():
@@ -242,14 +268,26 @@ class KernelTable:
     r = 2 R0, where chi = 0, and the starred one at r* = R0, where
     1 - chi = 0.  The nodal rules of eval_at, far_weights and total_mass
     take the patch's own trapezoid weights.  The base rule integrates the
-    kernel exactly against the tensor piecewise-linear interpolant of the
-    source (hat-product weights W2[i, i', lag], Toeplitz and even in the z
-    lag), which keeps the quadrature error a smooth O(h^2) interpolation
-    error.  The W2 entries whose hat supports touch the log singularity,
-    nodes i + dni at lags |dnj| with both offsets at most MC, hold
-    high-order local integrals instead (polar around the target, fine Gauss
-    nearby).  Off the node grid, eval_at sums the plain nodal rule, whose
-    weights far_weights builds block by block.
+    kernel against the tensor piecewise-linear interpolant of the source
+    (hat-product weights W2[i, i', lag], Toeplitz and even in the z lag),
+    which keeps the quadrature error a smooth O(h^2) interpolation error.
+    Its entries come from three rules, by distance from the target:
+      - near: the entries whose hat supports touch the log singularity,
+        nodes i + dni at lags |dnj| with both offsets at most MC, hold
+        high-order local integrals (polar around the target, fine Gauss
+        nearby);
+      - band: the other entries with |i' - i| <= D = GAUSS_BAND and
+        lag <= D, and the three half-hat edges (node 0, node P - 1, lag
+        2P - 2), are N_GAUSS_BASE x N_GAUSS_BASE Gauss sums on the cells
+        of their hats;
+      - nodal: every other entry is sum_k sum_l s_k s_l k(i, i' + k, lag + l)
+        over the kernel's node values, with s the (2q + 1)-point stencil of
+        the hat, q = STENCIL_Q (_hat_stencil).  Beyond D the kernel is
+        smooth, and at P = 97 these entries agree with a 12-point Gauss
+        reference to 3.7e-12 of their column's largest entry, against up to
+        1.5e-8 for the 4-point cells next to the target.
+    Off the node grid, eval_at sums the plain nodal rule, whose weights
+    far_weights builds block by block.
 
     The table is one array, C = DCT-I of W2 along the lag: a float64 array
     C[k, i, i'] of shape (2P - 1, P, P), the size of W2.  DCT-I is the real
@@ -265,10 +303,14 @@ class KernelTable:
     of every column, one for the polar points of the four cells with a
     corner on the target.  Each cell's four corner integrals are one
     product against the corner weights, scattered into the node patch by a
-    bincount.  W2 then takes one ring_kernel call per target column, and
-    its Gauss sums are one matrix product per cell axis against the two hat
-    weights; each column's slab gets its near integrals and is transformed
-    into C before the next one is built.
+    bincount.  W2 then takes two ring_kernel calls per target column: the
+    Gauss points of its band and edge cells, at most
+    16 ((2D + 2)(D + 1) + 5P) values, and its node lattice ws in
+    0..P-1+q, dz in 0..2P-2+q, (P + q)(2P - 1 + q) values, whose stencil
+    sums are two matrix products.  That is about 6.4 P^3 values per table
+    at P = 65 with the near integrals, against 32 P^3 for Gauss sums on
+    every cell.  Each column's slab gets its near integrals and is
+    transformed into C before the next one is built.
     """
 
     def __init__(self, P, n):
@@ -279,35 +321,60 @@ class KernelTable:
 
     def _build_w2(self, acc):
         """C = DCT-I along the lag axis of
-        W2[i, i', lag] = int int k(i, ws, dz) hat_i'(ws) hat_lag(|dz|),
-        with the near-cell integrals acc of _near_integrals written over
-        the 4-point-Gauss entries at nodes i' = i + dni and lags |dnj|.
+        W2[i, i', lag] = int int k(i, ws, dz) hat_i'(ws) hat_lag(|dz|).
+
+        Gauss entries, the 4-point tensor Gauss sums over the cells of the
+        hat supports: the band |i' - i| <= D, lag <= D around the target and
+        the half-hat edges i' = 0, i' = P - 1 and lag = 2P - 2.  Nodal
+        entries, all others: sum_k sum_l s_k s_l k(i, i' + k, lag + l) with
+        s = _hat_stencil(q), on kernel values at the nodes ws in 0..P-1+q and
+        dz in 0..2P-2+q, whose ghosts are k(-ws) = (-1)^n k(ws) (the ring
+        potential is even in ws, the ws^(n-2) measure carries the sign) and
+        k(-dz) = k(dz).  The near-cell integrals acc of _near_integrals are
+        written over the entries at nodes i' = i + dni and lags |dnj|.
         """
-        P, G = self.P, N_GAUSS_BASE
+        P, G, q, D = self.P, N_GAUSS_BASE, STENCIL_Q, GAUSS_BAND
         t, wq = _gauss01(G)
         hats = _hat_weights(t, wq)
-        n_wc = P - 1
-        n_zc = 2 * P - 2  # dz cells [0,1], ..., [2P-3, 2P-2]
-        ws_pts = (np.arange(n_wc)[:, None] + t[None, :]).ravel()
-        dz_pts = (np.arange(n_zc)[:, None] + t[None, :]).ravel()
+        s = _hat_stencil(q)
+
+        def fold(m, sign):
+            # the stencil sums on m nodes as one matrix: F[x, j] weighs the
+            # lattice value at node x in 0..m-1+q into node j, the ghost at
+            # -x entering node |x| times sign
+            x = np.arange(m)[:, None] + np.arange(-q, q + 1)
+            F = np.zeros((m + q, m))
+            np.add.at(F, (np.abs(x), np.arange(m)[:, None]), np.where(x < 0, sign, 1.0) * s)
+            return F
+
+        fold_ws, fold_dz = fold(P, (-1.0) ** self.n).T, fold(2 * P - 1, 1.0)
+        ws_nodes = np.arange(P + q, dtype=float)
+        dz_nodes = np.arange(2 * P - 1 + q, dtype=float)
+        corner = np.arange(2)
         dn = np.arange(-MC, MC + 1)
         self.C = np.empty((2 * P - 1, P, P))
         for i in range(P):
-            W2 = np.zeros((P, 2 * P - 1))
-            kv = ring_kernel(self.n, float(i), ws_pts[:, None], dz_pts[None, :])
-            # contract the dz Gauss axis, then the varpi one, against the
-            # hats: c[a, p, b, q] weighs varpi cell a toward node a + p and
-            # dz cell b toward lag b + q
-            c = (kv.reshape(-1, G) @ hats).reshape(n_wc, G, 2 * n_zc)
-            c = (hats.T @ c).reshape(n_wc, 2, n_zc, 2)
-            W2[:-1, :-1] += c[:, 0, :, 0]
-            W2[:-1, 1:] += c[:, 0, :, 1]
-            W2[1:, :-1] += c[:, 1, :, 0]
-            W2[1:, 1:] += c[:, 1, :, 1]
-            # the lag-0 hat also spans dz in [-1, 0], which mirrors the
+            gauss = np.zeros((P, 2 * P - 1), dtype=bool)
+            gauss[max(0, i - D) : i + D + 1, : D + 1] = True
+            gauss[[0, -1], :] = True
+            gauss[:, -1] = True
+            # the cells (varpi cell a, dz cell b) of those entries' hats
+            a, b = np.nonzero(gauss[:-1, :-1] | gauss[1:, :-1] | gauss[:-1, 1:] | gauss[1:, 1:])
+            kv = ring_kernel(self.n, float(i), (a[:, None] + t)[:, :, None],
+                             (b[:, None] + t)[:, None, :])
+            # c[k, p, q] weighs cell k toward node a + p and lag b + q; the
+            # lag-0 hat also spans dz in [-1, 0], which mirrors the
             # lower-weighted part of dz-cell 0 by evenness of the kernel
-            W2[:-1, 0] += c[:, 0, 0, 0]
-            W2[1:, 0] += c[:, 1, 0, 0]
+            c = hats.T @ (kv @ hats)
+            flat = (a[:, None, None] + corner[:, None]) * (2 * P - 1) + b[:, None, None] + corner
+            low = b == 0
+            W2 = np.bincount(
+                np.concatenate([flat.ravel(), flat[low, :, 0].ravel()]),
+                np.concatenate([c.ravel(), c[low, :, 0].ravel()]),
+                P * (2 * P - 1),
+            ).reshape(P, 2 * P - 1)
+            lat = ring_kernel(self.n, float(i), ws_nodes[:, None], dz_nodes[None, :])
+            W2 = np.where(gauss, W2, fold_ws @ lat @ fold_dz)
             # the near integrals at +dnj and -dnj agree to rounding (the
             # kernel is even in dz); lag |dnj| takes the +dnj one
             on = (i + dn >= 0) & (i + dn < P)
