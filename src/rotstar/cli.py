@@ -256,7 +256,8 @@ def cmd_sweep(cfg, args):
         jobs.append(load_config(sub))  # every swept config is valid before anything is written
     out = _out_dir(cfg, args.out)
     results = []
-    with ProcessPoolExecutor(max_workers=cfg.sweep["workers"]) as pool:
+    # a fork pool starts all its workers at the first submit: no more than there are jobs
+    with ProcessPoolExecutor(max_workers=min(cfg.sweep["workers"], len(jobs))) as pool:
         for v, r in zip(values, pool.map(_sweep_worker, jobs)):
             results.append({"value": v, **r})
     sups = {f"{key}_exponent": refinement_order(values, [r[key] for r in results])

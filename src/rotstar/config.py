@@ -4,10 +4,12 @@ Unknown sections and keys are rejected; physical quantities are
 range-checked.  A parsed RunConfig carries plain dataclass blocks mirroring
 the file sections.  Every key is read: the solver section goes to
 SolverOptions whole, the rest by name.  A setting with one value in use is a
-module constant next to its code, not a key.
+module constant next to its code, not a key, and a key that a function or
+dataclass takes has that one's default, so each default is spelled once.
 """
 
 import hashlib
+import inspect
 import json
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass
@@ -15,7 +17,17 @@ from numbers import Integral, Real
 
 import yaml
 
+from .eos import SERIES_TERMS, EquationOfState, consistent_upsilon_P
 from .errors import ConfigError
+from .lane_emden import solve_classical, solve_distorted
+from .pn import SolverOptions, StarParams
+
+
+def _keyword_defaults(fn):
+    """The default of each parameter of fn, a function or a dataclass, that has one."""
+    return {name: p.default for name, p in inspect.signature(fn).parameters.items()
+            if p.default is not p.empty}
+
 
 _DEFAULTS = {
     "eos": {
@@ -24,7 +36,7 @@ _DEFAULTS = {
         "c_light": 1.0,
         "upsilon_rho": [],
         "upsilon_P": "consistent",
-        "series_radius": 1.0,
+        "series_radius": EquationOfState.series_radius,
     },
     "star": {
         "u_O": 1e-3,
@@ -37,18 +49,10 @@ _DEFAULTS = {
         "n_exterior": 97,
     },
     "lane_emden": {
-        "n_radial": 1025,
-        "n_zeta": 48,
-        "lmax": 12,
-        "max_iter": 400,
+        **_keyword_defaults(solve_distorted),
         "report_grid": 129,
     },
-    "solver": {
-        "tol_inner": 1e-10,
-        "tol_outer": 1e-9,
-        "max_inner": 40,
-        "max_outer": 30,
-    },
+    "solver": _keyword_defaults(SolverOptions),
     "verify": {
         "fit_window": [5.0, 15.0],
     },
@@ -204,8 +208,6 @@ def load_config(source=None):
 
 
 def build_eos(cfg):
-    from .eos import SERIES_TERMS, EquationOfState, consistent_upsilon_P
-
     e = cfg.eos
     ups_P = e["upsilon_P"]
     if ups_P == "consistent":
@@ -221,8 +223,6 @@ def build_eos(cfg):
 
 
 def build_params(cfg, classical=None):
-    from .pn import StarParams
-
     s = cfg.star
     e = cfg.eos
     return StarParams.build(
@@ -240,8 +240,6 @@ def build_params(cfg, classical=None):
 def build_star(cfg):
     """The classical Lane-Emden solution, the star's parameters and its
     distorted profile, from the eos, star and whole lane_emden sections."""
-    from .lane_emden import solve_classical, solve_distorted
-
     classical = solve_classical(1.0 / (cfg.eos["gamma"] - 1.0))
     params = build_params(cfg, classical=classical)
     le = cfg.lane_emden
@@ -251,8 +249,6 @@ def build_star(cfg):
 
 
 def build_solver_options(cfg):
-    from .pn import SolverOptions
-
     return SolverOptions(
         n_interior=cfg.grid["n_interior"], n_exterior=cfg.grid["n_exterior"], **cfg.solver
     )

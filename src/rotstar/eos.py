@@ -64,16 +64,10 @@ class EquationOfState:
         object.__setattr__(self, "upsilon_P", tuple(self.upsilon_P))
 
     @classmethod
-    def gamma_law(cls, gamma, A_const, c_light, series_radius=1.0):
+    def gamma_law(cls, gamma, A_const, c_light):
         """Default build: Y_rho = 0, Y_P matched so the enthalpy identity holds."""
-        return cls(
-            gamma=gamma,
-            A_const=A_const,
-            c_light=c_light,
-            upsilon_rho=(),
-            upsilon_P=consistent_upsilon_P(gamma, (), SERIES_TERMS),
-            series_radius=series_radius,
-        )
+        return cls(gamma=gamma, A_const=A_const, c_light=c_light,
+                   upsilon_P=consistent_upsilon_P(gamma, (), SERIES_TERMS))
 
     # -- derived constants -------------------------------------------------
 

@@ -140,16 +140,6 @@ def _bilinear(vals, h, xq, yq):
     return _combine(vals, _cells(vals.shape, h, xq, yq))
 
 
-def _bicubic(vals, h, xq, yq):
-    from scipy.interpolate import RegularGridInterpolator
-
-    nx, ny = vals.shape
-    x = np.arange(nx) * h
-    rgi = RegularGridInterpolator((x, x[:ny]), vals, method="cubic", bounds_error=False, fill_value=None)
-    pts = np.stack([np.clip(xq, 0, x[nx - 1]), np.clip(yq, 0, x[ny - 1])], axis=-1)
-    return rgi(pts)
-
-
 class _Points:
     """What evaluating any field of one grid at one point set needs, computed
     once: the parity signs, r, chi(r/R0), the near/far split, the Kelvin
@@ -200,8 +190,6 @@ class _Points:
             if patch == "int"
             else (fld.star_vals, g.h_ext, self.wsq, self.zsq)
         )
-        if fld.interp != "bilinear":
-            return _bicubic(vals, h, x, y)
         if patch not in self._cells:
             self._cells[patch] = _cells(vals.shape, h, x, y)
         return _combine(vals, self._cells[patch])
@@ -249,7 +237,6 @@ class AxiField:
     star_vals: np.ndarray = field(repr=False)
     parity: tuple = (1, 1)
     offset: float = 0.0
-    interp: str = "bilinear"
 
     def __post_init__(self):
         if self.n_index < 3:
@@ -265,27 +252,22 @@ class AxiField:
                    np.zeros((grid.n_ext, grid.n_ext)))
 
     @classmethod
-    def from_function(cls, grid, fn, n_index=3, star_fn=None, parity=(1, 1), offset=0.0):
-        """Sample fn(w, z) on both patches; star_fn, when given, supplies the
-        Kelvin transform of the tail directly (exact far-field control)."""
+    def from_function(cls, grid, fn, n_index=3, parity=(1, 1), offset=0.0):
+        """Sample fn(w, z) on the interior nodes and at the starred nodes'
+        Kelvin images; the origin-image entry is extrapolated."""
         int_vals = np.asarray(fn(grid.WI, grid.ZI), dtype=float) - offset
-        if star_fn is not None:
-            star_vals = np.asarray(star_fn(grid.WS, grid.ZS), dtype=float)
-        else:
-            with np.errstate(invalid="ignore"):
-                tail = np.where(
-                    np.isfinite(grid.r_img),
-                    np.asarray(fn(grid.W_img, grid.Z_img), dtype=float) - offset,
-                    0.0,
-                )
-                star_vals = np.where(
-                    np.isfinite(grid.r_img),
-                    (np.where(np.isfinite(grid.r_img), grid.r_img, 1.0) / grid.R0)
-                    ** (n_index - 2)
-                    * tail,
-                    0.0,
-                )
-            _fill_origin(star_vals)
+        with np.errstate(invalid="ignore"):
+            tail = np.where(
+                np.isfinite(grid.r_img),
+                np.asarray(fn(grid.W_img, grid.Z_img), dtype=float) - offset,
+                0.0,
+            )
+            star_vals = np.where(
+                np.isfinite(grid.r_img),
+                (np.where(np.isfinite(grid.r_img), grid.r_img, 1.0) / grid.R0) ** (n_index - 2) * tail,
+                0.0,
+            )
+        _fill_origin(star_vals)
         return cls(grid, n_index, int_vals, star_vals, parity, offset)
 
     @classmethod
@@ -369,7 +351,7 @@ class AxiField:
 
         par = list(self.parity)
         par[ax] = -par[ax]
-        return AxiField(g, n, d_int, d_star, tuple(par), 0.0, self.interp)
+        return AxiField(g, n, d_int, d_star, tuple(par), 0.0)
 
     # -- algebra -------------------------------------------------------------------
 
@@ -392,12 +374,10 @@ class AxiField:
             star = np.where(g.RS > 0, fac * self.star_vals, 0.0)
             if fill_origin:
                 _fill_origin(star)
-        return AxiField(g, n_new, self.int_vals.copy(), star, self.parity, self.offset, self.interp)
+        return AxiField(g, n_new, self.int_vals.copy(), star, self.parity, self.offset)
 
     def __neg__(self):
-        return AxiField(
-            self.grid, self.n_index, -self.int_vals, -self.star_vals, self.parity, -self.offset, self.interp
-        )
+        return AxiField(self.grid, self.n_index, -self.int_vals, -self.star_vals, self.parity, -self.offset)
 
     def _binary_parity(self, other):
         return (self.parity[0] * other.parity[0], self.parity[1] * other.parity[1])
@@ -411,15 +391,8 @@ class AxiField:
         b = other.reindex(n)
         if a.parity != b.parity:
             raise DomainError("parity mismatch in field addition")
-        return AxiField(
-            self.grid,
-            n,
-            a.int_vals + b.int_vals,
-            a.star_vals + b.star_vals,
-            a.parity,
-            a.offset + b.offset,
-            self.interp,
-        )
+        return AxiField(self.grid, n, a.int_vals + b.int_vals, a.star_vals + b.star_vals, a.parity,
+                        a.offset + b.offset)
 
     __radd__ = __add__
 
@@ -431,22 +404,15 @@ class AxiField:
 
     def __mul__(self, other):
         if np.isscalar(other):
-            return AxiField(
-                self.grid,
-                self.n_index,
-                self.int_vals * other,
-                self.star_vals * other,
-                self.parity,
-                self.offset * other,
-                self.interp,
-            )
+            return AxiField(self.grid, self.n_index, self.int_vals * other, self.star_vals * other,
+                            self.parity, self.offset * other)
         self._require_same_grid(other)
         g = self.grid
         par = self._binary_parity(other)
         if self.offset == 0.0 and other.offset == 0.0:
             n = self.n_index + other.n_index - 2
             star = self.star_vals * other.star_vals
-            return AxiField(g, n, self.int_vals * other.int_vals, star, par, 0.0, self.interp)
+            return AxiField(g, n, self.int_vals * other.int_vals, star, par, 0.0)
         n = min(self.n_index, other.n_index)
         a = self.reindex(n)
         b = other.reindex(n)
@@ -455,7 +421,7 @@ class AxiField:
         # index 2n-2 >= n and is restated at n through the image radius
         cross = a.offset * b.star_vals + b.offset * a.star_vals
         t1t2 = a.star_vals * b.star_vals * (g.RS / g.R0) ** (n - 2)
-        return AxiField(g, n, int_vals, cross + t1t2, par, a.offset * b.offset, self.interp)
+        return AxiField(g, n, int_vals, cross + t1t2, par, a.offset * b.offset)
 
     __rmul__ = __mul__
 
@@ -480,7 +446,7 @@ class AxiField:
         # (r/R0)^(n-2) weight of the numerator tails
         denom = b.offset * b.star_raw_values()
         star = (a.star_vals * b.offset - a.offset * b.star_vals) / denom
-        return AxiField(g, n, int_vals, star, self._binary_parity(other), off, self.interp)
+        return AxiField(g, n, int_vals, star, self._binary_parity(other), off)
 
 
 # -- pointwise helper maps -----------------------------------------------------
@@ -502,9 +468,7 @@ def field_expm1(field, scale=1.0):
     int_vals = base * np.expm1(scale * field.int_vals)
     sT = scale * (g.RS / g.R0) ** (field.n_index - 2) * field.star_vals
     star = base * _psi_apply(np.expm1, 1.0, scale * field.star_vals, sT)
-    return AxiField(
-        g, field.n_index, int_vals, star, field.parity, base - 1.0, field.interp
-    )
+    return AxiField(g, field.n_index, int_vals, star, field.parity, base - 1.0)
 
 
 def field_log1p(field):
@@ -515,7 +479,7 @@ def field_log1p(field):
     int_vals = np.log1p(field.int_vals * ratio)
     T = (g.RS / g.R0) ** (field.n_index - 2) * field.star_vals * ratio
     star = _psi_apply(np.log1p, 1.0, field.star_vals * ratio, T)
-    return AxiField(g, field.n_index, int_vals, star, field.parity, base, field.interp)
+    return AxiField(g, field.n_index, int_vals, star, field.parity, base)
 
 
 def exp_of(field, scale=1.0):
@@ -543,7 +507,7 @@ def compact_map(fn, *fields, n_index=3):
     )
     if np.any(~np.isfinite(star)):
         raise DomainError("compact_map result does not vanish at the origin-image")
-    return AxiField(g, n_index, int_vals, star, (1, 1), 0.0, fields[0].interp)
+    return AxiField(g, n_index, int_vals, star, (1, 1), 0.0)
 
 
 def div_varpi(field):
@@ -560,7 +524,7 @@ def div_varpi(field):
     star = np.empty_like(field.star_vals)
     star[1:, :] = field.star_vals[1:, :] * g.RS[1:, :] / (g.WS[1:, :] * g.R0)
     star[0, :] = _extrapolate(*star[1:4, :])
-    return AxiField(g, field.n_index + 1, int_vals, star, (1, field.parity[1]), 0.0, field.interp)
+    return AxiField(g, field.n_index + 1, int_vals, star, (1, field.parity[1]), 0.0)
 
 
 def mul_varpi(field):
@@ -574,4 +538,4 @@ def mul_varpi(field):
         raise DomainError("varpi multiplication needs an offset-free field")
     ray = np.where(g.RS > 0, g.WS / np.where(g.RS > 0, g.RS, 1.0), 0.0)
     return AxiField(g, field.n_index - 1, g.WI * field.int_vals, g.R0 * ray * field.star_vals,
-                    (-field.parity[0], field.parity[1]), 0.0, field.interp)
+                    (-field.parity[0], field.parity[1]), 0.0)

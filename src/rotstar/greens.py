@@ -205,17 +205,19 @@ def _polar_rule():
 
 
 def _near_integrals(P, n):
-    """acc[i, dni, dnj]: the high-order integral of the ring kernel against
-    the hat product of node (i + dni, dnj) for a target at (i, 0), over the
-    unit cells of the (2 MC + 1)^2 node patch around it.
+    """acc[i, MC + dni, dnj]: the high-order integral of the ring kernel
+    against the hat product of node (i + dni, dnj) for a target at (i, 0),
+    over the unit cells around it, for |dni| <= MC and lags 0 <= dnj <= MC.
 
-    The cell at offsets (a, b), both in -MC-1..MC, from a target in column
-    i feeds its four corner nodes; cells that leave the varpi range of the
-    grid are skipped, so nodes off the grid get zero.  The z-hat of a node
-    reaches dz of both signs, and acc sums both.
+    The cell at offsets (a, b), a in -MC-1..MC and b in -1..MC, from a
+    target in column i feeds its four corner nodes; cells that leave the
+    varpi range of the grid are skipped, so nodes off the grid get zero.
+    The z-hat of lag 0 reaches dz of both signs, and acc sums both.  The
+    cells below b = -1 feed only negative lags, which the kernel's evenness
+    in dz makes copies of the positive ones, so they are not integrated.
     """
-    d = np.arange(-MC - 1, MC + 1)
-    I, DI, DJ = (x.ravel() for x in np.meshgrid(np.arange(P), d, d, indexing="ij"))
+    I, DI, DJ = (x.ravel() for x in np.meshgrid(np.arange(P), np.arange(-MC - 1, MC + 1),
+                                                np.arange(-1, MC + 1), indexing="ij"))
     keep = (I + DI >= 0) & (I + DI <= P - 2)
     I, DI, DJ = I[keep], DI[keep], DJ[keep]
     polar = (DI >= -1) & (DI <= 0) & (DJ >= -1) & (DJ <= 0)
@@ -242,15 +244,16 @@ def _near_integrals(P, n):
     i, sx, sz = i[:, :, None], sx[:, :, None], sz[:, :, None]
     polar_cells = (ex, i, sx * p[:, None], sz * p)
 
-    # sum the corner integrals into the node patch, offsets -MC-1..MC+1
-    S = 2 * MC + 3
+    # sum the corner integrals into the node patch, offsets -MC-1..MC+1 by
+    # lags -1..MC+1
+    Si, Sj = 2 * MC + 3, MC + 3
     flat, vals = [], []
     for ex, i, dni, dnj in (near, polar_cells):
         ex, i, dni, dnj = np.broadcast_arrays(ex, i, dni, dnj)
-        flat.append(((i * S + dni + MC + 1) * S + dnj + MC + 1).ravel())
+        flat.append(((i * Si + dni + MC + 1) * Sj + dnj + 1).ravel())
         vals.append(ex.ravel())
-    acc = np.bincount(np.concatenate(flat), np.concatenate(vals), P * S * S)
-    return acc.reshape(P, S, S)[:, 1:-1, 1:-1]
+    acc = np.bincount(np.concatenate(flat), np.concatenate(vals), P * Si * Sj)
+    return acc.reshape(P, Si, Sj)[:, 1:-1, 1:-1]
 
 
 class KernelTable:
@@ -307,7 +310,7 @@ class KernelTable:
     Gauss points of its band and edge cells, at most
     16 ((2D + 2)(D + 1) + 5P) values, and its node lattice ws in
     0..P-1+q, dz in 0..2P-2+q, (P + q)(2P - 1 + q) values, whose stencil
-    sums are two matrix products.  That is about 6.4 P^3 values per table
+    sums are two matrix products.  That is about 6.1 P^3 values per table
     at P = 65 with the near integrals, against 32 P^3 for Gauss sums on
     every cell.  Each column's slab gets its near integrals and is
     transformed into C before the next one is built.
@@ -375,10 +378,8 @@ class KernelTable:
             ).reshape(P, 2 * P - 1)
             lat = ring_kernel(self.n, float(i), ws_nodes[:, None], dz_nodes[None, :])
             W2 = np.where(gauss, W2, fold_ws @ lat @ fold_dz)
-            # the near integrals at +dnj and -dnj agree to rounding (the
-            # kernel is even in dz); lag |dnj| takes the +dnj one
             on = (i + dn >= 0) & (i + dn < P)
-            W2[i + dn[on], : MC + 1] = acc[i, on, MC:]
+            W2[i + dn[on], : MC + 1] = acc[i, on]
             self.C[:, i, :] = dct(W2, type=1, axis=1).T
 
     # -- application ----------------------------------------------------------

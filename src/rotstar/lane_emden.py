@@ -47,18 +47,17 @@ XI_MAX = 60.0  # end of solve_classical's search for the first zero
 DAMPING, TOL, STALL = 0.8, 1e-11, (12, 5)
 
 
-def integrate_theta(nu, xi_max, stop_at_zero=False):
-    """Integrate the classical Lane-Emden ODE; returns the solve_ivp result."""
+def integrate_theta(nu, xi_max):
+    """Integrate the classical Lane-Emden ODE up to its first zero or xi_max;
+    returns the solve_ivp result, with the zero as its event."""
     xi0 = 1e-6
     y0 = _series_start(nu, xi0)
-    events = None
-    if stop_at_zero:
-        def zero_cross(xi, y, nu):
-            return y[0]
 
-        zero_cross.terminal = True
-        zero_cross.direction = -1
-        events = zero_cross
+    def zero_cross(xi, y, nu):
+        return y[0]
+
+    zero_cross.terminal = True
+    zero_cross.direction = -1
     return solve_ivp(
         _rhs,
         (xi0, xi_max),
@@ -68,7 +67,7 @@ def integrate_theta(nu, xi_max, stop_at_zero=False):
         rtol=THETA_RTOL,
         atol=THETA_ATOL,
         dense_output=True,
-        events=events,
+        events=zero_cross,
         max_step=xi_max / 50.0,
     )
 
@@ -109,7 +108,7 @@ def solve_classical(nu):
     if not (1.0 <= nu < 5.0):
         # nu = 1 (the closed-form sin(xi)/xi case) is kept as a test anchor.
         raise DomainError(f"nu={nu} outside [1, 5)")
-    sol = integrate_theta(nu, XI_MAX, stop_at_zero=True)
+    sol = integrate_theta(nu, XI_MAX)
     if not sol.t_events or sol.t_events[0].size == 0:
         raise ConvergenceError(f"no zero of theta found before xi={XI_MAX}")
     xi1 = float(sol.t_events[0][0])
@@ -217,7 +216,7 @@ class DistortedLaneEmden:
             out.append(0.5 * (lo + hi))
         return np.asarray(out)
 
-    def report_grid(self, n=129):
+    def report_grid(self, n):
         """Theta on a uniform (s, zeta) grid for export and comparisons."""
         s = np.linspace(0.0, self.Xi0, n)
         zeta = np.linspace(0.0, 1.0, n)

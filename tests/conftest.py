@@ -35,12 +35,8 @@ def dle_static(cls15):
 
 
 def _options(n_int=65, n_ext=49):
-    return SolverOptions(
-        n_interior=n_int,
-        n_exterior=n_ext,
-        tol_inner=1e-10,
-        tol_outer=1e-9,
-    )
+    # SolverOptions' own tolerances, the ones `rotstar solve` takes by default
+    return SolverOptions(n_interior=n_int, n_exterior=n_ext)
 
 
 @pytest.fixture(scope="session")

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 import rotstar
-from rotstar import lane_emden
+from rotstar import cli, lane_emden
 from rotstar.cli import cmd_tov_compare, main
-from rotstar.config import load_config
+from rotstar.config import build_solver_options, build_star, load_config
 from rotstar.errors import ConfigError
 from rotstar.fields import AxiField, AxiGrid
 from rotstar.gridio import read_field, write_field
@@ -169,6 +169,18 @@ class TestConfigValidation:
         grid_keys = {"n_interior", "n_exterior"}
         options = {f.name: f.default for f in fields(SolverOptions) if f.name not in grid_keys}
         assert load_config().solver == options
+
+    def test_cli_builds_the_library_star(self):
+        # the star rotstar builds from the default config is the one the
+        # library's own defaults give, as the tests and the benchmark build it
+        cfg = load_config({"star": {"u_O": 1.0e-3, "b_rot": 1.0e-3}})
+        _, params, dle = build_star(cfg)
+        nu = 1.0 / (5.0 / 3.0 - 1.0)
+        ref = lane_emden.solve_distorted(nu, 1.0e-3, classical=lane_emden.solve_classical(nu))
+        assert params.nu == nu
+        assert np.array_equal(dle.Theta, ref.Theta) and dle.iterations == ref.iterations
+        grid = cfg.grid["n_interior"], cfg.grid["n_exterior"]
+        assert build_solver_options(cfg) == SolverOptions(*grid)
 
 
 class TestLaneEmdenCommand:
@@ -384,3 +396,36 @@ class TestSweepCommand:
         # static unknowns are still unmistakable
         assert abs(exps["W_sup_exponent"] - 2.0) < 0.1
         assert abs(exps["X_sup_exponent"] - 2.0) < 0.1
+
+    def test_workers_capped_at_values(self, tmp_path, monkeypatch):
+        # a fork pool starts all max_workers processes at its first submit,
+        # so sweep asks for no more workers than it has values; the pool and
+        # the worker here are stand-ins, and no process starts
+        import concurrent.futures
+
+        pools = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        def worker(cfg):
+            return {key: cfg.star["u_O"] ** 2 for key in ("W_sup", "Y_sup", "X_sup", "K_sup")}
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(cli, "_sweep_worker", worker)
+        cfg = load_config({"output": {"directory": str(tmp_path)},
+                           "sweep": {"param": "u_O", "values": [1.0e-3, 5.0e-4], "workers": 64}})
+        assert cli.cmd_sweep(cfg, argparse.Namespace(out=None)) == 0
+        assert pools == [2]
+        man = json.loads((tmp_path / "manifest.json").read_text())
+        assert [r["value"] for r in man["results"]] == [1.0e-3, 5.0e-4]

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ class TestDensityFromEnthalpy:
         assert eos.density_from_enthalpy(4.0) == pytest.approx(k * 16.0, rel=1e-14)
 
     def test_series_radius_enforced(self):
-        eos = EquationOfState.gamma_law(5 / 3, 1.0, 1.0, series_radius=0.5)
+        eos = replace(EquationOfState.gamma_law(5 / 3, 1.0, 1.0), series_radius=0.5)
         with pytest.raises(SeriesDomainError):
             eos.density_from_enthalpy(0.9)
 
@@ -63,7 +65,7 @@ class TestVacuumBoundary:
     def test_causality_sampled(self):
         # dP/drho = (dP/du)/(drho/du) by centered differences, over the
         # enthalpies of rho in [1e-3, 1]
-        eos = EquationOfState.gamma_law(5 / 3, 1.0, 3.0, series_radius=2.0)
+        eos = replace(EquationOfState.gamma_law(5 / 3, 1.0, 3.0), series_radius=2.0)
         for u in np.geomspace(0.025, 2.5, 12):
             h = 1e-6 * u
             dP = eos.pressure_from_enthalpy(u + h) - eos.pressure_from_enthalpy(u - h)

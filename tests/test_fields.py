@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from rotstar.cutoff import chi
 from rotstar.errors import ConfigError, DomainError
-from rotstar.fields import AxiField, AxiGrid, _bicubic, _kelvin_images, compact_map, eval_fields
+from rotstar.fields import AxiField, AxiGrid, _kelvin_images, compact_map, eval_fields
 from rotstar.gridio import export_text, read_field, write_field
 
 
@@ -21,7 +21,7 @@ def decay_field(grid, n):
         r = np.hypot(w, z)
         return np.where(r > 0, (grid.R0 / np.where(r > 0, r, 1.0)) ** (n - 2), 0.0)
 
-    return AxiField.from_function(grid, fn, n, star_fn=lambda ws, zs: np.ones_like(ws))
+    return AxiField(grid, n, fn(grid.WI, grid.ZI), np.ones_like(grid.WS))
 
 
 def kelvin(p, R0):
@@ -82,15 +82,14 @@ def one_field_eval(fld, w, z):
     r = np.hypot(wq, zq)
     out = np.zeros_like(r)
     c = chi(r / g.R0)
-    interp = bilinear if fld.interp == "bilinear" else _bicubic
     near = c > 0.0
     if np.any(near):
-        out[near] += c[near] * interp(fld.int_vals, g.h_int, wq[near], zq[near])
+        out[near] += c[near] * bilinear(fld.int_vals, g.h_int, wq[near], zq[near])
     far = c < 1.0
     if np.any(far):
         rf = r[far]
         scale = (g.R0**2) / rf**2
-        tail_star = interp(fld.star_vals, g.h_ext, wq[far] * scale, zq[far] * scale)
+        tail_star = bilinear(fld.star_vals, g.h_ext, wq[far] * scale, zq[far] * scale)
         out[far] += (1.0 - c[far]) * (g.R0 / rf) ** (fld.n_index - 2) * tail_star
     out = fld.offset + sgn * out
     return float(out[0]) if scalar else out
@@ -145,10 +144,7 @@ class TestEval:
                 offset = 0.0 if parity != (1, 1) else rng.uniform(-2.0, 2.0)
                 out.append(AxiField(grid, n, rng.standard_normal((grid.n_int, grid.n_int)),
                                     rng.standard_normal((grid.n_ext, grid.n_ext)), parity, offset))
-        cubic = AxiField.from_function(grid, lambda w, z: np.cos(w) * np.exp(-0.1 * z * z), 4,
-                                       parity=(1, 1), offset=0.5)
-        cubic.interp = "bicubic"
-        return out + [cubic]
+        return out
 
     @pytest.fixture(scope="class")
     def points(self, grid):
@@ -398,8 +394,7 @@ class TestAlgebraProperties:
             s = R0**2 / (w**2 + z**2)
             return s ** ((n - 2) / 2) * poly(s * w, s * z, 4)
 
-        f = AxiField.from_function(g, lambda w, z: poly(w, z, 0), n,
-                                   star_fn=lambda ws, zs: poly(ws, zs, 4))
+        f = AxiField(g, n, poly(g.WI, g.ZI, 0), poly(g.WS, g.ZS, 4))
         d = f.derivative(axis)
         x, y = g.WI, g.ZI
         if axis == "w":
@@ -474,20 +469,3 @@ class TestIO:
         export_text(path, f)
         data = np.loadtxt(path)
         assert data.shape == (grid.n_int**2, 3)
-
-
-class TestBicubic:
-    def test_bicubic_beats_bilinear(self):
-        def fn(w, z):
-            return np.sin(1.5 * w) * np.cosh(0.5 * z) + 0.1 * (w**2 - z**2)
-
-        g = AxiGrid(1.0, 65, 33)
-        rng = np.random.RandomState(9)
-        pts = rng.uniform(0.1, 0.55, (150, 2))
-        f_lin = AxiField.from_function(g, fn, 3)
-        f_cub = AxiField.from_function(g, fn, 3)
-        f_cub.interp = "bicubic"
-        exact = fn(pts[:, 0], pts[:, 1])
-        e_lin = np.max(np.abs(f_lin.eval(pts[:, 0], pts[:, 1]) - exact))
-        e_cub = np.max(np.abs(f_cub.eval(pts[:, 0], pts[:, 1]) - exact))
-        assert e_cub < 0.2 * e_lin

@@ -260,8 +260,7 @@ class TestGlobalInverse:
         fars = count_calls(monkeypatch, greens, "get_far")
         g = AxiGrid(R0=2.0, n_interior=33, n_exterior=25)
         ops = GreenOps(g)
-        f = AxiField.from_function(g, lambda w, z: np.zeros_like(w), n,
-                                   star_fn=lambda ws, zs: (np.hypot(ws, zs) / g.R0) ** 4)
+        f = AxiField(g, n, np.zeros_like(g.WI), (g.RS / g.R0) ** 4)
         out = ops.k_n_global(f, n)
         assert len(applies) == 1 and applies[0][1].shape == (g.n_ext, g.n_ext)
         assert [args[0] for args in fars] == ["star"]
@@ -341,24 +340,15 @@ class TestGlobalInverse:
         # g_star ~ (r*/R0)^4 makes the diamond source bounded: check via the
         # construction not raising and the output being finite
         ops = GreenOps(grid)
-
-        def star_fn(ws, zs):
-            return (np.hypot(ws, zs) / grid.R0) ** 4
-
-        f = AxiField.from_function(
-            grid, lambda w, z: np.zeros_like(w), 3, star_fn=star_fn
-        )
+        f = AxiField(grid, 3, np.zeros_like(grid.WI), (grid.RS / grid.R0) ** 4)
         out = ops.k_n_global(f, 3)
         assert np.all(np.isfinite(out.int_vals))
         assert np.all(np.isfinite(out.star_vals))
 
     def test_weak_decay_rejected(self, ops, grid):
         # a starred tail growing toward the origin-image cannot be inverted
-        def star_fn(ws, zs):
-            rs = np.maximum(np.hypot(ws, zs), 1e-6)
-            return (grid.R0 / rs) ** 2
-
-        f = AxiField.from_function(grid, lambda w, z: np.zeros_like(w), 3, star_fn=star_fn)
+        rs = np.maximum(grid.RS, 1e-6)
+        f = AxiField(grid, 3, np.zeros_like(grid.WI), (grid.R0 / rs) ** 2)
         with pytest.raises(DecayError):
             ops.k_n_global(f, 3)
 
@@ -1125,15 +1115,21 @@ class TestBatchedBuild:
         assert np.max(np.abs(slabs - W2)) <= 1e-14 * scale
 
     @pytest.mark.parametrize("n", [3, 4, 5])
-    def test_near_integrals_even_in_z(self, n):
-        # the table keeps one near integral per lag |dnj|, which holds only
-        # while the polar and tensor-Gauss rules give the same integral at
-        # +dnj and -dnj
-        P, mc = 17, greens.MC
-        acc = greens._near_integrals(P, n)
+    def test_near_integrals_even_in_z(self, monkeypatch, n):
+        # the near integrals are taken at lags dnj >= 0 only, and lag 0's hat
+        # sums its halves below and above dz = 0, so the polar and
+        # tensor-Gauss rules must give the two halves of the even kernel alike
+        P = 17
         scale = np.max(np.abs(loop_build(P, n)))
-        for d in range(1, mc + 1):
-            assert np.max(np.abs(acc[:, :, mc + d] - acc[:, :, mc - d])) <= 1e-15 * scale
+        halves = []
+        for side in (-1.0, 1.0):
+            def one_side(n, wt, ws, dz, side=side):
+                return ring_kernel(n, wt, ws, dz) * (side * dz > 0)
+
+            monkeypatch.setattr(greens, "ring_kernel", one_side)
+            halves.append(greens._near_integrals(P, n)[:, :, 0])
+        assert np.max(np.abs(halves[0])) > 0.1 * scale
+        assert np.max(np.abs(halves[0] - halves[1])) <= 1e-15 * scale
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_few_kernel_calls(self, monkeypatch, n):
@@ -1153,7 +1149,8 @@ class TestBatchedBuild:
         (2D + 2)(D + 1) = 578 band cells at D = 16, and 2(2P - 2) + P - 1 =
         320 edge cells less their overlap with the band, so at most 14,368.
         The near integrals add 100 values per tensor cell and 384 per polar
-        cell, about 0.3 M in all."""
+        cell: 20 and 4 cells, 3,536 values, per inner column at MC = 2, about
+        0.22 M in all."""
         P = 65
         calls = count_calls(monkeypatch, greens, "ring_kernel")
         KernelTable(P, n)

@@ -2,11 +2,11 @@
 module-level constant is read somewhere in the package, every function,
 method and class of the package is reachable from `rotstar.cli.main`, the
 package's module-level code or the benchmark, not by tests alone (bar a
-named few), every parameter of
-a package function or method is read by its body, every dataclass field is
-loaded as an attribute by the package or the benchmark (bar a named few),
-every config key is read, and every entry point the benchmark wraps by name
-still exists.
+named few), every parameter of a package function or method is read by its
+body, every defaulted one is passed by some package or benchmark call (bar
+main's argv), every dataclass field is loaded as an attribute by the
+package or the benchmark (bar a named few), every config key is read, and
+every entry point the benchmark wraps by name still exists.
 
 Neither ruff nor pyflakes is a dependency, so the import check is a small
 AST check.  A name counts as used when it appears anywhere in the module as
@@ -282,6 +282,69 @@ def test_every_parameter_is_read():
             for path in sorted(PACKAGE.glob("*.py"))
             for line, fn, name in unread_parameters(path.read_text())]
     assert hits == []
+
+
+def unpassed_defaults(package, callers):
+    """(module, line, function, parameter) of each defaulted parameter of a
+    module-level function or a method of the package sources (a mapping
+    from module name to source) that no call in the caller sources passes,
+    by keyword or by position.  Calls match by name: f(...) and x.f(...)
+    count for every definition named f, and C(...) for the __init__ of
+    class C.  A call with *args passes every positional parameter and one
+    with **kwargs every parameter; self and cls take no argument."""
+    calls = {}
+    for source in callers:
+        for call in ast.walk(ast.parse(source)):
+            if isinstance(call, ast.Call) and isinstance(call.func, (ast.Name, ast.Attribute)):
+                name = call.func.id if isinstance(call.func, ast.Name) else call.func.attr
+                starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+                keywords = {kw.arg for kw in call.keywords}
+                calls.setdefault(name, []).append(
+                    (float("inf") if starred else len(call.args), keywords))
+    found = []
+    for module, source in package.items():
+        tree = ast.parse(source)
+        defs = [(node.name, node) for node in tree.body if isinstance(node, FUNCTIONS)]
+        defs += [(cls.name if item.name == "__init__" else item.name, item)
+                 for cls in tree.body if isinstance(cls, ast.ClassDef)
+                 for item in cls.body if isinstance(item, FUNCTIONS)]
+        for name, fn in defs:
+            a = fn.args
+            positional = [p.arg for p in (*a.posonlyargs, *a.args)]
+            skip = int(positional[:1] in (["self"], ["cls"]))
+            defaulted = [(k - skip, p) for k, p in enumerate(positional)
+                         if k >= len(positional) - len(a.defaults)]
+            defaulted += [(float("inf"), p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                         if d is not None]
+            found += [(module, fn.lineno, fn.name, p) for k, p in defaulted
+                      if not any(n > k or p in kws or None in kws for n, kws in calls.get(name, ()))]
+    return sorted(found)
+
+
+def test_checker_flags_an_unpassed_default():
+    package = {"a": "def f(x, y=1, *, z=2):\n    pass\n\n"
+                    "class C:\n    def __init__(self, u, v=0):\n        pass\n\n"
+                    "    def m(self, w=1, k=2):\n        pass\n\n"
+                    "def g(p=1, *, q=2):\n    pass\n\n"
+                    "def h(r=1):\n    pass\n"}
+    callers = ["f(1, z=3)\nC(1, 2)\nobj.m(5)\ng(**opts)\nh(*rs)\n"]
+    assert unpassed_defaults(package, callers) == [("a", 1, "f", "y"), ("a", 8, "m", "k")]
+
+
+# defaulted parameters that no package or benchmark call passes, each kept on purpose
+UNPASSED_KEPT = {
+    ("main", "argv"): "the console script calls main() to read sys.argv; tests pass argv",
+}
+
+
+def test_every_default_is_passed():
+    # a default that no pipeline overrides is a setting only tests use:
+    # the value belongs in the body, and a test that needs another value
+    # builds its input another way
+    callers = [path.read_text() for root in (PACKAGE, BENCH) for path in sorted(root.glob("*.py"))]
+    package = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    unpassed = {(fn, name) for _, _, fn, name in unpassed_defaults(package, callers)}
+    assert unpassed == set(UNPASSED_KEPT)
 
 
 def unread_config_keys(defaults, sources, whole=()):
