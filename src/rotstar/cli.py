@@ -141,7 +141,7 @@ def cmd_solve(cfg, args):
     )
     flags = res.diagnostics["regime_flags"]
     if not (flags["D1_b_small"] and flags["D2_epsilon_small"]):
-        print(f"warning: regime flags {flags}")
+        print(f"warning: regime flags {flags}", file=sys.stderr)
     return 0
 
 
@@ -322,7 +322,7 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         cfg = load_config(args.config)
-        # --quiet drops the printed summaries; errors still go to stderr
+        # --quiet drops the printed summaries; the regime warning and errors still go to stderr
         with contextlib.redirect_stdout(io.StringIO()) if args.quiet else contextlib.nullcontext():
             return COMMANDS[args.command](cfg, args)
     except ConfigError as exc:

@@ -9,12 +9,12 @@ import numpy as np
 
 
 def _mollifier(x):
-    # exp(-1/x) continued by 0 for x <= 0; underflow is harmless here.
+    # exp(-1/x) continued by 0 for x <= 0; the argument is negative, so exp
+    # cannot overflow, and its underflow to 0 is exact enough here
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
     pos = x > 1e-12
-    with np.errstate(over="ignore", under="ignore"):
-        out[pos] = np.exp(-1.0 / x[pos])
+    out[pos] = np.exp(-1.0 / x[pos])
     return out
 
 

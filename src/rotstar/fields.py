@@ -8,9 +8,16 @@ A field Q is stored as Q = offset + T where the tail T decays like
     T_star(p*) = (r/R0)^(n-2) T(p) at the nodes of a uniform tensor grid on
     [0, R0]^2 in the inverted coordinates p* = (R0/r)^2 p.
 
-The origin-image node p* = 0 holds the finite limit C_inf = lim T_star.  The
-compact/exterior split Q = Q0 + Qinf uses the fixed cutoff chi(r/R0), so any
-point with r <= R0 is pure interior, r >= 2R0 pure exterior, and the overlap
+The origin-image node p* = 0 holds the finite limit C_inf = lim T_star.
+AxiGrid.weight(patch, k) = (r/R0)^k at a patch's nodes owns the Kelvin
+factor: T_star = weight("star", 2 - n) T at the images and T =
+weight("star", n - 2) T_star.  For k < 0 it is 0 at the patch origin, the
+image of infinity, so no caller guards that node; its value comes from an
+extrapolation (_fill_origin) or a monopole limit, never from sampling a
+function at infinity.
+
+The compact/exterior split Q = Q0 + Qinf uses the fixed cutoff chi(r/R0), so
+any point with r <= R0 is pure interior, r >= 2R0 pure exterior, and the overlap
 annulus blends the two patches.  All unknowns of the solver are even in z;
 derivative fields carry odd parities explicitly.
 """
@@ -20,16 +27,21 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .cutoff import chi
-from .errors import DomainError
+from .errors import DecayError, DomainError
+
+
+def _radial_power(r, R0, k):
+    """(r/R0)^k at radii r; for k < 0 it is 0 where r = 0."""
+    if k >= 0:
+        return (r / R0) ** k
+    return np.divide(R0, r, out=np.zeros(np.shape(r)), where=r > 0) ** -k
 
 
 def _kelvin_images(W, Z, R, R0):
     """Kelvin images (R0/r)^2 (W, Z) of nodes at radii R, and their radii
     R0^2/r; the origin maps to the finite point (0, 0) with radius inf."""
-    pos = R > 0
-    safe = np.where(pos, R, 1.0)
-    scale = np.where(pos, (R0 / safe) ** 2, 0.0)
-    return W * scale, Z * scale, np.where(pos, R0**2 / safe, np.inf)
+    scale = _radial_power(R, R0, -2)
+    return W * scale, Z * scale, np.divide(R0**2, R, out=np.full(np.shape(R), np.inf), where=R > 0)
 
 
 class AxiGrid:
@@ -64,8 +76,17 @@ class AxiGrid:
         }
         self.W_img, self.Z_img, self.r_img = self.images["star"]
         # chi(r/R0) at the image points: 1 would mean the tail is cut away
-        with np.errstate(invalid="ignore"):
-            self.chi_img = np.where(np.isfinite(self.r_img), chi(self.r_img / R0), 0.0)
+        self.chi_img = chi(self.r_img / R0)
+        self._weights = {}
+
+    def weight(self, patch, k):
+        """(r/R0)^k at the nodes of patch "int" or "star" (r the patch's own
+        radius), 0 at the patch origin when k < 0; cached and read-only."""
+        if (patch, k) not in self._weights:
+            wt = _radial_power(self.RI if patch == "int" else self.RS, self.R0, k)
+            wt.flags.writeable = False
+            self._weights[patch, k] = wt
+        return self._weights[patch, k]
 
     def key(self):
         return (round(self.R0, 12), self.n_int, self.n_ext)
@@ -178,7 +199,7 @@ class _Points:
     def far_weight(self, n):
         """(1 - chi) (R0/r)^(n-2) at the far points."""
         if n not in self._far_weight:
-            self._far_weight[n] = (1.0 - self.c_far) * (self.grid.R0 / self.rf) ** (n - 2)
+            self._far_weight[n] = (1.0 - self.c_far) * _radial_power(self.rf, self.grid.R0, 2 - n)
         return self._far_weight[n]
 
     def interp(self, fld, patch):
@@ -254,19 +275,12 @@ class AxiField:
     @classmethod
     def from_function(cls, grid, fn, n_index=3, parity=(1, 1), offset=0.0):
         """Sample fn(w, z) on the interior nodes and at the starred nodes'
-        Kelvin images; the origin-image entry is extrapolated."""
+        Kelvin images; the origin-image, infinity, is extrapolated."""
         int_vals = np.asarray(fn(grid.WI, grid.ZI), dtype=float) - offset
-        with np.errstate(invalid="ignore"):
-            tail = np.where(
-                np.isfinite(grid.r_img),
-                np.asarray(fn(grid.W_img, grid.Z_img), dtype=float) - offset,
-                0.0,
-            )
-            star_vals = np.where(
-                np.isfinite(grid.r_img),
-                (np.where(np.isfinite(grid.r_img), grid.r_img, 1.0) / grid.R0) ** (n_index - 2) * tail,
-                0.0,
-            )
+        pos = grid.RS > 0
+        tail = np.asarray(fn(grid.W_img[pos], grid.Z_img[pos]), dtype=float) - offset
+        star_vals = np.zeros_like(grid.RS)
+        star_vals[pos] = grid.weight("star", 2 - n_index)[pos] * tail
         _fill_origin(star_vals)
         return cls(grid, n_index, int_vals, star_vals, parity, offset)
 
@@ -289,25 +303,18 @@ class AxiField:
 
     def star_raw_values(self):
         """Field values (offset included) at the exterior image points."""
-        g = self.grid
-        back = (g.RS / g.R0) ** (self.n_index - 2)
-        return self.offset + back * self.star_vals
+        return self.offset + self.grid.weight("star", self.n_index - 2) * self.star_vals
 
     def interior_compact(self):
         """Samples of Q^[0] = chi(r/R0) Q on the interior patch."""
         return self.grid.chi_int * self.int_total()
 
     def exterior_tail_star(self):
-        """Samples of (Q^[inf])_star(n); infinite at the origin-image unless
-        the offset vanishes."""
-        g = self.grid
-        with np.errstate(invalid="ignore", divide="ignore"):
-            off_star = self.offset * np.where(
-                np.isfinite(g.r_img), (g.r_img / g.R0) ** (self.n_index - 2), np.inf
-            )
-        if self.offset == 0.0:
-            off_star = np.zeros_like(g.RS)
-        return (1.0 - g.chi_img) * (self.star_vals + off_star)
+        """Samples of (Q^[inf])_star(n) of an offset-free field (an offset
+        has no finite starred value at the origin-image)."""
+        if self.offset != 0.0:
+            raise DecayError("a constant offset has no starred exterior tail")
+        return (1.0 - self.grid.chi_img) * self.star_vals
 
     # -- evaluation ------------------------------------------------------------
 
@@ -359,22 +366,16 @@ class AxiField:
         if self.grid is not other.grid and self.grid != other.grid:
             raise DomainError("fields live on different grids")
 
-    def reindex(self, n_new, fill_origin=True):
-        """Restate the tail at another decay index (lowering is always safe)."""
+    def reindex(self, n_new):
+        """Restate the tail at another decay index (lowering is always safe;
+        raising extrapolates the origin-image)."""
         if n_new == self.n_index:
             return self
-        g = self.grid
         d = self.n_index - n_new
-        if d > 0:
-            fac = (g.RS / g.R0) ** d
-            star = fac * self.star_vals
-        else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                fac = np.where(g.RS > 0, (g.RS / g.R0) ** d, 0.0)
-            star = np.where(g.RS > 0, fac * self.star_vals, 0.0)
-            if fill_origin:
-                _fill_origin(star)
-        return AxiField(g, n_new, self.int_vals.copy(), star, self.parity, self.offset)
+        star = self.grid.weight("star", d) * self.star_vals
+        if d < 0:
+            _fill_origin(star)
+        return AxiField(self.grid, n_new, self.int_vals.copy(), star, self.parity, self.offset)
 
     def __neg__(self):
         return AxiField(self.grid, self.n_index, -self.int_vals, -self.star_vals, self.parity, -self.offset)
@@ -420,7 +421,7 @@ class AxiField:
         # (o1+T1)(o2+T2) - o1 o2 = o1 T2 + o2 T1 + T1 T2; the last term carries
         # index 2n-2 >= n and is restated at n through the image radius
         cross = a.offset * b.star_vals + b.offset * a.star_vals
-        t1t2 = a.star_vals * b.star_vals * (g.RS / g.R0) ** (n - 2)
+        t1t2 = a.star_vals * b.star_vals * g.weight("star", n - 2)
         return AxiField(g, n, int_vals, cross + t1t2, par, a.offset * b.offset)
 
     __rmul__ = __mul__
@@ -466,7 +467,7 @@ def field_expm1(field, scale=1.0):
     g = field.grid
     base = np.exp(scale * field.offset)
     int_vals = base * np.expm1(scale * field.int_vals)
-    sT = scale * (g.RS / g.R0) ** (field.n_index - 2) * field.star_vals
+    sT = scale * g.weight("star", field.n_index - 2) * field.star_vals
     star = base * _psi_apply(np.expm1, 1.0, scale * field.star_vals, sT)
     return AxiField(g, field.n_index, int_vals, star, field.parity, base - 1.0)
 
@@ -477,7 +478,7 @@ def field_log1p(field):
     base = np.log1p(field.offset)
     ratio = 1.0 / (1.0 + field.offset)
     int_vals = np.log1p(field.int_vals * ratio)
-    T = (g.RS / g.R0) ** (field.n_index - 2) * field.star_vals * ratio
+    T = g.weight("star", field.n_index - 2) * field.star_vals * ratio
     star = _psi_apply(np.log1p, 1.0, field.star_vals * ratio, T)
     return AxiField(g, field.n_index, int_vals, star, field.parity, base)
 
@@ -493,21 +494,16 @@ def compact_map(fn, *fields, n_index=3):
     far-field limit (compactly supported or rapidly decaying results).
 
     The starred tail is (r/R0)^(n-2) fn(raw values at the image points); the
-    factor blows up at the origin-image, so fn must be exactly zero there
-    (true for all fluid-state maps, which vanish where u <= 0).
+    factor has no finite value at the origin-image, so fn must be exactly
+    zero there (true for all fluid-state maps, which vanish where u <= 0),
+    and finite everywhere.
     """
     g = fields[0].grid
     int_vals = fn(*[f.int_total() for f in fields])
-    raws = [f.star_raw_values() for f in fields]
-    vals = fn(*raws)
-    pos = g.RS > 0
-    star = np.where(vals == 0.0, 0.0, np.inf)  # inf: the origin-image must vanish
-    star[pos] = np.where(
-        vals[pos] == 0.0, 0.0, vals[pos] * (g.R0 / g.RS[pos]) ** (n_index - 2)
-    )
-    if np.any(~np.isfinite(star)):
-        raise DomainError("compact_map result does not vanish at the origin-image")
-    return AxiField(g, n_index, int_vals, star, (1, 1), 0.0)
+    vals = fn(*[f.star_raw_values() for f in fields])
+    if vals[0, 0] != 0.0 or not np.all(np.isfinite(vals)):
+        raise DomainError("compact_map result must be finite and vanish at the origin-image")
+    return AxiField(g, n_index, int_vals, g.weight("star", 2 - n_index) * vals, (1, 1), 0.0)
 
 
 def div_varpi(field):
@@ -528,7 +524,7 @@ def div_varpi(field):
 
 
 def mul_varpi(field):
-    """varpi * field at decay index n - 1: (varpi f)_star(n-1) = R0 (varpi*/r*)
+    """varpi * field at decay index n - 1: (varpi f)_star(n-1) = varpi* (R0/r*)
     f_star(n), a bounded direction factor times f_star, so the origin-image
     limit is finite but direction-dependent."""
     g = field.grid
@@ -536,6 +532,6 @@ def mul_varpi(field):
         raise DomainError("varpi multiplication needs a decay index >= 4")
     if field.offset != 0.0:
         raise DomainError("varpi multiplication needs an offset-free field")
-    ray = np.where(g.RS > 0, g.WS / np.where(g.RS > 0, g.RS, 1.0), 0.0)
-    return AxiField(g, field.n_index - 1, g.WI * field.int_vals, g.R0 * ray * field.star_vals,
+    return AxiField(g, field.n_index - 1, g.WI * field.int_vals,
+                    g.WS * g.weight("star", -1) * field.star_vals,
                     (-field.parity[0], field.parity[1]), 0.0)

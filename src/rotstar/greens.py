@@ -686,8 +686,9 @@ class GreenOps:
         far = self.far[side]
         near = np.isfinite(r) & ~far
         vals = np.zeros(r.shape)
-        vals[near] = (r[near] / g.R0) ** (n - 2) * _bilinear(own, h, w[near], z[near])
-        vals[far] = (r[far] / g.R0) ** (n - 2) * (h**2 * self._far(side, n, src))
+        vals[near] = _bilinear(own, h, w[near], z[near])
+        vals[far] = h**2 * self._far(side, n, src)
+        vals *= g.weight(other, 2 - n)  # (r/R0)^(n-2) at the images
         vals[0, 0] = h**n * table.total_mass(src) / (FUND_NORM[n] * g.R0 ** (n - 2))
         return own, vals
 
@@ -708,9 +709,7 @@ class GreenOps:
         if np.max(np.abs(g_inf_star)) > 0.0:
             # diamond weight (R0/r*)^4 converts the starred tail into a compact
             # starred source; growth at the origin-image flags an inadmissible tail
-            dia = np.where(g.RS > 0, (g.R0 / np.where(g.RS > 0, g.RS, 1.0)) ** 4, 0.0)
-            src_dia = dia * g_inf_star
-            src_dia[0, 0] = 0.0
+            src_dia = g.weight("star", -4) * g_inf_star
             inner = (g.RS <= 0.25 * g.R0) & (g.RS > 0)
             # compare against the tail scale on the outer starred band, where any
             # admissible tail is O(1); a diverging diamond source means the decay

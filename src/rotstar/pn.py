@@ -235,16 +235,15 @@ def v_star_from_infinity(grid, at, c4):
     vanishes at infinity, the starred origin: a quadrature from there up the
     starred axis, then across, of the gradient in starred coordinates."""
     g = grid
-    rs = np.where(g.RS > 0, g.RS, 1.0)
     # dp/dp* = R0^2/r*^4 [[r*^2 - 2 w*^2, -2 w* z*], [-2 w* z*, r*^2 - 2 z*^2]]
     # makes the starred gradient O(r*); its row is zero at the origin, whose
     # stored image (0, 0) is a finite point
     k1, k3 = at(g.W_img, g.Z_img)
-    scale = c4 * g.R0**2 / rs**4
+    scale = c4 * g.weight("star", -4) / g.R0**2
     cross = -2.0 * g.WS * g.ZS
     d_w = scale * (k1 * (g.RS**2 - 2.0 * g.WS**2) + k3 * cross)
     d_z = scale * (k1 * cross + k3 * (g.RS**2 - 2.0 * g.ZS**2))
-    return _fill_origin((g.R0 / rs) ** 2 * _axis_then_rows(d_z, d_w, g.zs, g.ws))
+    return _fill_origin(g.weight("star", -2) * _axis_then_rows(d_z, d_w, g.zs, g.ws))
 
 
 def v_overlap(V):
@@ -322,7 +321,7 @@ class PNSolver:
         Gg = self.params.G_grav
         nf = self.nf
         ga = ((nf.ratio * self.u_lead + self.rho_lead) * (-4.0 * math.pi * Gg)).reindex(3)
-        gb = (self.om * nf.rho_N * (16.0 * math.pi * Gg)).reindex(5, fill_origin=False)
+        gb = (self.om * nf.rho_N * (16.0 * math.pi * Gg)).reindex(5)
         gc = (nf.P_N * (-16.0 * math.pi * Gg)).reindex(4)
         self._g_fields = (ga, gb, gc)
         return self._g_fields
@@ -442,7 +441,7 @@ class PNSolver:
             (X1 * Y1 + X3 * Y3 + div_varpi(X1) * Y * 2.0) * inv1 * (-1.0 / c**4)
             + (psi1 * Y1 + psi3 * Y3 + div_varpi(psi1) * Y * 2.0) * (4.0 / c**2)
             + self.om * Q6 * (16.0 * math.pi * Gg / c**2)
-        ).reindex(5, fill_origin=False)
+        ).reindex(5)
 
         R_c = ((emFK * P * (X4 + 1.0) - nf.P_N) * (-16.0 * math.pi * Gg)).reindex(4)
 
@@ -499,8 +498,8 @@ class PNSolver:
             for key, R, lead in zip("abc", (R_a, R_b, R_c), leads):
                 sup = float(np.max(np.abs(R.int_vals)))
                 remainder_ratios[key].append(sup / lead if lead > 0.0 else 0.0)
-            Y_new = self.ops.k_n_global((gb + R_b).reindex(5, fill_origin=False), 5)
-            X_new = self.ops.k_n_global((gc + R_c).reindex(4), 4)
+            Y_new = self.ops.k_n_global(gb + R_b, 5)
+            X_new = self.ops.k_n_global(gc + R_c, 4)
             coupling = (self.nf.ratio * self.om_w2 * Y_new).reindex(3) * (
                 -4.0 * math.pi * p.G_grav
             )

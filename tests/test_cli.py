@@ -266,13 +266,17 @@ class TestSolveCommand:
         assert main(["lane-emden", "--config", cfg]) == 2
         assert main(["solve", "--config", cfg]) == 2
 
-    def test_regime_warning_flags(self, tmp_path):
+    def test_regime_warning_flags(self, tmp_path, capsys):
+        # --quiet drops stdout, so the warning must reach stderr to be seen
         out = tmp_path / "hot"
         body = TINY.format(b=0.0, out=out).replace("u_O: 1.0e-3", "u_O: 0.05")
         cfg = write_cfg(tmp_path, body)
-        assert main(["solve", "--config", cfg]) == 0
+        assert main(["solve", "--config", cfg, "--quiet"]) == 0
         man = json.loads((out / "manifest.json").read_text())
         assert not man["diagnostics"]["regime_flags"]["D2_epsilon_small"]
+        captured = capsys.readouterr()
+        assert "warning: regime flags" in captured.err
+        assert captured.out == ""
 
     def test_verify_roundtrip(self, tmp_path):
         out = tmp_path / "run"

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotstar.cutoff import chi
-from rotstar.errors import ConfigError, DomainError
-from rotstar.fields import AxiField, AxiGrid, _kelvin_images, compact_map, eval_fields
+from rotstar.errors import ConfigError, DecayError, DomainError
+from rotstar.fields import (AxiField, AxiGrid, _kelvin_images, _Points, _radial_power, compact_map,
+                            eval_fields)
 from rotstar.gridio import export_text, read_field, write_field
 
 
@@ -50,6 +51,43 @@ class TestKelvinPoint:
         zero = np.zeros(1)
         w, z, r = _kelvin_images(zero, zero, zero, grid.R0)
         assert (w[0], z[0], r[0]) == (0.0, 0.0, np.inf)
+
+
+class TestKelvinWeight:
+    """AxiGrid.weight(patch, k) = (r/R0)^k at a patch's nodes, the one owner
+    of the Kelvin factor, and its helper at scattered points."""
+
+    @pytest.mark.parametrize("patch", ["int", "star"])
+    def test_inverse_pairs(self, grid, patch):
+        pos = (grid.RI if patch == "int" else grid.RS) > 0
+        for k in range(-4, 5):
+            prod = grid.weight(patch, k)[pos] * grid.weight(patch, -k)[pos]
+            assert np.max(np.abs(prod - 1.0)) <= 4 * np.finfo(float).eps, k
+
+    @pytest.mark.parametrize("patch", ["int", "star"])
+    def test_origin_and_unit_power(self, grid, patch):
+        # the starred origin stands for infinity, where (R0/r)^|k| is 0
+        for k in range(-4, 0):
+            assert grid.weight(patch, k)[0, 0] == 0.0
+        assert np.array_equal(grid.weight(patch, 0), np.ones_like(grid.RI if patch == "int" else grid.RS))
+
+    @pytest.mark.parametrize("patch", ["int", "star"])
+    def test_cached_and_read_only(self, grid, patch):
+        for k in range(-4, 5):
+            wt = grid.weight(patch, k)
+            assert grid.weight(patch, k) is wt
+            assert not wt.flags.writeable
+
+    def test_far_weight_agrees_with_the_helper(self, grid):
+        # far points at the images of the starred nodes with r* <= R0/2,
+        # where chi = 0: (R0/r)^(n-2) there is (r*/R0)^(n-2) at the nodes
+        sel = (grid.RS > 0) & (grid.RS <= 0.5 * grid.R0)
+        pts = _Points(grid, grid.W_img[sel], grid.Z_img[sel])
+        assert pts.far.all() and np.all(pts.c_far == 0.0)
+        for n in range(3, 7):
+            assert np.array_equal(pts.far_weight(n), _radial_power(pts.rf, grid.R0, 2 - n))
+            assert np.allclose(pts.far_weight(n), grid.weight("star", n - 2)[sel],
+                               rtol=16 * np.finfo(float).eps, atol=0.0)
 
 
 def one_field_eval(fld, w, z):
@@ -220,11 +258,14 @@ class TestSplitCutoff:
             return np.exp(-np.hypot(w, z) / grid.R0) + 0.2
 
         f = AxiField.from_function(grid, fn, 3, offset=0.2)
-        # both pieces carry the offset and share chi, so they add up to Q
+        # both pieces share chi, so they add up to Q; the interior one carries
+        # the offset, which has no starred value at the origin-image (infinity)
         assert np.allclose(f.interior_compact(), grid.chi_int * fn(grid.WI, grid.ZI), rtol=1e-14)
+        with pytest.raises(DecayError):
+            f.exterior_tail_star()
         pos = grid.RS > 0
-        q_img = (grid.r_img[pos] / grid.R0) * fn(grid.W_img[pos], grid.Z_img[pos])
-        assert np.allclose(f.exterior_tail_star()[pos], (1.0 - grid.chi_img[pos]) * q_img,
+        q_img = (grid.r_img[pos] / grid.R0) * (fn(grid.W_img[pos], grid.Z_img[pos]) - 0.2)
+        assert np.allclose((f - 0.2).exterior_tail_star()[pos], (1.0 - grid.chi_img[pos]) * q_img,
                            rtol=1e-13, atol=0.0)
 
 
@@ -434,6 +475,9 @@ class TestCompactMap:
         f = decay_field(grid, 3)
         with pytest.raises(DomainError):
             compact_map(lambda q: q + 1.0, f)
+        # zero at the origin-image but not finite elsewhere
+        with pytest.raises(DomainError):
+            compact_map(lambda q: np.where(q > 0.5, np.nan, 0.0), f)
 
 
 class TestIO:

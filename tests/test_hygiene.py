@@ -5,8 +5,9 @@ package's module-level code or the benchmark, not by tests alone (bar a
 named few), every parameter of a package function or method is read by its
 body, every defaulted one is passed by some package or benchmark call (bar
 main's argv), every dataclass field is loaded as an attribute by the
-package or the benchmark (bar a named few), every config key is read, and
-every entry point the benchmark wraps by name still exists.
+package or the benchmark (bar a named few), every config key is read, no
+module filters a numerical warning, and every entry point the benchmark
+wraps by name still exists.
 
 Neither ruff nor pyflakes is a dependency, so the import check is a small
 AST check.  A name counts as used when it appears anywhere in the module as
@@ -52,6 +53,41 @@ def test_no_unused_imports():
         for path in sorted(PACKAGE.glob("*.py"))
         if path.name != "__init__.py"
         for line, name in unused_imports(path.read_text())
+    ]
+    assert hits == []
+
+
+WARNING_FILTERS = {"errstate", "seterr", "filterwarnings", "simplefilter", "catch_warnings"}
+
+
+def warning_filters(source):
+    """(line, name) of each call to a numpy or warnings filter, bare or as an
+    attribute: a numerical warning is fixed where it arises, not filtered."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in WARNING_FILTERS:
+                hits.append((node.lineno, name))
+    return sorted(hits)
+
+
+def test_checker_flags_a_warning_filter():
+    src = ("import warnings\nimport numpy as np\nfrom numpy import seterr\n"
+           "with np.errstate(divide='ignore'):\n    x = 1.0 / np.zeros(1)\n"
+           "seterr(all='ignore')\nwarnings.simplefilter('ignore')\n"
+           "with warnings.catch_warnings():\n    warnings.filterwarnings('ignore')\n"
+           "np.exp(np.errstate)\n")
+    assert warning_filters(src) == [(4, "errstate"), (6, "seterr"), (7, "simplefilter"),
+                                    (8, "catch_warnings"), (9, "filterwarnings")]
+
+
+def test_no_warning_filters():
+    hits = [
+        f"{path.name}:{line}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, name in warning_filters(path.read_text())
     ]
     assert hits == []
 
