@@ -178,7 +178,8 @@ def cmd_verify(cfg, args):
     worst = max(ver["residuals"]["sups"].values())
     scale = max(ver["residuals"]["scales"].values())
     if worst > 0.2 * scale:
-        print(f"verification failure: residual sup {worst:.3e} vs scale {scale:.3e}")
+        print(f"verification failure: residual sup {worst:.3e} vs scale {scale:.3e}",
+              file=sys.stderr)
         return 3
     return 0
 

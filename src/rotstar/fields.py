@@ -184,10 +184,8 @@ class _Points:
         self.any_far = bool(np.any(self.far))
         self.c_near = c[self.near]
         self.wn, self.zn = wq[self.near], zq[self.near]
-        rf = r[self.far]
-        scale = (g.R0**2) / rf**2
-        self.wsq, self.zsq = wq[self.far] * scale, zq[self.far] * scale
-        self.rf, self.c_far = rf, c[self.far]
+        self.rf, self.c_far = r[self.far], c[self.far]
+        self.wsq, self.zsq, _ = _kelvin_images(wq[self.far], zq[self.far], self.rf, g.R0)
         self._signs, self._far_weight, self._cells = {}, {}, {}
 
     def sign(self, parity):

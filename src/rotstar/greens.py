@@ -744,8 +744,11 @@ class LOpSolver:
         self.grid = ops.grid
         self.table = ops.table(3)
         self.h = self.grid.h_int
-        coef = coef_field.int_total() if coef_field.offset != 0.0 else coef_field.int_vals
-        self.coef = coef
+        if coef_field.offset != 0.0:
+            # a constant offset is not compactly supported: the dense solve
+            # would drop its coupling to the exterior
+            raise DomainError("the LOp coefficient must be compactly supported (no offset)")
+        self.coef = coef = coef_field.int_vals
         self.si, self.sj = np.nonzero(coef != 0.0)
         self.trivial = self.si.size == 0
         self.smin_estimate = None  # reciprocal 1-norm condition number of the system

@@ -20,7 +20,7 @@ u_N/u_O = Theta.
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.legendre import leggauss, legvander
 from scipy.integrate import cumulative_simpson, solve_ivp
 from scipy.interpolate import CubicSpline
 
@@ -120,36 +120,42 @@ def solve_classical(nu):
 # -- distorted profile -------------------------------------------------------
 
 
-def kelvin3_legendre(g, s, zeta_nodes, zeta_weights, lmax):
+def even_legendre(x, lmax):
+    """P_0(x), P_2(x), ..., P_lmax(x) along a new last axis: the one place the
+    even-Legendre basis is evaluated."""
+    return legvander(x, lmax)[..., ::2].reshape(np.shape(x) + (-1,))
+
+
+def _project(g, basis, zeta_weights):
+    """Even-Legendre coefficients (2l + 1) sum_j w_j g(., zeta_j) P_l(zeta_j)
+    of g sampled at the zeta nodes, one column per degree."""
+    l = 2 * np.arange(basis.shape[-1])
+    return (g * zeta_weights) @ basis * (2 * l + 1)
+
+
+def kelvin3_legendre(g, s, basis, zeta_weights):
     """Apply the 3-d Newtonian operator K3 to an axisymmetric, z-even source.
 
     g is sampled on the tensor (s, zeta) grid with zeta at Gauss nodes on
-    [0, 1]; returns (K3 g on the grid, K3 g at the origin).  Radial integrals
-    use composite Simpson on the s grid.
+    [0, 1] and basis = even_legendre(zeta nodes, lmax); returns (K3 g on the
+    grid, K3 g at the origin).  Every degree's radial integrals run at once,
+    by composite Simpson on the s grid.
     """
-    terms = np.zeros_like(g)
-    value_O = 0.0
-    s_safe = np.where(s > 0, s, 1.0)
-    for l in range(0, lmax + 1, 2):
-        Pl = np.polynomial.legendre.Legendre.basis(l)(zeta_nodes)
-        c_l = (2 * l + 1) * (g * zeta_weights[None, :]) @ Pl
-        inner = cumulative_simpson(s ** (l + 2) * c_l, x=s, initial=0.0)
-        if l == 0:
-            out_igd = s * c_l
-        else:
-            # genuine c_l ~ s^l near the center; mask the center node and the
-            # roundoff floor so s^(1-l) cannot amplify projection noise
-            out_igd = np.zeros_like(c_l)
-            pos = s > 0
-            out_igd[pos] = s[pos] ** (1 - l) * c_l[pos]
-            out_igd[np.abs(c_l) < 1e-13 * np.max(np.abs(c_l))] = 0.0
-        outer_rev = cumulative_simpson(out_igd, x=s, initial=0.0)
-        outer = outer_rev[-1] - outer_rev
-        radial = np.where(s > 0, inner / s_safe ** (l + 1), 0.0) + s**l * outer
-        terms += np.outer(radial / (2 * l + 1), Pl)
-        if l == 0:
-            value_O = outer[0]
-    return terms, value_O
+    l = 2 * np.arange(basis.shape[1])
+    c = _project(g, basis, zeta_weights)
+    pos = (s > 0)[:, None]
+    s_safe = np.where(pos, s[:, None], 1.0)
+    inner = cumulative_simpson(s[:, None] ** (l + 2) * c, x=s, axis=0, initial=0.0)
+    out_igd = np.where(pos, s_safe ** (1 - l), 0.0) * c
+    # genuine c_l ~ s^l near the center: for l > 0 the center node is masked
+    # above, and the roundoff floor here, so s^(1-l) cannot amplify noise
+    floor = np.abs(c) < 1e-13 * np.max(np.abs(c), axis=0)
+    floor[:, 0] = False
+    out_igd[floor] = 0.0
+    outer_rev = cumulative_simpson(out_igd, x=s, axis=0, initial=0.0)
+    outer = outer_rev[-1] - outer_rev
+    radial = np.where(pos, inner / s_safe ** (l + 1), 0.0) + s[:, None] ** l * outer
+    return (radial / (2 * l + 1)) @ basis.T, outer[0, 0]
 
 
 @dataclass
@@ -162,59 +168,47 @@ class DistortedLaneEmden:
     s: np.ndarray = field(repr=False)
     zeta: np.ndarray = field(repr=False)
     Theta: np.ndarray = field(repr=False)
-    coeffs: list = field(repr=False)  # CubicSplines of even-Legendre coefficients
+    coeffs: CubicSpline = field(repr=False)  # even-Legendre coefficients, one per column
     lmax: int = 0
     Theta_inf_const: float = 0.0
     iterations: int = 0
     contraction_ratio: float = 0.0
 
     def theta_at(self, s, zeta):
-        """Evaluate Theta anywhere via the Legendre expansion (even in zeta)."""
+        """Evaluate Theta anywhere via the Legendre expansion (even in zeta);
+        beyond Xi0 it is the harmonic-type continuation Theta_inf + C/s
+        through the edge value."""
         s = np.asarray(s, dtype=float)
-        zeta = np.asarray(zeta, dtype=float)
-        s_cl = np.clip(s, 0.0, self.Xi0)
-        out = np.zeros(np.broadcast(s, zeta).shape)
-        for l, spl in zip(range(0, self.lmax + 1, 2), self.coeffs):
-            Pl = np.polynomial.legendre.Legendre.basis(l)(np.abs(zeta))
-            out = out + spl(s_cl) * Pl
-        # harmonic-type continuation beyond the grid: Theta_inf + C/s
-        beyond = s > self.Xi0
-        if np.any(beyond):
-            edge = np.zeros_like(out)
-            for l, spl in zip(range(0, self.lmax + 1, 2), self.coeffs):
-                Pl = np.polynomial.legendre.Legendre.basis(l)(np.abs(zeta))
-                edge = edge + spl(self.Xi0) * Pl
-            c_tail = (edge - self.Theta_inf_const) * self.Xi0
-            out = np.where(beyond, self.Theta_inf_const + c_tail / np.where(beyond, s, 1.0), out)
+        basis = even_legendre(np.abs(np.asarray(zeta, dtype=float)), self.lmax)
+        out = (self.coeffs(np.clip(s, 0.0, self.Xi0)) * basis).sum(axis=-1)
+        beyond, T_inf = s > self.Xi0, self.Theta_inf_const
+        out = np.where(beyond, T_inf + (out - T_inf) * self.Xi0 / np.where(beyond, s, 1.0), out)
         if out.ndim == 0:
             return float(out)
         return out
 
     def xi1_curve(self, zeta_values):
-        """Vacuum-boundary radius Xi1(zeta) by per-ray bisection (tol 1e-10)."""
-        out = []
-        for z in np.atleast_1d(zeta_values):
-            lo, hi = 0.5 * self.xi1, None
-            f_lo = self.theta_at(lo, z)
-            if f_lo <= 0:
-                raise RegimeError("profile nonpositive already at xi1/2")
-            grid = np.linspace(lo, self.Xi0, 200)
-            vals = self.theta_at(grid, np.full_like(grid, z))
-            idx = np.nonzero(vals <= 0)[0]
-            if idx.size == 0:
-                raise RegimeError("no vacuum boundary found on the ray")
-            hi = grid[idx[0]]
-            lo = grid[idx[0] - 1]
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                if self.theta_at(mid, z) > 0:
-                    lo = mid
-                else:
-                    hi = mid
-                if hi - lo < 1e-10:
-                    break
-            out.append(0.5 * (lo + hi))
-        return np.asarray(out)
+        """Vacuum-boundary radius Xi1(zeta) by bisection on every ray at once;
+        a ray stops once its own bracket is below 1e-10."""
+        zeta = np.atleast_1d(np.asarray(zeta_values, dtype=float))
+        grid = np.linspace(0.5 * self.xi1, self.Xi0, 200)
+        nonpos = self.theta_at(grid[:, None], zeta) <= 0
+        if nonpos[0].any():
+            raise RegimeError("profile nonpositive already at xi1/2")
+        if not nonpos.any(axis=0).all():
+            raise RegimeError("no vacuum boundary found on the ray")
+        first = nonpos.argmax(axis=0)
+        lo, hi = grid[first - 1], grid[first]
+        moving = np.ones(zeta.shape, dtype=bool)
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            inside = self.theta_at(mid, zeta) > 0
+            lo = np.where(moving & inside, mid, lo)
+            hi = np.where(moving & ~inside, mid, hi)
+            moving &= hi - lo >= 1e-10
+            if not moving.any():
+                break
+        return 0.5 * (lo + hi)
 
     def report_grid(self, n):
         """Theta on a uniform (s, zeta) grid for export and comparisons."""
@@ -251,10 +245,11 @@ def solve_distorted(
     S, Z = np.meshgrid(s, zeta, indexing="ij")
     forcing = 0.5 * b * chi(S / Xi0) ** 2 * S**2 * (1.0 - Z**2)
     far = s >= 2.5 * xi1
+    basis = even_legendre(zeta, lmax)
 
     def sweep(Theta):
         src = np.maximum(Theta, 0.0) ** nu
-        K, K_O = kelvin3_legendre(src, s, zeta, zw, lmax)
+        K, K_O = kelvin3_legendre(src, s, basis, zw)
         new = forcing + K - K_O + 1.0
         delta = float(np.max(np.abs(new - Theta)))
         Theta = (1.0 - DAMPING) * Theta + DAMPING * new
@@ -271,14 +266,8 @@ def solve_distorted(
                                       "distorted Lane-Emden iteration", stall=STALL)
 
     src = np.maximum(Theta, 0.0) ** nu
-    _, K_O = kelvin3_legendre(src, s, zeta, zw, lmax)
+    _, K_O = kelvin3_legendre(src, s, basis, zw)
     theta_inf = 1.0 - K_O
-
-    coeffs = []
-    for l in range(0, lmax + 1, 2):
-        Pl = np.polynomial.legendre.Legendre.basis(l)(zeta)
-        c_l = (2 * l + 1) * (Theta * zw[None, :]) @ Pl
-        coeffs.append(CubicSpline(s, c_l))
 
     dle = DistortedLaneEmden(
         nu=nu,
@@ -287,7 +276,7 @@ def solve_distorted(
         s=s,
         zeta=zeta,
         Theta=Theta,
-        coeffs=coeffs,
+        coeffs=CubicSpline(s, _project(Theta, basis, zw)),
         lmax=lmax,
         Theta_inf_const=theta_inf,
         iterations=len(changes),

@@ -317,6 +317,22 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err.startswith("regime error:") and "assumption (B)" in err
 
+    def test_verify_failure_reason_survives_quiet(self, tmp_path, capsys):
+        # a kink in F inside the star breaks the field equations there: the
+        # residual fails its bound, and --quiet must not swallow the reason
+        out = tmp_path / "run"
+        cfg = write_cfg(tmp_path, TINY.format(b=0.0, out=out))
+        assert main(["solve", "--config", cfg]) == 0
+        F, _ = read_field(out / "F.axfd")
+        F.int_vals[4, 4] += 0.01
+        write_field(out / "F.axfd", F, name="F")
+        capsys.readouterr()
+        assert main(["verify", "--config", cfg, "--run", str(out),
+                     "--out", str(tmp_path / "ver"), "--quiet"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("verification failure: residual sup")
+        assert captured.out == ""
+
     def test_export(self, tmp_path):
         out = tmp_path / "run"
         cfg = write_cfg(tmp_path, TINY.format(b=0.0, out=out))

@@ -126,7 +126,7 @@ def one_field_eval(fld, w, z):
     far = c < 1.0
     if np.any(far):
         rf = r[far]
-        scale = (g.R0**2) / rf**2
+        scale = (g.R0 / rf) ** 2
         tail_star = bilinear(fld.star_vals, g.h_ext, wq[far] * scale, zq[far] * scale)
         out[far] += (1.0 - c[far]) * (g.R0 / rf) ** (fld.n_index - 2) * tail_star
     out = fld.offset + sgn * out

@@ -469,6 +469,10 @@ class TestLOp:
         assert [args[1].shape[0] for args in applies] == [grid.n_ext, grid.n_int, grid.n_int]
         assert np.all(np.isfinite(sol.int_vals)) and np.all(np.isfinite(sol.star_vals))
 
+    def test_coefficient_with_offset_rejected(self, ops, grid):
+        with pytest.raises(DomainError, match="compactly supported"):
+            LOpSolver(ops, smooth_bump(grid) + 0.1)
+
     def test_trivial_coefficient(self, ops, grid):
         gf = smooth_bump(grid, radius_frac=0.6)
         triv = LOpSolver(ops, AxiField.zeros(grid)).solve(gf)

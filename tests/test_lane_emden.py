@@ -1,14 +1,61 @@
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import Legendre, leggauss
+from scipy.integrate import cumulative_simpson
 
 from rotstar import lane_emden
 from rotstar.errors import ConvergenceError, DomainError, RegimeError
 from rotstar.lane_emden import (
     TOL,
+    even_legendre,
     integrate_theta,
+    kelvin3_legendre,
     solve_classical,
     solve_distorted,
 )
+
+
+def kelvin3_per_degree(g, s, zeta_nodes, zeta_weights, lmax):
+    """K3 of a z-even source one Legendre degree at a time: the loop that
+    kelvin3_legendre replaces with array operations, kept as its reference."""
+    terms = np.zeros_like(g)
+    value_O = 0.0
+    s_safe = np.where(s > 0, s, 1.0)
+    for l in range(0, lmax + 1, 2):
+        Pl = Legendre.basis(l)(zeta_nodes)
+        c_l = (2 * l + 1) * (g * zeta_weights[None, :]) @ Pl
+        inner = cumulative_simpson(s ** (l + 2) * c_l, x=s, initial=0.0)
+        if l == 0:
+            out_igd = s * c_l
+        else:
+            out_igd = np.zeros_like(c_l)
+            pos = s > 0
+            out_igd[pos] = s[pos] ** (1 - l) * c_l[pos]
+            out_igd[np.abs(c_l) < 1e-13 * np.max(np.abs(c_l))] = 0.0
+        outer_rev = cumulative_simpson(out_igd, x=s, initial=0.0)
+        outer = outer_rev[-1] - outer_rev
+        radial = np.where(s > 0, inner / s_safe ** (l + 1), 0.0) + s**l * outer
+        terms += np.outer(radial / (2 * l + 1), Pl)
+        if l == 0:
+            value_O = outer[0]
+    return terms, value_O
+
+
+def xi1_one_ray(dle, z):
+    """Xi1 on one ray by the scalar scan and bisection that xi1_curve runs on
+    all rays at once, kept as its reference."""
+    grid = np.linspace(0.5 * dle.xi1, dle.Xi0, 200)
+    idx = np.nonzero(dle.theta_at(grid, np.full_like(grid, z)) <= 0)[0]
+    lo, hi = grid[idx[0] - 1], grid[idx[0]]
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if dle.theta_at(mid, z) > 0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-10:
+            break
+    return 0.5 * (lo + hi)
 
 
 def rk4_xi1_oracle(nu, h):
@@ -163,3 +210,33 @@ class TestDistorted:
         i, j = 400, 11
         val = dle_small.theta_at(dle_small.s[i], dle_small.zeta[j])
         assert val == pytest.approx(dle_small.Theta[i, j], abs=2e-8)
+
+    def test_theta_at_scalar_is_float_of_array_call(self, dle_small):
+        s_pts = np.array([0.0, 2.0, dle_small.Xi0, 1.5 * dle_small.Xi0])
+        z_pts = np.array([0.0, -0.4, 0.7, 1.0])
+        arr = dle_small.theta_at(s_pts, z_pts)
+        for k in range(s_pts.size):
+            val = dle_small.theta_at(s_pts[k], z_pts[k])
+            assert type(val) is float and val == arr[k]
+
+
+class TestLegendreBasis:
+    def test_kelvin3_matches_per_degree_loop(self, dle_small):
+        # all degrees at once agree with one degree at a time to rounding
+        d = dle_small
+        zw = 0.5 * leggauss(d.zeta.size)[1]
+        src = np.maximum(d.Theta, 0.0) ** d.nu
+        K, K_O = kelvin3_legendre(src, d.s, even_legendre(d.zeta, d.lmax), zw)
+        K_ref, K_O_ref = kelvin3_per_degree(src, d.s, d.zeta, zw, d.lmax)
+        sup = np.max(np.abs(K_ref))
+        assert np.max(np.abs(K - K_ref)) <= 1e-14 * sup
+        assert abs(K_O - K_O_ref) <= 1e-14 * sup
+
+    def test_xi1_curve_rays_are_independent(self, dle_small):
+        # each ray's bracket freezes on its own, so bisecting rays together
+        # gives every ray the answer it gets alone and from the scalar loop,
+        # bit for bit
+        zs = np.linspace(0.0, 1.0, 9)
+        together = dle_small.xi1_curve(zs)
+        alone = [dle_small.xi1_curve([z])[0] for z in zs]
+        assert together.tolist() == alone == [xi1_one_ray(dle_small, z) for z in zs]
