@@ -100,8 +100,11 @@ def _run_solver(cfg):
     return solver, solver.solve()
 
 
-def _verify_payload(cfg, res):
-    from .verify import asymptotic_fit, consistency_K, residual_reduced_system
+def _verify_payload(cfg, res, eos, classical):
+    """Residuals, consistency and asymptotics of a result; a static star
+    adds its tov_gap split."""
+    from .tov import solve_tov
+    from .verify import asymptotic_fit, consistency_K, residual_reduced_system, tov_gap
 
     params = res.params
     win = res.verify_window()
@@ -109,22 +112,26 @@ def _verify_payload(cfg, res):
     ck = consistency_K(win, params)
     lo, hi = cfg.verify["fit_window"]
     fit = asymptotic_fit(res.eval_fns(), params, (lo * params.R0, hi * params.R0))
-    return {
+    payload = {
         "residuals": rep.to_dict(),
         "consistency_sup_L": ck["sup_L"],
         "consistency_identity": ck["sup_identity"],
         "asymptotics": fit,
     }
+    if params.Omega_O == 0.0:
+        tov = solve_tov(eos, params.u_O, params.G_grav, params.c_light)
+        payload["tov_gap"] = tov_gap(res, tov, classical)
+    return payload
 
 
 def cmd_solve(cfg, args):
     from .gridio import write_field
 
     out = _out_dir(cfg, args.out)
-    _, res = _run_solver(cfg)
+    solver, res = _run_solver(cfg)
     for name, fld in res.dumped_fields().items():
         write_field(out / f"{name}.axfd", fld, name=name)
-    ver = _verify_payload(cfg, res)
+    ver = _verify_payload(cfg, res, solver.eos, solver.classical)
     payload = {
         "command": "solve",
         "diagnostics": res.diagnostics,
@@ -147,6 +154,7 @@ def cmd_solve(cfg, args):
 
 def cmd_verify(cfg, args):
     from .gridio import read_field
+    from .lane_emden import solve_classical
     from .pn import SolveResult
 
     if not args.run:
@@ -162,14 +170,20 @@ def cmd_verify(cfg, args):
         raise ConfigError(f"{run}: no readable manifest.json ({exc.strerror})") from None
     except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
         raise ConfigError(f"{run}: manifest.json is not a run manifest ({exc!r})") from None
-    params = build_params(load_config(physics))
+    star_cfg = load_config(physics)
+    classical = solve_classical(1.0 / (star_cfg.eos["gamma"] - 1.0))
+    params = build_params(star_cfg, classical=classical)
+    eos = build_eos(star_cfg)
 
     loaded, grid = {}, None
     for name in SolveResult.DUMPED:
         loaded[name], _ = read_field(run / f"{name}.axfd", grid)
         grid = loaded[name].grid
-    res = SolveResult.from_dumped(params, loaded, man.get("diagnostics", {}))
-    ver = _verify_payload(cfg, res)
+    try:
+        res = SolveResult.from_dumped(params, eos, loaded, man["diagnostics"])
+    except KeyError as exc:
+        raise ConfigError(f"{run}: manifest.json lacks the diagnostics of a solve ({exc!r})") from None
+    ver = _verify_payload(cfg, res, eos, classical)
     out = _out_dir(cfg, args.out)
     path = out / "verify_report.json"
     with open(path, "w") as fh:

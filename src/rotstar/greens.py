@@ -20,7 +20,10 @@ The exterior tail is pulled to the starred plane, re-weighted by (R0/r*)^4
 same machinery; a compact source has no tail and stops after its first part.
 The two patches share one unit-coordinate KernelTable per dimension, sized
 to the larger patch; the smaller one reads its leading block, which its
-sources, zero on the patch edge, cannot tell from a table of its own.
+sources, zero on the patch edge, cannot tell from a table of its own.  A
+table fills its source columns on demand: GreenOps.table and FarOperator
+look it up without filling it, apply and rows fill the columns their sources carry, and
+get_table(P, n) builds whole tables.
 Both parts reach the other patch by one Kelvin transfer,
 GreenOps._patch_potential: bilinear at the images inside the source patch,
 the shared FarOperator at the images outside it (the masks in GreenOps.far),
@@ -129,13 +132,20 @@ N_GAUSS_POLAR = (12, 16)  # (angle, radius) points per half of a polar cell
 RCOND_RAISE = 1e-13  # LOpSolver: smallest reciprocal condition number it factors
 
 
-def get_table(P, n):
+def get_table(P, n, whole=True):
     """Unit-spacing kernel table, cached per (node count, dimension); it
-    serves every patch of at most P nodes."""
+    serves every patch of at most P nodes.
+
+    whole=True returns a table with every source column, built inside
+    KernelTable.__init__; a cached table with columns missing is replaced,
+    not topped up, so a whole table does not depend on the fills before it.
+    whole=False looks the table up as it is, or caches an empty one: apply
+    and rows fill the columns their sources carry."""
     key = (int(P), int(n))
-    if key not in _TABLE_CACHE:
-        _TABLE_CACHE[key] = KernelTable(P, n)
-    return _TABLE_CACHE[key]
+    table = _TABLE_CACHE.get(key)
+    if table is None or whole and not table.filled.all():
+        table = _TABLE_CACHE[key] = KernelTable(*key, whole)
+    return table
 
 
 def _trapezoid(p):
@@ -204,10 +214,12 @@ def _polar_rule():
     return [np.concatenate([part[k].ravel() for part in parts]) for k in range(3)]
 
 
-def _near_integrals(P, n):
+def _near_integrals(P, n, rows):
     """acc[i, MC + dni, dnj]: the high-order integral of the ring kernel
     against the hat product of node (i + dni, dnj) for a target at (i, 0),
     over the unit cells around it, for |dni| <= MC and lags 0 <= dnj <= MC.
+    Only the entries of nodes i + dni in rows (sorted source columns) are
+    complete: the cells whose corners miss rows are not integrated.
 
     The cell at offsets (a, b), a in -MC-1..MC and b in -1..MC, from a
     target in column i feeds its four corner nodes; cells that leave the
@@ -219,6 +231,10 @@ def _near_integrals(P, n):
     I, DI, DJ = (x.ravel() for x in np.meshgrid(np.arange(P), np.arange(-MC - 1, MC + 1),
                                                 np.arange(-1, MC + 1), indexing="ij"))
     keep = (I + DI >= 0) & (I + DI <= P - 2)
+    I, DI, DJ = I[keep], DI[keep], DJ[keep]
+    filled = np.zeros(P, dtype=bool)
+    filled[rows] = True
+    keep = filled[I + DI] | filled[I + DI + 1]
     I, DI, DJ = I[keep], DI[keep], DJ[keep]
     polar = (DI >= -1) & (DI <= 0) & (DJ >= -1) & (DJ <= 0)
     p = np.arange(2)
@@ -292,51 +308,96 @@ class KernelTable:
     Off the node grid, eval_at sums the plain nodal rule, whose weights
     far_weights builds block by block.
 
-    The table is one array, C = DCT-I of W2 along the lag: a float64 array
-    C[k, i, i'] of shape (2P - 1, P, P), the size of W2.  DCT-I is the real
-    DFT of the lag row made even with period 4P - 4 (lags -(2P-2)..2P-2, the
-    two end lags at one index), which holds every lag j - z' of an output
-    z = j in 0..P-1 and a source |z'| <= P-1 free of wrap-around.  apply
-    transforms the source once, multiplies by C frequency by frequency in
-    one batched product and transforms back; w2_slab rebuilds a slab of W2
-    with one inverse DCT-I, and rows() reads its entries from the slabs.
+    The table holds C = DCT-I of W2 along the lag for the source columns
+    the mask filled marks: a float64 array C[k, i, m] of shape
+    (2P - 1, P, cols.size), m indexing those columns in order (cols), so
+    (2P - 1) P 8 bytes per filled column.  DCT-I is the real DFT of the lag row made even with
+    period 4P - 4 (lags -(2P-2)..2P-2, the two end lags at one index), which
+    holds every lag j - z' of an output z = j in 0..P-1 and a source
+    |z'| <= P-1 free of wrap-around.  apply transforms the source once,
+    multiplies by C frequency by frequency in one batched product and
+    transforms back; w2_slab rebuilds a slab of W2 with one inverse DCT-I,
+    and rows() reads its entries from the slabs.
 
-    The build is batched.  The near integrals come first and take two
-    ring_kernel calls in all: one for the Gauss points of every near cell
-    of every column, one for the polar points of the four cells with a
-    corner on the target.  Each cell's four corner integrals are one
-    product against the corner weights, scattered into the node patch by a
-    bincount.  W2 then takes two ring_kernel calls per target column: the
-    Gauss points of its band and edge cells, at most
-    16 ((2D + 2)(D + 1) + 5P) values, and its node lattice ws in
-    0..P-1+q, dz in 0..2P-2+q, (P + q)(2P - 1 + q) values, whose stencil
-    sums are two matrix products.  That is about 6.1 P^3 values per table
-    at P = 65 with the near integrals, against 32 P^3 for Gauss sums on
-    every cell.  Each column's slab gets its near integrals and is
-    transformed into C before the next one is built.
+    Columns are filled on demand.  KernelTable(P, n) and get_table(P, n)
+    build every column; KernelTable(P, n, whole=False), the lookup of
+    GreenOps.table and FarOperator, starts empty.  apply and rows fill the
+    source columns their sources carry before they use them (fill), so a
+    compact source, such as the pressure X's L_4 inverts, holds only the
+    fluid's columns, and no source fills the last column, where every source
+    on the table's P nodes vanishes.  A column's entries do not depend on
+    the fills before it up to rounding, within 1e-15 of the column's largest
+    spectrum entry (8.3e-16 at most measured at P = 97): the same cells,
+    lattice values and near integrals enter them, only the batch shapes of
+    the matrix products differ.
+
+    The build is batched.  A fill of the source columns rows starts with
+    their near integrals, two ring_kernel calls in all: one for the Gauss
+    points of every near cell with a corner in rows, one for the polar
+    points of the cells with a corner on the target.  Each cell's four
+    corner integrals are one product against the corner weights, scattered
+    into the node patch by a bincount.  W2 then takes two ring_kernel calls
+    per target column: the Gauss points of the band and edge cells that
+    touch rows, at most 16 ((2D + 2)(D + 1) + 5P) values, and the node
+    lattice ws within q of rows, dz in 0..2P-2+q, at most
+    (P + q)(2P - 1 + q) values, whose stencil sums are two matrix products.
+    A whole table takes about 6.1 P^3 values at P = 65 with the near
+    integrals, against 32 P^3 for Gauss sums on every cell.  Each target
+    column's slab gets its near integrals and is transformed into C before
+    the next one is built.
     """
 
-    def __init__(self, P, n):
+    def __init__(self, P, n, whole=True):
         self.P = int(P)
         self.n = int(n)
         self.nodes = np.arange(self.P, dtype=float)
-        self._build_w2(_near_integrals(self.P, self.n))
+        self.filled = np.zeros(self.P, dtype=bool)
+        self.C = np.empty((2 * self.P - 1, self.P, 0))
+        if whole:
+            self.fill(np.arange(self.P))
 
-    def _build_w2(self, acc):
-        """C = DCT-I along the lag axis of
-        W2[i, i', lag] = int int k(i, ws, dz) hat_i'(ws) hat_lag(|dz|).
+    @property
+    def cols(self):
+        """The filled source columns, in the order of C's last axis."""
+        return np.flatnonzero(self.filled)
+
+    def fill(self, cols):
+        """Build the spectra of the source columns cols not filled yet.  The
+        new columns are written straight into a C of the grown width, the
+        filled ones copied beside them in column order."""
+        new = np.zeros(self.P, dtype=bool)
+        new[cols] = True
+        new &= ~self.filled
+        if not new.any():
+            return
+        rows = np.flatnonzero(new)
+        # the near integrals' temporaries are freed before C is allocated
+        acc = _near_integrals(self.P, self.n, rows)
+        filled = self.filled | new
+        C = np.empty((2 * self.P - 1, self.P, np.count_nonzero(filled)))
+        C[:, :, self.filled[filled]] = self.C
+        self._build_w2(rows, acc, C, np.flatnonzero(new[filled]))
+        self.C, self.filled = C, filled
+
+    def _build_w2(self, rows, acc, C, slots):
+        """C[:, :, slots] = DCT-I along the lag axis of
+        W2[i, i', lag] = int int k(i, ws, dz) hat_i'(ws) hat_lag(|dz|)
+        for the source columns i' in rows (sorted) and every target i.
 
         Gauss entries, the 4-point tensor Gauss sums over the cells of the
         hat supports: the band |i' - i| <= D, lag <= D around the target and
         the half-hat edges i' = 0, i' = P - 1 and lag = 2P - 2.  Nodal
         entries, all others: sum_k sum_l s_k s_l k(i, i' + k, lag + l) with
-        s = _hat_stencil(q), on kernel values at the nodes ws in 0..P-1+q and
-        dz in 0..2P-2+q, whose ghosts are k(-ws) = (-1)^n k(ws) (the ring
-        potential is even in ws, the ws^(n-2) measure carries the sign) and
-        k(-dz) = k(dz).  The near-cell integrals acc of _near_integrals are
-        written over the entries at nodes i' = i + dni and lags |dnj|.
+        s = _hat_stencil(q), on kernel values at the nodes ws within q of
+        rows and dz in 0..2P-2+q, whose ghosts are k(-ws) = (-1)^n k(ws)
+        (the ring potential is even in ws, the ws^(n-2) measure carries the
+        sign) and k(-dz) = k(dz).  The near-cell integrals acc of
+        _near_integrals are written over the entries at nodes i' = i + dni
+        and lags |dnj|.  Only the cells that touch rows, the lattice nodes
+        within q of them and their near integrals are evaluated.
         """
         P, G, q, D = self.P, N_GAUSS_BASE, STENCIL_Q, GAUSS_BAND
+        nrows = rows.size
         t, wq = _gauss01(G)
         hats = _hat_weights(t, wq)
         s = _hat_stencil(q)
@@ -350,37 +411,53 @@ class KernelTable:
             np.add.at(F, (np.abs(x), np.arange(m)[:, None]), np.where(x < 0, sign, 1.0) * s)
             return F
 
-        fold_ws, fold_dz = fold(P, (-1.0) ** self.n).T, fold(2 * P - 1, 1.0)
-        ws_nodes = np.arange(P + q, dtype=float)
+        # the lattice nodes within q of rows, and the fold from them to rows
+        lattice = np.zeros(P + q, dtype=bool)
+        lattice[np.abs(rows[:, None] + np.arange(-q, q + 1))] = True
+        lattice = np.flatnonzero(lattice)
+        fold_ws = fold(P, (-1.0) ** self.n)[np.ix_(lattice, rows)].T
+        fold_dz = fold(2 * P - 1, 1.0)
+        ws_nodes = lattice.astype(float)
         dz_nodes = np.arange(2 * P - 1 + q, dtype=float)
+        # slot[x]: the W2 row of node x, nrows (a discarded row) if x is not
+        # in rows
+        slot = np.full(P, nrows)
+        slot[rows] = np.arange(nrows)
+        # the varpi cells with a corner node in rows
+        cells = np.flatnonzero((slot[:-1] < nrows) | (slot[1:] < nrows))
+        edge = (rows == 0) | (rows == P - 1)
         corner = np.arange(2)
         dn = np.arange(-MC, MC + 1)
-        self.C = np.empty((2 * P - 1, P, P))
         for i in range(P):
-            gauss = np.zeros((P, 2 * P - 1), dtype=bool)
-            gauss[max(0, i - D) : i + D + 1, : D + 1] = True
-            gauss[[0, -1], :] = True
-            gauss[:, -1] = True
+            # row nrows stays False: nodes outside rows take no Gauss entry
+            gauss = np.zeros((nrows + 1, 2 * P - 1), dtype=bool)
+            own = gauss[:nrows]
+            own[np.abs(rows - i) <= D, : D + 1] = True
+            own[edge] = True
+            own[:, -1] = True
             # the cells (varpi cell a, dz cell b) of those entries' hats
-            a, b = np.nonzero(gauss[:-1, :-1] | gauss[1:, :-1] | gauss[:-1, 1:] | gauss[1:, 1:])
+            hat = gauss[slot[cells]] | gauss[slot[cells + 1]]
+            k, b = np.nonzero(hat[:, :-1] | hat[:, 1:])
+            a = cells[k]
             kv = ring_kernel(self.n, float(i), (a[:, None] + t)[:, :, None],
                              (b[:, None] + t)[:, None, :])
             # c[k, p, q] weighs cell k toward node a + p and lag b + q; the
             # lag-0 hat also spans dz in [-1, 0], which mirrors the
             # lower-weighted part of dz-cell 0 by evenness of the kernel
             c = hats.T @ (kv @ hats)
-            flat = (a[:, None, None] + corner[:, None]) * (2 * P - 1) + b[:, None, None] + corner
+            flat = slot[a[:, None] + corner][:, :, None] * (2 * P - 1) + b[:, None, None] + corner
             low = b == 0
             W2 = np.bincount(
                 np.concatenate([flat.ravel(), flat[low, :, 0].ravel()]),
                 np.concatenate([c.ravel(), c[low, :, 0].ravel()]),
-                P * (2 * P - 1),
-            ).reshape(P, 2 * P - 1)
+                (nrows + 1) * (2 * P - 1),
+            ).reshape(nrows + 1, 2 * P - 1)[:nrows]
             lat = ring_kernel(self.n, float(i), ws_nodes[:, None], dz_nodes[None, :])
-            W2 = np.where(gauss, W2, fold_ws @ lat @ fold_dz)
-            on = (i + dn >= 0) & (i + dn < P)
-            W2[i + dn[on], : MC + 1] = acc[i, on]
-            self.C[:, i, :] = dct(W2, type=1, axis=1).T
+            W2 = np.where(own, W2, fold_ws @ lat @ fold_dz)
+            on = np.flatnonzero((i + dn >= 0) & (i + dn < P))
+            on = on[slot[i + dn[on]] < nrows]
+            W2[slot[i + dn[on]], : MC + 1] = acc[i, on]
+            C[:, i, slots] = dct(W2, type=1, axis=1).T
 
     # -- application ----------------------------------------------------------
 
@@ -393,10 +470,15 @@ class KernelTable:
                 f"a source on {p} nodes needs zeros on its last row and column "
                 f"to use the {self.P}-node table"
             )
-        # the spectrum of the source made even in z and zero-padded to the
-        # table's period, then one real product per frequency
+        # fill the columns the source carries, then take the spectrum of the
+        # source made even in z and zero-padded to the table's period at
+        # every filled column of the patch, and make one real product per
+        # frequency
+        self.fill(np.flatnonzero(np.any(gvals, axis=1)))
+        held = self.filled[:p]
         gx = dct(gvals.T, type=1, n=2 * self.P - 1, axis=0)
-        y = idct((self.C[:, :p, :p] @ gx[:, :, None])[..., 0], type=1, axis=0)
+        y = idct((self.C[:, :p, : np.count_nonzero(held)] @ gx[:, held, None])[..., 0],
+                 type=1, axis=0)
         return np.ascontiguousarray(y[:p].T)
 
     def eval_at(self, gvals, wt, zt):
@@ -433,21 +515,25 @@ class KernelTable:
             yield k0, colw[i] * kv
 
     def w2_slab(self, i):
-        """W2[i] rebuilt from the spectra: (P, 2P - 1), source column by lag."""
+        """W2[i] rebuilt from the spectra: (filled columns, 2P - 1), source
+        column (in cols order) by lag."""
         return idct(self.C[:, i, :], type=1, axis=0).T
 
     def rows(self, targets, sources):
         """Dense quadrature rows R[t, s] consistent with apply() (on a
-        smaller patch, for sources off its last row and column)."""
+        smaller patch, for sources off its last row and column); fills the
+        source columns first."""
         ti, tj = targets
         si, sj = sources
+        self.fill(si)
+        k = np.searchsorted(self.cols, si)
         R = np.empty((ti.size, si.size))
         mirror = np.where(sj > 0, 1.0, 0.0)
         for col in np.unique(ti):
             sel = np.flatnonzero(ti == col)
             W2 = self.w2_slab(col)
             tz = tj[sel, None]
-            R[sel] = W2[si, np.abs(tz - sj)] + mirror * W2[si, tz + sj]
+            R[sel] = W2[k, np.abs(tz - sj)] + mirror * W2[k, tz + sj]
         return R
 
     @property
@@ -503,11 +589,12 @@ class FarOperator:
     table units both target sets sit at (i, j) (N - 1)(M - 1) / (2 (i^2 + j^2))
     for every R0, so one operator serves every star on a grid shape.
 
-    The weights come from the kernel table of dimension n the two patches
-    share, read on the source patch's P nodes (n_int for side "int", n_ext
-    for "star").  The skeleton is a column-pivoted QR of a sketch: the
-    weights from an evenly strided subset of about FAR_SKETCH_ROWS * P
-    source nodes of the quarter disc i^2 + j^2 < (P - 1)^2, where the
+    The weights come from the nodal rule of the kernel table of dimension n
+    the two patches share (looked up without filling a column), read on the
+    source patch's P nodes (n_int for side "int", n_ext for "star").  The
+    skeleton is a column-pivoted QR of a sketch: the weights from an evenly
+    strided subset of about FAR_SKETCH_ROWS * P source nodes of the quarter
+    disc i^2 + j^2 < (P - 1)^2, where the
     chi-cut and the diamond sources live.  Its rank is the number of pivots
     above FAR_RANK_TOL of the first, and tail is the first dropped pivot
     over the first (0 if none was dropped), the truncation estimate of the
@@ -532,7 +619,7 @@ class FarOperator:
         from scipy.linalg import solve_triangular
         from scipy.linalg.lapack import dgeqp3
 
-        self.table = get_table(max(n_int, n_ext), n)
+        self.table = get_table(max(n_int, n_ext), n, whole=False)
         self.P = P = n_int if side == "int" else n_ext
         i, j = np.nonzero(far_mask(n_ext if side == "int" else n_int))
         c = (n_int - 1) * (n_ext - 1) / (2.0 * (i * i + j * j))
@@ -624,10 +711,11 @@ class GreenOps:
         self._far_used = {}
 
     def table(self, n):
-        """The kernel table of dimension n both patches use."""
+        """The kernel table of dimension n both patches use, looked up
+        without filling any column."""
         P = max(self.grid.n_int, self.grid.n_ext)
         self._tables_used.setdefault((P, n), (P, n) not in _TABLE_CACHE)
-        return get_table(P, n)
+        return get_table(P, n, whole=False)
 
     def far_operator(self, side, n):
         key = (side, n, self.grid.n_int, self.grid.n_ext)
@@ -639,13 +727,15 @@ class GreenOps:
         return self.far_operator(side, n)(gvals)[self._far_rows[side]]
 
     def cache_report(self):
-        """Kernel tables and far operators this grid has used: sizes, ranks,
-        and whether its first lookup built each one or found it cached."""
+        """Kernel tables and far operators this grid has used: sizes, filled
+        table columns, ranks, and whether its first lookup built each one or
+        found it cached."""
         g = self.grid
-        tables = {
-            f"P{P}_n{n}": {"bytes": _TABLE_CACHE[P, n].nbytes, "built": built}
-            for (P, n), built in self._tables_used.items()
-        }
+        tables = {}
+        for (P, n), built in self._tables_used.items():
+            table = _TABLE_CACHE[P, n]
+            tables[f"P{P}_n{n}"] = {"bytes": table.nbytes,
+                                    "columns": int(np.count_nonzero(table.filled)), "built": built}
         far = {}
         for (side, n), built in self._far_used.items():
             op = _FAR_CACHE[side, n, g.n_int, g.n_ext]

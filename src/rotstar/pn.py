@@ -696,15 +696,23 @@ class SolveResult:
         return dict(zip(self.DUMPED, fields, strict=True))
 
     @classmethod
-    def from_dumped(cls, params, fields, diagnostics):
+    def from_dumped(cls, params, eos, fields, diagnostics):
         """The result rebuilt from its DUMPED fields, as verification reads
-        it back; the Newtonian layer is not restored."""
+        it back.  The Newtonian layer takes u_N, rho_N and Phi_N from the
+        dumps, P_N and the ratio from eos by the maps newtonian_fields
+        makes, and M_N, iterations and residual from the diagnostics."""
         f = fields
+        u_N = f["u_N"]
+        newt = diagnostics["newtonian"]
+        nf = NewtonianFields(u_N=u_N, rho_N=f["rho_N"], P_N=compact_map(eos.f_N_P, u_N, n_index=4),
+                             Phi_N=f["Phi_N"], ratio=compact_map(eos.df_N_rho, u_N, n_index=3),
+                             M_N=diagnostics["M_N"], iterations=newt["iterations"],
+                             residual=newt["residual"])
         return cls(params=params, grid=f["W"].grid,
                    potentials=PotentialSet(W=f["W"], Y=f["Y"], X=f["X"], V=f["V"], w=f["w_corr"]),
                    metric=MetricLanczos(F=f["F"], A_pot=f["A"], Pi_over_w=f["Pi_over_w"],
                                         K=f["K"], c_light=params.c_light),
-                   newtonian=None, fluid={key: f[key] for key in ("rho", "P", "u")},
+                   newtonian=nf, fluid={key: f[key] for key in ("rho", "P", "u")},
                    diagnostics=diagnostics)
 
     def verify_window(self):

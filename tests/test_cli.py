@@ -17,6 +17,8 @@ from rotstar.errors import ConfigError
 from rotstar.fields import AxiField, AxiGrid
 from rotstar.gridio import read_field, write_field
 from rotstar.pn import SolverOptions
+from rotstar.tov import solve_tov
+from rotstar.verify import tov_gap
 
 
 TINY = """
@@ -278,19 +280,33 @@ class TestSolveCommand:
         assert "warning: regime flags" in captured.err
         assert captured.out == ""
 
-    def test_verify_roundtrip(self, tmp_path):
+    def test_verify_roundtrip(self, tmp_path, monkeypatch):
         out = tmp_path / "run"
         cfg = write_cfg(tmp_path, TINY.format(b=0.0, out=out))
+        solved = []
+        run_solver = cli._run_solver
+
+        def keep(c):
+            solved.append(run_solver(c))
+            return solved[-1]
+
+        monkeypatch.setattr(cli, "_run_solver", keep)
         assert main(["solve", "--config", cfg]) == 0
         assert main(["verify", "--config", cfg, "--run", str(out),
                      "--out", str(tmp_path / "ver")]) == 0
         rep = json.loads((tmp_path / "ver" / "verify_report.json").read_text())
         # the dumped fields read back verify exactly as the solved state did
         assert rep == json.loads((out / "manifest.json").read_text())["verify"]
+        # the Newtonian layer is read back too: a static run's report holds
+        # the TOV split of the in-memory result, bit for bit
+        (solver, res), = solved
+        params = res.params
+        tov = solve_tov(solver.eos, params.u_O, params.G_grav, params.c_light)
+        assert rep["tov_gap"] == tov_gap(res, tov, solver.classical)
 
     def test_verify_manifest_with_removed_keys(self, tmp_path):
-        # verify reads only the manifest's eos and star sections, so runs
-        # written with keys this version rejects still verify
+        # verify reads only the eos and star sections of the manifest's
+        # config, so runs written with keys this version rejects still verify
         out = tmp_path / "run"
         cfg = write_cfg(tmp_path, TINY.format(b=0.0, out=out))
         assert main(["solve", "--config", cfg]) == 0
@@ -301,6 +317,12 @@ class TestSolveCommand:
         path.write_text(json.dumps(man))
         assert main(["verify", "--config", cfg, "--run", str(out),
                      "--out", str(tmp_path / "ver")]) == 0
+        # the Newtonian layer's scalars come from the diagnostics: a
+        # manifest without them is a config error, not a traceback
+        del man["diagnostics"]["newtonian"]
+        path.write_text(json.dumps(man))
+        assert main(["verify", "--config", cfg, "--run", str(out),
+                     "--out", str(tmp_path / "ver")]) == 1
 
     def test_verify_exits_2_on_assumption_B(self, tmp_path, capsys):
         # F lowered by 10 inside the star: e^{2F} falls below Omega Pi/c,

@@ -1131,7 +1131,7 @@ class TestBatchedBuild:
                 return ring_kernel(n, wt, ws, dz) * (side * dz > 0)
 
             monkeypatch.setattr(greens, "ring_kernel", one_side)
-            halves.append(greens._near_integrals(P, n)[:, :, 0])
+            halves.append(greens._near_integrals(P, n, np.arange(P))[:, :, 0])
         assert np.max(np.abs(halves[0])) > 0.1 * scale
         assert np.max(np.abs(halves[0] - halves[1])) <= 1e-15 * scale
 
@@ -1212,3 +1212,95 @@ class TestNodalRule:
             # band entries are the 4-point sums themselves, up to rounding
             for cls in (near, band, edge, nodal):
                 assert np.max(err[cls]) <= worst4 + 1e-15, i
+
+
+class TestColumnFill:
+    """A table fills its source columns on demand, and a filled column is
+    the whole table's column up to rounding."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_caches(self, monkeypatch):
+        monkeypatch.setattr(greens, "_TABLE_CACHE", {})
+        monkeypatch.setattr(greens, "_FAR_CACHE", {})
+
+    @staticmethod
+    def assert_columns_match(table, whole):
+        """Every filled column of table against the same column of whole,
+        within 1e-15 of that column's largest spectrum entry."""
+        ref = whole.C[:, :, table.cols]
+        scale = np.max(np.abs(ref), axis=(0, 1))
+        assert np.all(np.max(np.abs(table.C - ref), axis=(0, 1)) <= 1e-15 * scale)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_any_order_and_partition(self, n):
+        P = 33
+        whole = KernelTable(P, n)
+        rng = np.random.default_rng(n)
+        perm = rng.permutation(P)
+        partitions = ([[c] for c in perm],
+                      np.split(perm, [5, 6, 20]),
+                      np.split(perm[::-1], [1, 17]))
+        for parts in partitions:
+            table = KernelTable(P, n, whole=False)
+            assert table.cols.size == 0 and table.nbytes == 0
+            filled = set()
+            for part in parts:
+                table.fill(part)
+                filled.update(int(c) for c in part)
+                assert table.cols.tolist() == sorted(filled)
+                assert table.C.shape == (2 * P - 1, P, len(filled))
+                self.assert_columns_match(table, whole)
+        # a whole lookup replaces a partly filled table with a whole build
+        lazy = get_table(P, n, whole=False)
+        lazy.fill([3, 4])
+        assert get_table(P, n, whole=False) is lazy
+        assert np.array_equal(get_table(P, n).C, whole.C)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_apply_fills_its_source_columns(self, n):
+        # a compact source on both patch sizes the table serves
+        P = 33
+        whole = KernelTable(P, n)
+        table = KernelTable(P, n, whole=False)
+        rng = np.random.default_rng(n)
+        filled = set()
+        for p, cols in ((P, [0, 1, 2, 3, 4, 9]), (25, [2, 3, 17]), (P, [30, 31])):
+            src = np.zeros((p, p))
+            src[cols, : p - 1] = rng.uniform(-1.0, 1.0, (len(cols), p - 1))
+            got = table.apply(src)
+            filled.update(cols)
+            assert table.cols.tolist() == sorted(filled)
+            ref = whole.apply(src)
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+        self.assert_columns_match(table, whole)
+
+    def test_rows_fill_their_source_columns(self):
+        P = 33
+        whole = KernelTable(P, 3)
+        table = KernelTable(P, 3, whole=False)
+        targets = (np.array([0, 4, 9, 9, 30]), np.array([0, 2, 7, 31, 5]))
+        sources = (np.array([2, 5, 5, 11, 12]), np.array([3, 0, 8, 6, 1]))
+        got = table.rows(targets, sources)
+        assert table.cols.tolist() == [2, 5, 11, 12]
+        ref = whole.rows(targets, sources)
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("side", ["int", "star"])
+    def test_far_operator_fills_no_column(self, side):
+        # the operator reads only the table's nodal far weights
+        ops = GreenOps(AxiGrid(R0=2.0, n_interior=33, n_exterior=25))
+        far = ops.far_operator(side, 3)
+        assert far.table is ops.table(3)
+        assert far.table.cols.size == 0 and far.table.nbytes == 0
+        src = np.zeros((far.P, far.P))
+        src[:4, :4] = 1.0
+        far(src)
+        assert far.table.cols.size == 0
+
+    def test_compact_table_is_small(self):
+        # the X source of a 97/65 star lies on source columns 0-12: its
+        # n = 4 table holds 13 of the 97 columns of a whole one
+        table = KernelTable(97, 4, whole=False)
+        table.fill(np.arange(13))
+        assert table.C.shape == (193, 97, 13)
+        assert table.nbytes <= 2 << 20

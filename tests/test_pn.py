@@ -326,7 +326,16 @@ class TestInnerOuter:
                 rep["far_operators"]
             )
             # one table per dimension, sized to the larger patch, serves both
-            assert sorted(rep["kernel_tables"]) == ["P65_n3", "P65_n4", "P65_n5"]
+            tables = rep["kernel_tables"]
+            assert sorted(tables) == ["P65_n3", "P65_n4", "P65_n5"]
+            for table in tables.values():
+                assert set(table) == {"bytes", "columns", "built"}
+                assert 0 < table["columns"] <= 65
+                assert table["bytes"] == (2 * 65 - 1) * 65 * table["columns"] * 8
+            # a table fills only the source columns its sources carry: X's
+            # source, the pressure, stays on the fluid's few columns
+            assert tables["P65_n4"]["columns"] < tables["P65_n3"]["columns"]
+            assert rep["table_bytes"] == sum(t["bytes"] for t in tables.values())
             assert {"int_n3", "int_n5", "star_n3", "star_n5"} <= set(rep["far_operators"])
             dense = 0
             for op in rep["far_operators"].values():
