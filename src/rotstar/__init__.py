@@ -18,6 +18,7 @@ from .errors import (
     RegimeError,
     SeriesDomainError,
     SolverError,
+    VerificationError,
 )
 
 __all__ = [
@@ -31,4 +32,5 @@ __all__ = [
     "RegimeError",
     "SeriesDomainError",
     "SolverError",
+    "VerificationError",
 ]

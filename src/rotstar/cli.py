@@ -4,7 +4,7 @@ sweep | export.
 Every command is deterministic for a fixed config (no RNG anywhere in the
 pipelines); manifests carry the config digest and package version.  Exit
 codes: 0 pass, 1 config or command-line error, 2 convergence/regime error,
-3 verification failure.
+3 verification failure (verify, kerr-check), its reason on stderr.
 """
 
 import argparse
@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .config import (build_eos, build_params, build_solver_options, build_star, load_config,
                      sweep_key)
-from .errors import ConfigError, ConvergenceError, RegimeError, RotstarError
+from .errors import ConfigError, ConvergenceError, RegimeError, RotstarError, VerificationError
 
 
 def _out_dir(cfg, override):
@@ -192,9 +192,7 @@ def cmd_verify(cfg, args):
     worst = max(ver["residuals"]["sups"].values())
     scale = max(ver["residuals"]["scales"].values())
     if worst > 0.2 * scale:
-        print(f"verification failure: residual sup {worst:.3e} vs scale {scale:.3e}",
-              file=sys.stderr)
-        return 3
+        raise VerificationError(f"residual sup {worst:.3e} vs scale {scale:.3e}")
     return 0
 
 
@@ -221,11 +219,16 @@ def cmd_kerr_check(cfg, args):
                       if kp.a_spin else abs(fit["J"])),
     }
     _manifest(_out_dir(cfg, args.out), cfg, payload)
-    ok_orders = all(o is None or abs(o - 2.0) <= 0.2 for o in orders.values())
-    ok_fit = payload["M_err_rel"] <= 0.01 and payload["J_err_rel"] <= 0.01
+    errs = f"M err {payload['M_err_rel']:.2e}, J err {payload['J_err_rel']:.2e}"
     print(f"kerr-check: orders {orders}")
-    print(f"kerr-check: M err {payload['M_err_rel']:.2e}, J err {payload['J_err_rel']:.2e}")
-    return 0 if (ok_orders and ok_fit) else 3
+    print(f"kerr-check: {errs}")
+    off = [f"{name} {o:.2f}" for name, o in orders.items() if o is not None and abs(o - 2.0) > 0.2]
+    reasons = [f"refinement orders {', '.join(off)} not within 0.2 of 2"] if off else []
+    if payload["M_err_rel"] > 0.01 or payload["J_err_rel"] > 0.01:
+        reasons.append(f"{errs} above 1e-2")
+    if reasons:
+        raise VerificationError("; ".join(reasons))
+    return 0
 
 
 def cmd_tov_compare(cfg, args):
@@ -349,6 +352,9 @@ def main(argv=None):
     except RegimeError as exc:
         print(f"regime error: {exc}", file=sys.stderr)
         return 2
+    except VerificationError as exc:
+        print(f"verification failure: {exc}", file=sys.stderr)
+        return 3
     except RotstarError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -78,3 +78,7 @@ class SolverError(RotstarError):
 
 class AsymptoticsError(RotstarError):
     """Far-field extrapolation did not stabilize."""
+
+
+class VerificationError(RotstarError):
+    """A computed result failed its verification bounds."""

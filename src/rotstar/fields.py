@@ -29,6 +29,8 @@ import numpy as np
 from .cutoff import chi
 from .errors import DecayError, DomainError
 
+MIN_NODES = 9  # AxiGrid: fewest nodes per patch axis
+
 
 def _radial_power(r, R0, k):
     """(r/R0)^k at radii r; for k < 0 it is 0 where r = 0."""
@@ -52,8 +54,8 @@ class AxiGrid:
     def __init__(self, R0, n_interior, n_exterior):
         if R0 <= 0:
             raise DomainError("R0 must be positive")
-        if n_interior < 9 or n_exterior < 9:
-            raise DomainError("grids need at least 9 nodes per axis")
+        if n_interior < MIN_NODES or n_exterior < MIN_NODES:
+            raise DomainError(f"grids need at least {MIN_NODES} nodes per axis")
         self.R0 = float(R0)
         self.n_int = int(n_interior)
         self.n_ext = int(n_exterior)

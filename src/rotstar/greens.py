@@ -38,6 +38,7 @@ as a direct dense Nystrom system.
 """
 
 import math
+import mmap
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -309,15 +310,19 @@ class KernelTable:
     far_weights builds block by block.
 
     The table holds C = DCT-I of W2 along the lag for the source columns
-    the mask filled marks: a float64 array C[k, i, m] of shape
-    (2P - 1, P, cols.size), m indexing those columns in order (cols), so
-    (2P - 1) P 8 bytes per filled column.  DCT-I is the real DFT of the lag row made even with
+    the mask filled marks, one block per fill: blocks is a list of
+    (cols, C), C[k, i, m] a float64 array of shape (2P - 1, P, cols.size),
+    m indexing the block's sorted source columns cols, so (2P - 1) P 8
+    bytes per filled column.  A fill appends its block and leaves the others
+    alone, so no fill copies the columns filled before it.  DCT-I is the
+    real DFT of the lag row made even with
     period 4P - 4 (lags -(2P-2)..2P-2, the two end lags at one index), which
     holds every lag j - z' of an output z = j in 0..P-1 and a source
     |z'| <= P-1 free of wrap-around.  apply transforms the source once,
-    multiplies by C frequency by frequency in one batched product and
-    transforms back; w2_slab rebuilds a slab of W2 with one inverse DCT-I,
-    and rows() reads its entries from the slabs.
+    multiplies by each block's C frequency by frequency in one batched
+    product per block, sums and transforms back; w2_slab rebuilds a slab of
+    W2 with one inverse DCT-I per block, and rows() reads its entries from
+    the slabs.
 
     Columns are filled on demand.  KernelTable(P, n) and get_table(P, n)
     build every column; KernelTable(P, n, whole=False), the lookup of
@@ -329,7 +334,8 @@ class KernelTable:
     the fills before it up to rounding, within 1e-15 of the column's largest
     spectrum entry (8.3e-16 at most measured at P = 97): the same cells,
     lattice values and near integrals enter them, only the batch shapes of
-    the matrix products differ.
+    the matrix products differ.  A table filled in one call, as every whole
+    table is, has one block and applies as one product.
 
     The build is batched.  A fill of the source columns rows starts with
     their near integrals, two ring_kernel calls in all: one for the Gauss
@@ -343,8 +349,8 @@ class KernelTable:
     (P + q)(2P - 1 + q) values, whose stencil sums are two matrix products.
     A whole table takes about 6.1 P^3 values at P = 65 with the near
     integrals, against 32 P^3 for Gauss sums on every cell.  Each target
-    column's slab gets its near integrals and is transformed into C before
-    the next one is built.
+    column's slab gets its near integrals and is transformed into the new
+    block's C before the next one is built.
     """
 
     def __init__(self, P, n, whole=True):
@@ -352,19 +358,18 @@ class KernelTable:
         self.n = int(n)
         self.nodes = np.arange(self.P, dtype=float)
         self.filled = np.zeros(self.P, dtype=bool)
-        self.C = np.empty((2 * self.P - 1, self.P, 0))
+        self.blocks = []
         if whole:
             self.fill(np.arange(self.P))
 
     @property
     def cols(self):
-        """The filled source columns, in the order of C's last axis."""
+        """The filled source columns, sorted."""
         return np.flatnonzero(self.filled)
 
     def fill(self, cols):
-        """Build the spectra of the source columns cols not filled yet.  The
-        new columns are written straight into a C of the grown width, the
-        filled ones copied beside them in column order."""
+        """Build the spectra of the source columns cols not filled yet, as one
+        new block; the blocks already filled are not touched."""
         new = np.zeros(self.P, dtype=bool)
         new[cols] = True
         new &= ~self.filled
@@ -373,14 +378,11 @@ class KernelTable:
         rows = np.flatnonzero(new)
         # the near integrals' temporaries are freed before C is allocated
         acc = _near_integrals(self.P, self.n, rows)
-        filled = self.filled | new
-        C = np.empty((2 * self.P - 1, self.P, np.count_nonzero(filled)))
-        C[:, :, self.filled[filled]] = self.C
-        self._build_w2(rows, acc, C, np.flatnonzero(new[filled]))
-        self.C, self.filled = C, filled
+        self.blocks.append((rows, self._build_w2(rows, acc)))
+        self.filled |= new
 
-    def _build_w2(self, rows, acc, C, slots):
-        """C[:, :, slots] = DCT-I along the lag axis of
+    def _build_w2(self, rows, acc):
+        """The block C = DCT-I along the lag axis of
         W2[i, i', lag] = int int k(i, ws, dz) hat_i'(ws) hat_lag(|dz|)
         for the source columns i' in rows (sorted) and every target i.
 
@@ -428,6 +430,7 @@ class KernelTable:
         edge = (rows == 0) | (rows == P - 1)
         corner = np.arange(2)
         dn = np.arange(-MC, MC + 1)
+        C = np.empty((2 * P - 1, P, nrows))
         for i in range(P):
             # row nrows stays False: nodes outside rows take no Gauss entry
             gauss = np.zeros((nrows + 1, 2 * P - 1), dtype=bool)
@@ -457,7 +460,8 @@ class KernelTable:
             on = np.flatnonzero((i + dn >= 0) & (i + dn < P))
             on = on[slot[i + dn[on]] < nrows]
             W2[slot[i + dn[on]], : MC + 1] = acc[i, on]
-            C[:, i, slots] = dct(W2, type=1, axis=1).T
+            C[:, i] = dct(W2, type=1, axis=1).T
+        return C
 
     # -- application ----------------------------------------------------------
 
@@ -471,14 +475,16 @@ class KernelTable:
                 f"to use the {self.P}-node table"
             )
         # fill the columns the source carries, then take the spectrum of the
-        # source made even in z and zero-padded to the table's period at
-        # every filled column of the patch, and make one real product per
-        # frequency
+        # source made even in z and zero-padded to the table's period, and
+        # make one real product per frequency for each block's columns on
+        # the patch (sorted, so they lead the block)
         self.fill(np.flatnonzero(np.any(gvals, axis=1)))
-        held = self.filled[:p]
         gx = dct(gvals.T, type=1, n=2 * self.P - 1, axis=0)
-        y = idct((self.C[:, :p, : np.count_nonzero(held)] @ gx[:, held, None])[..., 0],
-                 type=1, axis=0)
+        y = np.zeros((2 * self.P - 1, p))
+        for cols, C in self.blocks:
+            m = np.searchsorted(cols, p)
+            y += (C[:, :p, :m] @ gx[:, cols[:m], None])[..., 0]
+        y = idct(y, type=1, axis=0)
         return np.ascontiguousarray(y[:p].T)
 
     def eval_at(self, gvals, wt, zt):
@@ -516,8 +522,12 @@ class KernelTable:
 
     def w2_slab(self, i):
         """W2[i] rebuilt from the spectra: (filled columns, 2P - 1), source
-        column (in cols order) by lag."""
-        return idct(self.C[:, i, :], type=1, axis=0).T
+        column (in cols order) by lag, one inverse DCT-I per block."""
+        filled = self.cols
+        slab = np.empty((filled.size, 2 * self.P - 1))
+        for cols, C in self.blocks:
+            slab[np.searchsorted(filled, cols)] = idct(C[:, i, :], type=1, axis=0).T
+        return slab
 
     def rows(self, targets, sources):
         """Dense quadrature rows R[t, s] consistent with apply() (on a
@@ -538,7 +548,7 @@ class KernelTable:
 
     @property
     def nbytes(self):
-        return self.C.nbytes
+        return sum(C.nbytes for _, C in self.blocks)
 
     def total_mass(self, gvals):
         """Unit-coordinate n-volume integral over the source's patch
@@ -580,8 +590,9 @@ def get_far(side, n, n_int, n_ext):
 class FarOperator:
     """KernelTable.eval_at from the nodes of one table to the far targets of
     one side, as an interpolative decomposition (Cheng, Gimbutas,
-    Martinsson & Rokhlin 2005): the far field at all T targets is
-    E (T x r) times the exact nodal sums at r skeleton targets.
+    Martinsson & Rokhlin 2005): the far field is the exact nodal sums at
+    the r skeleton targets and E ((T - r) x r) times those sums at the
+    T - r others (rest).
 
     side "int" maps interior sources to the starred nodes of far_mask(n_ext)
     (image points beyond 2 R0); side "star" maps starred sources to the
@@ -629,12 +640,16 @@ class FarOperator:
         si, sj = np.divmod(np.arange(P * P), P)
         disc = np.flatnonzero(si * si + sj * sj < (P - 1) ** 2)
         sketch = disc[:: max(1, disc.size // (FAR_SKETCH_ROWS * P))]
-        # one Fortran-ordered buffer that LAPACK factors in place; the
-        # queried optimal workspace keeps geqp3 on its blocked path
-        A = np.empty((sketch.size, wt.size), order="F")
+        # one Fortran-ordered buffer that LAPACK factors in place, in
+        # anonymous mapped pages: they go back to the OS when the build's
+        # last view of them dies, where a freed heap block of this size
+        # would stay with the process
+        A = np.frombuffer(mmap.mmap(-1, 8 * sketch.size * wt.size))
+        A = A.reshape(wt.size, sketch.size).T
         for k0, block in self.table.far_weights(sketch, wt, zt, P):
             A[k0 : k0 + len(block)] = block
         A *= scale
+        # the queried optimal workspace keeps geqp3 on its blocked path
         lwork = int(dgeqp3(A, lwork=-1, overwrite_a=True)[3][0])
         R, perm, _, _, info = dgeqp3(A, lwork=lwork, overwrite_a=True)
         if info != 0:
@@ -643,13 +658,13 @@ class FarOperator:
         d = np.abs(np.diag(R))
         r = int(np.count_nonzero(d > FAR_RANK_TOL * d[0]))
         self.tail = float(d[r] / d[0]) if r < d.size else 0.0
-        self.skeleton = perm[:r]
-        # E = [I | R11^-1 R12] in pivot order, scaled back to plain columns
-        self.E = E = np.empty((wt.size, r))
-        E[perm[:r]] = np.eye(r)
-        E[perm[r:]] = solve_triangular(R[:r, :r], R[:r, r:]).T
+        self.skeleton, self.rest = perm[:r], perm[r:]
+        # E = R11^-1 R12 in pivot order, scaled back to plain columns: the
+        # rows of the targets off the skeleton (a skeleton target's row is
+        # the identity's)
+        self.E = E = solve_triangular(R[:r, :r], R[:r, r:]).T
         E *= scale[self.skeleton]
-        E /= scale[:, None]
+        E /= scale[self.rest, None]
         self.wt, self.zt = wt, zt
         self.weights = np.empty((0, r))
         self.built = np.zeros(P * P, dtype=bool)
@@ -678,7 +693,11 @@ class FarOperator:
             self.weights = weights
             self.built[new] = True
             self.nodes = np.concatenate([self.nodes, new])
-        return self.E @ (flat[self.nodes] @ self.weights)
+        sums = flat[self.nodes] @ self.weights
+        out = np.empty(self.wt.size)
+        out[self.skeleton] = sums
+        out[self.rest] = self.E @ sums
+        return out
 
 
 class GreenOps:
@@ -728,14 +747,15 @@ class GreenOps:
 
     def cache_report(self):
         """Kernel tables and far operators this grid has used: sizes, filled
-        table columns, ranks, and whether its first lookup built each one or
-        found it cached."""
+        table columns and the fills (blocks) that hold them, ranks, and
+        whether its first lookup built each one or found it cached."""
         g = self.grid
         tables = {}
         for (P, n), built in self._tables_used.items():
             table = _TABLE_CACHE[P, n]
             tables[f"P{P}_n{n}"] = {"bytes": table.nbytes,
-                                    "columns": int(np.count_nonzero(table.filled)), "built": built}
+                                    "columns": int(np.count_nonzero(table.filled)),
+                                    "fills": len(table.blocks), "built": built}
         far = {}
         for (side, n), built in self._far_used.items():
             op = _FAR_CACHE[side, n, g.n_int, g.n_ext]

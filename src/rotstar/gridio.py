@@ -1,11 +1,13 @@
 """Self-describing binary container and columnar text export for fields."""
 
+import math
+import os
 import struct
 
 import numpy as np
 
 from .errors import ConfigError
-from .fields import AxiField, AxiGrid
+from .fields import MIN_NODES, AxiField, AxiGrid
 
 _MAGIC = b"AXFD"
 _VERSION = 1
@@ -31,7 +33,11 @@ def write_field(path, field, name=""):
 
 
 def read_field(path, grid=None):
-    """Read a binary dump; returns (AxiField, name)."""
+    """Read a binary dump; returns (AxiField, name).  A dump whose header
+    is not a field's (R0 not finite and positive, a non-finite offset, a
+    decay index outside 3..5, parities other than signs, fewer than
+    MIN_NODES nodes per axis) or whose payload is not exactly the bytes the
+    header promises is a ConfigError."""
     try:
         fh = open(path, "rb")
     except OSError as exc:
@@ -59,6 +65,24 @@ def read_field(path, grid=None):
         n_int, n_ext = struct.unpack("<II", take(8))
         (name_len,) = struct.unpack("<H", take(2))
         name = take(name_len).decode("utf-8")
+        # the header is checked before any payload is read, so a corrupt
+        # node count cannot ask for an allocation
+        if not (math.isfinite(R0) and R0 > 0.0):
+            raise ConfigError(f"{path}: R0 = {R0} is not a finite positive radius")
+        if not math.isfinite(offset):
+            raise ConfigError(f"{path}: offset {offset} is not finite")
+        if n_index not in (3, 4, 5):
+            raise ConfigError(f"{path}: decay index {n_index} is not 3, 4 or 5")
+        if not {pw, pz} <= {1, -1}:
+            raise ConfigError(f"{path}: parity ({pw}, {pz}) is not a pair of signs")
+        if min(n_int, n_ext) < MIN_NODES:
+            raise ConfigError(f"{path}: grid of {n_int}/{n_ext} nodes, below {MIN_NODES} per axis")
+        payload = 8 * (n_int * n_int + n_ext * n_ext)
+        held = os.fstat(fh.fileno()).st_size - fh.tell()
+        if held < payload:
+            raise ConfigError(f"{path}: truncated field dump ({held} of {payload} payload bytes)")
+        if held > payload:
+            raise ConfigError(f"{path}: {held - payload} bytes after the {payload} payload bytes")
         int_vals = np.frombuffer(take(8 * n_int * n_int), dtype="<f8").reshape(n_int, n_int)
         star_vals = np.frombuffer(take(8 * n_ext * n_ext), dtype="<f8").reshape(n_ext, n_ext)
     if grid is None:

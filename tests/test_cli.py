@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import struct
 import subprocess
 import sys
 from dataclasses import fields
@@ -372,6 +373,21 @@ class TestSolveCommand:
         assert main(["export", "--config", cfg, "--dump", str(dump),
                      "--out", str(tmp_path / "exp")]) == 1
 
+    @pytest.mark.parametrize("at, fmt, vals", [(12, "<d", (float("nan"),)), (28, "<II", (2, 2))])
+    def test_export_bad_header_exits_1(self, tmp_path, capsys, at, fmt, vals):
+        # a NaN R0 once exported NaN coordinates with exit 0, and a 2-node
+        # grid exited 2 from AxiGrid
+        cfg = write_cfg(tmp_path, TINY.format(b=0.0, out=tmp_path / "run"))
+        dump = tmp_path / "W.axfd"
+        write_field(dump, AxiField.zeros(AxiGrid(1.0, 17, 13)), name="W")
+        data = bytearray(dump.read_bytes())
+        struct.pack_into(fmt, data, at, *vals)
+        dump.write_bytes(bytes(data))
+        assert main(["export", "--config", cfg, "--dump", str(dump),
+                     "--out", str(tmp_path / "exp")]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "exp").exists()
+
 
 class TestKerrCheckCommand:
     def test_schwarzschild_passes(self, tmp_path):
@@ -395,6 +411,18 @@ class TestKerrCheckCommand:
         )
         cfg = write_cfg(tmp_path, body)
         assert main(["kerr-check", "--config", cfg]) == 0
+
+
+    def test_failure_reason_survives_quiet(self, tmp_path, capsys):
+        # two coarse levels miss the second-order refinement rate: exit 3,
+        # and --quiet, which drops the summary lines, must not swallow why
+        out = tmp_path / "kerr"
+        cfg = write_cfg(tmp_path, f'output: {{directory: "{out}"}}\nkerr: {{levels: [20, 40]}}\n')
+        assert main(["kerr-check", "--config", cfg, "--quiet"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("verification failure: refinement orders")
+        assert captured.out == ""
+        assert (out / "manifest.json").exists()
 
 
 class TestTovCompareCommand:

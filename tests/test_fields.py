@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -506,6 +508,49 @@ class TestIO:
             path.write_bytes(whole[:size])
             with pytest.raises(ConfigError, match="truncated"):
                 read_field(path)
+
+    # header fields at their byte offsets: n_index at 9, the parities at
+    # 10, R0 at 12, the offset at 20, the node counts at 28; a small grid
+    # keeps dumps small
+    BAD_HEADERS = {
+        "NaN offset": (20, "<d", (float("nan"),), "offset"),
+        "NaN R0": (12, "<d", (float("nan"),), "R0"),
+        "infinite R0": (12, "<d", (float("inf"),), "R0"),
+        "zero R0": (12, "<d", (0.0,), "R0"),
+        "negative R0": (12, "<d", (-1.0,), "R0"),
+        "decay index 9": (9, "<B", (9,), "decay index"),
+        "decay index 2": (9, "<B", (2,), "decay index"),
+        "parity (5, -3)": (10, "<bb", (5, -3), "parity"),
+        "parity (0, 1)": (10, "<bb", (0, 1), "parity"),
+        "2-node grid": (28, "<II", (2, 2), "below 9"),
+        "8-node starred patch": (28, "<II", (17, 8), "below 9"),
+        # the payload of 4e9 nodes per axis fits no index: checked, not read
+        "4e9 nodes per axis": (28, "<II", (4_000_000_000, 4_000_000_000), "truncated"),
+        "counts past the payload": (28, "<II", (17, 14), "truncated"),
+        "counts short of the payload": (28, "<II", (17, 12), "bytes after"),
+    }
+
+    @staticmethod
+    def small_dump(tmp_path):
+        path = tmp_path / "small.axfd"
+        write_field(path, decay_field(AxiGrid(1.0, 17, 13), 3), name="small")
+        return path
+
+    @pytest.mark.parametrize("case", list(BAD_HEADERS))
+    def test_bad_header_rejected(self, tmp_path, case):
+        at, fmt, vals, match = self.BAD_HEADERS[case]
+        path = self.small_dump(tmp_path)
+        data = bytearray(path.read_bytes())
+        struct.pack_into(fmt, data, at, *vals)
+        path.write_bytes(bytes(data))
+        with pytest.raises(ConfigError, match=match):
+            read_field(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = self.small_dump(tmp_path)
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(ConfigError, match="8 bytes after"):
+            read_field(path)
 
     def test_text_export(self, grid, tmp_path):
         f = decay_field(grid, 3)

@@ -1,6 +1,9 @@
 import math
+import mmap
 import tracemalloc
+import weakref
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -56,6 +59,22 @@ def count_calls(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, wrapped)
     return calls
+
+
+def traced_peak(fn):
+    """(peak traced heap bytes above the start while fn runs, fn())."""
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    out = fn()
+    return tracemalloc.get_traced_memory()[1] - base, out
+
+
+def spectra(table):
+    """The table's spectra C[k, i, m] over all its blocks, m indexing its
+    filled columns in order."""
+    cols = np.concatenate([cols for cols, _ in table.blocks])
+    C = np.concatenate([C for _, C in table.blocks], axis=2)
+    return C[:, :, np.argsort(cols)]
 
 
 def masked_ring_kernel(n, wt, ws, dz):
@@ -785,8 +804,9 @@ class TestCachedQuadrature:
     @pytest.mark.parametrize("side", ["int", "star"])
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_in_place_factor_matches_qr(self, side, n):
-        # the skeleton and E of the in-place geqp3 equal bit for bit those
-        # of scipy.linalg.qr on a stacked, scaled copy of the same sketch
+        # the skeleton and E's rows off it, in pivot order, of the in-place
+        # geqp3 equal bit for bit those of scipy.linalg.qr on a stacked,
+        # scaled copy of the same sketch
         table, P, sketch, wt, zt, scale = self.sketch_inputs(side, n, 33, 25)
         A = np.vstack([block for _, block in table.far_weights(sketch, wt, zt, P)])
         R, perm = scipy.linalg.qr(A * scale, mode="r", pivoting=True)
@@ -798,7 +818,8 @@ class TestCachedQuadrature:
         E = E * scale[perm[:r]] / scale[:, None]
         far = greens.FarOperator(side, n, 33, 25)
         assert np.array_equal(far.skeleton, perm[:r])
-        assert np.array_equal(far.E, E)
+        assert np.array_equal(far.rest, perm[r:])
+        assert np.array_equal(far.E, E[perm[r:]])
 
     @pytest.mark.parametrize("side", ["int", "star"])
     @pytest.mark.parametrize("n", [3, 4, 5])
@@ -821,13 +842,6 @@ class TestCachedQuadrature:
         # far_weights blocks, not the several copies of a stack-scale-copy
         # QR (the stacked blocks, vstack, the scaled copy, the Fortran copy)
         table, P, sketch, wt, zt, _ = self.sketch_inputs("star", 3, 65, 49)
-
-        def traced_peak(fn):
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            out = fn()
-            return tracemalloc.get_traced_memory()[1] - base, out
-
         tracemalloc.start()
         try:
             bare, _ = traced_peak(lambda: [None for _ in table.far_weights(sketch, wt, zt, P)])
@@ -838,6 +852,52 @@ class TestCachedQuadrature:
         assert sketch_bytes > 2 << 20
         assert peak - bare <= sketch_bytes + far.E.nbytes + (1 << 19)
 
+    def test_sketch_pages_given_back(self, monkeypatch):
+        # the sketch lives in one anonymous mapping outside the heap, and
+        # the mapping is gone once the operator is built
+        table, P, sketch, wt, zt, _ = self.sketch_inputs("star", 3, 65, 49)
+        maps = []
+
+        def mapped(*args):
+            buf = mmap.mmap(*args)
+            maps.append((weakref.ref(buf), len(buf)))
+            return buf
+
+        monkeypatch.setattr(greens, "mmap", SimpleNamespace(mmap=mapped))
+        tracemalloc.start()
+        try:
+            bare, _ = traced_peak(lambda: [None for _ in table.far_weights(sketch, wt, zt, P)])
+            peak, far = traced_peak(lambda: greens.FarOperator("star", 3, 65, 49))
+        finally:
+            tracemalloc.stop()
+        sketch_bytes = sketch.size * wt.size * 8
+        assert [size for _, size in maps] == [sketch_bytes]
+        assert maps[0][0]() is None
+        assert peak - bare <= far.E.nbytes + (1 << 19) < sketch_bytes
+
+    @pytest.mark.parametrize("side", ["int", "star"])
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_skeleton_rows_come_back_exactly(self, side, n):
+        # E holds only the rows of the T - r targets off the skeleton; the
+        # skeleton targets take their nodal sums as they are, which the
+        # identity rows of a full T x r E gave bit for bit, and the others
+        # E's product
+        ops = GreenOps(AxiGrid(R0=2.0, n_interior=33, n_exterior=25))
+        far = ops.far_operator(side, n)
+        T, r = far.wt.size, far.rank
+        assert far.E.shape == (T - r, r)
+        assert np.array_equal(np.sort(np.concatenate([far.skeleton, far.rest])), np.arange(T))
+        full = np.zeros((T, r))
+        full[far.skeleton] = np.eye(r)
+        full[far.rest] = far.E
+        for src in self.sources(ops, side):
+            got = far(src)
+            sums = src.ravel()[far.nodes] @ far.weights
+            assert np.array_equal(got[far.skeleton], sums)
+            # the rows off it up to the rounding of a shorter matrix product
+            ref = full @ sums
+            assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
     @pytest.mark.parametrize("P", [17, 21, 32, 33])
     def test_apply_matches_rows(self, P):
         # every node, the last z row included, must be clear of
@@ -845,8 +905,10 @@ class TestCachedQuadrature:
         # holds an even lag row (the end lags share an index), whatever P:
         # 80 at P = 21 is not a power of two, 124 at P = 32 not 2^k + 1
         table = KernelTable(P, 3)
-        assert table.C.shape == (2 * P - 1, P, P)
-        assert table.nbytes == table.C.nbytes
+        [(cols, C)] = table.blocks
+        assert np.array_equal(cols, np.arange(P))
+        assert C.shape == (2 * P - 1, P, P)
+        assert table.nbytes == C.nbytes
         gvals = np.random.RandomState(P).uniform(-1.0, 1.0, (P, P))
         i, j = np.divmod(np.arange(P * P), P)
         dense = table.rows((i, j), (i, j)) @ gvals.ravel()
@@ -1101,7 +1163,7 @@ class TestBlockedKernel:
         table = KernelTable(17, n)
         monkeypatch.setattr(greens, "ring_kernel", oneshot_ring_kernel)
         ref = KernelTable(17, n)
-        assert np.array_equal(table.C, ref.C)
+        assert np.array_equal(spectra(table), spectra(ref))
 
 
 class TestBatchedBuild:
@@ -1227,9 +1289,9 @@ class TestColumnFill:
     def assert_columns_match(table, whole):
         """Every filled column of table against the same column of whole,
         within 1e-15 of that column's largest spectrum entry."""
-        ref = whole.C[:, :, table.cols]
+        ref = spectra(whole)[:, :, table.cols]
         scale = np.max(np.abs(ref), axis=(0, 1))
-        assert np.all(np.max(np.abs(table.C - ref), axis=(0, 1)) <= 1e-15 * scale)
+        assert np.all(np.max(np.abs(spectra(table) - ref), axis=(0, 1)) <= 1e-15 * scale)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_any_order_and_partition(self, n):
@@ -1244,17 +1306,21 @@ class TestColumnFill:
             table = KernelTable(P, n, whole=False)
             assert table.cols.size == 0 and table.nbytes == 0
             filled = set()
-            for part in parts:
+            for k, part in enumerate(parts):
                 table.fill(part)
                 filled.update(int(c) for c in part)
                 assert table.cols.tolist() == sorted(filled)
-                assert table.C.shape == (2 * P - 1, P, len(filled))
+                # each fill is one block of its own columns
+                assert len(table.blocks) == k + 1
+                cols, C = table.blocks[-1]
+                assert cols.tolist() == sorted(int(c) for c in part)
+                assert C.shape == (2 * P - 1, P, len(part))
                 self.assert_columns_match(table, whole)
         # a whole lookup replaces a partly filled table with a whole build
         lazy = get_table(P, n, whole=False)
         lazy.fill([3, 4])
         assert get_table(P, n, whole=False) is lazy
-        assert np.array_equal(get_table(P, n).C, whole.C)
+        assert np.array_equal(spectra(get_table(P, n)), spectra(whole))
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_apply_fills_its_source_columns(self, n):
@@ -1297,10 +1363,30 @@ class TestColumnFill:
         far(src)
         assert far.table.cols.size == 0
 
+    def test_later_fill_copies_no_column(self):
+        # a table filled in three calls, as a 97/65 rotating solve fills
+        # its n = 3 table: the third fill's traced peak is its new block
+        # plus the build's temporaries, what the same fill takes on an
+        # empty table, and not a copy of the 40 columns filled before it
+        P = 65
+        parts = np.split(np.arange(P - 1), [8, 40])
+        table = KernelTable(P, 3, whole=False)
+        for part in parts[:2]:
+            table.fill(part)
+        tracemalloc.start()
+        try:
+            third, _ = traced_peak(lambda: table.fill(parts[2]))
+            fresh, _ = traced_peak(lambda: KernelTable(P, 3, whole=False).fill(parts[2]))
+        finally:
+            tracemalloc.stop()
+        held = (2 * P - 1) * P * 40 * 8
+        assert third <= fresh + (1 << 16) < fresh + held
+        assert [cols.size for cols, _ in table.blocks] == [8, 32, 24]
+
     def test_compact_table_is_small(self):
         # the X source of a 97/65 star lies on source columns 0-12: its
         # n = 4 table holds 13 of the 97 columns of a whole one
         table = KernelTable(97, 4, whole=False)
         table.fill(np.arange(13))
-        assert table.C.shape == (193, 97, 13)
+        assert [C.shape for _, C in table.blocks] == [(193, 97, 13)]
         assert table.nbytes <= 2 << 20

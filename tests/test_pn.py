@@ -329,8 +329,9 @@ class TestInnerOuter:
             tables = rep["kernel_tables"]
             assert sorted(tables) == ["P65_n3", "P65_n4", "P65_n5"]
             for table in tables.values():
-                assert set(table) == {"bytes", "columns", "built"}
+                assert set(table) == {"bytes", "columns", "fills", "built"}
                 assert 0 < table["columns"] <= 65
+                assert 0 < table["fills"] <= table["columns"]
                 assert table["bytes"] == (2 * 65 - 1) * 65 * table["columns"] * 8
             # a table fills only the source columns its sources carry: X's
             # source, the pressure, stays on the fluid's few columns
