@@ -11,6 +11,7 @@ dataclass takes has that one's default, so each default is spelled once.
 import hashlib
 import inspect
 import json
+import math
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass
 from numbers import Integral, Real
@@ -106,7 +107,9 @@ class RunConfig:
 
 
 def _is_number(val, kind=Real):
-    return isinstance(val, kind) and not isinstance(val, bool)
+    """A finite number of kind; a bool is not one."""
+    return (isinstance(val, kind) and not isinstance(val, bool)
+            and (isinstance(val, Integral) or math.isfinite(val)))
 
 
 def _numbers(val, kind=Real):
@@ -116,12 +119,13 @@ def _numbers(val, kind=Real):
 # list-valued keys: the test a value must pass and the rule it states; a
 # refinement order and an exponent fit need two points
 _LIST_RULES = {
-    ("eos", "upsilon_rho"): (_numbers, "a list of numbers"),
-    ("eos", "upsilon_P"): (lambda v: v == "consistent" or _numbers(v), '"consistent" or numbers'),
+    ("eos", "upsilon_rho"): (_numbers, "a list of finite numbers"),
+    ("eos", "upsilon_P"): (lambda v: v == "consistent" or _numbers(v),
+                           '"consistent" or finite numbers'),
     ("verify", "fit_window"): (lambda v: _numbers(v) and len(v) == 2 and 0 < v[0] < v[1],
-                               "a list [lo, hi] with 0 < lo < hi"),
+                               "a list [lo, hi] of finite numbers with 0 < lo < hi"),
     ("kerr", "levels"): (lambda v: _numbers(v, Integral) and len(v) >= 2, "a list of 2+ integers"),
-    ("sweep", "values"): (lambda v: _numbers(v) and len(v) >= 2, "a list of 2+ numbers"),
+    ("sweep", "values"): (lambda v: _numbers(v) and len(v) >= 2, "a list of 2+ finite numbers"),
 }
 
 
@@ -132,13 +136,14 @@ def sweep_key(param):
 
 
 def _validate(cfg):
-    # a key with a numeric default takes a number; star's two rotation keys
-    # also take null (exactly one of them is null, checked below); a
-    # list-valued key passes its _LIST_RULES test
+    # a key with a numeric default takes a finite number; star's two
+    # rotation keys also take null (exactly one of them is null, checked
+    # below); a list-valued key passes its _LIST_RULES test
     for name, defaults in _DEFAULTS.items():
         for key, default in defaults.items():
             val, rotation = getattr(cfg, name)[key], name == "star" and key in ("Omega_O", "b_rot")
-            kind, what = (Integral, "an integer") if _is_number(default, Integral) else (Real, "a number")
+            kind, what = ((Integral, "an integer") if _is_number(default, Integral)
+                          else (Real, "a finite number"))
             if (_is_number(default) or rotation) and not (_is_number(val, kind) or rotation and val is None):
                 raise ConfigError(f"{name}.{key}={val!r} is not {what}")
             ok, rule = _LIST_RULES.get((name, key), (None, None))

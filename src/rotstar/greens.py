@@ -37,12 +37,15 @@ LOpSolver solves the Helmholtz-like interior problem (L_3 + coef) W + g = 0
 as a direct dense Nystrom system.
 """
 
+import ctypes
 import math
 import mmap
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.fft import dct, idct
+from scipy.linalg import cython_blas, cython_lapack, solve_triangular
+from scipy.linalg.lapack import dgeqp3
 from scipy.special import ellipe, ellipk
 
 from .errors import DecayError, DomainError, SolverError
@@ -85,35 +88,54 @@ def ring_kernel(n, wt, ws, dz):
 
 
 def _ring_block(n, wt, ws, dz, out):
-    """ring_kernel on one block, written into out."""
-    A = (wt - ws) ** 2 + dz**2
+    """ring_kernel on one block, written into out.
+
+    The full-shape intermediates are computed in place: out holds A + B
+    until the last division, and the block allocates A and m beside it (and
+    K and E for n = 5).  Coincidence and the axis are each
+    tested by one reduction, and their masks are built only in a block that
+    has such points.  Every value goes through the operations of the
+    formula written out, in its order, so the output is bit-identical to it.
+    """
+    A = np.add((wt - ws) ** 2, dz**2, out=np.empty(out.shape))
     B = 4.0 * wt * ws
-    diag = A <= 0.0
-    has_diag = diag.any()
+    has_diag = A.min() <= 0.0
     if has_diag:
+        diag = A <= 0.0
         A[diag] = 1.0  # stand-in; zeroed at the end
-    AB = A + B
+    AB = np.add(A, B, out=out)
     m = B / AB
 
-    if n == 3:
-        np.divide(ws * ellipk(m), math.pi * np.sqrt(AB), out=out)
-    else:
+    has_axis = n != 3 and m.min() < 1e-14
+    if has_axis:
         axis = m < 1e-14
-        has_axis = axis.any()
-        if n == 4:
-            if has_axis:
-                wt = np.where(wt > 0, wt, 1.0)
-            np.divide(ws * np.log(AB / A), 4.0 * math.pi * wt, out=out)
-        else:
-            K = ellipk(m)
-            gm = 2.0 * (K - ellipe(m)) - m * K
-            if has_axis:
-                B = np.where(axis, 1.0, B)
-            np.divide(ws**3 * 8.0 * np.sqrt(AB) * gm, 2.0 * math.pi * B**2, out=out)
+        ws_ax, A_ax = np.broadcast_to(ws, out.shape)[axis], A[axis]
+    if n == 3:
+        # ws K / (pi sqrt(A + B))
+        wsK = np.multiply(ellipk(m, out=m), ws, out=m)
+        np.sqrt(AB, out=AB)
+        AB *= math.pi
+        np.divide(wsK, AB, out=out)
+    elif n == 4:
+        # ws log((A + B) / A) / (4 pi wt)
         if has_axis:
-            ws_ax = np.broadcast_to(ws, out.shape)[axis]
-            A_ax = A[axis]
-            out[axis] = ws_ax**2 / (math.pi * A_ax) if n == 4 else ws_ax**3 / (4.0 * A_ax**1.5)
+            wt = np.where(wt > 0, wt, 1.0)
+        log = np.log(np.divide(AB, A, out=A), out=A)
+        np.divide(np.multiply(log, ws, out=log), 4.0 * math.pi * wt, out=out)
+    else:
+        # 8 ws^3 sqrt(A + B) gm / (2 pi B^2), gm = 2 (K - E) - m K
+        K, E = ellipk(m), ellipe(m)
+        gm = np.subtract(K, E, out=E)
+        gm *= 2.0
+        gm -= np.multiply(m, K, out=K)
+        if has_axis:
+            B = np.where(axis, 1.0, B)
+        np.sqrt(AB, out=AB)
+        np.multiply(ws**3 * 8.0, AB, out=AB)
+        AB *= gm
+        np.divide(AB, 2.0 * math.pi * B**2, out=out)
+    if has_axis:
+        out[axis] = ws_ax**2 / (math.pi * A_ax) if n == 4 else ws_ax**3 / (4.0 * A_ax**1.5)
     if has_diag:
         out[diag] = 0.0
 
@@ -123,6 +145,7 @@ _TABLE_CACHE = {}
 _FAR_CACHE = {}
 _FAR_BLOCK = 1 << 16  # kernel evaluations per block of far-field weights
 FAR_RANK_TOL = 1e-14  # far skeleton: QR pivots above this fraction of the first
+QP3_CROSSOVER = 128  # dgeqp3's unblocked tail: reference ilaenv's crossover for dgeqrf
 FAR_SKETCH_ROWS = 8  # far sketch: about this many source nodes per table node count
 MC = 2  # near node patch: offsets -MC..MC around each target
 N_GAUSS_BASE = 4  # Gauss points per cell axis of the hat-product weights W2
@@ -587,6 +610,73 @@ def get_far(side, n, n_int, n_ext):
     return _FAR_CACHE[key]
 
 
+_CAPSULE_NAME = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    ("PyCapsule_GetName", ctypes.pythonapi))
+_CAPSULE_POINTER = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
+
+
+def _native(module, name, nargs, restype=None):
+    """The routine name of scipy's Cython BLAS or LAPACK bindings, the
+    library scipy.linalg calls, as a ctypes function of nargs pointers
+    (Fortran passes every argument by reference)."""
+    capsule = module.__pyx_capi__[name]
+    address = _CAPSULE_POINTER(capsule, _CAPSULE_NAME(capsule))
+    return ctypes.CFUNCTYPE(restype, *[ctypes.c_void_p] * nargs)(address)
+
+
+def _by_reference(fn, *args):
+    """fn(*args), an int passed as a pointer to a C int, a ctypes.c_int as a
+    pointer to itself and an array as a pointer to its first element."""
+    refs = [ctypes.c_int(a) if isinstance(a, int) else a for a in args]
+    return fn(*(ctypes.byref(a) if isinstance(a, ctypes.c_int) else a.ctypes.data for a in refs))
+
+
+_DLAQPS = _native(cython_lapack, "dlaqps", 14)
+_DLAQP2 = _native(cython_lapack, "dlaqp2", 10)
+_DNRM2 = _native(cython_blas, "dnrm2", 3, ctypes.c_double)
+
+
+def _pivoted_qr_to_rank(A, tol):
+    """LAPACK's dgeqp3 on the Fortran-ordered float64 A (m x T, factored in
+    place), stopped after the first panel whose last diagonal of R is at or
+    below tol times the first.  Returns the 0-based column order perm and
+    the number k of columns factored.
+
+    It runs dgeqp3's own sweep (Quintana-Orti, Sun & Bischof 1998): the
+    column norms by dnrm2, panels by dlaqps of the width dgeqp3's workspace
+    query implies, up to QP3_CROSSOVER columns before min(m, T), and dlaqp2
+    on the rest, or on everything where dgeqp3 would not block.  A panel
+    leaves the rows of R that earlier panels finished alone, so perm[:k] and
+    R's first k rows, column by column, are dgeqp3's bit for bit; the
+    columns after k stay in the order the sweep left them.
+    """
+    if not (A.dtype == np.float64 and A.flags.f_contiguous):
+        raise DomainError("the pivoted QR factors a Fortran-ordered float64 array")
+    m, T = A.shape
+    mn = min(m, T)
+    # dgeqp3's optimal workspace is 2 T + (T + 1) nb
+    nb = (int(dgeqp3(A, lwork=-1, overwrite_a=True)[3][0]) - 2 * T) // (T + 1)
+    perm = np.arange(1, T + 1, dtype=np.intc)
+    tau = np.empty(mn)
+    # dgeqp3's initial column norms: one dnrm2 call per column
+    rows, one, base = ctypes.byref(ctypes.c_int(m)), ctypes.byref(ctypes.c_int(1)), A.ctypes.data
+    vn1 = np.array([_DNRM2(rows, base + 8 * m * j, one) for j in range(T)])
+    vn2 = vn1.copy()
+    work = np.empty(max(nb, 1) * (T + 1))  # dlaqps' auxv and F, dlaqp2's work
+    j = 0
+    if 2 <= nb < mn and QP3_CROSSOVER < mn:
+        while j < mn - QP3_CROSSOVER:
+            jb, done = min(nb, mn - QP3_CROSSOVER - j), ctypes.c_int()
+            _by_reference(_DLAQPS, m, T - j, j, jb, done, A[:, j:], m, perm[j:], tau[j:],
+                          vn1[j:], vn2[j:], work, work[jb:], T - j)
+            j += done.value
+            if abs(A[j - 1, j - 1]) <= tol * abs(A[0, 0]):
+                return perm - 1, j
+    _by_reference(_DLAQP2, m, T - j, j, A[:, j:], m, perm[j:], tau[j:], vn1[j:], vn2[j:], work)
+    return perm - 1, mn
+
+
 class FarOperator:
     """KernelTable.eval_at from the nodes of one table to the far targets of
     one side, as an interpolative decomposition (Cheng, Gimbutas,
@@ -606,7 +696,9 @@ class FarOperator:
     skeleton is a column-pivoted QR of a sketch: the weights from an evenly
     strided subset of about FAR_SKETCH_ROWS * P source nodes of the quarter
     disc i^2 + j^2 < (P - 1)^2, where the
-    chi-cut and the diamond sources live.  Its rank is the number of pivots
+    chi-cut and the diamond sources live.  The QR stops at the panel where
+    its pivots drop (_pivoted_qr_to_rank); qr_columns is the number of
+    columns it factored.  The rank is the number of pivots
     above FAR_RANK_TOL of the first, and tail is the first dropped pivot
     over the first (0 if none was dropped), the truncation estimate of the
     decomposition.  The tolerance sits at the resolution of the n = 5 ring kernel: its
@@ -627,9 +719,6 @@ class FarOperator:
     """
 
     def __init__(self, side, n, n_int, n_ext):
-        from scipy.linalg import solve_triangular
-        from scipy.linalg.lapack import dgeqp3
-
         self.table = get_table(max(n_int, n_ext), n, whole=False)
         self.P = P = n_int if side == "int" else n_ext
         i, j = np.nonzero(far_mask(n_ext if side == "int" else n_int))
@@ -649,20 +738,15 @@ class FarOperator:
         for k0, block in self.table.far_weights(sketch, wt, zt, P):
             A[k0 : k0 + len(block)] = block
         A *= scale
-        # the queried optimal workspace keeps geqp3 on its blocked path
-        lwork = int(dgeqp3(A, lwork=-1, overwrite_a=True)[3][0])
-        R, perm, _, _, info = dgeqp3(A, lwork=lwork, overwrite_a=True)
-        if info != 0:
-            raise SolverError(f"far-field sketch QR failed (geqp3 info {info})")
-        perm -= 1  # LAPACK pivots are 1-based
-        d = np.abs(np.diag(R))
+        perm, self.qr_columns = _pivoted_qr_to_rank(A, FAR_RANK_TOL)
+        d = np.abs(np.diag(A[: self.qr_columns, : self.qr_columns]))
         r = int(np.count_nonzero(d > FAR_RANK_TOL * d[0]))
         self.tail = float(d[r] / d[0]) if r < d.size else 0.0
         self.skeleton, self.rest = perm[:r], perm[r:]
         # E = R11^-1 R12 in pivot order, scaled back to plain columns: the
         # rows of the targets off the skeleton (a skeleton target's row is
         # the identity's)
-        self.E = E = solve_triangular(R[:r, :r], R[:r, r:]).T
+        self.E = E = solve_triangular(A[:r, :r], A[:r, r:]).T
         E *= scale[self.skeleton]
         E /= scale[self.rest, None]
         self.wt, self.zt = wt, zt
@@ -747,7 +831,8 @@ class GreenOps:
 
     def cache_report(self):
         """Kernel tables and far operators this grid has used: sizes, filled
-        table columns and the fills (blocks) that hold them, ranks, and
+        table columns and the fills (blocks) that hold them, ranks and the
+        columns each skeleton QR factored, and
         whether its first lookup built each one or found it cached."""
         g = self.grid
         tables = {}
@@ -761,6 +846,7 @@ class GreenOps:
             op = _FAR_CACHE[side, n, g.n_int, g.n_ext]
             far[f"{side}_n{n}"] = {
                 "rank": op.rank,
+                "qr_columns": op.qr_columns,
                 "targets": int(np.count_nonzero(self._far_rows[side])),
                 "filled_nodes": op.nodes.size,
                 "bytes": op.nbytes,

@@ -625,6 +625,13 @@ class PNSolver:
         the assembled metric, and diagnostics."""
         p = self.params
         g = self.grid
+        # W's sources, and a rotating star's Y's, reach every column that a
+        # source on the table's P nodes can carry, 0..P-2, so those tables
+        # are filled here in one block each rather than a block per first
+        # use; X's source, the pressure, fills its few columns on demand
+        for n in (3, 5) if p.b_rot > 0 else (3,):
+            table = self.ops.table(n)
+            table.fill(np.arange(table.P - 1))
 
         def step(outer):
             V, WYX, _ = outer

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from rotstar import greens
 from rotstar.eos import EquationOfState
 from rotstar.lane_emden import solve_classical, solve_distorted
 from rotstar.pn import PNSolver, SolverOptions, StarParams
@@ -41,12 +42,19 @@ def _options(n_int=65, n_ext=49):
 
 @pytest.fixture(scope="session")
 def rotating_sweep(cls15, eos_unit, dle_rot):
-    """b = 1e-3 solves for eps in {1e-3, 5e-4, 2.5e-4} at N = 65."""
+    """b = 1e-3 solves for eps in {1e-3, 5e-4, 2.5e-4} at N = 65.
+
+    They run on kernel caches of their own, so the tables and far operators
+    their reports give are the ones these solves filled and built, whatever
+    tests ran before."""
     out = {}
-    for eps in EPS_SWEEP:
-        p = StarParams.build(5 / 3, 1.0, 1.0, 1.0, u_O=eps, b_rot=B_ROT, classical=cls15)
-        solver = PNSolver(p, eos_unit, _options(), dle=dle_rot, classical=cls15)
-        out[eps] = solver.solve()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(greens, "_TABLE_CACHE", {})
+        mp.setattr(greens, "_FAR_CACHE", {})
+        for eps in EPS_SWEEP:
+            p = StarParams.build(5 / 3, 1.0, 1.0, 1.0, u_O=eps, b_rot=B_ROT, classical=cls15)
+            solver = PNSolver(p, eos_unit, _options(), dle=dle_rot, classical=cls15)
+            out[eps] = solver.solve()
     return out
 
 

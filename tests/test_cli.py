@@ -96,6 +96,16 @@ class TestConfigValidation:
         "export of a missing dump": ({}, ["export", "--dump", "{tmp}/absent.axfd"]),
         "negative star.b_rot": ({"cfg.yaml": "star: {b_rot: -1.0}\n"},
                                 ["solve", "--config", "{tmp}/cfg.yaml"]),
+        # non-finite numbers, list entries included, stop at validation, not
+        # in numpy warnings or after a 400-step distorted profile
+        "infinite star.b_rot": ({"cfg.yaml": "star: {b_rot: .inf}\n"},
+                                ["solve", "--config", "{tmp}/cfg.yaml"]),
+        "infinite star.u_O": ({"cfg.yaml": "star: {u_O: .inf}\n"},
+                              ["solve", "--config", "{tmp}/cfg.yaml"]),
+        "infinite eos.c_light": ({"cfg.yaml": "eos: {c_light: .inf}\n"},
+                                 ["solve", "--config", "{tmp}/cfg.yaml"]),
+        "NaN entry in eos.upsilon_rho": ({"cfg.yaml": "eos: {upsilon_rho: [0.5, .nan]}\n"},
+                                         ["solve", "--config", "{tmp}/cfg.yaml"]),
         "zero lane_emden.n_zeta": ({"cfg.yaml": "lane_emden: {n_zeta: 0}\n"},
                                    ["solve", "--config", "{tmp}/cfg.yaml"]),
         "negative lane_emden.lmax": ({"cfg.yaml": "lane_emden: {lmax: -2}\n"},

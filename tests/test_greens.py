@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.linalg.lapack  # FarOperator imports it lazily; load it before any traced build
+import scipy.linalg.lapack
 from numpy.polynomial.legendre import leggauss
 from scipy.sparse import lil_matrix
 from scipy.sparse.linalg import spsolve
@@ -671,6 +671,23 @@ def assert_close_fields(got, ref, rtol):
         assert np.max(np.abs(a - b)) <= rtol * np.max(np.abs(b))
 
 
+def assert_same_decomposition(far, R, perm, scale):
+    """far's rank, tail, skeleton and E rows, by target, are those of the
+    full pivoted QR R, perm (0-based) of its scaled sketch, bit for bit."""
+    d = np.abs(np.diag(R))
+    r = int(np.count_nonzero(d > greens.FAR_RANK_TOL * d[0]))
+    assert far.rank == r
+    assert far.tail == (d[r] / d[0] if r < d.size else 0.0)
+    assert np.array_equal(far.skeleton, perm[:r])
+    E = np.full((perm.size, r), np.nan)
+    E[perm[r:]] = (scipy.linalg.solve_triangular(R[:r, :r], R[:r, r:]).T * scale[perm[:r]]
+                   / scale[perm[r:], None])
+    got = np.full(E.shape, np.nan)
+    got[far.rest] = far.E
+    assert np.array_equal(np.sort(far.rest), np.sort(perm[r:]))
+    assert np.array_equal(got, E, equal_nan=True)
+
+
 class TestCachedQuadrature:
     """The shared far operators reproduce eval_at, and apply reproduces rows()."""
 
@@ -804,22 +821,40 @@ class TestCachedQuadrature:
     @pytest.mark.parametrize("side", ["int", "star"])
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_in_place_factor_matches_qr(self, side, n):
-        # the skeleton and E's rows off it, in pivot order, of the in-place
-        # geqp3 equal bit for bit those of scipy.linalg.qr on a stacked,
-        # scaled copy of the same sketch
+        # the skeleton and each target's E row of the in-place QR equal bit
+        # for bit those of scipy.linalg.qr on a stacked, scaled copy of the
+        # same sketch.  The targets off the skeleton come in the order the
+        # QR left them when it stopped, so E's rows are compared by target
         table, P, sketch, wt, zt, scale = self.sketch_inputs(side, n, 33, 25)
         A = np.vstack([block for _, block in table.far_weights(sketch, wt, zt, P)])
         R, perm = scipy.linalg.qr(A * scale, mode="r", pivoting=True)
-        d = np.abs(np.diag(R))
-        r = int(np.count_nonzero(d > greens.FAR_RANK_TOL * d[0]))
-        E = np.empty((wt.size, r))
-        E[perm[:r]] = np.eye(r)
-        E[perm[r:]] = scipy.linalg.solve_triangular(R[:r, :r], R[:r, r:]).T
-        E = E * scale[perm[:r]] / scale[:, None]
         far = greens.FarOperator(side, n, 33, 25)
-        assert np.array_equal(far.skeleton, perm[:r])
-        assert np.array_equal(far.rest, perm[r:])
-        assert np.array_equal(far.E, E[perm[r:]])
+        assert_same_decomposition(far, R, perm, scale)
+
+    @pytest.mark.parametrize("shape", [(33, 25), (65, 49)])
+    @pytest.mark.parametrize("side", ["int", "star"])
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_truncated_qr_matches_full_dgeqp3(self, shape, side, n):
+        # the QR stops after the dgeqp3 panel in which its pivots drop below
+        # FAR_RANK_TOL, and what the operator keeps of it, the skeleton, the
+        # tail and each target's E row, is the full dgeqp3's bit for bit.  A
+        # sketch whose short side is within QP3_CROSSOVER (the 33/25
+        # interior one) is not blocked and factors every column
+        table, P, sketch, wt, zt, scale = self.sketch_inputs(side, n, *shape)
+        A = np.vstack([block for _, block in table.far_weights(sketch, wt, zt, P)])
+        A = np.asfortranarray(A * scale)
+        lwork = int(scipy.linalg.lapack.dgeqp3(A, lwork=-1)[3][0])
+        R, perm, _, _, info = scipy.linalg.lapack.dgeqp3(A, lwork=lwork)
+        assert info == 0
+        far = greens.FarOperator(side, n, *shape)
+        assert_same_decomposition(far, R, perm - 1, scale)
+        nb = (lwork - 2 * wt.size) // (wt.size + 1)
+        mn = min(A.shape)
+        if mn <= greens.QP3_CROSSOVER:
+            assert (shape, side) == ((33, 25), "int")
+            assert far.qr_columns == mn
+        else:
+            assert far.rank < far.qr_columns <= min(far.rank + nb, mn - greens.QP3_CROSSOVER)
 
     @pytest.mark.parametrize("side", ["int", "star"])
     @pytest.mark.parametrize("n", [3, 4, 5])
@@ -1063,8 +1098,9 @@ def loop_build(P, n):
 
 
 def oneshot_ring_kernel(n, wt, ws, dz):
-    """ring_kernel on the whole broadcast input at once, without blocks,
-    kept as the reference for ring_kernel's blocked evaluation."""
+    """ring_kernel on the whole broadcast input at once, without blocks and
+    with a fresh array for each intermediate: the reference for
+    ring_kernel's blocked, in-place evaluation."""
     wt, ws, dz = (np.asarray(x, dtype=float) for x in (wt, ws, dz))
     scalar = wt.ndim == ws.ndim == dz.ndim == 0
     wt, ws, dz = np.atleast_1d(wt, ws, dz)
@@ -1140,6 +1176,9 @@ class TestBlockedKernel:
             "polar cells": (1.0 * ip, ip + (2 * ap + 1) * x, (2 * bp + 1) * y),
             # axis targets (wt = 0, so m = 0) and coincident points (A = 0)
             "axis and coincident": (grid[:, None, None], grid[None, :, None], grid[None, None, :]),
+            # far_weights: targets along the last axis, nodes along the first
+            "far weights": (grid[None, :], ws_nodes[:20, None],
+                            grid[None, :] - dz_nodes[:20, None] / 4.0),
         }
 
     @pytest.mark.parametrize("block", [None, 7])
@@ -1151,7 +1190,10 @@ class TestBlockedKernel:
             monkeypatch.setattr(greens, "RING_BLOCK", block)
         blocks = 0
         for name, args in self.inputs(97 if block is None else 17).items():
+            before = [np.copy(x) for x in args]
             got = ring_kernel(n, *args)
+            # the in-place evaluation writes into none of its inputs
+            assert all(np.array_equal(x, y) for x, y in zip(args, before)), name
             ref = oneshot_ring_kernel(n, *args)
             assert type(got) is type(ref), name
             assert np.array_equal(got, ref), name

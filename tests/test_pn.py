@@ -6,7 +6,7 @@ import pytest
 from rotstar import pn
 from rotstar.errors import ConvergenceError, DomainError, SeriesDomainError
 from rotstar.fields import AxiField, AxiGrid
-from rotstar.greens import FAR_RANK_TOL
+from rotstar.greens import FAR_RANK_TOL, FAR_SKETCH_ROWS, far_mask
 from rotstar.lane_emden import solve_distorted
 from rotstar.metric import e2G_normalization
 from rotstar.pn import PNSolver, SolverOptions, StarParams, omega_profile, v_star_from_infinity
@@ -313,6 +313,15 @@ class TestInnerOuter:
             assert res.diagnostics["support_radius_over_r1"] < 3.0
 
     def test_cache_report(self, rotating_sweep):
+        def sketch_shape(name):
+            # (sketch rows m, operator targets T) of a 65/49 far operator
+            side = name.split("_")[0]
+            P, P_t = (65, 49) if side == "int" else (49, 65)
+            si, sj = np.divmod(np.arange(P * P), P)
+            disc = np.flatnonzero(si * si + sj * sj < (P - 1) ** 2)
+            m = disc[:: max(1, disc.size // (FAR_SKETCH_ROWS * P))].size
+            return m, int(np.count_nonzero(far_mask(P_t)))
+
         # each star reports the kernel tables and far operators it used.  A
         # far operator holds (T + S) r 8 B against T S 8 B dense, so it is
         # smaller wherever the source support S is large; a support of a few
@@ -325,9 +334,12 @@ class TestInnerOuter:
             assert rep["builds"] + rep["cache_hits"] == len(rep["kernel_tables"]) + len(
                 rep["far_operators"]
             )
-            # one table per dimension, sized to the larger patch, serves both
+            # one table per dimension, sized to the larger patch, serves both;
+            # W's and Y's tables are filled in one block each by the solve,
+            # after the set-up's Newtonian fill of n = 3, and X's on demand
             tables = rep["kernel_tables"]
             assert sorted(tables) == ["P65_n3", "P65_n4", "P65_n5"]
+            assert [tables[key]["fills"] for key in sorted(tables)] == [2, 1, 1]
             for table in tables.values():
                 assert set(table) == {"bytes", "columns", "fills", "built"}
                 assert 0 < table["columns"] <= 65
@@ -339,9 +351,12 @@ class TestInnerOuter:
             assert rep["table_bytes"] == sum(t["bytes"] for t in tables.values())
             assert {"int_n3", "int_n5", "star_n3", "star_n5"} <= set(rep["far_operators"])
             dense = 0
-            for op in rep["far_operators"].values():
-                assert set(op) == {"rank", "targets", "filled_nodes", "bytes", "tail", "built"}
+            for name, op in rep["far_operators"].items():
+                assert set(op) == {"rank", "qr_columns", "targets", "filled_nodes", "bytes",
+                                   "tail", "built"}
                 assert 0 < op["rank"] < op["targets"]
+                # the QR stops at the panel where its pivots drop
+                assert op["rank"] < op["qr_columns"] <= min(sketch_shape(name))
                 assert 0.0 <= op["tail"] <= FAR_RANK_TOL
                 dense += op["targets"] * op["filled_nodes"] * 8
                 if op["filled_nodes"] > op["targets"]:
