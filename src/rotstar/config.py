@@ -116,14 +116,18 @@ def _numbers(val, kind=Real):
     return isinstance(val, list) and all(_is_number(v, kind) for v in val)
 
 
+# verify.fit_window's bounds in R0: the vacuum outside the support bound 3 r1 = 0.75 R0, and
+# at most 100 R0, past which the fit's decay orders fail (F's 0.94 at 1000 R0 on 17/13)
+FIT_LO, FIT_HI = 0.75, 100.0
+
 # list-valued keys: the test a value must pass and the rule it states; a
 # refinement order and an exponent fit need two points
 _LIST_RULES = {
     ("eos", "upsilon_rho"): (_numbers, "a list of finite numbers"),
     ("eos", "upsilon_P"): (lambda v: v == "consistent" or _numbers(v),
                            '"consistent" or finite numbers'),
-    ("verify", "fit_window"): (lambda v: _numbers(v) and len(v) == 2 and 0 < v[0] < v[1],
-                               "a list [lo, hi] of finite numbers with 0 < lo < hi"),
+    ("verify", "fit_window"): (lambda v: _numbers(v) and len(v) == 2 and FIT_LO <= v[0] < v[1] <= FIT_HI,
+                               f"a list [lo, hi] of numbers with {FIT_LO} <= lo < hi <= {FIT_HI:g} (in R0)"),
     ("kerr", "levels"): (lambda v: _numbers(v, Integral) and len(v) >= 2, "a list of 2+ integers"),
     ("sweep", "values"): (lambda v: _numbers(v) and len(v) >= 2, "a list of 2+ finite numbers"),
 }

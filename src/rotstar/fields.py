@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .cutoff import chi
-from .errors import DecayError, DomainError
+from .errors import DecayError, DomainError, SeriesDomainError
 
 MIN_NODES = 9  # AxiGrid: fewest nodes per patch axis
 
@@ -473,14 +473,17 @@ def field_expm1(field, scale=1.0):
 
 
 def field_log1p(field):
-    """log1p(Q) for a decaying field with 1 + Q > 0."""
+    """log1p(Q) for a decaying field; SeriesDomainError unless 1 + Q > 0."""
     g = field.grid
-    base = np.log1p(field.offset)
-    ratio = 1.0 / (1.0 + field.offset)
-    int_vals = np.log1p(field.int_vals * ratio)
+    # 1 + Q = (1 + offset)(1 + T / (1 + offset)) on each patch; an offset at
+    # or below -1 makes the ratio NaN, which fails the test below
+    ratio = 1.0 / (1.0 + field.offset) if field.offset > -1.0 else np.nan
+    int_arg = field.int_vals * ratio
     T = g.weight("star", field.n_index - 2) * field.star_vals * ratio
+    if not (np.all(int_arg > -1.0) and np.all(T > -1.0)):
+        raise SeriesDomainError("log1p(Q) needs 1 + Q > 0 on both patches")
     star = _psi_apply(np.log1p, 1.0, field.star_vals * ratio, T)
-    return AxiField(g, field.n_index, int_vals, star, field.parity, base)
+    return AxiField(g, field.n_index, np.log1p(int_arg), star, field.parity, np.log1p(field.offset))
 
 
 def exp_of(field, scale=1.0):

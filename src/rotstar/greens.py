@@ -21,9 +21,10 @@ same machinery; a compact source has no tail and stops after its first part.
 The two patches share one unit-coordinate KernelTable per dimension, sized
 to the larger patch; the smaller one reads its leading block, which its
 sources, zero on the patch edge, cannot tell from a table of its own.  A
-table fills its source columns on demand: GreenOps.table and FarOperator
-look it up without filling it, apply and rows fill the columns their sources carry, and
-get_table(P, n) builds whole tables.
+table starts empty and gains columns only through KernelTable.fill: apply
+and rows fill the columns their sources carry, and get_table(P, n) tops the
+cached table up to every column; GreenOps.table and GreenOps.far_operator,
+the solver's lookups, fill none.
 Both parts reach the other patch by one Kelvin transfer,
 GreenOps._patch_potential: bilinear at the images inside the source patch,
 the shared FarOperator at the images outside it (the masks in GreenOps.far),
@@ -156,19 +157,20 @@ N_GAUSS_POLAR = (12, 16)  # (angle, radius) points per half of a polar cell
 RCOND_RAISE = 1e-13  # LOpSolver: smallest reciprocal condition number it factors
 
 
-def get_table(P, n, whole=True):
-    """Unit-spacing kernel table, cached per (node count, dimension); it
-    serves every patch of at most P nodes.
+def _cached_table(P, n):
+    """The cached unit-spacing kernel table of (P, n), made empty on the first
+    lookup; it serves every patch of at most P nodes."""
+    if (P, n) not in _TABLE_CACHE:
+        _TABLE_CACHE[P, n] = KernelTable(P, n)
+    return _TABLE_CACHE[P, n]
 
-    whole=True returns a table with every source column, built inside
-    KernelTable.__init__; a cached table with columns missing is replaced,
-    not topped up, so a whole table does not depend on the fills before it.
-    whole=False looks the table up as it is, or caches an empty one: apply
-    and rows fill the columns their sources carry."""
-    key = (int(P), int(n))
-    table = _TABLE_CACHE.get(key)
-    if table is None or whole and not table.filled.all():
-        table = _TABLE_CACHE[key] = KernelTable(*key, whole)
+
+def get_table(P, n):
+    """The cached table of (P, n), topped up to every source column by one fill
+    of the columns it lacks.  It is never replaced, so the GreenOps and far
+    operators that hold it see the new columns."""
+    table = _cached_table(P, n)
+    table.fill(np.arange(table.P))
     return table
 
 
@@ -347,18 +349,17 @@ class KernelTable:
     W2 with one inverse DCT-I per block, and rows() reads its entries from
     the slabs.
 
-    Columns are filled on demand.  KernelTable(P, n) and get_table(P, n)
-    build every column; KernelTable(P, n, whole=False), the lookup of
-    GreenOps.table and FarOperator, starts empty.  apply and rows fill the
-    source columns their sources carry before they use them (fill), so a
-    compact source, such as the pressure X's L_4 inverts, holds only the
-    fluid's columns, and no source fills the last column, where every source
-    on the table's P nodes vanishes.  A column's entries do not depend on
-    the fills before it up to rounding, within 1e-15 of the column's largest
-    spectrum entry (8.3e-16 at most measured at P = 97): the same cells,
-    lattice values and near integrals enter them, only the batch shapes of
-    the matrix products differ.  A table filled in one call, as every whole
-    table is, has one block and applies as one product.
+    Columns are filled on demand, and fill is the only build.
+    KernelTable(P, n) starts empty.  apply and rows fill the source columns
+    their sources carry before they use them, so a compact source, such as
+    the pressure X's L_4 inverts, holds only the fluid's columns, and no
+    source fills the last column, where every source on the table's P nodes
+    vanishes; get_table(P, n) fills the columns the cached table lacks.  A
+    column's entries do not depend on the fills before it up to rounding,
+    within 1e-15 of the column's largest spectrum entry (8.3e-16 at most
+    measured at P = 97): the same cells, lattice values and near integrals
+    enter them, only the batch shapes of the matrix products differ.  A
+    table filled in one call has one block and applies as one product.
 
     The build is batched.  A fill of the source columns rows starts with
     their near integrals, two ring_kernel calls in all: one for the Gauss
@@ -370,20 +371,18 @@ class KernelTable:
     touch rows, at most 16 ((2D + 2)(D + 1) + 5P) values, and the node
     lattice ws within q of rows, dz in 0..2P-2+q, at most
     (P + q)(2P - 1 + q) values, whose stencil sums are two matrix products.
-    A whole table takes about 6.1 P^3 values at P = 65 with the near
+    Filling every column takes about 6.1 P^3 values at P = 65 with the near
     integrals, against 32 P^3 for Gauss sums on every cell.  Each target
     column's slab gets its near integrals and is transformed into the new
     block's C before the next one is built.
     """
 
-    def __init__(self, P, n, whole=True):
+    def __init__(self, P, n):
         self.P = int(P)
         self.n = int(n)
         self.nodes = np.arange(self.P, dtype=float)
         self.filled = np.zeros(self.P, dtype=bool)
         self.blocks = []
-        if whole:
-            self.fill(np.arange(self.P))
 
     @property
     def cols(self):
@@ -602,14 +601,6 @@ def far_mask(P_t):
     return ((q > 0) & (q <= (P_t - 1) ** 2)).reshape(P_t, P_t)
 
 
-def get_far(side, n, n_int, n_ext):
-    """Far-field operator of one side, cached per (side, n, grid shape)."""
-    key = (side, int(n), int(n_int), int(n_ext))
-    if key not in _FAR_CACHE:
-        _FAR_CACHE[key] = FarOperator(*key)
-    return _FAR_CACHE[key]
-
-
 _CAPSULE_NAME = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
     ("PyCapsule_GetName", ctypes.pythonapi))
 _CAPSULE_POINTER = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
@@ -690,9 +681,9 @@ class FarOperator:
     table units both target sets sit at (i, j) (N - 1)(M - 1) / (2 (i^2 + j^2))
     for every R0, so one operator serves every star on a grid shape.
 
-    The weights come from the nodal rule of the kernel table of dimension n
-    the two patches share (looked up without filling a column), read on the
-    source patch's P nodes (n_int for side "int", n_ext for "star").  The
+    The weights come from the nodal rule of table, the kernel table of
+    dimension n = table.n the two patches share (no column filled), read on
+    the source patch's P nodes (n_int for side "int", n_ext for "star").  The
     skeleton is a column-pivoted QR of a sketch: the weights from an evenly
     strided subset of about FAR_SKETCH_ROWS * P source nodes of the quarter
     disc i^2 + j^2 < (P - 1)^2, where the
@@ -718,8 +709,9 @@ class FarOperator:
     source nodes.
     """
 
-    def __init__(self, side, n, n_int, n_ext):
-        self.table = get_table(max(n_int, n_ext), n, whole=False)
+    def __init__(self, table, side, n_int, n_ext):
+        self.table = table
+        n = table.n
         self.P = P = n_int if side == "int" else n_ext
         i, j = np.nonzero(far_mask(n_ext if side == "int" else n_int))
         c = (n_int - 1) * (n_ext - 1) / (2.0 * (i * i + j * j))
@@ -788,7 +780,8 @@ class GreenOps:
     """Two-patch Green operators bound to one AxiGrid.
 
     Kernel tables live in unit coordinates (cached globally per node count
-    and dimension); this class carries the physical measure factors.  Both
+    and dimension); this class carries the physical measure factors.  table
+    and far_operator, the solver's lookups, keep what they find.  Both
     patches share one table per dimension, sized to the larger one; the
     smaller patch reads its leading block.
     _patch_potential moves a potential from its source's patch to the other
@@ -809,50 +802,49 @@ class GreenOps:
         }
         # this star's far targets among the shared operator's, in its order
         self._far_rows = {side: m[far_mask(m.shape[0])] for side, m in self.far.items()}
-        # first lookup of each cached table and far operator: True if it built it
-        self._tables_used = {}
-        self._far_used = {}
+        # lookups: each table with its block count then, each far operator with built
+        self._tables = {}
+        self._fars = {}
 
     def table(self, n):
-        """The kernel table of dimension n both patches use, looked up
-        without filling any column."""
-        P = max(self.grid.n_int, self.grid.n_ext)
-        self._tables_used.setdefault((P, n), (P, n) not in _TABLE_CACHE)
-        return get_table(P, n, whole=False)
+        """The kernel table of dimension n both patches use, sized to the
+        larger one, looked up without filling any column."""
+        if n not in self._tables:
+            table = _cached_table(max(self.grid.n_int, self.grid.n_ext), n)
+            self._tables[n] = (table, len(table.blocks))
+        return self._tables[n][0]
 
     def far_operator(self, side, n):
-        key = (side, n, self.grid.n_int, self.grid.n_ext)
-        self._far_used.setdefault((side, n), key not in _FAR_CACHE)
-        return get_far(*key)
+        """The far operator of one side on this grid's table of dimension n,
+        cached per (side, n, grid shape)."""
+        if (side, n) not in self._fars:
+            g = self.grid
+            key = (side, n, g.n_int, g.n_ext)
+            built = key not in _FAR_CACHE
+            if built:
+                _FAR_CACHE[key] = FarOperator(self.table(n), side, g.n_int, g.n_ext)
+            self._fars[side, n] = (_FAR_CACHE[key], built)
+        return self._fars[side, n][0]
 
     def _far(self, side, n, gvals):
         """Unit-coordinate far field at this star's targets of one side."""
         return self.far_operator(side, n)(gvals)[self._far_rows[side]]
 
     def cache_report(self):
-        """Kernel tables and far operators this grid has used: sizes, filled
-        table columns and the fills (blocks) that hold them, ranks and the
-        columns each skeleton QR factored, and
-        whether its first lookup built each one or found it cached."""
-        g = self.grid
-        tables = {}
-        for (P, n), built in self._tables_used.items():
-            table = _TABLE_CACHE[P, n]
-            tables[f"P{P}_n{n}"] = {"bytes": table.nbytes,
-                                    "columns": int(np.count_nonzero(table.filled)),
-                                    "fills": len(table.blocks), "built": built}
-        far = {}
-        for (side, n), built in self._far_used.items():
-            op = _FAR_CACHE[side, n, g.n_int, g.n_ext]
-            far[f"{side}_n{n}"] = {
-                "rank": op.rank,
-                "qr_columns": op.qr_columns,
-                "targets": int(np.count_nonzero(self._far_rows[side])),
-                "filled_nodes": op.nodes.size,
-                "bytes": op.nbytes,
-                "tail": op.tail,
-                "built": built,
-            }
+        """The kernel tables and far operators this grid looked up: sizes,
+        filled table columns and the fills (blocks) that hold them, ranks
+        and the columns each skeleton QR factored.  built: the table gained
+        a block after this grid's first lookup (solves on one cache run one
+        at a time, so that fill is this grid's), or this grid constructed
+        the far operator; the others are cache hits."""
+        tables = {f"P{t.P}_n{t.n}": {"bytes": t.nbytes, "columns": t.cols.size,
+                                     "fills": len(t.blocks), "built": len(t.blocks) > blocks}
+                  for t, blocks in self._tables.values()}
+        far = {f"{side}_n{n}": {"rank": op.rank, "qr_columns": op.qr_columns,
+                                "targets": int(np.count_nonzero(self._far_rows[side])),
+                                "filled_nodes": op.nodes.size, "bytes": op.nbytes,
+                                "tail": op.tail, "built": built}
+               for (side, n), (op, built) in self._fars.items()}
         builds = sum(v["built"] for v in (*tables.values(), *far.values()))
         return {
             "kernel_tables": tables,

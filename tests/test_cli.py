@@ -106,6 +106,12 @@ class TestConfigValidation:
                                  ["solve", "--config", "{tmp}/cfg.yaml"]),
         "NaN entry in eos.upsilon_rho": ({"cfg.yaml": "eos: {upsilon_rho: [0.5, .nan]}\n"},
                                          ["solve", "--config", "{tmp}/cfg.yaml"]),
+        # a fit window inside the star exited 0 with M = 4.9e-6 (8.8e-3 with
+        # the default window); one out to 1e300 R0 overflowed and read M 36 % high
+        "fit window inside the star in verify.fit_window": (
+            {"cfg.yaml": "verify: {fit_window: [0.001, 0.01]}\n"}, ["solve", "--config", "{tmp}/cfg.yaml"]),
+        "fit window past the resolved far field in verify.fit_window": (
+            {"cfg.yaml": "verify: {fit_window: [1, 1.0e+300]}\n"}, ["solve", "--config", "{tmp}/cfg.yaml"]),
         "zero lane_emden.n_zeta": ({"cfg.yaml": "lane_emden: {n_zeta: 0}\n"},
                                    ["solve", "--config", "{tmp}/cfg.yaml"]),
         "negative lane_emden.lmax": ({"cfg.yaml": "lane_emden: {lmax: -2}\n"},
@@ -269,6 +275,15 @@ class TestSolveCommand:
             assert man.pop("peak_rss_mb") * 2**20 >= ops["table_bytes"] + ops["far_bytes"]
             man.pop("created_unix")
         assert loud == quiet
+
+    def test_log1p_domain_exits_2(self, tmp_path, capsys):
+        # eos.upsilon_rho = [1e300] drives 1 + X/c^4 below zero: field_log1p
+        # stops at its precondition with the reason on stderr.  Under
+        # tier-1's filters a numpy warning would raise out of main instead
+        body = TINY.format(b=1.0e-3, out=tmp_path / "run").replace(
+            "star:", "eos: {upsilon_rho: [1.0e+300]}\nstar:")
+        assert main(["solve", "--config", write_cfg(tmp_path, body)]) == 2
+        assert capsys.readouterr().err == "error: log1p(Q) needs 1 + Q > 0 on both patches\n"
 
     def test_lane_emden_section_reaches_solve(self, tmp_path):
         # solve builds its profile from the whole lane_emden section, as

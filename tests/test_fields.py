@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotstar.cutoff import chi
-from rotstar.errors import ConfigError, DecayError, DomainError
+from rotstar.errors import ConfigError, DecayError, DomainError, SeriesDomainError
 from rotstar.fields import (AxiField, AxiGrid, _kelvin_images, _Points, _radial_power, compact_map,
-                            eval_fields)
+                            eval_fields, field_log1p)
 from rotstar.gridio import export_text, read_field, write_field
 
 
@@ -480,6 +480,24 @@ class TestCompactMap:
         # zero at the origin-image but not finite elsewhere
         with pytest.raises(DomainError):
             compact_map(lambda q: np.where(q > 0.5, np.nan, 0.0), f)
+
+
+class TestLog1p:
+    @pytest.mark.parametrize("where", ["interior", "starred", "offset"])
+    def test_domain_checked_on_both_patches(self, grid, where):
+        # 1 + Q <= 0 on either patch, or an offset at or below -1, raises
+        # before numpy's log1p can warn (warnings are errors here)
+        f = decay_field(grid, 3)
+        field_log1p(f)
+        int_vals, star_vals, offset = f.int_vals.copy(), f.star_vals.copy(), 0.0
+        if where == "interior":
+            int_vals[3, 4] = -1.0
+        elif where == "starred":
+            star_vals[-1, 0] = -1.5  # r* = R0 on the axis, where T = T_star
+        else:
+            offset = -1.0
+        with pytest.raises(SeriesDomainError):
+            field_log1p(AxiField(grid, 3, int_vals, star_vals, (1, 1), offset))
 
 
 class TestIO:

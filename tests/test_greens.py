@@ -69,6 +69,13 @@ def traced_peak(fn):
     return tracemalloc.get_traced_memory()[1] - base, out
 
 
+def whole_table(P, n):
+    """A table of its own, every source column filled in one block."""
+    table = KernelTable(P, n)
+    table.fill(np.arange(P))
+    return table
+
+
 def spectra(table):
     """The table's spectra C[k, i, m] over all its blocks, m indexing its
     filled columns in order."""
@@ -250,21 +257,12 @@ class TestGlobalInverse:
     def test_zero_source_touches_no_operator(self, monkeypatch, n):
         # a static star's Y source is zero on both patches: its inverse is
         # an exact zero that evaluates no kernel and looks nothing up
-        calls = []
-
-        def counting(name, fn):
-            def wrapped(*args):
-                calls.append(name)
-                return fn(*args)
-
-            monkeypatch.setattr(greens, name, wrapped)
-
-        for name in ("ring_kernel", "get_table", "get_far"):
-            counting(name, getattr(greens, name))
+        calls = [count_calls(monkeypatch, greens, "ring_kernel")]
+        calls += [count_calls(monkeypatch, GreenOps, name) for name in ("table", "far_operator")]
         g = AxiGrid(R0=2.0, n_interior=33, n_exterior=25)
         ops = GreenOps(g)
         out = ops.k_n_global(AxiField.zeros(g, n), n)
-        assert calls == []
+        assert calls == [[], [], []]
         assert (out.n_index, out.parity, out.offset) == (n, (1, 1), 0.0)
         assert not np.any(out.int_vals) and not np.any(out.star_vals)
         report = ops.cache_report()
@@ -276,13 +274,13 @@ class TestGlobalInverse:
         # compact part is not transferred, so the inverse applies the table
         # once, to the diamond source, and looks up no interior far operator
         applies = count_calls(monkeypatch, KernelTable, "apply")
-        fars = count_calls(monkeypatch, greens, "get_far")
+        fars = count_calls(monkeypatch, GreenOps, "far_operator")
         g = AxiGrid(R0=2.0, n_interior=33, n_exterior=25)
         ops = GreenOps(g)
         f = AxiField(g, n, np.zeros_like(g.WI), (g.RS / g.R0) ** 4)
         out = ops.k_n_global(f, n)
         assert len(applies) == 1 and applies[0][1].shape == (g.n_ext, g.n_ext)
-        assert [args[0] for args in fars] == ["star"]
+        assert [args[1] for args in fars] == ["star"]
         assert np.any(out.int_vals) and np.all(np.isfinite(out.star_vals))
         assert set(ops.cache_report()["far_operators"]) == {f"star_n{n}"}
 
@@ -596,7 +594,7 @@ class TestSharedTable:
     @pytest.mark.parametrize("p, P", SIZES)
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_leading_block_is_the_patch_table(self, n, p, P):
-        own, shared = get_table(p, n), get_table(P, n)
+        own, shared = whole_table(p, n), whole_table(P, n)
         wt = np.linspace(0.0, 3.0 * p, 40)
         zt = np.linspace(2.0 * p, 0.5 * p, 40)
         for src in self.sources(p):
@@ -618,20 +616,22 @@ class TestSharedTable:
     def test_edge_touching_source_rejected(self, n, p, P):
         # the leading block differs from the p-node table only where the
         # source must vanish: on the last row and column
-        shared = get_table(P, n)
+        shared = KernelTable(P, n)
         for edge in (np.s_[-1, 3], np.s_[3, -1]):
             src = self.sources(p)[0]
             src[edge] = 1e-3
             with pytest.raises(DomainError):
                 shared.apply(src)
         with pytest.raises(DomainError):
-            get_table(p, n).apply(np.ones((P, P)))
+            KernelTable(p, n).apply(np.ones((P, P)))
 
     @pytest.mark.parametrize("n", [3, 4, 5])
-    def test_larger_starred_patch(self, n):
+    def test_larger_starred_patch(self, monkeypatch, n):
         # with n_exterior > n_interior the interior patch reads the leading
         # block; k_n_global and the LOp solve match each patch on the table
-        # of its own node count
+        # of its own node count.  On tables of its own, each filled in one
+        # block, as the 1e-14 comparison needs
+        monkeypatch.setattr(greens, "_TABLE_CACHE", {})
         g = AxiGrid(R0=2.0, n_interior=33, n_exterior=49)
         ops, ref_ops = GreenOps(g), PerPatchOps(g)
         assert ops.table(n) is get_table(49, n)
@@ -805,9 +805,9 @@ class TestCachedQuadrature:
 
     @staticmethod
     def sketch_inputs(side, n, n_int, n_ext):
-        """FarOperator's shared table, patch size, sketch rows, targets and
-        column scale, rebuilt."""
-        table = get_table(max(n_int, n_ext), n)
+        """FarOperator's table (its nodal rule needs no column filled), patch
+        size, sketch rows, targets and column scale, rebuilt."""
+        table = KernelTable(max(n_int, n_ext), n)
         P = n_int if side == "int" else n_ext
         i, j = np.nonzero(greens.far_mask(n_ext if side == "int" else n_int))
         c = (n_int - 1) * (n_ext - 1) / (2.0 * (i * i + j * j))
@@ -828,7 +828,7 @@ class TestCachedQuadrature:
         table, P, sketch, wt, zt, scale = self.sketch_inputs(side, n, 33, 25)
         A = np.vstack([block for _, block in table.far_weights(sketch, wt, zt, P)])
         R, perm = scipy.linalg.qr(A * scale, mode="r", pivoting=True)
-        far = greens.FarOperator(side, n, 33, 25)
+        far = greens.FarOperator(table, side, 33, 25)
         assert_same_decomposition(far, R, perm, scale)
 
     @pytest.mark.parametrize("shape", [(33, 25), (65, 49)])
@@ -846,7 +846,7 @@ class TestCachedQuadrature:
         lwork = int(scipy.linalg.lapack.dgeqp3(A, lwork=-1)[3][0])
         R, perm, _, _, info = scipy.linalg.lapack.dgeqp3(A, lwork=lwork)
         assert info == 0
-        far = greens.FarOperator(side, n, *shape)
+        far = greens.FarOperator(table, side, *shape)
         assert_same_decomposition(far, R, perm - 1, scale)
         nb = (lwork - 2 * wt.size) // (wt.size + 1)
         mn = min(A.shape)
@@ -865,7 +865,7 @@ class TestCachedQuadrature:
         A = np.vstack([block for _, block in table.far_weights(sketch, wt, zt, P)])
         R = scipy.linalg.qr(A * scale, mode="r", pivoting=True)[0]
         d = np.abs(np.diag(R))
-        far = greens.FarOperator(side, n, 33, 25)
+        far = greens.FarOperator(table, side, 33, 25)
         r = far.rank
         assert np.all(d[:r] > greens.FAR_RANK_TOL * d[0])
         assert r < d.size
@@ -880,7 +880,7 @@ class TestCachedQuadrature:
         tracemalloc.start()
         try:
             bare, _ = traced_peak(lambda: [None for _ in table.far_weights(sketch, wt, zt, P)])
-            peak, far = traced_peak(lambda: greens.FarOperator("star", 3, 65, 49))
+            peak, far = traced_peak(lambda: greens.FarOperator(table, "star", 65, 49))
         finally:
             tracemalloc.stop()
         sketch_bytes = sketch.size * wt.size * 8
@@ -902,7 +902,7 @@ class TestCachedQuadrature:
         tracemalloc.start()
         try:
             bare, _ = traced_peak(lambda: [None for _ in table.far_weights(sketch, wt, zt, P)])
-            peak, far = traced_peak(lambda: greens.FarOperator("star", 3, 65, 49))
+            peak, far = traced_peak(lambda: greens.FarOperator(table, "star", 65, 49))
         finally:
             tracemalloc.stop()
         sketch_bytes = sketch.size * wt.size * 8
@@ -939,7 +939,7 @@ class TestCachedQuadrature:
         # wrap-around.  The DCT-I's period is 4P - 4, the shortest one that
         # holds an even lag row (the end lags share an index), whatever P:
         # 80 at P = 21 is not a power of two, 124 at P = 32 not 2^k + 1
-        table = KernelTable(P, 3)
+        table = whole_table(P, 3)
         [(cols, C)] = table.blocks
         assert np.array_equal(cols, np.arange(P))
         assert C.shape == (2 * P - 1, P, P)
@@ -1202,9 +1202,9 @@ class TestBlockedKernel:
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_table_matches_oneshot_build(self, monkeypatch, n):
-        table = KernelTable(17, n)
+        table = whole_table(17, n)
         monkeypatch.setattr(greens, "ring_kernel", oneshot_ring_kernel)
-        ref = KernelTable(17, n)
+        ref = whole_table(17, n)
         assert np.array_equal(spectra(table), spectra(ref))
 
 
@@ -1214,7 +1214,7 @@ class TestBatchedBuild:
     @pytest.mark.parametrize("P", [9, 17])
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_matches_loop_build(self, P, n):
-        table = KernelTable(P, n)
+        table = whole_table(P, n)
         W2 = loop_build(P, n)
         scale = np.max(np.abs(W2))
         # the slabs rows() rebuilds from the stored spectra
@@ -1245,12 +1245,12 @@ class TestBatchedBuild:
         # two for all near integrals: 2 * 17 + 2 = 36 at P = 17; the
         # per-cell build made 621
         calls = count_calls(monkeypatch, greens, "ring_kernel")
-        KernelTable(17, n)
+        whole_table(17, n)
         assert len(calls) == 2 * 17 + 2
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_kernel_values_per_table(self, monkeypatch, n):
-        """KernelTable(65, n) evaluates fewer than 8 P^3 ring_kernel values;
+        """A whole fill at P = 65 evaluates fewer than 8 P^3 ring_kernel values;
         Gauss on every cell took 32 P^3 (16 per cell, (P - 1)(2P - 2) cells
         per column).  Per column the build takes (P + q)(2P - 1 + q) lattice
         values, 9,380 at q = 5, and 16 per Gauss cell: at most
@@ -1261,7 +1261,7 @@ class TestBatchedBuild:
         0.22 M in all."""
         P = 65
         calls = count_calls(monkeypatch, greens, "ring_kernel")
-        KernelTable(P, n)
+        whole_table(P, n)
         values = sum(np.broadcast(*args[1:]).size for args in calls)
         lattice = P * (P + 5) * (2 * P - 1 + 5)
         assert lattice < values < 8 * P**3
@@ -1299,7 +1299,7 @@ class TestNodalRule:
         the 10-point near cells against 12 points and the placement of the
         near integrals in the column."""
         P, q, D, mc = 49, greens.STENCIL_Q, greens.GAUSS_BAND, greens.MC
-        table = get_table(P, n)
+        table = whole_table(P, n)
         node, lag = np.arange(P)[:, None], np.arange(2 * P - 1)
         for i in (1, P // 2, P - 5):
             ref = gauss_column(P, n, i, 12, polar=greens.N_GAUSS_POLAR)
@@ -1338,14 +1338,14 @@ class TestColumnFill:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_any_order_and_partition(self, n):
         P = 33
-        whole = KernelTable(P, n)
+        whole = whole_table(P, n)
         rng = np.random.default_rng(n)
         perm = rng.permutation(P)
         partitions = ([[c] for c in perm],
                       np.split(perm, [5, 6, 20]),
                       np.split(perm[::-1], [1, 17]))
         for parts in partitions:
-            table = KernelTable(P, n, whole=False)
+            table = KernelTable(P, n)
             assert table.cols.size == 0 and table.nbytes == 0
             filled = set()
             for k, part in enumerate(parts):
@@ -1358,18 +1358,59 @@ class TestColumnFill:
                 assert cols.tolist() == sorted(int(c) for c in part)
                 assert C.shape == (2 * P - 1, P, len(part))
                 self.assert_columns_match(table, whole)
-        # a whole lookup replaces a partly filled table with a whole build
-        lazy = get_table(P, n, whole=False)
+        # get_table tops a partly filled cached table up in place: the same
+        # object, its block kept, one block more
+        lazy = GreenOps(AxiGrid(R0=2.0, n_interior=P, n_exterior=25)).table(n)
         lazy.fill([3, 4])
-        assert get_table(P, n, whole=False) is lazy
-        assert np.array_equal(spectra(get_table(P, n)), spectra(whole))
+        [block] = lazy.blocks
+        assert get_table(P, n) is lazy
+        assert len(lazy.blocks) == 2 and lazy.blocks[0] is block and lazy.filled.all()
+        self.assert_columns_match(lazy, whole)
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_no_table_is_replaced(self, n):
+        # a grid and its far operator hold the cached table, and a source
+        # fills some of its columns; get_table(P, n) then fills the rest in
+        # that same object, so the holders see every column
+        g = AxiGrid(R0=2.0, n_interior=33, n_exterior=25)
+        ops = GreenOps(g)
+        table = ops.table(n)
+        far = ops.far_operator("star", n)
+        ops.k_n_global(smooth_bump(g, radius_frac=0.45), n)
+        earlier = list(table.blocks)
+        assert earlier and not table.filled.all()
+        assert get_table(g.n_int, n) is table
+        assert ops.table(n) is table and far.table is table
+        assert len(table.blocks) == len(earlier) + 1
+        assert all(a is b for a, b in zip(table.blocks, earlier))
+        assert table.filled.all()
+        self.assert_columns_match(table, whole_table(g.n_int, n))
+
+    def test_built_means_this_grid_filled(self):
+        # built marks a table this grid gave new columns and a far operator
+        # it constructed, not a table object it happened to create
+        def report(R0, radius_frac):
+            ops = GreenOps(AxiGrid(R0=R0, n_interior=33, n_exterior=25))
+            ops.k_n_global(smooth_bump(ops.grid, radius_frac), 3)
+            rep = ops.cache_report()
+            return rep["kernel_tables"]["P33_n3"], rep["far_operators"]["int_n3"], rep["builds"]
+
+        first, far, builds = report(2.0, 0.3)
+        assert first["built"] and far["built"] and builds == 2
+        # the same columns again, on another star of the grid shape
+        second, far, builds = report(3.7, 0.3)
+        assert (second["fills"], second["built"], far["built"], builds) == (1, False, False, 0)
+        # new columns in the table that already existed
+        third, far, builds = report(2.0, 0.45)
+        assert third["columns"] > second["columns"]
+        assert (third["fills"], third["built"], far["built"], builds) == (2, True, False, 1)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_apply_fills_its_source_columns(self, n):
         # a compact source on both patch sizes the table serves
         P = 33
-        whole = KernelTable(P, n)
-        table = KernelTable(P, n, whole=False)
+        whole = whole_table(P, n)
+        table = KernelTable(P, n)
         rng = np.random.default_rng(n)
         filled = set()
         for p, cols in ((P, [0, 1, 2, 3, 4, 9]), (25, [2, 3, 17]), (P, [30, 31])):
@@ -1384,8 +1425,8 @@ class TestColumnFill:
 
     def test_rows_fill_their_source_columns(self):
         P = 33
-        whole = KernelTable(P, 3)
-        table = KernelTable(P, 3, whole=False)
+        whole = whole_table(P, 3)
+        table = KernelTable(P, 3)
         targets = (np.array([0, 4, 9, 9, 30]), np.array([0, 2, 7, 31, 5]))
         sources = (np.array([2, 5, 5, 11, 12]), np.array([3, 0, 8, 6, 1]))
         got = table.rows(targets, sources)
@@ -1412,13 +1453,13 @@ class TestColumnFill:
         # empty table, and not a copy of the 40 columns filled before it
         P = 65
         parts = np.split(np.arange(P - 1), [8, 40])
-        table = KernelTable(P, 3, whole=False)
+        table = KernelTable(P, 3)
         for part in parts[:2]:
             table.fill(part)
         tracemalloc.start()
         try:
             third, _ = traced_peak(lambda: table.fill(parts[2]))
-            fresh, _ = traced_peak(lambda: KernelTable(P, 3, whole=False).fill(parts[2]))
+            fresh, _ = traced_peak(lambda: KernelTable(P, 3).fill(parts[2]))
         finally:
             tracemalloc.stop()
         held = (2 * P - 1) * P * 40 * 8
@@ -1428,7 +1469,7 @@ class TestColumnFill:
     def test_compact_table_is_small(self):
         # the X source of a 97/65 star lies on source columns 0-12: its
         # n = 4 table holds 13 of the 97 columns of a whole one
-        table = KernelTable(97, 4, whole=False)
+        table = KernelTable(97, 4)
         table.fill(np.arange(13))
         assert [C.shape for _, C in table.blocks] == [(193, 97, 13)]
         assert table.nbytes <= 2 << 20

@@ -364,7 +364,10 @@ class TestInnerOuter:
             assert rep["far_bytes"] < dense
             assert rep["table_bytes"] > 0
             assert 0.0 < res.diagnostics["lop_smin_estimate"] <= 1.0
-        # later stars on the grid shape reuse what the first one built
+        # the first star filled every table and built every far operator it
+        # used; later stars on the grid shape reuse them
+        first = rotating_sweep[EPS_SWEEP[0]].diagnostics["green_ops"]
+        assert first["builds"] == len(first["kernel_tables"]) + len(first["far_operators"])
         assert rotating_sweep[EPS_SWEEP[-1]].diagnostics["green_ops"]["builds"] == 0
 
     def test_static_star_uses_no_n5_operator(self, static_sweep):
