@@ -100,9 +100,12 @@ def _run_solver(cfg):
     return solver, solver.solve()
 
 
-def _verify_payload(cfg, res, eos, classical):
-    """Residuals, consistency and asymptotics of a result; a static star
-    adds its tov_gap split."""
+FIT_WINDOW_R0 = (5.0, 15.0)  # in R0, past the chi-blend annulus R0-2R0, where higher multipoles matter
+
+
+def _verify_payload(res, eos, classical):
+    """M and J at the starred origin, residuals, consistency and the far-field
+    fit, whose M and J cross-check them; a static star adds its tov_gap split."""
     from .tov import solve_tov
     from .verify import asymptotic_fit, consistency_K, residual_reduced_system, tov_gap
 
@@ -110,9 +113,10 @@ def _verify_payload(cfg, res, eos, classical):
     win = res.verify_window()
     rep = residual_reduced_system(win, params, bands_R0=params.R0)
     ck = consistency_K(win, params)
-    lo, hi = cfg.verify["fit_window"]
-    fit = asymptotic_fit(res.eval_fns(), params, (lo * params.R0, hi * params.R0))
+    fit = asymptotic_fit(res.eval_fns(), params, tuple(r * params.R0 for r in FIT_WINDOW_R0))
     payload = {
+        "M": res.tail_mass(),
+        "J": res.tail_angular_momentum(),
         "residuals": rep.to_dict(),
         "consistency_sup_L": ck["sup_L"],
         "consistency_identity": ck["sup_identity"],
@@ -131,20 +135,19 @@ def cmd_solve(cfg, args):
     solver, res = _run_solver(cfg)
     for name, fld in res.dumped_fields().items():
         write_field(out / f"{name}.axfd", fld, name=name)
-    ver = _verify_payload(cfg, res, solver.eos, solver.classical)
+    ver = _verify_payload(res, solver.eos, solver.classical)
     payload = {
         "command": "solve",
         "diagnostics": res.diagnostics,
         "verify": ver,
-        "M": ver["asymptotics"]["M"],
-        "J": ver["asymptotics"]["J"],
+        "M": ver["M"],
+        "J": ver["J"],
         "M_N": res.diagnostics["M_N"],
     }
     _manifest(out, cfg, payload)
     print(
         f"solve: outer iterations = {res.diagnostics['outer_iterations']}, "
-        f"M = {ver['asymptotics']['M']:.6e}, M_N = {res.diagnostics['M_N']:.6e}, "
-        f"J = {ver['asymptotics']['J']:.6e}",
+        f"M = {ver['M']:.6e}, M_N = {res.diagnostics['M_N']:.6e}, J = {ver['J']:.6e}",
     )
     flags = res.diagnostics["regime_flags"]
     if not (flags["D1_b_small"] and flags["D2_epsilon_small"]):
@@ -183,7 +186,7 @@ def cmd_verify(cfg, args):
         res = SolveResult.from_dumped(params, eos, loaded, man["diagnostics"])
     except KeyError as exc:
         raise ConfigError(f"{run}: manifest.json lacks the diagnostics of a solve ({exc!r})") from None
-    ver = _verify_payload(cfg, res, eos, classical)
+    ver = _verify_payload(res, eos, classical)
     out = _out_dir(cfg, args.out)
     path = out / "verify_report.json"
     with open(path, "w") as fh:
@@ -278,8 +281,9 @@ def cmd_sweep(cfg, args):
     with ProcessPoolExecutor(max_workers=min(cfg.sweep["workers"], len(jobs))) as pool:
         for v, r in zip(values, pool.map(_sweep_worker, jobs)):
             results.append({"value": v, **r})
+    # a log-log exponent needs positive values and sups: a sweep of b_rot from 0 fits none
     sups = {f"{key}_exponent": refinement_order(values, [r[key] for r in results])
-            for key in ("W_sup", "Y_sup", "X_sup", "K_sup") if min(r[key] for r in results) > 0}
+            for key in ("W_sup", "Y_sup", "X_sup", "K_sup") if min(values + [r[key] for r in results]) > 0}
     payload = {"command": "sweep", "results": results, "fitted_exponents": sups}
     _manifest(out, cfg, payload)
     print(f"sweep: exponents {sups}")
@@ -294,8 +298,9 @@ def _sweep_worker(cfg):
         "Y_sup": float(np.abs(res.potentials.Y.int_vals).max()),
         "X_sup": float(np.abs(res.potentials.X.int_vals).max()),
         "K_sup": float(np.abs(res.potentials.V.int_vals).max() / p.c_light**4),
+        "M": res.tail_mass(),
+        "J": res.tail_angular_momentum(),
         "M_N": res.diagnostics["M_N"],
-        "C_W": float(res.potentials.W.star_vals[0, 0] * p.R0),
         "outer_iterations": res.diagnostics["outer_iterations"],
         "outer_ratio": res.diagnostics["outer_ratio"],
     }

@@ -54,9 +54,6 @@ _DEFAULTS = {
         "report_grid": 129,
     },
     "solver": _keyword_defaults(SolverOptions),
-    "verify": {
-        "fit_window": [5.0, 15.0],
-    },
     "kerr": {
         "m_geom": 1.0,
         "a_spin": 0.5,
@@ -93,7 +90,6 @@ class RunConfig:
     grid: dict
     lane_emden: dict
     solver: dict
-    verify: dict
     kerr: dict
     output: dict
     sweep: dict
@@ -116,20 +112,15 @@ def _numbers(val, kind=Real):
     return isinstance(val, list) and all(_is_number(v, kind) for v in val)
 
 
-# verify.fit_window's bounds in R0: the vacuum outside the support bound 3 r1 = 0.75 R0, and
-# at most 100 R0, past which the fit's decay orders fail (F's 0.94 at 1000 R0 on 17/13)
-FIT_LO, FIT_HI = 0.75, 100.0
-
-# list-valued keys: the test a value must pass and the rule it states; a
-# refinement order and an exponent fit need two points
+# list-valued keys: the test a value must pass and the rule it states; a refinement order
+# and an exponent fit need two distinct points, and a Kerr level (nodes per axis) two nodes
 _LIST_RULES = {
     ("eos", "upsilon_rho"): (_numbers, "a list of finite numbers"),
     ("eos", "upsilon_P"): (lambda v: v == "consistent" or _numbers(v),
                            '"consistent" or finite numbers'),
-    ("verify", "fit_window"): (lambda v: _numbers(v) and len(v) == 2 and FIT_LO <= v[0] < v[1] <= FIT_HI,
-                               f"a list [lo, hi] of numbers with {FIT_LO} <= lo < hi <= {FIT_HI:g} (in R0)"),
-    ("kerr", "levels"): (lambda v: _numbers(v, Integral) and len(v) >= 2, "a list of 2+ integers"),
-    ("sweep", "values"): (lambda v: _numbers(v) and len(v) >= 2, "a list of 2+ finite numbers"),
+    ("kerr", "levels"): (lambda v: _numbers(v, Integral) and len(set(v)) >= 2 and min(v) >= 2,
+                         "a list of 2+ distinct integers, each >= 2"),
+    ("sweep", "values"): (lambda v: _numbers(v) and len(set(v)) >= 2, "a list of 2+ distinct finite numbers"),
 }
 
 
@@ -140,9 +131,9 @@ def sweep_key(param):
 
 
 def _validate(cfg):
-    # a key with a numeric default takes a finite number; star's two
-    # rotation keys also take null (exactly one of them is null, checked
-    # below); a list-valued key passes its _LIST_RULES test
+    # a key with a numeric default takes a finite number; star's two rotation keys also
+    # take null (exactly one of them is null, checked below); a list-valued key passes
+    # its _LIST_RULES test, and any other key with a string default takes a string
     for name, defaults in _DEFAULTS.items():
         for key, default in defaults.items():
             val, rotation = getattr(cfg, name)[key], name == "star" and key in ("Omega_O", "b_rot")
@@ -153,8 +144,10 @@ def _validate(cfg):
             ok, rule = _LIST_RULES.get((name, key), (None, None))
             if ok and not ok(val):
                 raise ConfigError(f"{name}.{key}={val!r} is not {rule}")
+            if isinstance(default, str) and not ok and not isinstance(val, str):
+                raise ConfigError(f"{name}.{key}={val!r} is not a string")
     param = cfg.sweep["param"]
-    name, key = sweep_key(param) if isinstance(param, str) else ("", "")
+    name, key = sweep_key(param)
     if not _is_number(_DEFAULTS.get(name, {}).get(key)):
         raise ConfigError(f"sweep.param={param!r} is not a section.key or star key with a numeric default")
     for name, key, least in (("lane_emden", "n_zeta", 1), ("lane_emden", "max_iter", 1),
@@ -182,8 +175,8 @@ def _validate(cfg):
     if g["n_interior"] < 17 or g["n_exterior"] < 13:
         raise ConfigError("grid resolutions too small")
     k = cfg.kerr
-    if k["m_geom"] <= 0:
-        raise ConfigError("kerr.m_geom must be positive")
+    if not 1e-50 <= k["m_geom"] <= 1e50:  # the Kerr fields and fit overflow by 1e-80 and 1e100
+        raise ConfigError(f"kerr.m_geom={k['m_geom']!r} outside [1e-50, 1e50]")
     if abs(k["a_spin"]) > k["m_geom"]:
         raise ConfigError("kerr.a_spin must satisfy |a| <= m_geom")
     if not k["window"] > 0:
@@ -231,7 +224,7 @@ def build_eos(cfg):
     )
 
 
-def build_params(cfg, classical=None):
+def build_params(cfg, classical):
     s = cfg.star
     e = cfg.eos
     return StarParams.build(

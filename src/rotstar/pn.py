@@ -42,7 +42,7 @@ from .fields import (
     mul_varpi,
 )
 from .greens import GreenOps, LOpSolver
-from .lane_emden import solve_classical, solve_distorted
+from .lane_emden import solve_distorted
 from .metric import MetricLanczos, assemble, ktilde
 
 
@@ -78,15 +78,13 @@ class StarParams:
     mu1: float
 
     @classmethod
-    def build(cls, gamma, A_const, c_light, G_grav, u_O, Omega_O=None, b_rot=None,
-              classical=None):
+    def build(cls, gamma, A_const, c_light, G_grav, u_O, Omega_O=None, b_rot=None, *, classical):
         if (Omega_O is None) == (b_rot is None):
             raise DomainError("specify exactly one of Omega_O and b_rot")
-        cl = classical if classical is not None else solve_classical(1.0 / (gamma - 1.0))
         if Omega_O is None:
             Omega_O = math.sqrt(4.0 * math.pi * G_grav * b_rot * u_O ** (1.0 / (gamma - 1.0))
                                 / _inv_k_rho(gamma, A_const))
-        return cls(gamma, A_const, c_light, G_grav, u_O, Omega_O, cl.xi1, cl.mu1)
+        return cls(gamma, A_const, c_light, G_grav, u_O, Omega_O, classical.xi1, classical.mu1)
 
     @property
     def nu(self):
@@ -747,6 +745,10 @@ class SolveResult:
         p = self.params
         C_W = self.potentials.W.star_vals[0, 0] * p.R0
         return float(self.diagnostics["M_N"] + C_W / (p.G_grav * p.c_light**2))
+
+    def tail_angular_momentum(self):
+        """R0^3 Y*(0)/(2G), from Y/c^3 = A/varpi^2 -> 2 G J/(c^3 r^3): exactly 0 for a static star."""
+        return float(self.potentials.Y.star_vals[0, 0] * self.params.R0**3 / (2.0 * self.params.G_grav))
 
     def eval_fns(self):
         """Far-field evaluators for the asymptotic fits.

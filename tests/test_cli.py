@@ -4,16 +4,19 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import rotstar
 from rotstar import cli, lane_emden
 from rotstar.cli import cmd_tov_compare, main
-from rotstar.config import build_solver_options, build_star, load_config
+from rotstar.config import _DEFAULTS, build_solver_options, build_star, load_config
 from rotstar.errors import ConfigError
 from rotstar.fields import AxiField, AxiGrid
 from rotstar.gridio import read_field, write_field
@@ -55,7 +58,7 @@ class TestConfigValidation:
                                      "output.formats", "solver.damping", "solver.newtonian_tol",
                                      "solver.beta0", "solver.delta0", "lane_emden.damping",
                                      "kerr.margin", "kerr.measure_margin", "tov.rtol",
-                                     "lane_emden.tol", "output.quiet"])
+                                     "lane_emden.tol", "output.quiet", "verify.fit_window"])
     def test_removed_key_rejected(self, tmp_path, key):
         section, name = key.split(".")
         cfg = write_cfg(tmp_path, f"star: {{u_O: 1.0e-3, b_rot: 0.0}}\n{section}: {{{name}: 1}}\n")
@@ -85,8 +88,6 @@ class TestConfigValidation:
                                    ["solve", "--config", "{tmp}/cfg.yaml"]),
         "list key kerr.levels": ({"cfg.yaml": "kerr: {levels: abc}\n"},
                                  ["kerr-check", "--config", "{tmp}/cfg.yaml"]),
-        "list key verify.fit_window": ({"cfg.yaml": "verify: {fit_window: abc}\n"},
-                                       ["solve", "--config", "{tmp}/cfg.yaml"]),
         "list key sweep.values": ({"cfg.yaml": "sweep: {values: abc}\n"},
                                   ["sweep", "--config", "{tmp}/cfg.yaml"]),
         "verify with a dump missing": ({"run/manifest.json": '{"config": {"eos": {}, "star": {}}}'},
@@ -106,12 +107,21 @@ class TestConfigValidation:
                                  ["solve", "--config", "{tmp}/cfg.yaml"]),
         "NaN entry in eos.upsilon_rho": ({"cfg.yaml": "eos: {upsilon_rho: [0.5, .nan]}\n"},
                                          ["solve", "--config", "{tmp}/cfg.yaml"]),
-        # a fit window inside the star exited 0 with M = 4.9e-6 (8.8e-3 with
-        # the default window); one out to 1e300 R0 overflowed and read M 36 % high
-        "fit window inside the star in verify.fit_window": (
-            {"cfg.yaml": "verify: {fit_window: [0.001, 0.01]}\n"}, ["solve", "--config", "{tmp}/cfg.yaml"]),
-        "fit window past the resolved far field in verify.fit_window": (
-            {"cfg.yaml": "verify: {fit_window: [1, 1.0e+300]}\n"}, ["solve", "--config", "{tmp}/cfg.yaml"]),
+        # each ended in a traceback: a TypeError from Path, a ValueError from
+        # linspace, an IndexError, and a LinAlgError in the far-field fit
+        "integer output.directory": ({"cfg.yaml": "output: {directory: 5}\n"},
+                                     ["lane-emden", "--config", "{tmp}/cfg.yaml"]),
+        "list output.directory": ({"cfg.yaml": "output: {directory: [a]}\n"},
+                                  ["lane-emden", "--config", "{tmp}/cfg.yaml"]),
+        "negative level in kerr.levels": ({"cfg.yaml": "kerr: {levels: [-5, 3]}\n"},
+                                          ["kerr-check", "--config", "{tmp}/cfg.yaml"]),
+        "levels of 0 and 1 nodes in kerr.levels": ({"cfg.yaml": "kerr: {levels: [0, 1]}\n"},
+                                                   ["kerr-check", "--config", "{tmp}/cfg.yaml"]),
+        "tiny kerr.m_geom": ({"cfg.yaml": "kerr: {m_geom: 1.0e-300, a_spin: 0.0}\n"},
+                             ["kerr-check", "--config", "{tmp}/cfg.yaml"]),
+        # one grid spacing twice: a refinement order of garbage and a RankWarning
+        "repeated level in kerr.levels": ({"cfg.yaml": "kerr: {levels: [61, 61]}\n"},
+                                          ["kerr-check", "--config", "{tmp}/cfg.yaml"]),
         "zero lane_emden.n_zeta": ({"cfg.yaml": "lane_emden: {n_zeta: 0}\n"},
                                    ["solve", "--config", "{tmp}/cfg.yaml"]),
         "negative lane_emden.lmax": ({"cfg.yaml": "lane_emden: {lmax: -2}\n"},
@@ -161,14 +171,49 @@ class TestConfigValidation:
             assert key in err
         assert not (tmp_path / "out").exists()  # nothing written on bad input
 
-    @pytest.mark.parametrize("key, val", [("verify.fit_window", [0.0, 5.0]),
-                                          ("verify.fit_window", [15.0, 5.0]), ("kerr.levels", [61]),
-                                          ("kerr.levels", [61.0, 121.0]), ("sweep.values", [1e-3])])
+    @pytest.mark.parametrize("key, val", [("sweep.values", [1e-3, 1e-3]), ("kerr.levels", [1, 61]),
+                                          ("kerr.levels", [61]), ("kerr.levels", [61.0, 121.0]),
+                                          ("sweep.values", [1e-3])])
     def test_list_key_rules(self, key, val):
-        # a positive increasing fit window; two or more levels and sweep values
+        # two or more distinct levels of two or more nodes, two or more distinct sweep values
         section, name = key.split(".")
         with pytest.raises(ConfigError, match=key):
             load_config({section: {name: val}})
+
+    # odd values for any key: zero, negative, tiny, huge, infinite and NaN
+    # numbers, a string, lists, null and a bool
+    ODD = (0, -1, 1e-300, 1e300, float("inf"), -float("inf"), float("nan"), "abc", [0, 1], [-5, 3],
+           None, True)
+    KEYS = [(section, key) for section, keys in _DEFAULTS.items() for key in keys]
+
+    @staticmethod
+    def load_or_reject(given):
+        """load_config returns a config or raises ConfigError: no other
+        exception and no warning.  Nothing runs, so a drawn grid size, Kerr
+        level or worker count allocates or forks nothing."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                load_config(given)
+            except ConfigError:
+                pass
+
+    def test_every_key_takes_every_odd_value(self):
+        for (section, key), val in ((k, v) for k in self.KEYS for v in self.ODD):
+            self.load_or_reject({section: {key: val}})
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.dictionaries(st.sampled_from(KEYS), st.sampled_from(ODD), max_size=4).map(
+        lambda draws: {section: {key: val for (s, key), val in draws.items() if s == section}
+                       for section, _ in draws}))
+    @example({"output": {"directory": 5}})
+    @example({"output": {"directory": ["a"]}})
+    @example({"kerr": {"levels": [-5, 3]}})
+    @example({"kerr": {"levels": [0, 1]}})
+    @example({"kerr": {"m_geom": 1e-300, "a_spin": 0.0}})
+    def test_odd_values_end_in_config_error(self, given):
+        # the property behind exit code 1, on up to four odd keys at a time
+        self.load_or_reject(given)
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -228,7 +273,7 @@ class TestSolveCommand:
         cfg = write_cfg(tmp_path, TINY.format(b=0.0, out=out))
         assert main(["solve", "--config", cfg]) == 0
         man = json.loads((out / "manifest.json").read_text())
-        assert man["J"] == pytest.approx(0.0, abs=1e-12)
+        assert man["J"] == 0.0
         assert abs(man["M"] - man["M_N"]) < 0.05 * man["M_N"]
         assert (out / "W.axfd").exists()
 
@@ -307,8 +352,15 @@ class TestSolveCommand:
         assert captured.out == ""
 
     def test_verify_roundtrip(self, tmp_path, monkeypatch):
+        self.check_roundtrip(tmp_path, monkeypatch, 0.0)
+
+    def test_verify_roundtrip_rotating(self, tmp_path, monkeypatch):
+        self.check_roundtrip(tmp_path, monkeypatch, 1.0e-3)
+
+    @staticmethod
+    def check_roundtrip(tmp_path, monkeypatch, b):
         out = tmp_path / "run"
-        cfg = write_cfg(tmp_path, TINY.format(b=0.0, out=out))
+        cfg = write_cfg(tmp_path, TINY.format(b=b, out=out))
         solved = []
         run_solver = cli._run_solver
 
@@ -321,14 +373,19 @@ class TestSolveCommand:
         assert main(["verify", "--config", cfg, "--run", str(out),
                      "--out", str(tmp_path / "ver")]) == 0
         rep = json.loads((tmp_path / "ver" / "verify_report.json").read_text())
-        # the dumped fields read back verify exactly as the solved state did
-        assert rep == json.loads((out / "manifest.json").read_text())["verify"]
-        # the Newtonian layer is read back too: a static run's report holds
-        # the TOV split of the in-memory result, bit for bit
+        # the dumped fields read back verify exactly as the solved state did,
+        # M and J at the starred origin included
+        man = json.loads((out / "manifest.json").read_text())
+        assert rep == man["verify"]
         (solver, res), = solved
-        params = res.params
-        tov = solve_tov(solver.eos, params.u_O, params.G_grav, params.c_light)
-        assert rep["tov_gap"] == tov_gap(res, tov, solver.classical)
+        assert (man["M"], man["J"]) == (rep["M"], rep["J"]) == (res.tail_mass(), res.tail_angular_momentum())
+        assert (man["J"] == 0.0) == (b == 0.0)
+        if b == 0.0:
+            # the Newtonian layer is read back too: a static run's report
+            # holds the TOV split of the in-memory result, bit for bit
+            params = res.params
+            tov = solve_tov(solver.eos, params.u_O, params.G_grav, params.c_light)
+            assert rep["tov_gap"] == tov_gap(res, tov, solver.classical)
 
     def test_verify_manifest_with_removed_keys(self, tmp_path):
         # verify reads only the eos and star sections of the manifest's
@@ -340,6 +397,7 @@ class TestSolveCommand:
         man = json.loads(path.read_text())
         man["config"]["solver"].update(alpha_holder=0.25, ball_M=50.0, damping=1.0)
         man["config"]["output"]["formats"] = ["binary"]
+        man["config"]["verify"] = {"fit_window": [5.0, 15.0]}  # a removed section
         path.write_text(json.dumps(man))
         assert main(["verify", "--config", cfg, "--run", str(out),
                      "--out", str(tmp_path / "ver")]) == 0
@@ -492,10 +550,11 @@ class TestSweepCommand:
         assert abs(exps["W_sup_exponent"] - 2.0) < 0.1
         assert abs(exps["X_sup_exponent"] - 2.0) < 0.1
 
-    def test_workers_capped_at_values(self, tmp_path, monkeypatch):
-        # a fork pool starts all max_workers processes at its first submit,
-        # so sweep asks for no more workers than it has values; the pool and
-        # the worker here are stand-ins, and no process starts
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The max_workers of each stand-in pool sweep opens; the pool maps in
+        this process and the worker returns u_O squared as each sup, so no
+        process starts and nothing is solved."""
         import concurrent.futures
 
         pools = []
@@ -518,9 +577,24 @@ class TestSweepCommand:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         monkeypatch.setattr(cli, "_sweep_worker", worker)
+        return pools
+
+    def test_workers_capped_at_values(self, tmp_path, pools):
+        # a fork pool starts all max_workers processes at its first submit,
+        # so sweep asks for no more workers than it has values
         cfg = load_config({"output": {"directory": str(tmp_path)},
                            "sweep": {"param": "u_O", "values": [1.0e-3, 5.0e-4], "workers": 64}})
         assert cli.cmd_sweep(cfg, argparse.Namespace(out=None)) == 0
         assert pools == [2]
         man = json.loads((tmp_path / "manifest.json").read_text())
         assert [r["value"] for r in man["results"]] == [1.0e-3, 5.0e-4]
+
+    def test_sweep_from_zero_fits_no_exponent(self, tmp_path, pools, monkeypatch):
+        # b_rot swept from 0 has no log-log exponent, though a static star's
+        # W, X and K are not 0; fitting one took log(0)
+        monkeypatch.setattr(cli, "_sweep_worker",
+                            lambda cfg: dict.fromkeys(("W_sup", "Y_sup", "X_sup", "K_sup"), 1.0))
+        cfg = load_config({"output": {"directory": str(tmp_path)},
+                           "sweep": {"param": "b_rot", "values": [0.0, 1.0e-3], "workers": 1}})
+        assert cli.cmd_sweep(cfg, argparse.Namespace(out=None)) == 0
+        assert json.loads((tmp_path / "manifest.json").read_text())["fitted_exponents"] == {}
