@@ -27,7 +27,10 @@ from .errors import ConfigError, ConvergenceError, RegimeError, RotstarError, Ve
 
 def _out_dir(cfg, override):
     out = Path(override) if override else Path(cfg.output["directory"])
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{'--out' if override else 'output.directory'} {out}: {exc.strerror}")
     return out
 
 
@@ -207,7 +210,7 @@ def cmd_kerr_check(cfg, args):
 
     k = cfg.kerr
     kp = KerrParams(k["m_geom"], k["a_spin"])
-    params = SimpleNamespace(G_grav=cfg.star["G_grav"], c_light=cfg.eos["c_light"])
+    params = SimpleNamespace(G_grav=1.0, c_light=1.0)  # kerr_lanczos's geometric units
     orders = refinement_orders(kerr_refinement(kp, params, k["window"], k["levels"]))
     fit = asymptotic_fit(kerr_eval_fns(kp), params, (20.0 * kp.m_geom, 50.0 * kp.m_geom))
     payload = {

@@ -802,17 +802,24 @@ class GreenOps:
         }
         # this star's far targets among the shared operator's, in its order
         self._far_rows = {side: m[far_mask(m.shape[0])] for side, m in self.far.items()}
-        # lookups: each table with its block count then, each far operator with built
-        self._tables = {}
-        self._fars = {}
+        # lookups: each table, the blocks this grid's calls filled in it, and
+        # each far operator with built
+        self._tables, self._added, self._fars = {}, {}, {}
 
     def table(self, n):
         """The kernel table of dimension n both patches use, sized to the
         larger one, looked up without filling any column."""
         if n not in self._tables:
-            table = _cached_table(max(self.grid.n_int, self.grid.n_ext), n)
-            self._tables[n] = (table, len(table.blocks))
-        return self._tables[n][0]
+            self._tables[n] = _cached_table(max(self.grid.n_int, self.grid.n_ext), n)
+        return self._tables[n]
+
+    def use_table(self, n, method, *args):
+        """table(n).method(*args) (apply, rows, fill), counting the blocks it fills."""
+        table = self.table(n)
+        blocks = len(table.blocks)
+        out = getattr(table, method)(*args)
+        self._added[n] = self._added.get(n, 0) + len(table.blocks) - blocks
+        return out
 
     def far_operator(self, side, n):
         """The far operator of one side on this grid's table of dimension n,
@@ -833,13 +840,12 @@ class GreenOps:
     def cache_report(self):
         """The kernel tables and far operators this grid looked up: sizes,
         filled table columns and the fills (blocks) that hold them, ranks
-        and the columns each skeleton QR factored.  built: the table gained
-        a block after this grid's first lookup (solves on one cache run one
-        at a time, so that fill is this grid's), or this grid constructed
-        the far operator; the others are cache hits."""
+        and the columns each skeleton QR factored.  built: a call of this
+        grid's use_table filled a block of the table, or this grid
+        constructed the far operator; the others are cache hits."""
         tables = {f"P{t.P}_n{t.n}": {"bytes": t.nbytes, "columns": t.cols.size,
-                                     "fills": len(t.blocks), "built": len(t.blocks) > blocks}
-                  for t, blocks in self._tables.values()}
+                                     "fills": len(t.blocks), "built": self._added.get(n, 0) > 0}
+                  for n, t in self._tables.items()}
         far = {f"{side}_n{n}": {"rank": op.rank, "qr_columns": op.qr_columns,
                                 "targets": int(np.count_nonzero(self._far_rows[side])),
                                 "filled_nodes": op.nodes.size, "bytes": op.nbytes,
@@ -869,15 +875,14 @@ class GreenOps:
         w, z, r = g.images[other]
         if not np.any(src):
             return np.zeros(src.shape), np.zeros(r.shape)
-        table = self.table(n)
-        own = h**2 * table.apply(src)
+        own = h**2 * self.use_table(n, "apply", src)
         far = self.far[side]
         near = np.isfinite(r) & ~far
         vals = np.zeros(r.shape)
         vals[near] = _bilinear(own, h, w[near], z[near])
         vals[far] = h**2 * self._far(side, n, src)
         vals *= g.weight(other, 2 - n)  # (r/R0)^(n-2) at the images
-        vals[0, 0] = h**n * table.total_mass(src) / (FUND_NORM[n] * g.R0 ** (n - 2))
+        vals[0, 0] = h**n * self.table(n).total_mass(src) / (FUND_NORM[n] * g.R0 ** (n - 2))
         return own, vals
 
     def k_n_global(self, fld, n):
@@ -930,7 +935,6 @@ class LOpSolver:
 
         self.ops = ops
         self.grid = ops.grid
-        self.table = ops.table(3)
         self.h = self.grid.h_int
         if coef_field.offset != 0.0:
             # a constant offset is not compactly supported: the dense solve
@@ -943,8 +947,8 @@ class LOpSolver:
         if self.trivial:
             return
         origin = (np.array([0]), np.array([0]))
-        R_rows = self.h**2 * self.table.rows((self.si, self.sj), (self.si, self.sj))
-        R_origin = self.h**2 * self.table.rows(origin, (self.si, self.sj))
+        R_rows = self.h**2 * ops.use_table(3, "rows", (self.si, self.sj), (self.si, self.sj))
+        R_origin = self.h**2 * ops.use_table(3, "rows", origin, (self.si, self.sj))
         A = np.eye(self.si.size) - (R_rows - R_origin) * coef[self.si, self.sj][None, :]
         smin = 1.0 / max(float(np.linalg.cond(A, 1)), 1.0)
         if smin < RCOND_RAISE:
@@ -965,7 +969,7 @@ class LOpSolver:
         fi0 = f_inf.int_vals[0, 0]
         src_tot = fld.interior_compact() + self.coef * (f_inf.int_vals - fi0)
         if not self.trivial:
-            rhs_full = h**2 * self.table.apply(src_tot)
+            rhs_full = h**2 * self.ops.use_table(3, "apply", src_tot)
             rhs = rhs_full[self.si, self.sj] - rhs_full[0, 0]
             src_tot[self.si, self.sj] += self.coef[self.si, self.sj] * lu_solve(self._lu, rhs)
         v_int, v_star = self.ops._patch_potential("int", 3, src_tot)

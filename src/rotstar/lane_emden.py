@@ -45,6 +45,7 @@ XI_MAX = 60.0  # end of solve_classical's search for the first zero
 # the distorted fixed point: damping, tolerance on a sweep's sup change, and
 # stall rule (past sweep 12, a change above the one 5 sweeps back stops it)
 DAMPING, TOL, STALL = 0.8, 1e-11, (12, 5)
+SIMPSON_MARGIN = 3  # zero rows kelvin3_legendre integrates past its source
 
 
 def integrate_theta(nu, xi_max):
@@ -139,21 +140,28 @@ def kelvin3_legendre(g, s, basis, zeta_weights):
     g is sampled on the tensor (s, zeta) grid with zeta at Gauss nodes on
     [0, 1] and basis = even_legendre(zeta nodes, lmax); returns (K3 g on the
     grid, K3 g at the origin).  Every degree's radial integrals run at once,
-    by composite Simpson on the s grid.
+    by composite Simpson on the s grid, up to g's last nonzero row plus
+    SIMPSON_MARGIN zero rows, which scipy's last interval reads alone; past
+    them the full sums add zeros, so inner keeps its last value and outer is
+    0, bit for bit.  Projecting fewer rows, BLAS can round by another kernel.
     """
-    l = 2 * np.arange(basis.shape[1])
-    c = _project(g, basis, zeta_weights)
+    n, nl = s.size, basis.shape[1]
+    l = 2 * np.arange(nl)
+    m = min(n, np.flatnonzero(g.any(axis=1)).max(initial=-1) + 1 + SIMPSON_MARGIN)
+    c = _project(g, basis, zeta_weights)[:m]
     pos = (s > 0)[:, None]
     s_safe = np.where(pos, s[:, None], 1.0)
-    inner = cumulative_simpson(s[:, None] ** (l + 2) * c, x=s, axis=0, initial=0.0)
-    out_igd = np.where(pos, s_safe ** (1 - l), 0.0) * c
+    out_igd = np.where(pos[:m], s_safe[:m] ** (1 - l), 0.0) * c
     # genuine c_l ~ s^l near the center: for l > 0 the center node is masked
     # above, and the roundoff floor here, so s^(1-l) cannot amplify noise
     floor = np.abs(c) < 1e-13 * np.max(np.abs(c), axis=0)
     floor[:, 0] = False
     out_igd[floor] = 0.0
-    outer_rev = cumulative_simpson(out_igd, x=s, axis=0, initial=0.0)
-    outer = outer_rev[-1] - outer_rev
+    sums = cumulative_simpson(np.hstack([s[:m, None] ** (l + 2) * c, out_igd]),
+                              x=s[:m], axis=0, initial=0.0)
+    inner, outer = np.empty((n, nl)), np.zeros((n, nl))
+    inner[:m], inner[m:] = sums[:, :nl], sums[-1, :nl]
+    outer[:m] = sums[-1, nl:] - sums[:, nl:]
     radial = np.where(pos, inner / s_safe ** (l + 1), 0.0) + s[:, None] ** l * outer
     return (radial / (2 * l + 1)) @ basis.T, outer[0, 0]
 
@@ -244,16 +252,23 @@ def solve_distorted(
 
     S, Z = np.meshgrid(s, zeta, indexing="ij")
     forcing = 0.5 * b * chi(S / Xi0) ** 2 * S**2 * (1.0 - Z**2)
-    far = s >= 2.5 * xi1
+    far = np.searchsorted(s, 2.5 * xi1)  # first row of s >= 2.5 xi1
     basis = even_legendre(zeta, lmax)
 
+    def source(Theta):
+        # (Theta v 0)^nu, raised to the power only on the rows that hold matter
+        src = np.zeros_like(Theta)
+        k = np.flatnonzero((Theta > 0.0).any(axis=1)).max(initial=-1) + 1
+        src[:k] = np.maximum(Theta[:k], 0.0) ** nu
+        return src
+
     def sweep(Theta):
-        src = np.maximum(Theta, 0.0) ** nu
-        K, K_O = kelvin3_legendre(src, s, basis, zw)
+        K, K_O = kelvin3_legendre(source(Theta), s, basis, zw)
         new = forcing + K - K_O + 1.0
         delta = float(np.max(np.abs(new - Theta)))
-        Theta = (1.0 - DAMPING) * Theta + DAMPING * new
-        if np.any(Theta[far, :] > 0.0):
+        Theta *= 1.0 - DAMPING
+        Theta += DAMPING * new
+        if np.any(Theta[far:] > 0.0):
             # centrifugal forcing beat gravity far out: b is beyond the
             # admissible range for this grid extent
             raise RegimeError(
@@ -265,8 +280,7 @@ def solve_distorted(
     Theta, changes = damped_iteration(sweep, Theta0, TOL, max_iter,
                                       "distorted Lane-Emden iteration", stall=STALL)
 
-    src = np.maximum(Theta, 0.0) ** nu
-    _, K_O = kelvin3_legendre(src, s, basis, zw)
+    _, K_O = kelvin3_legendre(source(Theta), s, basis, zw)
     theta_inf = 1.0 - K_O
 
     dle = DistortedLaneEmden(

@@ -628,8 +628,7 @@ class PNSolver:
         # are filled here in one block each rather than a block per first
         # use; X's source, the pressure, fills its few columns on demand
         for n in (3, 5) if p.b_rot > 0 else (3,):
-            table = self.ops.table(n)
-            table.fill(np.arange(table.P - 1))
+            self.ops.use_table(n, "fill", np.arange(self.ops.table(n).P - 1))
 
         def step(outer):
             V, WYX, _ = outer

@@ -151,6 +151,12 @@ class TestConfigValidation:
         "sweep of a fraction into grid.n_interior": (
             {"cfg.yaml": "sweep: {param: grid.n_interior, values: [33, 33.5]}\n"},
             ["sweep", "--config", "{tmp}/cfg.yaml"]),
+        # an output directory that cannot be made (a file is in the way),
+        # from the config and from --out: a FileExistsError from mkdir
+        "file in the way of output.directory": (
+            {"taken": "", "cfg.yaml": 'output: {directory: "{tmp}/taken"}\n'},
+            ["lane-emden", "--config", "{tmp}/cfg.yaml"]),
+        "file in the way of --out": ({"taken": ""}, ["lane-emden", "--out", "{tmp}/taken"]),
         "unknown command": ({}, ["bogus"]),
         "unknown --patch": ({}, ["export", "--dump", "{tmp}/W.axfd", "--patch", "x"]),
         "retired --grid-level": ({}, ["solve", "--grid-level", "65"]),
@@ -161,8 +167,11 @@ class TestConfigValidation:
         files, argv = self.BAD_INPUT[case]
         for name, text in files.items():
             (tmp_path / name).parent.mkdir(exist_ok=True)
-            (tmp_path / name).write_text(text)
-        argv = [arg.format(tmp=tmp_path) for arg in argv] + ["--out", str(tmp_path / "out")]
+            (tmp_path / name).write_text(text.replace("{tmp}", str(tmp_path)))
+        # a case that names its own output keeps it; the others get one
+        own_out = "--out" in argv or any("{tmp}" in text for text in files.values())
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        argv += [] if own_out else ["--out", str(tmp_path / "out")]
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:")
@@ -495,6 +504,16 @@ class TestKerrCheckCommand:
         cfg = write_cfg(tmp_path, body)
         assert main(["kerr-check", "--config", cfg]) == 0
 
+
+    @pytest.mark.parametrize("units", ["star: {G_grav: 2.0}", "eos: {c_light: 2.0}"])
+    def test_fit_in_geometric_units(self, tmp_path, units):
+        # the Kerr metric is written with G = c = 1, so the star's and the
+        # equation of state's units must not enter its fit
+        out = tmp_path / "kerr"
+        body = f'output: {{directory: "{out}"}}\nkerr: {{levels: [61, 121]}}\n{units}\n'
+        assert main(["kerr-check", "--config", write_cfg(tmp_path, body)]) == 0
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["M_err_rel"] < 0.01 and man["J_err_rel"] < 0.01
 
     def test_failure_reason_survives_quiet(self, tmp_path, capsys):
         # two coarse levels miss the second-order refinement rate: exit 3,

@@ -1405,6 +1405,19 @@ class TestColumnFill:
         assert third["columns"] > second["columns"]
         assert (third["fills"], third["built"], far["built"], builds) == (2, True, False, 1)
 
+    def test_built_ignores_another_grids_fill(self):
+        # two set-ups look the table up before either solves, as in a
+        # benchmark's set-up pass; only the grid whose apply filled a block
+        # reports it built
+        first, second = (GreenOps(AxiGrid(R0=R0, n_interior=33, n_exterior=25)) for R0 in (2.0, 3.7))
+        first.table(3)
+        second.table(3)
+        first.k_n_global(smooth_bump(first.grid, 0.3), 3)
+        assert first.cache_report()["kernel_tables"]["P33_n3"]["built"]
+        rep = second.cache_report()
+        assert rep["kernel_tables"]["P33_n3"]["fills"] == 1
+        assert not rep["kernel_tables"]["P33_n3"]["built"] and rep["builds"] == 0
+
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_apply_fills_its_source_columns(self, n):
         # a compact source on both patch sizes the table serves

@@ -6,8 +6,9 @@ named few), every parameter of a package function or method is read by its
 body, every defaulted one is passed by some package or benchmark call (bar
 main's argv), every dataclass field is loaded as an attribute by the
 package or the benchmark (bar a named few), every config key is read, no
-module filters a numerical warning, and every entry point the benchmark
-wraps by name still exists.
+module filters a numerical warning, every entry point the benchmark
+wraps by name still exists, and the suite's warning filters leave a failing
+Hypothesis test a plain failure.
 
 Neither ruff nor pyflakes is a dependency, so the import check is a small
 AST check.  A name counts as used when it appears anywhere in the module as
@@ -21,6 +22,8 @@ import ast
 import importlib
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import rotstar
@@ -456,3 +459,35 @@ def test_bench_spans_trace_and_restore(monkeypatch):
     for owner, attr, original in patched:
         current = owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
         assert current is original, f"{owner.__name__}.{attr} not restored"
+
+
+PROBE = """
+import warnings
+
+from hypothesis import given, settings, strategies as st
+
+
+@settings(derandomize=True, max_examples=5, database=None)
+@given(st.integers())
+def test_hypothesis_failure(x):
+    assert x < 0
+
+
+def test_own_deprecation():
+    warnings.warn("deprecated here", DeprecationWarning)
+"""
+
+
+def test_failing_hypothesis_test_fails_plainly(tmp_path):
+    # Hypothesis's failure report imports libcst, whose import of
+    # mypy_extensions.TypedDict warns DeprecationWarning; under the suite's
+    # filters that must stay a plain failure (exit 1, not an INTERNALERROR's
+    # 3), while a DeprecationWarning from anywhere else still fails its test
+    (tmp_path / "test_probe.py").write_text(PROBE)
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          "-c", str(TESTS.parent / "pyproject.toml"), "--rootdir", str(tmp_path),
+                          "test_probe.py"], cwd=tmp_path, capture_output=True, text=True,
+                         timeout=300)
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert "2 failed" in run.stdout

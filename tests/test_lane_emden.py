@@ -2,11 +2,17 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import Legendre, leggauss
 from scipy.integrate import cumulative_simpson
+from scipy.interpolate import CubicSpline
 
 from rotstar import lane_emden
-from rotstar.errors import ConvergenceError, DomainError, RegimeError
+from rotstar.cutoff import chi
+from rotstar.errors import (ConvergenceError, DomainError, RegimeError, contraction_ratio,
+                            damped_iteration)
 from rotstar.lane_emden import (
+    DAMPING,
+    STALL,
     TOL,
+    _project,
     even_legendre,
     integrate_theta,
     kelvin3_legendre,
@@ -39,6 +45,50 @@ def kelvin3_per_degree(g, s, zeta_nodes, zeta_weights, lmax):
         if l == 0:
             value_O = outer[0]
     return terms, value_O
+
+
+def kelvin3_full_rows(g, s, basis, zeta_weights):
+    """K3 of a z-even source with the projection and both radial sums on
+    every row of the grid: the form kelvin3_legendre cuts to the rows of its
+    source's support, kept as its bit-for-bit reference."""
+    l = 2 * np.arange(basis.shape[1])
+    c = _project(g, basis, zeta_weights)
+    pos = (s > 0)[:, None]
+    s_safe = np.where(pos, s[:, None], 1.0)
+    inner = cumulative_simpson(s[:, None] ** (l + 2) * c, x=s, axis=0, initial=0.0)
+    out_igd = np.where(pos, s_safe ** (1 - l), 0.0) * c
+    floor = np.abs(c) < 1e-13 * np.max(np.abs(c), axis=0)
+    floor[:, 0] = False
+    out_igd[floor] = 0.0
+    outer_rev = cumulative_simpson(out_igd, x=s, axis=0, initial=0.0)
+    outer = outer_rev[-1] - outer_rev
+    radial = np.where(pos, inner / s_safe ** (l + 1), 0.0) + s[:, None] ** l * outer
+    return (radial / (2 * l + 1)) @ basis.T, outer[0, 0]
+
+
+def distorted_full_rows(nu, b, classical, n_radial=1025, n_zeta=48, lmax=12):
+    """The distorted fixed point with every sweep on every row: (Theta
+    v 0)^nu, K3 and the damping taken on the whole grid, as
+    solve_distorted's bit-for-bit reference.  Returns Theta, the coefficient
+    spline, Theta_inf, the sweep count and the contraction ratio."""
+    Xi0 = 4.0 * classical.xi1
+    s = np.linspace(0.0, Xi0, n_radial)
+    x, wq = leggauss(n_zeta)
+    zeta, zw = 0.5 * (x + 1.0), 0.5 * wq
+    S, Z = np.meshgrid(s, zeta, indexing="ij")
+    forcing = 0.5 * b * chi(S / Xi0) ** 2 * S**2 * (1.0 - Z**2)
+    basis = even_legendre(zeta, lmax)
+
+    def sweep(Theta):
+        K, K_O = kelvin3_full_rows(np.maximum(Theta, 0.0) ** nu, s, basis, zw)
+        new = forcing + K - K_O + 1.0
+        return (1.0 - DAMPING) * Theta + DAMPING * new, float(np.max(np.abs(new - Theta)))
+
+    Theta0 = np.broadcast_to(classical.theta(s)[:, None], S.shape).copy()
+    Theta, changes = damped_iteration(sweep, Theta0, TOL, 400, "reference", stall=STALL)
+    _, K_O = kelvin3_full_rows(np.maximum(Theta, 0.0) ** nu, s, basis, zw)
+    coeffs = CubicSpline(s, _project(Theta, basis, zw))
+    return Theta, coeffs, 1.0 - K_O, len(changes), contraction_ratio(changes)
 
 
 def xi1_one_ray(dle, z):
@@ -240,3 +290,53 @@ class TestLegendreBasis:
         together = dle_small.xi1_curve(zs)
         alone = [dle_small.xi1_curve([z])[0] for z in zs]
         assert together.tolist() == alone == [xi1_one_ray(dle_small, z) for z in zs]
+
+
+class TestMatterRows:
+    """kelvin3_legendre sums only the rows of its source's support and three
+    zero rows past it, and the sweep takes the power only on the rows that
+    hold matter; every value is that of the full-row forms, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def grid(self, cls15):
+        s = np.linspace(0.0, 4.0 * cls15.xi1, 1025)
+        x, w = leggauss(48)
+        zeta = 0.5 * (x + 1.0)
+        return s, even_legendre(zeta, 12), 0.5 * w
+
+    @staticmethod
+    def assert_same(g, grid):
+        s, basis, zw = grid
+        K, K_O = kelvin3_legendre(g, s, basis, zw)
+        K_ref, K_O_ref = kelvin3_full_rows(g, s, basis, zw)
+        assert np.array_equal(K, K_ref) and K_O == K_O_ref
+
+    @pytest.mark.parametrize("name", ["dle_b0", "dle_small"])
+    def test_profile_sources(self, request, name):
+        # the converged b = 0 and b = 1e-3 profiles' sources, about 260 rows
+        d = request.getfixturevalue(name)
+        grid = (d.s, even_legendre(d.zeta, d.lmax), 0.5 * leggauss(d.zeta.size)[1])
+        self.assert_same(np.maximum(d.Theta, 0.0) ** d.nu, grid)
+
+    # scipy gives an interval the Simpson formula of its parity, so supports
+    # end on even and odd rows; 20 and 21 are short enough that a projection
+    # of the support's rows alone would round differently
+    @pytest.mark.parametrize("last", [20, 21, 258, 259, 260, 261, 1019, 1020, 1021, 1022, 1023])
+    def test_support_ending_at(self, grid, last):
+        rng = np.random.default_rng(last)
+        g = np.zeros((grid[0].size, grid[2].size))
+        g[: last + 1] = rng.random((last + 1, g.shape[1]))
+        g[last, 1:] = 0.0  # a last row with one nonzero node
+        self.assert_same(g, grid)
+
+    def test_all_zero_source(self, grid):
+        self.assert_same(np.zeros((grid[0].size, grid[2].size)), grid)
+
+    @pytest.mark.parametrize("name, b", [("dle_b0", 0.0), ("dle_small", 1e-3)])
+    def test_solve_matches_full_row_sweeps(self, request, cls15, name, b):
+        d = request.getfixturevalue(name)
+        Theta, coeffs, theta_inf, iterations, ratio = distorted_full_rows(1.5, b, cls15)
+        assert np.array_equal(d.Theta, Theta)
+        assert np.array_equal(d.coeffs.c, coeffs.c)
+        assert (d.Theta_inf_const, d.iterations, d.contraction_ratio) == (theta_inf, iterations,
+                                                                          ratio)
