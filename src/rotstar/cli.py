@@ -189,8 +189,10 @@ def cmd_verify(cfg, args):
         res = SolveResult.from_dumped(params, eos, loaded, man["diagnostics"])
     except KeyError as exc:
         raise ConfigError(f"{run}: manifest.json lacks the diagnostics of a solve ({exc!r})") from None
-    ver = _verify_payload(res, eos, classical)
+    # the run is read and checked before anything is written, and --out
+    # before the verification's work
     out = _out_dir(cfg, args.out)
+    ver = _verify_payload(res, eos, classical)
     path = out / "verify_report.json"
     with open(path, "w") as fh:
         json.dump(ver, fh, indent=2, sort_keys=True, default=float)
@@ -206,10 +208,15 @@ def cmd_kerr_check(cfg, args):
     from types import SimpleNamespace
 
     from .metric import KerrParams, kerr_eval_fns
-    from .verify import asymptotic_fit, kerr_refinement, refinement_orders
+    from .verify import asymptotic_fit, kerr_mask, kerr_refinement, kerr_window, refinement_orders
 
     k = cfg.kerr
     kp = KerrParams(k["m_geom"], k["a_spin"])
+    # a window without a measured node at some level is a config error,
+    # found before anything is written; --out before the refinement's work
+    for N in k["levels"]:
+        kerr_mask(kp, kerr_window(kp, k["window"] * kp.m_geom, N))
+    out = _out_dir(cfg, args.out)
     params = SimpleNamespace(G_grav=1.0, c_light=1.0)  # kerr_lanczos's geometric units
     orders = refinement_orders(kerr_refinement(kp, params, k["window"], k["levels"]))
     fit = asymptotic_fit(kerr_eval_fns(kp), params, (20.0 * kp.m_geom, 50.0 * kp.m_geom))
@@ -224,7 +231,7 @@ def cmd_kerr_check(cfg, args):
         "J_err_rel": (abs(fit["J"] - kp.m_geom * kp.a_spin) / abs(kp.m_geom * kp.a_spin)
                       if kp.a_spin else abs(fit["J"])),
     }
-    _manifest(_out_dir(cfg, args.out), cfg, payload)
+    _manifest(out, cfg, payload)
     errs = f"M err {payload['M_err_rel']:.2e}, J err {payload['J_err_rel']:.2e}"
     print(f"kerr-check: orders {orders}")
     print(f"kerr-check: {errs}")

@@ -90,15 +90,6 @@ class AxiGrid:
             self._weights[patch, k] = wt
         return self._weights[patch, k]
 
-    def key(self):
-        return (round(self.R0, 12), self.n_int, self.n_ext)
-
-    def __eq__(self, other):
-        return isinstance(other, AxiGrid) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
 
 def _extend_low(arr, axis, parity):
     """One reflected ghost layer across the first node of `axis`."""
@@ -363,7 +354,7 @@ class AxiField:
     # -- algebra -------------------------------------------------------------------
 
     def _require_same_grid(self, other):
-        if self.grid is not other.grid and self.grid != other.grid:
+        if self.grid is not other.grid:
             raise DomainError("fields live on different grids")
 
     def reindex(self, n_new):

@@ -14,17 +14,18 @@ its weights computed to high order on the cells near each target (local
 polar integration on the log-singular cells, tensor Gauss on their
 neighbors), by 4-point Gauss in a band around it, and beyond the band by a
 hat stencil on nodal kernel values, where the kernel is smooth; a
-KernelTable holds those weights as one array, their DCT-I along the z lag.
+KernelTable holds those weights, their DCT-I along the z lag, in blocks of
+consecutive source columns.
 The exterior tail is pulled to the starred plane, re-weighted by (R0/r*)^4
 (which turns it into a compact starred source) and inverted there with the
 same machinery; a compact source has no tail and stops after its first part.
 The two patches share one unit-coordinate KernelTable per dimension, sized
 to the larger patch; the smaller one reads its leading block, which its
 sources, zero on the patch edge, cannot tell from a table of its own.  A
-table starts empty and gains columns only through KernelTable.fill: apply
-and rows fill the columns their sources carry, and get_table(P, n) tops the
-cached table up to every column; GreenOps.table and GreenOps.far_operator,
-the solver's lookups, fill none.
+table starts empty and gains columns, as a prefix, only through
+KernelTable.fill: apply and rows fill up to the last column their sources
+carry, and get_table(P, n) tops the cached table up to every column;
+GreenOps.table and GreenOps.far_operator, the solver's lookups, fill none.
 Both parts reach the other patch by one Kelvin transfer,
 GreenOps._patch_potential: bilinear at the images inside the source patch,
 the shared FarOperator at the images outside it (the masks in GreenOps.far),
@@ -166,11 +167,11 @@ def _cached_table(P, n):
 
 
 def get_table(P, n):
-    """The cached table of (P, n), topped up to every source column by one fill
-    of the columns it lacks.  It is never replaced, so the GreenOps and far
-    operators that hold it see the new columns."""
+    """The cached table of (P, n), topped up to all P source columns by one
+    fill of the columns it lacks.  It is never replaced, so the GreenOps and
+    far operators that hold it see the new columns."""
     table = _cached_table(P, n)
-    table.fill(np.arange(table.P))
+    table.fill(table.P)
     return table
 
 
@@ -240,12 +241,12 @@ def _polar_rule():
     return [np.concatenate([part[k].ravel() for part in parts]) for k in range(3)]
 
 
-def _near_integrals(P, n, rows):
+def _near_integrals(P, n, c0, c1):
     """acc[i, MC + dni, dnj]: the high-order integral of the ring kernel
     against the hat product of node (i + dni, dnj) for a target at (i, 0),
     over the unit cells around it, for |dni| <= MC and lags 0 <= dnj <= MC.
-    Only the entries of nodes i + dni in rows (sorted source columns) are
-    complete: the cells whose corners miss rows are not integrated.
+    Only the entries of nodes i + dni in the source columns c0..c1-1 are
+    complete: the cells with no corner among them are not integrated.
 
     The cell at offsets (a, b), a in -MC-1..MC and b in -1..MC, from a
     target in column i feeds its four corner nodes; cells that leave the
@@ -258,9 +259,8 @@ def _near_integrals(P, n, rows):
                                                 np.arange(-1, MC + 1), indexing="ij"))
     keep = (I + DI >= 0) & (I + DI <= P - 2)
     I, DI, DJ = I[keep], DI[keep], DJ[keep]
-    filled = np.zeros(P, dtype=bool)
-    filled[rows] = True
-    keep = filled[I + DI] | filled[I + DI + 1]
+    # the cells with a corner node, i + dni or i + dni + 1, in c0..c1-1
+    keep = (I + DI >= c0 - 1) & (I + DI < c1)
     I, DI, DJ = I[keep], DI[keep], DJ[keep]
     polar = (DI >= -1) & (DI <= 0) & (DJ >= -1) & (DJ <= 0)
     p = np.arange(2)
@@ -334,13 +334,13 @@ class KernelTable:
     Off the node grid, eval_at sums the plain nodal rule, whose weights
     far_weights builds block by block.
 
-    The table holds C = DCT-I of W2 along the lag for the source columns
-    the mask filled marks, one block per fill: blocks is a list of
-    (cols, C), C[k, i, m] a float64 array of shape (2P - 1, P, cols.size),
-    m indexing the block's sorted source columns cols, so (2P - 1) P 8
-    bytes per filled column.  A fill appends its block and leaves the others
-    alone, so no fill copies the columns filled before it.  DCT-I is the
-    real DFT of the lag row made even with
+    The table holds C = DCT-I of W2 along the lag for its first ncols
+    source columns, one block per fill: blocks is a list of (c0, C),
+    C[k, i, m] a float64 array of shape (2P - 1, P, C.shape[2]) for source
+    column c0 + m, each block starting where the one before it ends, so
+    (2P - 1) P 8 bytes per filled column.  A fill appends the next block and
+    leaves the others alone, so no fill copies the columns filled before it.
+    DCT-I is the real DFT of the lag row made even with
     period 4P - 4 (lags -(2P-2)..2P-2, the two end lags at one index), which
     holds every lag j - z' of an output z = j in 0..P-1 and a source
     |z'| <= P-1 free of wrap-around.  apply transforms the source once,
@@ -349,22 +349,24 @@ class KernelTable:
     W2 with one inverse DCT-I per block, and rows() reads its entries from
     the slabs.
 
-    Columns are filled on demand, and fill is the only build.
-    KernelTable(P, n) starts empty.  apply and rows fill the source columns
-    their sources carry before they use them, so a compact source, such as
-    the pressure X's L_4 inverts, holds only the fluid's columns, and no
-    source fills the last column, where every source on the table's P nodes
-    vanishes; get_table(P, n) fills the columns the cached table lacks.  A
-    column's entries do not depend on the fills before it up to rounding,
-    within 1e-15 of the column's largest spectrum entry (8.3e-16 at most
-    measured at P = 97): the same cells, lattice values and near integrals
-    enter them, only the batch shapes of the matrix products differ.  A
-    table filled in one call has one block and applies as one product.
+    Columns are filled on demand, as a growing prefix, and fill is the only
+    build.  KernelTable(P, n) starts empty.  apply and rows fill up to the
+    last source column their sources carry before they use them, so a
+    compact source, such as the pressure X's L_4 inverts, fills only the
+    fluid's columns, and no source fills the last column, where every source
+    on the table's P nodes vanishes; get_table(P, n) fills all P.  The
+    sources of a solve carry every column from 0 up to their last one, so a
+    prefix fills no column they do not use.  A column's entries do not
+    depend on the fills before it up to rounding, within 1e-15 of the
+    column's largest spectrum entry (8.3e-16 at most measured at P = 97):
+    the same cells, lattice values and near integrals enter them, only the
+    batch shapes of the matrix products differ.  A table filled in one call
+    has one block and applies as one product.
 
-    The build is batched.  A fill of the source columns rows starts with
-    their near integrals, two ring_kernel calls in all: one for the Gauss
-    points of every near cell with a corner in rows, one for the polar
-    points of the cells with a corner on the target.  Each cell's four
+    The build is batched.  A fill of the source columns rows = c0..c1-1
+    starts with their near integrals, two ring_kernel calls in all: one for
+    the Gauss points of every near cell with a corner in rows, one for the
+    polar points of the cells with a corner on the target.  Each cell's four
     corner integrals are one product against the corner weights, scattered
     into the node patch by a bincount.  W2 then takes two ring_kernel calls
     per target column: the Gauss points of the band and edge cells that
@@ -381,32 +383,24 @@ class KernelTable:
         self.P = int(P)
         self.n = int(n)
         self.nodes = np.arange(self.P, dtype=float)
-        self.filled = np.zeros(self.P, dtype=bool)
+        self.ncols = 0
         self.blocks = []
 
-    @property
-    def cols(self):
-        """The filled source columns, sorted."""
-        return np.flatnonzero(self.filled)
-
-    def fill(self, cols):
-        """Build the spectra of the source columns cols not filled yet, as one
-        new block; the blocks already filled are not touched."""
-        new = np.zeros(self.P, dtype=bool)
-        new[cols] = True
-        new &= ~self.filled
-        if not new.any():
+    def fill(self, ncols):
+        """Build the spectra of the source columns from self.ncols to
+        ncols - 1, as one new block; the blocks already filled are not touched."""
+        c0 = self.ncols
+        if ncols <= c0:
             return
-        rows = np.flatnonzero(new)
         # the near integrals' temporaries are freed before C is allocated
-        acc = _near_integrals(self.P, self.n, rows)
-        self.blocks.append((rows, self._build_w2(rows, acc)))
-        self.filled |= new
+        acc = _near_integrals(self.P, self.n, c0, ncols)
+        self.blocks.append((c0, self._build_w2(c0, ncols, acc)))
+        self.ncols = ncols
 
-    def _build_w2(self, rows, acc):
+    def _build_w2(self, c0, c1, acc):
         """The block C = DCT-I along the lag axis of
         W2[i, i', lag] = int int k(i, ws, dz) hat_i'(ws) hat_lag(|dz|)
-        for the source columns i' in rows (sorted) and every target i.
+        for the source columns i' in rows = c0..c1-1 and every target i.
 
         Gauss entries, the 4-point tensor Gauss sums over the cells of the
         hat supports: the band |i' - i| <= D, lag <= D around the target and
@@ -421,6 +415,7 @@ class KernelTable:
         within q of them and their near integrals are evaluated.
         """
         P, G, q, D = self.P, N_GAUSS_BASE, STENCIL_Q, GAUSS_BAND
+        rows = np.arange(c0, c1)
         nrows = rows.size
         t, wq = _gauss01(G)
         hats = _hat_weights(t, wq)
@@ -435,10 +430,9 @@ class KernelTable:
             np.add.at(F, (np.abs(x), np.arange(m)[:, None]), np.where(x < 0, sign, 1.0) * s)
             return F
 
-        # the lattice nodes within q of rows, and the fold from them to rows
-        lattice = np.zeros(P + q, dtype=bool)
-        lattice[np.abs(rows[:, None] + np.arange(-q, q + 1))] = True
-        lattice = np.flatnonzero(lattice)
+        # the lattice nodes within q of rows (a ghost -x is node x), and the
+        # fold from them to rows
+        lattice = np.arange(max(c0 - q, 0), c1 + q)
         fold_ws = fold(P, (-1.0) ** self.n)[np.ix_(lattice, rows)].T
         fold_dz = fold(2 * P - 1, 1.0)
         ws_nodes = lattice.astype(float)
@@ -448,7 +442,7 @@ class KernelTable:
         slot = np.full(P, nrows)
         slot[rows] = np.arange(nrows)
         # the varpi cells with a corner node in rows
-        cells = np.flatnonzero((slot[:-1] < nrows) | (slot[1:] < nrows))
+        cells = np.arange(max(c0 - 1, 0), min(c1, P - 1))
         edge = (rows == 0) | (rows == P - 1)
         corner = np.arange(2)
         dn = np.arange(-MC, MC + 1)
@@ -496,16 +490,17 @@ class KernelTable:
                 f"a source on {p} nodes needs zeros on its last row and column "
                 f"to use the {self.P}-node table"
             )
-        # fill the columns the source carries, then take the spectrum of the
-        # source made even in z and zero-padded to the table's period, and
-        # make one real product per frequency for each block's columns on
-        # the patch (sorted, so they lead the block)
-        self.fill(np.flatnonzero(np.any(gvals, axis=1)))
+        # fill up to the last column the source carries, then take the
+        # spectrum of the source made even in z and zero-padded to the
+        # table's period, and make one real product per frequency for each
+        # block's columns on the patch
+        self.fill(1 + np.max(np.flatnonzero(np.any(gvals, axis=1)), initial=-1))
         gx = dct(gvals.T, type=1, n=2 * self.P - 1, axis=0)
         y = np.zeros((2 * self.P - 1, p))
-        for cols, C in self.blocks:
-            m = np.searchsorted(cols, p)
-            y += (C[:, :p, :m] @ gx[:, cols[:m], None])[..., 0]
+        for c0, C in self.blocks:
+            m = min(C.shape[2], p - c0)
+            if m > 0:
+                y += (C[:, :p, :m] @ gx[:, c0 : c0 + m, None])[..., 0]
         y = idct(y, type=1, axis=0)
         return np.ascontiguousarray(y[:p].T)
 
@@ -543,29 +538,24 @@ class KernelTable:
             yield k0, colw[i] * kv
 
     def w2_slab(self, i):
-        """W2[i] rebuilt from the spectra: (filled columns, 2P - 1), source
-        column (in cols order) by lag, one inverse DCT-I per block."""
-        filled = self.cols
-        slab = np.empty((filled.size, 2 * self.P - 1))
-        for cols, C in self.blocks:
-            slab[np.searchsorted(filled, cols)] = idct(C[:, i, :], type=1, axis=0).T
-        return slab
+        """W2[i] rebuilt from the spectra: (ncols, 2P - 1), source column by
+        lag, one inverse DCT-I per block."""
+        return np.concatenate([idct(C[:, i, :], type=1, axis=0).T for _, C in self.blocks])
 
     def rows(self, targets, sources):
         """Dense quadrature rows R[t, s] consistent with apply() (on a
-        smaller patch, for sources off its last row and column); fills the
-        source columns first."""
+        smaller patch, for sources off its last row and column); fills up to
+        the last source column first."""
         ti, tj = targets
         si, sj = sources
-        self.fill(si)
-        k = np.searchsorted(self.cols, si)
+        self.fill(si.max() + 1)
         R = np.empty((ti.size, si.size))
         mirror = np.where(sj > 0, 1.0, 0.0)
         for col in np.unique(ti):
             sel = np.flatnonzero(ti == col)
             W2 = self.w2_slab(col)
             tz = tj[sel, None]
-            R[sel] = W2[k, np.abs(tz - sj)] + mirror * W2[k, tz + sj]
+            R[sel] = W2[si, np.abs(tz - sj)] + mirror * W2[si, tz + sj]
         return R
 
     @property
@@ -843,7 +833,7 @@ class GreenOps:
         and the columns each skeleton QR factored.  built: a call of this
         grid's use_table filled a block of the table, or this grid
         constructed the far operator; the others are cache hits."""
-        tables = {f"P{t.P}_n{t.n}": {"bytes": t.nbytes, "columns": t.cols.size,
+        tables = {f"P{t.P}_n{t.n}": {"bytes": t.nbytes, "columns": t.ncols,
                                      "fills": len(t.blocks), "built": self._added.get(n, 0) > 0}
                   for n, t in self._tables.items()}
         far = {f"{side}_n{n}": {"rank": op.rank, "qr_columns": op.qr_columns,

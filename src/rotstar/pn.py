@@ -75,7 +75,6 @@ class StarParams:
     u_O: float
     Omega_O: float
     xi1: float
-    mu1: float
 
     @classmethod
     def build(cls, gamma, A_const, c_light, G_grav, u_O, Omega_O=None, b_rot=None, *, classical):
@@ -84,7 +83,7 @@ class StarParams:
         if Omega_O is None:
             Omega_O = math.sqrt(4.0 * math.pi * G_grav * b_rot * u_O ** (1.0 / (gamma - 1.0))
                                 / _inv_k_rho(gamma, A_const))
-        return cls(gamma, A_const, c_light, G_grav, u_O, Omega_O, classical.xi1, classical.mu1)
+        return cls(gamma, A_const, c_light, G_grav, u_O, Omega_O, classical.xi1)
 
     @property
     def nu(self):
@@ -628,7 +627,7 @@ class PNSolver:
         # are filled here in one block each rather than a block per first
         # use; X's source, the pressure, fills its few columns on demand
         for n in (3, 5) if p.b_rot > 0 else (3,):
-            self.ops.use_table(n, "fill", np.arange(self.ops.table(n).P - 1))
+            self.ops.use_table(n, "fill", self.ops.table(n).P - 1)
 
         def step(outer):
             V, WYX, _ = outer

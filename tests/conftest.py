@@ -70,14 +70,16 @@ def static_sweep(cls15, eos_unit, dle_static):
 
 
 @pytest.fixture(scope="session")
-def refinement_runs(cls15, eos_unit, dle_rot):
-    """The eps = 1e-3, b = 1e-3 star solved at three grid levels."""
-    out = {}
-    for n_int, n_ext in ((49, 33), (65, 49), (97, 65)):
-        p = StarParams.build(5 / 3, 1.0, 1.0, 1.0, u_O=1e-3, b_rot=B_ROT, classical=cls15)
-        solver = PNSolver(p, eos_unit, _options(n_int, n_ext), dle=dle_rot, classical=cls15)
-        out[n_int] = solver.solve()
-    return out
+def refinement_runs(cls15, eos_unit, dle_rot, rotating_sweep):
+    """The eps = 1e-3, b = 1e-3 star solved at three grid levels; the 65/49
+    level is rotating_sweep's star of that eps, with the same parameters,
+    options and profile."""
+    p = StarParams.build(5 / 3, 1.0, 1.0, 1.0, u_O=1e-3, b_rot=B_ROT, classical=cls15)
+
+    def solve(n_int, n_ext):
+        return PNSolver(p, eos_unit, _options(n_int, n_ext), dle=dle_rot, classical=cls15).solve()
+
+    return {49: solve(49, 33), 65: rotating_sweep[1e-3], 97: solve(97, 65)}
 
 
 @pytest.fixture(scope="session")

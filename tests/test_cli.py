@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rotstar
-from rotstar import cli, lane_emden
+from rotstar import cli, lane_emden, verify
 from rotstar.cli import cmd_tov_compare, main
 from rotstar.config import _DEFAULTS, build_solver_options, build_star, load_config
 from rotstar.errors import ConfigError
@@ -38,6 +39,19 @@ def write_cfg(tmp_path, body):
     path = tmp_path / "cfg.yaml"
     path.write_text(body)
     return str(path)
+
+
+def record_calls(monkeypatch, owner, name):
+    """Wrap owner.name for the test; returns the list of each call's args."""
+    calls = []
+    fn = getattr(owner, name)
+
+    def wrapped(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, wrapped)
+    return calls
 
 
 class TestConfigValidation:
@@ -277,6 +291,14 @@ class TestLaneEmdenCommand:
 
 
 class TestSolveCommand:
+    @pytest.fixture(scope="class")
+    def static_run(self, tmp_path_factory):
+        """(config path, run directory) of one solved static star, read only."""
+        tmp = tmp_path_factory.mktemp("static")
+        cfg = write_cfg(tmp, TINY.format(b=0.0, out=tmp / "run"))
+        assert main(["solve", "--config", cfg, "--quiet"]) == 0
+        return cfg, tmp / "run"
+
     def test_static_star_summary(self, tmp_path):
         out = tmp_path / "run"
         cfg = write_cfg(tmp_path, TINY.format(b=0.0, out=out))
@@ -448,6 +470,29 @@ class TestSolveCommand:
         assert captured.err.startswith("verification failure: residual sup")
         assert captured.out == ""
 
+    def test_verify_checks_out_first(self, tmp_path, monkeypatch, capsys, static_run):
+        # an --out that cannot be made ends verify before any verification
+        cfg, run = static_run
+        calls = record_calls(monkeypatch, cli, "_verify_payload")
+        (tmp_path / "taken").write_text("")
+        assert main(["verify", "--config", cfg, "--run", str(run),
+                     "--out", str(tmp_path / "taken")]) == 1
+        assert capsys.readouterr().err.startswith("config error: --out")
+        assert calls == []
+
+    def test_verify_grid_mismatch_exits_1(self, tmp_path, capsys, static_run):
+        # a run whose dumps mix two grid shapes: verify names the first dump
+        # off the grid of the ones read before it
+        cfg, run = static_run
+        mixed = tmp_path / "mixed"
+        shutil.copytree(run, mixed)
+        W, _ = read_field(run / "W.axfd")
+        write_field(mixed / "X.axfd", AxiField.zeros(AxiGrid(W.grid.R0, 17, 13)), name="X")
+        assert main(["verify", "--config", cfg, "--run", str(mixed),
+                     "--out", str(tmp_path / "ver")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"{mixed / 'X.axfd'}: grid mismatch" in err
+
     def test_export(self, tmp_path):
         out = tmp_path / "run"
         cfg = write_cfg(tmp_path, TINY.format(b=0.0, out=out))
@@ -514,6 +559,15 @@ class TestKerrCheckCommand:
         assert main(["kerr-check", "--config", write_cfg(tmp_path, body)]) == 0
         man = json.loads((out / "manifest.json").read_text())
         assert man["M_err_rel"] < 0.01 and man["J_err_rel"] < 0.01
+
+    def test_out_checked_first(self, tmp_path, monkeypatch, capsys):
+        # an --out that cannot be made ends kerr-check before its refinement
+        calls = record_calls(monkeypatch, verify, "kerr_refinement")
+        (tmp_path / "taken").write_text("")
+        cfg = write_cfg(tmp_path, "kerr: {levels: [61, 121]}\n")
+        assert main(["kerr-check", "--config", cfg, "--out", str(tmp_path / "taken")]) == 1
+        assert capsys.readouterr().err.startswith("config error: --out")
+        assert calls == []
 
     def test_failure_reason_survives_quiet(self, tmp_path, capsys):
         # two coarse levels miss the second-order refinement rate: exit 3,

@@ -349,6 +349,17 @@ class TestAlgebra:
         assert f3.eval(w, z) == pytest.approx(f5.eval(w, z), rel=5e-3)
 
 
+    def test_fields_on_two_grids_do_not_combine(self):
+        # grids built apart with equal parameters are two grids all the same:
+        # their fields do not combine, though every node agrees
+        a, b = (AxiGrid(R0=1.5, n_interior=17, n_exterior=13) for _ in range(2))
+        f, g = decay_field(a, 3) + 1.0, decay_field(b, 3) + 1.0
+        for combine in (lambda: f + g, lambda: f * g, lambda: f / g,
+                        lambda: eval_fields([f, g], 1.0, 0.5)):
+            with pytest.raises(DomainError, match="different grids"):
+                combine()
+
+
 # -- properties against pointwise analytic values on both patches -----------
 
 PGRID = AxiGrid(R0=1.5, n_interior=17, n_exterior=13)

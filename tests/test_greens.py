@@ -26,6 +26,7 @@ from rotstar.greens import (
     get_table,
     ring_kernel,
 )
+from rotstar.pn import PNSolver, SolverOptions, StarParams
 
 from oracles import axis_laplacian
 
@@ -72,16 +73,13 @@ def traced_peak(fn):
 def whole_table(P, n):
     """A table of its own, every source column filled in one block."""
     table = KernelTable(P, n)
-    table.fill(np.arange(P))
+    table.fill(P)
     return table
 
 
 def spectra(table):
-    """The table's spectra C[k, i, m] over all its blocks, m indexing its
-    filled columns in order."""
-    cols = np.concatenate([cols for cols, _ in table.blocks])
-    C = np.concatenate([C for _, C in table.blocks], axis=2)
-    return C[:, :, np.argsort(cols)]
+    """The table's spectra C[k, i, c] over all its blocks, c its source column."""
+    return np.concatenate([C for _, C in table.blocks], axis=2)
 
 
 def masked_ring_kernel(n, wt, ws, dz):
@@ -940,8 +938,8 @@ class TestCachedQuadrature:
         # holds an even lag row (the end lags share an index), whatever P:
         # 80 at P = 21 is not a power of two, 124 at P = 32 not 2^k + 1
         table = whole_table(P, 3)
-        [(cols, C)] = table.blocks
-        assert np.array_equal(cols, np.arange(P))
+        [(c0, C)] = table.blocks
+        assert c0 == 0 and table.ncols == P
         assert C.shape == (2 * P - 1, P, P)
         assert table.nbytes == C.nbytes
         gvals = np.random.RandomState(P).uniform(-1.0, 1.0, (P, P))
@@ -1235,7 +1233,7 @@ class TestBatchedBuild:
                 return ring_kernel(n, wt, ws, dz) * (side * dz > 0)
 
             monkeypatch.setattr(greens, "ring_kernel", one_side)
-            halves.append(greens._near_integrals(P, n, np.arange(P))[:, :, 0])
+            halves.append(greens._near_integrals(P, n, 0, P)[:, :, 0])
         assert np.max(np.abs(halves[0])) > 0.1 * scale
         assert np.max(np.abs(halves[0] - halves[1])) <= 1e-15 * scale
 
@@ -1319,8 +1317,8 @@ class TestNodalRule:
 
 
 class TestColumnFill:
-    """A table fills its source columns on demand, and a filled column is
-    the whole table's column up to rounding."""
+    """A table fills its source columns on demand, as a growing prefix, and a
+    filled column is the whole table's column up to rounding."""
 
     @pytest.fixture(autouse=True)
     def fresh_caches(self, monkeypatch):
@@ -1331,40 +1329,37 @@ class TestColumnFill:
     def assert_columns_match(table, whole):
         """Every filled column of table against the same column of whole,
         within 1e-15 of that column's largest spectrum entry."""
-        ref = spectra(whole)[:, :, table.cols]
+        ref = spectra(whole)[:, :, : table.ncols]
         scale = np.max(np.abs(ref), axis=(0, 1))
         assert np.all(np.max(np.abs(spectra(table) - ref), axis=(0, 1)) <= 1e-15 * scale)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
-    def test_any_order_and_partition(self, n):
+    def test_prefix_partitions(self, n):
         P = 33
         whole = whole_table(P, n)
-        rng = np.random.default_rng(n)
-        perm = rng.permutation(P)
-        partitions = ([[c] for c in perm],
-                      np.split(perm, [5, 6, 20]),
-                      np.split(perm[::-1], [1, 17]))
-        for parts in partitions:
+        for counts in (range(1, P + 1), [5, 6, 20, P], [1, 17, P]):
             table = KernelTable(P, n)
-            assert table.cols.size == 0 and table.nbytes == 0
-            filled = set()
-            for k, part in enumerate(parts):
-                table.fill(part)
-                filled.update(int(c) for c in part)
-                assert table.cols.tolist() == sorted(filled)
-                # each fill is one block of its own columns
+            assert table.ncols == 0 and table.nbytes == 0
+            c0 = 0
+            for k, c in enumerate(counts):
+                table.fill(c)
+                assert table.ncols == c
+                # each fill is one block of the columns it adds
                 assert len(table.blocks) == k + 1
-                cols, C = table.blocks[-1]
-                assert cols.tolist() == sorted(int(c) for c in part)
-                assert C.shape == (2 * P - 1, P, len(part))
+                start, C = table.blocks[-1]
+                assert start == c0 and C.shape == (2 * P - 1, P, c - c0)
                 self.assert_columns_match(table, whole)
+                c0 = c
+            # a fill of columns the table holds adds nothing
+            table.fill(P // 2)
+            assert len(table.blocks) == len(counts) and table.ncols == P
         # get_table tops a partly filled cached table up in place: the same
         # object, its block kept, one block more
         lazy = GreenOps(AxiGrid(R0=2.0, n_interior=P, n_exterior=25)).table(n)
-        lazy.fill([3, 4])
+        lazy.fill(5)
         [block] = lazy.blocks
         assert get_table(P, n) is lazy
-        assert len(lazy.blocks) == 2 and lazy.blocks[0] is block and lazy.filled.all()
+        assert len(lazy.blocks) == 2 and lazy.blocks[0] is block and lazy.ncols == P
         self.assert_columns_match(lazy, whole)
 
     @pytest.mark.parametrize("n", [3, 5])
@@ -1378,12 +1373,12 @@ class TestColumnFill:
         far = ops.far_operator("star", n)
         ops.k_n_global(smooth_bump(g, radius_frac=0.45), n)
         earlier = list(table.blocks)
-        assert earlier and not table.filled.all()
+        assert earlier and table.ncols < table.P
         assert get_table(g.n_int, n) is table
         assert ops.table(n) is table and far.table is table
         assert len(table.blocks) == len(earlier) + 1
         assert all(a is b for a, b in zip(table.blocks, earlier))
-        assert table.filled.all()
+        assert table.ncols == table.P
         self.assert_columns_match(table, whole_table(g.n_int, n))
 
     def test_built_means_this_grid_filled(self):
@@ -1425,13 +1420,13 @@ class TestColumnFill:
         whole = whole_table(P, n)
         table = KernelTable(P, n)
         rng = np.random.default_rng(n)
-        filled = set()
-        for p, cols in ((P, [0, 1, 2, 3, 4, 9]), (25, [2, 3, 17]), (P, [30, 31])):
+        for p, cols, ncols in ((P, [0, 1, 2, 3, 4, 9], 10), (25, [2, 3, 17], 18),
+                               (P, [30, 31], 32), (P, [5], 32)):
             src = np.zeros((p, p))
             src[cols, : p - 1] = rng.uniform(-1.0, 1.0, (len(cols), p - 1))
             got = table.apply(src)
-            filled.update(cols)
-            assert table.cols.tolist() == sorted(filled)
+            # every column up to the last one the sources carried
+            assert table.ncols == ncols
             ref = whole.apply(src)
             assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
         self.assert_columns_match(table, whole)
@@ -1443,7 +1438,7 @@ class TestColumnFill:
         targets = (np.array([0, 4, 9, 9, 30]), np.array([0, 2, 7, 31, 5]))
         sources = (np.array([2, 5, 5, 11, 12]), np.array([3, 0, 8, 6, 1]))
         got = table.rows(targets, sources)
-        assert table.cols.tolist() == [2, 5, 11, 12]
+        assert table.ncols == 13
         ref = whole.rows(targets, sources)
         assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
@@ -1453,36 +1448,59 @@ class TestColumnFill:
         ops = GreenOps(AxiGrid(R0=2.0, n_interior=33, n_exterior=25))
         far = ops.far_operator(side, 3)
         assert far.table is ops.table(3)
-        assert far.table.cols.size == 0 and far.table.nbytes == 0
+        assert far.table.ncols == 0 and far.table.nbytes == 0
         src = np.zeros((far.P, far.P))
         src[:4, :4] = 1.0
         far(src)
-        assert far.table.cols.size == 0
+        assert far.table.ncols == 0
 
     def test_later_fill_copies_no_column(self):
         # a table filled in three calls, as a 97/65 rotating solve fills
         # its n = 3 table: the third fill's traced peak is its new block
-        # plus the build's temporaries, what the same fill takes on an
-        # empty table, and not a copy of the 40 columns filled before it
+        # plus the build's temporaries, what the same fill takes on a table
+        # that holds no block, and not a copy of the 40 columns filled
+        # before it
         P = 65
-        parts = np.split(np.arange(P - 1), [8, 40])
         table = KernelTable(P, 3)
-        for part in parts[:2]:
-            table.fill(part)
+        for ncols in (8, 40):
+            table.fill(ncols)
+        bare = KernelTable(P, 3)
+        bare.ncols = 40
         tracemalloc.start()
         try:
-            third, _ = traced_peak(lambda: table.fill(parts[2]))
-            fresh, _ = traced_peak(lambda: KernelTable(P, 3).fill(parts[2]))
+            third, _ = traced_peak(lambda: table.fill(P - 1))
+            fresh, _ = traced_peak(lambda: bare.fill(P - 1))
         finally:
             tracemalloc.stop()
         held = (2 * P - 1) * P * 40 * 8
         assert third <= fresh + (1 << 16) < fresh + held
-        assert [cols.size for cols, _ in table.blocks] == [8, 32, 24]
+        assert [(c0, C.shape[2]) for c0, C in table.blocks] == [(0, 8), (8, 32), (40, 24)]
 
     def test_compact_table_is_small(self):
         # the X source of a 97/65 star lies on source columns 0-12: its
         # n = 4 table holds 13 of the 97 columns of a whole one
         table = KernelTable(97, 4)
-        table.fill(np.arange(13))
+        table.fill(13)
         assert [C.shape for _, C in table.blocks] == [(193, 97, 13)]
         assert table.nbytes <= 2 << 20
+
+    def test_solve_fills_prefix_blocks(self, cls15, eos_unit, dle_rot):
+        # each table of a small rotating solve holds consecutive blocks from
+        # column 0 that end at the columns its report gives
+        p = StarParams.build(5 / 3, 1.0, 1.0, 1.0, u_O=1e-3, b_rot=1e-3, classical=cls15)
+        opts = SolverOptions(n_interior=33, n_exterior=25)
+        res = PNSolver(p, eos_unit, opts, dle=dle_rot, classical=cls15).solve()
+        reports = res.diagnostics["green_ops"]["kernel_tables"]
+        assert sorted(reports) == ["P33_n3", "P33_n4", "P33_n5"]
+        for (P, n), table in greens._TABLE_CACHE.items():
+            starts = [c0 for c0, _ in table.blocks]
+            ends = [c0 + C.shape[2] for c0, C in table.blocks]
+            assert starts == [0, *ends[:-1]]
+            assert ends[-1] == table.ncols == reports[f"P{P}_n{n}"]["columns"]
+        # a source carrying only column c fills columns 0..c in one block
+        for c in (0, 7):
+            table = KernelTable(33, 3)
+            src = np.zeros((33, 33))
+            src[c, :32] = 1.0
+            table.apply(src)
+            assert [(c0, C.shape[2]) for c0, C in table.blocks] == [(0, c + 1)]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -345,8 +346,8 @@ class TestInnerOuter:
                 assert 0 < table["columns"] <= 65
                 assert 0 < table["fills"] <= table["columns"]
                 assert table["bytes"] == (2 * 65 - 1) * 65 * table["columns"] * 8
-            # a table fills only the source columns its sources carry: X's
-            # source, the pressure, stays on the fluid's few columns
+            # a table fills only up to the last source column its sources
+            # carry: X's source, the pressure, stays on the fluid's few columns
             assert tables["P65_n4"]["columns"] < tables["P65_n3"]["columns"]
             assert rep["table_bytes"] == sum(t["bytes"] for t in tables.values())
             assert {"int_n3", "int_n5", "star_n3", "star_n5"} <= set(rep["far_operators"])
@@ -392,8 +393,10 @@ class TestInnerOuter:
 
         monkeypatch.setattr(AxiField, "derivative", counting)
         solver = rotating_solver
+        # the swept star's potentials, on the solver's own grid: fields on
+        # two grid objects do not combine
         pot = rotating_sweep[1e-3].potentials
-        solver.v_map(pot.W, pot.Y, pot.X)
+        solver.v_map(*(replace(f, grid=solver.grid) for f in (pot.W, pot.Y, pot.X)))
         assert len(calls) == 9
 
     def test_starred_v_meets_interior_v(self, refinement_runs):
