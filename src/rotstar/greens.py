@@ -29,7 +29,10 @@ GreenOps.table and GreenOps.far_operator, the solver's lookups, fill none.
 Both parts reach the other patch by one Kelvin transfer,
 GreenOps._patch_potential: bilinear at the images inside the source patch,
 the shared FarOperator at the images outside it (the masks in GreenOps.far),
-and the monopole limit at the other patch's origin.  An all-zero part is not
+and the monopole limit at the other patch's origin.  A FarOperator holds
+dense nodal rows until its source outgrows its sketch, then an
+interpolative decomposition; a side's n = 3 and n = 5 operators factor and
+fill from one ring_kernel pass.  An all-zero part is not
 transferred: its potential is an exact zero, returned before any table or
 far-operator lookup.  That covers a source zero on both patches (a static
 star's Y) and the zero compact part of the tail-only field LOpSolver.solve
@@ -67,79 +70,84 @@ def ring_kernel(n, wt, ws, dz):
     (B / (A + B) < 1e-14) get their own values patched in only when a block
     has any, so a generic call makes no masking pass.
 
+    n may also be a tuple of dimensions, such as (3, 5): their kernels come
+    from one pass, which computes A, B, m, K(m) and sqrt(A + B) once, stacked
+    on a new leading axis, each bit for bit the kernel of that n alone.
+
     The broadcast output is evaluated in blocks of about RING_BLOCK values
     along its leading axis, so the dozen temporaries of the n = 5 formula
     stay in cache.  Each value goes through the same operations whatever
     the block, so the result does not depend on the blocking.
     """
-    if n not in (3, 4, 5):
+    ns = n if isinstance(n, tuple) else (n,)
+    if ns not in ((3,), (4,), (5,), (3, 5)):
         raise DomainError(f"unsupported dimension n={n}")
     wt, ws, dz = (np.asarray(x, dtype=float) for x in (wt, ws, dz))
     scalar = wt.ndim == ws.ndim == dz.ndim == 0
     shape = np.broadcast_shapes(wt.shape, ws.shape, dz.shape) or (1,)
     # each input at the output's rank: its leading axis is 1 or shape[0]
     args = [x.reshape((1,) * (len(shape) - x.ndim) + x.shape) for x in (wt, ws, dz)]
-    out = np.empty(shape)
+    out = np.empty((len(ns), *shape))
     step = max(1, RING_BLOCK // max(1, math.prod(shape[1:])))
     for k0 in range(0, shape[0], step):
         rows = slice(k0, k0 + step)
-        _ring_block(n, *(x[rows] if x.shape[0] > 1 else x for x in args), out[rows])
-    if scalar:
-        return float(out[0])
-    return out
+        _ring_block(ns, *(x[rows] if x.shape[0] > 1 else x for x in args), out[:, rows])
+    if isinstance(n, tuple):
+        return out[:, 0] if scalar else out
+    return float(out[0, 0]) if scalar else out[0]
 
 
-def _ring_block(n, wt, ws, dz, out):
-    """ring_kernel on one block, written into out.
+def _ring_block(ns, wt, ws, dz, out):
+    """ring_kernel of the dimensions ns on one block, out[k] for ns[k].
 
-    The full-shape intermediates are computed in place: out holds A + B
+    The full-shape intermediates are computed in place: out[0] holds A + B
     until the last division, and the block allocates A and m beside it (and
-    K and E for n = 5).  Coincidence and the axis are each
-    tested by one reduction, and their masks are built only in a block that
-    has such points.  Every value goes through the operations of the
-    formula written out, in its order, so the output is bit-identical to it.
+    K and E for n = 5).  Coincidence and the axis are each tested by one
+    reduction, and their masks are built only in a block that has such
+    points.  Every value goes through the operations of its formula written
+    out, in its order, so each output is bit-identical to it.
     """
-    A = np.add((wt - ws) ** 2, dz**2, out=np.empty(out.shape))
+    A = np.add((wt - ws) ** 2, dz**2, out=np.empty(out.shape[1:]))
     B = 4.0 * wt * ws
     has_diag = A.min() <= 0.0
     if has_diag:
         diag = A <= 0.0
         A[diag] = 1.0  # stand-in; zeroed at the end
-    AB = np.add(A, B, out=out)
+    AB = np.add(A, B, out=out[0])
     m = B / AB
 
-    has_axis = n != 3 and m.min() < 1e-14
+    has_axis = ns != (3,) and m.min() < 1e-14
     if has_axis:
         axis = m < 1e-14
-        ws_ax, A_ax = np.broadcast_to(ws, out.shape)[axis], A[axis]
-    if n == 3:
-        # ws K / (pi sqrt(A + B))
-        wsK = np.multiply(ellipk(m, out=m), ws, out=m)
-        np.sqrt(AB, out=AB)
-        AB *= math.pi
-        np.divide(wsK, AB, out=out)
-    elif n == 4:
+        ws_ax, A_ax = np.broadcast_to(ws, AB.shape)[axis], A[axis]
+    if ns == (4,):
         # ws log((A + B) / A) / (4 pi wt)
         if has_axis:
             wt = np.where(wt > 0, wt, 1.0)
         log = np.log(np.divide(AB, A, out=A), out=A)
-        np.divide(np.multiply(log, ws, out=log), 4.0 * math.pi * wt, out=out)
+        np.divide(np.multiply(log, ws, out=log), 4.0 * math.pi * wt, out=AB)
     else:
-        # 8 ws^3 sqrt(A + B) gm / (2 pi B^2), gm = 2 (K - E) - m K
-        K, E = ellipk(m), ellipe(m)
-        gm = np.subtract(K, E, out=E)
-        gm *= 2.0
-        gm -= np.multiply(m, K, out=K)
-        if has_axis:
-            B = np.where(axis, 1.0, B)
+        K = ellipk(m, out=m) if ns == (3,) else ellipk(m)
         np.sqrt(AB, out=AB)
-        np.multiply(ws**3 * 8.0, AB, out=AB)
-        AB *= gm
-        np.divide(AB, 2.0 * math.pi * B**2, out=out)
-    if has_axis:
-        out[axis] = ws_ax**2 / (math.pi * A_ax) if n == 4 else ws_ax**3 / (4.0 * A_ax**1.5)
-    if has_diag:
-        out[diag] = 0.0
+        if 5 in ns:
+            # 8 ws^3 sqrt(A + B) gm / (2 pi B^2), gm = 2 (K - E) - m K
+            gm = np.subtract(K, ellipe(m), out=A)
+            gm *= 2.0
+            gm -= np.multiply(m, K, out=m)
+            if has_axis:
+                B = np.where(axis, 1.0, B)
+            np.multiply(ws**3 * 8.0, AB, out=out[-1])
+            out[-1] *= gm
+            np.divide(out[-1], 2.0 * math.pi * B**2, out=out[-1])
+        if 3 in ns:
+            # ws K / (pi sqrt(A + B))
+            AB *= math.pi
+            np.divide(np.multiply(K, ws, out=K), AB, out=AB)
+    for n, o in zip(ns, out):
+        if has_axis and n != 3:
+            o[axis] = ws_ax**2 / (math.pi * A_ax) if n == 4 else ws_ax**3 / (4.0 * A_ax**1.5)
+        if has_diag:
+            o[diag] = 0.0
 
 
 RING_BLOCK = 1 << 14  # ring_kernel values per cache-resident block
@@ -517,25 +525,26 @@ class KernelTable:
             out += g[k0 : k0 + len(block)] @ block
         return out
 
-    def far_weights(self, src, wt, zt, p):
+    def far_weights(self, src, wt, zt, p, n=None):
         """eval_at's quadrature weights from flat source nodes src of a
         p x p patch to 1-d targets, in blocks of about 64k kernel
         evaluations: yields (k0, B) with B[k, t] the weight of node
-        src[k0 + k] at target t."""
+        src[k0 + k] at target t.  n is the table's dimension unless given;
+        a tuple n, as ring_kernel takes it, stacks B[d, k, t] for n[d]."""
+        n = self.n if n is None else n
         i_s, j_s = np.divmod(src, p)
         colw = _trapezoid(p)
-        step = max(1, _FAR_BLOCK // max(1, wt.size))
+        step = max(1, _FAR_BLOCK // max(1, np.size(n) * wt.size))
         for k0 in range(0, i_s.size, step):
             i = i_s[k0 : k0 + step, None]
             j = j_s[k0 : k0 + step, None]
             ws = self.nodes[i]
             zs = self.nodes[j]
-            kv = ring_kernel(self.n, wt[None, :], ws, zt[None, :] - zs)
+            kv = ring_kernel(n, wt[None, :], ws, zt[None, :] - zs)
             # the z < 0 mirror image of every node off the z = 0 row
-            kv = kv + np.where(j > 0, 1.0, 0.0) * ring_kernel(
-                self.n, wt[None, :], ws, zt[None, :] + zs
-            )
-            yield k0, colw[i] * kv
+            kv += np.where(j > 0, 1.0, 0.0) * ring_kernel(n, wt[None, :], ws, zt[None, :] + zs)
+            kv *= colw[i]
+            yield k0, kv
 
     def w2_slab(self, i):
         """W2[i] rebuilt from the spectra: (ncols, 2P - 1), source column by
@@ -671,6 +680,12 @@ class FarOperator:
     table units both target sets sit at (i, j) (N - 1)(M - 1) / (2 (i^2 + j^2))
     for every R0, so one operator serves every star on a grid shape.
 
+    It starts dense, its skeleton every target and E empty: its rows are
+    the plain nodal weights to all T targets, cheaper than the sketch alone
+    while the filled nodes are no more than the sketch's rows.  The call
+    that takes them past that count factors it (_factor), and the rows held
+    keep their skeleton columns, bit for bit.
+
     The weights come from the nodal rule of table, the kernel table of
     dimension n = table.n the two patches share (no column filled), read on
     the source patch's P nodes (n_int for side "int", n_ext for "star").  The
@@ -679,7 +694,7 @@ class FarOperator:
     disc i^2 + j^2 < (P - 1)^2, where the
     chi-cut and the diamond sources live.  The QR stops at the panel where
     its pivots drop (_pivoted_qr_to_rank); qr_columns is the number of
-    columns it factored.  The rank is the number of pivots
+    columns it factored (None while dense).  The rank is the number of pivots
     above FAR_RANK_TOL of the first, and tail is the first dropped pivot
     over the first (0 if none was dropped), the truncation estimate of the
     decomposition.  The tolerance sits at the resolution of the n = 5 ring kernel: its
@@ -692,49 +707,36 @@ class FarOperator:
     Starred-side columns stay unscaled: scaled, their n = 5 rank grows by
     about half (193 -> 281 at 97/65) to chase that same roundoff.
 
+    pair, given to an n = 5 operator, is the same side's n = 3 one.  A dense
+    pair is factored with it, both sketches from one ring_kernel pass of
+    (3, 5), and each later fill evaluates both kernels once at the union of
+    the skeletons; the pair takes its rows of the nodes it lacks.
+
     Row k of weights holds the skeleton weights of source node nodes[k]; a
     node gets its row the first time it carries source, and a node without
     a row contributes nothing, like its zero source value.  weights holds
-    exactly those rows and grows by one block on each call that brings new
-    source nodes.
+    exactly those rows and grows by one block on each fill.
     """
 
-    def __init__(self, table, side, n_int, n_ext):
-        self.table = table
-        n = table.n
+    def __init__(self, table, side, n_int, n_ext, pair=None):
+        self.table, self.pair = table, pair
         self.P = P = n_int if side == "int" else n_ext
         i, j = np.nonzero(far_mask(n_ext if side == "int" else n_int))
         c = (n_int - 1) * (n_ext - 1) / (2.0 * (i * i + j * j))
-        wt, zt = i * c, j * c
-        scale = np.hypot(wt, zt) ** (n - 2) if side == "int" else np.ones(wt.size)
-
+        self.wt, self.zt = wt, zt = i * c, j * c
+        self.scale = np.hypot(wt, zt) ** (table.n - 2) if side == "int" else np.ones(wt.size)
         si, sj = np.divmod(np.arange(P * P), P)
         disc = np.flatnonzero(si * si + sj * sj < (P - 1) ** 2)
-        sketch = disc[:: max(1, disc.size // (FAR_SKETCH_ROWS * P))]
-        # one Fortran-ordered buffer that LAPACK factors in place, in
-        # anonymous mapped pages: they go back to the OS when the build's
-        # last view of them dies, where a freed heap block of this size
-        # would stay with the process
-        A = np.frombuffer(mmap.mmap(-1, 8 * sketch.size * wt.size))
-        A = A.reshape(wt.size, sketch.size).T
-        for k0, block in self.table.far_weights(sketch, wt, zt, P):
-            A[k0 : k0 + len(block)] = block
-        A *= scale
-        perm, self.qr_columns = _pivoted_qr_to_rank(A, FAR_RANK_TOL)
-        d = np.abs(np.diag(A[: self.qr_columns, : self.qr_columns]))
-        r = int(np.count_nonzero(d > FAR_RANK_TOL * d[0]))
-        self.tail = float(d[r] / d[0]) if r < d.size else 0.0
-        self.skeleton, self.rest = perm[:r], perm[r:]
-        # E = R11^-1 R12 in pivot order, scaled back to plain columns: the
-        # rows of the targets off the skeleton (a skeleton target's row is
-        # the identity's)
-        self.E = E = solve_triangular(A[:r, :r], A[:r, r:]).T
-        E *= scale[self.skeleton]
-        E /= scale[self.rest, None]
-        self.wt, self.zt = wt, zt
-        self.weights = np.empty((0, r))
+        self.sketch = disc[:: max(1, disc.size // (FAR_SKETCH_ROWS * P))]
+        self.skeleton, self.rest, self.E = np.arange(wt.size), np.arange(0), np.empty((0, wt.size))
+        self.qr_columns = self.tail = None
+        self.weights = np.empty((0, wt.size))
         self.built = np.zeros(P * P, dtype=bool)
         self.nodes = np.zeros(0, dtype=np.intp)
+
+    @property
+    def dense(self):
+        return self.qr_columns is None
 
     @property
     def rank(self):
@@ -749,21 +751,67 @@ class FarOperator:
         """Far field at every target, in far_mask order."""
         flat = gvals.ravel()
         new = np.flatnonzero((flat != 0.0) & ~self.built)
+        if self.dense and self.nodes.size + new.size > self.sketch.size:
+            self._factor()
         if new.size:
-            k = self.nodes.size
-            J = self.skeleton
-            weights = np.empty((k + new.size, self.rank))
-            weights[:k] = self.weights
-            for k0, block in self.table.far_weights(new, self.wt[J], self.zt[J], self.P):
-                weights[k + k0 : k + k0 + len(block)] = block
-            self.weights = weights
-            self.built[new] = True
-            self.nodes = np.concatenate([self.nodes, new])
+            self._fill(new)
         sums = flat[self.nodes] @ self.weights
         out = np.empty(self.wt.size)
         out[self.skeleton] = sums
         out[self.rest] = self.E @ sums
         return out
+
+    def _factor(self):
+        """Factor this operator, and its pair if that is dense, from one pass
+        over the sketch."""
+        ops = [op for op in (self.pair, self) if op is not None and op.dense]
+        # one Fortran-ordered buffer per operator that LAPACK factors in
+        # place, in anonymous mapped pages: they go back to the OS when the
+        # factor's last view of them dies, where a freed heap block of this
+        # size would stay with the process
+        T, m = self.wt.size, self.sketch.size
+        sketches = [np.frombuffer(mmap.mmap(-1, 8 * m * T)).reshape(T, m).T for _ in ops]
+        dims = tuple(op.table.n for op in ops)
+        for k0, block in self.table.far_weights(self.sketch, self.wt, self.zt, self.P, dims):
+            for A, b in zip(sketches, block):
+                A[k0 : k0 + len(b)] = b
+        for op in ops:
+            A = sketches.pop(0)
+            A *= op.scale
+            perm, op.qr_columns = _pivoted_qr_to_rank(A, FAR_RANK_TOL)
+            d = np.abs(np.diag(A[: op.qr_columns, : op.qr_columns]))
+            r = int(np.count_nonzero(d > FAR_RANK_TOL * d[0]))
+            op.tail = float(d[r] / d[0]) if r < d.size else 0.0
+            op.skeleton, op.rest = perm[:r], perm[r:]
+            # E = R11^-1 R12 in pivot order, scaled back to plain columns: the
+            # rows of the targets off the skeleton (a skeleton target's row is
+            # the identity's)
+            op.E = E = solve_triangular(A[:r, :r], A[:r, r:]).T
+            E *= op.scale[op.skeleton]
+            E /= op.scale[op.rest, None]
+            op.weights = op.weights[:, op.skeleton]
+
+    def _fill(self, new):
+        """Append the rows of the new source nodes, and, for a factored n = 5
+        operator, its pair's rows of those it lacks, from one pass at the
+        union J of their skeletons."""
+        ops = [self.pair, self] if self.pair is not None and not self.dense else [self]
+        J = np.unique(np.concatenate([op.skeleton for op in ops]))
+        fills = []
+        for op in ops:
+            keep, k = ~op.built[new], op.nodes.size
+            weights = np.empty((k + np.count_nonzero(keep), op.rank))
+            weights[:k] = op.weights
+            op.weights = weights
+            op.built[new[keep]] = True
+            op.nodes = np.concatenate([op.nodes, new[keep]])
+            fills.append((weights[k:], keep, np.searchsorted(J, op.skeleton)))
+        dims = tuple(op.table.n for op in ops)
+        for k0, block in self.table.far_weights(new, self.wt[J], self.zt[J], self.P, dims):
+            for (rows, keep, cols), b in zip(fills, block):
+                sel = keep[k0 : k0 + len(b)]
+                start = np.count_nonzero(keep[:k0])
+                rows[start : start + np.count_nonzero(sel)] = b[np.ix_(sel, cols)]
 
 
 class GreenOps:
@@ -793,8 +841,8 @@ class GreenOps:
         # this star's far targets among the shared operator's, in its order
         self._far_rows = {side: m[far_mask(m.shape[0])] for side, m in self.far.items()}
         # lookups: each table, the blocks this grid's calls filled in it, and
-        # each far operator with built
-        self._tables, self._added, self._fars = {}, {}, {}
+        # each far operator
+        self._tables, self._added, self._fars, self._made = {}, {}, {}, set()
 
     def table(self, n):
         """The kernel table of dimension n both patches use, sized to the
@@ -815,13 +863,20 @@ class GreenOps:
         """The far operator of one side on this grid's table of dimension n,
         cached per (side, n, grid shape)."""
         if (side, n) not in self._fars:
-            g = self.grid
-            key = (side, n, g.n_int, g.n_ext)
-            built = key not in _FAR_CACHE
-            if built:
-                _FAR_CACHE[key] = FarOperator(self.table(n), side, g.n_int, g.n_ext)
-            self._fars[side, n] = (_FAR_CACHE[key], built)
-        return self._fars[side, n][0]
+            self._fars[side, n] = self._cached_far(side, n)
+        return self._fars[side, n]
+
+    def _cached_far(self, side, n):
+        """The cached far operator of (side, n) on this grid shape, made on
+        the first lookup; an n = 5 operator is made with its pair, the same
+        side's n = 3 one.  The operators this grid made are in _made."""
+        g = self.grid
+        key = (side, n, g.n_int, g.n_ext)
+        if key not in _FAR_CACHE:
+            pair = self._cached_far(side, 3) if n == 5 else None
+            _FAR_CACHE[key] = FarOperator(self.table(n), side, g.n_int, g.n_ext, pair)
+            self._made.add((side, n))
+        return _FAR_CACHE[key]
 
     def _far(self, side, n, gvals):
         """Unit-coordinate far field at this star's targets of one side."""
@@ -829,18 +884,20 @@ class GreenOps:
 
     def cache_report(self):
         """The kernel tables and far operators this grid looked up: sizes,
-        filled table columns and the fills (blocks) that hold them, ranks
-        and the columns each skeleton QR factored.  built: a call of this
-        grid's use_table filled a block of the table, or this grid
-        constructed the far operator; the others are cache hits."""
+        filled table columns and the fills (blocks) that hold them, and
+        whether each far operator is still dense, or its rank and the columns
+        its skeleton QR factored.  built: a call of this grid's use_table
+        filled a block of the table, or this grid made the far operator (an
+        n = 5 lookup makes its pair too); the others are cache hits."""
         tables = {f"P{t.P}_n{t.n}": {"bytes": t.nbytes, "columns": t.ncols,
                                      "fills": len(t.blocks), "built": self._added.get(n, 0) > 0}
                   for n, t in self._tables.items()}
-        far = {f"{side}_n{n}": {"rank": op.rank, "qr_columns": op.qr_columns,
+        far = {f"{side}_n{n}": {"dense": op.dense, "rank": None if op.dense else op.rank,
+                                "qr_columns": op.qr_columns,
                                 "targets": int(np.count_nonzero(self._far_rows[side])),
                                 "filled_nodes": op.nodes.size, "bytes": op.nbytes,
-                                "tail": op.tail, "built": built}
-               for (side, n), (op, built) in self._fars.items()}
+                                "tail": op.tail, "built": (side, n) in self._made}
+               for (side, n), op in self._fars.items()}
         builds = sum(v["built"] for v in (*tables.values(), *far.values()))
         return {
             "kernel_tables": tables,

@@ -27,8 +27,6 @@ from .errors import ConvergenceError, DomainError
 class TovSolution:
     """Radial profiles on the TOV (areal) grid plus the gauge maps."""
 
-    eos: object
-    u_O: float
     G_grav: float
     c_light: float
     r: np.ndarray = field(repr=False)
@@ -114,8 +112,7 @@ def solve_tov(eos, u_O, G_grav=1.0, c_light=1.0):
     mm = np.concatenate([[0.0], mm])
 
     tov = TovSolution(
-        eos=eos, u_O=u_O, G_grav=G, c_light=c, r=r_grid, u=uu, m=mm,
-        r_surface=r_s, M_total=M,
+        G_grav=G, c_light=c, r=r_grid, u=uu, m=mm, r_surface=r_s, M_total=M,
     )
     _attach_isotropic(tov)
     return tov

@@ -731,19 +731,57 @@ class TestCachedQuadrature:
     @pytest.mark.parametrize("side", ["int", "star"])
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_matches_eval_at(self, side, n):
+        # a thin ring of source leaves the operator dense, the full source
+        # takes it past the sketch's rows and factors it; both regimes
+        # reproduce eval_at and the nodal sum
         for n_int, n_ext in ((33, 25), (65, 49)):
             ops = GreenOps(AxiGrid(R0=2.0, n_interior=n_int, n_exterior=n_ext))
             far = ops.far_operator(side, n)
-            assert far.rank < far.wt.size
-            filled = []
-            for src in self.sources(ops, side):
+            g = ops.grid
+            r = g.RI / g.R0 if side == "int" else g.RS / g.R0
+            ring = np.where(np.abs(r - 0.6) < 0.04, np.cos(3.0 * r), 0.0)
+            filled, dense = [], []
+            for src in [ring, *self.sources(ops, side)]:
                 got = far(src)
                 ref = far.table.eval_at(src, far.wt, far.zt)
                 assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+                direct = self.nodal_sum(far.table, src, far.wt, far.zt)
+                assert np.max(np.abs(got - direct)) <= 1e-13 * np.max(np.abs(direct))
                 filled.append(far.nodes.size)
-            assert 0 < filled[0] < filled[1] == filled[2]
-            direct = self.nodal_sum(far.table, src, far.wt, far.zt)
-            assert np.max(np.abs(got - direct)) <= 1e-13 * np.max(np.abs(direct))
+                dense.append(far.dense)
+            assert 0 < filled[0] <= far.sketch.size < filled[2] == filled[3]
+            assert dense[0] and not any(dense[2:])
+            assert far.rank < far.wt.size
+
+    @pytest.mark.parametrize("side", ["int", "star"])
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_factors_past_the_sketch_rows(self, side, n):
+        # no ID while the filled nodes are at most the sketch's rows; the
+        # call that takes them past it factors, and the rows held keep
+        # their skeleton columns, bit for bit
+        P = 33 if side == "int" else 25
+        far = greens.FarOperator(KernelTable(33, n), side, 33, 25)
+        m, T = far.sketch.size, far.wt.size
+        # nodes of the quarter disc the sketch samples, in their flat order
+        i, j = np.divmod(np.arange(P * P), P)
+        nodes = np.flatnonzero(i * i + j * j < (P - 1) ** 2)[: m + 1]
+        src = np.zeros(P * P)
+        for k in (1, m // 2, m):
+            src[nodes[:k]] = np.linspace(1.0, 2.0, k)
+            far(src.reshape(P, P))
+            assert far.dense and far.qr_columns is None and far.tail is None
+            assert far.E.shape == (0, T) and far.rest.size == 0
+            assert np.array_equal(far.skeleton, np.arange(T))
+            assert far.weights.shape == (k, T)
+        rows = far.weights
+        full = np.vstack([b for _, b in far.table.far_weights(nodes, far.wt, far.zt, P)])
+        assert np.array_equal(rows, full[:m])
+        src[nodes[m]] = 3.0
+        far(src.reshape(P, P))
+        assert not far.dense and 0 < far.rank < T and far.qr_columns >= far.rank
+        assert far.E.shape == (T - far.rank, far.rank)
+        assert np.array_equal(far.nodes, nodes)
+        assert np.array_equal(far.weights, full[:, far.skeleton])
 
     @pytest.mark.parametrize("side", ["int", "star"])
     def test_weights_hold_the_filled_rows(self, side):
@@ -751,7 +789,7 @@ class TestCachedQuadrature:
         # source nodes, and never hold a row no source has filled
         ops = GreenOps(AxiGrid(R0=2.0, n_interior=33, n_exterior=25))
         far = ops.far_operator(side, 5)
-        assert far.weights.shape == (0, far.rank)
+        assert far.weights.shape == (0, far.wt.size)
         for src in self.sources(ops, side):
             far(src)
             assert far.weights.shape == (far.nodes.size, far.rank)
@@ -816,6 +854,14 @@ class TestCachedQuadrature:
         sketch = disc[:: max(1, disc.size // (greens.FAR_SKETCH_ROWS * P))]
         return table, P, sketch, wt, zt, scale
 
+    @staticmethod
+    def factored(table, side, n_int, n_ext):
+        """A far operator factored on the spot, as its first call past the
+        sketch's rows factors it."""
+        far = greens.FarOperator(table, side, n_int, n_ext)
+        far._factor()
+        return far
+
     @pytest.mark.parametrize("side", ["int", "star"])
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_in_place_factor_matches_qr(self, side, n):
@@ -826,7 +872,7 @@ class TestCachedQuadrature:
         table, P, sketch, wt, zt, scale = self.sketch_inputs(side, n, 33, 25)
         A = np.vstack([block for _, block in table.far_weights(sketch, wt, zt, P)])
         R, perm = scipy.linalg.qr(A * scale, mode="r", pivoting=True)
-        far = greens.FarOperator(table, side, 33, 25)
+        far = self.factored(table, side, 33, 25)
         assert_same_decomposition(far, R, perm, scale)
 
     @pytest.mark.parametrize("shape", [(33, 25), (65, 49)])
@@ -844,7 +890,7 @@ class TestCachedQuadrature:
         lwork = int(scipy.linalg.lapack.dgeqp3(A, lwork=-1)[3][0])
         R, perm, _, _, info = scipy.linalg.lapack.dgeqp3(A, lwork=lwork)
         assert info == 0
-        far = greens.FarOperator(table, side, *shape)
+        far = self.factored(table, side, *shape)
         assert_same_decomposition(far, R, perm - 1, scale)
         nb = (lwork - 2 * wt.size) // (wt.size + 1)
         mn = min(A.shape)
@@ -863,7 +909,7 @@ class TestCachedQuadrature:
         A = np.vstack([block for _, block in table.far_weights(sketch, wt, zt, P)])
         R = scipy.linalg.qr(A * scale, mode="r", pivoting=True)[0]
         d = np.abs(np.diag(R))
-        far = greens.FarOperator(table, side, 33, 25)
+        far = self.factored(table, side, 33, 25)
         r = far.rank
         assert np.all(d[:r] > greens.FAR_RANK_TOL * d[0])
         assert r < d.size
@@ -871,14 +917,15 @@ class TestCachedQuadrature:
         assert 0.0 < far.tail <= greens.FAR_RANK_TOL
 
     def test_sketch_held_once(self):
-        # constructing the operator may hold the sketch and E beside the
+        # factoring the operator may hold the sketch and E beside the
         # far_weights blocks, not the several copies of a stack-scale-copy
         # QR (the stacked blocks, vstack, the scaled copy, the Fortran copy)
         table, P, sketch, wt, zt, _ = self.sketch_inputs("star", 3, 65, 49)
+        far = greens.FarOperator(table, "star", 65, 49)
         tracemalloc.start()
         try:
             bare, _ = traced_peak(lambda: [None for _ in table.far_weights(sketch, wt, zt, P)])
-            peak, far = traced_peak(lambda: greens.FarOperator(table, "star", 65, 49))
+            peak, _ = traced_peak(far._factor)
         finally:
             tracemalloc.stop()
         sketch_bytes = sketch.size * wt.size * 8
@@ -887,7 +934,8 @@ class TestCachedQuadrature:
 
     def test_sketch_pages_given_back(self, monkeypatch):
         # the sketch lives in one anonymous mapping outside the heap, and
-        # the mapping is gone once the operator is built
+        # the mapping is gone once the operator is factored; a pair that
+        # factors together maps one sketch each and gives both back
         table, P, sketch, wt, zt, _ = self.sketch_inputs("star", 3, 65, 49)
         maps = []
 
@@ -897,16 +945,21 @@ class TestCachedQuadrature:
             return buf
 
         monkeypatch.setattr(greens, "mmap", SimpleNamespace(mmap=mapped))
+        far = greens.FarOperator(table, "star", 65, 49)
         tracemalloc.start()
         try:
             bare, _ = traced_peak(lambda: [None for _ in table.far_weights(sketch, wt, zt, P)])
-            peak, far = traced_peak(lambda: greens.FarOperator(table, "star", 65, 49))
+            peak, _ = traced_peak(far._factor)
         finally:
             tracemalloc.stop()
         sketch_bytes = sketch.size * wt.size * 8
         assert [size for _, size in maps] == [sketch_bytes]
         assert maps[0][0]() is None
         assert peak - bare <= far.E.nbytes + (1 << 19) < sketch_bytes
+        pair = greens.FarOperator(table, "star", 65, 49)
+        greens.FarOperator(KernelTable(65, 5), "star", 65, 49, pair)._factor()
+        assert [size for _, size in maps[1:]] == [sketch_bytes] * 2
+        assert not pair.dense and all(ref() is None for ref, _ in maps)
 
     @pytest.mark.parametrize("side", ["int", "star"])
     @pytest.mark.parametrize("n", [3, 5])
@@ -914,22 +967,59 @@ class TestCachedQuadrature:
         # E holds only the rows of the T - r targets off the skeleton; the
         # skeleton targets take their nodal sums as they are, which the
         # identity rows of a full T x r E gave bit for bit, and the others
-        # E's product
+        # E's product.  A dense operator is the case r = T, with no rows off
+        # the skeleton
         ops = GreenOps(AxiGrid(R0=2.0, n_interior=33, n_exterior=25))
         far = ops.far_operator(side, n)
-        T, r = far.wt.size, far.rank
-        assert far.E.shape == (T - r, r)
-        assert np.array_equal(np.sort(np.concatenate([far.skeleton, far.rest])), np.arange(T))
-        full = np.zeros((T, r))
-        full[far.skeleton] = np.eye(r)
-        full[far.rest] = far.E
         for src in self.sources(ops, side):
             got = far(src)
+            T, r = far.wt.size, far.rank
+            assert far.E.shape == (T - r, r)
+            assert np.array_equal(np.sort(np.concatenate([far.skeleton, far.rest])), np.arange(T))
+            full = np.zeros((T, r))
+            full[far.skeleton] = np.eye(r)
+            full[far.rest] = far.E
             sums = src.ravel()[far.nodes] @ far.weights
             assert np.array_equal(got[far.skeleton], sums)
             # the rows off it up to the rounding of a shorter matrix product
             ref = full @ sums
             assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("side", ["int", "star"])
+    def test_pair_matches_operators_alone(self, side):
+        # a rotating solve's calls: the n = 3 and n = 5 operators dense on
+        # the fluid, then the n = 5 one past its sketch's rows, which
+        # factors both from one pass and fills the union of their
+        # skeletons; each equals the operator built and called alone
+        ops = GreenOps(AxiGrid(R0=2.0, n_interior=33, n_exterior=25))
+        pair = [ops.far_operator(side, n) for n in (3, 5)]
+        assert pair[1].pair is pair[0] and pair[0].pair is None
+        alone = [greens.FarOperator(KernelTable(33, n), side, 33, 25) for n in (3, 5)]
+        small, full, _ = self.sources(ops, side)
+
+        def run(far3, far5):
+            out = [far3(small), far5(small)]
+            assert far3.dense and far5.dense
+            return out + [far5(full), far3(full)]
+
+        assert all(np.array_equal(x, y) for x, y in zip(run(*pair), run(*alone)))
+        for a, b in zip(pair, alone):
+            assert not a.dense
+            for attr in ("skeleton", "rest", "E", "tail", "qr_columns", "nodes", "weights"):
+                assert np.array_equal(getattr(a, attr), getattr(b, attr)), attr
+
+    def test_pair_fills_n3_once(self, monkeypatch):
+        # once factored, the pair's n = 3 rows of the nodes the n = 5
+        # operator filled come from its pass: the n = 3 call that follows
+        # evaluates no kernel
+        ops = GreenOps(AxiGrid(R0=2.0, n_interior=33, n_exterior=25))
+        src = self.sources(ops, "star")[1]
+        ops.far_operator("star", 5)(src)
+        calls = self.counting_kernel(monkeypatch)
+        far = ops.far_operator("star", 3)
+        assert not far.dense and far.nodes.size == np.count_nonzero(src)
+        far(src)
+        assert calls == []
 
     @pytest.mark.parametrize("P", [17, 21, 32, 33])
     def test_apply_matches_rows(self, P):
@@ -1197,6 +1287,23 @@ class TestBlockedKernel:
             assert np.array_equal(got, ref), name
             blocks = max(blocks, np.size(got) // greens.RING_BLOCK)
         assert blocks >= 10
+
+    @pytest.mark.parametrize("block", [None, 7])
+    def test_pair_matches_single_dimensions(self, monkeypatch, block):
+        # one pass of (3, 5) gives each kernel bit for bit, on blocks with
+        # and without coincident and axis points (m < 1e-14), and across
+        # many blocks
+        if block is not None:
+            monkeypatch.setattr(greens, "RING_BLOCK", block)
+        axis = 0
+        for name, args in self.inputs(97 if block is None else 17).items():
+            got = ring_kernel((3, 5), *args)
+            single = [ring_kernel(n, *args) for n in (3, 5)]
+            assert got.shape == (2, *np.shape(single[0])), name
+            assert all(np.array_equal(g, s) for g, s in zip(got, single)), name
+            wt, ws, dz = np.broadcast_arrays(*args)
+            axis += np.count_nonzero(4 * wt * ws < 1e-14 * ((wt + ws) ** 2 + dz**2))
+        assert axis > 0
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_table_matches_oneshot_build(self, monkeypatch, n):

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rotstar import pn
+from rotstar import greens, pn
 from rotstar.errors import ConvergenceError, DomainError, SeriesDomainError
 from rotstar.fields import AxiField, AxiGrid
 from rotstar.greens import FAR_RANK_TOL, FAR_SKETCH_ROWS, far_mask
@@ -324,9 +324,10 @@ class TestInnerOuter:
             return m, int(np.count_nonzero(far_mask(P_t)))
 
         # each star reports the kernel tables and far operators it used.  A
-        # far operator holds (T + S) r 8 B against T S 8 B dense, so it is
-        # smaller wherever the source support S is large; a support of a few
-        # dozen nodes (interior n = 4 here) is cheaper dense, but not by much
+        # far operator stays dense, T S 8 B for a source support of S nodes,
+        # while S is at most the sketch's rows m, and is factored past it,
+        # (T - r + S) r 8 B: X's interior n = 4 operator never sees more
+        # than the fluid's nodes and stays dense, the others are factored
         for res in rotating_sweep.values():
             rep = res.diagnostics["green_ops"]
             assert set(rep) == {
@@ -350,18 +351,26 @@ class TestInnerOuter:
             # carry: X's source, the pressure, stays on the fluid's few columns
             assert tables["P65_n4"]["columns"] < tables["P65_n3"]["columns"]
             assert rep["table_bytes"] == sum(t["bytes"] for t in tables.values())
-            assert {"int_n3", "int_n5", "star_n3", "star_n5"} <= set(rep["far_operators"])
+            assert sorted(rep["far_operators"]) == ["int_n3", "int_n4", "int_n5", "star_n3",
+                                                    "star_n5"]
             dense = 0
             for name, op in rep["far_operators"].items():
-                assert set(op) == {"rank", "qr_columns", "targets", "filled_nodes", "bytes",
-                                   "tail", "built"}
-                assert 0 < op["rank"] < op["targets"]
-                # the QR stops at the panel where its pivots drop
-                assert op["rank"] < op["qr_columns"] <= min(sketch_shape(name))
-                assert 0.0 <= op["tail"] <= FAR_RANK_TOL
-                dense += op["targets"] * op["filled_nodes"] * 8
-                if op["filled_nodes"] > op["targets"]:
-                    assert op["bytes"] < op["targets"] * op["filled_nodes"] * 8
+                assert set(op) == {"dense", "rank", "qr_columns", "targets", "filled_nodes",
+                                   "bytes", "tail", "built"}
+                m, T = sketch_shape(name)
+                assert op["dense"] == (name == "int_n4")
+                if op["dense"]:
+                    assert op["rank"] is op["qr_columns"] is op["tail"] is None
+                    assert 0 < op["filled_nodes"] <= m
+                    assert op["bytes"] == T * op["filled_nodes"] * 8
+                else:
+                    assert 0 < op["rank"] < op["targets"]
+                    # the QR stops at the panel where its pivots drop
+                    assert op["rank"] < op["qr_columns"] <= min(m, T)
+                    assert 0.0 <= op["tail"] <= FAR_RANK_TOL
+                    assert op["filled_nodes"] > m
+                    assert op["bytes"] < T * op["filled_nodes"] * 8
+                dense += T * op["filled_nodes"] * 8
             assert rep["far_bytes"] < dense
             assert rep["table_bytes"] > 0
             assert 0.0 < res.diagnostics["lop_smin_estimate"] <= 1.0
@@ -536,3 +545,62 @@ class TestIterationCaps:
             solver.solve()
         assert exc.value.iterations == cap
         assert exc.value.residual > 0.0
+
+
+class TestFarWork:
+    """The far layer's work on a small rotating solve, on caches of its own."""
+
+    def test_far_work(self, monkeypatch, coarse_star):
+        # set-up factors no far operator: the Newtonian sweep's far field
+        # is a dense nodal sum.  In the solve each side's n = 5 operator
+        # factors once, its n = 3 pair with it from the same kernel pass,
+        # and X's n = 4 operator stays dense.  The elliptic integrals are
+        # counted inside the far operators' calls
+        p, eos, dle, cls = coarse_star
+        monkeypatch.setattr(greens, "_TABLE_CACHE", {})
+        monkeypatch.setattr(greens, "_FAR_CACHE", {})
+        counts, inside, factored = {"ellipk": 0, "ellipe": 0}, [], []
+
+        def counting(name):
+            fn = getattr(greens, name)
+
+            def wrapped(m, **kwargs):
+                if inside:
+                    counts[name] += np.size(m)
+                return fn(m, **kwargs)
+
+            monkeypatch.setattr(greens, name, wrapped)
+
+        call, factor = greens.FarOperator.__call__, greens.FarOperator._factor
+
+        def far_call(far, gvals):
+            inside.append(far)
+            try:
+                return call(far, gvals)
+            finally:
+                inside.pop()
+
+        def far_factor(far):
+            factored.append(far.table.n)
+            return factor(far)
+
+        for name in counts:
+            counting(name)
+        monkeypatch.setattr(greens.FarOperator, "__call__", far_call)
+        monkeypatch.setattr(greens.FarOperator, "_factor", far_factor)
+
+        solver = PNSolver(p, eos, SolverOptions(33, 25), dle=dle, classical=cls)
+        assert factored == []
+        assert [far.dense for far in greens._FAR_CACHE.values()] == [True]
+        setup = dict(counts)
+        res = solver.solve()
+        assert factored == [5, 5]
+        ops = res.diagnostics["green_ops"]["far_operators"]
+        assert {name: op["dense"] for name, op in ops.items()} == {
+            "int_n3": False, "int_n4": True, "int_n5": False, "star_n3": False, "star_n5": False}
+        # set-up: the sweep's dense rows.  Every later n = 3 modulus is one
+        # the n = 5 pass evaluated, so ellipk runs only that many more times
+        # than ellipe
+        assert setup == {"ellipk": 4636, "ellipe": 0}
+        assert counts == {"ellipk": 353432, "ellipe": 348796}
+        assert counts["ellipk"] - counts["ellipe"] == setup["ellipk"]
