@@ -16,9 +16,9 @@ neighbors), by 4-point Gauss in a band around it, and beyond the band by a
 hat stencil on nodal kernel values, where the kernel is smooth; a
 KernelTable holds those weights, their DCT-I along the z lag, in blocks of
 consecutive source columns.
-The exterior tail is pulled to the starred plane, re-weighted by (R0/r*)^4
-(which turns it into a compact starred source) and inverted there with the
-same machinery; a compact source has no tail and stops after its first part.
+GreenOps.tail_potential pulls the exterior tail to the starred plane,
+re-weights it by (R0/r*)^4 (which turns it into a compact starred source)
+and inverts it there with the same machinery; k_n_global runs it first.
 The two patches share one unit-coordinate KernelTable per dimension, sized
 to the larger patch; the smaller one reads its leading block, which its
 sources, zero on the patch edge, cannot tell from a table of its own.  A
@@ -29,17 +29,17 @@ GreenOps.table and GreenOps.far_operator, the solver's lookups, fill none.
 Both parts reach the other patch by one Kelvin transfer,
 GreenOps._patch_potential: bilinear at the images inside the source patch,
 the shared FarOperator at the images outside it (the masks in GreenOps.far),
-and the monopole limit at the other patch's origin.  A FarOperator holds
-dense nodal rows until its source outgrows its sketch, then an
-interpolative decomposition; a side's n = 3 and n = 5 operators factor and
-fill from one ring_kernel pass.  An all-zero part is not
+and the monopole limit at the other patch's origin; the last two take the
+plain nodal rule, far_weights and total_mass, which read no table.  A
+FarOperator holds dense nodal rows until its source outgrows its sketch,
+then an interpolative decomposition; a side's n = 3 and n = 5 operators
+factor and fill from one ring_kernel pass.  An all-zero part is not
 transferred: its potential is an exact zero, returned before any table or
 far-operator lookup.  That covers a source zero on both patches (a static
-star's Y) and the zero compact part of the tail-only field LOpSolver.solve
-inverts on every inner iteration.
+star's Y) and every compact source's tail.
 
 LOpSolver solves the Helmholtz-like interior problem (L_3 + coef) W + g = 0
-as a direct dense Nystrom system.
+as a direct dense Nystrom system, its exterior tail by tail_potential.
 """
 
 import ctypes
@@ -49,7 +49,7 @@ import mmap
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.fft import dct, idct
-from scipy.linalg import cython_blas, cython_lapack, solve_triangular
+from scipy.linalg import cython_blas, cython_lapack, lu_factor, lu_solve, solve_triangular
 from scipy.linalg.lapack import dgeqp3
 from scipy.special import ellipe, ellipk
 
@@ -306,6 +306,43 @@ def _near_integrals(P, n, c0, c1):
     return acc.reshape(P, Si, Sj)[:, 1:-1, 1:-1]
 
 
+def far_weights(n, src, wt, zt, p):
+    """The plain nodal rule's weights from the flat source nodes src of a
+    p x p patch to 1-d unit-coordinate targets (wt, zt), in blocks of about
+    _FAR_BLOCK kernel evaluations: yields (k0, B) with B[k, t] the weight of
+    node src[k0 + k] at target t.  A tuple n, as ring_kernel takes it,
+    stacks B[d, k, t] for n[d].  Node (i, j) sits at (i, j) in unit
+    coordinates, so the rule reads no kernel table."""
+    i_s, j_s = np.divmod(src, p)
+    colw = _trapezoid(p)
+    step = max(1, _FAR_BLOCK // max(1, np.size(n) * wt.size))
+    for k0 in range(0, i_s.size, step):
+        i = i_s[k0 : k0 + step, None]
+        j = j_s[k0 : k0 + step, None]
+        ws = i.astype(float)
+        zs = j.astype(float)
+        kv = ring_kernel(n, wt[None, :], ws, zt[None, :] - zs)
+        # the z < 0 mirror image of every node off the z = 0 row
+        kv += np.where(j > 0, 1.0, 0.0) * ring_kernel(n, wt[None, :], ws, zt[None, :] + zs)
+        kv *= colw[i]
+        yield k0, kv
+
+
+def total_mass(n, gvals):
+    """Unit-coordinate n-volume integral of a source over its p x p patch
+    by the nodal rule (multiply by h^n)."""
+    p = gvals.shape[0]
+    zfold = np.full(p, 2.0)
+    zfold[0] = 1.0
+    meas = (
+        SPHERE_AREA[n]
+        * np.arange(p, dtype=float)[:, None] ** (n - 2)
+        * _trapezoid(p)[:, None]
+        * zfold[None, :]
+    )
+    return float(np.sum(meas * gvals))
+
+
 class KernelTable:
     """Product-integration Nystrom data in unit node coordinates.
 
@@ -319,8 +356,7 @@ class KernelTable:
     and column (the edge-zero invariant), and apply raises DomainError if it
     does not.  Both patches' sources do: the interior patch ends at
     r = 2 R0, where chi = 0, and the starred one at r* = R0, where
-    1 - chi = 0.  The nodal rules of eval_at, far_weights and total_mass
-    take the patch's own trapezoid weights.  The base rule integrates the
+    1 - chi = 0.  The base rule integrates the
     kernel against the tensor piecewise-linear interpolant of the source
     (hat-product weights W2[i, i', lag], Toeplitz and even in the z lag),
     which keeps the quadrature error a smooth O(h^2) interpolation error.
@@ -339,8 +375,9 @@ class KernelTable:
         smooth, and at P = 97 these entries agree with a 12-point Gauss
         reference to 3.7e-12 of their column's largest entry, against up to
         1.5e-8 for the 4-point cells next to the target.
-    Off the node grid, eval_at sums the plain nodal rule, whose weights
-    far_weights builds block by block.
+    Off the node grid, eval_at sums the plain nodal rule of the module
+    function far_weights, which takes the patch's own trapezoid weights and
+    reads no table data.
 
     The table holds C = DCT-I of W2 along the lag for its first ncols
     source columns, one block per fill: blocks is a list of (c0, C),
@@ -390,7 +427,6 @@ class KernelTable:
     def __init__(self, P, n):
         self.P = int(P)
         self.n = int(n)
-        self.nodes = np.arange(self.P, dtype=float)
         self.ncols = 0
         self.blocks = []
 
@@ -515,36 +551,15 @@ class KernelTable:
     def eval_at(self, gvals, wt, zt):
         """Plain nodal quadrature of the source's patch at scattered
         unit-coordinate targets (targets must stay a few cells away from
-        strong sources)."""
+        strong sources): far_weights of this table's dimension, summed."""
         src = np.flatnonzero(np.abs(gvals) > 0)
         wt = np.atleast_1d(np.asarray(wt, dtype=float))
         zt = np.atleast_1d(np.asarray(zt, dtype=float))
         g = gvals.ravel()[src]
         out = np.zeros(wt.shape)
-        for k0, block in self.far_weights(src, wt, zt, gvals.shape[0]):
+        for k0, block in far_weights(self.n, src, wt, zt, gvals.shape[0]):
             out += g[k0 : k0 + len(block)] @ block
         return out
-
-    def far_weights(self, src, wt, zt, p, n=None):
-        """eval_at's quadrature weights from flat source nodes src of a
-        p x p patch to 1-d targets, in blocks of about 64k kernel
-        evaluations: yields (k0, B) with B[k, t] the weight of node
-        src[k0 + k] at target t.  n is the table's dimension unless given;
-        a tuple n, as ring_kernel takes it, stacks B[d, k, t] for n[d]."""
-        n = self.n if n is None else n
-        i_s, j_s = np.divmod(src, p)
-        colw = _trapezoid(p)
-        step = max(1, _FAR_BLOCK // max(1, np.size(n) * wt.size))
-        for k0 in range(0, i_s.size, step):
-            i = i_s[k0 : k0 + step, None]
-            j = j_s[k0 : k0 + step, None]
-            ws = self.nodes[i]
-            zs = self.nodes[j]
-            kv = ring_kernel(n, wt[None, :], ws, zt[None, :] - zs)
-            # the z < 0 mirror image of every node off the z = 0 row
-            kv += np.where(j > 0, 1.0, 0.0) * ring_kernel(n, wt[None, :], ws, zt[None, :] + zs)
-            kv *= colw[i]
-            yield k0, kv
 
     def w2_slab(self, i):
         """W2[i] rebuilt from the spectra: (ncols, 2P - 1), source column by
@@ -570,20 +585,6 @@ class KernelTable:
     @property
     def nbytes(self):
         return sum(C.nbytes for _, C in self.blocks)
-
-    def total_mass(self, gvals):
-        """Unit-coordinate n-volume integral over the source's patch
-        (multiply by h^n)."""
-        p = gvals.shape[0]
-        zfold = np.full(p, 2.0)
-        zfold[0] = 1.0
-        meas = (
-            SPHERE_AREA[self.n]
-            * self.nodes[:p, None] ** (self.n - 2)
-            * _trapezoid(p)[:, None]
-            * zfold[None, :]
-        )
-        return float(np.sum(meas * gvals))
 
 
 def far_mask(P_t):
@@ -668,8 +669,9 @@ def _pivoted_qr_to_rank(A, tol):
 
 
 class FarOperator:
-    """KernelTable.eval_at from the nodes of one table to the far targets of
-    one side, as an interpolative decomposition (Cheng, Gimbutas,
+    """The plain nodal rule of dimension n (far_weights) from the nodes of
+    one patch to the far targets of one side, as an interpolative
+    decomposition (Cheng, Gimbutas,
     Martinsson & Rokhlin 2005): the far field is the exact nodal sums at
     the r skeleton targets and E ((T - r) x r) times those sums at the
     T - r others (rest).
@@ -686,9 +688,8 @@ class FarOperator:
     that takes them past that count factors it (_factor), and the rows held
     keep their skeleton columns, bit for bit.
 
-    The weights come from the nodal rule of table, the kernel table of
-    dimension n = table.n the two patches share (no column filled), read on
-    the source patch's P nodes (n_int for side "int", n_ext for "star").  The
+    The weights are far_weights on the source patch's P nodes (n_int for
+    side "int", n_ext for "star"); the operator holds no kernel table.  The
     skeleton is a column-pivoted QR of a sketch: the weights from an evenly
     strided subset of about FAR_SKETCH_ROWS * P source nodes of the quarter
     disc i^2 + j^2 < (P - 1)^2, where the
@@ -718,13 +719,13 @@ class FarOperator:
     exactly those rows and grows by one block on each fill.
     """
 
-    def __init__(self, table, side, n_int, n_ext, pair=None):
-        self.table, self.pair = table, pair
+    def __init__(self, n, side, n_int, n_ext, pair=None):
+        self.n, self.pair = n, pair
         self.P = P = n_int if side == "int" else n_ext
         i, j = np.nonzero(far_mask(n_ext if side == "int" else n_int))
         c = (n_int - 1) * (n_ext - 1) / (2.0 * (i * i + j * j))
         self.wt, self.zt = wt, zt = i * c, j * c
-        self.scale = np.hypot(wt, zt) ** (table.n - 2) if side == "int" else np.ones(wt.size)
+        self.scale = np.hypot(wt, zt) ** (n - 2) if side == "int" else np.ones(wt.size)
         si, sj = np.divmod(np.arange(P * P), P)
         disc = np.flatnonzero(si * si + sj * sj < (P - 1) ** 2)
         self.sketch = disc[:: max(1, disc.size // (FAR_SKETCH_ROWS * P))]
@@ -771,8 +772,8 @@ class FarOperator:
         # size would stay with the process
         T, m = self.wt.size, self.sketch.size
         sketches = [np.frombuffer(mmap.mmap(-1, 8 * m * T)).reshape(T, m).T for _ in ops]
-        dims = tuple(op.table.n for op in ops)
-        for k0, block in self.table.far_weights(self.sketch, self.wt, self.zt, self.P, dims):
+        dims = tuple(op.n for op in ops)
+        for k0, block in far_weights(dims, self.sketch, self.wt, self.zt, self.P):
             for A, b in zip(sketches, block):
                 A[k0 : k0 + len(b)] = b
         for op in ops:
@@ -806,8 +807,8 @@ class FarOperator:
             op.built[new[keep]] = True
             op.nodes = np.concatenate([op.nodes, new[keep]])
             fills.append((weights[k:], keep, np.searchsorted(J, op.skeleton)))
-        dims = tuple(op.table.n for op in ops)
-        for k0, block in self.table.far_weights(new, self.wt[J], self.zt[J], self.P, dims):
+        dims = tuple(op.n for op in ops)
+        for k0, block in far_weights(dims, new, self.wt[J], self.zt[J], self.P):
             for (rows, keep, cols), b in zip(fills, block):
                 sel = keep[k0 : k0 + len(b)]
                 start = np.count_nonzero(keep[:k0])
@@ -821,12 +822,14 @@ class GreenOps:
     and dimension); this class carries the physical measure factors.  table
     and far_operator, the solver's lookups, keep what they find.  Both
     patches share one table per dimension, sized to the larger one; the
-    smaller patch reads its leading block.
+    smaller patch reads its leading block.  A far operator holds no table:
+    its lookup makes it from its dimension and the grid shape alone.
     _patch_potential moves a potential from its source's patch to the other
-    one, in both directions.  far[side] masks the other patch's nodes whose
-    images lie outside the source patch (image radius > 2 R0 for side "int",
-    > R0 for "star"); they take their rows from the FarOperator shared by
-    every star on the grid shape.  The masks stay the float tests on this
+    one, in both directions; tail_potential runs the exterior tail through
+    it, and k_n_global adds the compact part's.  far[side] masks the other
+    patch's nodes whose images lie outside the source patch (image radius
+    > 2 R0 for side "int", > R0 for "star"); they take their rows from the
+    FarOperator shared by every star on the grid shape.  The masks stay the float tests on this
     star's R0: on the boundary circle their rounding decides, and a star's
     answers depend on it.
     """
@@ -860,7 +863,7 @@ class GreenOps:
         return out
 
     def far_operator(self, side, n):
-        """The far operator of one side on this grid's table of dimension n,
+        """The far operator of one side and dimension n on this grid,
         cached per (side, n, grid shape)."""
         if (side, n) not in self._fars:
             self._fars[side, n] = self._cached_far(side, n)
@@ -874,13 +877,9 @@ class GreenOps:
         key = (side, n, g.n_int, g.n_ext)
         if key not in _FAR_CACHE:
             pair = self._cached_far(side, 3) if n == 5 else None
-            _FAR_CACHE[key] = FarOperator(self.table(n), side, g.n_int, g.n_ext, pair)
+            _FAR_CACHE[key] = FarOperator(n, side, g.n_int, g.n_ext, pair)
             self._made.add((side, n))
         return _FAR_CACHE[key]
-
-    def _far(self, side, n, gvals):
-        """Unit-coordinate far field at this star's targets of one side."""
-        return self.far_operator(side, n)(gvals)[self._far_rows[side]]
 
     def cache_report(self):
         """The kernel tables and far operators this grid looked up: sizes,
@@ -927,42 +926,38 @@ class GreenOps:
         near = np.isfinite(r) & ~far
         vals = np.zeros(r.shape)
         vals[near] = _bilinear(own, h, w[near], z[near])
-        vals[far] = h**2 * self._far(side, n, src)
+        vals[far] = h**2 * self.far_operator(side, n)(src)[self._far_rows[side]]
         vals *= g.weight(other, 2 - n)  # (r/R0)^(n-2) at the images
-        vals[0, 0] = h**n * self.table(n).total_mass(src) / (FUND_NORM[n] * g.R0 ** (n - 2))
+        vals[0, 0] = h**n * total_mass(n, src) / (FUND_NORM[n] * g.R0 ** (n - 2))
         return own, vals
 
-    def k_n_global(self, fld, n):
-        """Inverse for a decaying source: compact part plus Kelvin-pulled tail.
-
-        An all-zero part makes no transfer, so a tail-only source (zero
-        interior values) costs one KernelTable.apply, and a source zero on
-        both patches none: 190 rather than 218 applies in a traced pass of
-        the benchmark's static-sweep-65-warm workload.
-        """
+    def tail_potential(self, g_inf_star, n):
+        """(int, star): the potential of the exterior tail whose starred
+        values are g_inf_star, inverted through its diamond source
+        (R0/r*)^4 g_inf_star on the starred patch.  A tail that grows at the
+        origin-image raises DecayError; a zero one has exact zeros, no lookup."""
         g = self.grid
-        if fld.offset != 0.0:
-            raise DecayError("source with a constant offset is not integrable")
-        out_int, out_star = self._patch_potential("int", n, fld.interior_compact())
+        src_dia = g.weight("star", -4) * g_inf_star
+        inner = (g.RS <= 0.25 * g.R0) & (g.RS > 0)
+        # compare against the tail scale on the outer starred band, where any
+        # admissible tail is O(1); a diverging diamond source means the decay
+        # index overstates the actual falloff
+        band = g.RS >= 0.5 * g.R0
+        band_scale = float(np.max(np.abs(g_inf_star[band]))) + 1e-300
+        if np.any(np.abs(src_dia[inner]) > 1e3 * band_scale):
+            raise DecayError("exterior tail decays too slowly for the diamond route")
+        psi, tail_int = self._patch_potential("star", n, src_dia)
+        return tail_int, psi
 
-        g_inf_star = fld.exterior_tail_star()
-        if np.max(np.abs(g_inf_star)) > 0.0:
-            # diamond weight (R0/r*)^4 converts the starred tail into a compact
-            # starred source; growth at the origin-image flags an inadmissible tail
-            src_dia = g.weight("star", -4) * g_inf_star
-            inner = (g.RS <= 0.25 * g.R0) & (g.RS > 0)
-            # compare against the tail scale on the outer starred band, where any
-            # admissible tail is O(1); a diverging diamond source means the decay
-            # index overstates the actual falloff
-            band = g.RS >= 0.5 * g.R0
-            band_scale = float(np.max(np.abs(g_inf_star[band]))) + 1e-300
-            if np.any(np.abs(src_dia[inner]) > 1e3 * band_scale):
-                raise DecayError("exterior tail decays too slowly for the diamond route")
-            # the tail's starred values are its potential on the starred patch
-            psi, tail_int = self._patch_potential("star", n, src_dia)
-            out_int = out_int + tail_int
-            out_star = out_star + psi
-        return AxiField(g, n, out_int, out_star, (1, 1), 0.0)
+    def k_n_global(self, fld, n):
+        """Inverse for a decaying source: the Kelvin-pulled tail, then the
+        compact part, added.  The tail goes first, so a rotating star's
+        starred far pair holds its two sketches before the interior pair's
+        rows are filled.  exterior_tail_star rejects an offset (DecayError)
+        before any lookup, and an all-zero part makes no transfer."""
+        tail_int, tail_star = self.tail_potential(fld.exterior_tail_star(), n)
+        out_int, out_star = self._patch_potential("int", n, fld.interior_compact())
+        return AxiField(self.grid, n, out_int + tail_int, out_star + tail_star, (1, 1), 0.0)
 
 
 class LOpSolver:
@@ -972,14 +967,12 @@ class LOpSolver:
     W0 = K[coef W0 + g_eff] with K the origin-subtracted k_3, assembled over
     the support nodes and LU-factorized once (the paper's contraction needs
     small parameters; a direct solve does not).  The exterior source tail is
-    handled by the diamond route and couples back through the coefficient.
-    The result's value at infinity lands in `offset` (the time-gauge constant
-    implied by the Q(O) = 0 normalization).
+    inverted by GreenOps.tail_potential and couples back through the
+    coefficient.  The result's value at infinity lands in `offset` (the
+    time-gauge constant implied by the Q(O) = 0 normalization).
     """
 
     def __init__(self, ops, coef_field):
-        from scipy.linalg import lu_factor
-
         self.ops = ops
         self.grid = ops.grid
         self.h = self.grid.h_int
@@ -1004,21 +997,19 @@ class LOpSolver:
         self._lu = lu_factor(A)
 
     def solve(self, fld):
-        from scipy.linalg import lu_solve
-
+        """The solution for the decay-index-3 source fld."""
         g = self.grid
         h = self.h
 
-        # exterior tail first: its interior values feed the coefficient term
-        tail = AxiField(g, fld.n_index, np.zeros_like(fld.int_vals), fld.exterior_tail_star(),
-                        fld.parity, 0.0)
-        f_inf = self.ops.k_n_global(tail, fld.n_index).reindex(3)
-        fi0 = f_inf.int_vals[0, 0]
-        src_tot = fld.interior_compact() + self.coef * (f_inf.int_vals - fi0)
+        # exterior tail first: its interior values feed the coefficient term.
+        # The tail is cut by (1 - chi) twice, once by exterior_tail_star and
+        # once here (ROADMAP 3(c))
+        f_int, f_star = self.ops.tail_potential((1.0 - g.chi_img) * fld.exterior_tail_star(), 3)
+        fi0 = f_int[0, 0]
+        src_tot = fld.interior_compact() + self.coef * (f_int - fi0)
         if not self.trivial:
             rhs_full = h**2 * self.ops.use_table(3, "apply", src_tot)
             rhs = rhs_full[self.si, self.sj] - rhs_full[0, 0]
             src_tot[self.si, self.sj] += self.coef[self.si, self.sj] * lu_solve(self._lu, rhs)
         v_int, v_star = self.ops._patch_potential("int", 3, src_tot)
-        return AxiField(g, 3, v_int + f_inf.int_vals, v_star + f_inf.star_vals, (1, 1),
-                        -v_int[0, 0] - fi0)
+        return AxiField(g, 3, v_int + f_int, v_star + f_star, (1, 1), -v_int[0, 0] - fi0)

@@ -26,8 +26,8 @@ from numpy.polynomial.legendre import leggauss
 from scipy.integrate import cumulative_trapezoid
 
 from .cutoff import chi
-from .errors import (DomainError, RegimeError, SeriesDomainError, contraction_ratio,
-                     damped_iteration)
+from .errors import (AsymptoticsError, DomainError, RegimeError, SeriesDomainError,
+                     contraction_ratio, damped_iteration)
 from .fields import (
     AxiField,
     AxiGrid,
@@ -41,7 +41,7 @@ from .fields import (
     field_log1p,
     mul_varpi,
 )
-from .greens import GreenOps, LOpSolver
+from .greens import GreenOps, LOpSolver, total_mass
 from .lane_emden import solve_distorted
 from .metric import MetricLanczos, assemble, ktilde
 
@@ -177,7 +177,7 @@ def newtonian_fields(dle, params, grid, ops, eos):
     P_N = compact_map(eos.f_N_P, u_N, n_index=4)
     Phi_N = ops.k_n_global(rho_N, 3) * G4pi
     ratio = compact_map(eos.df_N_rho, u_N, n_index=3)
-    M_N = grid.h_int**3 * ops.table(3).total_mass(rho_N.int_vals)
+    M_N = grid.h_int**3 * total_mass(3, rho_N.int_vals)
     return NewtonianFields(
         u_N=u_N,
         rho_N=rho_N,
@@ -570,8 +570,6 @@ class PNSolver:
         drift = abs(float(vm[-1] - vm[0]))
         scale = max(abs(C_inf), float(np.max(np.abs(vm))), 1e-300)
         if drift > 0.6 * scale:
-            from .errors import AsymptoticsError
-
             raise AsymptoticsError(
                 f"far-field V drifts by {drift:.3e} against plateau {scale:.3e}"
             )

@@ -245,7 +245,7 @@ class TestCompactInverse:
         tab = get_table(33, 3)
         idx = (np.array([5, 9, 14]), np.array([3, 8, 12]))
         R = tab.rows(idx, idx)
-        w = tab.nodes[idx[0]]
+        w = idx[0].astype(float)
         M = R / w[None, :]
         assert np.allclose(M, M.T, rtol=2e-2, atol=1e-8)
 
@@ -265,6 +265,23 @@ class TestGlobalInverse:
         assert not np.any(out.int_vals) and not np.any(out.star_vals)
         report = ops.cache_report()
         assert report["kernel_tables"] == {} and report["far_operators"] == {}
+
+    def test_tail_transfers_before_compact_part(self, monkeypatch):
+        # a field with both parts transfers its tail first, so a rotating
+        # star's starred far pair factors before the interior pair fills
+        sides = count_calls(monkeypatch, GreenOps, "_patch_potential")
+        g = AxiGrid(R0=2.0, n_interior=33, n_exterior=25)
+        GreenOps(g).k_n_global(AxiField(g, 5, g.chi_int, (g.RS / g.R0) ** 4), 5)
+        assert [args[1] for args in sides] == ["star", "int"]
+
+    def test_offset_rejected_before_any_lookup(self, monkeypatch):
+        # a constant offset is not integrable: DecayError, before any kernel
+        # table or far operator is looked up
+        calls = [count_calls(monkeypatch, GreenOps, name) for name in ("table", "far_operator")]
+        g = AxiGrid(R0=2.0, n_interior=33, n_exterior=25)
+        with pytest.raises(DecayError):
+            GreenOps(g).k_n_global(smooth_bump(g) + 0.1, 3)
+        assert calls == [[], []]
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_tail_only_field_is_one_transfer(self, monkeypatch, n):
@@ -467,8 +484,7 @@ class TestLOp:
         assert np.max(np.abs(sol.int_total())) < 1e-15
 
     def test_tailed_source_makes_three_applies(self, monkeypatch, ops, grid):
-        # the tail is inverted alone on a field with zero interior values,
-        # whose all-zero compact part is not transferred: one apply for the
+        # the tail is inverted alone by tail_potential: one apply for the
         # tail's diamond source, one for the right-hand side, one for the
         # interior transfer of the corrected source
         R0 = grid.R0
@@ -592,22 +608,15 @@ class TestSharedTable:
     @pytest.mark.parametrize("p, P", SIZES)
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_leading_block_is_the_patch_table(self, n, p, P):
+        # the nodal rule (far_weights, total_mass) reads no table, so only
+        # apply has a table size to agree across
         own, shared = whole_table(p, n), whole_table(P, n)
-        wt = np.linspace(0.0, 3.0 * p, 40)
-        zt = np.linspace(2.0 * p, 0.5 * p, 40)
         for src in self.sources(p):
             assert not np.any(src[-1]) and not np.any(src[:, -1])
             ref = own.apply(src)
             got = shared.apply(src)
             assert got.shape == ref.shape
             assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
-            assert shared.total_mass(src) == own.total_mass(src)
-            nodes = np.flatnonzero(src)
-            for (k0, block), (k1, ref_block) in zip(
-                shared.far_weights(nodes, wt, zt, p), own.far_weights(nodes, wt, zt, p),
-                strict=True,
-            ):
-                assert k0 == k1 and np.array_equal(block, ref_block)
 
     @pytest.mark.parametrize("p, P", SIZES)
     @pytest.mark.parametrize("n", [3, 4, 5])
@@ -705,15 +714,15 @@ class TestCachedQuadrature:
         return [small, full * np.exp(-r), small]
 
     @staticmethod
-    def nodal_sum(table, gvals, wt, zt):
+    def nodal_sum(n, gvals, wt, zt):
         """The plain nodal rule summed target by target."""
         i, j = np.nonzero(gvals)
-        ws, zs = table.nodes[i], table.nodes[j]
+        ws, zs = i.astype(float), j.astype(float)
         colw = np.where((i == 0) | (i == gvals.shape[0] - 1), 0.5, 1.0)
         out = np.empty(wt.size)
         for t in range(wt.size):
-            k = ring_kernel(table.n, wt[t], ws, zt[t] - zs)
-            k = k + (j > 0) * ring_kernel(table.n, wt[t], ws, zt[t] + zs)
+            k = ring_kernel(n, wt[t], ws, zt[t] - zs)
+            k = k + (j > 0) * ring_kernel(n, wt[t], ws, zt[t] + zs)
             out[t] = np.sum(colw * gvals[i, j] * k)
         return out
 
@@ -743,9 +752,9 @@ class TestCachedQuadrature:
             filled, dense = [], []
             for src in [ring, *self.sources(ops, side)]:
                 got = far(src)
-                ref = far.table.eval_at(src, far.wt, far.zt)
+                ref = KernelTable(far.P, n).eval_at(src, far.wt, far.zt)
                 assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-                direct = self.nodal_sum(far.table, src, far.wt, far.zt)
+                direct = self.nodal_sum(n, src, far.wt, far.zt)
                 assert np.max(np.abs(got - direct)) <= 1e-13 * np.max(np.abs(direct))
                 filled.append(far.nodes.size)
                 dense.append(far.dense)
@@ -760,7 +769,7 @@ class TestCachedQuadrature:
         # call that takes them past it factors, and the rows held keep
         # their skeleton columns, bit for bit
         P = 33 if side == "int" else 25
-        far = greens.FarOperator(KernelTable(33, n), side, 33, 25)
+        far = greens.FarOperator(n, side, 33, 25)
         m, T = far.sketch.size, far.wt.size
         # nodes of the quarter disc the sketch samples, in their flat order
         i, j = np.divmod(np.arange(P * P), P)
@@ -774,7 +783,7 @@ class TestCachedQuadrature:
             assert np.array_equal(far.skeleton, np.arange(T))
             assert far.weights.shape == (k, T)
         rows = far.weights
-        full = np.vstack([b for _, b in far.table.far_weights(nodes, far.wt, far.zt, P)])
+        full = np.vstack([b for _, b in greens.far_weights(n, nodes, far.wt, far.zt, P)])
         assert np.array_equal(rows, full[:m])
         src[nodes[m]] = 3.0
         far(src.reshape(P, P))
@@ -812,12 +821,12 @@ class TestCachedQuadrature:
             for n in (3, 5):
                 assert first.far_operator(side, n) is second.far_operator(side, n)
                 for src in self.sources(first, side):
-                    first._far(side, n, src)
+                    first.far_operator(side, n)(src)
         calls = self.counting_kernel(monkeypatch)
         for side in ("int", "star"):
             for n in (3, 5):
                 for src in self.sources(second, side):
-                    second._far(side, n, src)
+                    second.far_operator(side, n)(src)
         assert calls == []
         report = second.cache_report()
         assert (report["builds"], report["cache_hits"]) == (0, 4)
@@ -841,9 +850,8 @@ class TestCachedQuadrature:
 
     @staticmethod
     def sketch_inputs(side, n, n_int, n_ext):
-        """FarOperator's table (its nodal rule needs no column filled), patch
-        size, sketch rows, targets and column scale, rebuilt."""
-        table = KernelTable(max(n_int, n_ext), n)
+        """FarOperator's patch size, sketch rows, targets and column scale,
+        rebuilt."""
         P = n_int if side == "int" else n_ext
         i, j = np.nonzero(greens.far_mask(n_ext if side == "int" else n_int))
         c = (n_int - 1) * (n_ext - 1) / (2.0 * (i * i + j * j))
@@ -852,13 +860,13 @@ class TestCachedQuadrature:
         si, sj = np.divmod(np.arange(P * P), P)
         disc = np.flatnonzero(si * si + sj * sj < (P - 1) ** 2)
         sketch = disc[:: max(1, disc.size // (greens.FAR_SKETCH_ROWS * P))]
-        return table, P, sketch, wt, zt, scale
+        return P, sketch, wt, zt, scale
 
     @staticmethod
-    def factored(table, side, n_int, n_ext):
+    def factored(n, side, n_int, n_ext):
         """A far operator factored on the spot, as its first call past the
         sketch's rows factors it."""
-        far = greens.FarOperator(table, side, n_int, n_ext)
+        far = greens.FarOperator(n, side, n_int, n_ext)
         far._factor()
         return far
 
@@ -869,10 +877,10 @@ class TestCachedQuadrature:
         # for bit those of scipy.linalg.qr on a stacked, scaled copy of the
         # same sketch.  The targets off the skeleton come in the order the
         # QR left them when it stopped, so E's rows are compared by target
-        table, P, sketch, wt, zt, scale = self.sketch_inputs(side, n, 33, 25)
-        A = np.vstack([block for _, block in table.far_weights(sketch, wt, zt, P)])
+        P, sketch, wt, zt, scale = self.sketch_inputs(side, n, 33, 25)
+        A = np.vstack([block for _, block in greens.far_weights(n, sketch, wt, zt, P)])
         R, perm = scipy.linalg.qr(A * scale, mode="r", pivoting=True)
-        far = self.factored(table, side, 33, 25)
+        far = self.factored(n, side, 33, 25)
         assert_same_decomposition(far, R, perm, scale)
 
     @pytest.mark.parametrize("shape", [(33, 25), (65, 49)])
@@ -884,13 +892,13 @@ class TestCachedQuadrature:
         # tail and each target's E row, is the full dgeqp3's bit for bit.  A
         # sketch whose short side is within QP3_CROSSOVER (the 33/25
         # interior one) is not blocked and factors every column
-        table, P, sketch, wt, zt, scale = self.sketch_inputs(side, n, *shape)
-        A = np.vstack([block for _, block in table.far_weights(sketch, wt, zt, P)])
+        P, sketch, wt, zt, scale = self.sketch_inputs(side, n, *shape)
+        A = np.vstack([block for _, block in greens.far_weights(n, sketch, wt, zt, P)])
         A = np.asfortranarray(A * scale)
         lwork = int(scipy.linalg.lapack.dgeqp3(A, lwork=-1)[3][0])
         R, perm, _, _, info = scipy.linalg.lapack.dgeqp3(A, lwork=lwork)
         assert info == 0
-        far = self.factored(table, side, *shape)
+        far = self.factored(n, side, *shape)
         assert_same_decomposition(far, R, perm - 1, scale)
         nb = (lwork - 2 * wt.size) // (wt.size + 1)
         mn = min(A.shape)
@@ -905,11 +913,11 @@ class TestCachedQuadrature:
     def test_rank_keeps_pivots_above_tolerance(self, side, n):
         # every kept pivot of the sketch QR is above FAR_RANK_TOL of the
         # first, and tail, the first dropped one, is at or below it
-        table, P, sketch, wt, zt, scale = self.sketch_inputs(side, n, 33, 25)
-        A = np.vstack([block for _, block in table.far_weights(sketch, wt, zt, P)])
+        P, sketch, wt, zt, scale = self.sketch_inputs(side, n, 33, 25)
+        A = np.vstack([block for _, block in greens.far_weights(n, sketch, wt, zt, P)])
         R = scipy.linalg.qr(A * scale, mode="r", pivoting=True)[0]
         d = np.abs(np.diag(R))
-        far = self.factored(table, side, 33, 25)
+        far = self.factored(n, side, 33, 25)
         r = far.rank
         assert np.all(d[:r] > greens.FAR_RANK_TOL * d[0])
         assert r < d.size
@@ -920,11 +928,11 @@ class TestCachedQuadrature:
         # factoring the operator may hold the sketch and E beside the
         # far_weights blocks, not the several copies of a stack-scale-copy
         # QR (the stacked blocks, vstack, the scaled copy, the Fortran copy)
-        table, P, sketch, wt, zt, _ = self.sketch_inputs("star", 3, 65, 49)
-        far = greens.FarOperator(table, "star", 65, 49)
+        P, sketch, wt, zt, _ = self.sketch_inputs("star", 3, 65, 49)
+        far = greens.FarOperator(3, "star", 65, 49)
         tracemalloc.start()
         try:
-            bare, _ = traced_peak(lambda: [None for _ in table.far_weights(sketch, wt, zt, P)])
+            bare, _ = traced_peak(lambda: [None for _ in greens.far_weights(3, sketch, wt, zt, P)])
             peak, _ = traced_peak(far._factor)
         finally:
             tracemalloc.stop()
@@ -936,7 +944,7 @@ class TestCachedQuadrature:
         # the sketch lives in one anonymous mapping outside the heap, and
         # the mapping is gone once the operator is factored; a pair that
         # factors together maps one sketch each and gives both back
-        table, P, sketch, wt, zt, _ = self.sketch_inputs("star", 3, 65, 49)
+        P, sketch, wt, zt, _ = self.sketch_inputs("star", 3, 65, 49)
         maps = []
 
         def mapped(*args):
@@ -945,10 +953,10 @@ class TestCachedQuadrature:
             return buf
 
         monkeypatch.setattr(greens, "mmap", SimpleNamespace(mmap=mapped))
-        far = greens.FarOperator(table, "star", 65, 49)
+        far = greens.FarOperator(3, "star", 65, 49)
         tracemalloc.start()
         try:
-            bare, _ = traced_peak(lambda: [None for _ in table.far_weights(sketch, wt, zt, P)])
+            bare, _ = traced_peak(lambda: [None for _ in greens.far_weights(3, sketch, wt, zt, P)])
             peak, _ = traced_peak(far._factor)
         finally:
             tracemalloc.stop()
@@ -956,8 +964,8 @@ class TestCachedQuadrature:
         assert [size for _, size in maps] == [sketch_bytes]
         assert maps[0][0]() is None
         assert peak - bare <= far.E.nbytes + (1 << 19) < sketch_bytes
-        pair = greens.FarOperator(table, "star", 65, 49)
-        greens.FarOperator(KernelTable(65, 5), "star", 65, 49, pair)._factor()
+        pair = greens.FarOperator(3, "star", 65, 49)
+        greens.FarOperator(5, "star", 65, 49, pair)._factor()
         assert [size for _, size in maps[1:]] == [sketch_bytes] * 2
         assert not pair.dense and all(ref() is None for ref, _ in maps)
 
@@ -994,7 +1002,7 @@ class TestCachedQuadrature:
         ops = GreenOps(AxiGrid(R0=2.0, n_interior=33, n_exterior=25))
         pair = [ops.far_operator(side, n) for n in (3, 5)]
         assert pair[1].pair is pair[0] and pair[0].pair is None
-        alone = [greens.FarOperator(KernelTable(33, n), side, 33, 25) for n in (3, 5)]
+        alone = [greens.FarOperator(n, side, 33, 25) for n in (3, 5)]
         small, full, _ = self.sources(ops, side)
 
         def run(far3, far5):
@@ -1471,18 +1479,17 @@ class TestColumnFill:
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_no_table_is_replaced(self, n):
-        # a grid and its far operator hold the cached table, and a source
-        # fills some of its columns; get_table(P, n) then fills the rest in
-        # that same object, so the holders see every column
+        # a grid holds the cached table, and a source fills some of its
+        # columns; get_table(P, n) then fills the rest in that same object,
+        # so the grid sees every column
         g = AxiGrid(R0=2.0, n_interior=33, n_exterior=25)
         ops = GreenOps(g)
         table = ops.table(n)
-        far = ops.far_operator("star", n)
         ops.k_n_global(smooth_bump(g, radius_frac=0.45), n)
         earlier = list(table.blocks)
         assert earlier and table.ncols < table.P
         assert get_table(g.n_int, n) is table
-        assert ops.table(n) is table and far.table is table
+        assert ops.table(n) is table
         assert len(table.blocks) == len(earlier) + 1
         assert all(a is b for a, b in zip(table.blocks, earlier))
         assert table.ncols == table.P
@@ -1550,16 +1557,20 @@ class TestColumnFill:
         assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("side", ["int", "star"])
-    def test_far_operator_fills_no_column(self, side):
-        # the operator reads only the table's nodal far weights
+    def test_far_operator_fills_no_column(self, monkeypatch, side):
+        # a far operator holds no table: its lookup, construction and calls
+        # look up no kernel table and leave the table cache as it was
         ops = GreenOps(AxiGrid(R0=2.0, n_interior=33, n_exterior=25))
-        far = ops.far_operator(side, 3)
-        assert far.table is ops.table(3)
-        assert far.table.ncols == 0 and far.table.nbytes == 0
-        src = np.zeros((far.P, far.P))
-        src[:4, :4] = 1.0
-        far(src)
-        assert far.table.ncols == 0
+        tables = count_calls(monkeypatch, GreenOps, "table")
+        cached = count_calls(monkeypatch, greens, "_cached_table")
+        before = dict(greens._TABLE_CACHE)
+        for far in (ops.far_operator(side, 5), greens.FarOperator(3, side, 33, 25)):
+            assert not hasattr(far, "table")
+            src = np.zeros((far.P, far.P))
+            src[:4, :4] = 1.0
+            far(src)
+        assert tables == [] and cached == []
+        assert greens._TABLE_CACHE == before
 
     def test_later_fill_copies_no_column(self):
         # a table filled in three calls, as a 97/65 rotating solve fills

@@ -581,7 +581,7 @@ class TestFarWork:
                 inside.pop()
 
         def far_factor(far):
-            factored.append(far.table.n)
+            factored.append(far.n)
             return factor(far)
 
         for name in counts:
