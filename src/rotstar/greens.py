@@ -32,8 +32,10 @@ the shared FarOperator at the images outside it (the masks in GreenOps.far),
 and the monopole limit at the other patch's origin; the last two take the
 plain nodal rule, far_weights and total_mass, which read no table.  A
 FarOperator holds dense nodal rows until its source outgrows its sketch,
-then an interpolative decomposition; a side's n = 3 and n = 5 operators
-factor and fill from one ring_kernel pass.  An all-zero part is not
+then an interpolative decomposition.  The call that factors it fills it
+once, with a side's dense n = 3 pair when it is that side's n = 5
+operator, from one ring_kernel pass; every other fill is one operator's
+own.  An all-zero part is not
 transferred: its potential is an exact zero, returned before any table or
 far-operator lookup.  That covers a source zero on both patches (a static
 star's Y) and every compact source's tail.
@@ -685,8 +687,8 @@ class FarOperator:
     It starts dense, its skeleton every target and E empty: its rows are
     the plain nodal weights to all T targets, cheaper than the sketch alone
     while the filled nodes are no more than the sketch's rows.  The call
-    that takes them past that count factors it (_factor), and the rows held
-    keep their skeleton columns, bit for bit.
+    that takes them past that count factors it (_factor), drops the rows
+    held and fills every node of its source at the skeleton.
 
     The weights are far_weights on the source patch's P nodes (n_int for
     side "int", n_ext for "star"); the operator holds no kernel table.  The
@@ -710,13 +712,16 @@ class FarOperator:
 
     pair, given to an n = 5 operator, is the same side's n = 3 one.  A dense
     pair is factored with it, both sketches from one ring_kernel pass of
-    (3, 5), and each later fill evaluates both kernels once at the union of
-    the skeletons; the pair takes its rows of the nodes it lacks.
+    (3, 5), and the factoring call fills both, for every node of its source,
+    from one pass at the union of their skeletons.  Every other fill is one
+    operator's own, so a pair is never topped up by the n = 5 operator's
+    later calls.
 
     Row k of weights holds the skeleton weights of source node nodes[k]; a
     node gets its row the first time it carries source, and a node without
     a row contributes nothing, like its zero source value.  weights holds
-    exactly those rows and grows by one block on each fill.
+    exactly those rows and grows by one block on each fill; the factoring
+    call starts them over.
     """
 
     def __init__(self, n, side, n_int, n_ext, pair=None):
@@ -752,10 +757,12 @@ class FarOperator:
         """Far field at every target, in far_mask order."""
         flat = gvals.ravel()
         new = np.flatnonzero((flat != 0.0) & ~self.built)
+        ops = [self]
         if self.dense and self.nodes.size + new.size > self.sketch.size:
-            self._factor()
+            ops = self._factor()
+            new = np.flatnonzero(flat)
         if new.size:
-            self._fill(new)
+            self._fill(ops, new)
         sums = flat[self.nodes] @ self.weights
         out = np.empty(self.wt.size)
         out[self.skeleton] = sums
@@ -764,18 +771,18 @@ class FarOperator:
 
     def _factor(self):
         """Factor this operator, and its pair if that is dense, from one pass
-        over the sketch."""
+        over the sketch; returns the operators factored, their rows dropped."""
         ops = [op for op in (self.pair, self) if op is not None and op.dense]
+        for op in ops:
+            op.nodes, op.weights = op.nodes[:0], op.weights[:0]
+            op.built[:] = False
         # one Fortran-ordered buffer per operator that LAPACK factors in
         # place, in anonymous mapped pages: they go back to the OS when the
         # factor's last view of them dies, where a freed heap block of this
         # size would stay with the process
         T, m = self.wt.size, self.sketch.size
         sketches = [np.frombuffer(mmap.mmap(-1, 8 * m * T)).reshape(T, m).T for _ in ops]
-        dims = tuple(op.n for op in ops)
-        for k0, block in far_weights(dims, self.sketch, self.wt, self.zt, self.P):
-            for A, b in zip(sketches, block):
-                A[k0 : k0 + len(b)] = b
+        self._write_rows(ops, self.sketch, sketches)
         for op in ops:
             A = sketches.pop(0)
             A *= op.scale
@@ -791,28 +798,31 @@ class FarOperator:
             E *= op.scale[op.skeleton]
             E /= op.scale[op.rest, None]
             op.weights = op.weights[:, op.skeleton]
+        return ops
 
-    def _fill(self, new):
-        """Append the rows of the new source nodes, and, for a factored n = 5
-        operator, its pair's rows of those it lacks, from one pass at the
-        union J of their skeletons."""
-        ops = [self.pair, self] if self.pair is not None and not self.dense else [self]
-        J = np.unique(np.concatenate([op.skeleton for op in ops]))
-        fills = []
+    def _fill(self, ops, new):
+        """Append the rows of the new source nodes to each of ops: this
+        operator, and its pair in the call that factored both."""
+        outs = []
         for op in ops:
-            keep, k = ~op.built[new], op.nodes.size
-            weights = np.empty((k + np.count_nonzero(keep), op.rank))
+            k = op.nodes.size
+            weights = np.empty((k + new.size, op.rank))
             weights[:k] = op.weights
-            op.weights = weights
-            op.built[new[keep]] = True
-            op.nodes = np.concatenate([op.nodes, new[keep]])
-            fills.append((weights[k:], keep, np.searchsorted(J, op.skeleton)))
+            op.weights, op.nodes = weights, np.concatenate([op.nodes, new])
+            op.built[new] = True
+            outs.append(weights[k:])
+        self._write_rows(ops, new, outs)
+
+    def _write_rows(self, ops, src, outs):
+        """Write into outs[d] the far_weights of the source nodes src at the
+        skeleton of ops[d], from one pass at the union J of the skeletons
+        (every target while an operator is dense)."""
+        J = np.unique(np.concatenate([op.skeleton for op in ops]))
+        cols = [np.searchsorted(J, op.skeleton) for op in ops]
         dims = tuple(op.n for op in ops)
-        for k0, block in far_weights(dims, new, self.wt[J], self.zt[J], self.P):
-            for (rows, keep, cols), b in zip(fills, block):
-                sel = keep[k0 : k0 + len(b)]
-                start = np.count_nonzero(keep[:k0])
-                rows[start : start + np.count_nonzero(sel)] = b[np.ix_(sel, cols)]
+        for k0, block in far_weights(dims, src, self.wt[J], self.zt[J], self.P):
+            for out, c, b in zip(outs, cols, block):
+                out[k0 : k0 + len(b)] = b[:, c]
 
 
 class GreenOps:
@@ -823,7 +833,8 @@ class GreenOps:
     and far_operator, the solver's lookups, keep what they find.  Both
     patches share one table per dimension, sized to the larger one; the
     smaller patch reads its leading block.  A far operator holds no table:
-    its lookup makes it from its dimension and the grid shape alone.
+    far_operator, the one far lookup, makes it from its dimension and the
+    grid shape alone, and an n = 5 lookup makes and lists its n = 3 pair.
     _patch_potential moves a potential from its source's patch to the other
     one, in both directions; tail_potential runs the exterior tail through
     it, and k_n_global adds the compact part's.  far[side] masks the other
@@ -863,23 +874,19 @@ class GreenOps:
         return out
 
     def far_operator(self, side, n):
-        """The far operator of one side and dimension n on this grid,
-        cached per (side, n, grid shape)."""
+        """The far operator of one side and dimension n on this grid, shared
+        per (side, n, grid shape) and made on the first lookup; an n = 5
+        operator is made with its pair, the same side's n = 3 one, looked up
+        first.  The operators this grid made are in _made."""
         if (side, n) not in self._fars:
-            self._fars[side, n] = self._cached_far(side, n)
+            g = self.grid
+            key = (side, n, g.n_int, g.n_ext)
+            if key not in _FAR_CACHE:
+                pair = self.far_operator(side, 3) if n == 5 else None
+                _FAR_CACHE[key] = FarOperator(n, side, g.n_int, g.n_ext, pair)
+                self._made.add((side, n))
+            self._fars[side, n] = _FAR_CACHE[key]
         return self._fars[side, n]
-
-    def _cached_far(self, side, n):
-        """The cached far operator of (side, n) on this grid shape, made on
-        the first lookup; an n = 5 operator is made with its pair, the same
-        side's n = 3 one.  The operators this grid made are in _made."""
-        g = self.grid
-        key = (side, n, g.n_int, g.n_ext)
-        if key not in _FAR_CACHE:
-            pair = self._cached_far(side, 3) if n == 5 else None
-            _FAR_CACHE[key] = FarOperator(n, side, g.n_int, g.n_ext, pair)
-            self._made.add((side, n))
-        return _FAR_CACHE[key]
 
     def cache_report(self):
         """The kernel tables and far operators this grid looked up: sizes,

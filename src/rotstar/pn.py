@@ -302,26 +302,16 @@ class PNSolver:
             + (nf.rho_N * nf.Phi_N + nf.rho_N * self.om2w2 * 2.0) * 2.0
             - nf.P_N * 3.0
         )
+        # the leading interior sources of the W, Y and X equations
+        Gg = params.G_grav
+        self.ga = ((nf.ratio * self.u_lead + self.rho_lead) * (-4.0 * math.pi * Gg)).reindex(3)
+        self.gb = (self.om * nf.rho_N * (16.0 * math.pi * Gg)).reindex(5)
+        self.gc = (nf.P_N * (-16.0 * math.pi * Gg)).reindex(4)
         # Phi_N's gradient, for the leading parts of the K-gradient displays
         self.dPhi_N = (nf.Phi_N.derivative("w"), nf.Phi_N.derivative("z"))
-        coef = self.nf.ratio * (4.0 * math.pi * params.G_grav)
+        coef = nf.ratio * (4.0 * math.pi * Gg)
         self.lop = LOpSolver(self.ops, coef)
-        self._g_fields = None
         self.inner_history = []
-
-    # -- sources ---------------------------------------------------------------
-
-    def sources(self):
-        """Leading interior sources of the three elliptic equations."""
-        if self._g_fields is not None:
-            return self._g_fields
-        Gg = self.params.G_grav
-        nf = self.nf
-        ga = ((nf.ratio * self.u_lead + self.rho_lead) * (-4.0 * math.pi * Gg)).reindex(3)
-        gb = (self.om * nf.rho_N * (16.0 * math.pi * Gg)).reindex(5)
-        gc = (nf.P_N * (-16.0 * math.pi * Gg)).reindex(4)
-        self._g_fields = (ga, gb, gc)
-        return self._g_fields
 
     # -- the w <-> (W, Y, X) algebra ---------------------------------------------
 
@@ -481,7 +471,7 @@ class PNSolver:
     def inner_fixed_point(self, V, state):
         """The map S(V): unique (W, Y, X) at frozen V, iterated from state."""
         p = self.params
-        ga, gb, gc = self.sources()
+        ga, gb, gc = self.ga, self.gb, self.gc
         # sup-norm remainder-to-leading ratios on the interior patch, per
         # iteration; 0 where the leading part vanishes (a static star's g_b)
         leads = [float(np.max(np.abs(f.int_vals))) for f in (ga, gb, gc)]

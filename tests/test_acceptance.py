@@ -288,3 +288,25 @@ class TestAcceptance:
         )
         report(11, ok, f"far-field orders={ {k: round(v, 2) for k, v in orders.items()} } "
                        f"vs nominal {nominal} (each within 0.3)")
+
+    def test_criterion_12_einstein_equations(self, refinement_runs, static_sweep):
+        # the paper's equivalence theorem on solved stars: the metric the
+        # reduced system assembles satisfies the six raw Einstein equations
+        # of ricci_cross_check, each residual refining with the grid on
+        # criterion 9's mask; a static star has no frame dragging, so its
+        # R02 residual is an exact zero
+        hs, sups = [], {}
+        for n_int, res in refinement_runs.items():
+            win = res.verify_window()
+            rc = ricci_cross_check(win, res.params)
+            m = win.report_mask(erode=2) & (win.W >= 0.3 * res.params.r1)
+            hs.append(win.h)
+            for k, v in rc["residuals"].items():
+                sups.setdefault(k, []).append(float(np.nanmax(np.abs(np.where(m, v, np.nan)))))
+        orders = {k: refinement_order(hs, v) for k, v in sups.items()}
+        static_R02 = [ricci_cross_check(res.verify_window(), res.params)["sups"]["R02"]
+                      for res, _ in static_sweep.values()]
+        ok = len(orders) == 6 and all(o >= 1.2 for o in orders.values()) and not any(static_R02)
+        report(12, ok, f"Einstein residual refinement orders="
+                       f"{ {k: round(o, 3) for k, o in orders.items()} } (>=1.2); "
+                       f"static R02 sups={static_R02} (==0)")

@@ -211,15 +211,13 @@ class TestSources:
         assert np.abs(ga[outside]).max() == 0.0
 
     def test_sources_vanish_outside_support(self, rotating_solver):
-        ga, gb, gc = rotating_solver.sources()
-        rho = rotating_solver.nf.rho_N.int_vals
-        outside = rho == 0.0
-        assert np.abs(ga.int_vals[outside]).max() == 0.0
-        assert np.abs(gb.int_vals[outside]).max() == 0.0
-        assert np.abs(gc.int_vals[outside]).max() == 0.0
+        solver = rotating_solver
+        outside = solver.nf.rho_N.int_vals == 0.0
+        for g in (solver.ga, solver.gb, solver.gc):
+            assert np.abs(g.int_vals[outside]).max() == 0.0
 
     def test_gb_formula(self, rotating_solver):
-        ga, gb, gc = rotating_solver.sources()
+        gb = rotating_solver.gb
         p = rotating_solver.params
         g = rotating_solver.grid
         expect = 16 * math.pi * p.G_grav * omega_profile(p, g.RI) * rotating_solver.nf.rho_N.int_vals
@@ -460,7 +458,7 @@ class TestInnerOuter:
         # the leading sources serve as a smooth (W, Y, X) of the right indices
         solver = rotating_solver
         g = solver.grid
-        K1t, K3t, at = solver.ktilde_arrays(*solver.sources())
+        K1t, K3t, at = solver.ktilde_arrays(solver.ga, solver.gb, solver.gc)
         sel = (g.RI < g.R0) & (g.WI > 0)
         k1, k3 = at(g.WI[sel], g.ZI[sel])
         for nodes, points in ((K1t[sel], k1), (K3t[sel], k3)):
@@ -520,6 +518,14 @@ def coarse_star(cls15, eos_unit):
     """The eps = b = 1e-3 star on the 33/25 grid, for the iteration caps."""
     dle = solve_distorted(1.5, B_ROT, classical=cls15, n_radial=257, n_zeta=16)
     p = StarParams.build(5 / 3, 1.0, 1.0, 1.0, u_O=1e-3, b_rot=B_ROT, classical=cls15)
+    return p, eos_unit, dle, cls15
+
+
+@pytest.fixture(scope="module")
+def coarse_static(cls15, eos_unit):
+    """The eps = 1e-3 static star on the 33/25 grid."""
+    dle = solve_distorted(1.5, 0.0, classical=cls15, n_radial=257, n_zeta=16)
+    p = StarParams.build(5 / 3, 1.0, 1.0, 1.0, u_O=1e-3, b_rot=0.0, classical=cls15)
     return p, eos_unit, dle, cls15
 
 
@@ -600,7 +606,40 @@ class TestFarWork:
             "int_n3": False, "int_n4": True, "int_n5": False, "star_n3": False, "star_n5": False}
         # set-up: the sweep's dense rows.  Every later n = 3 modulus is one
         # the n = 5 pass evaluated, so ellipk runs only that many more times
-        # than ellipe
+        # than ellipe; the factoring call evaluates its dense rows again
         assert setup == {"ellipk": 4636, "ellipe": 0}
-        assert counts == {"ellipk": 353432, "ellipe": 348796}
+        assert counts == {"ellipk": 355608, "ellipe": 350972}
         assert counts["ellipk"] - counts["ellipe"] == setup["ellipk"]
+
+    @pytest.mark.parametrize("star", ["coarse_star", "coarse_static"])
+    def test_factored_rows_come_from_one_call(self, monkeypatch, request, star):
+        # once factored, a far operator gains rows in one call only, the
+        # one that factors it, which fills a dense pair with it: after that
+        # call an n = 5 operator and its pair hold the same nodes.  A dense
+        # operator may grow from call to call
+        p, eos, dle, cls = request.getfixturevalue(star)
+        monkeypatch.setattr(greens, "_TABLE_CACHE", {})
+        monkeypatch.setattr(greens, "_FAR_CACHE", {})
+        call, calls = greens.FarOperator.__call__, []
+
+        def far_call(far, gvals):
+            # per call and cached operator: its nodes after the call, whether
+            # the call factored it and whether it gained rows while factored
+            before = {op: (op.dense, op.nodes.size) for op in greens._FAR_CACHE.values()}
+            out = call(far, gvals)
+            calls.append({op: (op.nodes, dense and not op.dense,
+                               not op.dense and op.nodes.size != size)
+                          for op, (dense, size) in before.items()})
+            return out
+
+        monkeypatch.setattr(greens.FarOperator, "__call__", far_call)
+        PNSolver(p, eos, SolverOptions(33, 25), dle=dle, classical=cls).solve()
+        factored = [op for op in greens._FAR_CACHE.values() if not op.dense]
+        assert sorted(op.n for op in factored) == ([3, 3, 5, 5] if p.b_rot else [3, 3])
+        for op in factored:
+            made = [k for k, c in enumerate(calls) if op in c and c[op][1]]
+            grew = [k for k, c in enumerate(calls) if op in c and c[op][2]]
+            assert grew == made and len(made) == 1
+            if op.n == 5:
+                after = calls[made[0]]
+                assert np.array_equal(after[op][0], after[op.pair][0])
