@@ -46,4 +46,21 @@ MUTANTS = [
         "why": "the frame-dragging potential no longer solves the R02 Einstein equation "
                "(its residual refines at order 1.16)",
     },
+    {
+        "id": "v-gauge-constant-times-1.01",
+        "file": "pn.py",
+        "old": "C_inf = float(coef[0])",
+        "new": "C_inf = float(coef[0]) * 1.01",
+        "tests": ["tests/test_acceptance.py::TestAcceptance::test_criterion_14_elementary_flatness"],
+        "why": "V's far-arc constant is 1 % off, so K leaves log(Pi/varpi) on the axis "
+               "(the gap refines at order 0.89)",
+    },
+    {
+        "id": "pair-fill-swaps-the-lattice",
+        "file": "greens.py",
+        "old": "found, fills, kvs, lats, accs",
+        "new": "found, fills, kvs, lats[::-1], accs",
+        "tests": ["tests/test_greens.py::TestColumnFill::test_pair_fill_matches_own_fills"],
+        "why": "a paired fill hands each table the other's lattice kernel values",
+    },
 ]

@@ -124,28 +124,26 @@ def _fd1(arr, h, axis, parity):
 
 def _cells(shape, h, xq, yq):
     """Bilinear cells of query points on a uniform grid starting at 0: the
-    flat indices of each cell's four corners and the weights 1 - t and t
-    along each axis."""
+    flat index of each cell's lower corner, the grid's row length and the
+    weight t of the upper node along each axis."""
     nx, ny = shape
     fx = np.clip(xq / h, 0.0, nx - 1.0 - 1e-12)
     fy = np.clip(yq / h, 0.0, ny - 1.0 - 1e-12)
     ix = fx.astype(int)
     iy = fy.astype(int)
-    tx = fx - ix
-    ty = fy - iy
-    k00 = ix * ny + iy
-    return (k00, k00 + ny, k00 + 1, k00 + ny + 1), (1 - tx, tx, 1 - ty, ty)
+    return ix * ny + iy, ny, fx - ix, fy - iy
 
 
 def _combine(vals, cells):
     """Bilinear values of vals from _cells of its shape."""
-    (k00, k10, k01, k11), (sx, tx, sy, ty) = cells
+    k00, ny, tx, ty = cells
+    sx, sy = 1 - tx, 1 - ty
     flat = vals.ravel()
     return (
         flat[k00] * sx * sy
-        + flat[k10] * tx * sy
-        + flat[k01] * sx * ty
-        + flat[k11] * tx * ty
+        + flat[k00 + ny] * tx * sy
+        + flat[k00 + 1] * sx * ty
+        + flat[k00 + ny + 1] * tx * ty
     )
 
 

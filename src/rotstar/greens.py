@@ -26,6 +26,8 @@ table starts empty and gains columns, as a prefix, only through
 KernelTable.fill: apply and rows fill up to the last column their sources
 carry, and get_table(P, n) tops the cached table up to every column;
 GreenOps.table and GreenOps.far_operator, the solver's lookups, fill none.
+An n = 5 table's fill tops up its pair, the n = 3 table, from the same
+kernel passes: a rotating solve fills both so, a static one n = 3 alone.
 Both parts reach the other patch by one Kelvin transfer,
 GreenOps._patch_potential: bilinear at the images inside the source patch,
 the shared FarOperator at the images outside it (the masks in GreenOps.far),
@@ -35,10 +37,9 @@ FarOperator holds dense nodal rows until its source outgrows its sketch,
 then an interpolative decomposition.  The call that factors it fills it
 once, with a side's dense n = 3 pair when it is that side's n = 5
 operator, from one ring_kernel pass; every other fill is one operator's
-own.  An all-zero part is not
-transferred: its potential is an exact zero, returned before any table or
-far-operator lookup.  That covers a source zero on both patches (a static
-star's Y) and every compact source's tail.
+own.  An all-zero part is not transferred: its potential is an exact zero,
+returned before any table or far-operator lookup.  That covers a source
+zero on both patches (a static star's Y) and every compact source's tail.
 
 LOpSolver solves the Helmholtz-like interior problem (L_3 + coef) W + g = 0
 as a direct dense Nystrom system, its exterior tail by tail_potential.
@@ -56,7 +57,7 @@ from scipy.linalg.lapack import dgeqp3
 from scipy.special import ellipe, ellipk
 
 from .errors import DecayError, DomainError, SolverError
-from .fields import AxiField, _bilinear
+from .fields import AxiField, _cells, _combine
 
 # |S^(n-2)| and the fundamental-solution normalization (n-2) |S^(n-1)|
 SPHERE_AREA = {3: 2.0 * math.pi, 4: 4.0 * math.pi, 5: 2.0 * math.pi**2}
@@ -170,16 +171,18 @@ RCOND_RAISE = 1e-13  # LOpSolver: smallest reciprocal condition number it factor
 
 def _cached_table(P, n):
     """The cached unit-spacing kernel table of (P, n), made empty on the first
-    lookup; it serves every patch of at most P nodes."""
+    lookup; it serves every patch of at most P nodes.  An n = 5 table is made
+    with its pair, the n = 3 table of P, looked up first."""
     if (P, n) not in _TABLE_CACHE:
-        _TABLE_CACHE[P, n] = KernelTable(P, n)
+        pair = _cached_table(P, 3) if n == 5 else None
+        _TABLE_CACHE[P, n] = KernelTable(P, n, pair)
     return _TABLE_CACHE[P, n]
 
 
 def get_table(P, n):
     """The cached table of (P, n), topped up to all P source columns by one
-    fill of the columns it lacks.  It is never replaced, so the GreenOps and
-    far operators that hold it see the new columns."""
+    fill of the columns it lacks (with its pair, for n = 5).  It is never
+    replaced, so the GreenOps that hold it see the new columns."""
     table = _cached_table(P, n)
     table.fill(table.P)
     return table
@@ -251,12 +254,13 @@ def _polar_rule():
     return [np.concatenate([part[k].ravel() for part in parts]) for k in range(3)]
 
 
-def _near_integrals(P, n, c0, c1):
-    """acc[i, MC + dni, dnj]: the high-order integral of the ring kernel
-    against the hat product of node (i + dni, dnj) for a target at (i, 0),
-    over the unit cells around it, for |dni| <= MC and lags 0 <= dnj <= MC.
-    Only the entries of nodes i + dni in the source columns c0..c1-1 are
-    complete: the cells with no corner among them are not integrated.
+def _near_integrals(tables, c1):
+    """Per table, acc[i, MC + dni, dnj]: the high-order integral of the ring
+    kernel against the hat product of node (i + dni, dnj) for a target at
+    (i, 0), over the unit cells around it, for |dni| <= MC and lags
+    0 <= dnj <= MC.  Only the entries of nodes i + dni in its new source
+    columns c0..c1-1, c0 = table.ncols, are complete: the cells with no
+    corner among them are not integrated.
 
     The cell at offsets (a, b), a in -MC-1..MC and b in -1..MC, from a
     target in column i feeds its four corner nodes; cells that leave the
@@ -264,24 +268,39 @@ def _near_integrals(P, n, c0, c1):
     The z-hat of lag 0 reaches dz of both signs, and acc sums both.  The
     cells below b = -1 feed only negative lags, which the kernel's evenness
     in dz makes copies of the positive ones, so they are not integrated.
+    One ring_kernel pass per rule covers every table's cells (KernelTable).
     """
+    P = tables[0].P
     I, DI, DJ = (x.ravel() for x in np.meshgrid(np.arange(P), np.arange(-MC - 1, MC + 1),
                                                 np.arange(-1, MC + 1), indexing="ij"))
     keep = (I + DI >= 0) & (I + DI <= P - 2)
     I, DI, DJ = I[keep], DI[keep], DJ[keep]
     # the cells with a corner node, i + dni or i + dni + 1, in c0..c1-1
-    keep = (I + DI >= c0 - 1) & (I + DI < c1)
+    keep = (I + DI >= min(table.ncols for table in tables) - 1) & (I + DI < c1)
     I, DI, DJ = I[keep], DI[keep], DJ[keep]
     polar = (DI >= -1) & (DI <= 0) & (DJ >= -1) & (DJ <= 0)
-    p = np.arange(2)
+    p, ns = np.arange(2), tuple(table.n for table in tables)
+    Si, Sj = 2 * MC + 3, MC + 3
+    flat, vals = [[] for _ in tables], [[] for _ in tables]
+
+    def integrate(cells, kv, rule, *nodes):
+        # each table's corner integrals over its own cells among cells, at
+        # the flat node-patch index of (target i, node offset dni, lag dnj),
+        # offsets -MC-1..MC+1 by lags -1..MC+1
+        for d, table in enumerate(tables):
+            own = (I + DI >= table.ncols - 1)[cells]
+            ex, i, dni, dnj = np.broadcast_arrays(rule(kv[d] if own.all() else kv[d][own]),
+                                                  *(x[own] for x in nodes))
+            flat[d].append(((i * Si + dni + MC + 1) * Sj + dnj + 1).ravel())
+            vals[d].append(ex.ravel())
 
     # tensor Gauss off the target: corner (p, q) is node (a + p, b + q)
     t, wq = _gauss01(N_GAUSS_NEAR)
     hats = _hat_weights(t, wq)
     i, a, b = (x[~polar, None, None] for x in (I, DI, DJ))
     wt = i.astype(float)
-    kv = ring_kernel(n, wt, wt + (a + t[:, None]), b + t)
-    near = (np.einsum("cgh,gp,hq->cpq", kv, hats, hats), i, a + p[:, None], b + p)
+    integrate(~polar, ring_kernel(ns, wt, wt + (a + t[:, None]), b + t),
+              lambda kv: np.einsum("cgh,gp,hq->cpq", kv, hats, hats), i, a + p[:, None], b + p)
 
     # polar Gauss on the cells with a corner on the target, mirrored
     # into the cell by the signs (sx, sz): corner (p, q) at distance
@@ -290,22 +309,108 @@ def _near_integrals(P, n, c0, c1):
     i, a, b = (v[polar, None] for v in (I, DI, DJ))
     sx, sz = 2 * a + 1, 2 * b + 1
     wt = i.astype(float)
-    kv = ring_kernel(n, wt, wt + sx * x, sz * y)
     corner = np.stack([w * (1 - x) * (1 - y), w * (1 - x) * y, w * x * (1 - y), w * x * y])
-    ex = (kv @ corner.T).reshape(-1, 2, 2)
-    i, sx, sz = i[:, :, None], sx[:, :, None], sz[:, :, None]
-    polar_cells = (ex, i, sx * p[:, None], sz * p)
+    integrate(polar, ring_kernel(ns, wt, wt + sx * x, sz * y),
+              lambda kv: (kv @ corner.T).reshape(-1, 2, 2),
+              i[:, :, None], sx[:, :, None] * p[:, None], sz[:, :, None] * p)
 
-    # sum the corner integrals into the node patch, offsets -MC-1..MC+1 by
-    # lags -1..MC+1
-    Si, Sj = 2 * MC + 3, MC + 3
-    flat, vals = [], []
-    for ex, i, dni, dnj in (near, polar_cells):
-        ex, i, dni, dnj = np.broadcast_arrays(ex, i, dni, dnj)
-        flat.append(((i * Si + dni + MC + 1) * Sj + dnj + 1).ravel())
-        vals.append(ex.ravel())
-    acc = np.bincount(np.concatenate(flat), np.concatenate(vals), P * Si * Sj)
-    return acc.reshape(P, Si, Sj)[:, 1:-1, 1:-1]
+    # per table, sum the corner integrals into the node patch
+    return [np.bincount(np.concatenate(f), np.concatenate(v), P * Si * Sj)
+            .reshape(P, Si, Sj)[:, 1:-1, 1:-1] for f, v in zip(flat, vals)]
+
+
+def _build_w2(tables, c1, accs):
+    """Per table, the block C = DCT-I along the lag axis of
+    W2[i, i', lag] = int int k(i, ws, dz) hat_i'(ws) hat_lag(|dz|)
+    for its new source columns i' in rows = table.ncols..c1-1 and every
+    target i, with the near integrals acc of _near_integrals.
+
+    Gauss entries, the 4-point tensor Gauss sums over the cells of the
+    hat supports: the band |i' - i| <= D, lag <= D around the target and
+    the half-hat edges i' = 0, i' = P - 1 and lag = 2P - 2.  Nodal
+    entries, all others: sum_k sum_l s_k s_l k(i, i' + k, lag + l) with
+    s = _hat_stencil(q), on kernel values at the nodes ws within q of
+    rows and dz in 0..2P-2+q, whose ghosts are k(-ws) = (-1)^n k(ws)
+    (the ring potential is even in ws, the ws^(n-2) measure carries the
+    sign) and k(-dz) = k(dz).  The near-cell integrals acc are written
+    over the entries at nodes i' = i + dni and lags |dnj|.  Only the
+    cells that touch rows, the lattice nodes within q of them and their
+    near integrals are evaluated.  The tables' rows end together at c1,
+    so the cells and lattice nodes of the one that starts first hold the
+    others': one ring_kernel pass of their dimensions per target column
+    evaluates each kind, and each table takes its own cells and lattice
+    slice from it.
+    """
+    P, G, q, D = tables[0].P, N_GAUSS_BASE, STENCIL_Q, GAUSS_BAND
+    t, wq = _gauss01(G)
+    hats = _hat_weights(t, wq)
+    s = _hat_stencil(q)
+
+    def fold(m, sign):
+        # the stencil sums on m nodes as one matrix: F[x, j] weighs the
+        # lattice value at node x in 0..m-1+q into node j, the ghost at
+        # -x entering node |x| times sign
+        x = np.arange(m)[:, None] + np.arange(-q, q + 1)
+        F = np.zeros((m + q, m))
+        np.add.at(F, (np.abs(x), np.arange(m)[:, None]), np.where(x < 0, sign, 1.0) * s)
+        return F
+
+    fold_dz = fold(2 * P - 1, 1.0)
+    dz_nodes = np.arange(2 * P - 1 + q, dtype=float)
+    ws_nodes = np.arange(max(min(table.ncols for table in tables) - q, 0), c1 + q, dtype=float)
+    corner, dn, ns = np.arange(2), np.arange(-MC, MC + 1), tuple(table.n for table in tables)
+    fills = []
+    for table in tables:
+        # its rows, slot[x], the W2 row of node x (rows.size, a discarded row,
+        # if x is not in rows), the varpi cells with a corner node in rows,
+        # the edge rows and the fold to rows from its lattice nodes within q
+        # of them (a ghost -x is node x)
+        rows = np.arange(table.ncols, c1)
+        lattice = np.arange(max(table.ncols - q, 0), c1 + q)
+        slot = np.full(P, rows.size)
+        slot[rows] = np.arange(rows.size)
+        fills.append((rows, slot, np.arange(max(table.ncols - 1, 0), min(c1, P - 1)),
+                      (rows == 0) | (rows == P - 1),
+                      fold(P, (-1.0) ** table.n)[np.ix_(lattice, rows)].T,
+                      ws_nodes.size - lattice.size, np.empty((2 * P - 1, P, rows.size))))
+    for i in range(P):
+        found = []
+        for rows, slot, cells, edge, *_ in fills:
+            # row rows.size stays False: nodes outside rows take no Gauss entry
+            gauss = np.zeros((rows.size + 1, 2 * P - 1), dtype=bool)
+            own = gauss[: rows.size]
+            own[np.abs(rows - i) <= D, : D + 1] = True
+            own[edge] = True
+            own[:, -1] = True
+            # the cells (varpi cell a, dz cell b) of those entries' hats
+            hat = gauss[slot[cells]] | gauss[slot[cells + 1]]
+            k, b = np.nonzero(hat[:, :-1] | hat[:, 1:])
+            found.append((own, cells[k], b))
+        # the widest fill's cells, in (a, b) order, hold the others'
+        _, au, bu = max(found, key=lambda f: f[1].size)
+        kvs = ring_kernel(ns, float(i), au[:, None, None] + t[:, None], bu[:, None, None] + t)
+        lats = ring_kernel(ns, float(i), ws_nodes[:, None], dz_nodes[None, :])
+        for (own, a, b), (rows, slot, _, _, fold_ws, lo, C), kv, lat, acc in zip(
+                found, fills, kvs, lats, accs):
+            if a.size < au.size:
+                kv = kv[np.searchsorted(au * 2 * P + bu, a * 2 * P + b)]
+            # c[k, p, q] weighs cell k toward node a + p and lag b + q; the
+            # lag-0 hat also spans dz in [-1, 0], which mirrors the
+            # lower-weighted part of dz-cell 0 by evenness of the kernel
+            c = hats.T @ (kv @ hats)
+            flat = slot[a[:, None] + corner][:, :, None] * (2 * P - 1) + b[:, None, None] + corner
+            low = b == 0
+            W2 = np.bincount(
+                np.concatenate([flat.ravel(), flat[low, :, 0].ravel()]),
+                np.concatenate([c.ravel(), c[low, :, 0].ravel()]),
+                (rows.size + 1) * (2 * P - 1),
+            ).reshape(rows.size + 1, 2 * P - 1)[: rows.size]
+            W2 = np.where(own, W2, fold_ws @ lat[lo:] @ fold_dz)
+            on = np.flatnonzero((i + dn >= 0) & (i + dn < P))
+            on = on[slot[i + dn[on]] < rows.size]
+            W2[slot[i + dn[on]], : MC + 1] = acc[i, on]
+            C[:, i] = dct(W2, type=1, axis=1).T
+    return [f[-1] for f in fills]
 
 
 def far_weights(n, src, wt, zt, p):
@@ -325,7 +430,7 @@ def far_weights(n, src, wt, zt, p):
         zs = j.astype(float)
         kv = ring_kernel(n, wt[None, :], ws, zt[None, :] - zs)
         # the z < 0 mirror image of every node off the z = 0 row
-        kv += np.where(j > 0, 1.0, 0.0) * ring_kernel(n, wt[None, :], ws, zt[None, :] + zs)
+        np.add(kv, ring_kernel(n, wt[None, :], ws, zt[None, :] + zs), out=kv, where=j > 0)
         kv *= colw[i]
         yield k0, kv
 
@@ -424,106 +529,30 @@ class KernelTable:
     integrals, against 32 P^3 for Gauss sums on every cell.  Each target
     column's slab gets its near integrals and is transformed into the new
     block's C before the next one is built.
+
+    pair, given to the cached n = 5 table, is the n = 3 table of its P: a
+    fill to ncols tops it up to ncols too, each ring_kernel call above taking
+    (3, 5), and each block is bit for bit its own fill's (_build_w2).
     """
 
-    def __init__(self, P, n):
+    def __init__(self, P, n, pair=None):
         self.P = int(P)
         self.n = int(n)
+        self.pair = pair
         self.ncols = 0
         self.blocks = []
 
     def fill(self, ncols):
         """Build the spectra of the source columns from self.ncols to
-        ncols - 1, as one new block; the blocks already filled are not touched."""
-        c0 = self.ncols
-        if ncols <= c0:
+        ncols - 1, as one new block, and its pair's to ncols; the blocks
+        already filled are not touched."""
+        if ncols <= self.ncols:
             return
+        tables = [t for t in (self.pair, self) if t is not None and t.ncols < ncols]
         # the near integrals' temporaries are freed before C is allocated
-        acc = _near_integrals(self.P, self.n, c0, ncols)
-        self.blocks.append((c0, self._build_w2(c0, ncols, acc)))
-        self.ncols = ncols
-
-    def _build_w2(self, c0, c1, acc):
-        """The block C = DCT-I along the lag axis of
-        W2[i, i', lag] = int int k(i, ws, dz) hat_i'(ws) hat_lag(|dz|)
-        for the source columns i' in rows = c0..c1-1 and every target i.
-
-        Gauss entries, the 4-point tensor Gauss sums over the cells of the
-        hat supports: the band |i' - i| <= D, lag <= D around the target and
-        the half-hat edges i' = 0, i' = P - 1 and lag = 2P - 2.  Nodal
-        entries, all others: sum_k sum_l s_k s_l k(i, i' + k, lag + l) with
-        s = _hat_stencil(q), on kernel values at the nodes ws within q of
-        rows and dz in 0..2P-2+q, whose ghosts are k(-ws) = (-1)^n k(ws)
-        (the ring potential is even in ws, the ws^(n-2) measure carries the
-        sign) and k(-dz) = k(dz).  The near-cell integrals acc of
-        _near_integrals are written over the entries at nodes i' = i + dni
-        and lags |dnj|.  Only the cells that touch rows, the lattice nodes
-        within q of them and their near integrals are evaluated.
-        """
-        P, G, q, D = self.P, N_GAUSS_BASE, STENCIL_Q, GAUSS_BAND
-        rows = np.arange(c0, c1)
-        nrows = rows.size
-        t, wq = _gauss01(G)
-        hats = _hat_weights(t, wq)
-        s = _hat_stencil(q)
-
-        def fold(m, sign):
-            # the stencil sums on m nodes as one matrix: F[x, j] weighs the
-            # lattice value at node x in 0..m-1+q into node j, the ghost at
-            # -x entering node |x| times sign
-            x = np.arange(m)[:, None] + np.arange(-q, q + 1)
-            F = np.zeros((m + q, m))
-            np.add.at(F, (np.abs(x), np.arange(m)[:, None]), np.where(x < 0, sign, 1.0) * s)
-            return F
-
-        # the lattice nodes within q of rows (a ghost -x is node x), and the
-        # fold from them to rows
-        lattice = np.arange(max(c0 - q, 0), c1 + q)
-        fold_ws = fold(P, (-1.0) ** self.n)[np.ix_(lattice, rows)].T
-        fold_dz = fold(2 * P - 1, 1.0)
-        ws_nodes = lattice.astype(float)
-        dz_nodes = np.arange(2 * P - 1 + q, dtype=float)
-        # slot[x]: the W2 row of node x, nrows (a discarded row) if x is not
-        # in rows
-        slot = np.full(P, nrows)
-        slot[rows] = np.arange(nrows)
-        # the varpi cells with a corner node in rows
-        cells = np.arange(max(c0 - 1, 0), min(c1, P - 1))
-        edge = (rows == 0) | (rows == P - 1)
-        corner = np.arange(2)
-        dn = np.arange(-MC, MC + 1)
-        C = np.empty((2 * P - 1, P, nrows))
-        for i in range(P):
-            # row nrows stays False: nodes outside rows take no Gauss entry
-            gauss = np.zeros((nrows + 1, 2 * P - 1), dtype=bool)
-            own = gauss[:nrows]
-            own[np.abs(rows - i) <= D, : D + 1] = True
-            own[edge] = True
-            own[:, -1] = True
-            # the cells (varpi cell a, dz cell b) of those entries' hats
-            hat = gauss[slot[cells]] | gauss[slot[cells + 1]]
-            k, b = np.nonzero(hat[:, :-1] | hat[:, 1:])
-            a = cells[k]
-            kv = ring_kernel(self.n, float(i), (a[:, None] + t)[:, :, None],
-                             (b[:, None] + t)[:, None, :])
-            # c[k, p, q] weighs cell k toward node a + p and lag b + q; the
-            # lag-0 hat also spans dz in [-1, 0], which mirrors the
-            # lower-weighted part of dz-cell 0 by evenness of the kernel
-            c = hats.T @ (kv @ hats)
-            flat = slot[a[:, None] + corner][:, :, None] * (2 * P - 1) + b[:, None, None] + corner
-            low = b == 0
-            W2 = np.bincount(
-                np.concatenate([flat.ravel(), flat[low, :, 0].ravel()]),
-                np.concatenate([c.ravel(), c[low, :, 0].ravel()]),
-                (nrows + 1) * (2 * P - 1),
-            ).reshape(nrows + 1, 2 * P - 1)[:nrows]
-            lat = ring_kernel(self.n, float(i), ws_nodes[:, None], dz_nodes[None, :])
-            W2 = np.where(own, W2, fold_ws @ lat @ fold_dz)
-            on = np.flatnonzero((i + dn >= 0) & (i + dn < P))
-            on = on[slot[i + dn[on]] < nrows]
-            W2[slot[i + dn[on]], : MC + 1] = acc[i, on]
-            C[:, i] = dct(W2, type=1, axis=1).T
-        return C
+        for table, C in zip(tables, _build_w2(tables, ncols, _near_integrals(tables, ncols))):
+            table.blocks.append((table.ncols, C))
+            table.ncols = int(ncols)
 
     # -- application ----------------------------------------------------------
 
@@ -816,9 +845,13 @@ class FarOperator:
     def _write_rows(self, ops, src, outs):
         """Write into outs[d] the far_weights of the source nodes src at the
         skeleton of ops[d], from one pass at the union J of the skeletons
-        (every target while an operator is dense)."""
-        J = np.unique(np.concatenate([op.skeleton for op in ops]))
-        cols = [np.searchsorted(J, op.skeleton) for op in ops]
+        (every target while an operator is dense), this operator's first, so
+        its rows are a leading slice of each block."""
+        J = np.concatenate([self.skeleton, np.setdiff1d(ops[0].skeleton, self.skeleton)])
+        at = np.empty(self.wt.size, dtype=np.intp)
+        at[J] = np.arange(J.size)
+        cols = [slice(op.rank) if np.array_equal(op.skeleton, J[: op.rank]) else at[op.skeleton]
+                for op in ops]
         dims = tuple(op.n for op in ops)
         for k0, block in far_weights(dims, src, self.wt[J], self.zt[J], self.P):
             for out, c, b in zip(outs, cols, block):
@@ -854,23 +887,34 @@ class GreenOps:
         }
         # this star's far targets among the shared operator's, in its order
         self._far_rows = {side: m[far_mask(m.shape[0])] for side, m in self.far.items()}
-        # lookups: each table, the blocks this grid's calls filled in it, and
-        # each far operator
-        self._tables, self._added, self._fars, self._made = {}, {}, {}, set()
+        # per side, the other patch's nodes imaged inside the source patch,
+        # with their bilinear cells there
+        self._near = {}
+        for side, (other, h) in {"int": ("star", g.h_int), "star": ("int", g.h_ext)}.items():
+            w, z, r = g.images[other]
+            near = np.isfinite(r) & ~self.far[side]
+            self._near[side] = near, _cells(g.images[side][2].shape, h, w[near], z[near])
+        # tail_potential's masks: 0 < r* <= R0/4, and the band r* >= R0/2
+        self._tail_masks = (g.RS <= 0.25 * g.R0) & (g.RS > 0), g.RS >= 0.5 * g.R0
+        # lookups: each table, the dimensions of those this grid's calls
+        # filled a block in, and each far operator
+        self._tables, self._filled, self._fars, self._made = {}, set(), {}, set()
 
     def table(self, n):
         """The kernel table of dimension n both patches use, sized to the
-        larger one, looked up without filling any column."""
+        larger one (an n = 5 one listed with its pair), filling no column."""
         if n not in self._tables:
-            self._tables[n] = _cached_table(max(self.grid.n_int, self.grid.n_ext), n)
+            table = _cached_table(max(self.grid.n_int, self.grid.n_ext), n)
+            self._tables.update({t.n: t for t in (table.pair, table) if t is not None})
         return self._tables[n]
 
     def use_table(self, n, method, *args):
-        """table(n).method(*args) (apply, rows, fill), counting the blocks it fills."""
+        """table(n).method(*args) (apply, rows, fill), noting the tables it fills."""
         table = self.table(n)
-        blocks = len(table.blocks)
+        tables = [t for t in (table.pair, table) if t is not None]
+        blocks = [len(t.blocks) for t in tables]
         out = getattr(table, method)(*args)
-        self._added[n] = self._added.get(n, 0) + len(table.blocks) - blocks
+        self._filled.update(t.n for t, k in zip(tables, blocks) if len(t.blocks) > k)
         return out
 
     def far_operator(self, side, n):
@@ -896,7 +940,7 @@ class GreenOps:
         filled a block of the table, or this grid made the far operator (an
         n = 5 lookup makes its pair too); the others are cache hits."""
         tables = {f"P{t.P}_n{t.n}": {"bytes": t.nbytes, "columns": t.ncols,
-                                     "fills": len(t.blocks), "built": self._added.get(n, 0) > 0}
+                                     "fills": len(t.blocks), "built": n in self._filled}
                   for n, t in self._tables.items()}
         far = {f"{side}_n{n}": {"dense": op.dense, "rank": None if op.dense else op.rank,
                                 "qr_columns": op.qr_columns,
@@ -925,14 +969,12 @@ class GreenOps:
         An all-zero source has exact zeros on both, with no lookup."""
         g = self.grid
         h, other = (g.h_int, "star") if side == "int" else (g.h_ext, "int")
-        w, z, r = g.images[other]
+        far, (near, cells) = self.far[side], self._near[side]
         if not np.any(src):
-            return np.zeros(src.shape), np.zeros(r.shape)
+            return np.zeros(src.shape), np.zeros(far.shape)
         own = h**2 * self.use_table(n, "apply", src)
-        far = self.far[side]
-        near = np.isfinite(r) & ~far
-        vals = np.zeros(r.shape)
-        vals[near] = _bilinear(own, h, w[near], z[near])
+        vals = np.zeros(far.shape)
+        vals[near] = _combine(own, cells)
         vals[far] = h**2 * self.far_operator(side, n)(src)[self._far_rows[side]]
         vals *= g.weight(other, 2 - n)  # (r/R0)^(n-2) at the images
         vals[0, 0] = h**n * total_mass(n, src) / (FUND_NORM[n] * g.R0 ** (n - 2))
@@ -945,11 +987,10 @@ class GreenOps:
         origin-image raises DecayError; a zero one has exact zeros, no lookup."""
         g = self.grid
         src_dia = g.weight("star", -4) * g_inf_star
-        inner = (g.RS <= 0.25 * g.R0) & (g.RS > 0)
         # compare against the tail scale on the outer starred band, where any
         # admissible tail is O(1); a diverging diamond source means the decay
         # index overstates the actual falloff
-        band = g.RS >= 0.5 * g.R0
+        inner, band = self._tail_masks
         band_scale = float(np.max(np.abs(g_inf_star[band]))) + 1e-300
         if np.any(np.abs(src_dia[inner]) > 1e3 * band_scale):
             raise DecayError("exterior tail decays too slowly for the diamond route")

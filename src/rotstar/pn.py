@@ -613,9 +613,9 @@ class PNSolver:
         # W's sources, and a rotating star's Y's, reach every column that a
         # source on the table's P nodes can carry, 0..P-2, so those tables
         # are filled here in one block each rather than a block per first
-        # use; X's source, the pressure, fills its few columns on demand
-        for n in (3, 5) if p.b_rot > 0 else (3,):
-            self.ops.use_table(n, "fill", self.ops.table(n).P - 1)
+        # use, n = 3 as n = 5's pair in a rotating star; X's source, the
+        # pressure, fills its few columns on demand
+        self.ops.use_table(5 if p.b_rot > 0 else 3, "fill", self.ops.table(3).P - 1)
 
         def step(outer):
             V, WYX, _ = outer

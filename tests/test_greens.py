@@ -1200,7 +1200,10 @@ def loop_build(P, n):
 def oneshot_ring_kernel(n, wt, ws, dz):
     """ring_kernel on the whole broadcast input at once, without blocks and
     with a fresh array for each intermediate: the reference for
-    ring_kernel's blocked, in-place evaluation."""
+    ring_kernel's blocked, in-place evaluation.  A tuple n stacks the
+    kernels of its dimensions, as ring_kernel does."""
+    if isinstance(n, tuple):
+        return np.stack([oneshot_ring_kernel(k, wt, ws, dz) for k in n])
     wt, ws, dz = (np.asarray(x, dtype=float) for x in (wt, ws, dz))
     scalar = wt.ndim == ws.ndim == dz.ndim == 0
     wt, ws, dz = np.atleast_1d(wt, ws, dz)
@@ -1352,7 +1355,7 @@ class TestBatchedBuild:
                 return ring_kernel(n, wt, ws, dz) * (side * dz > 0)
 
             monkeypatch.setattr(greens, "ring_kernel", one_side)
-            halves.append(greens._near_integrals(P, n, 0, P)[:, :, 0])
+            halves.append(greens._near_integrals([KernelTable(P, n)], P)[0][:, :, 0])
         assert np.max(np.abs(halves[0])) > 0.1 * scale
         assert np.max(np.abs(halves[0] - halves[1])) <= 1e-15 * scale
 
@@ -1498,6 +1501,28 @@ class TestColumnFill:
         assert all(a is b for a, b in zip(table.blocks, earlier))
         assert table.ncols == table.P
         self.assert_columns_match(table, whole_table(g.n_int, n))
+
+    @pytest.mark.parametrize("setup", [9, 0])
+    def test_pair_fill_matches_own_fills(self, monkeypatch, setup):
+        # an n = 5 fill tops its n = 3 pair up to the same column count, one
+        # ring_kernel pass of (3, 5) per target column and one per near
+        # rule, and each table gets the block a fill of its own gives, bit
+        # for bit: after an n = 3 set-up block, as a solve fills it, and
+        # with both tables empty
+        P = 33
+        n3, own3, own5 = KernelTable(P, 3), KernelTable(P, 3), KernelTable(P, 5)
+        n5 = KernelTable(P, 5, n3)
+        for table in (n3, own3):
+            table.fill(setup)
+        for table in (own3, own5):
+            table.fill(P - 1)
+        calls = count_calls(monkeypatch, greens, "ring_kernel")
+        n5.fill(P - 1)
+        assert [args[0] for args in calls] == [(3, 5)] * (2 * P + 2)
+        for table, own in ((n3, own3), (n5, own5)):
+            assert table.ncols == own.ncols == P - 1
+            assert [(c0, C.shape) for c0, C in table.blocks] == [(c0, C.shape) for c0, C in own.blocks]
+            assert all(C.tobytes() == D.tobytes() for (_, C), (_, D) in zip(table.blocks, own.blocks))
 
     def test_built_means_this_grid_filled(self):
         # built marks a table this grid gave new columns and a far operator

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -335,8 +336,8 @@ class TestInnerOuter:
                 rep["far_operators"]
             )
             # one table per dimension, sized to the larger patch, serves both;
-            # W's and Y's tables are filled in one block each by the solve,
-            # after the set-up's Newtonian fill of n = 3, and X's on demand
+            # Y's table is filled in one block by the solve, which tops W's up
+            # past the set-up's Newtonian fill of n = 3, and X's on demand
             tables = rep["kernel_tables"]
             assert sorted(tables) == ["P65_n3", "P65_n4", "P65_n5"]
             assert [tables[key]["fills"] for key in sorted(tables)] == [2, 1, 1]
@@ -377,6 +378,17 @@ class TestInnerOuter:
         first = rotating_sweep[EPS_SWEEP[0]].diagnostics["green_ops"]
         assert first["builds"] == len(first["kernel_tables"]) + len(first["far_operators"])
         assert rotating_sweep[EPS_SWEEP[-1]].diagnostics["green_ops"]["builds"] == 0
+        # n = 3 counts as built by the first star, filled in its set-up and
+        # topped up as n = 5's pair
+        assert first["kernel_tables"]["P65_n3"]["built"]
+
+    def test_cache_report_is_plain_json(self, rotating_sweep):
+        # every value of the report is a Python scalar, so it serializes
+        # with no default= hook, and a table's columns stay an integer
+        for res in rotating_sweep.values():
+            rep = res.diagnostics["green_ops"]
+            assert json.loads(json.dumps(rep)) == rep
+            assert all(type(t["columns"]) is int for t in rep["kernel_tables"].values())
 
     def test_static_star_uses_no_n5_operator(self, static_sweep):
         # Y's source is zero without rotation, so its n = 5 inverse is an
@@ -609,6 +621,46 @@ class TestFarWork:
         # than ellipe; the factoring call evaluates its dense rows again
         assert setup == {"ellipk": 4636, "ellipe": 0}
         assert counts == {"ellipk": 355608, "ellipe": 350972}
+        assert counts["ellipk"] - counts["ellipe"] == setup["ellipk"]
+
+    def test_table_work(self, monkeypatch, coarse_star):
+        # the set-up fills the n = 3 table's Newtonian columns; the solve's
+        # n = 5 fill tops its n = 3 pair up from the same kernel passes, so
+        # every elliptic modulus after the set-up is evaluated once, by K and
+        # E both.  The elliptic integrals are counted inside the table fills
+        p, eos, dle, cls = coarse_star
+        monkeypatch.setattr(greens, "_TABLE_CACHE", {})
+        monkeypatch.setattr(greens, "_FAR_CACHE", {})
+        counts, inside, fills = {"ellipk": 0, "ellipe": 0}, [], []
+        for name in counts:
+            fn = getattr(greens, name)
+
+            def wrapped(m, fn=fn, name=name, **kwargs):
+                if inside:
+                    counts[name] += np.size(m)
+                return fn(m, **kwargs)
+
+            monkeypatch.setattr(greens, name, wrapped)
+        fill = greens.KernelTable.fill
+
+        def counted_fill(table, ncols):
+            fills.append((table.n, table.ncols, ncols))
+            inside.append(table)
+            try:
+                return fill(table, ncols)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(greens.KernelTable, "fill", counted_fill)
+        solver = PNSolver(p, eos, SolverOptions(33, 25), dle=dle, classical=cls)
+        setup = dict(counts)
+        solver.solve()
+        tables = {n: greens._TABLE_CACHE[33, n] for n in (3, 4, 5)}
+        assert [(c0, C.shape[2]) for c0, C in tables[3].blocks] == [(0, 5), (5, 27)]
+        assert [(c0, C.shape[2]) for c0, C in tables[5].blocks] == [(0, 32)]
+        assert tables[5].pair is tables[3]
+        assert setup == {"ellipk": 97516, "ellipe": 0}
+        assert counts == {"ellipk": 560954, "ellipe": 463438}
         assert counts["ellipk"] - counts["ellipe"] == setup["ellipk"]
 
     @pytest.mark.parametrize("star", ["coarse_star", "coarse_static"])
