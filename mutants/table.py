@@ -58,9 +58,79 @@ MUTANTS = [
     {
         "id": "pair-fill-swaps-the-lattice",
         "file": "greens.py",
-        "old": "found, fills, kvs, lats, accs",
-        "new": "found, fills, kvs, lats[::-1], accs",
+        "old": "fills, kvs, lats, accs",
+        "new": "fills, kvs, lats[::-1], accs",
         "tests": ["tests/test_greens.py::TestColumnFill::test_pair_fill_matches_own_fills"],
         "why": "a paired fill hands each table the other's lattice kernel values",
+    },
+    {
+        "id": "pair-fill-reads-the-wrong-rows",
+        "file": "greens.py",
+        "old": "W2[off : rows.size]",
+        "new": "W2[: rows.size - off]",
+        "tests": ["tests/test_greens.py::TestColumnFill::test_pair_fill_matches_own_fills"],
+        "why": "the table that starts later in a paired fill reads the shared slab's "
+               "leading rows, the other table's columns",
+    },
+    {
+        "id": "gauss-band-4",
+        "file": "greens.py",
+        "old": "GAUSS_BAND = 16",
+        "new": "GAUSS_BAND = 4",
+        "tests": ["tests/test_greens.py::TestBatchedBuild::test_matches_loop_build",
+                  "tests/test_greens.py::TestNodalRule::test_entry_classes_against_12_point"],
+        "why": "the stencil sums replace the Gauss sums next to the target, where the "
+               "kernel is not smooth on the stencil's span",
+    },
+    {
+        "id": "fold-parity-sign",
+        "file": "greens.py",
+        "old": "fold(P, (-1.0) ** table.n)",
+        "new": "fold(P, (-1.0) ** (table.n + 1))",
+        "tests": ["tests/test_greens.py::TestBatchedBuild::test_matches_loop_build"],
+        "why": "the ghost nodes below ws = 0 take the wrong sign of the ws^(n-2) measure",
+    },
+    {
+        "id": "diamond-exponent-3",
+        "file": "greens.py",
+        "old": 'g.weight("star", -4) * g_inf_star',
+        "new": 'g.weight("star", -3) * g_inf_star',
+        "tests": ["tests/test_greens.py::TestGlobalInverse::test_plummer_potential"],
+        "why": "the exterior tail's diamond source is (R0/r*)^3 g, not the Kelvin "
+               "transform's (R0/r*)^4 g",
+    },
+    {
+        "id": "far-sketch-rows-1",
+        "file": "greens.py",
+        "old": "FAR_SKETCH_ROWS = 8",
+        "new": "FAR_SKETCH_ROWS = 1",
+        "tests": ["tests/test_greens.py::TestCachedQuadrature::test_matches_eval_at"],
+        "why": "a sketch of P source nodes misses the far operator's rank",
+    },
+    {
+        "id": "far-mask-strict",
+        "file": "greens.py",
+        "old": "(q <= (P_t - 1) ** 2)",
+        "new": "(q < (P_t - 1) ** 2)",
+        "tests": ["tests/test_greens.py::TestCachedQuadrature::test_float_masks_inside_integer_set"],
+        "why": "the shared far targets leave out the boundary circle, which a star's "
+               "float mask can hold",
+    },
+    {
+        "id": "J-with-R0-squared",
+        "file": "pn.py",
+        "old": "self.params.R0**3 / (2.0 * self.params.G_grav)",
+        "new": "self.params.R0**2 / (2.0 * self.params.G_grav)",
+        "tests": ["tests/test_pn.py::TestInnerOuter::test_fit_mass_matches_tail_mass"],
+        "why": "J from Y's starred origin takes R0^2 for the R0^3 of A's 1/r^3 tail",
+    },
+    {
+        "id": "omega-times-1.005",
+        "file": "pn.py",
+        "old": "return params.Omega_O * chi(",
+        "new": "return 1.005 * params.Omega_O * chi(",
+        "tests": ["tests/test_acceptance.py::TestAcceptance::test_criterion_13_newtonian_profile"],
+        "why": "Omega^2 is 1 % off against the distorted profile's b, so the rotational "
+               "part of u_N leaves the profile's (the gap holds at 1.1e-2, order 0.1)",
     },
 ]

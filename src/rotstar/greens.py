@@ -70,56 +70,35 @@ def ring_kernel(n, wt, ws, dz):
     Symmetric under (wt, ws) swap up to the ws^(n-2) measure factor; the
     coincidence singularity is logarithmic and is masked to zero here (the
     near-cell integrals own those cells).  Coincident and axis points
-    (B / (A + B) < 1e-14) get their own values patched in only when a block
-    has any, so a generic call makes no masking pass.
+    (B / (A + B) < 1e-14) get their own values patched in only when the
+    input has any, so a generic call makes no masking pass.
 
     n may also be a tuple of dimensions, such as (3, 5): their kernels come
     from one pass, which computes A, B, m, K(m) and sqrt(A + B) once, stacked
     on a new leading axis, each bit for bit the kernel of that n alone.
 
-    The broadcast output is evaluated in blocks of about RING_BLOCK values
-    along its leading axis, so the dozen temporaries of the n = 5 formula
-    stay in cache.  Each value goes through the same operations whatever
-    the block, so the result does not depend on the blocking.
+    The whole broadcast is one pass, its full-shape intermediates computed
+    in place: out[0] holds A + B until the last division, beside A and m
+    (and K and E for n = 5).  Each value goes through the operations of its
+    formula written out, in its order, so each output is bit-identical to
+    it.  far_weights batches the far calls, in blocks of _FAR_BLOCK.
     """
     ns = n if isinstance(n, tuple) else (n,)
     if ns not in ((3,), (4,), (5,), (3, 5)):
         raise DomainError(f"unsupported dimension n={n}")
     wt, ws, dz = (np.asarray(x, dtype=float) for x in (wt, ws, dz))
     scalar = wt.ndim == ws.ndim == dz.ndim == 0
-    shape = np.broadcast_shapes(wt.shape, ws.shape, dz.shape) or (1,)
-    # each input at the output's rank: its leading axis is 1 or shape[0]
-    args = [x.reshape((1,) * (len(shape) - x.ndim) + x.shape) for x in (wt, ws, dz)]
-    out = np.empty((len(ns), *shape))
-    step = max(1, RING_BLOCK // max(1, math.prod(shape[1:])))
-    for k0 in range(0, shape[0], step):
-        rows = slice(k0, k0 + step)
-        _ring_block(ns, *(x[rows] if x.shape[0] > 1 else x for x in args), out[:, rows])
-    if isinstance(n, tuple):
-        return out[:, 0] if scalar else out
-    return float(out[0, 0]) if scalar else out[0]
-
-
-def _ring_block(ns, wt, ws, dz, out):
-    """ring_kernel of the dimensions ns on one block, out[k] for ns[k].
-
-    The full-shape intermediates are computed in place: out[0] holds A + B
-    until the last division, and the block allocates A and m beside it (and
-    K and E for n = 5).  Coincidence and the axis are each tested by one
-    reduction, and their masks are built only in a block that has such
-    points.  Every value goes through the operations of its formula written
-    out, in its order, so each output is bit-identical to it.
-    """
+    out = np.empty((len(ns), *(np.broadcast_shapes(wt.shape, ws.shape, dz.shape) or (1,))))
     A = np.add((wt - ws) ** 2, dz**2, out=np.empty(out.shape[1:]))
     B = 4.0 * wt * ws
-    has_diag = A.min() <= 0.0
+    has_diag = A.min(initial=1.0) <= 0.0
     if has_diag:
         diag = A <= 0.0
         A[diag] = 1.0  # stand-in; zeroed at the end
     AB = np.add(A, B, out=out[0])
     m = B / AB
 
-    has_axis = ns != (3,) and m.min() < 1e-14
+    has_axis = ns != (3,) and m.min(initial=1.0) < 1e-14
     if has_axis:
         axis = m < 1e-14
         ws_ax, A_ax = np.broadcast_to(ws, AB.shape)[axis], A[axis]
@@ -146,17 +125,19 @@ def _ring_block(ns, wt, ws, dz, out):
             # ws K / (pi sqrt(A + B))
             AB *= math.pi
             np.divide(np.multiply(K, ws, out=K), AB, out=AB)
-    for n, o in zip(ns, out):
-        if has_axis and n != 3:
-            o[axis] = ws_ax**2 / (math.pi * A_ax) if n == 4 else ws_ax**3 / (4.0 * A_ax**1.5)
+    for k, o in zip(ns, out):
+        if has_axis and k != 3:
+            o[axis] = ws_ax**2 / (math.pi * A_ax) if k == 4 else ws_ax**3 / (4.0 * A_ax**1.5)
         if has_diag:
             o[diag] = 0.0
+    if isinstance(n, tuple):
+        return out[:, 0] if scalar else out
+    return float(out[0, 0]) if scalar else out[0]
 
 
-RING_BLOCK = 1 << 14  # ring_kernel values per cache-resident block
 _TABLE_CACHE = {}
 _FAR_CACHE = {}
-_FAR_BLOCK = 1 << 16  # kernel evaluations per block of far-field weights
+_FAR_BLOCK = 1 << 14  # kernel evaluations per block of far-field weights
 FAR_RANK_TOL = 1e-14  # far skeleton: QR pivots above this fraction of the first
 QP3_CROSSOVER = 128  # dgeqp3's unblocked tail: reference ilaenv's crossover for dgeqrf
 FAR_SKETCH_ROWS = 8  # far sketch: about this many source nodes per table node count
@@ -258,9 +239,9 @@ def _near_integrals(tables, c1):
     """Per table, acc[i, MC + dni, dnj]: the high-order integral of the ring
     kernel against the hat product of node (i + dni, dnj) for a target at
     (i, 0), over the unit cells around it, for |dni| <= MC and lags
-    0 <= dnj <= MC.  Only the entries of nodes i + dni in its new source
-    columns c0..c1-1, c0 = table.ncols, are complete: the cells with no
-    corner among them are not integrated.
+    0 <= dnj <= MC.  Only the entries of nodes i + dni in the fill's source
+    columns c0..c1-1, c0 the smallest table.ncols, are complete: the cells
+    with no corner among them are not integrated.
 
     The cell at offsets (a, b), a in -MC-1..MC and b in -1..MC, from a
     target in column i feeds its four corner nodes; cells that leave the
@@ -268,38 +249,35 @@ def _near_integrals(tables, c1):
     The z-hat of lag 0 reaches dz of both signs, and acc sums both.  The
     cells below b = -1 feed only negative lags, which the kernel's evenness
     in dz makes copies of the positive ones, so they are not integrated.
-    One ring_kernel pass per rule covers every table's cells (KernelTable).
+    The cells, one ring_kernel pass of the tables' dimensions per rule and
+    the scatter into the node patch serve every table (KernelTable).
     """
-    P = tables[0].P
+    P, c0 = tables[0].P, min(table.ncols for table in tables)
     I, DI, DJ = (x.ravel() for x in np.meshgrid(np.arange(P), np.arange(-MC - 1, MC + 1),
                                                 np.arange(-1, MC + 1), indexing="ij"))
-    keep = (I + DI >= 0) & (I + DI <= P - 2)
-    I, DI, DJ = I[keep], DI[keep], DJ[keep]
-    # the cells with a corner node, i + dni or i + dni + 1, in c0..c1-1
-    keep = (I + DI >= min(table.ncols for table in tables) - 1) & (I + DI < c1)
+    # the cells on the grid with a corner node, i + dni or i + dni + 1, in c0..c1-1
+    keep = (I + DI >= max(c0 - 1, 0)) & (I + DI < min(c1, P - 1))
     I, DI, DJ = I[keep], DI[keep], DJ[keep]
     polar = (DI >= -1) & (DI <= 0) & (DJ >= -1) & (DJ <= 0)
     p, ns = np.arange(2), tuple(table.n for table in tables)
     Si, Sj = 2 * MC + 3, MC + 3
-    flat, vals = [[] for _ in tables], [[] for _ in tables]
+    flat, vals = [], []
 
-    def integrate(cells, kv, rule, *nodes):
-        # each table's corner integrals over its own cells among cells, at
-        # the flat node-patch index of (target i, node offset dni, lag dnj),
-        # offsets -MC-1..MC+1 by lags -1..MC+1
-        for d, table in enumerate(tables):
-            own = (I + DI >= table.ncols - 1)[cells]
-            ex, i, dni, dnj = np.broadcast_arrays(rule(kv[d] if own.all() else kv[d][own]),
-                                                  *(x[own] for x in nodes))
-            flat[d].append(((i * Si + dni + MC + 1) * Sj + dnj + 1).ravel())
-            vals[d].append(ex.ravel())
+    def integrate(kv, rule, *nodes):
+        # each dimension's corner integrals, at the flat node-patch index of
+        # (target i, node offset dni, lag dnj), offsets -MC-1..MC+1 by lags
+        # -1..MC+1
+        ex = [rule(k) for k in kv]
+        i, dni, dnj = np.broadcast_arrays(*nodes, ex[0])[:3]
+        flat.append(((i * Si + dni + MC + 1) * Sj + dnj + 1).ravel())
+        vals.append([e.ravel() for e in ex])
 
     # tensor Gauss off the target: corner (p, q) is node (a + p, b + q)
     t, wq = _gauss01(N_GAUSS_NEAR)
     hats = _hat_weights(t, wq)
     i, a, b = (x[~polar, None, None] for x in (I, DI, DJ))
     wt = i.astype(float)
-    integrate(~polar, ring_kernel(ns, wt, wt + (a + t[:, None]), b + t),
+    integrate(ring_kernel(ns, wt, wt + (a + t[:, None]), b + t),
               lambda kv: np.einsum("cgh,gp,hq->cpq", kv, hats, hats), i, a + p[:, None], b + p)
 
     # polar Gauss on the cells with a corner on the target, mirrored
@@ -310,36 +288,36 @@ def _near_integrals(tables, c1):
     sx, sz = 2 * a + 1, 2 * b + 1
     wt = i.astype(float)
     corner = np.stack([w * (1 - x) * (1 - y), w * (1 - x) * y, w * x * (1 - y), w * x * y])
-    integrate(polar, ring_kernel(ns, wt, wt + sx * x, sz * y),
+    integrate(ring_kernel(ns, wt, wt + sx * x, sz * y),
               lambda kv: (kv @ corner.T).reshape(-1, 2, 2),
               i[:, :, None], sx[:, :, None] * p[:, None], sz[:, :, None] * p)
 
     # per table, sum the corner integrals into the node patch
-    return [np.bincount(np.concatenate(f), np.concatenate(v), P * Si * Sj)
-            .reshape(P, Si, Sj)[:, 1:-1, 1:-1] for f, v in zip(flat, vals)]
+    flat = np.concatenate(flat)
+    return [np.bincount(flat, np.concatenate(v), P * Si * Sj).reshape(P, Si, Sj)[:, 1:-1, 1:-1]
+            for v in zip(*vals)]
 
 
 def _build_w2(tables, c1, accs):
     """Per table, the block C = DCT-I along the lag axis of
     W2[i, i', lag] = int int k(i, ws, dz) hat_i'(ws) hat_lag(|dz|)
-    for its new source columns i' in rows = table.ncols..c1-1 and every
-    target i, with the near integrals acc of _near_integrals.
+    for its new source columns i' in table.ncols..c1-1 and every target i,
+    with the near integrals acc of _near_integrals.
 
     Gauss entries, the 4-point tensor Gauss sums over the cells of the
     hat supports: the band |i' - i| <= D, lag <= D around the target and
     the half-hat edges i' = 0, i' = P - 1 and lag = 2P - 2.  Nodal
     entries, all others: sum_k sum_l s_k s_l k(i, i' + k, lag + l) with
     s = _hat_stencil(q), on kernel values at the nodes ws within q of
-    rows and dz in 0..2P-2+q, whose ghosts are k(-ws) = (-1)^n k(ws)
-    (the ring potential is even in ws, the ws^(n-2) measure carries the
-    sign) and k(-dz) = k(dz).  The near-cell integrals acc are written
-    over the entries at nodes i' = i + dni and lags |dnj|.  Only the
-    cells that touch rows, the lattice nodes within q of them and their
-    near integrals are evaluated.  The tables' rows end together at c1,
-    so the cells and lattice nodes of the one that starts first hold the
-    others': one ring_kernel pass of their dimensions per target column
-    evaluates each kind, and each table takes its own cells and lattice
-    slice from it.
+    the table's columns and dz in 0..2P-2+q, whose ghosts are
+    k(-ws) = (-1)^n k(ws) (the ring potential is even in ws, the ws^(n-2)
+    measure carries the sign) and k(-dz) = k(dz).  The near-cell integrals
+    acc are written over the entries at nodes i' = i + dni and lags |dnj|.
+
+    Only the cells that touch the fill's rows c0..c1-1 (c0 the smallest
+    table.ncols) and the lattice nodes within q of them are evaluated, one
+    ring_kernel pass per kind and target column for all the tables, each
+    of which reads its own last rows (KernelTable).
     """
     P, G, q, D = tables[0].P, N_GAUSS_BASE, STENCIL_Q, GAUSS_BAND
     t, wq = _gauss01(G)
@@ -357,58 +335,52 @@ def _build_w2(tables, c1, accs):
 
     fold_dz = fold(2 * P - 1, 1.0)
     dz_nodes = np.arange(2 * P - 1 + q, dtype=float)
-    ws_nodes = np.arange(max(min(table.ncols for table in tables) - q, 0), c1 + q, dtype=float)
+    # the rows, slot[x], the W2 row of node x (rows.size, a discarded row, if
+    # x is not in rows), the varpi cells with a corner node in rows, the edge
+    # rows and the lattice nodes within q of rows
+    c0 = min(table.ncols for table in tables)
+    rows = np.arange(c0, c1)
+    slot = np.full(P, rows.size)
+    slot[rows] = np.arange(rows.size)
+    cells = np.arange(max(c0 - 1, 0), min(c1, P - 1))
+    edge = (rows == 0) | (rows == P - 1)
+    ws_nodes = np.arange(max(c0 - q, 0), c1 + q, dtype=float)
     corner, dn, ns = np.arange(2), np.arange(-MC, MC + 1), tuple(table.n for table in tables)
     fills = []
     for table in tables:
-        # its rows, slot[x], the W2 row of node x (rows.size, a discarded row,
-        # if x is not in rows), the varpi cells with a corner node in rows,
-        # the edge rows and the fold to rows from its lattice nodes within q
-        # of them (a ghost -x is node x)
-        rows = np.arange(table.ncols, c1)
+        # its first row, off, and the fold to its rows from its own lattice
+        # nodes within q of them (a ghost -x is node x)
+        off = table.ncols - c0
         lattice = np.arange(max(table.ncols - q, 0), c1 + q)
-        slot = np.full(P, rows.size)
-        slot[rows] = np.arange(rows.size)
-        fills.append((rows, slot, np.arange(max(table.ncols - 1, 0), min(c1, P - 1)),
-                      (rows == 0) | (rows == P - 1),
-                      fold(P, (-1.0) ** table.n)[np.ix_(lattice, rows)].T,
-                      ws_nodes.size - lattice.size, np.empty((2 * P - 1, P, rows.size))))
+        fills.append((off, fold(P, (-1.0) ** table.n)[np.ix_(lattice, rows[off:])].T,
+                      ws_nodes.size - lattice.size, np.empty((2 * P - 1, P, rows.size - off))))
     for i in range(P):
-        found = []
-        for rows, slot, cells, edge, *_ in fills:
-            # row rows.size stays False: nodes outside rows take no Gauss entry
-            gauss = np.zeros((rows.size + 1, 2 * P - 1), dtype=bool)
-            own = gauss[: rows.size]
-            own[np.abs(rows - i) <= D, : D + 1] = True
-            own[edge] = True
-            own[:, -1] = True
-            # the cells (varpi cell a, dz cell b) of those entries' hats
-            hat = gauss[slot[cells]] | gauss[slot[cells + 1]]
-            k, b = np.nonzero(hat[:, :-1] | hat[:, 1:])
-            found.append((own, cells[k], b))
-        # the widest fill's cells, in (a, b) order, hold the others'
-        _, au, bu = max(found, key=lambda f: f[1].size)
-        kvs = ring_kernel(ns, float(i), au[:, None, None] + t[:, None], bu[:, None, None] + t)
+        # row rows.size stays False: nodes outside rows take no Gauss entry
+        gauss = np.zeros((rows.size + 1, 2 * P - 1), dtype=bool)
+        own = gauss[: rows.size]
+        own[np.abs(rows - i) <= D, : D + 1] = True
+        own[edge] = True
+        own[:, -1] = True
+        # the cells (varpi cell a, dz cell b) of those entries' hats, and the
+        # W2 entry of corner (p, q), node a + p at lag b + q; the lag-0 hat
+        # also spans dz in [-1, 0], which mirrors the lower-weighted part of
+        # dz-cell 0 by evenness of the kernel
+        hat = gauss[slot[cells]] | gauss[slot[cells + 1]]
+        k, b = np.nonzero(hat[:, :-1] | hat[:, 1:])
+        a = cells[k]
+        flat = slot[a[:, None] + corner][:, :, None] * (2 * P - 1) + b[:, None, None] + corner
+        low = b == 0
+        flat = np.concatenate([flat.ravel(), flat[low, :, 0].ravel()])
+        kvs = ring_kernel(ns, float(i), a[:, None, None] + t[:, None], b[:, None, None] + t)
         lats = ring_kernel(ns, float(i), ws_nodes[:, None], dz_nodes[None, :])
-        for (own, a, b), (rows, slot, _, _, fold_ws, lo, C), kv, lat, acc in zip(
-                found, fills, kvs, lats, accs):
-            if a.size < au.size:
-                kv = kv[np.searchsorted(au * 2 * P + bu, a * 2 * P + b)]
-            # c[k, p, q] weighs cell k toward node a + p and lag b + q; the
-            # lag-0 hat also spans dz in [-1, 0], which mirrors the
-            # lower-weighted part of dz-cell 0 by evenness of the kernel
+        for (off, fold_ws, lo, C), kv, lat, acc in zip(fills, kvs, lats, accs):
+            # c[k, p, q] weighs cell k toward node a + p and lag b + q
             c = hats.T @ (kv @ hats)
-            flat = slot[a[:, None] + corner][:, :, None] * (2 * P - 1) + b[:, None, None] + corner
-            low = b == 0
-            W2 = np.bincount(
-                np.concatenate([flat.ravel(), flat[low, :, 0].ravel()]),
-                np.concatenate([c.ravel(), c[low, :, 0].ravel()]),
-                (rows.size + 1) * (2 * P - 1),
-            ).reshape(rows.size + 1, 2 * P - 1)[: rows.size]
-            W2 = np.where(own, W2, fold_ws @ lat[lo:] @ fold_dz)
-            on = np.flatnonzero((i + dn >= 0) & (i + dn < P))
-            on = on[slot[i + dn[on]] < rows.size]
-            W2[slot[i + dn[on]], : MC + 1] = acc[i, on]
+            W2 = np.bincount(flat, np.concatenate([c.ravel(), c[low, :, 0].ravel()]),
+                             (rows.size + 1) * (2 * P - 1)).reshape(rows.size + 1, 2 * P - 1)
+            W2 = np.where(own[off:], W2[off : rows.size], fold_ws @ lat[lo:] @ fold_dz)
+            on = np.flatnonzero((i + dn >= c0 + off) & (i + dn < c1))
+            W2[i + dn[on] - c0 - off, : MC + 1] = acc[i, on]
             C[:, i] = dct(W2, type=1, axis=1).T
     return [f[-1] for f in fills]
 
@@ -515,10 +487,9 @@ class KernelTable:
     batch shapes of the matrix products differ.  A table filled in one call
     has one block and applies as one product.
 
-    The build is batched.  A fill of the source columns rows = c0..c1-1
-    starts with their near integrals, two ring_kernel calls in all: one for
-    the Gauss points of every near cell with a corner in rows, one for the
-    polar points of the cells with a corner on the target.  Each cell's four
+    A fill of the source columns rows = c0..c1-1 starts with their near
+    integrals, two ring_kernel calls in all: one for the Gauss points of
+    every near cell with a corner in rows, one for the polar points of the cells with a corner on the target.  Each cell's four
     corner integrals are one product against the corner weights, scattered
     into the node patch by a bincount.  W2 then takes two ring_kernel calls
     per target column: the Gauss points of the band and edge cells that
@@ -532,7 +503,13 @@ class KernelTable:
 
     pair, given to the cached n = 5 table, is the n = 3 table of its P: a
     fill to ncols tops it up to ncols too, each ring_kernel call above taking
-    (3, 5), and each block is bit for bit its own fill's (_build_w2).
+    (3, 5).  Both fills end at ncols, so the rows of the one that starts
+    first hold the other's: the cells, Gauss mask, scatter indices and near
+    integrals are built once for them, and each table reads its own last
+    rows.  A cell feeds only its corner nodes, so the extra cells add only
+    into rows the later table drops; with its own lattice slice and fold
+    (the nodal product's inner dimension sets its summation), each block
+    is bit for bit its own fill's.
     """
 
     def __init__(self, P, n, pair=None):

@@ -1033,6 +1033,23 @@ class TestCachedQuadrature:
         far(src)
         assert calls == []
 
+    @pytest.mark.parametrize("side", ["int", "star"])
+    @pytest.mark.parametrize("n", [3, 4, 5, (3, 5)])
+    def test_far_weights_do_not_depend_on_the_block(self, monkeypatch, side, n):
+        # blocks of one source node, of three and the default give the same
+        # weights bit for bit; the targets are off the axis, so only the
+        # blocks that hold the axis column's nodes (i = 0) have axis points
+        far = greens.FarOperator(3, side, 17, 13)
+        wt, zt = far.wt[far.wt > 0], far.zt[far.wt > 0]
+        src = np.arange(far.P * far.P)
+        per_node = np.size(n) * wt.size
+        weights = []
+        for block in (per_node, 3 * per_node, greens._FAR_BLOCK):
+            monkeypatch.setattr(greens, "_FAR_BLOCK", block)
+            blocks = [b for _, b in greens.far_weights(n, src, wt, zt, far.P)]
+            weights.append(np.concatenate(blocks, axis=-2))
+        assert all(np.array_equal(w, weights[0]) for w in weights[1:])
+
     @pytest.mark.parametrize("P", [17, 21, 32, 33])
     def test_apply_matches_rows(self, P):
         # every node, the last z row included, must be clear of
@@ -1198,10 +1215,9 @@ def loop_build(P, n):
 
 
 def oneshot_ring_kernel(n, wt, ws, dz):
-    """ring_kernel on the whole broadcast input at once, without blocks and
-    with a fresh array for each intermediate: the reference for
-    ring_kernel's blocked, in-place evaluation.  A tuple n stacks the
-    kernels of its dimensions, as ring_kernel does."""
+    """ring_kernel with a fresh array for each intermediate and a mask built
+    on every call: the reference for ring_kernel's in-place evaluation.  A
+    tuple n stacks the kernels of its dimensions, as ring_kernel does."""
     if isinstance(n, tuple):
         return np.stack([oneshot_ring_kernel(k, wt, ws, dz) for k in n])
     wt, ws, dz = (np.asarray(x, dtype=float) for x in (wt, ws, dz))
@@ -1242,7 +1258,7 @@ def oneshot_ring_kernel(n, wt, ws, dz):
 
 
 class TestBlockedKernel:
-    """ring_kernel's cache-sized blocks against the one-shot formula."""
+    """ring_kernel's one in-place pass against the one-shot formula."""
 
     @staticmethod
     def inputs(P):
@@ -1284,15 +1300,9 @@ class TestBlockedKernel:
                             grid[None, :] - dz_nodes[:20, None] / 4.0),
         }
 
-    @pytest.mark.parametrize("block", [None, 7])
     @pytest.mark.parametrize("n", [3, 4, 5])
-    def test_matches_oneshot(self, monkeypatch, n, block):
-        # at P = 97 the W2 Gauss cells and the near cells span many
-        # blocks; blocks of 7 put axis and coincident points in some only
-        if block is not None:
-            monkeypatch.setattr(greens, "RING_BLOCK", block)
-        blocks = 0
-        for name, args in self.inputs(97 if block is None else 17).items():
+    def test_matches_oneshot(self, n):
+        for name, args in self.inputs(97).items():
             before = [np.copy(x) for x in args]
             got = ring_kernel(n, *args)
             # the in-place evaluation writes into none of its inputs
@@ -1300,18 +1310,12 @@ class TestBlockedKernel:
             ref = oneshot_ring_kernel(n, *args)
             assert type(got) is type(ref), name
             assert np.array_equal(got, ref), name
-            blocks = max(blocks, np.size(got) // greens.RING_BLOCK)
-        assert blocks >= 10
 
-    @pytest.mark.parametrize("block", [None, 7])
-    def test_pair_matches_single_dimensions(self, monkeypatch, block):
-        # one pass of (3, 5) gives each kernel bit for bit, on blocks with
-        # and without coincident and axis points (m < 1e-14), and across
-        # many blocks
-        if block is not None:
-            monkeypatch.setattr(greens, "RING_BLOCK", block)
+    def test_pair_matches_single_dimensions(self):
+        # one pass of (3, 5) gives each kernel bit for bit, on inputs with
+        # and without coincident and axis points (m < 1e-14)
         axis = 0
-        for name, args in self.inputs(97 if block is None else 17).items():
+        for name, args in self.inputs(97).items():
             got = ring_kernel((3, 5), *args)
             single = [ring_kernel(n, *args) for n in (3, 5)]
             assert got.shape == (2, *np.shape(single[0])), name
@@ -1319,6 +1323,14 @@ class TestBlockedKernel:
             wt, ws, dz = np.broadcast_arrays(*args)
             axis += np.count_nonzero(4 * wt * ws < 1e-14 * ((wt + ws) ** 2 + dz**2))
         assert axis > 0
+
+    @pytest.mark.parametrize("n", [3, 4, 5, (3, 5)])
+    def test_empty_broadcast(self, n):
+        # an empty broadcast, along any axis, gives an empty output of its shape
+        lead = (2,) if isinstance(n, tuple) else ()
+        for wt, ws, dz in ((np.empty((0, 1)), np.ones(4), 0.5), (1.0, np.ones((3, 1)), np.empty(0))):
+            got = ring_kernel(n, wt, ws, dz)
+            assert got.shape == lead + np.broadcast_shapes(np.shape(wt), np.shape(ws), np.shape(dz))
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_table_matches_oneshot_build(self, monkeypatch, n):
@@ -1502,18 +1514,22 @@ class TestColumnFill:
         assert table.ncols == table.P
         self.assert_columns_match(table, whole_table(g.n_int, n))
 
-    @pytest.mark.parametrize("setup", [9, 0])
+    @pytest.mark.parametrize("setup", [(9, 0), (0, 0), (7, 3)], ids=["9", "0", "n5-ahead"])
     def test_pair_fill_matches_own_fills(self, monkeypatch, setup):
         # an n = 5 fill tops its n = 3 pair up to the same column count, one
         # ring_kernel pass of (3, 5) per target column and one per near
         # rule, and each table gets the block a fill of its own gives, bit
-        # for bit: after an n = 3 set-up block, as a solve fills it, and
-        # with both tables empty
+        # for bit: after an n = 3 set-up block of 9 columns, as a solve
+        # fills it, with both tables empty, and with the n = 5 table ahead
+        # (a pair fill to 3 columns, then n = 3 alone to 7)
         P = 33
+        cols3, cols5 = setup
         n3, own3, own5 = KernelTable(P, 3), KernelTable(P, 3), KernelTable(P, 5)
         n5 = KernelTable(P, 5, n3)
+        for table in (n5, own5, own3):
+            table.fill(cols5)
         for table in (n3, own3):
-            table.fill(setup)
+            table.fill(cols3)
         for table in (own3, own5):
             table.fill(P - 1)
         calls = count_calls(monkeypatch, greens, "ring_kernel")

@@ -224,7 +224,7 @@ def test_checker_flags_a_dead_chain():
 
 # package definitions that only tests reach, each kept on purpose
 TEST_ONLY_KEPT = {
-    "path_independence_gap": "the path-independence gate of ROADMAP item 3(d) reads it",
+    "path_independence_gap": "the path-independence gate of ROADMAP item 23(b) reads it",
 }
 
 
