@@ -5,7 +5,8 @@ that must occur once (old), the text that replaces it (new), the tests
 expected to fail on the mutated copy (tests, as pytest ids from the
 repository root) and what the mutation breaks (why).  A mutant whose old
 text no longer occurs fails its case, so a change that rewrites the code
-restates its mutants here.
+restates its mutants here; tests/test_hygiene.py checks in tier-1 that each
+old text occurs once and that each named test exists.
 """
 
 MUTANTS = [
@@ -58,19 +59,29 @@ MUTANTS = [
     {
         "id": "pair-fill-swaps-the-lattice",
         "file": "greens.py",
-        "old": "fills, kvs, lats, accs",
-        "new": "fills, kvs, lats[::-1], accs",
+        "old": "zip(Cs, folds, kvs, lats, accs)",
+        "new": "zip(Cs, folds, kvs, lats[::-1], accs)",
         "tests": ["tests/test_greens.py::TestColumnFill::test_pair_fill_matches_own_fills"],
         "why": "a paired fill hands each table the other's lattice kernel values",
     },
     {
-        "id": "pair-fill-reads-the-wrong-rows",
+        "id": "fill-holds-the-old-spectra",
         "file": "greens.py",
-        "old": "W2[off : rows.size]",
-        "new": "W2[: rows.size - off]",
-        "tests": ["tests/test_greens.py::TestColumnFill::test_pair_fill_matches_own_fills"],
-        "why": "the table that starts later in a paired fill reads the shared slab's "
-               "leading rows, the other table's columns",
+        "old": "            table.C = np.empty(table.C.shape[:2] + (0,))\n",
+        "new": "            pass\n",
+        "tests": ["tests/test_greens.py::TestColumnFill::test_later_fill_copies_no_column"],
+        "why": "a fill keeps the old spectra until the new ones are built, so it holds "
+               "both at its peak",
+    },
+    {
+        "id": "fill-leaves-its-pair",
+        "file": "greens.py",
+        "old": "t is not None and t.ncols < ncols]",
+        "new": "t is self]",
+        "tests": ["tests/test_greens.py::TestColumnFill::test_pair_fill_matches_own_fills",
+                  "tests/test_pn.py::TestFarWork::test_table_work"],
+        "why": "an n = 5 fill leaves its n = 3 pair short, so the pair's next fill "
+               "evaluates the kernel again",
     },
     {
         "id": "gauss-band-4",
@@ -85,8 +96,8 @@ MUTANTS = [
     {
         "id": "fold-parity-sign",
         "file": "greens.py",
-        "old": "fold(P, (-1.0) ** table.n)",
-        "new": "fold(P, (-1.0) ** (table.n + 1))",
+        "old": "fold(ncols, (-1.0) ** table.n)",
+        "new": "fold(ncols, (-1.0) ** (table.n + 1))",
         "tests": ["tests/test_greens.py::TestBatchedBuild::test_matches_loop_build"],
         "why": "the ghost nodes below ws = 0 take the wrong sign of the ws^(n-2) measure",
     },
@@ -106,6 +117,14 @@ MUTANTS = [
         "new": "FAR_SKETCH_ROWS = 1",
         "tests": ["tests/test_greens.py::TestCachedQuadrature::test_matches_eval_at"],
         "why": "a sketch of P source nodes misses the far operator's rank",
+    },
+    {
+        "id": "far-rank-tol-1e-11",
+        "file": "greens.py",
+        "old": "FAR_RANK_TOL = 1e-14",
+        "new": "FAR_RANK_TOL = 1e-11",
+        "tests": ["tests/test_greens.py::TestCachedQuadrature::test_matches_eval_at"],
+        "why": "the far skeleton drops pivots that carry about 1e-11 of the far field",
     },
     {
         "id": "far-mask-strict",
@@ -132,5 +151,32 @@ MUTANTS = [
         "tests": ["tests/test_acceptance.py::TestAcceptance::test_criterion_13_newtonian_profile"],
         "why": "Omega^2 is 1 % off against the distorted profile's b, so the rotational "
                "part of u_N leaves the profile's (the gap holds at 1.1e-2, order 0.1)",
+    },
+    {
+        "id": "simpson-margin-0",
+        "file": "lane_emden.py",
+        "old": "SIMPSON_MARGIN = 3 ",
+        "new": "SIMPSON_MARGIN = 0 ",
+        "tests": ["tests/test_lane_emden.py::TestMatterRows::test_support_ending_at"],
+        "why": "kelvin3_legendre's Simpson sums stop at the source's last row, where "
+               "scipy's last interval reads the rows past it",
+    },
+    {
+        "id": "kerr-levels-min-first",
+        "file": "config.py",
+        "old": "_numbers(v, Integral) and len(set(v)) >= 2 and min(v) >= 2",
+        "new": "min(v) >= 2 and _numbers(v, Integral) and len(set(v)) >= 2",
+        "tests": ["tests/test_cli.py::TestConfigValidation::test_bad_input_exits_1[list key kerr.levels]"],
+        "why": "the kerr.levels rule takes min of a value before it knows the value is "
+               "a list of integers, so a string raises TypeError, not ConfigError",
+    },
+    {
+        "id": "kerr-levels-min-before-count",
+        "file": "config.py",
+        "old": "_numbers(v, Integral) and len(set(v)) >= 2 and min(v) >= 2",
+        "new": "_numbers(v, Integral) and min(v) >= 2 and len(set(v)) >= 2",
+        "tests": ["tests/test_cli.py::TestConfigValidation::test_list_key_rules"],
+        "why": "the kerr.levels rule takes min of a list before it counts the levels, so "
+               "an empty list raises ValueError, not ConfigError",
     },
 ]

@@ -159,14 +159,16 @@ def _validate(cfg):
     e = cfg.eos
     if not (6.0 / 5.0 < e["gamma"] < 2.0):
         raise ConfigError(f"eos.gamma={e['gamma']} outside (6/5, 2)")
-    for key in ("A_const", "c_light", "series_radius"):
-        if not e[key] > 0:
-            raise ConfigError(f"eos.{key} must be positive")
+    if not e["series_radius"] > 0:
+        raise ConfigError("eos.series_radius must be positive")
+    # the physical scales: the model takes their powers up to 1/(gamma - 1) < 5, which
+    # stay finite in floats here (at 1e-300 and 1e300 the star's scales overflow); the
+    # Kerr fields and fit overflow by m_geom 1e-80 and 1e100
+    for name, key in (("eos", "A_const"), ("eos", "c_light"), ("star", "u_O"), ("star", "G_grav"),
+                      ("kerr", "m_geom")):
+        if not 1e-50 <= getattr(cfg, name)[key] <= 1e50:
+            raise ConfigError(f"{name}.{key}={getattr(cfg, name)[key]!r} outside [1e-50, 1e50]")
     s = cfg.star
-    if not s["u_O"] > 0:
-        raise ConfigError("star.u_O must be positive")
-    if not s["G_grav"] > 0:
-        raise ConfigError("star.G_grav must be positive")
     if (s["Omega_O"] is None) == (s["b_rot"] is None):
         raise ConfigError("star: specify exactly one of Omega_O and b_rot")
     if s["b_rot"] is not None and s["b_rot"] < 0:
@@ -175,12 +177,12 @@ def _validate(cfg):
     if g["n_interior"] < 17 or g["n_exterior"] < 13:
         raise ConfigError("grid resolutions too small")
     k = cfg.kerr
-    if not 1e-50 <= k["m_geom"] <= 1e50:  # the Kerr fields and fit overflow by 1e-80 and 1e100
-        raise ConfigError(f"kerr.m_geom={k['m_geom']!r} outside [1e-50, 1e50]")
     if abs(k["a_spin"]) > k["m_geom"]:
         raise ConfigError("kerr.a_spin must satisfy |a| <= m_geom")
-    if not k["window"] > 0:
-        raise ConfigError("kerr.window must be positive")
+    # a window of at most 1e25 m keeps the Kerr fields' extent within 1e75, where they
+    # stay finite (at 1e300 m their squares overflow)
+    if not 0 < k["window"] <= 1e25:
+        raise ConfigError(f"kerr.window={k['window']!r} outside (0, 1e25]")
     return cfg
 
 

@@ -14,8 +14,8 @@ its weights computed to high order on the cells near each target (local
 polar integration on the log-singular cells, tensor Gauss on their
 neighbors), by 4-point Gauss in a band around it, and beyond the band by a
 hat stencil on nodal kernel values, where the kernel is smooth; a
-KernelTable holds those weights, their DCT-I along the z lag, in blocks of
-consecutive source columns.
+KernelTable holds those weights, their DCT-I along the z lag, for a prefix
+of the source columns in one array.
 GreenOps.tail_potential pulls the exterior tail to the starred plane,
 re-weights it by (R0/r*)^4 (which turns it into a compact starred source)
 and inverts it there with the same machinery; k_n_global runs it first.
@@ -23,11 +23,12 @@ The two patches share one unit-coordinate KernelTable per dimension, sized
 to the larger patch; the smaller one reads its leading block, which its
 sources, zero on the patch edge, cannot tell from a table of its own.  A
 table starts empty and gains columns, as a prefix, only through
-KernelTable.fill: apply and rows fill up to the last column their sources
-carry, and get_table(P, n) tops the cached table up to every column;
-GreenOps.table and GreenOps.far_operator, the solver's lookups, fill none.
-An n = 5 table's fill tops up its pair, the n = 3 table, from the same
-kernel passes: a rotating solve fills both so, a static one n = 3 alone.
+KernelTable.fill, which rebuilds it from column 0: apply and rows fill up
+to the last column their sources carry, and get_table(P, n) fills the
+cached table to every column; GreenOps.table and GreenOps.far_operator, the
+solver's lookups, fill none.  An n = 5 table's fill rebuilds its pair, the
+n = 3 table, to the same columns from the same kernel passes when the pair
+holds fewer: a rotating solve fills both so, a static one n = 3 alone.
 Both parts reach the other patch by one Kelvin transfer,
 GreenOps._patch_potential: bilinear at the images inside the source patch,
 the shared FarOperator at the images outside it (the masks in GreenOps.far),
@@ -161,8 +162,8 @@ def _cached_table(P, n):
 
 
 def get_table(P, n):
-    """The cached table of (P, n), topped up to all P source columns by one
-    fill of the columns it lacks (with its pair, for n = 5).  It is never
+    """The cached table of (P, n), filled to all P source columns (with its
+    pair, for n = 5) unless it holds them.  The table object is never
     replaced, so the GreenOps that hold it see the new columns."""
     table = _cached_table(P, n)
     table.fill(table.P)
@@ -235,13 +236,13 @@ def _polar_rule():
     return [np.concatenate([part[k].ravel() for part in parts]) for k in range(3)]
 
 
-def _near_integrals(tables, c1):
+def _near_integrals(tables, ncols):
     """Per table, acc[i, MC + dni, dnj]: the high-order integral of the ring
     kernel against the hat product of node (i + dni, dnj) for a target at
     (i, 0), over the unit cells around it, for |dni| <= MC and lags
     0 <= dnj <= MC.  Only the entries of nodes i + dni in the fill's source
-    columns c0..c1-1, c0 the smallest table.ncols, are complete: the cells
-    with no corner among them are not integrated.
+    columns 0..ncols-1 are complete: the cells with no corner among them
+    are not integrated.
 
     The cell at offsets (a, b), a in -MC-1..MC and b in -1..MC, from a
     target in column i feeds its four corner nodes; cells that leave the
@@ -252,11 +253,11 @@ def _near_integrals(tables, c1):
     The cells, one ring_kernel pass of the tables' dimensions per rule and
     the scatter into the node patch serve every table (KernelTable).
     """
-    P, c0 = tables[0].P, min(table.ncols for table in tables)
+    P = tables[0].P
     I, DI, DJ = (x.ravel() for x in np.meshgrid(np.arange(P), np.arange(-MC - 1, MC + 1),
                                                 np.arange(-1, MC + 1), indexing="ij"))
-    # the cells on the grid with a corner node, i + dni or i + dni + 1, in c0..c1-1
-    keep = (I + DI >= max(c0 - 1, 0)) & (I + DI < min(c1, P - 1))
+    # the cells on the grid with a corner node, i + dni or i + dni + 1, in 0..ncols-1
+    keep = (I + DI >= 0) & (I + DI < min(ncols, P - 1))
     I, DI, DJ = I[keep], DI[keep], DJ[keep]
     polar = (DI >= -1) & (DI <= 0) & (DJ >= -1) & (DJ <= 0)
     p, ns = np.arange(2), tuple(table.n for table in tables)
@@ -298,26 +299,25 @@ def _near_integrals(tables, c1):
             for v in zip(*vals)]
 
 
-def _build_w2(tables, c1, accs):
-    """Per table, the block C = DCT-I along the lag axis of
+def _build_w2(tables, ncols, accs):
+    """Per table, the spectra C = DCT-I along the lag axis of
     W2[i, i', lag] = int int k(i, ws, dz) hat_i'(ws) hat_lag(|dz|)
-    for its new source columns i' in table.ncols..c1-1 and every target i,
-    with the near integrals acc of _near_integrals.
+    for the source columns i' in 0..ncols-1 and every target i, with the
+    near integrals acc of _near_integrals.
 
     Gauss entries, the 4-point tensor Gauss sums over the cells of the
     hat supports: the band |i' - i| <= D, lag <= D around the target and
     the half-hat edges i' = 0, i' = P - 1 and lag = 2P - 2.  Nodal
     entries, all others: sum_k sum_l s_k s_l k(i, i' + k, lag + l) with
-    s = _hat_stencil(q), on kernel values at the nodes ws within q of
-    the table's columns and dz in 0..2P-2+q, whose ghosts are
-    k(-ws) = (-1)^n k(ws) (the ring potential is even in ws, the ws^(n-2)
-    measure carries the sign) and k(-dz) = k(dz).  The near-cell integrals
-    acc are written over the entries at nodes i' = i + dni and lags |dnj|.
+    s = _hat_stencil(q), on kernel values at the nodes ws in 0..ncols-1+q
+    and dz in 0..2P-2+q, whose ghosts are k(-ws) = (-1)^n k(ws) (the ring
+    potential is even in ws, the ws^(n-2) measure carries the sign) and
+    k(-dz) = k(dz).  The near-cell integrals acc are written over the
+    entries at nodes i' = i + dni and lags |dnj|.
 
-    Only the cells that touch the fill's rows c0..c1-1 (c0 the smallest
-    table.ncols) and the lattice nodes within q of them are evaluated, one
-    ring_kernel pass per kind and target column for all the tables, each
-    of which reads its own last rows (KernelTable).
+    Each kind of kernel value is one ring_kernel pass per target column
+    for all the tables, which share the cells, the Gauss mask and the
+    scatter indices (KernelTable).
     """
     P, G, q, D = tables[0].P, N_GAUSS_BASE, STENCIL_Q, GAUSS_BAND
     t, wq = _gauss01(G)
@@ -335,29 +335,20 @@ def _build_w2(tables, c1, accs):
 
     fold_dz = fold(2 * P - 1, 1.0)
     dz_nodes = np.arange(2 * P - 1 + q, dtype=float)
-    # the rows, slot[x], the W2 row of node x (rows.size, a discarded row, if
-    # x is not in rows), the varpi cells with a corner node in rows, the edge
-    # rows and the lattice nodes within q of rows
-    c0 = min(table.ncols for table in tables)
-    rows = np.arange(c0, c1)
-    slot = np.full(P, rows.size)
-    slot[rows] = np.arange(rows.size)
-    cells = np.arange(max(c0 - 1, 0), min(c1, P - 1))
+    # the W2 rows 0..ncols-1 and a discarded row ncols, the node past them;
+    # the varpi cells with a corner node in the rows, the edge rows and the
+    # lattice nodes within q of the rows
+    rows = np.arange(ncols)
+    cells = np.arange(min(ncols, P - 1))
     edge = (rows == 0) | (rows == P - 1)
-    ws_nodes = np.arange(max(c0 - q, 0), c1 + q, dtype=float)
+    ws_nodes = np.arange(ncols + q, dtype=float)
     corner, dn, ns = np.arange(2), np.arange(-MC, MC + 1), tuple(table.n for table in tables)
-    fills = []
-    for table in tables:
-        # its first row, off, and the fold to its rows from its own lattice
-        # nodes within q of them (a ghost -x is node x)
-        off = table.ncols - c0
-        lattice = np.arange(max(table.ncols - q, 0), c1 + q)
-        fills.append((off, fold(P, (-1.0) ** table.n)[np.ix_(lattice, rows[off:])].T,
-                      ws_nodes.size - lattice.size, np.empty((2 * P - 1, P, rows.size - off))))
+    folds = [fold(ncols, (-1.0) ** table.n).T for table in tables]
+    Cs = [np.empty((2 * P - 1, P, ncols)) for _ in tables]
     for i in range(P):
-        # row rows.size stays False: nodes outside rows take no Gauss entry
-        gauss = np.zeros((rows.size + 1, 2 * P - 1), dtype=bool)
-        own = gauss[: rows.size]
+        # row ncols stays False: the node past the rows takes no Gauss entry
+        gauss = np.zeros((ncols + 1, 2 * P - 1), dtype=bool)
+        own = gauss[:ncols]
         own[np.abs(rows - i) <= D, : D + 1] = True
         own[edge] = True
         own[:, -1] = True
@@ -365,24 +356,23 @@ def _build_w2(tables, c1, accs):
         # W2 entry of corner (p, q), node a + p at lag b + q; the lag-0 hat
         # also spans dz in [-1, 0], which mirrors the lower-weighted part of
         # dz-cell 0 by evenness of the kernel
-        hat = gauss[slot[cells]] | gauss[slot[cells + 1]]
-        k, b = np.nonzero(hat[:, :-1] | hat[:, 1:])
-        a = cells[k]
-        flat = slot[a[:, None] + corner][:, :, None] * (2 * P - 1) + b[:, None, None] + corner
+        hat = gauss[cells] | gauss[cells + 1]
+        a, b = np.nonzero(hat[:, :-1] | hat[:, 1:])
+        flat = (a[:, None] + corner)[:, :, None] * (2 * P - 1) + b[:, None, None] + corner
         low = b == 0
         flat = np.concatenate([flat.ravel(), flat[low, :, 0].ravel()])
         kvs = ring_kernel(ns, float(i), a[:, None, None] + t[:, None], b[:, None, None] + t)
         lats = ring_kernel(ns, float(i), ws_nodes[:, None], dz_nodes[None, :])
-        for (off, fold_ws, lo, C), kv, lat, acc in zip(fills, kvs, lats, accs):
+        on = np.flatnonzero((i + dn >= 0) & (i + dn < ncols))
+        for C, fold_ws, kv, lat, acc in zip(Cs, folds, kvs, lats, accs):
             # c[k, p, q] weighs cell k toward node a + p and lag b + q
             c = hats.T @ (kv @ hats)
             W2 = np.bincount(flat, np.concatenate([c.ravel(), c[low, :, 0].ravel()]),
-                             (rows.size + 1) * (2 * P - 1)).reshape(rows.size + 1, 2 * P - 1)
-            W2 = np.where(own[off:], W2[off : rows.size], fold_ws @ lat[lo:] @ fold_dz)
-            on = np.flatnonzero((i + dn >= c0 + off) & (i + dn < c1))
-            W2[i + dn[on] - c0 - off, : MC + 1] = acc[i, on]
+                             (ncols + 1) * (2 * P - 1)).reshape(ncols + 1, 2 * P - 1)
+            W2 = np.where(own, W2[:ncols], fold_ws @ lat @ fold_dz)
+            W2[i + dn[on], : MC + 1] = acc[i, on]
             C[:, i] = dct(W2, type=1, axis=1).T
-    return [f[-1] for f in fills]
+    return Cs
 
 
 def far_weights(n, src, wt, zt, p):
@@ -459,19 +449,15 @@ class KernelTable:
     reads no table data.
 
     The table holds C = DCT-I of W2 along the lag for its first ncols
-    source columns, one block per fill: blocks is a list of (c0, C),
-    C[k, i, m] a float64 array of shape (2P - 1, P, C.shape[2]) for source
-    column c0 + m, each block starting where the one before it ends, so
-    (2P - 1) P 8 bytes per filled column.  A fill appends the next block and
-    leaves the others alone, so no fill copies the columns filled before it.
-    DCT-I is the real DFT of the lag row made even with
+    source columns: C[k, i, c] is one float64 array of shape
+    (2P - 1, P, ncols), (2P - 1) P 8 bytes per filled column, and ncols is
+    read from its shape.  DCT-I is the real DFT of the lag row made even with
     period 4P - 4 (lags -(2P-2)..2P-2, the two end lags at one index), which
     holds every lag j - z' of an output z = j in 0..P-1 and a source
     |z'| <= P-1 free of wrap-around.  apply transforms the source once,
-    multiplies by each block's C frequency by frequency in one batched
-    product per block, sums and transforms back; w2_slab rebuilds a slab of
-    W2 with one inverse DCT-I per block, and rows() reads its entries from
-    the slabs.
+    multiplies by C frequency by frequency in one batched product and
+    transforms back; w2_slab rebuilds a slab of W2 with one inverse DCT-I,
+    and rows() reads its entries from the slabs.
 
     Columns are filled on demand, as a growing prefix, and fill is the only
     build.  KernelTable(P, n) starts empty.  apply and rows fill up to the
@@ -480,56 +466,64 @@ class KernelTable:
     fluid's columns, and no source fills the last column, where every source
     on the table's P nodes vanishes; get_table(P, n) fills all P.  The
     sources of a solve carry every column from 0 up to their last one, so a
-    prefix fills no column they do not use.  A column's entries do not
-    depend on the fills before it up to rounding, within 1e-15 of the
-    column's largest spectrum entry (8.3e-16 at most measured at P = 97):
-    the same cells, lattice values and near integrals enter them, only the
-    batch shapes of the matrix products differ.  A table filled in one call
-    has one block and applies as one product.
+    prefix fills no column they do not use.  A fill that needs more columns
+    frees C and rebuilds every column from 0, so a table's spectra are those
+    of one fill to its ncols, whatever fills came before; fills counts the
+    fills that built it.  A fill never holds the old and the new spectra at
+    once, and its columns are a whole table's bit for bit (tested at
+    P = 33): the same cells, lattice values and near integrals enter them.
+    A 97/65 rotating solve rebuilds the 13 columns the n = 3 table's
+    Newtonian set-up filled when the n = 5 fill takes its pair to 96
+    columns; the n = 5 fill evaluates those kernel values anyway.
 
-    A fill of the source columns rows = c0..c1-1 starts with their near
-    integrals, two ring_kernel calls in all: one for the Gauss points of
-    every near cell with a corner in rows, one for the polar points of the cells with a corner on the target.  Each cell's four
-    corner integrals are one product against the corner weights, scattered
-    into the node patch by a bincount.  W2 then takes two ring_kernel calls
-    per target column: the Gauss points of the band and edge cells that
-    touch rows, at most 16 ((2D + 2)(D + 1) + 5P) values, and the node
-    lattice ws within q of rows, dz in 0..2P-2+q, at most
-    (P + q)(2P - 1 + q) values, whose stencil sums are two matrix products.
-    Filling every column takes about 6.1 P^3 values at P = 65 with the near
-    integrals, against 32 P^3 for Gauss sums on every cell.  Each target
-    column's slab gets its near integrals and is transformed into the new
-    block's C before the next one is built.
+    A fill to ncols starts with the near integrals, two ring_kernel calls in
+    all: one for the Gauss points of every near cell with a corner in
+    columns 0..ncols-1, one for the polar points of the cells with a corner
+    on the target.  Each cell's four corner integrals are one product
+    against the corner weights, scattered into the node patch by a bincount.
+    W2 then takes two ring_kernel calls per target column: the Gauss points
+    of the band and edge cells that touch the columns, at most 16
+    ((2D + 2)(D + 1) + 5P) values, and the node lattice ws in
+    0..ncols-1+q, dz in 0..2P-2+q, at most (P + q)(2P - 1 + q) values, whose
+    stencil sums are two matrix products.  Filling every column takes about
+    6.1 P^3 values at P = 65 with the near integrals, against 32 P^3 for
+    Gauss sums on every cell.  Each target column's slab gets its near
+    integrals and is transformed into the new C before the next one is
+    built.
 
     pair, given to the cached n = 5 table, is the n = 3 table of its P: a
-    fill to ncols tops it up to ncols too, each ring_kernel call above taking
-    (3, 5).  Both fills end at ncols, so the rows of the one that starts
-    first hold the other's: the cells, Gauss mask, scatter indices and near
-    integrals are built once for them, and each table reads its own last
-    rows.  A cell feeds only its corner nodes, so the extra cells add only
-    into rows the later table drops; with its own lattice slice and fold
-    (the nodal product's inner dimension sets its summation), each block
-    is bit for bit its own fill's.
+    fill to ncols rebuilds it to ncols too when it holds fewer, each
+    ring_kernel call above taking (3, 5).  Both fills cover columns
+    0..ncols-1, so they share the cells, Gauss mask, scatter indices and near
+    integrals, and each table keeps its own fold, so its spectra are bit for
+    bit its own fill's.
     """
 
     def __init__(self, P, n, pair=None):
         self.P = int(P)
         self.n = int(n)
         self.pair = pair
-        self.ncols = 0
-        self.blocks = []
+        self.C = np.empty((2 * self.P - 1, self.P, 0))
+        self.fills = 0
+
+    @property
+    def ncols(self):
+        return self.C.shape[2]
 
     def fill(self, ncols):
-        """Build the spectra of the source columns from self.ncols to
-        ncols - 1, as one new block, and its pair's to ncols; the blocks
-        already filled are not touched."""
+        """Rebuild the spectra of the source columns 0..ncols - 1, with its
+        pair's when the pair holds fewer columns; a table that holds ncols
+        columns or more is left alone."""
         if ncols <= self.ncols:
             return
         tables = [t for t in (self.pair, self) if t is not None and t.ncols < ncols]
+        # the old spectra are freed before the new ones are built
+        for table in tables:
+            table.C = np.empty(table.C.shape[:2] + (0,))
         # the near integrals' temporaries are freed before C is allocated
         for table, C in zip(tables, _build_w2(tables, ncols, _near_integrals(tables, ncols))):
-            table.blocks.append((table.ncols, C))
-            table.ncols = int(ncols)
+            table.C = C
+            table.fills += 1
 
     # -- application ----------------------------------------------------------
 
@@ -544,16 +538,12 @@ class KernelTable:
             )
         # fill up to the last column the source carries, then take the
         # spectrum of the source made even in z and zero-padded to the
-        # table's period, and make one real product per frequency for each
-        # block's columns on the patch
+        # table's period, and make one real product per frequency over the
+        # columns on the patch
         self.fill(1 + np.max(np.flatnonzero(np.any(gvals, axis=1)), initial=-1))
         gx = dct(gvals.T, type=1, n=2 * self.P - 1, axis=0)
-        y = np.zeros((2 * self.P - 1, p))
-        for c0, C in self.blocks:
-            m = min(C.shape[2], p - c0)
-            if m > 0:
-                y += (C[:, :p, :m] @ gx[:, c0 : c0 + m, None])[..., 0]
-        y = idct(y, type=1, axis=0)
+        m = min(self.ncols, p)
+        y = idct((self.C[:, :p, :m] @ gx[:, :m, None])[..., 0], type=1, axis=0)
         return np.ascontiguousarray(y[:p].T)
 
     def eval_at(self, gvals, wt, zt):
@@ -571,8 +561,8 @@ class KernelTable:
 
     def w2_slab(self, i):
         """W2[i] rebuilt from the spectra: (ncols, 2P - 1), source column by
-        lag, one inverse DCT-I per block."""
-        return np.concatenate([idct(C[:, i, :], type=1, axis=0).T for _, C in self.blocks])
+        lag, by one inverse DCT-I."""
+        return idct(self.C[:, i, :], type=1, axis=0).T
 
     def rows(self, targets, sources):
         """Dense quadrature rows R[t, s] consistent with apply() (on a
@@ -592,7 +582,7 @@ class KernelTable:
 
     @property
     def nbytes(self):
-        return sum(C.nbytes for _, C in self.blocks)
+        return self.C.nbytes
 
 
 def far_mask(P_t):
@@ -821,14 +811,13 @@ class FarOperator:
 
     def _write_rows(self, ops, src, outs):
         """Write into outs[d] the far_weights of the source nodes src at the
-        skeleton of ops[d], from one pass at the union J of the skeletons
-        (every target while an operator is dense), this operator's first, so
-        its rows are a leading slice of each block."""
-        J = np.concatenate([self.skeleton, np.setdiff1d(ops[0].skeleton, self.skeleton)])
+        skeleton of ops[d], from one pass at the sorted union J of the
+        skeletons (every target while an operator is dense), each operator
+        gathering its own columns."""
+        J = np.unique(np.concatenate([op.skeleton for op in ops]))
         at = np.empty(self.wt.size, dtype=np.intp)
         at[J] = np.arange(J.size)
-        cols = [slice(op.rank) if np.array_equal(op.skeleton, J[: op.rank]) else at[op.skeleton]
-                for op in ops]
+        cols = [at[op.skeleton] for op in ops]
         dims = tuple(op.n for op in ops)
         for k0, block in far_weights(dims, src, self.wt[J], self.zt[J], self.P):
             for out, c, b in zip(outs, cols, block):
@@ -874,7 +863,7 @@ class GreenOps:
         # tail_potential's masks: 0 < r* <= R0/4, and the band r* >= R0/2
         self._tail_masks = (g.RS <= 0.25 * g.R0) & (g.RS > 0), g.RS >= 0.5 * g.R0
         # lookups: each table, the dimensions of those this grid's calls
-        # filled a block in, and each far operator
+        # filled, and each far operator
         self._tables, self._filled, self._fars, self._made = {}, set(), {}, set()
 
     def table(self, n):
@@ -889,9 +878,9 @@ class GreenOps:
         """table(n).method(*args) (apply, rows, fill), noting the tables it fills."""
         table = self.table(n)
         tables = [t for t in (table.pair, table) if t is not None]
-        blocks = [len(t.blocks) for t in tables]
+        fills = [t.fills for t in tables]
         out = getattr(table, method)(*args)
-        self._filled.update(t.n for t, k in zip(tables, blocks) if len(t.blocks) > k)
+        self._filled.update(t.n for t, k in zip(tables, fills) if t.fills > k)
         return out
 
     def far_operator(self, side, n):
@@ -911,13 +900,13 @@ class GreenOps:
 
     def cache_report(self):
         """The kernel tables and far operators this grid looked up: sizes,
-        filled table columns and the fills (blocks) that hold them, and
-        whether each far operator is still dense, or its rank and the columns
-        its skeleton QR factored.  built: a call of this grid's use_table
-        filled a block of the table, or this grid made the far operator (an
+        filled table columns and the fills that built them, and whether
+        each far operator is still dense, or its rank and the columns its
+        skeleton QR factored.  built: a call of this grid's use_table filled
+        the table, or this grid made the far operator (an
         n = 5 lookup makes its pair too); the others are cache hits."""
         tables = {f"P{t.P}_n{t.n}": {"bytes": t.nbytes, "columns": t.ncols,
-                                     "fills": len(t.blocks), "built": n in self._filled}
+                                     "fills": t.fills, "built": n in self._filled}
                   for n, t in self._tables.items()}
         far = {f"{side}_n{n}": {"dense": op.dense, "rank": None if op.dense else op.rank,
                                 "qr_columns": op.qr_columns,

@@ -1,16 +1,20 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import shutil
 import struct
 import subprocess
 import sys
+import tempfile
 import warnings
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -196,9 +200,10 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("key, val", [("sweep.values", [1e-3, 1e-3]), ("kerr.levels", [1, 61]),
                                           ("kerr.levels", [61]), ("kerr.levels", [61.0, 121.0]),
-                                          ("sweep.values", [1e-3])])
+                                          ("sweep.values", [1e-3]), ("kerr.levels", [])])
     def test_list_key_rules(self, key, val):
-        # two or more distinct levels of two or more nodes, two or more distinct sweep values
+        # two or more distinct levels of two or more nodes, two or more distinct sweep
+        # values; an empty list is counted before its least level is taken
         section, name = key.split(".")
         with pytest.raises(ConfigError, match=key):
             load_config({section: {name: val}})
@@ -268,6 +273,57 @@ class TestConfigValidation:
         assert np.array_equal(dle.Theta, ref.Theta) and dle.iterations == ref.iterations
         grid = cfg.grid["n_interior"], cfg.grid["n_exterior"]
         assert build_solver_options(cfg) == SolverOptions(*grid)
+
+
+# held, never drawn: a drawn grid size could allocate and a drawn worker count
+# fork without bound, and kerr-check's default levels take minutes
+HELD = {"grid": {"n_interior": 17, "n_exterior": 13}, "sweep": {"workers": 1},
+        "kerr": {"levels": [9, 13]}}
+DRAWN = [(section, key) for section, keys in _DEFAULTS.items() for key in keys
+         if key not in HELD.get(section, {})]
+
+
+class TestEveryConfigThroughMain:
+    """A config drawn key by key from config._DEFAULTS ends solve,
+    lane-emden, tov-compare and kerr-check in a documented exit code, with
+    no exception or warning escaping main and a nonzero code's reason on
+    stderr."""
+
+    # the default, zero, a negative, tiny, huge, infinite and NaN numbers, a wrong type
+    DEFAULT = object()
+    VALUES = (DEFAULT, 0, -1, 1e-300, 1e300, float("inf"), float("nan"), "abc")
+    COMMANDS = ("solve", "lane-emden", "tov-compare", "kerr-check")
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(st.sampled_from(COMMANDS),
+           st.dictionaries(st.sampled_from(DRAWN), st.sampled_from(VALUES), max_size=3),
+           st.sampled_from([None, *_DEFAULTS]))
+    # tracebacks and warnings that escaped main before the scales were range-checked
+    @example("solve", {("star", "u_O"): 1e300}, None)
+    @example("lane-emden", {("eos", "A_const"): 1e-300}, None)
+    @example("tov-compare", {("eos", "c_light"): 1e-300}, None)
+    @example("tov-compare", {("star", "G_grav"): 1e300}, None)
+    @example("solve", {("star", "G_grav"): 1e-300}, None)
+    @example("kerr-check", {("kerr", "window"): 1e300}, None)
+    def test_main_ends_in_a_documented_code(self, command, draws, empty):
+        # empty names a section given with no keys, which takes its defaults
+        config = {section: dict(keys) for section, keys in HELD.items()}
+        for (section, key), value in draws.items():
+            config.setdefault(section, {})[key] = (_DEFAULTS[section][key] if value is self.DEFAULT
+                                                   else value)
+        if empty not in (None, *HELD):
+            config[empty] = None
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cfg.yaml"
+            path.write_text(yaml.safe_dump(config))
+            with (warnings.catch_warnings(record=True) as caught,
+                  contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err)):
+                warnings.simplefilter("always")
+                code = main([command, "--config", str(path), "--out", str(Path(tmp) / "out")])
+        assert code in (0, 1, 2, 3)
+        assert [str(w.message) for w in caught] == []
+        assert code == 0 or err.getvalue().strip()
 
 
 class TestLaneEmdenCommand:

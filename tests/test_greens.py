@@ -71,15 +71,10 @@ def traced_peak(fn):
 
 
 def whole_table(P, n):
-    """A table of its own, every source column filled in one block."""
+    """A table of its own, every source column filled in one call."""
     table = KernelTable(P, n)
     table.fill(P)
     return table
-
-
-def spectra(table):
-    """The table's spectra C[k, i, c] over all its blocks, c its source column."""
-    return np.concatenate([C for _, C in table.blocks], axis=2)
 
 
 def masked_ring_kernel(n, wt, ws, dz):
@@ -1057,10 +1052,9 @@ class TestCachedQuadrature:
         # holds an even lag row (the end lags share an index), whatever P:
         # 80 at P = 21 is not a power of two, 124 at P = 32 not 2^k + 1
         table = whole_table(P, 3)
-        [(c0, C)] = table.blocks
-        assert c0 == 0 and table.ncols == P
-        assert C.shape == (2 * P - 1, P, P)
-        assert table.nbytes == C.nbytes
+        assert table.fills == 1 and table.ncols == P
+        assert table.C.shape == (2 * P - 1, P, P)
+        assert table.nbytes == table.C.nbytes
         gvals = np.random.RandomState(P).uniform(-1.0, 1.0, (P, P))
         i, j = np.divmod(np.arange(P * P), P)
         dense = table.rows((i, j), (i, j)) @ gvals.ravel()
@@ -1337,7 +1331,7 @@ class TestBlockedKernel:
         table = whole_table(17, n)
         monkeypatch.setattr(greens, "ring_kernel", oneshot_ring_kernel)
         ref = whole_table(17, n)
-        assert np.array_equal(spectra(table), spectra(ref))
+        assert np.array_equal(table.C, ref.C)
 
 
 class TestBatchedBuild:
@@ -1451,8 +1445,9 @@ class TestNodalRule:
 
 
 class TestColumnFill:
-    """A table fills its source columns on demand, as a growing prefix, and a
-    filled column is the whole table's column up to rounding."""
+    """A table fills its source columns on demand, as a growing prefix
+    rebuilt from column 0, and a filled column is the whole table's column
+    bit for bit."""
 
     @pytest.fixture(autouse=True)
     def fresh_caches(self, monkeypatch):
@@ -1461,11 +1456,10 @@ class TestColumnFill:
 
     @staticmethod
     def assert_columns_match(table, whole):
-        """Every filled column of table against the same column of whole,
-        within 1e-15 of that column's largest spectrum entry."""
-        ref = spectra(whole)[:, :, : table.ncols]
-        scale = np.max(np.abs(ref), axis=(0, 1))
-        assert np.all(np.max(np.abs(spectra(table) - ref), axis=(0, 1)) <= 1e-15 * scale)
+        """Every filled column of table is the same column of whole, bit
+        for bit."""
+        assert table.C.shape[:2] == whole.C.shape[:2]
+        assert np.array_equal(table.C, whole.C[:, :, : table.ncols])
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_prefix_partitions(self, n):
@@ -1473,27 +1467,22 @@ class TestColumnFill:
         whole = whole_table(P, n)
         for counts in (range(1, P + 1), [5, 6, 20, P], [1, 17, P]):
             table = KernelTable(P, n)
-            assert table.ncols == 0 and table.nbytes == 0
-            c0 = 0
+            assert table.ncols == 0 and table.nbytes == 0 and table.fills == 0
             for k, c in enumerate(counts):
                 table.fill(c)
-                assert table.ncols == c
-                # each fill is one block of the columns it adds
-                assert len(table.blocks) == k + 1
-                start, C = table.blocks[-1]
-                assert start == c0 and C.shape == (2 * P - 1, P, c - c0)
+                # each fill rebuilds columns 0..c-1 as one array
+                assert table.fills == k + 1 and table.ncols == c
+                assert table.C.shape == (2 * P - 1, P, c) and table.nbytes == table.C.nbytes
                 self.assert_columns_match(table, whole)
-                c0 = c
-            # a fill of columns the table holds adds nothing
+            # a fill of columns the table holds builds nothing
             table.fill(P // 2)
-            assert len(table.blocks) == len(counts) and table.ncols == P
-        # get_table tops a partly filled cached table up in place: the same
-        # object, its block kept, one block more
+            assert table.fills == len(counts) and table.ncols == P
+        # get_table fills a partly filled cached table in place: the same
+        # object, one fill more
         lazy = GreenOps(AxiGrid(R0=2.0, n_interior=P, n_exterior=25)).table(n)
         lazy.fill(5)
-        [block] = lazy.blocks
         assert get_table(P, n) is lazy
-        assert len(lazy.blocks) == 2 and lazy.blocks[0] is block and lazy.ncols == P
+        assert lazy.fills == 2 and lazy.ncols == P
         self.assert_columns_match(lazy, whole)
 
     @pytest.mark.parametrize("n", [3, 5])
@@ -1505,21 +1494,20 @@ class TestColumnFill:
         ops = GreenOps(g)
         table = ops.table(n)
         ops.k_n_global(smooth_bump(g, radius_frac=0.45), n)
-        earlier = list(table.blocks)
+        earlier = table.fills
         assert earlier and table.ncols < table.P
         assert get_table(g.n_int, n) is table
         assert ops.table(n) is table
-        assert len(table.blocks) == len(earlier) + 1
-        assert all(a is b for a, b in zip(table.blocks, earlier))
+        assert table.fills == earlier + 1
         assert table.ncols == table.P
         self.assert_columns_match(table, whole_table(g.n_int, n))
 
     @pytest.mark.parametrize("setup", [(9, 0), (0, 0), (7, 3)], ids=["9", "0", "n5-ahead"])
     def test_pair_fill_matches_own_fills(self, monkeypatch, setup):
-        # an n = 5 fill tops its n = 3 pair up to the same column count, one
-        # ring_kernel pass of (3, 5) per target column and one per near
-        # rule, and each table gets the block a fill of its own gives, bit
-        # for bit: after an n = 3 set-up block of 9 columns, as a solve
+        # an n = 5 fill rebuilds its n = 3 pair to the same column count,
+        # one ring_kernel pass of (3, 5) per target column and one per near
+        # rule, and each table gets the spectra a fill of its own gives, bit
+        # for bit: after an n = 3 set-up fill of 9 columns, as a solve
         # fills it, with both tables empty, and with the n = 5 table ahead
         # (a pair fill to 3 columns, then n = 3 alone to 7)
         P = 33
@@ -1536,9 +1524,8 @@ class TestColumnFill:
         n5.fill(P - 1)
         assert [args[0] for args in calls] == [(3, 5)] * (2 * P + 2)
         for table, own in ((n3, own3), (n5, own5)):
-            assert table.ncols == own.ncols == P - 1
-            assert [(c0, C.shape) for c0, C in table.blocks] == [(c0, C.shape) for c0, C in own.blocks]
-            assert all(C.tobytes() == D.tobytes() for (_, C), (_, D) in zip(table.blocks, own.blocks))
+            assert table.ncols == own.ncols == P - 1 and table.fills == own.fills
+            assert table.C.tobytes() == own.C.tobytes()
 
     def test_built_means_this_grid_filled(self):
         # built marks a table this grid gave new columns and a far operator
@@ -1561,8 +1548,8 @@ class TestColumnFill:
 
     def test_built_ignores_another_grids_fill(self):
         # two set-ups look the table up before either solves, as in a
-        # benchmark's set-up pass; only the grid whose apply filled a block
-        # reports it built
+        # benchmark's set-up pass; only the grid whose apply filled the
+        # table reports it built
         first, second = (GreenOps(AxiGrid(R0=R0, n_interior=33, n_exterior=25)) for R0 in (2.0, 3.7))
         first.table(3)
         second.table(3)
@@ -1619,51 +1606,59 @@ class TestColumnFill:
 
     def test_later_fill_copies_no_column(self):
         # a table filled in three calls, as a 97/65 rotating solve fills
-        # its n = 3 table: the third fill's traced peak is its new block
-        # plus the build's temporaries, what the same fill takes on a table
-        # that holds no block, and not a copy of the 40 columns filled
-        # before it
+        # its n = 3 table: the third fill frees the 40 columns filled
+        # before it and rebuilds from column 0, so the traced peak of all
+        # three is that of one fresh fill of the same columns, not that
+        # plus the 40 columns held
         P = 65
-        table = KernelTable(P, 3)
-        for ncols in (8, 40):
-            table.fill(ncols)
-        bare = KernelTable(P, 3)
-        bare.ncols = 40
+
+        def grown():
+            table = KernelTable(P, 3)
+            for ncols in (8, 40, P - 1):
+                table.fill(ncols)
+            return table
+
+        def fresh():
+            table = KernelTable(P, 3)
+            table.fill(P - 1)
+            return table
+
         tracemalloc.start()
         try:
-            third, _ = traced_peak(lambda: table.fill(P - 1))
-            fresh, _ = traced_peak(lambda: bare.fill(P - 1))
+            three, table = traced_peak(grown)
+            one, _ = traced_peak(fresh)
         finally:
             tracemalloc.stop()
         held = (2 * P - 1) * P * 40 * 8
-        assert third <= fresh + (1 << 16) < fresh + held
-        assert [(c0, C.shape[2]) for c0, C in table.blocks] == [(0, 8), (8, 32), (40, 24)]
+        assert three <= one + (1 << 16) < one + held
+        assert table.fills == 3 and table.C.shape == (2 * P - 1, P, P - 1)
 
     def test_compact_table_is_small(self):
         # the X source of a 97/65 star lies on source columns 0-12: its
         # n = 4 table holds 13 of the 97 columns of a whole one
         table = KernelTable(97, 4)
         table.fill(13)
-        assert [C.shape for _, C in table.blocks] == [(193, 97, 13)]
+        assert table.C.shape == (193, 97, 13)
         assert table.nbytes <= 2 << 20
 
     def test_solve_fills_prefix_blocks(self, cls15, eos_unit, dle_rot):
-        # each table of a small rotating solve holds consecutive blocks from
-        # column 0 that end at the columns its report gives
+        # each table of a small rotating solve holds the columns from 0 its
+        # report gives, filled as many times as its report counts, and
+        # each column is a whole table's bit for bit: the n = 5 fill
+        # rebuilds the n = 3 table's set-up columns with the rest
         p = StarParams.build(5 / 3, 1.0, 1.0, 1.0, u_O=1e-3, b_rot=1e-3, classical=cls15)
         opts = SolverOptions(n_interior=33, n_exterior=25)
         res = PNSolver(p, eos_unit, opts, dle=dle_rot, classical=cls15).solve()
         reports = res.diagnostics["green_ops"]["kernel_tables"]
         assert sorted(reports) == ["P33_n3", "P33_n4", "P33_n5"]
         for (P, n), table in greens._TABLE_CACHE.items():
-            starts = [c0 for c0, _ in table.blocks]
-            ends = [c0 + C.shape[2] for c0, C in table.blocks]
-            assert starts == [0, *ends[:-1]]
-            assert ends[-1] == table.ncols == reports[f"P{P}_n{n}"]["columns"]
-        # a source carrying only column c fills columns 0..c in one block
+            report = reports[f"P{P}_n{n}"]
+            assert (table.ncols, table.fills) == (report["columns"], report["fills"])
+            self.assert_columns_match(table, whole_table(P, n))
+        # a source carrying only column c fills columns 0..c in one fill
         for c in (0, 7):
             table = KernelTable(33, 3)
             src = np.zeros((33, 33))
             src[c, :32] = 1.0
             table.apply(src)
-            assert [(c0, C.shape[2]) for c0, C in table.blocks] == [(0, c + 1)]
+            assert (table.fills, table.ncols) == (1, c + 1)

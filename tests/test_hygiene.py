@@ -20,6 +20,7 @@ as a bare name or as an attribute, so a retired knob cannot linger.
 
 import ast
 import importlib
+import importlib.util
 import os
 import re
 import subprocess
@@ -491,3 +492,73 @@ def test_failing_hypothesis_test_fails_plainly(tmp_path):
     assert run.returncode == 1, run.stdout + run.stderr
     assert "INTERNALERROR" not in run.stdout + run.stderr
     assert "2 failed" in run.stdout
+
+
+MUTANTS = TESTS.parent / "mutants"
+
+
+def parametrize_ids(fn):
+    """The parameter ids pytest gives fn, from its parametrize marks: an
+    explicit id, str of a string, number, bool or None, else the argument's
+    name and the value's index, joined by '-' from the mark nearest fn."""
+    ids = [""]
+    for mark in getattr(fn, "pytestmark", []):
+        if mark.name != "parametrize":
+            continue
+        names, values = mark.args[:2]
+        names = [n.strip() for n in names.split(",")] if isinstance(names, str) else list(names)
+        given = mark.kwargs.get("ids") or [None] * len(values)
+        own = []
+        for k, (value, id_) in enumerate(zip(values, given)):
+            id_ = getattr(value, "id", None) or id_
+            vals = getattr(value, "values", value if len(names) > 1 else (value,))
+            own.append(id_ or "-".join(
+                str(v) if v is None or isinstance(v, (str, int, float)) else f"{name}{k}"
+                for name, v in zip(names, vals)))
+        ids = [f"{a}-{b}" if a else b for a in ids for b in own]
+    return ids
+
+
+def orphaned_mutants(mutants):
+    """(id, what) for each mutant whose old text does not occur exactly once
+    in its module of the package, or that names a test that is not a test
+    function of a module under tests/ with the parameter id it gives."""
+    found = []
+    for mutant in mutants:
+        if (PACKAGE / mutant["file"]).read_text().count(mutant["old"]) != 1:
+            found.append((mutant["id"], mutant["old"]))
+        for test in mutant["tests"]:
+            path, *names = test.split("::")
+            name, _, param = names[-1].partition("[")
+            obj = importlib.import_module(Path(path).stem) if Path(path).parent.name == "tests" else None
+            for attr in [*names[:-1], name]:
+                obj = getattr(obj, attr, None)
+            if not (name.startswith("test") and callable(obj)) or param and param[:-1] not in parametrize_ids(obj):
+                found.append((mutant["id"], test))
+    return found
+
+
+def test_checker_flags_an_orphaned_mutant():
+    kept = {"id": "kept", "file": "greens.py", "old": "GAUSS_BAND = 16",
+            "tests": ["tests/test_hygiene.py::test_checker_flags_an_orphaned_mutant",
+                      "tests/test_greens.py::TestBatchedBuild::test_matches_loop_build[3-17]",
+                      "tests/test_cli.py::TestConfigValidation::test_list_key_rules[kerr.levels-val5]"]}
+    cases = [
+        dict(kept, id="no old", old="GAUSS_BAND = 17"),
+        dict(kept, id="two olds", old="GAUSS_BAND"),
+        dict(kept, id="no test", tests=["tests/test_greens.py::TestBatchedBuild::test_matches_loop"]),
+        dict(kept, id="no class", tests=["tests/test_greens.py::TestNoSuch::test_matches_loop_build"]),
+        dict(kept, id="no param", tests=["tests/test_greens.py::TestBatchedBuild::test_matches_loop_build[6-17]"]),
+        dict(kept, id="no module", tests=["mutants/test_mutants.py::test_control_passes"]),
+    ]
+    assert orphaned_mutants([kept]) == []
+    assert [case for case, _ in orphaned_mutants(cases)] == [case["id"] for case in cases]
+
+
+def test_every_mutant_applies():
+    # what `python -m pytest mutants` finds only by running every mutant:
+    # each old text occurs once and each named test exists
+    spec = importlib.util.spec_from_file_location("mutant_table", MUTANTS / "table.py")
+    table = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(table)
+    assert orphaned_mutants(table.MUTANTS) == []

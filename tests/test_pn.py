@@ -625,13 +625,14 @@ class TestFarWork:
 
     def test_table_work(self, monkeypatch, coarse_star):
         # the set-up fills the n = 3 table's Newtonian columns; the solve's
-        # n = 5 fill tops its n = 3 pair up from the same kernel passes, so
-        # every elliptic modulus after the set-up is evaluated once, by K and
-        # E both.  The elliptic integrals are counted inside the table fills
+        # n = 5 fill rebuilds its n = 3 pair from column 0 from the same
+        # kernel passes, so every elliptic modulus after the set-up is
+        # evaluated once, by K and E both.  The elliptic integrals are
+        # counted inside the table fills
         p, eos, dle, cls = coarse_star
         monkeypatch.setattr(greens, "_TABLE_CACHE", {})
         monkeypatch.setattr(greens, "_FAR_CACHE", {})
-        counts, inside, fills = {"ellipk": 0, "ellipe": 0}, [], []
+        counts, inside = {"ellipk": 0, "ellipe": 0}, []
         for name in counts:
             fn = getattr(greens, name)
 
@@ -644,7 +645,6 @@ class TestFarWork:
         fill = greens.KernelTable.fill
 
         def counted_fill(table, ncols):
-            fills.append((table.n, table.ncols, ncols))
             inside.append(table)
             try:
                 return fill(table, ncols)
@@ -656,8 +656,7 @@ class TestFarWork:
         setup = dict(counts)
         solver.solve()
         tables = {n: greens._TABLE_CACHE[33, n] for n in (3, 4, 5)}
-        assert [(c0, C.shape[2]) for c0, C in tables[3].blocks] == [(0, 5), (5, 27)]
-        assert [(c0, C.shape[2]) for c0, C in tables[5].blocks] == [(0, 32)]
+        assert [(tables[n].fills, tables[n].ncols) for n in (3, 5)] == [(2, 32), (1, 32)]
         assert tables[5].pair is tables[3]
         assert setup == {"ellipk": 97516, "ellipe": 0}
         assert counts == {"ellipk": 560954, "ellipe": 463438}
