@@ -159,7 +159,25 @@ MUTANTS = [
         "new": "SIMPSON_MARGIN = 0 ",
         "tests": ["tests/test_lane_emden.py::TestMatterRows::test_support_ending_at"],
         "why": "kelvin3_legendre's Simpson sums stop at the source's last row, where "
-               "scipy's last interval reads the rows past it",
+               "the last interval's parabola reads the rows past it",
+    },
+    {
+        "id": "secant-step-sign-flipped",
+        "file": "lane_emden.py",
+        "old": "                Theta -= d_new\n",
+        "new": "                Theta += d_new\n",
+        "tests": ["tests/test_lane_emden.py::TestMixing::test_sweep_count"],
+        "why": "the secant step moves the profile away from the fixed point's estimate, so "
+               "the distorted sweeps take more than 20 sweeps or stall",
+    },
+    {
+        "id": "shared-cells-from-a-band-target",
+        "file": "greens.py",
+        "old": "    shared = min(P, ncols + D)\n",
+        "new": "    shared = min(P, ncols + D - 1)\n",
+        "tests": ["tests/test_greens.py::TestFillLayout::test_matches_per_target_build[lone-33-13]"],
+        "why": "target ncols - 1 + D, whose band reaches row ncols - 1, joins the targets "
+               "past the band, and they all take its Gauss cells",
     },
     {
         "id": "kerr-levels-min-first",

@@ -452,11 +452,17 @@ def _psi_apply(psi_ratio, limit, star_vals, arg_star_raw):
 
 
 def field_expm1(field, scale=1.0):
-    """expm1(scale * Q) = (e^{s off} - 1) + e^{s off} expm1(s T), exactly."""
+    """expm1(scale * Q) = (e^{s off} - 1) + e^{s off} expm1(s T), exactly;
+    SeriesDomainError where e^{s Q}, e^{s off} or e^{s T} leaves the float
+    range (or Q is not a number), before any of them is taken."""
     g = field.grid
-    base = np.exp(scale * field.offset)
-    int_vals = base * np.expm1(scale * field.int_vals)
+    s_off, s_int = scale * field.offset, scale * field.int_vals
     sT = scale * g.weight("star", field.n_index - 2) * field.star_vals
+    top = np.maximum(np.max(s_int), np.max(sT))  # NaN if Q has one
+    if not np.max([s_off, top, s_off + top]) < np.log(np.finfo(float).max):
+        raise SeriesDomainError(f"exp({scale:.3g} Q) overflows: the field is too strong")
+    base = np.exp(s_off)
+    int_vals = base * np.expm1(s_int)
     star = base * _psi_apply(np.expm1, 1.0, scale * field.star_vals, sT)
     return AxiField(g, field.n_index, int_vals, star, field.parity, base - 1.0)
 

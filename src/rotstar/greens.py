@@ -317,7 +317,10 @@ def _build_w2(tables, ncols, accs):
 
     Each kind of kernel value is one ring_kernel pass per target column
     for all the tables, which share the cells, the Gauss mask and the
-    scatter indices (KernelTable).
+    scatter indices (KernelTable); the targets past the band share one cell
+    set and take one pass per kind for D of them.  The slabs are written
+    into C untransformed and transformed in place by one DCT-I along its
+    lag axis.
     """
     P, G, q, D = tables[0].P, N_GAUSS_BASE, STENCIL_Q, GAUSS_BAND
     t, wq = _gauss01(G)
@@ -344,34 +347,51 @@ def _build_w2(tables, ncols, accs):
     ws_nodes = np.arange(ncols + q, dtype=float)
     corner, dn, ns = np.arange(2), np.arange(-MC, MC + 1), tuple(table.n for table in tables)
     folds = [fold(ncols, (-1.0) ** table.n).T for table in tables]
+    size = (ncols + 1) * (2 * P - 1)
     Cs = [np.empty((2 * P - 1, P, ncols)) for _ in tables]
-    for i in range(P):
-        # row ncols stays False: the node past the rows takes no Gauss entry
-        gauss = np.zeros((ncols + 1, 2 * P - 1), dtype=bool)
-        own = gauss[:ncols]
-        own[np.abs(rows - i) <= D, : D + 1] = True
-        own[edge] = True
-        own[:, -1] = True
-        # the cells (varpi cell a, dz cell b) of those entries' hats, and the
-        # W2 entry of corner (p, q), node a + p at lag b + q; the lag-0 hat
-        # also spans dz in [-1, 0], which mirrors the lower-weighted part of
-        # dz-cell 0 by evenness of the kernel
-        hat = gauss[cells] | gauss[cells + 1]
-        a, b = np.nonzero(hat[:, :-1] | hat[:, 1:])
-        flat = (a[:, None] + corner)[:, :, None] * (2 * P - 1) + b[:, None, None] + corner
-        low = b == 0
-        flat = np.concatenate([flat.ravel(), flat[low, :, 0].ravel()])
-        kvs = ring_kernel(ns, float(i), a[:, None, None] + t[:, None], b[:, None, None] + t)
-        lats = ring_kernel(ns, float(i), ws_nodes[:, None], dz_nodes[None, :])
+    # a target from ncols + D on has no row within D of it: those targets
+    # share one cell set, the edge rows' and the last lag's, made once and
+    # built D targets at a time; each target before them is built alone
+    shared = min(P, ncols + D)
+    for i in [*range(shared), *range(shared, P, D)]:
+        targets = np.arange(i, min(i + D, P) if i >= shared else i + 1)
+        if i <= shared:
+            # row ncols stays False: the node past the rows takes no Gauss entry
+            gauss = np.zeros((ncols + 1, 2 * P - 1), dtype=bool)
+            own = gauss[:ncols]
+            own[np.abs(rows - i) <= D, : D + 1] = True
+            own[edge] = True
+            own[:, -1] = True
+            # the cells (varpi cell a, dz cell b) of those entries' hats, and
+            # the W2 entry of corner (p, q), node a + p at lag b + q; the
+            # lag-0 hat also spans dz in [-1, 0], which mirrors the
+            # lower-weighted part of dz-cell 0 by evenness of the kernel
+            hat = gauss[cells] | gauss[cells + 1]
+            a, b = np.nonzero(hat[:, :-1] | hat[:, 1:])
+            entry = (a[:, None] + corner)[:, :, None] * (2 * P - 1) + b[:, None, None] + corner
+            low = b == 0
+            entry = np.concatenate([entry.ravel(), entry[low, :, 0].ravel()])
+        # the entries in each target's slab
+        flat = (np.arange(targets.size)[:, None] * size + entry).ravel()
+        wt = targets[:, None, None].astype(float)
+        kvs = ring_kernel(ns, wt[..., None], a[:, None, None] + t[:, None], b[:, None, None] + t)
+        lats = ring_kernel(ns, wt, ws_nodes[:, None], dz_nodes[None, :])
+        # a shared target's near nodes, like its first target's, lie past the rows
         on = np.flatnonzero((i + dn >= 0) & (i + dn < ncols))
         for C, fold_ws, kv, lat, acc in zip(Cs, folds, kvs, lats, accs):
-            # c[k, p, q] weighs cell k toward node a + p and lag b + q
-            c = hats.T @ (kv @ hats)
-            W2 = np.bincount(flat, np.concatenate([c.ravel(), c[low, :, 0].ravel()]),
-                             (ncols + 1) * (2 * P - 1)).reshape(ncols + 1, 2 * P - 1)
-            W2 = np.where(own, W2[:ncols], fold_ws @ lat @ fold_dz)
-            W2[i + dn[on], : MC + 1] = acc[i, on]
-            C[:, i] = dct(W2, type=1, axis=1).T
+            # c[., k, p, q] weighs cell k toward node a + p and lag b + q:
+            # hats.T kv hats as two products over all cells at once
+            x = (kv.reshape(-1, G) @ hats).reshape(*kv.shape[:-1], 2).swapaxes(-1, -2)
+            c = (x.reshape(-1, G) @ hats).reshape(*kv.shape[:-2], 2, 2).swapaxes(-1, -2)
+            w = np.concatenate([c.reshape(targets.size, -1),
+                                c[:, low, :, 0].reshape(targets.size, -1)], axis=1)
+            W2 = np.bincount(flat, w.ravel(), targets.size * size).reshape(-1, ncols + 1, 2 * P - 1)
+            W2 = np.where(own, W2[:, :ncols], fold_ws @ lat @ fold_dz)
+            W2[0, i + dn[on], : MC + 1] = acc[i, on]
+            C[:, targets] = W2.transpose(2, 0, 1)
+    # every slab's DCT-I along its lag axis, in place, in one transform
+    for C in Cs:
+        dct(C, type=1, axis=0, overwrite_x=True)
     return Cs
 
 
@@ -454,10 +474,11 @@ class KernelTable:
     read from its shape.  DCT-I is the real DFT of the lag row made even with
     period 4P - 4 (lags -(2P-2)..2P-2, the two end lags at one index), which
     holds every lag j - z' of an output z = j in 0..P-1 and a source
-    |z'| <= P-1 free of wrap-around.  apply transforms the source once,
-    multiplies by C frequency by frequency in one batched product and
-    transforms back; w2_slab rebuilds a slab of W2 with one inverse DCT-I,
-    and rows() reads its entries from the slabs.
+    |z'| <= P-1 free of wrap-around.  apply transforms the source columns
+    it carries (the others' spectra are zeros), multiplies by C frequency
+    by frequency in one batched product and transforms back; w2_slab
+    rebuilds a slab of W2 with one inverse DCT-I, and rows() reads its
+    entries from the slabs.
 
     Columns are filled on demand, as a growing prefix, and fill is the only
     build.  KernelTable(P, n) starts empty.  apply and rows fill up to the
@@ -472,7 +493,7 @@ class KernelTable:
     fills that built it.  A fill never holds the old and the new spectra at
     once, and its columns are a whole table's bit for bit (tested at
     P = 33): the same cells, lattice values and near integrals enter them.
-    A 97/65 rotating solve rebuilds the 13 columns the n = 3 table's
+    A 97/65 rotating solve rebuilds the 14 columns the n = 3 table's
     Newtonian set-up filled when the n = 5 fill takes its pair to 96
     columns; the n = 5 fill evaluates those kernel values anyway.
 
@@ -487,9 +508,17 @@ class KernelTable:
     0..ncols-1+q, dz in 0..2P-2+q, at most (P + q)(2P - 1 + q) values, whose
     stencil sums are two matrix products.  Filling every column takes about
     6.1 P^3 values at P = 65 with the near integrals, against 32 P^3 for
-    Gauss sums on every cell.  Each target column's slab gets its near
-    integrals and is transformed into the new C before the next one is
-    built.
+    Gauss sums on every cell.  The cell layout is made once per fill for
+    the targets i >= ncols + D, whose band holds none of the columns: they
+    have the same Gauss cells, the edge rows' and the last lag's, and no
+    near integrals, and are built D at a time, two ring_kernel calls per D
+    targets (68 of the 97 targets of a 13-column fill at P = 97, in five
+    blocks; none in a fill to ncols >= P - D), which bounds the block's
+    temporaries to about those of D targets' kernel values.
+    Each slab gets its near integrals and is written into the new C, and
+    one in-place DCT-I of C along the lag axis transforms them all, with
+    no second copy of the spectra; the spectra are those of a build target
+    by target, bit for bit.
 
     pair, given to the cached n = 5 table, is the n = 3 table of its P: a
     fill to ncols rebuilds it to ncols too when it holds fewer, each
@@ -537,13 +566,15 @@ class KernelTable:
                 f"to use the {self.P}-node table"
             )
         # fill up to the last column the source carries, then take the
-        # spectrum of the source made even in z and zero-padded to the
-        # table's period, and make one real product per frequency over the
-        # columns on the patch
-        self.fill(1 + np.max(np.flatnonzero(np.any(gvals, axis=1)), initial=-1))
-        gx = dct(gvals.T, type=1, n=2 * self.P - 1, axis=0)
+        # spectrum of its carried columns made even in z and zero-padded to
+        # the table's period (the other columns' spectra are zeros), and
+        # make one real product per frequency over the columns on the patch
+        carried = 1 + np.max(np.flatnonzero(np.any(gvals, axis=1)), initial=-1)
+        self.fill(carried)
         m = min(self.ncols, p)
-        y = idct((self.C[:, :p, :m] @ gx[:, :m, None])[..., 0], type=1, axis=0)
+        gx = np.zeros((2 * self.P - 1, m))
+        gx[:, :carried] = dct(gvals[:carried].T, type=1, n=2 * self.P - 1, axis=0)
+        y = idct((self.C[:, :p, :m] @ gx[..., None])[..., 0], type=1, axis=0)
         return np.ascontiguousarray(y[:p].T)
 
     def eval_at(self, gvals, wt, zt):

@@ -10,7 +10,8 @@ integral equation
     Theta = (b/2) chi(|xi|/Xi0)^2 (xi_1^2 + xi_2^2) + G(Theta),
     G(Theta) = K3 (Theta v 0)^nu - K3 (Theta v 0)^nu (O) + 1,
 
-by damped fixed-point iteration; K3 is the 3-d Newtonian Green operator,
+by fixed-point sweeps with one-step Anderson (secant) mixing; K3 is the
+3-d Newtonian Green operator,
 applied here through an even-Legendre multipole expansion on an (s, zeta)
 grid.  The b/2 coefficient follows from a = sqrt(A g / (4 pi G (g-1))) rho^..,
 b = Omega^2/(4 pi G rho_c) together with the rotating hydrostatic relation
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
-from scipy.integrate import cumulative_simpson, solve_ivp
+from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
 from .cutoff import chi
@@ -42,9 +43,9 @@ def _rhs(xi, y, nu):
 
 THETA_RTOL, THETA_ATOL = 1e-12, 1e-13  # DOP853 tolerances of the classical ODE
 XI_MAX = 60.0  # end of solve_classical's search for the first zero
-# the distorted fixed point: damping, tolerance on a sweep's sup change, and
-# stall rule (past sweep 12, a change above the one 5 sweeps back stops it)
-DAMPING, TOL, STALL = 0.8, 1e-11, (12, 5)
+# the distorted fixed point: tolerance on a sweep's sup change, and stall
+# rule (past sweep 12, a change above the one 5 sweeps back stops it)
+TOL, STALL = 1e-11, (12, 5)
 SIMPSON_MARGIN = 3  # zero rows kelvin3_legendre integrates past its source
 
 
@@ -134,21 +135,54 @@ def _project(g, basis, zeta_weights):
     return (g * zeta_weights) @ basis * (2 * l + 1)
 
 
+def _simpson_part(x21, x32, f1, f2, f3):
+    """The Simpson integral over the interval of width x21 from f1's node
+    toward f2's, the parabola through f1, f2 and f3 (Cartwright, J. Math.
+    Sci. Math. Educ. 12(2), eq. (8), as scipy cites it); the widths are
+    columns, one row per interval."""
+    x21_x31 = x21 / (x21 + x32)
+    x21x21_x31x32 = x21_x31 * (x21 / x32)
+    return x21 / 6 * ((3 - x21_x31) * f1 + (3 + x21x21_x31x32 + x21_x31) * f2
+                      - x21x21_x31x32 * f3)
+
+
+def cumulative_simpson_rows(y, x):
+    """scipy.integrate.cumulative_simpson(y, x=x, axis=0, initial=0.0) for
+    y of at least three rows, bit for bit: even intervals take the parabola
+    of the nodes from their left end, odd intervals and the last one that
+    of the nodes from their right end, each in scipy's order of operations.
+    The interval widths enter once per row, not once per column of y."""
+    m = y.shape[0]
+    dx = np.diff(x)[:, None]
+    sub = np.empty((m - 1, y.shape[1]))
+    sub[0 : m - 2 : 2] = _simpson_part(dx[0 : m - 2 : 2], dx[1 : m - 1 : 2],
+                                       y[0 : m - 2 : 2], y[1 : m - 1 : 2], y[2:m:2])
+    sub[1 : m - 1 : 2] = _simpson_part(dx[1 : m - 1 : 2], dx[0 : m - 2 : 2],
+                                       y[2:m:2], y[1 : m - 1 : 2], y[0 : m - 2 : 2])
+    sub[-1] = _simpson_part(dx[-1], dx[-2], y[-1], y[-2], y[-3])
+    out = np.zeros(y.shape)
+    np.cumsum(sub, axis=0, out=out[1:])
+    return out
+
+
 def kelvin3_legendre(g, s, basis, zeta_weights):
     """Apply the 3-d Newtonian operator K3 to an axisymmetric, z-even source.
 
     g is sampled on the tensor (s, zeta) grid with zeta at Gauss nodes on
     [0, 1] and basis = even_legendre(zeta nodes, lmax); returns (K3 g on the
-    grid, K3 g at the origin).  Every degree's radial integrals run at once,
-    by composite Simpson on the s grid, up to g's last nonzero row plus
-    SIMPSON_MARGIN zero rows, which scipy's last interval reads alone; past
-    them the full sums add zeros, so inner keeps its last value and outer is
-    0, bit for bit.  Projecting fewer rows, BLAS can round by another kernel.
+    grid, K3 g at the origin).  The projection takes the rows of g's
+    support; past them the coefficients are exact zeros.  Every degree's
+    radial integrals run at once, by composite Simpson on the s grid, up to
+    the support's last row plus SIMPSON_MARGIN zero rows, which the last
+    interval's parabola reads alone; past them the full sums add zeros, so
+    inner keeps its last value and outer is 0, bit for bit.
     """
     n, nl = s.size, basis.shape[1]
     l = 2 * np.arange(nl)
-    m = min(n, np.flatnonzero(g.any(axis=1)).max(initial=-1) + 1 + SIMPSON_MARGIN)
-    c = _project(g, basis, zeta_weights)[:m]
+    k = np.flatnonzero(g.any(axis=1)).max(initial=-1) + 1
+    m = min(n, k + SIMPSON_MARGIN)
+    c = np.zeros((m, nl))
+    c[:k] = _project(g[:k], basis, zeta_weights)
     pos = (s > 0)[:, None]
     s_safe = np.where(pos, s[:, None], 1.0)
     out_igd = np.where(pos[:m], s_safe[:m] ** (1 - l), 0.0) * c
@@ -157,8 +191,7 @@ def kelvin3_legendre(g, s, basis, zeta_weights):
     floor = np.abs(c) < 1e-13 * np.max(np.abs(c), axis=0)
     floor[:, 0] = False
     out_igd[floor] = 0.0
-    sums = cumulative_simpson(np.hstack([s[:m, None] ** (l + 2) * c, out_igd]),
-                              x=s[:m], axis=0, initial=0.0)
+    sums = cumulative_simpson_rows(np.hstack([s[:m, None] ** (l + 2) * c, out_igd]), s[:m])
     inner, outer = np.empty((n, nl)), np.zeros((n, nl))
     inner[:m], inner[m:] = sums[:, :nl], sums[-1, :nl]
     outer[:m] = sums[-1, nl:] - sums[:, nl:]
@@ -235,7 +268,8 @@ def solve_distorted(
     lmax=12,
     max_iter=400,
 ):
-    """Damped fixed-point solve of the distorted Lane-Emden equation.
+    """Fixed-point solve of the distorted Lane-Emden equation, its sweeps
+    mixed by one-step Anderson (secant) mixing.
 
     Starts from the classical profile; raises ConvergenceError when the sweep
     stops contracting and RegimeError when the converged profile fails the
@@ -250,24 +284,46 @@ def solve_distorted(
     zeta = 0.5 * (x + 1.0)
     zw = 0.5 * wq
 
-    S, Z = np.meshgrid(s, zeta, indexing="ij")
-    forcing = 0.5 * b * chi(S / Xi0) ** 2 * S**2 * (1.0 - Z**2)
+    forcing = (0.5 * b * chi(s / Xi0) ** 2 * s**2)[:, None] * (1.0 - zeta**2)
     far = np.searchsorted(s, 2.5 * xi1)  # first row of s >= 2.5 xi1
     basis = even_legendre(zeta, lmax)
+    # the source; a sweep's map value G and residual F = G - Theta, and the
+    # last sweep's, which become the changes dG and dF
+    src = np.zeros(forcing.shape)
+    buffers = [np.zeros(forcing.shape) for _ in range(4)]
+    swept = False
 
     def source(Theta):
         # (Theta v 0)^nu, raised to the power only on the rows that hold matter
-        src = np.zeros_like(Theta)
         k = np.flatnonzero((Theta > 0.0).any(axis=1)).max(initial=-1) + 1
-        src[:k] = np.maximum(Theta[:k], 0.0) ** nu
+        src[k:] = 0.0
+        np.maximum(Theta[:k], 0.0, out=src[:k])
+        src[:k] **= nu
         return src
 
     def sweep(Theta):
+        # one-step Anderson (secant) mixing (Walker & Ni 2011): the next
+        # profile is G - gamma dG, gamma = <dF, F> / <dF, dF> minimising the
+        # secant estimate |F - gamma dF| of its residual; the first sweep, and
+        # one whose residual did not change, take the plain map G
+        nonlocal swept
+        new, res, d_new, d_res = buffers
         K, K_O = kelvin3_legendre(source(Theta), s, basis, zw)
-        new = forcing + K - K_O + 1.0
-        delta = float(np.max(np.abs(new - Theta)))
-        Theta *= 1.0 - DAMPING
-        Theta += DAMPING * new
+        np.add(forcing, K, out=new)
+        new -= K_O
+        new += 1.0
+        np.subtract(new, Theta, out=res)
+        delta = float(max(res.max(), -res.min()))
+        np.copyto(Theta, new)
+        if swept:
+            np.subtract(new, d_new, out=d_new)
+            np.subtract(res, d_res, out=d_res)
+            denom = np.vdot(d_res, d_res)
+            if denom > 0.0:
+                d_new *= np.vdot(d_res, res) / denom
+                Theta -= d_new
+        swept = True
+        buffers[:] = d_new, d_res, new, res
         if np.any(Theta[far:] > 0.0):
             # centrifugal forcing beat gravity far out: b is beyond the
             # admissible range for this grid extent
@@ -276,7 +332,7 @@ def solve_distorted(
             )
         return Theta, delta
 
-    Theta0 = np.broadcast_to(classical.theta(s)[:, None], S.shape).copy()
+    Theta0 = np.broadcast_to(classical.theta(s)[:, None], forcing.shape).copy()
     Theta, changes = damped_iteration(sweep, Theta0, TOL, max_iter,
                                       "distorted Lane-Emden iteration", stall=STALL)
 

@@ -163,6 +163,11 @@ def newtonian_fields(dle, params, grid, ops, eos):
     )
 
     G4pi = -4.0 * math.pi * params.G_grav
+    # the sweep's density reaches a column past the seeded one's, and a fill
+    # rebuilds a table from column 0: fill the n = 3 table once, up front,
+    # to the seeded density's last column plus one
+    seeded = compact_map(eos.f_N_rho, u_N, n_index=3).interior_compact()
+    ops.use_table(3, "fill", 2 + np.max(np.flatnonzero(np.any(seeded, axis=1)), initial=-1))
 
     def sweep(u_N):
         rho_N = compact_map(eos.f_N_rho, u_N, n_index=3)

@@ -305,6 +305,9 @@ class TestEveryConfigThroughMain:
     @example("tov-compare", {("star", "G_grav"): 1e300}, None)
     @example("solve", {("star", "G_grav"): 1e-300}, None)
     @example("kerr-check", {("kerr", "window"): 1e300}, None)
+    # overflow warnings of exp(s Q) that escaped main on strong fields inside the ranges
+    @example("solve", {("star", "u_O"): 1.0e50}, None)
+    @example("tov-compare", {("eos", "gamma"): 1.99, ("eos", "c_light"): 1e-50}, None)
     def test_main_ends_in_a_documented_code(self, command, draws, empty):
         # empty names a section given with no keys, which takes its defaults
         config = {section: dict(keys) for section, keys in HELD.items()}
@@ -324,6 +327,24 @@ class TestEveryConfigThroughMain:
         assert code in (0, 1, 2, 3)
         assert [str(w.message) for w in caught] == []
         assert code == 0 or err.getvalue().strip()
+
+    @pytest.mark.parametrize("command", ["solve", "tov-compare"])
+    @pytest.mark.parametrize("scales", [{"star": {"u_O": 1.0e50}},
+                                        {"eos": {"gamma": 1.99, "c_light": 1e-50}}],
+                             ids=["u_O-1e50", "gamma-1.99-c-1e-50"])
+    def test_strong_field_exits_2(self, tmp_path, command, scales):
+        # scales inside their ranges whose fields overflow exp(s Q): a
+        # series-domain error before the exponential is taken, no warning
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump({**HELD, **scales}))
+        err = io.StringIO()
+        with (warnings.catch_warnings(record=True) as caught,
+              contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err)):
+            warnings.simplefilter("always")
+            code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert [str(w.message) for w in caught] == []
+        assert err.getvalue() == "error: exp(1 Q) overflows: the field is too strong\n"
 
 
 class TestLaneEmdenCommand:

@@ -12,6 +12,7 @@ import scipy.linalg.lapack
 from numpy.polynomial.legendre import leggauss
 from scipy.sparse import lil_matrix
 from scipy.sparse.linalg import spsolve
+from scipy.fft import dct, idct
 from scipy.special import ellipe, ellipk
 
 from rotstar import greens
@@ -1208,6 +1209,57 @@ def loop_build(P, n):
     return W2
 
 
+def per_target_spectra(tables, ncols):
+    """The spectra of a fill of tables (one table, or an n = 3/5 pair) to
+    ncols columns, built target by target: each target's own Gauss cells,
+    ring_kernel calls and W2 slab, and the slab's own DCT-I.  The layout
+    _build_w2 shares among the targets past the band and its one DCT per
+    fill must reproduce it bit for bit."""
+    P, q, D = tables[0].P, greens.STENCIL_Q, greens.GAUSS_BAND
+    t, wq = greens._gauss01(N_GAUSS_BASE)
+    hats = greens._hat_weights(t, wq)
+    s = greens._hat_stencil(q)
+    accs = greens._near_integrals(tables, ncols)
+
+    def fold(m, sign):
+        x = np.arange(m)[:, None] + np.arange(-q, q + 1)
+        F = np.zeros((m + q, m))
+        np.add.at(F, (np.abs(x), np.arange(m)[:, None]), np.where(x < 0, sign, 1.0) * s)
+        return F
+
+    fold_dz = fold(2 * P - 1, 1.0)
+    dz_nodes = np.arange(2 * P - 1 + q, dtype=float)
+    rows, cells = np.arange(ncols), np.arange(min(ncols, P - 1))
+    edge = (rows == 0) | (rows == P - 1)
+    ws_nodes = np.arange(ncols + q, dtype=float)
+    corner, dn, MC = np.arange(2), np.arange(-greens.MC, greens.MC + 1), greens.MC
+    ns = tuple(table.n for table in tables)
+    folds = [fold(ncols, (-1.0) ** table.n).T for table in tables]
+    Cs = [np.empty((2 * P - 1, P, ncols)) for _ in tables]
+    for i in range(P):
+        gauss = np.zeros((ncols + 1, 2 * P - 1), dtype=bool)
+        own = gauss[:ncols]
+        own[np.abs(rows - i) <= D, : D + 1] = True
+        own[edge] = True
+        own[:, -1] = True
+        hat = gauss[cells] | gauss[cells + 1]
+        a, b = np.nonzero(hat[:, :-1] | hat[:, 1:])
+        flat = (a[:, None] + corner)[:, :, None] * (2 * P - 1) + b[:, None, None] + corner
+        low = b == 0
+        flat = np.concatenate([flat.ravel(), flat[low, :, 0].ravel()])
+        kvs = ring_kernel(ns, float(i), a[:, None, None] + t[:, None], b[:, None, None] + t)
+        lats = ring_kernel(ns, float(i), ws_nodes[:, None], dz_nodes[None, :])
+        on = np.flatnonzero((i + dn >= 0) & (i + dn < ncols))
+        for C, fold_ws, kv, lat, acc in zip(Cs, folds, kvs, lats, accs):
+            c = hats.T @ (kv @ hats)
+            W2 = np.bincount(flat, np.concatenate([c.ravel(), c[low, :, 0].ravel()]),
+                             (ncols + 1) * (2 * P - 1)).reshape(ncols + 1, 2 * P - 1)
+            W2 = np.where(own, W2[:ncols], fold_ws @ lat @ fold_dz)
+            W2[i + dn[on], : MC + 1] = acc[i, on]
+            C[:, i] = dct(W2, type=1, axis=1).T
+    return Cs
+
+
 def oneshot_ring_kernel(n, wt, ws, dz):
     """ring_kernel with a fresh array for each intermediate and a mask built
     on every call: the reference for ring_kernel's in-place evaluation.  A
@@ -1662,3 +1714,38 @@ class TestColumnFill:
             src[c, :32] = 1.0
             table.apply(src)
             assert (table.fills, table.ncols) == (1, c + 1)
+
+
+class TestFillLayout:
+    """A fill builds the targets past its rows' Gauss band together, on one
+    cell set, and transforms every slab in one DCT; apply transforms only
+    the source columns it carries.  Every spectrum and potential is the
+    per-target build's, bit for bit."""
+
+    @pytest.mark.parametrize("P, ncols", [(P, c) for P in (17, 33, 97)
+                                          for c in sorted({1, 2, 13, P - 1, P})])
+    @pytest.mark.parametrize("kind", ["lone", "pair"])
+    def test_matches_per_target_build(self, P, ncols, kind):
+        # a lone n = 4 table and an n = 3/5 pair; at P = 33 and 97 a fill of
+        # 1, 2 or 13 columns has targets past the band
+        if kind == "lone":
+            tables = [KernelTable(P, 4)]
+        else:
+            n3 = KernelTable(P, 3)
+            tables = [n3, KernelTable(P, 5, n3)]
+        tables[-1].fill(ncols)
+        for table, C in zip(tables, per_target_spectra(tables, ncols)):
+            assert table.ncols == ncols and table.C.tobytes() == C.tobytes()
+
+    @pytest.mark.parametrize("p", [25, 33])
+    @pytest.mark.parametrize("c", [0, 7, 23])
+    def test_apply_on_one_column(self, p, c):
+        # a source carrying column c alone on a whole table: the product of
+        # the spectra of every column on the patch, bit for bit
+        P = 33
+        table = whole_table(P, 3)
+        src = np.zeros((p, p))
+        src[c, : p - 1] = np.random.default_rng(c).uniform(-1.0, 1.0, p - 1)
+        gx = dct(src.T, type=1, n=2 * P - 1, axis=0)
+        ref = idct((table.C[:, :p, :p] @ gx[:, :, None])[..., 0], type=1, axis=0)[:p].T
+        assert table.apply(src).tobytes() == np.ascontiguousarray(ref).tobytes()

@@ -9,10 +9,10 @@ from rotstar.cutoff import chi
 from rotstar.errors import (ConvergenceError, DomainError, RegimeError, contraction_ratio,
                             damped_iteration)
 from rotstar.lane_emden import (
-    DAMPING,
     STALL,
     TOL,
     _project,
+    cumulative_simpson_rows,
     even_legendre,
     integrate_theta,
     kelvin3_legendre,
@@ -48,11 +48,17 @@ def kelvin3_per_degree(g, s, zeta_nodes, zeta_weights, lmax):
 
 
 def kelvin3_full_rows(g, s, basis, zeta_weights):
-    """K3 of a z-even source with the projection and both radial sums on
-    every row of the grid: the form kelvin3_legendre cuts to the rows of its
-    source's support, kept as its bit-for-bit reference."""
+    """K3 of a z-even source with both radial sums, by scipy's
+    cumulative_simpson, on every row of the grid: the form kelvin3_legendre
+    cuts to the rows of its source's support, kept as its bit-for-bit
+    reference.  The projection takes the support's rows, as
+    kelvin3_legendre's does: a BLAS product can round a row by the shape of
+    the block it sits in, and rows past the support are exact zeros in any
+    form."""
     l = 2 * np.arange(basis.shape[1])
-    c = _project(g, basis, zeta_weights)
+    k = np.flatnonzero(g.any(axis=1)).max(initial=-1) + 1
+    c = np.zeros((s.size, l.size))
+    c[:k] = _project(g[:k], basis, zeta_weights)
     pos = (s > 0)[:, None]
     s_safe = np.where(pos, s[:, None], 1.0)
     inner = cumulative_simpson(s[:, None] ** (l + 2) * c, x=s, axis=0, initial=0.0)
@@ -66,11 +72,14 @@ def kelvin3_full_rows(g, s, basis, zeta_weights):
     return (radial / (2 * l + 1)) @ basis.T, outer[0, 0]
 
 
-def distorted_full_rows(nu, b, classical, n_radial=1025, n_zeta=48, lmax=12):
+def distorted_full_rows(nu, b, classical, damping=None, n_radial=1025, n_zeta=48, lmax=12):
     """The distorted fixed point with every sweep on every row: (Theta
-    v 0)^nu, K3 and the damping taken on the whole grid, as
-    solve_distorted's bit-for-bit reference.  Returns Theta, the coefficient
-    spline, Theta_inf, the sweep count and the contraction ratio."""
+    v 0)^nu and K3 taken on the whole grid.  Without damping, the sweeps
+    take solve_distorted's one-step Anderson mixing, as its bit-for-bit
+    reference; with it, Theta <- (1 - damping) Theta + damping G, the
+    damped sweeps the mixing replaced.  Both raise RegimeError on spurious
+    matter beyond 2.5 xi1.  Returns Theta, the coefficient spline,
+    Theta_inf, the sweep count and the contraction ratio."""
     Xi0 = 4.0 * classical.xi1
     s = np.linspace(0.0, Xi0, n_radial)
     x, wq = leggauss(n_zeta)
@@ -78,11 +87,24 @@ def distorted_full_rows(nu, b, classical, n_radial=1025, n_zeta=48, lmax=12):
     S, Z = np.meshgrid(s, zeta, indexing="ij")
     forcing = 0.5 * b * chi(S / Xi0) ** 2 * S**2 * (1.0 - Z**2)
     basis = even_legendre(zeta, lmax)
+    last = []  # the last sweep's G and F
 
     def sweep(Theta):
         K, K_O = kelvin3_full_rows(np.maximum(Theta, 0.0) ** nu, s, basis, zw)
         new = forcing + K - K_O + 1.0
-        return (1.0 - DAMPING) * Theta + DAMPING * new, float(np.max(np.abs(new - Theta)))
+        res = new - Theta
+        if damping is not None:
+            nxt = (1.0 - damping) * Theta + damping * new
+        elif last:
+            dF = res - last[1]
+            denom = np.vdot(dF, dF)
+            nxt = new - np.vdot(dF, res) / denom * (new - last[0]) if denom > 0.0 else new
+        else:
+            nxt = new
+        last[:] = new, res
+        if np.any(nxt[s >= 2.5 * classical.xi1] > 0.0):
+            raise RegimeError("spurious matter beyond 2.5 xi1")
+        return nxt, float(np.max(np.abs(res)))
 
     Theta0 = np.broadcast_to(classical.theta(s)[:, None], S.shape).copy()
     Theta, changes = damped_iteration(sweep, Theta0, TOL, 400, "reference", stall=STALL)
@@ -294,8 +316,9 @@ class TestLegendreBasis:
 
 class TestMatterRows:
     """kelvin3_legendre sums only the rows of its source's support and three
-    zero rows past it, and the sweep takes the power only on the rows that
-    hold matter; every value is that of the full-row forms, bit for bit."""
+    zero rows past it, by its own Simpson rows, and the sweep takes the
+    power only on the rows that hold matter; every value is that of the
+    full-row forms, scipy's Simpson sums on every row, bit for bit."""
 
     @pytest.fixture(scope="class")
     def grid(self, cls15):
@@ -318,9 +341,9 @@ class TestMatterRows:
         grid = (d.s, even_legendre(d.zeta, d.lmax), 0.5 * leggauss(d.zeta.size)[1])
         self.assert_same(np.maximum(d.Theta, 0.0) ** d.nu, grid)
 
-    # scipy gives an interval the Simpson formula of its parity, so supports
-    # end on even and odd rows; 20 and 21 are short enough that a projection
-    # of the support's rows alone would round differently
+    # an interval takes the Simpson parabola of its parity, and the last one
+    # that of its right end, so supports end on even and odd rows, short
+    # and long ones and ones within the margin of the grid's end
     @pytest.mark.parametrize("last", [20, 21, 258, 259, 260, 261, 1019, 1020, 1021, 1022, 1023])
     def test_support_ending_at(self, grid, last):
         rng = np.random.default_rng(last)
@@ -340,3 +363,39 @@ class TestMatterRows:
         assert np.array_equal(d.coeffs.c, coeffs.c)
         assert (d.Theta_inf_const, d.iterations, d.contraction_ratio) == (theta_inf, iterations,
                                                                           ratio)
+
+
+class TestSimpsonRows:
+    @pytest.mark.parametrize("m", [3, 4, 5, 20, 21, 262, 1025])
+    def test_matches_scipy(self, m):
+        # scipy's cumulative_simpson bit for bit, on a uniform grid and an
+        # uneven one
+        rng = np.random.default_rng(m)
+        for x in (np.linspace(0.0, 14.6, m), np.cumsum(rng.uniform(0.1, 1.0, m))):
+            y = rng.standard_normal((m, 14))
+            ref = cumulative_simpson(y, x=x, axis=0, initial=0.0)
+            assert cumulative_simpson_rows(y, x).tobytes() == ref.tobytes()
+
+
+class TestMixing:
+    """solve_distorted's secant-mixed sweeps against the damped sweeps
+    (damping 0.8) that they replaced."""
+
+    @pytest.mark.parametrize("nu", [1.11, 1.5, 4.0])
+    @pytest.mark.parametrize("b", [0.0, 1e-3, 4e-3])
+    def test_fixed_point_matches_damped_sweeps(self, nu, b):
+        # the same fixed point, to within the sweeps' tolerance; a b beyond
+        # the admissible range of nu (nu = 4 rotating) is rejected by both
+        cls = solve_classical(nu)
+        try:
+            damped = distorted_full_rows(nu, b, cls, damping=0.8)[0]
+        except RegimeError:
+            with pytest.raises(RegimeError, match="spurious matter"):
+                solve_distorted(nu, b, classical=cls)
+            return
+        d = solve_distorted(nu, b, classical=cls)
+        assert np.max(np.abs(d.Theta - damped)) <= 1e-10
+
+    def test_sweep_count(self, dle_small):
+        # 15 sweeps at nu = 1.5, b = 1e-3, where the damped ones took 36
+        assert dle_small.iterations <= 20

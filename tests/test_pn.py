@@ -114,6 +114,21 @@ class TestNewtonianFields:
         assert np.max(g.RI[sel]) < 2.0 * p.r1
         assert nf.M_N > 0
 
+    @pytest.mark.parametrize("eps", EPS_SWEEP)
+    def test_static_setup_fills_once(self, monkeypatch, cls15, eos_unit, dle_static, eps):
+        # static_sweep's stars, set up on caches of their own: the Newtonian
+        # sweep's density ends one column past the seeded one's (9 columns
+        # against 8), and the set-up fills the n = 3 table once, up front,
+        # to hold it, since a later fill would rebuild it from column 0
+        monkeypatch.setattr(greens, "_TABLE_CACHE", {})
+        monkeypatch.setattr(greens, "_FAR_CACHE", {})
+        p = StarParams.build(5 / 3, 1.0, 1.0, 1.0, u_O=eps, b_rot=0.0, classical=cls15)
+        solver = PNSolver(p, eos_unit, SolverOptions(65, 49), dle=dle_static, classical=cls15)
+        assert list(greens._TABLE_CACHE) == [(65, 3)]
+        table = greens._TABLE_CACHE[65, 3]
+        carried = 1 + np.flatnonzero(solver.nf.rho_N.interior_compact().any(axis=1)).max()
+        assert (table.fills, table.ncols, carried) == (1, 9, 9)
+
     def test_sweep_reported(self, rotating_sweep, static_sweep):
         # the consistency sweep's iteration count and last change reach the
         # diagnostics; the change is below the sweep tolerance 1e-12 u_O
@@ -624,11 +639,12 @@ class TestFarWork:
         assert counts["ellipk"] - counts["ellipe"] == setup["ellipk"]
 
     def test_table_work(self, monkeypatch, coarse_star):
-        # the set-up fills the n = 3 table's Newtonian columns; the solve's
-        # n = 5 fill rebuilds its n = 3 pair from column 0 from the same
-        # kernel passes, so every elliptic modulus after the set-up is
-        # evaluated once, by K and E both.  The elliptic integrals are
-        # counted inside the table fills
+        # the set-up fills the n = 3 table's Newtonian columns once, to the
+        # seeded density's last column (4) plus one; the solve's n = 5 fill
+        # rebuilds its n = 3 pair from column 0 from the same kernel
+        # passes, so every elliptic modulus after the set-up is evaluated
+        # once, by K and E both.  The elliptic integrals are counted inside
+        # the table fills
         p, eos, dle, cls = coarse_star
         monkeypatch.setattr(greens, "_TABLE_CACHE", {})
         monkeypatch.setattr(greens, "_FAR_CACHE", {})
@@ -654,12 +670,13 @@ class TestFarWork:
         monkeypatch.setattr(greens.KernelTable, "fill", counted_fill)
         solver = PNSolver(p, eos, SolverOptions(33, 25), dle=dle, classical=cls)
         setup = dict(counts)
+        assert (greens._TABLE_CACHE[33, 3].fills, greens._TABLE_CACHE[33, 3].ncols) == (1, 6)
         solver.solve()
         tables = {n: greens._TABLE_CACHE[33, n] for n in (3, 4, 5)}
         assert [(tables[n].fills, tables[n].ncols) for n in (3, 5)] == [(2, 32), (1, 32)]
         assert tables[5].pair is tables[3]
-        assert setup == {"ellipk": 97516, "ellipe": 0}
-        assert counts == {"ellipk": 560954, "ellipe": 463438}
+        assert setup == {"ellipk": 110146, "ellipe": 0}
+        assert counts == {"ellipk": 573584, "ellipe": 463438}
         assert counts["ellipk"] - counts["ellipe"] == setup["ellipk"]
 
     @pytest.mark.parametrize("star", ["coarse_star", "coarse_static"])
