@@ -57,6 +57,15 @@ MUTANTS = [
                "(the gap refines at order 0.89)",
     },
     {
+        "id": "v-map-fit-in-physical-radii",
+        "file": "pn.py",
+        "old": "        rr = FAR_RADII\n",
+        "new": "        rr = far[\"radii\"]\n",
+        "tests": ["tests/test_pn.py::TestUnits::test_same_star_in_any_units"],
+        "why": "V's far-arc fit takes r^-3 in physical radii, which falls under lstsq's "
+               "rcond at r1 = 1.3e9, so the SI-like star's V/c^4 reads 0.49 % low",
+    },
+    {
         "id": "pair-fill-swaps-the-lattice",
         "file": "greens.py",
         "old": "zip(Cs, folds, kvs, lats, accs)",
@@ -144,6 +153,16 @@ MUTANTS = [
         "why": "J from Y's starred origin takes R0^2 for the R0^3 of A's 1/r^3 tail",
     },
     {
+        "id": "y-source-pn-part-times-1.01",
+        "file": "pn.py",
+        "old": "        Q6 = (lhs6 - nf.rho_N) * c**2\n",
+        "new": "        Q6 = (lhs6 - nf.rho_N) * (1.01 * c**2)\n",
+        "tests": ["tests/test_acceptance.py::TestAcceptance::test_criterion_16_komar_integrals"],
+        "why": "the post-Newtonian part of Y's fluid source is 1 % off, a floor below "
+               "criterion 12's residuals, so J departs from the Komar integral of the "
+               "fluid (the gap refines at order 1.21)",
+    },
+    {
         "id": "omega-times-1.005",
         "file": "pn.py",
         "old": "return params.Omega_O * chi(",
@@ -160,6 +179,26 @@ MUTANTS = [
         "tests": ["tests/test_lane_emden.py::TestMatterRows::test_support_ending_at"],
         "why": "kelvin3_legendre's Simpson sums stop at the source's last row, where "
                "the last interval's parabola reads the rows past it",
+    },
+    {
+        "id": "simpson-margin-1",
+        "file": "lane_emden.py",
+        "old": "SIMPSON_MARGIN = 3 ",
+        "new": "SIMPSON_MARGIN = 1 ",
+        "tests": ["tests/test_lane_emden.py::TestMatterRows::test_support_ending_at[20]"],
+        "why": "on a support ending on an even row its last interval becomes the sums' "
+               "final one and takes the parabola of the nodes before its right end, "
+               "not that of the nodes from its left end",
+    },
+    {
+        "id": "simpson-margin-2",
+        "file": "lane_emden.py",
+        "old": "SIMPSON_MARGIN = 3 ",
+        "new": "SIMPSON_MARGIN = 2 ",
+        "tests": ["tests/test_lane_emden.py::TestMatterRows::test_support_ending_at[21]"],
+        "why": "on a support ending on an odd row the sums' final interval reads the "
+               "support's last row through the parabola of the last three nodes, where "
+               "the whole-grid sums add zero",
     },
     {
         "id": "secant-step-sign-flipped",

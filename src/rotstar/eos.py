@@ -14,6 +14,7 @@ that match order by order.
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .errors import DomainError, SeriesDomainError
 
@@ -21,12 +22,14 @@ from .errors import DomainError, SeriesDomainError
 SERIES_TERMS = 6  # matched P-series terms
 
 
-def _polyval_series(coeffs, eta):
-    """Evaluate sum_k c_k eta^k for a coefficient list starting at k=1."""
-    out = np.zeros_like(np.asarray(eta, dtype=float))
-    for c in reversed(coeffs):
-        out = eta * (c + out)
-    return out
+def _positive_power(u, p):
+    """(u v 0)^p for p > 0, on an array taken only where u <= 0 is false: on
+    the fluid's nodes, and on a NaN, which it passes on.  A 0-d u takes
+    numpy's scalar power, which can round apart from its array loop."""
+    u = np.asarray(u, dtype=float)
+    if u.ndim == 0:
+        return np.maximum(u, 0.0) ** p
+    return np.power(u, p, out=np.zeros_like(u), where=~(u <= 0.0))
 
 
 def consistent_upsilon_P(gamma, upsilon_rho, n_terms):
@@ -86,17 +89,14 @@ class EquationOfState:
     # -- Newtonian-limit state functions -----------------------------------
 
     def f_N_rho(self, u):
-        u = np.asarray(u, dtype=float)
-        return self.k_rho * np.maximum(u, 0.0) ** self.nu
+        return self.k_rho * _positive_power(u, self.nu)
 
     def f_N_P(self, u):
-        u = np.asarray(u, dtype=float)
-        return self.k_P * np.maximum(u, 0.0) ** (self.nu + 1.0)
+        return self.k_P * _positive_power(u, self.nu + 1.0)
 
     def df_N_rho(self, u):
         """d f_N_rho / du with the convention 0 for u <= 0 (removable ratio)."""
-        u = np.asarray(u, dtype=float)
-        return self.nu * self.k_rho * np.maximum(u, 0.0) ** (self.nu - 1.0)
+        return self.nu * self.k_rho * _positive_power(u, self.nu - 1.0)
 
     # -- full state functions ----------------------------------------------
 
@@ -110,12 +110,14 @@ class EquationOfState:
         return eta
 
     def density_from_enthalpy(self, u):
+        """f_N_rho(u) (1 + Y_rho(u/c^2)), the series by numpy's polyval."""
         eta = self._check_eta(u)
-        return self.f_N_rho(u) * (1.0 + _polyval_series(self.upsilon_rho, eta))
+        return self.f_N_rho(u) * (1.0 + polyval(eta, (0.0, *self.upsilon_rho)))
 
     def pressure_from_enthalpy(self, u):
+        """f_N_P(u) (1 + Y_P(u/c^2)), the series by numpy's polyval."""
         eta = self._check_eta(u)
-        return self.f_N_P(u) * (1.0 + _polyval_series(self.upsilon_P, eta))
+        return self.f_N_P(u) * (1.0 + polyval(eta, (0.0, *self.upsilon_P)))
 
     def h_rho(self, u_N, w):
         """Taylor remainder of f_N_rho at u_N for the shift w/c^2 (linear term

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
-from scipy.integrate import solve_ivp
+from scipy.integrate import cumulative_simpson, solve_ivp
 from scipy.interpolate import CubicSpline
 
 from .cutoff import chi
@@ -135,36 +135,6 @@ def _project(g, basis, zeta_weights):
     return (g * zeta_weights) @ basis * (2 * l + 1)
 
 
-def _simpson_part(x21, x32, f1, f2, f3):
-    """The Simpson integral over the interval of width x21 from f1's node
-    toward f2's, the parabola through f1, f2 and f3 (Cartwright, J. Math.
-    Sci. Math. Educ. 12(2), eq. (8), as scipy cites it); the widths are
-    columns, one row per interval."""
-    x21_x31 = x21 / (x21 + x32)
-    x21x21_x31x32 = x21_x31 * (x21 / x32)
-    return x21 / 6 * ((3 - x21_x31) * f1 + (3 + x21x21_x31x32 + x21_x31) * f2
-                      - x21x21_x31x32 * f3)
-
-
-def cumulative_simpson_rows(y, x):
-    """scipy.integrate.cumulative_simpson(y, x=x, axis=0, initial=0.0) for
-    y of at least three rows, bit for bit: even intervals take the parabola
-    of the nodes from their left end, odd intervals and the last one that
-    of the nodes from their right end, each in scipy's order of operations.
-    The interval widths enter once per row, not once per column of y."""
-    m = y.shape[0]
-    dx = np.diff(x)[:, None]
-    sub = np.empty((m - 1, y.shape[1]))
-    sub[0 : m - 2 : 2] = _simpson_part(dx[0 : m - 2 : 2], dx[1 : m - 1 : 2],
-                                       y[0 : m - 2 : 2], y[1 : m - 1 : 2], y[2:m:2])
-    sub[1 : m - 1 : 2] = _simpson_part(dx[1 : m - 1 : 2], dx[0 : m - 2 : 2],
-                                       y[2:m:2], y[1 : m - 1 : 2], y[0 : m - 2 : 2])
-    sub[-1] = _simpson_part(dx[-1], dx[-2], y[-1], y[-2], y[-3])
-    out = np.zeros(y.shape)
-    np.cumsum(sub, axis=0, out=out[1:])
-    return out
-
-
 def kelvin3_legendre(g, s, basis, zeta_weights):
     """Apply the 3-d Newtonian operator K3 to an axisymmetric, z-even source.
 
@@ -172,10 +142,10 @@ def kelvin3_legendre(g, s, basis, zeta_weights):
     [0, 1] and basis = even_legendre(zeta nodes, lmax); returns (K3 g on the
     grid, K3 g at the origin).  The projection takes the rows of g's
     support; past them the coefficients are exact zeros.  Every degree's
-    radial integrals run at once, by composite Simpson on the s grid, up to
-    the support's last row plus SIMPSON_MARGIN zero rows, which the last
-    interval's parabola reads alone; past them the full sums add zeros, so
-    inner keeps its last value and outer is 0, bit for bit.
+    radial integrals run at once, by scipy's cumulative_simpson on the s
+    grid, up to the support's last row plus SIMPSON_MARGIN zero rows, which
+    the last interval's parabola reads alone; past them the full sums add
+    zeros, so inner keeps its last value and outer is 0, bit for bit.
     """
     n, nl = s.size, basis.shape[1]
     l = 2 * np.arange(nl)
@@ -191,7 +161,8 @@ def kelvin3_legendre(g, s, basis, zeta_weights):
     floor = np.abs(c) < 1e-13 * np.max(np.abs(c), axis=0)
     floor[:, 0] = False
     out_igd[floor] = 0.0
-    sums = cumulative_simpson_rows(np.hstack([s[:m, None] ** (l + 2) * c, out_igd]), s[:m])
+    sums = cumulative_simpson(np.hstack([s[:m, None] ** (l + 2) * c, out_igd]), x=s[:m], axis=0,
+                              initial=0.0)
     inner, outer = np.empty((n, nl)), np.zeros((n, nl))
     inner[:m], inner[m:] = sums[:, :nl], sums[-1, :nl]
     outer[:m] = sums[-1, nl:] - sums[:, nl:]

@@ -556,7 +556,9 @@ class PNSolver:
         # far-field constant by sampling V_hat on far arcs through direct
         # quadrature of the gradient fields along (axis, then horizontal)
         far = self._far_vhat(at)
-        rr = far["radii"]
+        # the design in r/R0: in physical radii of r1 >~ 1e4 units its r^-3
+        # column falls under lstsq's rcond, and V/c^4 reads 0.1-0.5 % low
+        rr = FAR_RADII
         design = np.column_stack([np.ones_like(rr), rr**-2.0, rr**-3.0])
         coef, res, *_ = np.linalg.lstsq(design, far["vhat_mean"], rcond=None)
         C_inf = float(coef[0])

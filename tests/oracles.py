@@ -47,3 +47,25 @@ def rho_NO(p):
     """Central Newtonian density of the star with parameters p:
     ((gamma - 1) u_O / (A gamma))^nu."""
     return ((p.gamma - 1.0) / (p.A_const * p.gamma) * p.u_O) ** p.nu
+
+
+def komar_integrals(win, c):
+    """Komar mass and angular momentum (Komar 1959; Bardeen & Wagoner 1971)
+    of a rigidly rotating fluid, as trapezoid sums over a window of the
+    interior patch: M_K c^2 = int (2 T^0_0 - T) sqrt(-g) d^3x and J_K c =
+    -int T^0_phi sqrt(-g) d^3x, with x^0 = c t, sqrt(-g) = Pi e^{2K - 2F},
+    T^mu_nu = (rho c^2 + P) u^mu u_nu - P delta^mu_nu and u = u^0 (1, 0, 0,
+    Omega/c) normalized to g(u, u) = 1.  The integrands vanish off the
+    fluid; the phi integral gives 2 pi and the z < 0 half the same again."""
+    F, A, Pi, Om = win.F, win.A, win.Pi, win.Omega
+    e2F = np.exp(2.0 * F)
+    fac = 1.0 + Om * A / c
+    u0_sq = 1.0 / (e2F * fac**2 - (Om * Pi / c) ** 2 / e2F)
+    u0_u0, u0_uphi = u0_sq * e2F * fac, u0_sq * (e2F * A + (e2F * A**2 - Pi**2 / e2F) * Om / c)
+    vol = 4.0 * np.pi * Pi * np.exp(2.0 * win.K - 2.0 * F)
+    enthalpy = win.rho * c**2 + win.P
+    wts = np.full(F.shape[0], win.h)
+    wts[[0, -1]] *= 0.5
+    M_K = wts @ ((2.0 * enthalpy * u0_u0 - win.rho * c**2 + win.P) * vol) @ wts / c**2
+    J_K = -(wts @ (enthalpy * u0_uphi * vol) @ wts) / c
+    return float(M_K), float(J_K)

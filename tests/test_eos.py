@@ -53,6 +53,26 @@ class TestPressureFromEnthalpy:
         assert b[0] == pytest.approx((g - 1) / (2 * g - 1), rel=1e-14)
 
 
+class TestNewtonianPowers:
+    # f_N_rho, f_N_P and df_N_rho take (u v 0)^p only where u <= 0 is
+    # false; their bytes are those of the power taken on every node, at
+    # +-0, 1e-300 and NaN too, for nu = 1.5, 3, 4 and 1.11, and a scalar's
+    # those of numpy's scalar power (its array loop rounds 5 % of powers
+    # apart)
+    U = np.array([-2.0, -1e-300, -0.0, 0.0, 1e-300, 0.3, 1.0, np.nan, -np.inf, np.inf])
+
+    @pytest.mark.parametrize("gamma", [5 / 3, 4 / 3, 1.25, 1.9])
+    def test_bytes_of_the_all_node_power(self, gamma):
+        eos = EquationOfState.gamma_law(gamma, 1.3, 1.0)
+        for u in (self.U, self.U.reshape(2, 5), self.U[5]):
+            full = np.maximum(u, 0.0)
+            for got, ref in ((eos.f_N_rho(u), eos.k_rho * full**eos.nu),
+                             (eos.f_N_P(u), eos.k_P * full ** (eos.nu + 1.0)),
+                             (eos.df_N_rho(u), eos.nu * eos.k_rho * full ** (eos.nu - 1.0))):
+                assert np.shape(got) == np.shape(ref)
+                assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+
+
 class TestVacuumBoundary:
     def test_continuity_and_c1_vanishing(self):
         # rho(u) is continuous at u=0 with zero one-sided derivative since

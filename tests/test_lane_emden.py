@@ -12,7 +12,6 @@ from rotstar.lane_emden import (
     STALL,
     TOL,
     _project,
-    cumulative_simpson_rows,
     even_legendre,
     integrate_theta,
     kelvin3_legendre,
@@ -316,9 +315,9 @@ class TestLegendreBasis:
 
 class TestMatterRows:
     """kelvin3_legendre sums only the rows of its source's support and three
-    zero rows past it, by its own Simpson rows, and the sweep takes the
-    power only on the rows that hold matter; every value is that of the
-    full-row forms, scipy's Simpson sums on every row, bit for bit."""
+    zero rows past it, and the sweep takes the power only on the rows that
+    hold matter; every value is that of the full-row forms, scipy's Simpson
+    sums on every row, bit for bit."""
 
     @pytest.fixture(scope="class")
     def grid(self, cls15):
@@ -363,18 +362,6 @@ class TestMatterRows:
         assert np.array_equal(d.coeffs.c, coeffs.c)
         assert (d.Theta_inf_const, d.iterations, d.contraction_ratio) == (theta_inf, iterations,
                                                                           ratio)
-
-
-class TestSimpsonRows:
-    @pytest.mark.parametrize("m", [3, 4, 5, 20, 21, 262, 1025])
-    def test_matches_scipy(self, m):
-        # scipy's cumulative_simpson bit for bit, on a uniform grid and an
-        # uneven one
-        rng = np.random.default_rng(m)
-        for x in (np.linspace(0.0, 14.6, m), np.cumsum(rng.uniform(0.1, 1.0, m))):
-            y = rng.standard_normal((m, 14))
-            ref = cumulative_simpson(y, x=x, axis=0, initial=0.0)
-            assert cumulative_simpson_rows(y, x).tobytes() == ref.tobytes()
 
 
 class TestMixing:

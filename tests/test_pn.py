@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rotstar import greens, pn
+from rotstar.eos import EquationOfState
 from rotstar.errors import ConvergenceError, DomainError, SeriesDomainError
 from rotstar.fields import AxiField, AxiGrid
 from rotstar.greens import FAR_RANK_TOL, FAR_SKETCH_ROWS, far_mask
@@ -503,6 +504,33 @@ class TestInnerOuter:
             rels.append(gap / p.u_O)
         slope = np.polyfit(np.log(EPS_SWEEP), np.log(rels), 1)[0]
         assert abs(slope - 1.0) < 0.1
+
+
+class TestUnits:
+    """A solve is covariant under a change of units: with nu, eps = u_O/c^2
+    and b held, the dimensionless outputs must not depend on (G, c, A)."""
+
+    def test_same_star_in_any_units(self, cls15, dle_rot):
+        # M G/(c^2 r1), J G/(c^3 r1^2) and the sups of W/c^4, X/c^4, V/c^4
+        # and |Y| r1/c^3 on both patches agree to 1e-12 in the three systems
+        # (measured 4e-14 at 33/25).  With v_map's C_inf fitted on physical
+        # radii, the SI-like star (r1 = 1.3e9) read V/c^4 0.49 % low here
+        def sup(f):
+            return max(float(np.max(np.abs(f.int_total()))), float(np.max(np.abs(f.star_vals))))
+
+        reads = []
+        for G, c, A in ((1.0, 1.0, 1.0), (2.0, 3.0, 1.7), (6.674e-11, 2.998e8, 4e9)):
+            eos = EquationOfState.gamma_law(5 / 3, A, c)
+            p = StarParams.build(5 / 3, A, c, G, u_O=1e-3 * c**2, b_rot=B_ROT, classical=cls15)
+            res = PNSolver(p, eos, SolverOptions(n_interior=33, n_exterior=25), dle=dle_rot,
+                           classical=cls15).solve()
+            pot, r1 = res.potentials, p.r1
+            reads.append(np.array([res.tail_mass() * G / (c**2 * r1),
+                                   res.tail_angular_momentum() * G / (c**3 * r1**2),
+                                   sup(pot.W) / c**4, sup(pot.X) / c**4, sup(pot.V) / c**4,
+                                   sup(pot.Y) * r1 / c**3]))
+        for other in reads[1:]:
+            assert np.max(np.abs(other / reads[0] - 1.0)) <= 1e-12
 
 
 class TestVStarFromInfinity:
