@@ -66,6 +66,35 @@ MUTANTS = [
                "rcond at r1 = 1.3e9, so the SI-like star's V/c^4 reads 0.49 % low",
     },
     {
+        "id": "asymptotic-fit-in-physical-radii",
+        "file": "verify.py",
+        "old": "    r_lo = r_window[0]\n",
+        "new": "    r_lo = 1.0\n",
+        "tests": ["tests/test_pn.py::TestUnits::test_same_star_in_any_units"],
+        "why": "asymptotic_fit's F design takes 1/r^2 in physical radii, which falls under "
+               "lstsq's rcond at r1 = 1.3e9, so the SI-like star's F order reads 0.56 "
+               "against 2.01 and its M 5.5e-6 low",
+    },
+    {
+        "id": "edge-check-only-below-P",
+        "file": "greens.py",
+        "old": "if p > self.P or np.any(gvals[-1]) or np.any(gvals[:, -1]):",
+        "new": "if p > self.P or p < self.P and (np.any(gvals[-1]) or np.any(gvals[:, -1])):",
+        "tests": ["tests/test_greens.py::TestSharedTable::test_edge_touching_source_rejected"],
+        "why": "a source on the table's own P nodes that touches its last row or column "
+               "is applied, through a table that holds no last column and no Gauss rule "
+               "at its last node or lag",
+    },
+    {
+        "id": "last-lag-left-to-the-nodal-rule",
+        "file": "greens.py",
+        "old": "            W2[..., -1] = 0.0\n",
+        "new": "",
+        "tests": ["tests/test_greens.py::TestBatchedBuild::test_matches_loop_build"],
+        "why": "lag 2P - 2, which no source node reaches, holds stencil sums that read "
+               "lattice nodes past the last lag instead of exact zeros",
+    },
+    {
         "id": "pair-fill-swaps-the-lattice",
         "file": "greens.py",
         "old": "zip(Cs, folds, kvs, lats, accs)",

@@ -19,16 +19,19 @@ of the source columns in one array.
 GreenOps.tail_potential pulls the exterior tail to the starred plane,
 re-weights it by (R0/r*)^4 (which turns it into a compact starred source)
 and inverts it there with the same machinery; k_n_global runs it first.
-The two patches share one unit-coordinate KernelTable per dimension, sized
-to the larger patch; the smaller one reads its leading block, which its
-sources, zero on the patch edge, cannot tell from a table of its own.  A
-table starts empty and gains columns, as a prefix, only through
-KernelTable.fill, which rebuilds it from column 0: apply and rows fill up
-to the last column their sources carry, and get_table(P, n) fills the
-cached table to every column; GreenOps.table and GreenOps.far_operator, the
-solver's lookups, fill none.  An n = 5 table's fill rebuilds its pair, the
-n = 3 table, to the same columns from the same kernel passes when the pair
-holds fewer: a rotating solve fills both so, a static one n = 3 alone.
+Every source vanishes on its patch's last node row and column (the
+edge-zero invariant), so a table of P nodes holds at most the source
+columns 0..P-2, and the axis, node 0, is its one half-hat edge.  The two
+patches share one unit-coordinate KernelTable per dimension, sized to the
+larger patch; the smaller one reads its leading block, which its sources
+cannot tell from a table of its own.  A table starts empty and gains
+columns, as a prefix, only through KernelTable.fill, which rebuilds it from
+column 0: apply and rows fill up to the last column their sources carry,
+and get_table(P, n) fills the cached table to all P - 1 columns;
+GreenOps.table and GreenOps.far_operator, the solver's lookups, fill none.
+An n = 5 table's fill rebuilds its pair, the n = 3 table, to the same
+columns from the same kernel passes when the pair holds fewer: a rotating
+solve fills both so, a static one n = 3 alone.
 Both parts reach the other patch by one Kelvin transfer,
 GreenOps._patch_potential: bilinear at the images inside the source patch,
 the shared FarOperator at the images outside it (the masks in GreenOps.far),
@@ -53,7 +56,8 @@ import mmap
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.fft import dct, idct
-from scipy.linalg import cython_blas, cython_lapack, lu_factor, lu_solve, solve_triangular
+from scipy.linalg import cython_lapack, lu_factor, lu_solve, solve_triangular
+from scipy.linalg.blas import dnrm2
 from scipy.linalg.lapack import dgeqp3
 from scipy.special import ellipe, ellipk
 
@@ -162,9 +166,9 @@ def _cached_table(P, n):
 
 
 def get_table(P, n):
-    """The cached table of (P, n), filled to all P source columns (with its
-    pair, for n = 5) unless it holds them.  The table object is never
-    replaced, so the GreenOps that hold it see the new columns."""
+    """The cached table of (P, n), filled to the P - 1 source columns 0..P-2
+    (with its pair, for n = 5) unless it holds them.  The table object is
+    never replaced, so the GreenOps that hold it see the new columns."""
     table = _cached_table(P, n)
     table.fill(table.P)
     return table
@@ -245,8 +249,8 @@ def _near_integrals(tables, ncols):
     are not integrated.
 
     The cell at offsets (a, b), a in -MC-1..MC and b in -1..MC, from a
-    target in column i feeds its four corner nodes; cells that leave the
-    varpi range of the grid are skipped, so nodes off the grid get zero.
+    target in column i feeds its four corner nodes; only the cells i + a in
+    0..ncols-1, all on the grid, are integrated.
     The z-hat of lag 0 reaches dz of both signs, and acc sums both.  The
     cells below b = -1 feed only negative lags, which the kernel's evenness
     in dz makes copies of the positive ones, so they are not integrated.
@@ -257,7 +261,7 @@ def _near_integrals(tables, ncols):
     I, DI, DJ = (x.ravel() for x in np.meshgrid(np.arange(P), np.arange(-MC - 1, MC + 1),
                                                 np.arange(-1, MC + 1), indexing="ij"))
     # the cells on the grid with a corner node, i + dni or i + dni + 1, in 0..ncols-1
-    keep = (I + DI >= 0) & (I + DI < min(ncols, P - 1))
+    keep = (I + DI >= 0) & (I + DI < ncols)
     I, DI, DJ = I[keep], DI[keep], DJ[keep]
     polar = (DI >= -1) & (DI <= 0) & (DJ >= -1) & (DJ <= 0)
     p, ns = np.arange(2), tuple(table.n for table in tables)
@@ -307,8 +311,8 @@ def _build_w2(tables, ncols, accs):
 
     Gauss entries, the 4-point tensor Gauss sums over the cells of the
     hat supports: the band |i' - i| <= D, lag <= D around the target and
-    the half-hat edges i' = 0, i' = P - 1 and lag = 2P - 2.  Nodal
-    entries, all others: sum_k sum_l s_k s_l k(i, i' + k, lag + l) with
+    the axis's half-hat i' = 0; lag 2P - 2, which no source node reaches
+    (KernelTable), holds zeros.  Nodal entries, all others: sum_k sum_l s_k s_l k(i, i' + k, lag + l) with
     s = _hat_stencil(q), on kernel values at the nodes ws in 0..ncols-1+q
     and dz in 0..2P-2+q, whose ghosts are k(-ws) = (-1)^n k(ws) (the ring
     potential is even in ws, the ws^(n-2) measure carries the sign) and
@@ -338,35 +342,30 @@ def _build_w2(tables, ncols, accs):
 
     fold_dz = fold(2 * P - 1, 1.0)
     dz_nodes = np.arange(2 * P - 1 + q, dtype=float)
-    # the W2 rows 0..ncols-1 and a discarded row ncols, the node past them;
-    # the varpi cells with a corner node in the rows, the edge rows and the
-    # lattice nodes within q of the rows
-    rows = np.arange(ncols)
-    cells = np.arange(min(ncols, P - 1))
-    edge = (rows == 0) | (rows == P - 1)
+    # the lattice nodes within q of the W2 rows 0..ncols-1
     ws_nodes = np.arange(ncols + q, dtype=float)
     corner, dn, ns = np.arange(2), np.arange(-MC, MC + 1), tuple(table.n for table in tables)
     folds = [fold(ncols, (-1.0) ** table.n).T for table in tables]
     size = (ncols + 1) * (2 * P - 1)
     Cs = [np.empty((2 * P - 1, P, ncols)) for _ in tables]
     # a target from ncols + D on has no row within D of it: those targets
-    # share one cell set, the edge rows' and the last lag's, made once and
-    # built D targets at a time; each target before them is built alone
+    # share one cell set, the axis row's, made once and built D targets at
+    # a time; each target before them is built alone
     shared = min(P, ncols + D)
     for i in [*range(shared), *range(shared, P, D)]:
         targets = np.arange(i, min(i + D, P) if i >= shared else i + 1)
         if i <= shared:
-            # row ncols stays False: the node past the rows takes no Gauss entry
+            # the W2 rows and a row ncols, the node past them, which stays
+            # False: it takes no Gauss entry and is discarded
             gauss = np.zeros((ncols + 1, 2 * P - 1), dtype=bool)
             own = gauss[:ncols]
-            own[np.abs(rows - i) <= D, : D + 1] = True
-            own[edge] = True
-            own[:, -1] = True
+            own[max(0, i - D) : i + D + 1, : D + 1] = True
+            own[0] = True
             # the cells (varpi cell a, dz cell b) of those entries' hats, and
             # the W2 entry of corner (p, q), node a + p at lag b + q; the
             # lag-0 hat also spans dz in [-1, 0], which mirrors the
             # lower-weighted part of dz-cell 0 by evenness of the kernel
-            hat = gauss[cells] | gauss[cells + 1]
+            hat = gauss[:-1] | gauss[1:]
             a, b = np.nonzero(hat[:, :-1] | hat[:, 1:])
             entry = (a[:, None] + corner)[:, :, None] * (2 * P - 1) + b[:, None, None] + corner
             low = b == 0
@@ -387,6 +386,7 @@ def _build_w2(tables, ncols, accs):
                                 c[:, low, :, 0].reshape(targets.size, -1)], axis=1)
             W2 = np.bincount(flat, w.ravel(), targets.size * size).reshape(-1, ncols + 1, 2 * P - 1)
             W2 = np.where(own, W2[:, :ncols], fold_ws @ lat @ fold_dz)
+            W2[..., -1] = 0.0
             W2[0, i + dn[on], : MC + 1] = acc[i, on]
             C[:, targets] = W2.transpose(2, 0, 1)
     # every slab's DCT-I along its lag axis, in place, in one transform
@@ -438,14 +438,15 @@ class KernelTable:
     The ring kernel is invariant under a uniform rescaling of (wt, ws, dz),
     so one table of P nodes per dimension n serves every patch of p <= P
     nodes, whatever its spacing: physical applications just carry the h^2
-    measure, and a patch of p < P nodes reads the leading p x p block.  That
-    block is the p-node table except at the patch's last node column and
-    last z lag, whose hats end at the patch edge in the p-node table and run
-    on in this one.  So a source on p < P nodes must vanish on its last row
-    and column (the edge-zero invariant), and apply raises DomainError if it
-    does not.  Both patches' sources do: the interior patch ends at
-    r = 2 R0, where chi = 0, and the starred one at r* = R0, where
-    1 - chi = 0.  The base rule integrates the
+    measure, and a patch of p < P nodes reads the leading p x p block.
+    Every source vanishes on its patch's last row and column (the edge-zero
+    invariant): chi = 0 at r = 2 R0, where the interior patch ends, and
+    1 - chi = 0 at r* = R0, where the starred one does; apply raises
+    DomainError for a source on p <= P nodes that does not.  So the table
+    has no column P - 1, no Gauss rule for the last node's and lag's hats
+    (which end at the edge in a p-node table and run on in this one), and
+    zeros at lag 2P - 2, which only a source node at z = P - 1 reaches.
+    The base rule integrates the
     kernel against the tensor piecewise-linear interpolant of the source
     (hat-product weights W2[i, i', lag], Toeplitz and even in the z lag),
     which keeps the quadrature error a smooth O(h^2) interpolation error.
@@ -455,9 +456,8 @@ class KernelTable:
         high-order local integrals (polar around the target, fine Gauss
         nearby);
       - band: the other entries with |i' - i| <= D = GAUSS_BAND and
-        lag <= D, and the three half-hat edges (node 0, node P - 1, lag
-        2P - 2), are N_GAUSS_BASE x N_GAUSS_BASE Gauss sums on the cells
-        of their hats;
+        lag <= D, and the one half-hat edge, the axis node 0, are
+        N_GAUSS_BASE x N_GAUSS_BASE Gauss sums on the cells of their hats;
       - nodal: every other entry is sum_k sum_l s_k s_l k(i, i' + k, lag + l)
         over the kernel's node values, with s the (2q + 1)-point stencil of
         the hat, q = STENCIL_Q (_hat_stencil).  Beyond D the kernel is
@@ -484,8 +484,8 @@ class KernelTable:
     build.  KernelTable(P, n) starts empty.  apply and rows fill up to the
     last source column their sources carry before they use them, so a
     compact source, such as the pressure X's L_4 inverts, fills only the
-    fluid's columns, and no source fills the last column, where every source
-    on the table's P nodes vanishes; get_table(P, n) fills all P.  The
+    fluid's columns.  No fill builds column P - 1, where every source
+    vanishes: get_table(P, n) fills the whole table, columns 0..P-2.  The
     sources of a solve carry every column from 0 up to their last one, so a
     prefix fills no column they do not use.  A fill that needs more columns
     frees C and rebuilds every column from 0, so a table's spectra are those
@@ -503,18 +503,18 @@ class KernelTable:
     on the target.  Each cell's four corner integrals are one product
     against the corner weights, scattered into the node patch by a bincount.
     W2 then takes two ring_kernel calls per target column: the Gauss points
-    of the band and edge cells that touch the columns, at most 16
-    ((2D + 2)(D + 1) + 5P) values, and the node lattice ws in
-    0..ncols-1+q, dz in 0..2P-2+q, at most (P + q)(2P - 1 + q) values, whose
-    stencil sums are two matrix products.  Filling every column takes about
-    6.1 P^3 values at P = 65 with the near integrals, against 32 P^3 for
-    Gauss sums on every cell.  The cell layout is made once per fill for
+    of the band and axis cells that touch the columns, at most 16
+    ((2D + 2)(D + 1) + 2P) values, and the node lattice ws in
+    0..ncols-1+q, dz in 0..2P-2+q, at most (P - 1 + q)(2P - 1 + q) values,
+    whose stencil sums are two matrix products.  Filling every column takes
+    about 5.4 P^3 values at P = 65 with the near integrals, against 32 P^3
+    for Gauss sums on every cell.  The cell layout is made once per fill for
     the targets i >= ncols + D, whose band holds none of the columns: they
-    have the same Gauss cells, the edge rows' and the last lag's, and no
-    near integrals, and are built D at a time, two ring_kernel calls per D
-    targets (68 of the 97 targets of a 13-column fill at P = 97, in five
-    blocks; none in a fill to ncols >= P - D), which bounds the block's
-    temporaries to about those of D targets' kernel values.
+    have the same Gauss cells, the axis row's, and no near integrals, and
+    are built D at a time, two ring_kernel calls per D targets (68 of the
+    97 targets of a 13-column fill at P = 97, in five blocks; none in a fill
+    to ncols >= P - D), which bounds the block's temporaries to about those
+    of D targets' kernel values.
     Each slab gets its near integrals and is written into the new C, and
     one in-place DCT-I of C along the lag axis transforms them all, with
     no second copy of the spectra; the spectra are those of a build target
@@ -540,9 +540,10 @@ class KernelTable:
         return self.C.shape[2]
 
     def fill(self, ncols):
-        """Rebuild the spectra of the source columns 0..ncols - 1, with its
-        pair's when the pair holds fewer columns; a table that holds ncols
-        columns or more is left alone."""
+        """Rebuild the spectra of the source columns 0..ncols - 1, at most
+        0..P-2, with its pair's when the pair holds fewer; a table that holds
+        ncols columns or more is left alone."""
+        ncols = min(ncols, self.P - 1)
         if ncols <= self.ncols:
             return
         tables = [t for t in (self.pair, self) if t is not None and t.ncols < ncols]
@@ -558,9 +559,9 @@ class KernelTable:
 
     def apply(self, gvals):
         """Unit-coordinate potential on the node grid of the source's
-        p x p patch (multiply by h^2)."""
+        p x p patch, zero on its last row and column (multiply by h^2)."""
         p = gvals.shape[0]
-        if p > self.P or p < self.P and (np.any(gvals[-1]) or np.any(gvals[:, -1])):
+        if p > self.P or np.any(gvals[-1]) or np.any(gvals[:, -1]):
             raise DomainError(
                 f"a source on {p} nodes needs zeros on its last row and column "
                 f"to use the {self.P}-node table"
@@ -596,9 +597,9 @@ class KernelTable:
         return idct(self.C[:, i, :], type=1, axis=0).T
 
     def rows(self, targets, sources):
-        """Dense quadrature rows R[t, s] consistent with apply() (on a
-        smaller patch, for sources off its last row and column); fills up to
-        the last source column first."""
+        """Dense quadrature rows R[t, s] consistent with apply(), for
+        sources off the patch's last row and column; fills up to the last
+        source column first."""
         ti, tj = targets
         si, sj = sources
         self.fill(si.max() + 1)
@@ -636,13 +637,12 @@ _CAPSULE_POINTER = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c
     ("PyCapsule_GetPointer", ctypes.pythonapi))
 
 
-def _native(module, name, nargs, restype=None):
-    """The routine name of scipy's Cython BLAS or LAPACK bindings, the
-    library scipy.linalg calls, as a ctypes function of nargs pointers
-    (Fortran passes every argument by reference)."""
-    capsule = module.__pyx_capi__[name]
+def _native(name, nargs):
+    """The subroutine name of scipy's Cython LAPACK bindings as a ctypes
+    function of nargs pointers (Fortran passes every argument by reference)."""
+    capsule = cython_lapack.__pyx_capi__[name]
     address = _CAPSULE_POINTER(capsule, _CAPSULE_NAME(capsule))
-    return ctypes.CFUNCTYPE(restype, *[ctypes.c_void_p] * nargs)(address)
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * nargs)(address)
 
 
 def _by_reference(fn, *args):
@@ -652,9 +652,8 @@ def _by_reference(fn, *args):
     return fn(*(ctypes.byref(a) if isinstance(a, ctypes.c_int) else a.ctypes.data for a in refs))
 
 
-_DLAQPS = _native(cython_lapack, "dlaqps", 14)
-_DLAQP2 = _native(cython_lapack, "dlaqp2", 10)
-_DNRM2 = _native(cython_blas, "dnrm2", 3, ctypes.c_double)
+_DLAQPS = _native("dlaqps", 14)
+_DLAQP2 = _native("dlaqp2", 10)
 
 
 def _pivoted_qr_to_rank(A, tol):
@@ -680,8 +679,7 @@ def _pivoted_qr_to_rank(A, tol):
     perm = np.arange(1, T + 1, dtype=np.intc)
     tau = np.empty(mn)
     # dgeqp3's initial column norms: one dnrm2 call per column
-    rows, one, base = ctypes.byref(ctypes.c_int(m)), ctypes.byref(ctypes.c_int(1)), A.ctypes.data
-    vn1 = np.array([_DNRM2(rows, base + 8 * m * j, one) for j in range(T)])
+    vn1 = np.array([dnrm2(A[:, j]) for j in range(T)])
     vn2 = vn1.copy()
     work = np.empty(max(nb, 1) * (T + 1))  # dlaqps' auxv and F, dlaqp2's work
     j = 0

@@ -619,8 +619,8 @@ class PNSolver:
         g = self.grid
         # W's sources, and a rotating star's Y's, reach every column that a
         # source on the table's P nodes can carry, 0..P-2, so those tables
-        # are filled here in one fill each rather than a fill per first
-        # use, n = 3 as n = 5's pair in a rotating star; X's source, the
+        # are filled whole here, as get_table fills them, in one fill each,
+        # n = 3 as n = 5's pair in a rotating star; X's source, the
         # pressure, fills its few columns on demand
         self.ops.use_table(5 if p.b_rot > 0 else 3, "fill", self.ops.table(3).P - 1)
 

@@ -359,18 +359,20 @@ def asymptotic_fit(eval_fns, params, r_window):
         """Log-log decay rate of |resid| averaged over the directions."""
         return -refinement_order(radii, np.maximum(np.mean(np.abs(resid), axis=0), 1e-300))
 
-    # F = f0 + f1/r + f2/r^2 and A/varpi^2 = 2 G J/(c^3 r^3) + O(1/r^4)
+    # F = f0 + f1/x + f2/x^2 and A/varpi^2 = cJ/x^3 + O(1/x^4) in x = r/r_lo, unit-free
     F, A = eval_fns["F"](w, z), eval_fns["A"](w, z) / w**2
-    design_F = np.column_stack([np.ones_like(radii), 1.0 / radii, 1.0 / radii**2])
-    design_A = np.column_stack([1.0 / radii**3, 1.0 / radii**4])
+    r_lo = r_window[0]
+    x = radii / r_lo
+    design_F = np.column_stack([np.ones_like(x), 1.0 / x, 1.0 / x**2])
+    design_A = np.column_stack([1.0 / x**3, 1.0 / x**4])
     f0, f1, _ = np.array([np.linalg.lstsq(design_F, f, rcond=None)[0] for f in F]).T
     cJ = np.array([np.linalg.lstsq(design_A, a, rcond=None)[0][0] for a in A])
-    orders = {"F": order(F - f0[:, None] - f1[:, None] / radii)}
-    if abs(np.mean(cJ)) / r_window[0] ** 3 < 1e-250:
+    orders = {"F": order(F - f0[:, None] - f1[:, None] / x)}
+    if abs(np.mean(cJ)) < 1e-250:
         J, orders["A"] = 0.0, None
     else:
-        J = float(np.mean(cJ)) * c**3 / (2.0 * G_g)
-        orders["A"] = order(A - cJ[:, None] / radii**3)
+        J = float(np.mean(cJ)) * r_lo**3 * c**3 / (2.0 * G_g)
+        orders["A"] = order(A - cJ[:, None] / x**3)
 
     # Pi/varpi - 1 = O(1/r^2) and e^K - 1 = O(1/r^2); identically flat
     # quantities (machine-level, e.g. Kerr's Pi = varpi) report None
@@ -378,7 +380,7 @@ def asymptotic_fit(eval_fns, params, r_window):
         orders[name] = None if np.max(np.mean(np.abs(y), axis=0)) < 1e-13 else order(y)
 
     return {
-        "M": -float(np.mean(f1)) * c**2 / G_g,
+        "M": -float(np.mean(f1)) * r_lo * c**2 / G_g,
         "J": J,
         "gauge_offset": float(np.mean(f0)),
         "orders": orders,

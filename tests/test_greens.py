@@ -72,7 +72,8 @@ def traced_peak(fn):
 
 
 def whole_table(P, n):
-    """A table of its own, every source column filled in one call."""
+    """A table of its own, filled in one call to every source column a
+    source on its P nodes can carry, 0..P-2."""
     table = KernelTable(P, n)
     table.fill(P)
     return table
@@ -621,13 +622,16 @@ class TestSharedTable:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_edge_touching_source_rejected(self, n, p, P):
         # the leading block differs from the p-node table only where the
-        # source must vanish: on the last row and column
+        # source must vanish, on the last row and column, and the table
+        # builds neither its last column nor a Gauss rule at its last node
+        # and lag: a source on its own P nodes must vanish there too
         shared = KernelTable(P, n)
-        for edge in (np.s_[-1, 3], np.s_[3, -1]):
-            src = self.sources(p)[0]
-            src[edge] = 1e-3
-            with pytest.raises(DomainError):
-                shared.apply(src)
+        for size in (p, P):
+            for edge in (np.s_[-1, 3], np.s_[3, -1]):
+                src = self.sources(size)[0]
+                src[edge] = 1e-3
+                with pytest.raises(DomainError):
+                    shared.apply(src)
         with pytest.raises(DomainError):
             KernelTable(p, n).apply(np.ones((P, P)))
 
@@ -1048,17 +1052,21 @@ class TestCachedQuadrature:
 
     @pytest.mark.parametrize("P", [17, 21, 32, 33])
     def test_apply_matches_rows(self, P):
-        # every node, the last z row included, must be clear of
+        # every output node, the last z row included, must be clear of
         # wrap-around.  The DCT-I's period is 4P - 4, the shortest one that
         # holds an even lag row (the end lags share an index), whatever P:
-        # 80 at P = 21 is not a power of two, 124 at P = 32 not 2^k + 1
+        # 80 at P = 21 is not a power of two, 124 at P = 32 not 2^k + 1.
+        # The source vanishes on its last row and column, as every source
+        # must, so the table holds its P - 1 columns
         table = whole_table(P, 3)
-        assert table.fills == 1 and table.ncols == P
-        assert table.C.shape == (2 * P - 1, P, P)
+        assert table.fills == 1 and table.ncols == P - 1
+        assert table.C.shape == (2 * P - 1, P, P - 1)
         assert table.nbytes == table.C.nbytes
-        gvals = np.random.RandomState(P).uniform(-1.0, 1.0, (P, P))
+        gvals = np.zeros((P, P))
+        gvals[:-1, :-1] = np.random.RandomState(P).uniform(-1.0, 1.0, (P - 1, P - 1))
         i, j = np.divmod(np.arange(P * P), P)
-        dense = table.rows((i, j), (i, j)) @ gvals.ravel()
+        src = np.flatnonzero(gvals)
+        dense = table.rows((i, j), (i[src], j[src])) @ gvals.ravel()[src]
         got = table.apply(gvals).ravel()
         assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(np.abs(dense))
 
@@ -1137,13 +1145,14 @@ def gauss_column(P, n, i, G, polar=None):
 
 def loop_build(P, n):
     """The reference for KernelTable's batched build: returns
-    W2[i, i', lag].  4-point Gauss on every cell; then the far entries,
-    outside the band |i' - i| <= 16, lag <= 16 and off the half-hat edges
-    (i' = 0, i' = P - 1, lag = 2P - 2), one by one as the q = 5 stencil sum
-    over the kernel's node values, the ghosts k(-ws) = (-1)^n k(ws) and
-    k(-dz) = k(dz); then the near-cell integrals, one ring_kernel call per
-    Gauss cell and per polar half, written in at nodes i' = i + dni and
-    lags dnj = 0..2."""
+    W2[i, i', lag] for the source columns i' in 0..P-2.  4-point Gauss on
+    every cell; then the far entries, outside the band |i' - i| <= 16,
+    lag <= 16 and off the half-hat edge i' = 0, one by one as the q = 5
+    stencil sum over the kernel's node values, the ghosts
+    k(-ws) = (-1)^n k(ws) and k(-dz) = k(dz); then the near-cell
+    integrals, one ring_kernel call per Gauss cell and per polar half,
+    written in at nodes i' = i + dni and lags dnj = 0..2.  Lag 2P - 2 is
+    zero: no source node reaches it."""
     W2 = np.stack([gauss_column(P, n, i, 4) for i in range(P)])
 
     q, band = 5, 16
@@ -1206,12 +1215,13 @@ def loop_build(P, n):
                 continue
             for dnj in range(mc + 1):
                 W2[i, i + dni, dnj] = acc[dni + mc, dnj + mc]
-    return W2
+    W2[..., -1] = 0.0
+    return W2[:, :-1]
 
 
 def per_target_spectra(tables, ncols):
     """The spectra of a fill of tables (one table, or an n = 3/5 pair) to
-    ncols columns, built target by target: each target's own Gauss cells,
+    ncols <= P - 1 columns, built target by target: each target's own Gauss cells,
     ring_kernel calls and W2 slab, and the slab's own DCT-I.  The layout
     _build_w2 shares among the targets past the band and its one DCT per
     fill must reproduce it bit for bit."""
@@ -1229,8 +1239,7 @@ def per_target_spectra(tables, ncols):
 
     fold_dz = fold(2 * P - 1, 1.0)
     dz_nodes = np.arange(2 * P - 1 + q, dtype=float)
-    rows, cells = np.arange(ncols), np.arange(min(ncols, P - 1))
-    edge = (rows == 0) | (rows == P - 1)
+    rows = np.arange(ncols)
     ws_nodes = np.arange(ncols + q, dtype=float)
     corner, dn, MC = np.arange(2), np.arange(-greens.MC, greens.MC + 1), greens.MC
     ns = tuple(table.n for table in tables)
@@ -1240,9 +1249,8 @@ def per_target_spectra(tables, ncols):
         gauss = np.zeros((ncols + 1, 2 * P - 1), dtype=bool)
         own = gauss[:ncols]
         own[np.abs(rows - i) <= D, : D + 1] = True
-        own[edge] = True
-        own[:, -1] = True
-        hat = gauss[cells] | gauss[cells + 1]
+        own[0] = True
+        hat = gauss[:-1] | gauss[1:]
         a, b = np.nonzero(hat[:, :-1] | hat[:, 1:])
         flat = (a[:, None] + corner)[:, :, None] * (2 * P - 1) + b[:, None, None] + corner
         low = b == 0
@@ -1255,6 +1263,7 @@ def per_target_spectra(tables, ncols):
             W2 = np.bincount(flat, np.concatenate([c.ravel(), c[low, :, 0].ravel()]),
                              (ncols + 1) * (2 * P - 1)).reshape(ncols + 1, 2 * P - 1)
             W2 = np.where(own, W2[:ncols], fold_ws @ lat @ fold_dz)
+            W2[:, -1] = 0.0
             W2[i + dn[on], : MC + 1] = acc[i, on]
             C[:, i] = dct(W2, type=1, axis=1).T
     return Cs
@@ -1397,8 +1406,11 @@ class TestBatchedBuild:
         scale = np.max(np.abs(W2))
         # the slabs rows() rebuilds from the stored spectra
         slabs = np.stack([table.w2_slab(i) for i in range(P)])
-        assert slabs.shape == W2.shape
+        assert slabs.shape == W2.shape == (P, P - 1, 2 * P - 1)
         assert np.max(np.abs(slabs - W2)) <= 1e-14 * scale
+        # every slab's last lag, which no source node reaches, is built as
+        # exact zeros; w2_slab's inverse DCT-I reads them back to rounding
+        assert np.max(np.abs(slabs[..., -1])) <= 1e-15 * scale
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_near_integrals_even_in_z(self, monkeypatch, n):
@@ -1428,21 +1440,23 @@ class TestBatchedBuild:
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_kernel_values_per_table(self, monkeypatch, n):
-        """A whole fill at P = 65 evaluates fewer than 8 P^3 ring_kernel values;
-        Gauss on every cell took 32 P^3 (16 per cell, (P - 1)(2P - 2) cells
-        per column).  Per column the build takes (P + q)(2P - 1 + q) lattice
-        values, 9,380 at q = 5, and 16 per Gauss cell: at most
-        (2D + 2)(D + 1) = 578 band cells at D = 16, and 2(2P - 2) + P - 1 =
-        320 edge cells less their overlap with the band, so at most 14,368.
-        The near integrals add 100 values per tensor cell and 384 per polar
-        cell: 20 and 4 cells, 3,536 values, per inner column at MC = 2, about
-        0.22 M in all."""
+        """A whole fill at P = 65, its P - 1 columns, evaluates fewer than
+        6 P^3 ring_kernel values (1,471,006, 5.36 P^3; 6.09 P^3 with column
+        P - 1 and Gauss half-hats at node P - 1 and lag 2P - 2); Gauss on
+        every cell took 32 P^3 (16 per cell, (P - 1)(2P - 2) cells per
+        column).  Per column the build takes (P - 1 + q)(2P - 1 + q) lattice
+        values, 9,246 at q = 5, and 16 per Gauss cell: at most
+        (2D + 2)(D + 1) = 578 band cells at D = 16, and 2P - 2 = 128 axis
+        cells less their overlap with the band, so at most 11,296.  The near
+        integrals add 100 values per tensor cell and 384 per polar cell: 20
+        and 4 cells, 3,536 values, per inner column at MC = 2, about 0.22 M
+        in all."""
         P = 65
         calls = count_calls(monkeypatch, greens, "ring_kernel")
         whole_table(P, n)
         values = sum(np.broadcast(*args[1:]).size for args in calls)
-        lattice = P * (P + 5) * (2 * P - 1 + 5)
-        assert lattice < values < 8 * P**3
+        lattice = P * (P - 1 + 5) * (2 * P - 1 + 5)
+        assert lattice < values < 6 * P**3
 
 
 class TestNodalRule:
@@ -1469,6 +1483,8 @@ class TestNodalRule:
         nodal entries within 1e-11 (3.7e-12 measured, n = 5, column 1), and
         no entry of any class worse than the column's worst 4-point cell,
         the base rule's error outside the near patch (9e-10 to 1.5e-8).
+        The table's source columns are 0..P-2, and lag 2P - 2, which no
+        source node reaches, is 0 to rounding.
 
         The reference is 12 x 12 Gauss on every cell except the two with a
         corner on the target, whose log singularity tensor Gauss cannot
@@ -1479,15 +1495,18 @@ class TestNodalRule:
         P, q, D, mc = 49, greens.STENCIL_Q, greens.GAUSS_BAND, greens.MC
         table = whole_table(P, n)
         node, lag = np.arange(P)[:, None], np.arange(2 * P - 1)
+        node, lag = node[:-1], lag[:-1]
         for i in (1, P // 2, P - 5):
-            ref = gauss_column(P, n, i, 12, polar=greens.N_GAUSS_POLAR)
+            ref = gauss_column(P, n, i, 12, polar=greens.N_GAUSS_POLAR)[:-1, :-1]
             scale = np.max(np.abs(ref))
-            err = np.abs(table.w2_slab(i) - ref) / scale
+            slab = table.w2_slab(i)
+            assert np.max(np.abs(slab[:, -1])) <= 1e-15 * scale
+            err = np.abs(slab[:, :-1] - ref) / scale
             near = (np.abs(node - i) <= mc) & (lag <= mc)
-            edge = (node == 0) | (node == P - 1) | (lag == 2 * P - 2)
+            edge = np.broadcast_to(node == 0, err.shape)
             band = (np.abs(node - i) <= D) & (lag <= D) & ~near & ~edge
             nodal = ~(near | edge | band)
-            worst4 = np.max((np.abs(gauss_column(P, n, i, 4) - ref) / scale)[~near])
+            worst4 = np.max((np.abs(gauss_column(P, n, i, 4)[:-1, :-1] - ref) / scale)[~near])
             assert np.max(err[nodal]) <= 1e-11, i
             # the stencil reaches lags and nodes below zero, through the ghosts
             assert np.any(nodal & (node < q)) and np.any(nodal & (lag < q))
@@ -1517,7 +1536,8 @@ class TestColumnFill:
     def test_prefix_partitions(self, n):
         P = 33
         whole = whole_table(P, n)
-        for counts in (range(1, P + 1), [5, 6, 20, P], [1, 17, P]):
+        assert whole.ncols == P - 1
+        for counts in (range(1, P), [5, 6, 20, P - 1], [1, 17, P - 1]):
             table = KernelTable(P, n)
             assert table.ncols == 0 and table.nbytes == 0 and table.fills == 0
             for k, c in enumerate(counts):
@@ -1526,15 +1546,17 @@ class TestColumnFill:
                 assert table.fills == k + 1 and table.ncols == c
                 assert table.C.shape == (2 * P - 1, P, c) and table.nbytes == table.C.nbytes
                 self.assert_columns_match(table, whole)
-            # a fill of columns the table holds builds nothing
+            # a fill of columns the table holds builds nothing, and no fill
+            # builds column P - 1, where every source on P nodes vanishes
             table.fill(P // 2)
-            assert table.fills == len(counts) and table.ncols == P
+            table.fill(P)
+            assert table.fills == len(counts) and table.ncols == P - 1
         # get_table fills a partly filled cached table in place: the same
         # object, one fill more
         lazy = GreenOps(AxiGrid(R0=2.0, n_interior=P, n_exterior=25)).table(n)
         lazy.fill(5)
         assert get_table(P, n) is lazy
-        assert lazy.fills == 2 and lazy.ncols == P
+        assert lazy.fills == 2 and lazy.ncols == P - 1
         self.assert_columns_match(lazy, whole)
 
     @pytest.mark.parametrize("n", [3, 5])
@@ -1551,7 +1573,7 @@ class TestColumnFill:
         assert get_table(g.n_int, n) is table
         assert ops.table(n) is table
         assert table.fills == earlier + 1
-        assert table.ncols == table.P
+        assert table.ncols == table.P - 1
         self.assert_columns_match(table, whole_table(g.n_int, n))
 
     @pytest.mark.parametrize("setup", [(9, 0), (0, 0), (7, 3)], ids=["9", "0", "n5-ahead"])
@@ -1706,6 +1728,7 @@ class TestColumnFill:
         for (P, n), table in greens._TABLE_CACHE.items():
             report = reports[f"P{P}_n{n}"]
             assert (table.ncols, table.fills) == (report["columns"], report["fills"])
+            assert table.ncols <= P - 1
             self.assert_columns_match(table, whole_table(P, n))
         # a source carrying only column c fills columns 0..c in one fill
         for c in (0, 7):
@@ -1727,13 +1750,15 @@ class TestFillLayout:
     @pytest.mark.parametrize("kind", ["lone", "pair"])
     def test_matches_per_target_build(self, P, ncols, kind):
         # a lone n = 4 table and an n = 3/5 pair; at P = 33 and 97 a fill of
-        # 1, 2 or 13 columns has targets past the band
+        # 1, 2 or 13 columns has targets past the band.  A fill to P builds
+        # the P - 1 columns a source can carry
         if kind == "lone":
             tables = [KernelTable(P, 4)]
         else:
             n3 = KernelTable(P, 3)
             tables = [n3, KernelTable(P, 5, n3)]
         tables[-1].fill(ncols)
+        ncols = min(ncols, P - 1)
         for table, C in zip(tables, per_target_spectra(tables, ncols)):
             assert table.ncols == ncols and table.C.tobytes() == C.tobytes()
 
@@ -1746,6 +1771,7 @@ class TestFillLayout:
         table = whole_table(P, 3)
         src = np.zeros((p, p))
         src[c, : p - 1] = np.random.default_rng(c).uniform(-1.0, 1.0, p - 1)
-        gx = dct(src.T, type=1, n=2 * P - 1, axis=0)
-        ref = idct((table.C[:, :p, :p] @ gx[:, :, None])[..., 0], type=1, axis=0)[:p].T
+        m = min(p, table.ncols)
+        gx = dct(src[:m].T, type=1, n=2 * P - 1, axis=0)
+        ref = idct((table.C[:, :p, :m] @ gx[:, :, None])[..., 0], type=1, axis=0)[:p].T
         assert table.apply(src).tobytes() == np.ascontiguousarray(ref).tobytes()

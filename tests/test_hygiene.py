@@ -420,6 +420,9 @@ def test_bench_entry_points_exist(monkeypatch):
     worker = importlib.import_module("worker")
     for var in worker.THREAD_VARS:
         monkeypatch.setenv(var, os.environ.get(var, "1"))
+    # the sources under test, which are the checkout's unless PYTHONPATH
+    # points at a copy of src/
+    monkeypatch.setattr(worker, "ROOT", PACKAGE.parent.parent)
     modules = worker.import_rotstar()
     solver_cls = modules["pn"].PNSolver
     original = solver_cls.__dict__["ktilde_arrays"]
@@ -440,6 +443,9 @@ def test_bench_spans_trace_and_restore(monkeypatch):
     worker = importlib.import_module("worker")
     for var in worker.THREAD_VARS:
         monkeypatch.setenv(var, os.environ.get(var, "1"))
+    # the sources under test, which are the checkout's unless PYTHONPATH
+    # points at a copy of src/
+    monkeypatch.setattr(worker, "ROOT", PACKAGE.parent.parent)
     modules = worker.import_rotstar()
     fields, greens = modules["fields"], modules["greens"]
     tracer = worker.Tracer()
