@@ -54,9 +54,8 @@ def cmd_lane_emden(cfg, args):
     out = _out_dir(cfg, args.out)
     cls, params, dle = build_star(cfg)
     nu, b = params.nu, params.b_rot
-    n = cfg.lane_emden["report_grid"]
-    s, zeta, TH = dle.report_grid(n)
-    xi = np.linspace(0.0, dle.Xi0, 4 * n)
+    s, zeta, TH = dle.report_grid()
+    xi = np.linspace(0.0, dle.Xi0, 4 * s.size)
     np.savetxt(
         out / "theta_classical.dat",
         np.column_stack([xi, cls.theta(xi)]),
@@ -121,8 +120,9 @@ def _verify_payload(res, eos, classical):
         "M": res.tail_mass(),
         "J": res.tail_angular_momentum(),
         "residuals": rep.to_dict(),
-        "consistency_sup_L": ck["sup_L"],
-        "consistency_identity": ck["sup_identity"],
+        # over the scale of L's two terms, so the same star reads the same in any units
+        "consistency_sup_L": ck["sup_L"] / max(ck["scale"], 1e-300),
+        "consistency_identity": ck["sup_identity"] / max(ck["scale"], 1e-300),
         "asymptotics": fit,
     }
     if params.Omega_O == 0.0:

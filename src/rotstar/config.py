@@ -2,14 +2,13 @@
 
 Unknown sections and keys are rejected; physical quantities are
 range-checked.  A parsed RunConfig carries plain dataclass blocks mirroring
-the file sections.  Every key is read: the solver section goes to
-SolverOptions whole, the rest by name.  A setting with one value in use is a
-module constant next to its code, not a key, and a key that a function or
-dataclass takes has that one's default, so each default is spelled once.
+the file sections.  Every key is read by name.  A setting with one value in
+use is a module constant next to its code, not a key, and a key that a
+function or dataclass takes has that one's default, so each default is
+spelled once.
 """
 
 import hashlib
-import inspect
 import json
 import math
 from collections.abc import Mapping
@@ -22,12 +21,6 @@ from .eos import SERIES_TERMS, EquationOfState, consistent_upsilon_P
 from .errors import ConfigError
 from .lane_emden import solve_classical, solve_distorted
 from .pn import SolverOptions, StarParams
-
-
-def _keyword_defaults(fn):
-    """The default of each parameter of fn, a function or a dataclass, that has one."""
-    return {name: p.default for name, p in inspect.signature(fn).parameters.items()
-            if p.default is not p.empty}
 
 
 _DEFAULTS = {
@@ -49,11 +42,7 @@ _DEFAULTS = {
         "n_interior": 129,
         "n_exterior": 97,
     },
-    "lane_emden": {
-        **_keyword_defaults(solve_distorted),
-        "report_grid": 129,
-    },
-    "solver": _keyword_defaults(SolverOptions),
+    "solver": {key: getattr(SolverOptions, key) for key in ("tol_inner", "tol_outer")},
     "kerr": {
         "m_geom": 1.0,
         "a_spin": 0.5,
@@ -88,7 +77,6 @@ class RunConfig:
     eos: dict
     star: dict
     grid: dict
-    lane_emden: dict
     solver: dict
     kerr: dict
     output: dict
@@ -150,12 +138,8 @@ def _validate(cfg):
     name, key = sweep_key(param)
     if not _is_number(_DEFAULTS.get(name, {}).get(key)):
         raise ConfigError(f"sweep.param={param!r} is not a section.key or star key with a numeric default")
-    for name, key, least in (("lane_emden", "n_zeta", 1), ("lane_emden", "max_iter", 1),
-                             ("lane_emden", "lmax", 0), ("lane_emden", "n_radial", 3),
-                             ("lane_emden", "report_grid", 2), ("solver", "max_inner", 1),
-                             ("solver", "max_outer", 1), ("sweep", "workers", 1)):
-        if getattr(cfg, name)[key] < least:
-            raise ConfigError(f"{name}.{key} must be >= {least}")
+    if cfg.sweep["workers"] < 1:
+        raise ConfigError("sweep.workers must be >= 1")
     e = cfg.eos
     if not (6.0 / 5.0 < e["gamma"] < 2.0):
         raise ConfigError(f"eos.gamma={e['gamma']} outside (6/5, 2)")
@@ -243,13 +227,10 @@ def build_params(cfg, classical):
 
 def build_star(cfg):
     """The classical Lane-Emden solution, the star's parameters and its
-    distorted profile, from the eos, star and whole lane_emden sections."""
+    distorted profile, from the eos and star sections."""
     classical = solve_classical(1.0 / (cfg.eos["gamma"] - 1.0))
     params = build_params(cfg, classical=classical)
-    le = cfg.lane_emden
-    dle = solve_distorted(params.nu, params.b_rot, n_radial=le["n_radial"], n_zeta=le["n_zeta"],
-                          lmax=le["lmax"], max_iter=le["max_iter"], classical=classical)
-    return classical, params, dle
+    return classical, params, solve_distorted(params.nu, params.b_rot, classical=classical)
 
 
 def build_solver_options(cfg):

@@ -46,6 +46,9 @@ XI_MAX = 60.0  # end of solve_classical's search for the first zero
 # the distorted fixed point: tolerance on a sweep's sup change, and stall
 # rule (past sweep 12, a change above the one 5 sweeps back stops it)
 TOL, STALL = 1e-11, (12, 5)
+# the (s, zeta) grid, the Legendre degree, the sweep cap and the report grid's
+# nodes per axis; the profile only seeds the grid's Newtonian sweep
+N_RADIAL, N_ZETA, LMAX, MAX_ITER, REPORT_GRID = 1025, 48, 12, 400, 129
 SIMPSON_MARGIN = 3  # zero rows kelvin3_legendre integrates past its source
 
 
@@ -181,7 +184,6 @@ class DistortedLaneEmden:
     zeta: np.ndarray = field(repr=False)
     Theta: np.ndarray = field(repr=False)
     coeffs: CubicSpline = field(repr=False)  # even-Legendre coefficients, one per column
-    lmax: int = 0
     Theta_inf_const: float = 0.0
     iterations: int = 0
     contraction_ratio: float = 0.0
@@ -191,7 +193,7 @@ class DistortedLaneEmden:
         beyond Xi0 it is the harmonic-type continuation Theta_inf + C/s
         through the edge value."""
         s = np.asarray(s, dtype=float)
-        basis = even_legendre(np.abs(np.asarray(zeta, dtype=float)), self.lmax)
+        basis = even_legendre(np.abs(np.asarray(zeta, dtype=float)), LMAX)
         out = (self.coeffs(np.clip(s, 0.0, self.Xi0)) * basis).sum(axis=-1)
         beyond, T_inf = s > self.Xi0, self.Theta_inf_const
         out = np.where(beyond, T_inf + (out - T_inf) * self.Xi0 / np.where(beyond, s, 1.0), out)
@@ -222,23 +224,16 @@ class DistortedLaneEmden:
                 break
         return 0.5 * (lo + hi)
 
-    def report_grid(self, n):
-        """Theta on a uniform (s, zeta) grid for export and comparisons."""
-        s = np.linspace(0.0, self.Xi0, n)
-        zeta = np.linspace(0.0, 1.0, n)
+    def report_grid(self):
+        """Theta on the uniform REPORT_GRID x REPORT_GRID (s, zeta) grid for
+        export and comparisons."""
+        s = np.linspace(0.0, self.Xi0, REPORT_GRID)
+        zeta = np.linspace(0.0, 1.0, REPORT_GRID)
         S, Z = np.meshgrid(s, zeta, indexing="ij")
         return s, zeta, self.theta_at(S, Z)
 
 
-def solve_distorted(
-    nu,
-    b,
-    classical,
-    n_radial=1025,
-    n_zeta=48,
-    lmax=12,
-    max_iter=400,
-):
+def solve_distorted(nu, b, classical):
     """Fixed-point solve of the distorted Lane-Emden equation, its sweeps
     mixed by one-step Anderson (secant) mixing.
 
@@ -250,14 +245,14 @@ def solve_distorted(
         raise DomainError("b must be nonnegative")
     xi1 = classical.xi1
     Xi0 = 4.0 * xi1
-    s = np.linspace(0.0, Xi0, n_radial)
-    x, wq = leggauss(n_zeta)
+    s = np.linspace(0.0, Xi0, N_RADIAL)
+    x, wq = leggauss(N_ZETA)
     zeta = 0.5 * (x + 1.0)
     zw = 0.5 * wq
 
     forcing = (0.5 * b * chi(s / Xi0) ** 2 * s**2)[:, None] * (1.0 - zeta**2)
     far = np.searchsorted(s, 2.5 * xi1)  # first row of s >= 2.5 xi1
-    basis = even_legendre(zeta, lmax)
+    basis = even_legendre(zeta, LMAX)
     # the source; a sweep's map value G and residual F = G - Theta, and the
     # last sweep's, which become the changes dG and dF
     src = np.zeros(forcing.shape)
@@ -304,7 +299,7 @@ def solve_distorted(
         return Theta, delta
 
     Theta0 = np.broadcast_to(classical.theta(s)[:, None], forcing.shape).copy()
-    Theta, changes = damped_iteration(sweep, Theta0, TOL, max_iter,
+    Theta, changes = damped_iteration(sweep, Theta0, TOL, MAX_ITER,
                                       "distorted Lane-Emden iteration", stall=STALL)
 
     _, K_O = kelvin3_legendre(source(Theta), s, basis, zw)
@@ -318,7 +313,6 @@ def solve_distorted(
         zeta=zeta,
         Theta=Theta,
         coeffs=CubicSpline(s, _project(Theta, basis, zw)),
-        lmax=lmax,
         Theta_inf_const=theta_inf,
         iterations=len(changes),
         contraction_ratio=contraction_ratio(changes),

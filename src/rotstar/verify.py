@@ -238,11 +238,13 @@ def consistency_K(win, params):
     """L = d(K1t)/dz - d(K3t)/dvarpi plus the mixed-identity residual.
 
     The identity ties L to the K-mismatch through the pressure term; both
-    vanish on vacuum and on converged states up to discretization.
+    vanish on vacuum and on converged states up to discretization.  Their
+    scale is the larger sup of L's two terms, so sup/scale is unit-free.
     """
     G_g, c = params.G_grav, params.c_light
     K1t, K3t = ktilde_fields(win)
-    L = d1z(win, K1t) - d1w(win, K3t)
+    K1t_z, K3t_w = d1z(win, K1t), d1w(win, K3t)
+    L = K1t_z - K3t_w
     P, _ = _fluid_terms(win, params)
     P1, P3 = d1w(win, win.Pi), d1z(win, win.Pi)
     K1, K3 = d1w(win, win.K), d1z(win, win.K)
@@ -264,6 +266,7 @@ def consistency_K(win, params):
         "sup_L": _sup(L, m),
         "identity_resid": identity_resid,
         "sup_identity": _sup(identity_resid, m),
+        "scale": max(_sup(K1t_z, m), _sup(K3t_w, m)),
     }
 
 

@@ -69,3 +69,17 @@ def komar_integrals(win, c):
     M_K = wts @ ((2.0 * enthalpy * u0_u0 - win.rho * c**2 + win.P) * vol) @ wts / c**2
     J_K = -(wts @ (enthalpy * u0_uphi * vol) @ wts) / c
     return float(M_K), float(J_K)
+
+
+def isotropic_tov_metric(tov, ell):
+    """Pi/varpi and K of a static spherical star at isotropic radius ell, from
+    its TOV solution.  Matching the isotropic spatial metric psi^4 (d ell^2 +
+    ell^2 dOmega^2) to the Lanczos form e^{-2F}[e^{2K}(dvarpi^2 + dz^2) +
+    Pi^2 dphi^2] gives Pi/varpi = e^F r_areal(ell)/ell and K = log(Pi/varpi),
+    with r_areal from TovSolution.ell inside the star and the isotropic
+    Schwarzschild ell (1 + G M/(2 c^2 ell))^2 outside."""
+    half_rs = tov.G_grav * tov.M_total / (2.0 * tov.c_light**2)
+    r_areal = np.where(ell <= tov.ell[-1], np.interp(ell, tov.ell, tov.r),
+                       ell * (1.0 + half_rs / ell) ** 2)
+    Pi_over_w = np.exp(tov.F_isotropic(ell)) * r_areal / ell
+    return Pi_over_w, np.log(Pi_over_w)

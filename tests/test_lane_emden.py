@@ -9,6 +9,7 @@ from rotstar.cutoff import chi
 from rotstar.errors import (ConvergenceError, DomainError, RegimeError, contraction_ratio,
                             damped_iteration)
 from rotstar.lane_emden import (
+    LMAX,
     STALL,
     TOL,
     _project,
@@ -239,7 +240,7 @@ def dle_small(cls15):
 
 class TestDistorted:
     def test_b0_matches_classical(self, cls15, dle_b0):
-        s, zeta, TH = dle_b0.report_grid(129)
+        s, zeta, TH = dle_b0.report_grid()
         TH_cls = cls15.theta(s)[:, None] * np.ones((1, zeta.size))
         assert np.max(np.abs(TH - TH_cls)) < 1e-6
 
@@ -267,9 +268,10 @@ class TestDistorted:
         dT = np.diff(dle.Theta, axis=0)
         assert dT[1:, :].max() < 0
 
-    def test_iteration_cap(self, cls15):
+    def test_iteration_cap(self, cls15, monkeypatch):
+        monkeypatch.setattr(lane_emden, "MAX_ITER", 3)
         with pytest.raises(ConvergenceError, match="did not converge in 3 steps") as exc:
-            solve_distorted(1.5, 1e-3, classical=cls15, n_radial=257, n_zeta=16, max_iter=3)
+            solve_distorted(1.5, 1e-3, classical=cls15)
         assert exc.value.iterations == 3
         assert exc.value.residual > TOL
 
@@ -297,8 +299,8 @@ class TestLegendreBasis:
         d = dle_small
         zw = 0.5 * leggauss(d.zeta.size)[1]
         src = np.maximum(d.Theta, 0.0) ** d.nu
-        K, K_O = kelvin3_legendre(src, d.s, even_legendre(d.zeta, d.lmax), zw)
-        K_ref, K_O_ref = kelvin3_per_degree(src, d.s, d.zeta, zw, d.lmax)
+        K, K_O = kelvin3_legendre(src, d.s, even_legendre(d.zeta, LMAX), zw)
+        K_ref, K_O_ref = kelvin3_per_degree(src, d.s, d.zeta, zw, LMAX)
         sup = np.max(np.abs(K_ref))
         assert np.max(np.abs(K - K_ref)) <= 1e-14 * sup
         assert abs(K_O - K_O_ref) <= 1e-14 * sup
@@ -337,7 +339,7 @@ class TestMatterRows:
     def test_profile_sources(self, request, name):
         # the converged b = 0 and b = 1e-3 profiles' sources, about 260 rows
         d = request.getfixturevalue(name)
-        grid = (d.s, even_legendre(d.zeta, d.lmax), 0.5 * leggauss(d.zeta.size)[1])
+        grid = (d.s, even_legendre(d.zeta, LMAX), 0.5 * leggauss(d.zeta.size)[1])
         self.assert_same(np.maximum(d.Theta, 0.0) ** d.nu, grid)
 
     # an interval takes the Simpson parabola of its parity, and the last one

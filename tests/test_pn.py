@@ -10,10 +10,9 @@ from rotstar.eos import EquationOfState
 from rotstar.errors import ConvergenceError, DomainError, SeriesDomainError
 from rotstar.fields import AxiField, AxiGrid
 from rotstar.greens import FAR_RANK_TOL, FAR_SKETCH_ROWS, far_mask
-from rotstar.lane_emden import solve_distorted
 from rotstar.metric import e2G_normalization
 from rotstar.pn import PNSolver, SolverOptions, StarParams, omega_profile, v_star_from_infinity
-from rotstar.verify import asymptotic_fit
+from rotstar.verify import asymptotic_fit, consistency_K
 
 from conftest import B_ROT, EPS_SWEEP
 from oracles import rho_NO
@@ -518,11 +517,13 @@ class TestUnits:
         # So do asymptotic_fit's M and J (8.4e-15 measured), and its F and A
         # orders agree to 1e-9 (2.6e-11 measured).  With its designs in
         # physical radii, the SI-like star's fit read M 5.5e-6 low and the
-        # F order 0.56 against 2.01
+        # F order 0.56 against 2.01.  The K-consistency sups over their scale
+        # agree to 1e-7 (3.8e-9 measured; in physical units they read
+        # 2.2e-9 and 1.8e-25)
         def sup(f):
             return max(float(np.max(np.abs(f.int_total()))), float(np.max(np.abs(f.star_vals))))
 
-        reads, orders = [], []
+        reads, orders, consistency = [], [], []
         for G, c, A in ((1.0, 1.0, 1.0), (2.0, 3.0, 1.7), (6.674e-11, 2.998e8, 4e9)):
             eos = EquationOfState.gamma_law(5 / 3, A, c)
             p = StarParams.build(5 / 3, A, c, G, u_O=1e-3 * c**2, b_rot=B_ROT, classical=cls15)
@@ -536,9 +537,12 @@ class TestUnits:
                                    sup(pot.Y) * r1 / c**3,
                                    fit["M"] * G / (c**2 * r1), fit["J"] * G / (c**3 * r1**2)]))
             orders.append(np.array([fit["orders"]["F"], fit["orders"]["A"]]))
-        for other, order in zip(reads[1:], orders[1:]):
+            ck = consistency_K(res.verify_window(), p)
+            consistency.append(np.array([ck["sup_L"], ck["sup_identity"]]) / ck["scale"])
+        for other, order, ratios in zip(reads[1:], orders[1:], consistency[1:]):
             assert np.max(np.abs(other / reads[0] - 1.0)) <= 1e-12
             assert np.max(np.abs(order / orders[0] - 1.0)) <= 1e-9
+            assert np.max(np.abs(ratios / consistency[0] - 1.0)) <= 1e-7
 
 
 class TestVStarFromInfinity:
@@ -577,19 +581,17 @@ class TestVStarFromInfinity:
 
 
 @pytest.fixture(scope="module")
-def coarse_star(cls15, eos_unit):
+def coarse_star(cls15, eos_unit, dle_rot):
     """The eps = b = 1e-3 star on the 33/25 grid, for the iteration caps."""
-    dle = solve_distorted(1.5, B_ROT, classical=cls15, n_radial=257, n_zeta=16)
     p = StarParams.build(5 / 3, 1.0, 1.0, 1.0, u_O=1e-3, b_rot=B_ROT, classical=cls15)
-    return p, eos_unit, dle, cls15
+    return p, eos_unit, dle_rot, cls15
 
 
 @pytest.fixture(scope="module")
-def coarse_static(cls15, eos_unit):
+def coarse_static(cls15, eos_unit, dle_static):
     """The eps = 1e-3 static star on the 33/25 grid."""
-    dle = solve_distorted(1.5, 0.0, classical=cls15, n_radial=257, n_zeta=16)
     p = StarParams.build(5 / 3, 1.0, 1.0, 1.0, u_O=1e-3, b_rot=0.0, classical=cls15)
-    return p, eos_unit, dle, cls15
+    return p, eos_unit, dle_static, cls15
 
 
 class TestIterationCaps:
@@ -606,9 +608,16 @@ class TestIterationCaps:
 
     @pytest.mark.parametrize("option, cap, what", [("max_inner", 2, "inner"),
                                                    ("max_outer", 1, "outer")])
-    def test_inner_and_outer(self, coarse_star, option, cap, what):
+    def test_inner_and_outer(self, monkeypatch, coarse_star, option, cap, what):
+        # the inner cap is the module constant MAX_INNER, the outer one
+        # SolverOptions' max_outer
         p, eos, dle, cls = coarse_star
-        solver = PNSolver(p, eos, SolverOptions(33, 25, **{option: cap}), dle=dle, classical=cls)
+        if option == "max_inner":
+            monkeypatch.setattr(pn, "MAX_INNER", cap)
+            opts = SolverOptions(33, 25)
+        else:
+            opts = SolverOptions(33, 25, max_outer=cap)
+        solver = PNSolver(p, eos, opts, dle=dle, classical=cls)
         message = f"{what} .* did not converge in {cap} steps"
         with pytest.raises(ConvergenceError, match=message) as exc:
             solver.solve()
