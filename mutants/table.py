@@ -275,4 +275,14 @@ MUTANTS = [
                "leaves isotropic TOV off the axis (gap 4.85e-2 at 65/49, order 1.42); "
                "every other tier-1 test passes",
     },
+    {
+        "id": "static-pressure-factor-off",
+        "file": "pn.py",
+        "old": "om_w2_Y, frame, rho_q, P_q = 0.0, 0.0, 1.0, 3.0",
+        "new": "om_w2_Y, frame, rho_q, P_q = 0.0, 0.0, 1.0, 3.0 * (1.0 + 1e-9)",
+        "tests": ["tests/test_pn.py::TestInnerOuter::test_static_path_matches_rotation_path"],
+        "why": "a static star's stand-in for the pressure factor (3 - q)/(1 - q) is 1e-9 "
+               "off 3, so its W, w and every field built on them leave the rotation "
+               "path's bits",
+    },
 ]

@@ -125,7 +125,7 @@ def _verify_payload(res, eos, classical):
         "consistency_identity": ck["sup_identity"] / max(ck["scale"], 1e-300),
         "asymptotics": fit,
     }
-    if params.Omega_O == 0.0:
+    if not params.rotating:
         tov = solve_tov(eos, params.u_O, params.G_grav, params.c_light)
         payload["tov_gap"] = tov_gap(res, tov, classical)
     return payload
@@ -267,6 +267,9 @@ def cmd_tov_compare(cfg, args):
         "rel_gap": gap["total"] / gap["sup_F"],
         "newtonian_gap": gap["newtonian"],
         "post_newtonian_gap": gap["post_newtonian"],
+        # Pi/varpi and K against isotropic TOV, each over its scale
+        "rel_Pi_over_w_gap": gap["rel_Pi_over_w"],
+        "rel_K_gap": gap["rel_K"],
     }
     _manifest(out, cfg, payload)
     print(f"tov-compare: rel F gap {payload['rel_gap']:.3e}, M_tov {tov.M_total:.6e}")

@@ -103,6 +103,11 @@ class StarParams:
                 * self.u_O ** (-1.0 / (self.gamma - 1.0)) / (4.0 * math.pi * self.G_grav))
 
     @property
+    def rotating(self):
+        """Omega_O != 0; a static star's Y and Omega terms vanish, and the solver skips them."""
+        return self.Omega_O != 0.0
+
+    @property
     def r1(self):
         return self.a_len * self.xi1
 
@@ -321,12 +326,17 @@ class PNSolver:
     # -- the w <-> (W, Y, X) algebra ---------------------------------------------
 
     def w_from_WYX(self, W, Y, X):
-        """Enthalpy correction per the log expansion in the auxiliary Z."""
+        """Enthalpy correction per the log expansion in the auxiliary Z.
+
+        A static star's w is W: every term past E carries Omega.  It still
+        forms psi, ln E and E - 1, whose guards stop a too-strong field."""
         p = self.params
         c = p.c_light
         psi = self.nf.Phi_N - W * (1.0 / c**2)  # c^2 F
         lnE = field_log1p(X * (1.0 / c**4)) * 2.0 - psi * (4.0 / c**2)
         Em1 = field_expm1(lnE)  # E - 1 with E = e^{-4 psi/c^2}(1+X/c^4)^2
+        if not p.rotating:
+            return W.reindex(3)
 
         om_w2_Y = (self.om_w2 * Y).reindex(3)  # Omega varpi^2 Y, compact
         # Z = 2 Om w^2 Y/c^2 + (Om w^2 Y)^2/c^6 - (Om w)^2 E
@@ -365,6 +375,11 @@ class PNSolver:
         return rho, P, u
 
     def remainders_abc(self, W, Y, X, V, w, rho, P):
+        """The exact remainders R_a, R_b, R_c of the W, Y and X equations.
+
+        A static star (Y = 0) computes no rotation-only term: Omega varpi^2 Y
+        and the frame-dragging term of R_a take 0, q = Q1/c^2 takes 0, and
+        R_b and Q6, which only rotation sources, are None."""
         p = self.params
         c = p.c_light
         Gg = p.G_grav
@@ -377,31 +392,58 @@ class PNSolver:
         X3 = X.derivative("z")
         psi1 = psi.derivative("w")
         psi3 = psi.derivative("z")
-        Y1 = Y.derivative("w")
-        Y3 = Y.derivative("z")
-        twoY_wY1 = (Y * 2.0 + mul_varpi(Y1)).reindex(4)
-        wY3 = mul_varpi(Y3)
-
-        e4F = exp_of(psi, 4.0 / c**2)
         emFK = exp_of(V * (1.0 / c**4) - psi * (1.0 / c**2), 2.0)
-
-        # Q1 = e^{-4F} (Om w)^2 (1+X/c^4)^2 (1 + Om w^2 Y/c^4)^{-2}
-        om_w2_Y = (self.om_w2 * Y).reindex(3)  # Omega varpi^2 Y, compact
-        inv_omY = 1.0 / (om_w2_Y * (1.0 / c**4) + 1.0)
-        Q1 = (
-            exp_of(psi, -4.0 / c**2) * self.om2w2 * (X4 + 1.0) * (X4 + 1.0) * inv_omY * inv_omY
-        ).reindex(3)
-        q = Q1 * (1.0 / c**2)
-        inv_q = 1.0 / ((q * -1.0) + 1.0)
-
         H = compact_map(self.eos.h_rho, nf.u_N, w, n_index=3)
+
+        if p.rotating:
+            Y1 = Y.derivative("w")
+            Y3 = Y.derivative("z")
+            twoY_wY1 = (Y * 2.0 + mul_varpi(Y1)).reindex(4)
+            wY3 = mul_varpi(Y3)
+            e4F = exp_of(psi, 4.0 / c**2)
+            frame = e4F * inv1 * inv1 * (twoY_wY1 * twoY_wY1 + wY3 * wY3) * (0.5 / c**2)
+
+            # Q1 = e^{-4F} (Om w)^2 (1+X/c^4)^2 (1 + Om w^2 Y/c^4)^{-2}
+            om_w2_Y = (self.om_w2 * Y).reindex(3)  # Omega varpi^2 Y, compact
+            inv_omY = 1.0 / (om_w2_Y * (1.0 / c**4) + 1.0)
+            Q1 = (
+                exp_of(psi, -4.0 / c**2) * self.om2w2 * (X4 + 1.0) * (X4 + 1.0) * inv_omY * inv_omY
+            ).reindex(3)
+            q = Q1 * (1.0 / c**2)
+            inv_q = 1.0 / ((q * -1.0) + 1.0)
+            rho_q, P_q = (q + 1.0) * inv_q, (3.0 - q) * inv_q
+
+            # Q6 from: (1/c^2) e^{-6F+2K}(c^2 rho + P)(1-q)^{-1}(1+X/c^4)^2
+            # (1+Om w^2 Y/c^4)^{-1} = rho_N + Q6/c^2
+            em6F2K = exp_of(V * (1.0 / c**4) * 2.0 - psi * (6.0 / c**2), 1.0)
+            lhs6 = (
+                em6F2K
+                * (rho * c**2 + P)
+                * inv_q
+                * (X4 + 1.0)
+                * (X4 + 1.0)
+                * inv_omY
+                * (1.0 / c**2)
+            ).reindex(3)
+            Q6 = (lhs6 - nf.rho_N) * c**2
+
+            R_b = (
+                (X1 * Y1 + X3 * Y3 + div_varpi(X1) * Y * 2.0) * inv1 * (-1.0 / c**4)
+                + (psi1 * Y1 + psi3 * Y3 + div_varpi(psi1) * Y * 2.0) * (4.0 / c**2)
+                + self.om * Q6 * (16.0 * math.pi * Gg / c**2)
+            ).reindex(5)
+        else:
+            # q = 0: (1 + q)/(1 - q) = 1 and (3 - q)/(1 - q) = 3
+            om_w2_Y, frame, rho_q, P_q = 0.0, 0.0, 1.0, 3.0
+            R_b = Q6 = None
+
         # Q0 = c^2 [w - W + 2 (Om w)^2 Phi_N + Om w^2 Y - (Om w)^4/4]
         Q0 = ((w - W + self.u_lead + om_w2_Y) * c**2).reindex(3)
 
         # Q5 from the exact identity: LHS5 = -e^{2(-F+K)}[c^2 rho (1+q)/(1-q)
         # + P (3-q)/(1-q)] + c^2 rho_N
         lhs5 = (
-            emFK * (rho * ((q + 1.0) * inv_q) * c**2 + P * ((3.0 - q) * inv_q)) * -1.0
+            emFK * (rho * rho_q * c**2 + P * P_q) * -1.0
             + nf.rho_N * c**2
         ).reindex(3)
         lead5 = (self.rho_lead - nf.ratio * w - H * c**2).reindex(3)
@@ -409,31 +451,11 @@ class PNSolver:
 
         R_a = (
             (X1 * psi1 + X3 * psi3) * inv1 * (-1.0 / c**2)
-            - e4F * inv1 * inv1 * (twoY_wY1 * twoY_wY1 + wY3 * wY3) * (0.5 / c**2)
+            - frame
             + nf.ratio * Q0 * (4.0 * math.pi * Gg / c**2)
             + H * (4.0 * math.pi * Gg * c**2)
             - Q5 * (4.0 * math.pi * Gg / c**2)
         ).reindex(3)
-
-        # Q6 from: (1/c^2) e^{-6F+2K}(c^2 rho + P)(1-q)^{-1}(1+X/c^4)^2
-        # (1+Om w^2 Y/c^4)^{-1} = rho_N + Q6/c^2
-        em6F2K = exp_of(V * (1.0 / c**4) * 2.0 - psi * (6.0 / c**2), 1.0)
-        lhs6 = (
-            em6F2K
-            * (rho * c**2 + P)
-            * inv_q
-            * (X4 + 1.0)
-            * (X4 + 1.0)
-            * inv_omY
-            * (1.0 / c**2)
-        ).reindex(3)
-        Q6 = (lhs6 - nf.rho_N) * c**2
-
-        R_b = (
-            (X1 * Y1 + X3 * Y3 + div_varpi(X1) * Y * 2.0) * inv1 * (-1.0 / c**4)
-            + (psi1 * Y1 + psi3 * Y3 + div_varpi(psi1) * Y * 2.0) * (4.0 / c**2)
-            + self.om * Q6 * (16.0 * math.pi * Gg / c**2)
-        ).reindex(5)
 
         R_c = ((emFK * P * (X4 + 1.0) - nf.P_N) * (-16.0 * math.pi * Gg)).reindex(4)
 
@@ -478,7 +500,8 @@ class PNSolver:
         p = self.params
         ga, gb, gc = self.ga, self.gb, self.gc
         # sup-norm remainder-to-leading ratios on the interior patch, per
-        # iteration; 0 where the leading part vanishes (a static star's g_b)
+        # iteration; 0 where the leading part vanishes (a static star's g_b,
+        # whose R_b is None)
         leads = [float(np.max(np.abs(f.int_vals))) for f in (ga, gb, gc)]
         remainder_ratios = {"a": [], "b": [], "c": []}
 
@@ -488,14 +511,17 @@ class PNSolver:
             rho, P, u = self.state_fluid(w)
             R_a, R_b, R_c, _ = self.remainders_abc(W, Y, X, V, w, rho, P)
             for key, R, lead in zip("abc", (R_a, R_b, R_c), leads):
-                sup = float(np.max(np.abs(R.int_vals)))
-                remainder_ratios[key].append(sup / lead if lead > 0.0 else 0.0)
-            Y_new = self.ops.k_n_global(gb + R_b, 5)
+                remainder_ratios[key].append(
+                    float(np.max(np.abs(R.int_vals))) / lead if lead > 0.0 else 0.0)
+            # a static star's Y stays zero: no source, no coupling into W
+            Y_new, src_W = Y, ga
+            if p.rotating:
+                Y_new = self.ops.k_n_global(gb + R_b, 5)
+                src_W = ga + (self.nf.ratio * self.om_w2 * Y_new).reindex(3) * (
+                    -4.0 * math.pi * p.G_grav
+                )
             X_new = self.ops.k_n_global(gc + R_c, 4)
-            coupling = (self.nf.ratio * self.om_w2 * Y_new).reindex(3) * (
-                -4.0 * math.pi * p.G_grav
-            )
-            W_new = self.lop.solve((ga + coupling + R_a).reindex(3))
+            W_new = self.lop.solve((src_W + R_a).reindex(3))
             return (W_new, Y_new, X_new), self.blended_norm(W_new - W, Y_new - Y, X_new - X)
 
         (W, Y, X), changes = damped_iteration(
@@ -622,7 +648,7 @@ class PNSolver:
         # are filled whole here, as get_table fills them, in one fill each,
         # n = 3 as n = 5's pair in a rotating star; X's source, the
         # pressure, fills its few columns on demand
-        self.ops.use_table(5 if p.b_rot > 0 else 3, "fill", self.ops.table(3).P - 1)
+        self.ops.use_table(5 if p.rotating else 3, "fill", self.ops.table(3).P - 1)
 
         def step(outer):
             V, WYX, _ = outer

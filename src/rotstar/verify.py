@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .metric import e2G_normalization, kerr_lanczos, ktilde, lewis_from_lanczos
+from .tov import isotropic_tov_metric
 
 
 @dataclass
@@ -462,12 +463,15 @@ def tov_gap(res, tov, classical):
     in [0.1, 1.8] R0 along theta = 0.3, 0.8, 1.3: the total F - F_TOV, the
     Newtonian layer Phi_N - Phi_LE, with Phi_LE the exact Lane-Emden
     potential, and the post-Newtonian (F - Phi_N/c^2) - (F_TOV - Phi_LE/c^2);
-    sup_F and sup_Phi are the scales |F_TOV| and |Phi_LE|."""
+    sup_F and sup_Phi are the scales |F_TOV| and |Phi_LE|.  rel_Pi_over_w
+    and rel_K are the gaps of Pi/varpi and K against isotropic TOV over
+    sup|Pi/varpi_TOV - 1| and sup|K_TOV|."""
     p, c2 = res.params, res.params.c_light**2
     rr = np.linspace(0.1 * p.R0, 1.8 * p.R0, 60)
     th = np.array([[0.3], [0.8], [1.3]])
     w, z = rr * np.sin(th), rr * np.cos(th)
     Ft = tov.F_isotropic(rr)
+    Q_tov, K_tov = isotropic_tov_metric(tov, rr)
     Phi_LE = -p.u_O * (classical.theta(rr / p.a_len) + classical.mu1 / classical.xi1)
     Fs = res.metric.F.eval(w, z) - res.metric.F.offset
     Ps = res.newtonian.Phi_N.eval(w, z) - res.newtonian.Phi_N.offset
@@ -477,4 +481,7 @@ def tov_gap(res, tov, classical):
         "post_newtonian": float(np.max(np.abs((Fs - Ps / c2) - (Ft - Phi_LE / c2)))),
         "sup_F": float(np.max(np.abs(Ft))),
         "sup_Phi": float(np.max(np.abs(Phi_LE))),
+        "rel_Pi_over_w": float(np.max(np.abs(res.metric.Pi_over_w.eval(w, z) - Q_tov))
+                               / np.max(np.abs(Q_tov - 1.0))),
+        "rel_K": float(np.max(np.abs(res.metric.K.eval(w, z) - K_tov)) / np.max(np.abs(K_tov))),
     }

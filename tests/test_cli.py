@@ -297,6 +297,7 @@ class TestEveryConfigThroughMain:
     @example("kerr-check", {("kerr", "window"): 1e300}, None)
     # overflow warnings of exp(s Q) that escaped main on strong fields inside the ranges
     @example("solve", {("star", "u_O"): 1.0e50}, None)
+    @example("solve", {("star", "u_O"): 1.0e50, ("star", "b_rot"): 0.0}, None)
     @example("tov-compare", {("eos", "gamma"): 1.99, ("eos", "c_light"): 1e-50}, None)
     def test_main_ends_in_a_documented_code(self, command, draws, empty):
         # empty names a section given with no keys, which takes its defaults
@@ -335,6 +336,18 @@ class TestEveryConfigThroughMain:
         assert code == 2
         assert [str(w.message) for w in caught] == []
         assert err.getvalue() == "error: exp(1 Q) overflows: the field is too strong\n"
+
+    def test_static_log_guard_exits_2(self, tmp_path):
+        # a static star's w is W, but w_from_WYX still takes log1p(X/c^4)
+        # first: at u_O = 0.5 the iterated X/c^4 falls below -1 and that
+        # guard stops the solve
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump({**HELD, "star": {"u_O": 0.5}}))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["tov-compare", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert err.getvalue() == "error: log1p(Q) needs 1 + Q > 0 on both patches\n"
 
 
 class TestLaneEmdenCommand:
@@ -656,6 +669,9 @@ class TestTovCompareCommand:
         # criterion 10's split of the gap on the same rays
         assert man["newtonian_gap"] > 0
         assert 0 < man["post_newtonian_gap"] < man["sup_F_gap"]
+        # Pi/varpi and K against isotropic TOV on the same rays, each over its scale
+        assert {"rel_Pi_over_w_gap", "rel_K_gap"} <= set(man)
+        assert 0 < man["rel_Pi_over_w_gap"] < 1 and 0 < man["rel_K_gap"] < 1
 
     def test_rotating_config_left_unchanged(self, tmp_path):
         out = tmp_path / "tov"

@@ -273,7 +273,6 @@ TEST_READ_FIELDS = {
     ("DistortedLaneEmden", "zeta"): "the converged grid's zeta nodes, where tests check theta_at",
     ("DistortedLaneEmden", "Theta"): "the converged profile, which tests check against the "
                                      "centre value, the surface sign and theta_at",
-    ("TovSolution", "ell"): "the isotropic radius grid, whose end tests read as the surface",
 }
 
 

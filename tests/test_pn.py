@@ -414,6 +414,42 @@ class TestInnerOuter:
             assert {"int_n3", "star_n3"} <= set(rep["far_operators"])
             assert {k.split("_")[0] for k in rep["kernel_tables"]} == {"P65"}
 
+    def test_static_path_matches_rotation_path(self, monkeypatch, coarse_static):
+        # a static star skips equation (b) and every Omega term; with the
+        # rotation test forced true the same star takes the rotating path,
+        # which inverts Y's zero source with k_5 in every inner step, and
+        # must end in the same bits.  Each solve runs cold, on caches of its
+        # own, as a warm solve's answers may differ in the last bits
+        p, eos, dle, cls = coarse_static
+        k_n_global, orders, results = greens.GreenOps.k_n_global, [], []
+
+        def spy(ops, fld, n):
+            orders[-1].append(n)
+            return k_n_global(ops, fld, n)
+
+        monkeypatch.setattr(greens.GreenOps, "k_n_global", spy)
+        for forced in (False, True):
+            if forced:
+                monkeypatch.setattr(StarParams, "rotating", property(lambda self: True))
+            monkeypatch.setattr(greens, "_TABLE_CACHE", {})
+            monkeypatch.setattr(greens, "_FAR_CACHE", {})
+            orders.append([])
+            results.append(PNSolver(p, eos, SolverOptions(33, 25), dle=dle, classical=cls).solve())
+        static, rotating = results
+        assert 5 not in orders[0]
+        inner = [rec["iterations"] for rec in rotating.diagnostics["inner_history"]]
+        assert orders[1].count(5) == sum(inner) > 0
+        ref = rotating.dumped_fields()
+        for name, fld in static.dumped_fields().items():
+            assert np.array_equal(fld.int_vals, ref[name].int_vals), name
+            assert np.array_equal(fld.star_vals, ref[name].star_vals), name
+            assert (fld.offset, fld.n_index, fld.parity) == (
+                ref[name].offset, ref[name].n_index, ref[name].parity), name
+        assert static.diagnostics["outer_changes"] == rotating.diagnostics["outer_changes"]
+        for a, b in zip(static.diagnostics["inner_history"], rotating.diagnostics["inner_history"],
+                        strict=True):
+            assert (a["changes"], a["remainder_ratios"]) == (b["changes"], b["remainder_ratios"])
+
     def test_far_v_derives_the_k_gradient_fields_once(self, monkeypatch, rotating_sweep,
                                                        rotating_solver):
         # the node values and the far samples of K1t, K3t (the C_inf arcs and
