@@ -285,4 +285,13 @@ MUTANTS = [
                "off 3, so its W, w and every field built on them leave the rotation "
                "path's bits",
     },
+    {
+        "id": "eos-pressure-series-not-derived",
+        "file": "eos.py",
+        "old": "consistent_upsilon_P(self.gamma, self.upsilon_rho, SERIES_TERMS))",
+        "new": "())",
+        "tests": ["tests/test_eos.py::TestPressureFromEnthalpy::test_enthalpy_identity_dP_du"],
+        "why": "an EOS whose pressure series is left empty misses dP/du = rho + P/c^2 by "
+               "about -0.4 u/c^2 relative",
+    },
 ]

@@ -158,6 +158,13 @@ def cmd_solve(cfg, args):
     return 0
 
 
+# retired physics keys that every run of an earlier version carries, each at
+# the one value this version builds; a run with another value is a star this
+# version cannot rebuild
+RETIRED_PHYSICS = {("eos", "upsilon_P"): "consistent", ("eos", "series_radius"): 1.0,
+                   ("star", "Omega_O"): None}
+
+
 def cmd_verify(cfg, args):
     from .gridio import read_field
     from .lane_emden import solve_classical
@@ -171,11 +178,16 @@ def cmd_verify(cfg, args):
             man = json.load(fh)
         # only the physics sections: a manifest written by an older version
         # may carry keys this version no longer accepts elsewhere
-        physics = {key: man["config"][key] for key in ("eos", "star")}
+        physics = {key: dict(man["config"][key]) for key in ("eos", "star")}
     except OSError as exc:
         raise ConfigError(f"{run}: no readable manifest.json ({exc.strerror})") from None
     except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
         raise ConfigError(f"{run}: manifest.json is not a run manifest ({exc!r})") from None
+    for (section, key), value in RETIRED_PHYSICS.items():
+        old = physics[section].pop(key, value)
+        if old != value:
+            raise ConfigError(f"{run}: retired {section}.{key} = {json.dumps(old)}; this version "
+                              f"rebuilds only the star with {json.dumps(value)} there")
     star_cfg = load_config(physics)
     classical = solve_classical(1.0 / (star_cfg.eos["gamma"] - 1.0))
     params = build_params(star_cfg, classical=classical)
@@ -208,17 +220,18 @@ def cmd_kerr_check(cfg, args):
     from types import SimpleNamespace
 
     from .metric import KerrParams, kerr_eval_fns
-    from .verify import asymptotic_fit, kerr_mask, kerr_refinement, kerr_window, refinement_orders
+    from .verify import (KERR_WINDOW, asymptotic_fit, kerr_mask, kerr_refinement, kerr_window,
+                         refinement_orders)
 
     k = cfg.kerr
     kp = KerrParams(k["m_geom"], k["a_spin"])
-    # a window without a measured node at some level is a config error,
+    # a level without a measured node in the window is a config error,
     # found before anything is written; --out before the refinement's work
     for N in k["levels"]:
-        kerr_mask(kp, kerr_window(kp, k["window"] * kp.m_geom, N))
+        kerr_mask(kp, kerr_window(kp, KERR_WINDOW * kp.m_geom, N))
     out = _out_dir(cfg, args.out)
     params = SimpleNamespace(G_grav=1.0, c_light=1.0)  # kerr_lanczos's geometric units
-    orders = refinement_orders(kerr_refinement(kp, params, k["window"], k["levels"]))
+    orders = refinement_orders(kerr_refinement(kp, params, k["levels"]))
     fit = asymptotic_fit(kerr_eval_fns(kp), params, (20.0 * kp.m_geom, 50.0 * kp.m_geom))
     payload = {
         "command": "kerr-check",
@@ -249,9 +262,9 @@ def cmd_tov_compare(cfg, args):
     from .verify import tov_gap
 
     out = _out_dir(cfg, args.out)
-    if cfg.star["Omega_O"] not in (None, 0.0) or (cfg.star["b_rot"] or 0.0) != 0.0:
+    if cfg.star["b_rot"] != 0.0:
         # TOV is static: compare against a non-rotating copy of the star
-        cfg = replace(cfg, star={**cfg.star, "Omega_O": None, "b_rot": 0.0})
+        cfg = replace(cfg, star={**cfg.star, "b_rot": 0.0})
     solver, res = _run_solver(cfg)
     params = res.params
     tov = solve_tov(solver.eos, params.u_O, params.G_grav, params.c_light)

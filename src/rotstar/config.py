@@ -17,7 +17,7 @@ from numbers import Integral, Real
 
 import yaml
 
-from .eos import SERIES_TERMS, EquationOfState, consistent_upsilon_P
+from .eos import EquationOfState
 from .errors import ConfigError
 from .lane_emden import solve_classical, solve_distorted
 from .pn import SolverOptions, StarParams
@@ -29,12 +29,9 @@ _DEFAULTS = {
         "A_const": 1.0,
         "c_light": 1.0,
         "upsilon_rho": [],
-        "upsilon_P": "consistent",
-        "series_radius": EquationOfState.series_radius,
     },
     "star": {
         "u_O": 1e-3,
-        "Omega_O": None,
         "b_rot": 1e-3,
         "G_grav": 1.0,
     },
@@ -46,7 +43,6 @@ _DEFAULTS = {
     "kerr": {
         "m_geom": 1.0,
         "a_spin": 0.5,
-        "window": 12.0,
         "levels": [61, 121, 241],
     },
     "output": {
@@ -104,8 +100,6 @@ def _numbers(val, kind=Real):
 # and an exponent fit need two distinct points, and a Kerr level (nodes per axis) two nodes
 _LIST_RULES = {
     ("eos", "upsilon_rho"): (_numbers, "a list of finite numbers"),
-    ("eos", "upsilon_P"): (lambda v: v == "consistent" or _numbers(v),
-                           '"consistent" or finite numbers'),
     ("kerr", "levels"): (lambda v: _numbers(v, Integral) and len(set(v)) >= 2 and min(v) >= 2,
                          "a list of 2+ distinct integers, each >= 2"),
     ("sweep", "values"): (lambda v: _numbers(v) and len(set(v)) >= 2, "a list of 2+ distinct finite numbers"),
@@ -119,15 +113,14 @@ def sweep_key(param):
 
 
 def _validate(cfg):
-    # a key with a numeric default takes a finite number; star's two rotation keys also
-    # take null (exactly one of them is null, checked below); a list-valued key passes
-    # its _LIST_RULES test, and any other key with a string default takes a string
+    # a key with a numeric default takes a finite number, a list-valued key passes its
+    # _LIST_RULES test, and any other key with a string default takes a string
     for name, defaults in _DEFAULTS.items():
         for key, default in defaults.items():
-            val, rotation = getattr(cfg, name)[key], name == "star" and key in ("Omega_O", "b_rot")
+            val = getattr(cfg, name)[key]
             kind, what = ((Integral, "an integer") if _is_number(default, Integral)
                           else (Real, "a finite number"))
-            if (_is_number(default) or rotation) and not (_is_number(val, kind) or rotation and val is None):
+            if _is_number(default) and not _is_number(val, kind):
                 raise ConfigError(f"{name}.{key}={val!r} is not {what}")
             ok, rule = _LIST_RULES.get((name, key), (None, None))
             if ok and not ok(val):
@@ -143,8 +136,6 @@ def _validate(cfg):
     e = cfg.eos
     if not (6.0 / 5.0 < e["gamma"] < 2.0):
         raise ConfigError(f"eos.gamma={e['gamma']} outside (6/5, 2)")
-    if not e["series_radius"] > 0:
-        raise ConfigError("eos.series_radius must be positive")
     # the physical scales: the model takes their powers up to 1/(gamma - 1) < 5, which
     # stay finite in floats here (at 1e-300 and 1e300 the star's scales overflow); the
     # Kerr fields and fit overflow by m_geom 1e-80 and 1e100
@@ -152,10 +143,7 @@ def _validate(cfg):
                       ("kerr", "m_geom")):
         if not 1e-50 <= getattr(cfg, name)[key] <= 1e50:
             raise ConfigError(f"{name}.{key}={getattr(cfg, name)[key]!r} outside [1e-50, 1e50]")
-    s = cfg.star
-    if (s["Omega_O"] is None) == (s["b_rot"] is None):
-        raise ConfigError("star: specify exactly one of Omega_O and b_rot")
-    if s["b_rot"] is not None and s["b_rot"] < 0:
+    if cfg.star["b_rot"] < 0:
         raise ConfigError("star.b_rot must be >= 0")
     g = cfg.grid
     if g["n_interior"] < 17 or g["n_exterior"] < 13:
@@ -163,10 +151,6 @@ def _validate(cfg):
     k = cfg.kerr
     if abs(k["a_spin"]) > k["m_geom"]:
         raise ConfigError("kerr.a_spin must satisfy |a| <= m_geom")
-    # a window of at most 1e25 m keeps the Kerr fields' extent within 1e75, where they
-    # stay finite (at 1e300 m their squares overflow)
-    if not 0 < k["window"] <= 1e25:
-        raise ConfigError(f"kerr.window={k['window']!r} outside (0, 1e25]")
     return cfg
 
 
@@ -197,17 +181,7 @@ def load_config(source=None):
 
 def build_eos(cfg):
     e = cfg.eos
-    ups_P = e["upsilon_P"]
-    if ups_P == "consistent":
-        ups_P = consistent_upsilon_P(e["gamma"], tuple(e["upsilon_rho"]), SERIES_TERMS)
-    return EquationOfState(
-        gamma=e["gamma"],
-        A_const=e["A_const"],
-        c_light=e["c_light"],
-        upsilon_rho=tuple(e["upsilon_rho"]),
-        upsilon_P=tuple(ups_P),
-        series_radius=e["series_radius"],
-    )
+    return EquationOfState(e["gamma"], e["A_const"], e["c_light"], upsilon_rho=e["upsilon_rho"])
 
 
 def build_params(cfg, classical):
@@ -219,7 +193,6 @@ def build_params(cfg, classical):
         c_light=e["c_light"],
         G_grav=s["G_grav"],
         u_O=s["u_O"],
-        Omega_O=s["Omega_O"],
         b_rot=s["b_rot"],
         classical=classical,
     )

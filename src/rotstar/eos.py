@@ -8,10 +8,10 @@ The representation is enthalpy-based: with k_rho = ((g-1)/(A g))^(1/(g-1)),
 where Y_rho, Y_P are finite polynomial correction series in eta = u/c^2 with
 no constant term.  The enthalpy integral u = int dP / (rho + P/c^2) holds for
 the pair exactly when Y_P is matched to Y_rho; `consistent_upsilon_P` builds
-that match order by order.
+that match order by order, and every EquationOfState takes its Y_P from it.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
@@ -20,6 +20,7 @@ from .errors import DomainError, SeriesDomainError
 
 
 SERIES_TERMS = 6  # matched P-series terms
+SERIES_RADIUS = 1.0  # |u/c^2| below which the correction series are taken
 
 
 def _positive_power(u, p):
@@ -49,14 +50,14 @@ def consistent_upsilon_P(gamma, upsilon_rho, n_terms):
 
 @dataclass(frozen=True)
 class EquationOfState:
-    """Immutable EOS value; all state functions are pure and vectorized."""
+    """Immutable EOS value; all state functions are pure and vectorized.
+    Y_P is derived from Y_rho, so dP/du = rho + P/c^2 holds for every one."""
 
     gamma: float
     A_const: float
     c_light: float
     upsilon_rho: tuple = ()
-    upsilon_P: tuple = ()
-    series_radius: float = 1.0
+    upsilon_P: tuple = field(init=False)
 
     def __post_init__(self):
         if not (6.0 / 5.0 < self.gamma < 2.0):
@@ -64,13 +65,13 @@ class EquationOfState:
         if self.A_const <= 0 or self.c_light <= 0:
             raise DomainError("A_const and c_light must be positive")
         object.__setattr__(self, "upsilon_rho", tuple(self.upsilon_rho))
-        object.__setattr__(self, "upsilon_P", tuple(self.upsilon_P))
+        object.__setattr__(self, "upsilon_P",
+                           consistent_upsilon_P(self.gamma, self.upsilon_rho, SERIES_TERMS))
 
     @classmethod
     def gamma_law(cls, gamma, A_const, c_light):
-        """Default build: Y_rho = 0, Y_P matched so the enthalpy identity holds."""
-        return cls(gamma=gamma, A_const=A_const, c_light=c_light,
-                   upsilon_P=consistent_upsilon_P(gamma, (), SERIES_TERMS))
+        """The Y_rho = 0 EOS, under the name the benchmark builds it by."""
+        return cls(gamma, A_const, c_light)
 
     # -- derived constants -------------------------------------------------
 
@@ -102,10 +103,10 @@ class EquationOfState:
 
     def _check_eta(self, u):
         eta = np.asarray(u, dtype=float) / self.c_light**2
-        if np.any(np.abs(eta) >= self.series_radius):
+        if np.any(np.abs(eta) >= SERIES_RADIUS):
             raise SeriesDomainError(
-                f"u/c^2 reaches {np.max(np.abs(eta)):.3g}, beyond the configured "
-                f"series radius {self.series_radius:.3g}"
+                f"u/c^2 reaches {np.max(np.abs(eta)):.3g}, beyond the "
+                f"series radius {SERIES_RADIUS:.3g}"
             )
         return eta
 

@@ -17,7 +17,7 @@ class DomainError(RotstarError, ValueError):
 
 
 class SeriesDomainError(DomainError):
-    """Expansion variable left the configured convergence region."""
+    """Expansion variable left its convergence region."""
 
 
 class ConvergenceError(RotstarError):

@@ -78,12 +78,9 @@ class StarParams:
     xi1: float
 
     @classmethod
-    def build(cls, gamma, A_const, c_light, G_grav, u_O, Omega_O=None, b_rot=None, *, classical):
-        if (Omega_O is None) == (b_rot is None):
-            raise DomainError("specify exactly one of Omega_O and b_rot")
-        if Omega_O is None:
-            Omega_O = math.sqrt(4.0 * math.pi * G_grav * b_rot * u_O ** (1.0 / (gamma - 1.0))
-                                / _inv_k_rho(gamma, A_const))
+    def build(cls, gamma, A_const, c_light, G_grav, u_O, b_rot, *, classical):
+        Omega_O = math.sqrt(4.0 * math.pi * G_grav * b_rot * u_O ** (1.0 / (gamma - 1.0))
+                            / _inv_k_rho(gamma, A_const))
         return cls(gamma, A_const, c_light, G_grav, u_O, Omega_O, classical.xi1)
 
     @property
@@ -278,6 +275,8 @@ class PNSolver:
     """One star, one grid, one solver instance (instances are independent)."""
 
     def __init__(self, params, eos, options, classical, dle=None):
+        if (params.gamma, params.A_const, params.c_light) != (eos.gamma, eos.A_const, eos.c_light):
+            raise DomainError("the star's gamma, A_const and c_light differ from its EOS's")
         self.params = params
         self.eos = eos
         self.opts = options
@@ -491,9 +490,11 @@ class PNSolver:
         return max(sup, a * d1, a * d3, sup_star)
 
     def blended_norm(self, dW, dY, dX):
+        """max of W's and X's C^1 norms and Y's weighted by u_O/|Omega_O|;
+        for Omega_O = 0, Y weighs nothing and its norm is not taken."""
         p = self.params
-        wY = p.u_O / abs(p.Omega_O) if p.Omega_O != 0.0 else 0.0
-        return max(self._norm_c1(dW), wY * self._norm_c1(dY), self._norm_c1(dX))
+        norm = max(self._norm_c1(dW), self._norm_c1(dX))
+        return max(norm, p.u_O / abs(p.Omega_O) * self._norm_c1(dY)) if p.Omega_O != 0.0 else norm
 
     def inner_fixed_point(self, V, state):
         """The map S(V): unique (W, Y, X) at frozen V, iterated from state."""

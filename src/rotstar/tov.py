@@ -62,6 +62,8 @@ def solve_tov(eos, u_O, G_grav=1.0, c_light=1.0):
     """Integrate the TOV equations for central enthalpy u_O."""
     if u_O <= 0:
         raise DomainError("u_O must be positive")
+    if c_light != eos.c_light:
+        raise DomainError(f"c_light={c_light!r} differs from the EOS's {eos.c_light!r}")
     G, c = G_grav, c_light
     rho_c = float(eos.density_from_enthalpy(u_O))
     # series start: m ~ (4 pi/3) rho_c r^3, u ~ u_O - (2 pi/3) G rho_eff r^2

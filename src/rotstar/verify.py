@@ -396,6 +396,7 @@ def asymptotic_fit(eval_fns, params, r_window):
 
 
 KERR_MARGIN, KERR_MEASURE_MARGIN = 2.6, 4.5  # Kerr window and measurement masks, in m
+KERR_WINDOW = 12.0  # side of the Kerr window [0, KERR_WINDOW m]^2
 
 
 def kerr_window(kp, L, N):
@@ -428,21 +429,21 @@ def refinement_order(hs, sups):
 def kerr_mask(kp, win):
     """Where Kerr residuals are measured: the twice-eroded report mask, away
     from the horizon (rbar > KERR_MEASURE_MARGIN m) and the axis (varpi >= 0.8 m).
-    A window too small to hold such a node is a ConfigError."""
+    A level too coarse to hold such a node is a ConfigError."""
     rbar = kerr_lanczos(kp, win.W, win.Z)["rbar"]
     meas = win.report_mask(erode=2) & (rbar > KERR_MEASURE_MARGIN * kp.m_geom) & (win.W >= 0.8 * kp.m_geom)
     if not meas.any():
-        raise ConfigError(f"kerr.window: no node of [0, {win.W[-1, 0]:g}]^2 at {win.F.shape[0]} points "
+        raise ConfigError(f"kerr.levels: no node of [0, {win.W[-1, 0]:g}]^2 at {win.F.shape[0]} points "
                           f"lies in its report mask with rbar > {KERR_MEASURE_MARGIN:g} m and varpi >= 0.8 m")
     return meas
 
 
-def kerr_refinement(kp, params, window, levels):
+def kerr_refinement(kp, params, levels):
     """Sups over kerr_mask of the 5 reduced residuals, the 6 Ricci residuals
-    and L on [0, window m]^2 at each grid level N: {"h": [...], name: [...]}."""
+    and L on [0, KERR_WINDOW m]^2 at each grid level N: {"h": [...], name: [...]}."""
     out = {"h": []}
     for N in levels:
-        win = kerr_window(kp, window * kp.m_geom, N)
+        win = kerr_window(kp, KERR_WINDOW * kp.m_geom, N)
         meas = kerr_mask(kp, win)
         out["h"].append(win.h)
         for name, f in {**residual_reduced_system(win, params).residuals,

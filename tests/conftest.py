@@ -96,5 +96,5 @@ def kerr_levels():
     from rotstar.verify import kerr_refinement
 
     params = SimpleNamespace(G_grav=1.0, c_light=1.0)
-    return {a: kerr_refinement(KerrParams(1.0, a), params, 12.0, (61, 121, 241))
+    return {a: kerr_refinement(KerrParams(1.0, a), params, (61, 121, 241))
             for a in (0.0, 0.5, 0.9)}

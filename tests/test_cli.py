@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 import rotstar
 from rotstar import cli, lane_emden, verify
 from rotstar.cli import cmd_tov_compare, main
-from rotstar.config import _DEFAULTS, build_solver_options, build_star, load_config
+from rotstar.config import _DEFAULTS, build_eos, build_solver_options, build_star, load_config
+from rotstar.eos import EquationOfState
 from rotstar.errors import ConfigError
 from rotstar.fields import AxiField, AxiGrid
 from rotstar.gridio import read_field, write_field
@@ -66,10 +67,6 @@ class TestConfigValidation:
         cfg = write_cfg(tmp_path, "eos: {gamma: 2.5}\nstar: {u_O: 1.0e-3, b_rot: 0.0}\n")
         assert main(["lane-emden", "--config", cfg]) == 1
 
-    def test_both_rotation_specs_rejected(self, tmp_path):
-        cfg = write_cfg(tmp_path, "star: {u_O: 1.0e-3, b_rot: 1.0e-3, Omega_O: 0.1}\n")
-        assert main(["solve", "--config", cfg]) == 1
-
     @pytest.mark.parametrize("key", ["solver.alpha_holder", "solver.ball_M",
                                      "verify.residual_order_min", "verify.axis_strip_r1",
                                      "output.formats", "solver.damping", "solver.newtonian_tol",
@@ -78,7 +75,8 @@ class TestConfigValidation:
                                      "lane_emden.tol", "output.quiet", "verify.fit_window",
                                      "lane_emden.n_radial", "lane_emden.n_zeta", "lane_emden.lmax",
                                      "lane_emden.max_iter", "lane_emden.report_grid",
-                                     "solver.max_inner", "solver.max_outer"])
+                                     "solver.max_inner", "solver.max_outer", "eos.upsilon_P",
+                                     "eos.series_radius", "star.Omega_O", "kerr.window"])
     def test_removed_key_rejected(self, tmp_path, capsys, key):
         # a retired key of a kept section is an unknown key, and one of a
         # retired section (lane_emden, verify, tov) an unknown section
@@ -109,6 +107,7 @@ class TestConfigValidation:
                        ["solve", "--config", "{tmp}/cfg.yaml"]),
         "list key eos.upsilon_rho": ({"cfg.yaml": "eos: {upsilon_rho: abc}\n"},
                                      ["solve", "--config", "{tmp}/cfg.yaml"]),
+        # a retired key, whatever its value, is an unknown key
         "list key eos.upsilon_P": ({"cfg.yaml": "eos: {upsilon_P: abc}\n"},
                                    ["solve", "--config", "{tmp}/cfg.yaml"]),
         "list key kerr.levels": ({"cfg.yaml": "kerr: {levels: abc}\n"},
@@ -147,9 +146,8 @@ class TestConfigValidation:
         # one grid spacing twice: a refinement order of garbage and a RankWarning
         "repeated level in kerr.levels": ({"cfg.yaml": "kerr: {levels: [61, 61]}\n"},
                                           ["kerr-check", "--config", "{tmp}/cfg.yaml"]),
-        "negative kerr.window": ({"cfg.yaml": "kerr: {window: -3.0}\n"},
-                                 ["kerr-check", "--config", "{tmp}/cfg.yaml"]),
-        "no measured node in kerr.window": ({"cfg.yaml": "kerr: {window: 1.0}\n"},
+        # a level of 2 or 3 nodes leaves the eroded report mask of the window empty
+        "no measured node in kerr.levels": ({"cfg.yaml": "kerr: {levels: [2, 3]}\n"},
                                             ["kerr-check", "--config", "{tmp}/cfg.yaml"]),
         "unknown section in sweep.param": ({"cfg.yaml": "sweep: {param: a.b}\n"},
                                            ["sweep", "--config", "{tmp}/cfg.yaml"]),
@@ -243,7 +241,7 @@ class TestConfigValidation:
     def test_sweep_param_takes_a_number(self):
         for param in ("u_O", "star.b_rot", "grid.n_interior"):
             assert load_config({"sweep": {"param": param}}).sweep["param"] == param
-        for param in ("output.directory", "kerr.levels", "eos.upsilon_P"):
+        for param in ("output.directory", "kerr.levels", "eos.upsilon_rho"):
             with pytest.raises(ConfigError, match="sweep.param"):
                 load_config({"sweep": {"param": param}})
 
@@ -263,6 +261,8 @@ class TestConfigValidation:
         assert np.array_equal(dle.Theta, ref.Theta) and dle.iterations == ref.iterations
         grid = cfg.grid["n_interior"], cfg.grid["n_exterior"]
         assert build_solver_options(cfg) == SolverOptions(*grid)
+        # and the same EOS, its pressure series derived in both
+        assert build_eos(load_config()) == EquationOfState(5.0 / 3.0, 1.0, 1.0)
 
 
 # held, never drawn: a drawn grid size could allocate and a drawn worker count
@@ -294,7 +294,6 @@ class TestEveryConfigThroughMain:
     @example("tov-compare", {("eos", "c_light"): 1e-300}, None)
     @example("tov-compare", {("star", "G_grav"): 1e300}, None)
     @example("solve", {("star", "G_grav"): 1e-300}, None)
-    @example("kerr-check", {("kerr", "window"): 1e300}, None)
     # overflow warnings of exp(s Q) that escaped main on strong fields inside the ranges
     @example("solve", {("star", "u_O"): 1.0e50}, None)
     @example("solve", {("star", "u_O"): 1.0e50, ("star", "b_rot"): 0.0}, None)
@@ -488,7 +487,7 @@ class TestSolveCommand:
             tov = solve_tov(solver.eos, params.u_O, params.G_grav, params.c_light)
             assert rep["tov_gap"] == tov_gap(res, tov, solver.classical)
 
-    def test_verify_manifest_with_removed_keys(self, tmp_path):
+    def test_verify_manifest_with_removed_keys(self, tmp_path, capsys):
         # verify reads only the eos and star sections of the manifest's
         # config, so runs written with keys this version rejects still verify
         out = tmp_path / "run"
@@ -509,6 +508,27 @@ class TestSolveCommand:
         path.write_text(json.dumps(man))
         assert main(["verify", "--config", cfg, "--run", str(out),
                      "--out", str(tmp_path / "ver")]) == 0
+        # a run of a version that still had the pressure series, the series
+        # radius and Omega_O as keys, each at the one value this version
+        # builds, verifies to the fresh run's report
+        man["config"]["eos"].update(upsilon_P="consistent", series_radius=1.0)
+        man["config"]["star"]["Omega_O"] = None
+        path.write_text(json.dumps(man))
+        assert main(["verify", "--config", cfg, "--run", str(out),
+                     "--out", str(tmp_path / "old")]) == 0
+        assert ((tmp_path / "old" / "verify_report.json").read_text()
+                == (tmp_path / "ver" / "verify_report.json").read_text())
+        # at another value it is a star this version cannot rebuild
+        for section, key, value in (("star", "Omega_O", 0.1), ("eos", "upsilon_P", [0.0])):
+            other = json.loads(json.dumps(man))
+            other["config"][section][key] = value
+            path.write_text(json.dumps(other))
+            capsys.readouterr()
+            assert main(["verify", "--config", cfg, "--run", str(out),
+                         "--out", str(tmp_path / "other")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and f"{section}.{key}" in err
+        assert not (tmp_path / "other").exists()
         # the Newtonian layer's scalars come from the diagnostics: a
         # manifest without them is a config error, not a traceback
         del man["diagnostics"]["newtonian"]

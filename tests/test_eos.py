@@ -1,8 +1,7 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
+from rotstar import eos as eos_module
 from rotstar.eos import EquationOfState, consistent_upsilon_P
 from rotstar.errors import SeriesDomainError
 
@@ -19,8 +18,9 @@ class TestDensityFromEnthalpy:
         k = ((eos.gamma - 1) / (eos.A_const * eos.gamma)) ** eos.nu
         assert eos.density_from_enthalpy(4.0) == pytest.approx(k * 16.0, rel=1e-14)
 
-    def test_series_radius_enforced(self):
-        eos = replace(EquationOfState.gamma_law(5 / 3, 1.0, 1.0), series_radius=0.5)
+    def test_series_radius_enforced(self, monkeypatch):
+        monkeypatch.setattr(eos_module, "SERIES_RADIUS", 0.5)
+        eos = EquationOfState.gamma_law(5 / 3, 1.0, 1.0)
         with pytest.raises(SeriesDomainError):
             eos.density_from_enthalpy(0.9)
 
@@ -38,13 +38,15 @@ class TestPressureFromEnthalpy:
         assert eos.f_N_P(u) == pytest.approx(eos.k_P * u**3.0, rel=1e-14)
 
     def test_enthalpy_identity_dP_du(self):
-        # dP/du = rho + P/c^2, checked by centered finite differences.
-        eos = EquationOfState.gamma_law(5 / 3, 1.0, 10.0)
-        for u in [0.5, 1.0, 2.0]:
-            h = 1e-6 * u
-            dP = (eos.pressure_from_enthalpy(u + h) - eos.pressure_from_enthalpy(u - h)) / (2 * h)
-            rhs = eos.density_from_enthalpy(u) + eos.pressure_from_enthalpy(u) / eos.c_light**2
-            assert dP == pytest.approx(rhs, rel=1e-6)
+        # dP/du = rho + P/c^2, checked by centered finite differences, for
+        # the EOS as constructed: its pressure series is derived from Y_rho
+        for upsilon_rho in ((), (0.3, -0.1)):
+            eos = EquationOfState(5 / 3, 1.0, 10.0, upsilon_rho=upsilon_rho)
+            for u in [0.5, 1.0, 2.0]:
+                h = 1e-6 * u
+                dP = (eos.pressure_from_enthalpy(u + h) - eos.pressure_from_enthalpy(u - h)) / (2 * h)
+                rhs = eos.density_from_enthalpy(u) + eos.pressure_from_enthalpy(u) / eos.c_light**2
+                assert dP == pytest.approx(rhs, rel=1e-6), (upsilon_rho, u)
 
     def test_consistent_upsilon_recurrence(self):
         # First coefficient from the order-by-order identity.
@@ -82,10 +84,11 @@ class TestVacuumBoundary:
         assert eos.density_from_enthalpy(eps) < 1e-10
         assert eos.density_from_enthalpy(eps) / eps < 1e-3
 
-    def test_causality_sampled(self):
+    def test_causality_sampled(self, monkeypatch):
         # dP/drho = (dP/du)/(drho/du) by centered differences, over the
         # enthalpies of rho in [1e-3, 1]
-        eos = replace(EquationOfState.gamma_law(5 / 3, 1.0, 3.0), series_radius=2.0)
+        monkeypatch.setattr(eos_module, "SERIES_RADIUS", 2.0)
+        eos = EquationOfState.gamma_law(5 / 3, 1.0, 3.0)
         for u in np.geomspace(0.025, 2.5, 12):
             h = 1e-6 * u
             dP = eos.pressure_from_enthalpy(u + h) - eos.pressure_from_enthalpy(u - h)

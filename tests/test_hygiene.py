@@ -5,7 +5,8 @@ package's module-level code or the benchmark, not by tests alone (bar a
 named few), every parameter of a package function or method is read by its
 body, every defaulted one is passed by some package or benchmark call (bar
 main's argv), every dataclass field is loaded as an attribute by the
-package or the benchmark (bar a named few), every config key is read, no
+package or the benchmark (bar a named few), every config key is read and
+listed with its default in the README's configuration table, no
 module filters a numerical warning, every entry point the benchmark
 wraps by name still exists, and the suite's warning filters leave a failing
 Hypothesis test a plain failure.
@@ -26,6 +27,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+import yaml
 
 import rotstar
 
@@ -410,6 +413,20 @@ def test_every_config_key_is_read():
 
     sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
     assert unread_config_keys(_DEFAULTS, sources, whole=("solver",)) == []
+
+
+def test_readme_config_table_is_the_defaults():
+    # the README's configuration table holds each config key once, with its
+    # default as YAML, and no other key
+    from rotstar.config import _DEFAULTS
+
+    rows = re.findall(r"^\| `(\w+)\.(\w+)` \| `([^`]*)` \|", (TESTS.parent / "README.md").read_text(),
+                      re.MULTILINE)
+    table = {}
+    for section, key, default in rows:
+        table.setdefault(section, {})[key] = yaml.safe_load(default)
+    assert len(rows) == sum(map(len, _DEFAULTS.values()))
+    assert table == _DEFAULTS
 
 
 def test_bench_entry_points_exist(monkeypatch):

@@ -46,9 +46,15 @@ class TestStarParams:
         assert not flags["D1_b_small"]
         assert not flags["D2_epsilon_small"]
 
-    def test_exclusive_rotation_spec(self, cls15):
-        with pytest.raises(DomainError):
-            StarParams.build(5 / 3, 1.0, 1.0, 1.0, u_O=1e-3, classical=cls15)
+    @pytest.mark.parametrize("other", [{"gamma": 1.6}, {"A_const": 2.0}, {"c_light": 3.0}])
+    def test_solver_rejects_other_eos_constants(self, cls15, other):
+        # gamma, A_const and c_light reach the solver through the star and
+        # through its EOS: a pair that disagrees is rejected, not solved
+        p = StarParams.build(5 / 3, 1.0, 1.0, 1.0, u_O=1e-3, b_rot=1e-3, classical=cls15)
+        eos = EquationOfState(**{"gamma": 5 / 3, "A_const": 1.0, "c_light": 1.0, **other})
+        with pytest.raises(DomainError, match="differ from its EOS"):
+            PNSolver(p, eos, SolverOptions(33, 25), classical=cls15)
+
 
 
 class TestOmegaProfile:

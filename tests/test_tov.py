@@ -3,7 +3,7 @@ import pytest
 
 from rotstar import tov as tov_module
 from rotstar.eos import EquationOfState
-from rotstar.errors import ConvergenceError
+from rotstar.errors import ConvergenceError, DomainError
 from rotstar.lane_emden import solve_classical
 from rotstar.tov import solve_tov
 
@@ -86,3 +86,11 @@ class TestCenter:
         # central F from the first integral: F(0) = -u_O + F_surface_match
         C_F = 0.5 * np.log(1 - 2 * tov.M_total / tov.r_surface)
         assert tov.F_areal(np.array([0.0]))[0] == pytest.approx(-u_O + C_F, rel=1e-10)
+
+
+class TestConstants:
+    def test_c_light_of_the_eos(self, eos):
+        # c enters through the EOS and the call: a pair that disagrees is
+        # rejected, not integrated
+        with pytest.raises(DomainError, match="differs from the EOS"):
+            solve_tov(eos, 1e-3, 1.0, 2.0)
